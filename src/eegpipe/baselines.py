@@ -101,6 +101,37 @@ def _gini_sum(counts: np.ndarray, n: int) -> float:
     return n - float(np.sum(counts.astype(float) ** 2)) / n
 
 
+def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: float):
+    """Exact prefix-sum split scan shared by the Gini and MSE splitters.
+
+    Each column of X (restricted to feature_indices, in that order) is
+    stable-sorted; side_scores(order, n_left) maps the [n, d] sort order
+    and the [n-1, 1] left-side sizes to the [n-1, d] scores of splitting
+    after each sorted position. A position is a candidate only when its
+    value differs from the next one, both sides hold at least min_leaf
+    rows and its score is below bound. argmin over the feature-major array
+    takes the first minimum, so ties go to the lower feature, then the
+    lower threshold. Returns (feature, threshold, score) or None.
+    """
+    if feature_indices is not None:
+        X = X[:, feature_indices]
+    n, d = X.shape
+    if n < 2 or d == 0:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    n_left = np.arange(1, n, dtype=float)[:, None]
+    scores = side_scores(order, n_left)
+    sizes_ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    ok = (xs[:-1] != xs[1:]) & sizes_ok & (scores < bound)
+    scores = np.where(ok, scores, np.inf).T
+    j, i = divmod(int(np.argmin(scores)), n - 1)
+    if not ok[i, j]:
+        return None
+    feature = j if feature_indices is None else feature_indices[j]
+    return int(feature), float((xs[i, j] + xs[i + 1, j]) / 2.0), float(scores[j, i])
+
+
 def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
     """Exhaustive scan for the split minimizing the weighted Gini impurity.
 
@@ -111,28 +142,21 @@ def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
     """
     n = len(y)
     counts_total = np.bincount(y, minlength=n_classes)
-    parent = _gini_sum(counts_total, n)
-    best = None
-    features = range(X.shape[1]) if feature_indices is None else feature_indices
-    for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        xv = X[order, f]
-        yv = y[order]
-        left = np.zeros(n_classes, dtype=np.int64)
-        right = counts_total.astype(np.int64).copy()
-        for i in range(n - 1):
-            left[yv[i]] += 1
-            right[yv[i]] -= 1
-            if xv[i] == xv[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            score = _gini_sum(left, nl) + _gini_sum(right, nr)
-            if score < parent and (best is None or score < best[2]):
-                best = (f, (xv[i] + xv[i + 1]) / 2.0, score)
-    return best
+
+    def side_scores(order, n_left):
+        ys = y[order]
+        n_right = n - n_left
+        sq_left = np.zeros((n - 1, ys.shape[1]))
+        sq_right = np.zeros((n - 1, ys.shape[1]))
+        for c in range(n_classes):
+            left = np.cumsum(ys[:-1] == c, axis=0)
+            sq_left += left.astype(float) ** 2
+            sq_right += (counts_total[c] - left).astype(float) ** 2
+        return (n_left - sq_left / n_left) + (n_right - sq_right / n_right)
+
+    return _best_prefix_split(
+        X, feature_indices, min_leaf, side_scores, _gini_sum(counts_total, n)
+    )
 
 
 def fit_tree(
@@ -178,15 +202,33 @@ def fit_tree(
     return grow(np.arange(len(y)), 0)
 
 
-def _tree_probs(node: TreeNode, x) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.probs
+def _tree_outputs(tree: TreeNode, X) -> np.ndarray:
+    """Leaf output of every row of X: [n, classes] probabilities for a
+    classification tree, [n] values for a regression tree.
+
+    Rows are routed down the tree as index arrays, one comparison
+    X[idx, feature] <= threshold per split node, so rows equal to a
+    threshold go left.
+    """
+    out = None
+    stack = [(tree, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            leaf = node.value if node.probs is None else node.probs
+            if out is None:
+                out = np.empty((len(X),) + np.shape(leaf))
+            out[idx] = leaf
+            continue
+        go_left = X[idx, node.feature] <= node.threshold
+        stack.append((node.right, idx[~go_left]))
+        stack.append((node.left, idx[go_left]))
+    return out
 
 
 def predict_tree(tree: TreeNode, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    probs = np.array([_tree_probs(tree, row) for row in X])
+    probs = _tree_outputs(tree, X)
     return np.argmax(probs, axis=1), probs
 
 
@@ -247,8 +289,7 @@ def predict_forest(model: ForestModel, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     probs = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
-        for i, row in enumerate(X):
-            probs[i] += _tree_probs(tree, row)
+        probs += _tree_outputs(tree, X)
     probs /= len(model.trees)
     return np.argmax(probs, axis=1), probs
 
@@ -323,29 +364,18 @@ class BoostModel:
 
 
 def best_mse_split(X, g, min_leaf: int):
-    """Variance-reduction split for regression targets g; same tie rules as Gini."""
+    """Variance-reduction split for regression targets g; same tie rules as
+    Gini, and a split must beat the parent by more than 1e-12."""
     n = len(g)
-    best = None
     total = float(np.sum(g))
     total_sq = float(np.sum(g * g))
     parent = total_sq - total * total / n
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xv = X[order, f]
-        gv = g[order]
-        s = 0.0
-        for i in range(n - 1):
-            s += gv[i]
-            if xv[i] == xv[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            score = total_sq - s * s / nl - (total - s) ** 2 / nr
-            if score < parent - 1e-12 and (best is None or score < best[2]):
-                best = (f, (xv[i] + xv[i + 1]) / 2.0, score)
-    return best
+
+    def side_scores(order, n_left):
+        s = np.cumsum(g[order][:-1], axis=0)
+        return total_sq - s * s / n_left - (total - s) ** 2 / (n - n_left)
+
+    return _best_prefix_split(X, None, min_leaf, side_scores, parent - 1e-12)
 
 
 def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> TreeNode:
@@ -375,12 +405,6 @@ def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) ->
     return grow(np.arange(len(residual)), 0)
 
 
-def _tree_value(node: TreeNode, x) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
-
-
 def fit_boosting(
     X,
     y,
@@ -389,14 +413,13 @@ def fit_boosting(
     max_depth: int = 3,
     learning_rate: float = 0.1,
     min_leaf: int = 1,
-    seed: int = 0,
 ) -> BoostModel:
     """Gradient boosting with one-vs-rest logistic loss.
 
     Scores start at the log-odds of the class priors; each round fits
     one regression tree per class to the negative gradient (y_c - p_c)
-    with Newton leaf values, added with the learning rate. The seed is
-    accepted for interface symmetry; fitting itself is deterministic.
+    with Newton leaf values, added with the learning rate. Fitting is
+    deterministic.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -416,8 +439,7 @@ def fit_boosting(
             residual = onehot[:, cidx] - p
             hessian = p * (1.0 - p)
             tree = _fit_regression_tree(X, residual, hessian, max_depth, min_leaf)
-            update = np.array([_tree_value(tree, row) for row in X])
-            F[:, cidx] += learning_rate * update
+            F[:, cidx] += learning_rate * _tree_outputs(tree, X)
             per_class.append(tree)
         rounds.append(per_class)
     return BoostModel(init_scores, rounds, learning_rate, n_classes)
@@ -428,9 +450,7 @@ def boost_scores(model: BoostModel, X) -> np.ndarray:
     F = np.tile(model.init_scores, (len(X), 1))
     for per_class in model.trees:
         for cidx, tree in enumerate(per_class):
-            F[:, cidx] += model.learning_rate * np.array(
-                [_tree_value(tree, row) for row in X]
-            )
+            F[:, cidx] += model.learning_rate * _tree_outputs(tree, X)
     return F
 
 

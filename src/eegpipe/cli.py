@@ -153,16 +153,21 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    config = _load_config(args.config)
-    fractions = _resolve(args, config, "fractions", "0.6,0.2,0.2")
-    if isinstance(fractions, str):
-        try:
-            fractions = tuple(float(v) for v in fractions.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --fractions value {fractions!r}") from None
+def _parse_fractions(args, config: dict) -> tuple[float, float, float]:
+    """Train/val/test fractions from --fractions or the config file."""
+    raw = _resolve(args, config, "fractions", "0.6,0.2,0.2")
+    try:
+        fractions = tuple(float(v) for v in (raw.split(",") if isinstance(raw, str) else raw))
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad --fractions value {raw!r}") from None
     if len(fractions) != 3:
         raise ConfigError("--fractions needs exactly three comma-separated values")
+    return fractions
+
+
+def cmd_split(args) -> int:
+    config = _load_config(args.config)
+    fractions = _parse_fractions(args, config)
     spec = dataio.SplitSpec(*fractions, seed=derive_seed(args.seed, "split"),
                             stratified=not args.no_stratify)
     _announce("split", {"input": args.input, "fractions": fractions, "seed": args.seed},
@@ -253,26 +258,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
-    fractions = _resolve(args, config, "fractions", "0.6,0.2,0.2")
-    if isinstance(fractions, str):
-        fractions = tuple(float(v) for v in fractions.split(","))
+    fractions = _parse_fractions(args, config)
     _announce("compare", {"input": args.input, "seed": args.seed}, args.verbose)
     ds = dataio.load_feature_csv(args.input, args.label_column)
     spec = dataio.SplitSpec(*fractions, seed=derive_seed(args.seed, "split"), stratified=True)
     train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
     n_classes = len(ds.class_names)
 
-    norm_mode = str(_resolve(args, config, "normalization", "zscore"))
-    norm = dsp.fit_normalization(train_ds.features, norm_mode)
+    results = []
+
+    model, history, norm, seq_len = _train_gru(train_ds, val_ds, args, config, args.seed)
     X_tr = dsp.apply_normalization(train_ds.features, norm)
     X_te = dsp.apply_normalization(test_ds.features, norm)
     y_tr, y_te = train_ds.labels, test_ds.labels
-
-    results = []
-
-    model, history, gru_norm, seq_len = _train_gru(train_ds, val_ds, args, config, args.seed)
-    Xs_te = nn.dataset_to_sequences(dsp.apply_normalization(test_ds.features, gru_norm), seq_len)
-    preds, _ = nn.predict_batch(model, Xs_te)
+    preds, _ = nn.predict_batch(model, nn.dataset_to_sequences(X_te, seq_len))
     results.append(("gru", preds))
 
     logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
@@ -294,7 +293,6 @@ def cmd_compare(args) -> int:
         n_rounds=int(_resolve(args, config, "boost_rounds", 100)),
         max_depth=int(_resolve(args, config, "boost_depth", 3)),
         learning_rate=float(_resolve(args, config, "boost_lr", 0.1)),
-        seed=derive_seed(args.seed, "boost"),
     )
     results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)[0]))
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegpipe import baselines
 from eegpipe.errors import DataError
@@ -82,16 +84,18 @@ class TestLogistic:
         assert np.mean(preds == y) <= 0.75
 
 
-def brute_force_best_split(X, y, n_classes):
+def brute_force_best_split(X, y, n_classes, min_leaf=1, features=None):
     """Independent exhaustive Gini search over every midpoint threshold."""
     n = len(y)
     parent = n - sum(np.sum(y == c) ** 2 for c in range(n_classes)) / n
     best = None  # (feature, threshold, score)
-    for j in range(X.shape[1]):
+    for j in range(X.shape[1]) if features is None else features:
         vals = np.unique(X[:, j])
         for lo, hi in zip(vals[:-1], vals[1:]):
             thr = (lo + hi) / 2.0
             mask = X[:, j] <= thr
+            if min(mask.sum(), (~mask).sum()) < min_leaf:
+                continue
             score = 0.0
             for side in (mask, ~mask):
                 ns = int(side.sum())
@@ -102,6 +106,45 @@ def brute_force_best_split(X, y, n_classes):
             if score < parent and (best is None or score < best[2]):
                 best = (j, thr, score)
     return best
+
+
+def brute_force_best_mse_split(X, g, min_leaf):
+    """Independent exhaustive variance-reduction search; a split must beat
+    the parent by more than 1e-12."""
+    n = len(g)
+    total, total_sq = float(np.sum(g)), float(np.sum(g * g))
+    parent = total_sq - total * total / n
+    best = None  # (feature, threshold, score)
+    for j in range(X.shape[1]):
+        vals = np.unique(X[:, j])
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            thr = (lo + hi) / 2.0
+            mask = X[:, j] <= thr
+            n_left, n_right = int(mask.sum()), int((~mask).sum())
+            if min(n_left, n_right) < min_leaf:
+                continue
+            s_left, s_right = float(np.sum(g[mask])), float(np.sum(g[~mask]))
+            score = total_sq - s_left * s_left / n_left - s_right * s_right / n_right
+            if score < parent - 1e-12 and (best is None or score < best[2]):
+                best = (j, thr, score)
+    return best
+
+
+@st.composite
+def tie_heavy_split_problem(draw):
+    """Small-integer features (many ties), labels, integer-valued residuals
+    (so every prefix sum is exact), min_leaf and a random feature subset."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 3))
+    X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    min_leaf = draw(st.integers(1, 3))
+    features = draw(st.permutations(range(d)).flatmap(
+        lambda p: st.integers(1, d).map(lambda m: list(p[:m]))))
+    return X, y, k, g, min_leaf, features
 
 
 class TestTree:
@@ -151,6 +194,23 @@ class TestTree:
                 assert feat == want[0]
                 assert thr == want[1]
                 assert score == want[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_split_problem())
+    def test_scans_match_brute_force_on_ties(self, problem):
+        X, y, k, g, min_leaf, features = problem
+        assert baselines.best_gini_split(X, y, k, min_leaf, features) == \
+            brute_force_best_split(X, y, k, min_leaf, features)
+        assert baselines.best_mse_split(X, g, min_leaf) == \
+            brute_force_best_mse_split(X, g, min_leaf)
+
+    def test_mse_split_needs_more_than_rounding_gain(self):
+        # both sides have mean -2/3, so no split gains anything, yet the
+        # computed score lands one ulp below the parent's
+        X = np.array([[0.0]] * 3 + [[1.0]] * 3)
+        g = np.array([-1.0, -3.0, 2.0, -1.0, 0.0, -1.0])
+        assert baselines.best_mse_split(X, g, min_leaf=1) is None
+        assert brute_force_best_mse_split(X, g, min_leaf=1) is None
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(1)
@@ -299,8 +359,7 @@ class TestBoosting:
             right=baselines.TreeNode(value=-1.0),
         )
         hand = baselines.TreeNode(feature=0, threshold=0.5, left=inner_lo, right=inner_hi)
-        for x, target in zip(XOR_X, [-1.0, 1.0, 1.0, -1.0]):
-            assert baselines._tree_value(hand, x) == target
+        assert baselines._tree_outputs(hand, XOR_X).tolist() == [-1.0, 1.0, 1.0, -1.0]
 
         X, y = xor_cluster_dataset()
         model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=50, max_depth=2)

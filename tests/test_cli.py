@@ -58,6 +58,16 @@ class TestExitCodes:
         assert run("split", "--input", pipeline["feats"],
                    "--fractions", "0.5,0.5", "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("command", ["split", "compare"])
+    @pytest.mark.parametrize("fractions", ["a,b,c", "0.5,0.3"])
+    def test_bad_fractions_rejected_before_work(self, pipeline, tmp_path, capsys,
+                                                command, fractions):
+        out = str(tmp_path / "out")
+        assert run(command, "--input", pipeline["feats"], "--fractions", fractions,
+                   "--out", out) == 1
+        assert "--fractions" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json at all {")
