@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .nn import softmax
 
 MODEL_FORMAT_VERSION = 1
 
@@ -31,16 +32,10 @@ class LinearModel:
     b: np.ndarray  # [classes]
 
 
-def _softmax(z):
-    s = z - z.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def logistic_loss_grad(W, b, X, y, l2: float):
     """Mean cross-entropy with L2 weight decay (bias excluded) and its gradient."""
     n = len(y)
-    probs = _softmax(X @ W.T + b)
+    probs = softmax(X @ W.T + b)
     eps = 1e-300
     loss = -float(np.mean(np.log(probs[np.arange(n), y] + eps)))
     loss += 0.5 * l2 * float(np.sum(W * W))
@@ -72,7 +67,7 @@ def fit_logistic(
 
 def predict_logistic(model: LinearModel, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    probs = _softmax(X @ model.W.T + model.b)
+    probs = softmax(X @ model.W.T + model.b)
     return np.argmax(probs, axis=1), probs
 
 
@@ -347,7 +342,7 @@ def predict_svm(model: LinearModel, X):
     """Argmax margin; probabilities are a softmax over margins for reporting."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     scores = X @ model.W.T + model.b
-    probs = _softmax(scores)
+    probs = softmax(scores)
     return np.argmax(scores, axis=1), probs
 
 

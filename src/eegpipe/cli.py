@@ -212,23 +212,13 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     _announce("train", {"train": args.train, "val": args.val, "seed": args.seed}, args.verbose)
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
-    val_ds = dataio.load_feature_csv(args.val, args.label_column)
+    val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
+                            train_ds.class_names)
     os.makedirs(args.out, exist_ok=True)
-    if args.init_from is not None:
-        model, class_names, norm = nn.load_checkpoint(args.init_from)
-        seq_len = model.config.sequence_length
-        epochs = int(_resolve(args, config, "epochs", 0))
-        if epochs > 0:
-            raise ConfigError("resuming with extra epochs is not supported; use epochs=0")
-        X_va = nn.dataset_to_sequences(dsp.apply_normalization(val_ds.features, norm), seq_len)
-        history = nn.TrainHistory()
-        val_loss, val_acc = nn.evaluate_model(model, X_va, val_ds.labels)
-    else:
-        model, history, norm, seq_len = _train_gru(train_ds, val_ds, args, config, args.seed)
-        class_names = train_ds.class_names
-        val_loss = history.val_loss[int(np.argmin(history.val_loss))] if len(history) else float("nan")
-        val_acc = history.val_acc[int(np.argmin(history.val_loss))] if len(history) else float("nan")
-    nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, class_names, norm)
+    model, history, norm, _ = _train_gru(train_ds, val_ds, args, config, args.seed)
+    val_loss = history.val_loss[int(np.argmin(history.val_loss))] if len(history) else float("nan")
+    val_acc = history.val_acc[int(np.argmin(history.val_loss))] if len(history) else float("nan")
+    nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
     nn.save_history(history, os.path.join(args.out, "history.csv"))
     print(f"trained {len(history)} epochs; best val_loss={val_loss:.6f} val_acc={val_acc:.4f}")
     return 0
@@ -237,7 +227,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     _announce("evaluate", {"checkpoint": args.checkpoint, "test": args.test}, args.verbose)
     model, class_names, norm = nn.load_checkpoint(args.checkpoint)
-    test_ds = dataio.load_feature_csv(args.test, args.label_column)
+    test_ds = dataio.relabel(dataio.load_feature_csv(args.test, args.label_column), class_names)
     expected = norm.n_features if norm is not None else model.config.input_dim * model.config.sequence_length
     if test_ds.n_features != expected:
         raise DataError(
@@ -366,7 +356,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--init-from", dest="init_from", help="checkpoint to evaluate (epochs=0)")
     p.add_argument("--hidden", type=int)
     p.add_argument("--seq-len", dest="seq_len", type=int)
     p.add_argument("--lr", type=float)

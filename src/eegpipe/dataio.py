@@ -175,6 +175,20 @@ def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
     return Dataset(np.array(rows, dtype=float), labels, class_names, feature_names)
 
 
+def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
+    """The same rows with labels numbered by another class table, matched by name.
+
+    A file's own class ids depend on which labels it happens to contain;
+    this maps them onto the table of the checkpoint or training file.
+    """
+    ids = {name: i for i, name in enumerate(class_names)}
+    unknown = sorted(set(ds.class_names) - set(ids))
+    if unknown:
+        raise DataError(f"unknown class labels {unknown}; expected one of {list(class_names)}")
+    lookup = np.array([ids[name] for name in ds.class_names], dtype=int)
+    return Dataset(ds.features, lookup[ds.labels], list(class_names), ds.feature_names)
+
+
 def save_feature_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
     """Write a Dataset in the featured-CSV format load_feature_csv reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -226,7 +240,10 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
             header = next(rdr, None)
             if header != channels:
                 raise DataError(f"{fpath}: header {header} does not match manifest channels")
-            samples = [[float(c) for c in row] for row in rdr]
+            try:
+                samples = [[float(c) for c in row] for row in rdr]
+            except ValueError as exc:
+                raise DataError(f"{fpath}: line {rdr.line_num}: {exc}") from None
         if not samples:
             raise DataError(f"{fpath}: no samples")
         data = np.array(samples, dtype=float).T

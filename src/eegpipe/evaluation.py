@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .nn import TrainHistory
+from .nn import TrainHistory, save_history
 
 
 @dataclass
@@ -231,14 +231,7 @@ def emit_curves(history: TrainHistory, out_dir: str, svg: bool = True) -> list[s
     os.makedirs(out_dir, exist_ok=True)
     written = []
     csv_path = os.path.join(out_dir, "curves.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for i in range(len(history)):
-            writer.writerow(
-                [i + 1, repr(history.train_loss[i]), repr(history.train_acc[i]),
-                 repr(history.val_loss[i]), repr(history.val_acc[i])]
-            )
+    save_history(history, csv_path)
     written.append(csv_path)
     if svg:
         epochs = list(range(1, len(history) + 1))

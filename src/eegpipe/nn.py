@@ -3,11 +3,13 @@
 Architecture: input -> GRU over T steps -> flatten of the full hidden
 sequence -> dense softmax head. Forward, backward (BPTT), optimizers,
 the training loop, and a finite-difference gradient checker all live
-here. Core routines accept a single example (vectors) or a batch
-(leading batch axis); everything is float64 and deterministic per seed.
+here. Every routine takes a batch: a single example is a batch of one
+(`x[None]`). Everything is float64 and deterministic per seed.
 
 Gating convention: h_t = z ⊙ h_prev + (1 − z) ⊙ h̃, i.e. z → 1 preserves
-the previous hidden state.
+the previous hidden state. The three gates are stored fused, as blocks of
+H rows in the order [z, r, h] (update, reset, candidate) in W, U and b;
+checkpoints keep one JSON key per gate block (W_z, W_r, ..., b_h).
 """
 
 from __future__ import annotations
@@ -18,45 +20,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, PipelineError
 
 CHECKPOINT_VERSION = 1
+GATES = ("z", "r", "h")  # order of the H-row gate blocks in GruParams
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; exp only ever sees non-positive arguments."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
 class GruParams:
-    """All trainable weights of one GRU layer."""
+    """All trainable weights of one GRU layer, gate blocks stacked as [z, r, h]."""
 
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W_h: np.ndarray
-    U_z: np.ndarray
-    U_r: np.ndarray
-    U_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+    W: np.ndarray  # [3H, input_dim]
+    U: np.ndarray  # [3H, H]
+    b: np.ndarray  # [3H]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_z.shape[0]
+        return self.U.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[1]
 
     def items(self):
-        for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h"):
-            yield name, getattr(self, name)
+        yield "W", self.W
+        yield "U", self.U
+        yield "b", self.b
+
+    def gate_blocks(self):
+        """(checkpoint key, H-row block) pairs: W_z, W_r, W_h, U_z, ..., b_h."""
+        H = self.hidden_dim
+        for name, arr in self.items():
+            for k, gate in enumerate(GATES):
+                yield f"{name}_{gate}", arr[k * H : (k + 1) * H]
 
     @classmethod
     def zeros_like(cls, other: "GruParams") -> "GruParams":
@@ -89,8 +91,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "sequence_length", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -146,15 +149,9 @@ def init_model(cfg: ModelConfig) -> Model:
     d, h = cfg.input_dim, cfg.hidden_dim
     kw, ku = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)
     gru = GruParams(
-        W_z=rng.uniform(-kw, kw, (h, d)),
-        W_r=rng.uniform(-kw, kw, (h, d)),
-        W_h=rng.uniform(-kw, kw, (h, d)),
-        U_z=rng.uniform(-ku, ku, (h, h)),
-        U_r=rng.uniform(-ku, ku, (h, h)),
-        U_h=rng.uniform(-ku, ku, (h, h)),
-        b_z=np.zeros(h),
-        b_r=np.zeros(h),
-        b_h=np.zeros(h),
+        W=rng.uniform(-kw, kw, (3 * h, d)),
+        U=rng.uniform(-ku, ku, (3 * h, h)),
+        b=np.zeros(3 * h),
     )
     flat = h * cfg.sequence_length
     kd = 1.0 / np.sqrt(flat)
@@ -164,148 +161,103 @@ def init_model(cfg: ModelConfig) -> Model:
     return Model(cfg, gru, dense)
 
 
-def _promote(a, ndim):
-    """Add a batch axis to a single-example array; report whether we did."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == ndim - 1:
-        return a[None, ...], True
-    if a.ndim == ndim:
-        return a, False
-    raise DataError(f"expected {ndim - 1}- or {ndim}-D array, got {a.ndim}-D")
-
-
 def gru_cell_forward(p: GruParams, x_t, h_prev):
-    """One GRU step. Accepts vectors or [batch, ...] arrays.
+    """One GRU step for a batch: x_t [B, input_dim], h_prev [B, H].
 
     Returns (h_t, cache); the cache holds (x_t, h_prev, z, r, h_cand)
     for the backward pass.
     """
-    x_t, squeeze = _promote(x_t, 2)
-    h_prev, _ = _promote(h_prev, 2)
     if x_t.shape[1] != p.input_dim or h_prev.shape[1] != p.hidden_dim:
         raise DataError(
             f"shape mismatch: x {x_t.shape}, h {h_prev.shape} for params "
             f"({p.hidden_dim} hidden, {p.input_dim} input)"
         )
-    z = sigmoid(x_t @ p.W_z.T + h_prev @ p.U_z.T + p.b_z)
-    r = sigmoid(x_t @ p.W_r.T + h_prev @ p.U_r.T + p.b_r)
-    h_cand = np.tanh(x_t @ p.W_h.T + (r * h_prev) @ p.U_h.T + p.b_h)
+    H2 = 2 * p.hidden_dim
+    a = x_t @ p.W.T  # input part of all three gates
+    zr = sigmoid(a[:, :H2] + h_prev @ p.U[:H2].T + p.b[:H2])
+    z, r = np.split(zr, 2, axis=1)
+    h_cand = np.tanh(a[:, H2:] + (r * h_prev) @ p.U[H2:].T + p.b[H2:])
     h_t = z * h_prev + (1.0 - z) * h_cand
-    cache = (x_t, h_prev, z, r, h_cand)
-    return (h_t[0] if squeeze else h_t), cache
+    return h_t, (x_t, h_prev, z, r, h_cand)
 
 
-def gru_forward(p: GruParams, xs, h0=None):
-    """Run the recurrence over a sequence; time is the leading axis.
+def gru_forward(p: GruParams, xs):
+    """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    xs: [T, input_dim] or [T, batch, input_dim]. Returns (hs, caches)
-    with hs[t] the hidden state after step t; h0 defaults to zeros.
+    Time is the leading axis. Returns (hs [T, batch, H], caches) with
+    hs[t] the hidden state after step t.
     """
     xs = np.asarray(xs, dtype=float)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[:, None, :]  # [T, 1, d]
     if xs.ndim != 3:
-        raise DataError(f"gru_forward expects [T, d] or [T, batch, d], got {xs.ndim}-D")
-    T = xs.shape[0]
+        raise DataError(f"gru_forward expects [T, batch, d], got {xs.ndim}-D")
+    T, B = xs.shape[:2]
     if T < 1:
         raise DataError("empty input sequence")
-    B = xs.shape[1]
-    h = np.zeros((B, p.hidden_dim)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=float), (B, p.hidden_dim)
-    ).copy()
+    h = np.zeros((B, p.hidden_dim))
     hs = np.empty((T, B, p.hidden_dim))
     caches = []
     for t in range(T):
         h, cache = gru_cell_forward(p, xs[t], h)
         hs[t] = h
         caches.append(cache)
-    return (hs[:, 0, :] if squeeze else hs), caches
+    return hs, caches
 
 
 def gru_backward(p: GruParams, caches, grad_hs):
     """Exact BPTT through the recurrence.
 
-    grad_hs[t] is the loss gradient flowing into hs[t] from above.
-    Returns (parameter gradients, gradients w.r.t. each input frame),
-    both accumulated over all time steps (and summed over any batch).
+    grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
+    from above. Returns (parameter gradients summed over time and batch,
+    gradients w.r.t. each input frame [T, batch, input_dim]).
     """
-    grad_hs = np.asarray(grad_hs, dtype=float)
-    squeeze = grad_hs.ndim == 2  # [T, H] single example
-    if squeeze:
-        grad_hs = grad_hs[:, None, :]
     T = len(caches)
     if grad_hs.shape[0] != T:
         raise DataError(f"grad_hs length {grad_hs.shape[0]} != cache length {T}")
+    H2 = 2 * p.hidden_dim
     grads = GruParams.zeros_like(p)
     grad_xs = np.empty((T, grad_hs.shape[1], p.input_dim))
     carry = np.zeros_like(grad_hs[0])
     for t in range(T - 1, -1, -1):
         x_t, h_prev, z, r, h_cand = caches[t]
         dh = grad_hs[t] + carry
-        dz = dh * (h_prev - h_cand)
-        dhc = dh * (1.0 - z)
-        dh_prev = dh * z
-        # pre-activation gradients
-        da_c = dhc * (1.0 - h_cand * h_cand)
-        ds = da_c @ p.U_h  # gradient into r * h_prev
-        dr = ds * h_prev
-        dh_prev = dh_prev + ds * r
-        da_z = dz * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        grads.W_h += da_c.T @ x_t
-        grads.U_h += da_c.T @ (r * h_prev)
-        grads.b_h += da_c.sum(axis=0)
-        grads.W_z += da_z.T @ x_t
-        grads.U_z += da_z.T @ h_prev
-        grads.b_z += da_z.sum(axis=0)
-        grads.W_r += da_r.T @ x_t
-        grads.U_r += da_r.T @ h_prev
-        grads.b_r += da_r.sum(axis=0)
-        dh_prev = dh_prev + da_z @ p.U_z + da_r @ p.U_r
-        grad_xs[t] = da_z @ p.W_z + da_r @ p.W_r + da_c @ p.W_h
-        carry = dh_prev
-    return grads, (grad_xs[:, 0, :] if squeeze else grad_xs)
+        # pre-activation gradients of the three gates, [B, 3H] in [z, r, h] order
+        da_c = dh * (1.0 - z) * (1.0 - h_cand * h_cand)
+        ds = da_c @ p.U[H2:]  # gradient into r * h_prev
+        da = np.concatenate(
+            [dh * (h_prev - h_cand) * z * (1.0 - z), ds * h_prev * r * (1.0 - r), da_c], axis=1
+        )
+        grads.W += da.T @ x_t
+        grads.U[:H2] += da[:, :H2].T @ h_prev
+        grads.U[H2:] += da_c.T @ (r * h_prev)
+        grads.b += da.sum(axis=0)
+        carry = dh * z + ds * r + da[:, :H2] @ p.U[:H2]
+        grad_xs[t] = da @ p.W
+    return grads, grad_xs
 
 
 def flatten(hs):
-    """Concatenate the hidden sequence in time order.
+    """Concatenate each example's hidden sequence in time order.
 
-    [T, H] -> [T*H]; [T, B, H] -> [B, T*H]. Reshaping the output back
-    recovers the input exactly.
+    [T, B, H] -> [B, T*H]; unflatten recovers the input exactly.
     """
-    hs = np.asarray(hs, dtype=float)
-    if hs.ndim == 2:
-        return hs.reshape(-1)
-    if hs.ndim == 3:
-        return hs.swapaxes(0, 1).reshape(hs.shape[1], -1)
-    raise DataError(f"flatten expects 2- or 3-D input, got {hs.ndim}-D")
+    return hs.swapaxes(0, 1).reshape(hs.shape[1], -1)
 
 
 def unflatten(v, T: int, hidden: int):
-    """Inverse of flatten."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return v.reshape(T, hidden)
+    """Inverse of flatten: [B, T*H] -> [T, B, H]."""
     return v.reshape(v.shape[0], T, hidden).swapaxes(0, 1)
 
 
 def dense_forward(p: DenseParams, v):
-    v, squeeze = _promote(v, 2)
+    """Logits [B, classes] of the flattened hidden sequences v [B, flat_dim]."""
     if v.shape[1] != p.W.shape[1]:
         raise DataError(f"dense input dim {v.shape[1]} != weight dim {p.W.shape[1]}")
-    logits = v @ p.W.T + p.b
-    return logits[0] if squeeze else logits
+    return v @ p.W.T + p.b
 
 
 def dense_backward(p: DenseParams, v, grad_logits):
-    """Gradients of the affine map: returns (dW, db, dv)."""
-    v, squeeze = _promote(v, 2)
-    g, _ = _promote(grad_logits, 2)
-    dW = g.T @ v
-    db = g.sum(axis=0)
-    dv = g @ p.W
-    return dW, db, (dv[0] if squeeze else dv)
+    """Gradients of the affine map, summed over the batch: returns (dW, db, dv)."""
+    return grad_logits.T @ v, grad_logits.sum(axis=0), grad_logits @ p.W
 
 
 def softmax(logits):
@@ -315,31 +267,21 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, label):
-    """Numerically stable loss and gradient for one example.
+def softmax_cross_entropy_batch(logits, labels):
+    """Numerically stable per-example losses and gradients for [batch, classes].
 
-    grad = softmax(logits) - one_hot(label); its components sum to 0.
+    grads = softmax(logits) - one_hot(labels); each row sums to 0.
     """
     logits = np.asarray(logits, dtype=float)
-    if not 0 <= label < len(logits):
-        raise DataError(f"label {label} out of range for {len(logits)} classes")
-    shifted = logits - logits.max()
-    log_z = np.log(np.sum(np.exp(shifted)))
-    loss = float(log_z - shifted[label])
-    grad = np.exp(shifted - log_z)
-    grad[label] -= 1.0
-    return loss, grad
-
-
-def softmax_cross_entropy_batch(logits, labels):
-    """Per-example losses and gradients for a [batch, classes] array."""
-    logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise DataError(f"label out of range for {logits.shape[1]} classes")
+    rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    losses = (log_z[:, 0] - shifted[np.arange(len(labels)), labels])
+    losses = log_z[:, 0] - shifted[rows, labels]
     grads = np.exp(shifted - log_z)
-    grads[np.arange(len(labels)), labels] -= 1.0
+    grads[rows, labels] -= 1.0
     return losses, grads
 
 
@@ -366,17 +308,8 @@ def model_backward(model: Model, cache, grad_logits):
     return gru_grads, DenseParams(W=dW, b=db)
 
 
-def predict(model: Model, xs):
-    """Classify one sequence [T, input_dim]; ties go to the lowest class id."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise DataError("predict expects a [T, input_dim] sequence")
-    logits, _ = model_forward(model, xs[None])
-    probs = softmax(logits[0])
-    return int(np.argmax(probs)), probs
-
-
 def predict_batch(model: Model, X):
+    """Classify [batch, T, input_dim]; ties go to the lowest class id."""
     logits, _ = model_forward(model, X)
     probs = softmax(logits)
     return np.argmax(probs, axis=1), probs
@@ -499,22 +432,22 @@ def train(
     return model, history
 
 
-def gradient_check(model: Model, xs, label: int, eps: float = 1e-5):
-    """Central-difference check of the full pipeline gradient.
+def gradient_check(model: Model, X, labels, eps: float = 1e-5):
+    """Central-difference check of the gradient of the mean loss over a
+    [batch, T, input_dim] array.
 
     Returns (max relative error, path of the worst scalar parameter).
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigError("eps must lie in [1e-7, 1e-3]")
-    xs = np.asarray(xs, dtype=float)
 
     def loss_fn():
-        logits, cache = model_forward(model, xs[None])
-        loss, grad = softmax_cross_entropy(logits[0], label)
-        return loss, cache, grad
+        logits, cache = model_forward(model, X)
+        losses, grad = softmax_cross_entropy_batch(logits, labels)
+        return float(np.mean(losses)), cache, grad / len(losses)
 
     loss, cache, grad_logits = loss_fn()
-    gru_g, dense_g = model_backward(model, cache, grad_logits[None])
+    gru_g, dense_g = model_backward(model, cache, grad_logits)
     analytic = _grad_tree(gru_g, dense_g)
     worst = 0.0
     worst_path = ""
@@ -551,7 +484,10 @@ def dataset_to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
 
 
 def save_checkpoint(path: str, model: Model, class_names: list[str], normalization=None) -> None:
-    """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact."""
+    """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact.
+
+    The GRU is written as one key per gate block (W_z, W_r, W_h, U_z, ...).
+    """
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": {
@@ -563,7 +499,7 @@ def save_checkpoint(path: str, model: Model, class_names: list[str], normalizati
         },
         "class_names": list(class_names),
         "normalization": normalization.to_dict() if normalization is not None else None,
-        "gru": {n: a.tolist() for n, a in model.gru.items()},
+        "gru": {n: a.tolist() for n, a in model.gru.gate_blocks()},
         "dense": {n: a.tolist() for n, a in model.dense.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -571,51 +507,79 @@ def save_checkpoint(path: str, model: Model, class_names: list[str], normalizati
         fh.write("\n")
 
 
+def _array(section: dict, key: str, shape: tuple) -> np.ndarray:
+    arr = np.asarray(section[key], dtype=float)
+    if arr.shape != shape:
+        raise DataError(f"{key} has shape {arr.shape}, model_config implies {shape}")
+    return arr
+
+
 def load_checkpoint(path: str):
-    """Returns (model, class_names, normalization or None)."""
+    """Returns (model, class_names, normalization or None).
+
+    Anything but a well-formed version-1 checkpoint is a DataError.
+    """
     from .dsp import NormalizationParams
 
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {doc.get('format_version')}")
-    cfg = ModelConfig(**doc["model_config"])
-    gru = GruParams(**{n: np.asarray(a, dtype=float) for n, a in doc["gru"].items()})
-    dense = DenseParams(**{n: np.asarray(a, dtype=float) for n, a in doc["dense"].items()})
-    norm = (
-        NormalizationParams.from_dict(doc["normalization"])
-        if doc.get("normalization")
-        else None
-    )
-    return Model(cfg, gru, dense), doc["class_names"], norm
+    try:
+        cfg = ModelConfig(**doc["model_config"])
+        H, C = cfg.hidden_dim, cfg.n_classes
+        gru = GruParams(*(
+            np.concatenate([_array(doc["gru"], f"{name}_{gate}", shape) for gate in GATES])
+            for name, shape in (("W", (H, cfg.input_dim)), ("U", (H, H)), ("b", (H,)))
+        ))
+        dense = DenseParams(
+            _array(doc["dense"], "W", (C, H * cfg.sequence_length)), _array(doc["dense"], "b", (C,))
+        )
+        class_names = doc["class_names"]
+        if not (isinstance(class_names, list) and len(class_names) == C
+                and all(isinstance(n, str) for n in class_names)):
+            raise DataError(f"class_names must list {C} strings")
+        norm = NormalizationParams.from_dict(doc["normalization"]) if doc.get("normalization") else None
+        if norm is not None and norm.n_features != cfg.input_dim * cfg.sequence_length:
+            raise DataError(f"normalization covers {norm.n_features} features, the model "
+                            f"{cfg.input_dim * cfg.sequence_length}")
+    except KeyError as exc:
+        raise DataError(f"checkpoint {path} lacks key {exc}") from None
+    except (TypeError, ValueError, PipelineError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc}") from None
+    return Model(cfg, gru, dense), class_names, norm
+
+
+_HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")
 
 
 def save_history(history: TrainHistory, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for i in range(len(history)):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(history.train_loss[i]),
-                    repr(history.train_acc[i]),
-                    repr(history.val_loss[i]),
-                    repr(history.val_acc[i]),
-                ]
-            )
+        writer.writerow(["epoch", *_HISTORY_COLUMNS])
+        rows = zip(*(getattr(history, col) for col in _HISTORY_COLUMNS))
+        for epoch, row in enumerate(rows, start=1):
+            writer.writerow([epoch, *map(repr, row)])
 
 
 def load_history(path: str) -> TrainHistory:
+    """Read a history CSV; a missing file, column or number is a DataError."""
     hist = TrainHistory()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            hist.train_loss.append(float(row["train_loss"]))
-            hist.train_acc.append(float(row["train_acc"]))
-            hist.val_loss.append(float(row["val_loss"]))
-            hist.val_acc.append(float(row["val_acc"]))
+    line = 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line, row in enumerate(csv.DictReader(fh), start=2):
+                for col in _HISTORY_COLUMNS:
+                    getattr(hist, col).append(float(row[col]))
+    except OSError as exc:
+        raise DataError(f"cannot read history {path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"history {path} has no {exc} column") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"history {path}: unparsable value on line {line}: {exc}") from None
     return hist

@@ -74,7 +74,7 @@ def test_criterion_1_gradient_check():
         model = nn.init_model(nn.ModelConfig(3, 4, 5, 3, seed=seed))
         xs = rng.normal(size=(5, 3))
         label = int(rng.integers(0, 3))
-        err, _ = nn.gradient_check(model, xs, label, eps=1e-5)
+        err, _ = nn.gradient_check(model, xs[None], [label], eps=1e-5)
         assert err < 1e-4, f"seed {seed}: relative error {err}"
         worst = max(worst, err)
     elapsed = time.monotonic() - t0
@@ -87,7 +87,9 @@ def test_criterion_1_gradient_check():
 
 def test_criterion_2_gru_scalar_oracle():
     model = nn.init_model(nn.ModelConfig(1, 2, 3, 2, seed=7))
-    p = model.gru
+    W_z, W_r, W_h = np.split(model.gru.W, 3)  # gate blocks in [z, r, h] order
+    U_z, U_r, U_h = np.split(model.gru.U, 3)
+    b_z, b_r, b_h = np.split(model.gru.b, 3)
     xs = [[0.4], [-1.1], [0.9]]
 
     def sig(v):
@@ -96,17 +98,17 @@ def test_criterion_2_gru_scalar_oracle():
     h = [0.0, 0.0]
     want = []
     for x in xs:
-        z = [sig(p.W_z[i][0] * x[0] + sum(p.U_z[i][j] * h[j] for j in range(2))
-                 + p.b_z[i]) for i in range(2)]
-        r = [sig(p.W_r[i][0] * x[0] + sum(p.U_r[i][j] * h[j] for j in range(2))
-                 + p.b_r[i]) for i in range(2)]
-        hc = [math.tanh(p.W_h[i][0] * x[0]
-                        + sum(p.U_h[i][j] * (r[j] * h[j]) for j in range(2))
-                        + p.b_h[i]) for i in range(2)]
+        z = [sig(W_z[i][0] * x[0] + sum(U_z[i][j] * h[j] for j in range(2))
+                 + b_z[i]) for i in range(2)]
+        r = [sig(W_r[i][0] * x[0] + sum(U_r[i][j] * h[j] for j in range(2))
+                 + b_r[i]) for i in range(2)]
+        hc = [math.tanh(W_h[i][0] * x[0]
+                        + sum(U_h[i][j] * (r[j] * h[j]) for j in range(2))
+                        + b_h[i]) for i in range(2)]
         h = [z[i] * h[i] + (1.0 - z[i]) * hc[i] for i in range(2)]
         want.append(list(h))
-    hs, _ = nn.gru_forward(p, np.array(xs))
-    err = float(np.max(np.abs(hs - np.array(want))))
+    hs, _ = nn.gru_forward(model.gru, np.array(xs)[:, None])
+    err = float(np.max(np.abs(hs[:, 0] - np.array(want))))
     verdict(2, err < 1e-12, f"forward pass vs scalar recomputation, max abs err {err:.2e}")
 
 

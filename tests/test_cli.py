@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from eegpipe import dataio, nn
+from eegpipe import dataio, dsp, nn
 from eegpipe.cli import derive_seed, main
 
 
@@ -167,15 +167,23 @@ class TestTrain:
         hist = nn.load_history(os.path.join(out, "history.csv"))
         assert len(set(hist.val_loss)) == 1
 
-    def test_resume_epochs_zero_rewrites_identical_checkpoint(self, pipeline, tmp_path):
-        out = str(tmp_path / "resumed")
-        ck = os.path.join(pipeline["run"], "checkpoint.json")
+    def test_val_labels_follow_training_class_table(self, pipeline, tmp_path):
+        # a val file without NEGATIVE rows numbers its classes from 0 on its own;
+        # train must score it against the training file's class ids
+        val = str(tmp_path / "val_no_negative.csv")
+        write_without_class(os.path.join(pipeline["splits"], "val.csv"), val, "NEGATIVE")
+        out = str(tmp_path / "run")
         assert run(
-            "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
-            "--val", os.path.join(pipeline["splits"], "val.csv"),
-            "--out", out, "--init-from", ck, "--epochs", "0",
+            "train", "--train", os.path.join(pipeline["splits"], "train.csv"), "--val", val,
+            "--out", out, "--hidden", "8", "--epochs", "1", "--lr", "0",
         ) == 0
-        assert open(ck, "rb").read() == open(os.path.join(out, "checkpoint.json"), "rb").read()
+        model, names, norm = nn.load_checkpoint(os.path.join(out, "checkpoint.json"))
+        ds = dataio.load_feature_csv(val)
+        truth = [names.index(ds.class_names[c]) for c in ds.labels]
+        X = nn.dataset_to_sequences(dsp.apply_normalization(ds.features, norm), 4)
+        preds, _ = nn.predict_batch(model, X)
+        hist = nn.load_history(os.path.join(out, "history.csv"))
+        assert hist.val_acc == [float(np.mean(preds == np.array(truth)))]
 
 
 class TestEvaluate:
@@ -206,6 +214,74 @@ class TestEvaluate:
         assert "56" in err and "8" in err
 
 
+    def test_test_labels_follow_checkpoint_class_table(self, pipeline, tmp_path):
+        ck = os.path.join(pipeline["run"], "checkpoint.json")
+        full, part = str(tmp_path / "full"), str(tmp_path / "part")
+        test = str(tmp_path / "test_no_negative.csv")
+        write_without_class(os.path.join(pipeline["splits"], "test.csv"), test, "NEGATIVE")
+        assert run("evaluate", "--checkpoint", ck, "--out", full,
+                   "--test", os.path.join(pipeline["splits"], "test.csv")) == 0
+        assert run("evaluate", "--checkpoint", ck, "--test", test, "--out", part) == 0
+        # dropping the NEGATIVE rows empties that row of the matrix and nothing else
+        want = read_confusion(full)
+        want[1] = ["NEGATIVE", "0", "0", "0"]
+        assert read_confusion(part) == want
+
+    def test_unknown_test_label_is_data_error(self, pipeline, tmp_path, capsys):
+        src = os.path.join(pipeline["splits"], "test.csv")
+        bad = str(tmp_path / "renamed.csv")
+        with open(src, encoding="utf-8") as fh:
+            open(bad, "w", encoding="utf-8").write(fh.read().replace("NEUTRAL", "BORED"))
+        code = run("evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
+                   "--test", bad, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "BORED" in capsys.readouterr().err
+
+
+def _not_an_object(doc):
+    return [1, 2]
+
+
+def _drop(*path):
+    def edit(doc):
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        del section[path[-1]]
+        return doc
+    return edit
+
+
+def _unknown_config_key(doc):
+    doc["model_config"]["depth"] = 2
+    return doc
+
+
+def _short_gate_block(doc):
+    doc["gru"]["U_r"] = doc["gru"]["U_r"][:-1]
+    return doc
+
+
+def _float_sequence_length(doc):
+    doc["model_config"]["sequence_length"] = float(doc["model_config"]["sequence_length"])
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    _not_an_object, _drop("gru"), _drop("gru", "W_z"), _unknown_config_key, _short_gate_block,
+    _float_sequence_length,
+], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
+        "float_sequence_length"])
+def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit):
+    doc = json.load(open(os.path.join(pipeline["run"], "checkpoint.json")))
+    ck = tmp_path / "bad.json"
+    ck.write_text(json.dumps(edit(doc)))
+    code = run("evaluate", "--checkpoint", str(ck), "--out", str(tmp_path / "out"),
+               "--test", os.path.join(pipeline["splits"], "test.csv"))
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
 class TestCompareAndReport:
     def test_compare_writes_consistent_outputs(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "cmp")
@@ -234,3 +310,42 @@ class TestCompareAndReport:
                    "--out", rep_out) == 0
         assert os.path.exists(os.path.join(rep_out, "curves.csv"))
         assert os.path.exists(os.path.join(rep_out, "curves.svg"))
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "epoch,train_loss,train_acc,val_loss\n1,0.5,0.5,0.6\n",
+        "epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,abc,0.5\n",
+    ], ids=["missing_file", "missing_column", "unparsable_cell"])
+    def test_bad_history_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "history.csv"
+        if content is not None:
+            path.write_text(content)
+        assert run("report", "--history", str(path), "--out", str(tmp_path / "rep")) == 2
+        assert "history" in capsys.readouterr().err
+
+
+def test_non_numeric_raw_sample_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    target = raw / "epoch_0004.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    lines[6] = "0.1,oops,0.3,0.4\n"
+    target.write_text("".join(lines))
+    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
+               "--out", str(tmp_path / "f.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epoch_0004.csv" in err and "line 7" in err and "oops" in err
+
+
+def write_without_class(src, dst, label):
+    ds = dataio.load_feature_csv(src)
+    keep = ds.labels != ds.class_names.index(label)
+    dataio.save_feature_csv(
+        dataio.Dataset(ds.features[keep], ds.labels[keep], ds.class_names, ds.feature_names), dst
+    )
+
+
+def read_confusion(out_dir):
+    with open(os.path.join(out_dir, "confusion.csv"), encoding="utf-8") as fh:
+        return [line.rstrip("\n").split(",") for line in fh]
