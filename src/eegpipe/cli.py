@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,34 +47,129 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Config precedence: CLI flag > config file > built-in default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+# ---------------------------------------------------------------------------
+# settings: one row per tunable, shared by the parser and the config file.
+# A converter takes a flag's string or a JSON value and returns the setting,
+# or raises ValueError; it accepts its own output.
 
 
-def _announce(name: str, settings: dict, verbose: bool) -> None:
+def _integer(value) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"expected a number, got {value!r}") from None
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _fractions(value) -> tuple[float, float, float]:
+    """Train/val/test fractions: "0.6,0.2,0.2" or a list of three numbers."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError(f"expected three comma-separated numbers, got {value!r}")
+    fractions = tuple(_real(v) for v in parts)
+    if len(fractions) != 3:
+        raise ValueError(f"needs exactly three comma-separated values, got {value!r}")
+    return fractions
+
+
+class Setting(NamedTuple):
+    """One tunable: its config-file key (also the argparse dest), its flag
+    (None: config file only), converter, and default in each command that
+    reads it. A default of None means the command derives the value."""
+
+    key: str
+    flag: str | None
+    convert: Callable[[object], object]
+    defaults: dict[str, object]
+
+
+_FEATURE = dsp.FeatureConfig()
+_GRU = ("train", "compare")
+
+SETTINGS = {s.key: s for s in [
+    Setting("per_class", "--per-class", _integer, {"synth": 100}),
+    # epoch length in samples; featurize keeps each recording whole if unset
+    Setting("window_len", "--window-len", _integer, {"synth": 256, "featurize": None}),
+    Setting("fs", "--fs", _real, {"synth": dataio.DEFAULT_SAMPLE_RATE_HZ}),
+    Setting("hop", "--hop", _integer, {"featurize": None}),  # the window length if unset
+    Setting("filter_low_hz", "--filter-low", _real, {"featurize": _FEATURE.filter_low_hz}),
+    Setting("filter_high_hz", "--filter-high", _real, {"featurize": _FEATURE.filter_high_hz}),
+    Setting("filter_order", "--filter-order", _integer, {"featurize": _FEATURE.filter_order}),
+    Setting("artifact_threshold_uv", "--threshold", _real,
+            {"featurize": _FEATURE.artifact_threshold_uv}),
+    Setting("welch_segment_len", None, _integer, {"featurize": _FEATURE.welch_segment_len}),
+    Setting("welch_overlap", None, _real, {"featurize": _FEATURE.welch_overlap}),
+    Setting("fractions", "--fractions", _fractions,
+            dict.fromkeys(("split", "compare"), (0.6, 0.2, 0.2))),
+    Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32)),
+    Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4)),
+    Setting("lr", "--lr", _real, dict.fromkeys(_GRU, 1e-3)),
+    Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, 32)),
+    Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, 150)),
+    Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, 10)),
+    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam")),
+    Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore")),
+    Setting("n_trees", "--n-trees", _integer, {"compare": 100}),
+    Setting("forest_depth", None, _integer, {"compare": 12}),
+    Setting("boost_rounds", "--boost-rounds", _integer, {"compare": 100}),
+    Setting("boost_depth", None, _integer, {"compare": 3}),
+    Setting("boost_lr", None, _real, {"compare": 0.1}),
+]}
+
+
+def _convert(setting: Setting, value, where: str):
+    try:
+        return setting.convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def resolve_settings(command: str, flags: dict, config: dict) -> dict:
+    """The settings `command` reads: flag > config file > default.
+
+    Every config key must name a setting, and every flag and file value
+    must pass its converter. A key that only another command reads is
+    checked and then ignored, so one file can serve the whole chain.
+    """
+    for key in config:
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown config key {key!r}")
+    from_file = {key: _convert(SETTINGS[key], value, f"config key {key!r}")
+                 for key, value in config.items()}
+    resolved = {}
+    for s in SETTINGS.values():
+        if command not in s.defaults:
+            continue
+        if flags.get(s.key) is not None:
+            resolved[s.key] = _convert(s, flags[s.key], s.flag)
+        else:
+            resolved[s.key] = from_file.get(s.key, s.defaults[command])
+    return resolved
+
+
+def _announce(name: str, settings: dict) -> None:
     line = " ".join(f"{k}={v}" for k, v in settings.items())
     print(f"[eegpipe {name}] {line}")
-    del verbose
-
-
-def _feature_config(args, config: dict) -> dsp.FeatureConfig:
-    fc = dsp.FeatureConfig()
-    fc.filter_low_hz = float(_resolve(args, config, "filter_low_hz", fc.filter_low_hz))
-    fc.filter_high_hz = float(_resolve(args, config, "filter_high_hz", fc.filter_high_hz))
-    fc.filter_order = int(_resolve(args, config, "filter_order", fc.filter_order))
-    fc.artifact_threshold_uv = float(
-        _resolve(args, config, "artifact_threshold_uv", fc.artifact_threshold_uv)
-    )
-    fc.welch_segment_len = int(_resolve(args, config, "welch_segment_len", fc.welch_segment_len))
-    fc.welch_overlap = float(_resolve(args, config, "welch_overlap", fc.welch_overlap))
-    fc.normalization = str(_resolve(args, config, "normalization", fc.normalization))
-    return fc
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +177,20 @@ def _feature_config(args, config: dict) -> dsp.FeatureConfig:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    per_class = int(_resolve(args, config, "per_class", 100))
-    window_len = int(_resolve(args, config, "window_len", 256))
-    fs = float(_resolve(args, config, "fs", dataio.DEFAULT_SAMPLE_RATE_HZ))
-    seed = derive_seed(args.seed, "synth")
-    if per_class < 1:
+    if args.per_class < 1:
         raise ConfigError("--per-class must be >= 1")
-    _announce("synth", {"per_class": per_class, "window_len": window_len, "fs": fs,
-                        "seed": args.seed}, args.verbose)
-    epochs = dataio.synth_generate(per_class, window_len, fs, seed)
+    _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
+                        "fs": args.fs, "seed": args.seed})
+    epochs = dataio.synth_generate(args.per_class, args.window_len, args.fs,
+                                   derive_seed(args.seed, "synth"))
     os.makedirs(args.out, exist_ok=True)
     manifest_rows = []
     for i, ep in enumerate(epochs):
         fname = f"epoch_{i:04d}.csv"
-        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, fs, ep.data, label=ep.label)
+        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, ep.data, label=ep.label)
         dataio.save_recording_csv(rec, os.path.join(args.out, fname))
         manifest_rows.append(
-            (fname, dataio.SYNTH_CLASS_NAMES[ep.label], fs, ";".join(dataio.DEFAULT_CHANNELS))
+            (fname, dataio.SYNTH_CLASS_NAMES[ep.label], args.fs, ";".join(dataio.DEFAULT_CHANNELS))
         )
     manifest_path = os.path.join(args.out, "manifest.csv")
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
@@ -110,15 +202,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    config = _load_config(args.config)
-    fc = _feature_config(args, config)
-    window_len = getattr(args, "window_len", None)
-    hop = getattr(args, "hop", None)
+    fc = dsp.FeatureConfig(
+        filter_low_hz=args.filter_low_hz,
+        filter_high_hz=args.filter_high_hz,
+        filter_order=args.filter_order,
+        artifact_threshold_uv=args.artifact_threshold_uv,
+        welch_segment_len=args.welch_segment_len,
+        welch_overlap=args.welch_overlap,
+    )
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",
          "order": fc.filter_order, "threshold_uv": fc.artifact_threshold_uv},
-        args.verbose,
     )
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
     recordings, class_names = dataio.load_raw_recordings(data_dir, args.manifest)
@@ -131,8 +226,8 @@ def cmd_featurize(args) -> int:
     for rec in recordings:
         filtered = np.vstack([dsp.filtfilt(coeffs, ch) for ch in rec.data])
         frec = dataio.Recording(rec.channels, rec.sample_rate_hz, filtered, rec.label)
-        wl = window_len if window_len is not None else frec.n_samples
-        epochs.extend(dataio.window_recording(frec, wl, hop if hop is not None else wl))
+        wl = args.window_len if args.window_len is not None else frec.n_samples
+        epochs.extend(dataio.window_recording(frec, wl, args.hop if args.hop is not None else wl))
     if fc.artifact_threshold_uv <= 0:
         print("warning: artifact threshold <= 0 rejects every epoch", file=sys.stderr)
         kept, rejected = [], len(epochs)
@@ -153,69 +248,49 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _parse_fractions(args, config: dict) -> tuple[float, float, float]:
-    """Train/val/test fractions from --fractions or the config file."""
-    raw = _resolve(args, config, "fractions", "0.6,0.2,0.2")
-    try:
-        fractions = tuple(float(v) for v in (raw.split(",") if isinstance(raw, str) else raw))
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad --fractions value {raw!r}") from None
-    if len(fractions) != 3:
-        raise ConfigError("--fractions needs exactly three comma-separated values")
-    return fractions
-
-
 def cmd_split(args) -> int:
-    config = _load_config(args.config)
-    fractions = _parse_fractions(args, config)
-    spec = dataio.SplitSpec(*fractions, seed=derive_seed(args.seed, "split"),
+    spec = dataio.SplitSpec(*args.fractions, seed=derive_seed(args.seed, "split"),
                             stratified=not args.no_stratify)
-    _announce("split", {"input": args.input, "fractions": fractions, "seed": args.seed},
-              args.verbose)
+    _announce("split", {"input": args.input, "fractions": args.fractions, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
     train, val, test = dataio.stratified_split(ds, spec)
-    sidecar = dataio.write_split(train, val, test, spec, args.out)
+    dataio.write_split(train, val, test, spec, args.out)
     print(f"split {ds.n_examples} rows -> "
           f"{train.n_examples}/{val.n_examples}/{test.n_examples} in {args.out}")
-    del sidecar
     return 0
 
 
-def _train_gru(train_ds, val_ds, args, config, seed: int):
+def _train_gru(train_ds, val_ds, args):
     """Shared by cmd_train and cmd_compare: normalize, reshape, train."""
-    norm_mode = str(_resolve(args, config, "normalization", "zscore"))
-    seq_len = int(_resolve(args, config, "seq_len", 4))
-    hidden = int(_resolve(args, config, "hidden", 32))
-    norm = dsp.fit_normalization(train_ds.features, norm_mode)
-    X_tr = nn.dataset_to_sequences(dsp.apply_normalization(train_ds.features, norm), seq_len)
-    X_va = nn.dataset_to_sequences(dsp.apply_normalization(val_ds.features, norm), seq_len)
+    norm = dsp.fit_normalization(train_ds.features, args.normalization)
+    X_tr = nn.dataset_to_sequences(dsp.apply_normalization(train_ds.features, norm), args.seq_len)
+    X_va = nn.dataset_to_sequences(dsp.apply_normalization(val_ds.features, norm), args.seq_len)
     model_cfg = nn.ModelConfig(
         input_dim=X_tr.shape[2],
-        hidden_dim=hidden,
-        sequence_length=seq_len,
+        hidden_dim=args.hidden,
+        sequence_length=args.seq_len,
         n_classes=len(train_ds.class_names),
-        seed=derive_seed(seed, "init"),
+        seed=derive_seed(args.seed, "init"),
     )
     train_cfg = nn.TrainConfig(
-        optimizer=str(_resolve(args, config, "optimizer", "adam")),
-        learning_rate=float(_resolve(args, config, "lr", 1e-3)),
-        batch_size=int(_resolve(args, config, "batch_size", 32)),
-        max_epochs=int(_resolve(args, config, "epochs", 150)),
-        patience=int(_resolve(args, config, "patience", 10)),
-        seed=derive_seed(seed, "train"),
+        optimizer=args.optimizer,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        max_epochs=args.epochs,
+        patience=args.patience,
+        seed=derive_seed(args.seed, "train"),
     )
     model, history = nn.train(model_cfg, (X_tr, train_ds.labels), (X_va, val_ds.labels), train_cfg)
-    return model, history, norm, seq_len
+    return model, history, norm
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    _announce("train", {"train": args.train, "val": args.val, "seed": args.seed}, args.verbose)
+    _announce("train", {"train": args.train, "val": args.val, "seed": args.seed})
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
     os.makedirs(args.out, exist_ok=True)
-    model, history, norm, _ = _train_gru(train_ds, val_ds, args, config, args.seed)
+    model, history, norm = _train_gru(train_ds, val_ds, args)
     val_loss = history.val_loss[int(np.argmin(history.val_loss))] if len(history) else float("nan")
     val_acc = history.val_acc[int(np.argmin(history.val_loss))] if len(history) else float("nan")
     nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
@@ -225,7 +300,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _announce("evaluate", {"checkpoint": args.checkpoint, "test": args.test}, args.verbose)
+    _announce("evaluate", {"checkpoint": args.checkpoint, "test": args.test})
     model, class_names, norm = nn.load_checkpoint(args.checkpoint)
     test_ds = dataio.relabel(dataio.load_feature_csv(args.test, args.label_column), class_names)
     expected = norm.n_features if norm is not None else model.config.input_dim * model.config.sequence_length
@@ -247,21 +322,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    fractions = _parse_fractions(args, config)
-    _announce("compare", {"input": args.input, "seed": args.seed}, args.verbose)
+    spec = dataio.SplitSpec(*args.fractions, seed=derive_seed(args.seed, "split"), stratified=True)
+    _announce("compare", {"input": args.input, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
-    spec = dataio.SplitSpec(*fractions, seed=derive_seed(args.seed, "split"), stratified=True)
     train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
     n_classes = len(ds.class_names)
 
     results = []
 
-    model, history, norm, seq_len = _train_gru(train_ds, val_ds, args, config, args.seed)
+    model, history, norm = _train_gru(train_ds, val_ds, args)
     X_tr = dsp.apply_normalization(train_ds.features, norm)
     X_te = dsp.apply_normalization(test_ds.features, norm)
     y_tr, y_te = train_ds.labels, test_ds.labels
-    preds, _ = nn.predict_batch(model, nn.dataset_to_sequences(X_te, seq_len))
+    preds, _ = nn.predict_batch(model, nn.dataset_to_sequences(X_te, args.seq_len))
     results.append(("gru", preds))
 
     logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
@@ -272,17 +345,17 @@ def cmd_compare(args) -> int:
 
     forest = baselines.fit_forest(
         X_tr, y_tr, n_classes,
-        n_trees=int(_resolve(args, config, "n_trees", 100)),
-        max_depth=int(_resolve(args, config, "forest_depth", 12)),
+        n_trees=args.n_trees,
+        max_depth=args.forest_depth,
         seed=derive_seed(args.seed, "forest"),
     )
     results.append(("random_forest", baselines.predict_forest(forest, X_te)[0]))
 
     boost = baselines.fit_boosting(
         X_tr, y_tr, n_classes,
-        n_rounds=int(_resolve(args, config, "boost_rounds", 100)),
-        max_depth=int(_resolve(args, config, "boost_depth", 3)),
-        learning_rate=float(_resolve(args, config, "boost_lr", 0.1)),
+        n_rounds=args.boost_rounds,
+        max_depth=args.boost_depth,
+        learning_rate=args.boost_lr,
     )
     results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)[0]))
 
@@ -302,7 +375,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _announce("report", {"history": args.history}, args.verbose)
+    _announce("report", {"history": args.history})
     history = nn.load_history(args.history)
     written = evaluation.emit_curves(history, args.out)
     print("wrote " + ", ".join(written))
@@ -318,81 +391,30 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"eegpipe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def command(name: str, help_text: str, *required: str) -> _Parser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
         p.add_argument("--config", help="JSON config file; CLI flags take precedence")
-        p.add_argument("--out", default=out_default, required=out_default is None,
-                       help="output path")
+        p.add_argument("--out", required=True, help="output path")
         p.add_argument("--verbose", action="store_true")
         p.add_argument("--label-column", default="label")
+        for flag in required:
+            p.add_argument(flag, required=True)
+        for row in SETTINGS.values():
+            if row.flag is not None and name in row.defaults:
+                default = row.defaults[name]
+                p.add_argument(row.flag, dest=row.key,
+                               help=None if default is None else f"default: {default}")
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic raw epochs + manifest")
-    common(p)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--window-len", dest="window_len", type=int)
-    p.add_argument("--fs", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("featurize", help="manifest -> filter -> reject -> features CSV")
-    common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--window-len", dest="window_len", type=int,
-                   help="epoch length in samples (default: whole recording)")
-    p.add_argument("--hop", type=int)
-    p.add_argument("--filter-low", dest="filter_low_hz", type=float)
-    p.add_argument("--filter-high", dest="filter_high_hz", type=float)
-    p.add_argument("--filter-order", dest="filter_order", type=int)
-    p.add_argument("--threshold", dest="artifact_threshold_uv", type=float)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("split", help="featured CSV -> train/val/test CSVs + sidecar")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--fractions")
-    p.add_argument("--no-stratify", action="store_true")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", help="train the GRU classifier")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--optimizer")
-    p.add_argument("--norm", dest="normalization")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="checkpoint + test CSV -> confusion + metrics")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="train GRU + baselines on one split, emit table")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--fractions")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--optimizer")
-    p.add_argument("--norm", dest="normalization")
-    p.add_argument("--n-trees", dest="n_trees", type=int)
-    p.add_argument("--boost-rounds", dest="boost_rounds", type=int)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("report", help="history CSV -> curves.csv + curves.svg")
-    common(p)
-    p.add_argument("--history", required=True)
-    p.set_defaults(func=cmd_report)
-
+    command("synth", "generate synthetic raw epochs + manifest")
+    command("featurize", "manifest -> filter -> reject -> features CSV", "--manifest")
+    command("split", "featured CSV -> train/val/test CSVs + sidecar", "--input").add_argument(
+        "--no-stratify", action="store_true")
+    command("train", "train the GRU classifier", "--train", "--val")
+    command("evaluate", "checkpoint + test CSV -> confusion + metrics", "--checkpoint", "--test")
+    command("compare", "train GRU + baselines on one split, emit table", "--input")
+    command("report", "history CSV -> curves.csv + curves.svg", "--history")
     return parser
 
 
@@ -400,7 +422,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        vars(args).update(resolve_settings(args.command, vars(args), _load_config(args.config)))
+        # looked up at call time, so a wrapper installed on the module is honoured
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

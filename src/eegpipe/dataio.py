@@ -218,9 +218,18 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         return [], []
     class_names = sorted({e["label"] for e in entries})
     class_ids = {name: i for i, name in enumerate(class_names)}
+    rates = []
+    for e in entries:
+        try:
+            rates.append(float(e["sample_rate_hz"]))
+        except ValueError:
+            raise DataError(f"bad sample_rate_hz {e['sample_rate_hz']!r} in manifest") from None
+    if len(set(rates)) > 1:
+        # one filter design and one Welch grid serve every recording
+        raise DataError(f"mixed sample rates in manifest: {sorted(set(rates))} Hz")
     channel_ref: list[str] | None = None
     recordings = []
-    for e in entries:
+    for e, fs in zip(entries, rates):
         channels = e["channels"].split(";")
         if channel_ref is None:
             channel_ref = channels
@@ -231,10 +240,6 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         fpath = os.path.join(path, e["file"])
         if not os.path.isfile(fpath):
             raise DataError(f"manifest references missing file: {fpath}")
-        try:
-            fs = float(e["sample_rate_hz"])
-        except ValueError:
-            raise DataError(f"bad sample_rate_hz {e['sample_rate_hz']!r} in manifest") from None
         with open(fpath, newline="", encoding="utf-8") as fh:
             rdr = csv.reader(fh)
             header = next(rdr, None)
@@ -246,6 +251,10 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
                 raise DataError(f"{fpath}: line {rdr.line_num}: {exc}") from None
         if not samples:
             raise DataError(f"{fpath}: no samples")
+        bad = next((i for i, row in enumerate(samples) if len(row) != len(channels)), None)
+        if bad is not None:
+            raise DataError(f"{fpath}: line {bad + 2}: {len(samples[bad])} cells, header has "
+                            f"{len(channels)}")
         data = np.array(samples, dtype=float).T
         recordings.append(Recording(channels, fs, data, label=class_ids[e["label"]]))
     return recordings, class_names

@@ -9,7 +9,6 @@ inputs; summation order is fixed so results are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -118,7 +117,7 @@ class NormalizationParams:
 
 @dataclass
 class FeatureConfig:
-    """Feature-extraction parameters; JSON-loadable for the CLI."""
+    """Feature-extraction parameters."""
 
     bands: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(EEG_BANDS))
     welch_segment_len: int = 256
@@ -128,42 +127,6 @@ class FeatureConfig:
     filter_high_hz: float = 45.0
     filter_order: int = 4
     artifact_threshold_uv: float = 100.0
-    normalization: str = "zscore"
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "bands": {k: list(v) for k, v in self.bands.items()},
-                    "welch_segment_len": self.welch_segment_len,
-                    "welch_overlap": self.welch_overlap,
-                    "welch_window": self.welch_window,
-                    "filter_low_hz": self.filter_low_hz,
-                    "filter_high_hz": self.filter_high_hz,
-                    "filter_order": self.filter_order,
-                    "artifact_threshold_uv": self.artifact_threshold_uv,
-                    "normalization": self.normalization,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str) -> "FeatureConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read feature config {path}: {exc}") from exc
-        cfg = cls()
-        for key, val in raw.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown feature config key {key!r}")
-            if key == "bands":
-                val = {k: (float(v[0]), float(v[1])) for k, v in val.items()}
-            setattr(cfg, key, val)
-        return cfg
 
 
 def design_butterworth_bandpass(

@@ -4,9 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from eegpipe import dataio, dsp, nn
-from eegpipe.cli import derive_seed, main
+from eegpipe import cli, dataio, dsp, nn
+from eegpipe.cli import SETTINGS, build_parser, derive_seed, main, resolve_settings
+from eegpipe.errors import ConfigError
 
 
 def run(*argv):
@@ -72,6 +75,118 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json at all {")
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+
+# the flags each command requires, with placeholder paths: the tests below
+# only parse them, or stop at the config file before any path is read
+REQUIRED = {
+    "synth": [],
+    "featurize": ["--manifest", "m.csv"],
+    "split": ["--input", "f.csv"],
+    "train": ["--train", "t.csv", "--val", "v.csv"],
+    "evaluate": ["--checkpoint", "c.json", "--test", "t.csv"],
+    "compare": ["--input", "f.csv"],
+    "report": ["--history", "h.csv"],
+}
+ROW_COMMANDS = [(key, command) for key, row in SETTINGS.items() for command in row.defaults]
+# a flag string and a config-file value per converter, neither one a default
+SAMPLES = {
+    cli._integer: ("7", 9),
+    cli._real: ("0.25", 0.75),
+    cli._text: ("from-flag", "from-file"),
+    cli._fractions: ("0.5,0.25,0.25", [0.7, 0.2, 0.1]),
+}
+
+
+def parsed_flags(command, *argv):
+    return vars(build_parser().parse_args([command, *REQUIRED[command], "--out", "o", *argv]))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key,command", ROW_COMMANDS)
+    def test_flag_beats_file_beats_default(self, key, command):
+        row = SETTINGS[key]
+        flag_value, file_value = SAMPLES[row.convert]
+        default = resolve_settings(command, parsed_flags(command), {})[key]
+        assert default == row.defaults[command]
+        from_file = resolve_settings(command, parsed_flags(command), {key: file_value})[key]
+        assert from_file == row.convert(file_value) != default
+        if row.flag is not None:
+            flags = parsed_flags(command, row.flag, flag_value)
+            from_flag = resolve_settings(command, flags, {key: file_value})[key]
+            assert from_flag == row.convert(flag_value) not in (default, from_file)
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_config_of_defaults_resolves_like_no_config(self, command):
+        bare = resolve_settings(command, parsed_flags(command), {})
+        doc = json.loads(json.dumps({k: v for k, v in bare.items() if v is not None}))
+        resolved = resolve_settings(command, parsed_flags(command), doc)
+        assert repr(resolved) == repr(bare)
+
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=8,
+    ), data=st.data())
+    def test_resolve_gives_a_converted_value_or_config_error(self, value, data):
+        key, command = data.draw(st.sampled_from(ROW_COMMANDS))
+        row = SETTINGS[key]
+        attempts = [({}, {key: value}, repr(key))]
+        if isinstance(value, str) and row.flag is not None:
+            attempts.append(({key: value}, {}, row.flag))
+        for flags, config, named in attempts:
+            try:
+                got = resolve_settings(command, flags, config)[key]
+            except ConfigError as exc:
+                assert named in str(exc)
+                continue
+            assert repr(row.convert(got)) == repr(got)
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"per_class": "abc"}, "per_class"),
+        ({"per_class": None}, "per_class"),
+        ({"per_class": [3]}, "per_class"),
+        ({"per_class": 2.5}, "per_class"),
+        ({"fs": "fast"}, "fs"),
+        ({"epochs": "many"}, "epochs"),
+        ({"per_clas": 3}, "per_clas"),
+    ], ids=["string", "null", "list", "non_integral", "float_string", "other_command", "unknown"])
+    def test_bad_config_value_or_key_exits_1(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "raw"
+        assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, command):
+        code = run(command, *REQUIRED[command], "--config", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_file_reaches_train(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # per_class is a synth key: one file may serve the whole chain
+        cfg.write_text(json.dumps({"epochs": 3, "patience": 3, "hidden": 4, "per_class": 2}))
+        argv = ["train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                "--val", os.path.join(pipeline["splits"], "val.csv"), "--config", str(cfg)]
+        assert run(*argv, "--out", str(tmp_path / "a")) == 0
+        assert len(nn.load_history(str(tmp_path / "a" / "history.csv"))) == 3
+        assert run(*argv, "--epochs", "2", "--out", str(tmp_path / "b")) == 0
+        assert len(nn.load_history(str(tmp_path / "b" / "history.csv"))) == 2
+        model, _, _ = nn.load_checkpoint(str(tmp_path / "b" / "checkpoint.json"))
+        assert model.config.hidden_dim == 4
+
+    def test_config_file_reaches_featurize(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_len": 128, "hop": 64, "welch_segment_len": 128}))
+        out = str(tmp_path / "f.csv")
+        assert run("featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
+                   "--config", str(cfg), "--out", out) == 0
+        whole = dataio.load_feature_csv(pipeline["feats"]).n_examples
+        assert dataio.load_feature_csv(out).n_examples == 3 * whole
 
 
 class TestSynth:
@@ -336,6 +451,33 @@ def test_non_numeric_raw_sample_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "epoch_0004.csv" in err and "line 7" in err and "oops" in err
+
+
+def test_ragged_raw_row_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    target = raw / "epoch_0004.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    lines[6] = lines[6].rstrip("\n") + ",0.5\n"
+    target.write_text("".join(lines))
+    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
+               "--out", str(tmp_path / "f.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epoch_0004.csv" in err and "line 7" in err
+
+
+def test_mixed_sample_rates_are_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    manifest = raw / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(",256.0,", ",128.0,")
+    manifest.write_text("".join(lines))
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
+    assert "mixed sample rates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_without_class(src, dst, label):

@@ -374,19 +374,3 @@ class TestNormalization:
         with pytest.raises(ConfigError):
             dsp.fit_normalization(np.zeros((2, 2)), "robust")
 
-
-def test_feature_config_roundtrip(tmp_path):
-    cfg = dsp.FeatureConfig(filter_low_hz=1.0, artifact_threshold_uv=80.0)
-    path = tmp_path / "cfg.json"
-    cfg.to_json(str(path))
-    back = dsp.FeatureConfig.from_json(str(path))
-    assert back.filter_low_hz == 1.0
-    assert back.artifact_threshold_uv == 80.0
-    assert back.bands == cfg.bands
-
-
-def test_feature_config_unknown_key(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"nope": 1}')
-    with pytest.raises(ConfigError, match="unknown"):
-        dsp.FeatureConfig.from_json(str(path))
