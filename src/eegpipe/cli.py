@@ -181,23 +181,23 @@ def cmd_synth(args) -> int:
         raise ConfigError("--per-class must be >= 1")
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
-    epochs = dataio.synth_generate(args.per_class, args.window_len, args.fs,
-                                   derive_seed(args.seed, "synth"))
+    data, labels = dataio.synth_generate(args.per_class, args.window_len, args.fs,
+                                         derive_seed(args.seed, "synth"))
     os.makedirs(args.out, exist_ok=True)
     manifest_rows = []
-    for i, ep in enumerate(epochs):
+    for i, (x, label) in enumerate(zip(data, labels)):
         fname = f"epoch_{i:04d}.csv"
-        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, ep.data, label=ep.label)
+        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, x, label=int(label))
         dataio.save_recording_csv(rec, os.path.join(args.out, fname))
         manifest_rows.append(
-            (fname, dataio.SYNTH_CLASS_NAMES[ep.label], args.fs, ";".join(dataio.DEFAULT_CHANNELS))
+            (fname, dataio.SYNTH_CLASS_NAMES[label], args.fs, ";".join(dataio.DEFAULT_CHANNELS))
         )
     manifest_path = os.path.join(args.out, "manifest.csv")
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("file,label,sample_rate_hz,channels\n")
         for fname, label, rate, channels in manifest_rows:
             fh.write(f"{fname},{label},{rate},{channels}\n")
-    print(f"wrote {len(epochs)} epoch files + manifest to {args.out}")
+    print(f"wrote {len(labels)} epoch files + manifest to {args.out}")
     return 0
 
 
@@ -210,6 +210,9 @@ def cmd_featurize(args) -> int:
         welch_segment_len=args.welch_segment_len,
         welch_overlap=args.welch_overlap,
     )
+    if args.window_len is not None and args.window_len < fc.welch_segment_len:
+        raise ConfigError(f"window_len {args.window_len} is shorter than "
+                          f"welch_segment_len {fc.welch_segment_len}")
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",
@@ -219,30 +222,32 @@ def cmd_featurize(args) -> int:
     recordings, class_names = dataio.load_raw_recordings(data_dir, args.manifest)
     if not recordings:
         raise DataError("manifest lists no recordings")
+    channel_names, fs = recordings[0].channels, recordings[0].sample_rate_hz
     coeffs = dsp.design_butterworth_bandpass(
-        fc.filter_low_hz, fc.filter_high_hz, recordings[0].sample_rate_hz, fc.filter_order
+        fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
-    epochs, channel_names, fs = [], recordings[0].channels, recordings[0].sample_rate_hz
-    for rec in recordings:
-        filtered = np.vstack([dsp.filtfilt(coeffs, ch) for ch in rec.data])
-        frec = dataio.Recording(rec.channels, rec.sample_rate_hz, filtered, rec.label)
-        wl = args.window_len if args.window_len is not None else frec.n_samples
-        epochs.extend(dataio.window_recording(frec, wl, args.hop if args.hop is not None else wl))
-    if fc.artifact_threshold_uv <= 0:
+    filtered = {}
+    for n in dict.fromkeys(rec.n_samples for rec in recordings):
+        idx = [i for i, rec in enumerate(recordings) if rec.n_samples == n]
+        filtered.update(zip(idx, dsp.filtfilt(coeffs, [recordings[i].data for i in idx])))
+    windows = [dataio.window_recording(filtered[i], args.window_len, args.hop)
+               for i in range(len(recordings))]
+    threshold = fc.artifact_threshold_uv
+    if threshold <= 0:
         print("warning: artifact threshold <= 0 rejects every epoch", file=sys.stderr)
-        kept, rejected = [], len(epochs)
-    else:
-        kept, rejected = dsp.reject_artifacts(epochs, fc.artifact_threshold_uv)
-    print(f"rejected {rejected} of {len(epochs)} epochs (threshold {fc.artifact_threshold_uv} uV)")
-    if not kept:
+    kept = [dsp.reject_artifacts(w, threshold)[0] if threshold > 0 else [] for w in windows]
+    n_epochs, n_kept = sum(map(len, windows)), sum(map(len, kept))
+    print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
+    if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
-    feats = [dsp.extract_features(ep, fs, fc, channel_names) for ep in kept]
-    ds = dataio.Dataset(
-        np.vstack([f.values for f in feats]),
-        np.array([ep.label for ep in kept]),
-        class_names,
-        feats[0].names,
-    )
+    # one recording at a time: the windows of a whole manifest may not fit in memory
+    rows = []
+    for w, k in zip(windows, kept):
+        fv = dsp.extract_features(w[k], fs, fc, channel_names)
+        rows.append(fv.values)
+    ds = dataio.Dataset(np.concatenate(rows),
+                        np.repeat([rec.label for rec in recordings], list(map(len, kept))),
+                        class_names, fv.names)
     dataio.save_feature_csv(ds, args.out)
     print(f"wrote {ds.n_examples} x {ds.n_features} feature matrix to {args.out}")
     return 0

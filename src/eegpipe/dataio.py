@@ -1,4 +1,4 @@
-"""Dataset ingestion, epoching, stratified splitting, and synthetic EEG generation.
+"""Dataset ingestion, windowing, stratified splitting, and synthetic EEG generation.
 
 All randomness is local to each call (seeded generators), so every
 operation here is deterministic and safe to call concurrently.
@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,22 +55,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass
-class Epoch:
-    """Fixed-length labeled window of a recording."""
-
-    data: np.ndarray  # [n_channels, window_len]
-    label: int
-    source_offset: int = 0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2:
-            raise DataError("epoch data must be a [channels x samples] matrix")
-        if self.label < 0:
-            raise DataError("epoch label must be a non-negative class id")
 
 
 @dataclass
@@ -213,7 +197,12 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         required = {"file", "label", "sample_rate_hz", "channels"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"manifest must have columns {sorted(required)}")
-        entries = list(reader)
+        entries = []
+        for row in reader:
+            missing = sorted(k for k in required if row[k] is None)
+            if missing:
+                raise DataError(f"{manifest}: line {reader.line_num}: no {', '.join(missing)} cell")
+            entries.append(row)
     if not entries:
         return [], []
     class_names = sorted({e["label"] for e in entries})
@@ -255,8 +244,11 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         if bad is not None:
             raise DataError(f"{fpath}: line {bad + 2}: {len(samples[bad])} cells, header has "
                             f"{len(channels)}")
-        data = np.array(samples, dtype=float).T
-        recordings.append(Recording(channels, fs, data, label=class_ids[e["label"]]))
+        data = np.array(samples, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if bad.size:
+            raise DataError(f"{fpath}: line {bad[0] + 2}: non-finite sample")
+        recordings.append(Recording(channels, fs, data.T, label=class_ids[e["label"]]))
     return recordings, class_names
 
 
@@ -269,18 +261,23 @@ def save_recording_csv(rec: Recording, path: str) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def window_recording(rec: Recording, window_len: int, hop: int) -> list[Epoch]:
-    """Cut a labeled recording into fixed-length epochs at a fixed hop."""
-    if rec.label is None:
-        raise DataError("cannot window an unlabeled recording")
-    if not 1 <= window_len <= rec.n_samples:
-        raise ConfigError(f"window_len {window_len} outside [1, {rec.n_samples}]")
+def window_recording(data: np.ndarray, window_len: int | None = None,
+                     hop: int | None = None) -> np.ndarray:
+    """Fixed-length windows at a fixed hop of a recording's data [n_ch, n_samples].
+
+    Returns a read-only view [n_windows, n_ch, window_len]; window k starts
+    at sample k * hop. By default one window spans the whole recording and
+    the hop is the window length.
+    """
+    n_samples = data.shape[-1]
+    window_len = n_samples if window_len is None else window_len
+    hop = window_len if hop is None else hop
+    if not 1 <= window_len <= n_samples:
+        raise ConfigError(f"window_len {window_len} outside [1, {n_samples}]")
     if hop < 1:
         raise ConfigError("hop must be >= 1")
-    epochs = []
-    for offset in range(0, rec.n_samples - window_len + 1, hop):
-        epochs.append(Epoch(rec.data[:, offset : offset + window_len], rec.label, offset))
-    return epochs
+    windows = np.lib.stride_tricks.sliding_window_view(data, window_len, axis=-1)[..., ::hop, :]
+    return np.moveaxis(windows, -2, -3)
 
 
 def _largest_remainder(total: int, fractions: tuple[float, ...]) -> list[int]:
@@ -360,11 +357,12 @@ def write_split(
 
 def synth_generate(
     n_per_class: int, window_len: int, fs: float, seed: int
-) -> list[Epoch]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Generate labeled synthetic EEG-like epochs for three separable classes.
 
-    Each epoch is unit-variance white noise plus an amplitude-3 sinusoid
-    whose frequency is drawn from the class band (theta / alpha-ish /
+    Returns (data [n, n_ch, window_len], labels [n]), class by class. Each
+    epoch is unit-variance white noise plus an amplitude-3 sinusoid whose
+    frequency is drawn from the class band (theta / alpha-ish /
     beta-ish), identical frequency on every channel with per-channel
     random phase. Deterministic per seed.
     """
@@ -377,15 +375,12 @@ def synth_generate(
     rng = np.random.default_rng(seed)
     n_ch = len(DEFAULT_CHANNELS)
     t = np.arange(window_len) / fs
-    epochs = []
-    for label in sorted(SYNTH_BANDS):
+    labels = np.repeat(sorted(SYNTH_BANDS), n_per_class)
+    data = np.empty((len(labels), n_ch, window_len))
+    for i, label in enumerate(labels):
         lo, hi = SYNTH_BANDS[label]
-        for i in range(n_per_class):
-            freq = rng.uniform(lo, hi)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=n_ch)
-            noise = rng.standard_normal((n_ch, window_len))
-            tone = SYNTH_AMPLITUDE * np.sin(
-                2.0 * np.pi * freq * t[None, :] + phases[:, None]
-            )
-            epochs.append(Epoch(noise + tone, label, source_offset=0))
-    return epochs
+        freq = rng.uniform(lo, hi)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=n_ch)
+        noise = rng.standard_normal((n_ch, window_len))
+        data[i] = noise + SYNTH_AMPLITUDE * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
+    return data, labels

@@ -3,8 +3,11 @@
 Butterworth bandpass design (bilinear transform with pre-warping,
 second-order sections), zero-phase filtering, amplitude-threshold
 artifact rejection, Welch PSD, spectral entropy, time-domain statistics,
-and feature-matrix normalization. Everything is a pure function of its
-inputs; summation order is fixed so results are bit-reproducible.
+and feature-matrix normalization. Every signal routine acts along the
+last axis of an array of any shape, so one signal is a batch of one.
+Everything is a pure function of its inputs; summation order is fixed, so
+results are bit-reproducible and a signal's result does not depend on what
+it is batched with.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Epoch
 from .errors import ConfigError, DataError, NumericError
 
 EEG_BANDS = {
@@ -56,7 +58,7 @@ class FilterCoefficients:
 
 @dataclass
 class Psd:
-    """One-sided power spectral density estimate."""
+    """One-sided power spectral density estimate, power [..., n_bins]."""
 
     freqs_hz: np.ndarray
     power: np.ndarray
@@ -65,7 +67,7 @@ class Psd:
     def __post_init__(self):
         self.freqs_hz = np.asarray(self.freqs_hz, dtype=float)
         self.power = np.asarray(self.power, dtype=float)
-        if len(self.freqs_hz) != len(self.power):
+        if self.power.shape[-1:] != self.freqs_hz.shape:
             raise DataError("freqs and power must have equal length")
         if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
             raise NumericError("PSD contains negative or non-finite power")
@@ -73,14 +75,14 @@ class Psd:
 
 @dataclass
 class FeatureVector:
-    """Parallel (values, names) pair for one epoch's features."""
+    """Feature values [..., n_features] with their parallel names."""
 
     values: np.ndarray
     names: list[str]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != len(self.names):
+        if self.values.shape[-1] != len(self.names):
             raise DataError("feature values and names must be parallel")
         if len(set(self.names)) != len(self.names):
             raise DataError("feature names must be unique")
@@ -203,54 +205,58 @@ def _section_step_state(sections) -> list[np.ndarray]:
     return states
 
 
-def sosfilt(coeffs: FilterCoefficients, x: np.ndarray, zi: list[np.ndarray] | None = None):
-    """Causal cascade filtering (direct form II transposed)."""
-    y = np.asarray(x, dtype=float).copy()
-    for idx, (b0, b1, b2, a1, a2) in enumerate(coeffs.sections):
-        z1, z2 = (zi[idx] if zi is not None else (0.0, 0.0))
-        out = np.empty_like(y)
-        for i in range(len(y)):
-            xi = y[i]
+def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
+    """Causal cascade filtering (direct form II transposed) along the last axis of
+    the float array x, in place; returns x. Each section starts in its steady
+    state for a constant input x[..., 0], so a constant signal passes as 0."""
+    zi = [np.multiply.outer(z, x[..., 0]) for z in _section_step_state(coeffs.sections)]
+    for (b0, b1, b2, a1, a2), (z1, z2) in zip(coeffs.sections, zi):
+        for i in range(x.shape[-1]):
+            xi = x[..., i]
             yi = b0 * xi + z1
             z1 = b1 * xi - a1 * yi + z2
             z2 = b2 * xi - a2 * yi
-            out[i] = yi
-        y = out
-    return y
+            x[..., i] = yi
+    return x
 
 
-def filtfilt(coeffs: FilterCoefficients, x: np.ndarray, padlen: int | None = None) -> np.ndarray:
-    """Zero-phase forward-backward filtering with reflective edge padding.
+def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.ndarray:
+    """Zero-phase forward-backward filtering along the last axis, with
+    reflective edge padding.
 
-    Default padding is 3x the filter order. Initial conditions are the
-    steady-state response to the first padded sample, so constant inputs
-    pass through a bandpass as exactly zero. The effective magnitude
-    response is |H|^2.
+    `x` is an array [..., n_samples] or a sequence of equal-shape arrays,
+    filtered as their stack; the stack is written straight into the padded
+    work array, which is then filtered in place. Default padding is 3x the
+    filter order. Initial conditions are the steady-state response to the
+    first padded sample, so constant inputs pass through a bandpass as
+    exactly zero. The effective magnitude response is |H|^2.
     """
-    x = np.asarray(x, dtype=float)
-    if padlen is None:
-        padlen = 3 * coeffs.order
-    if len(x) <= 3 * coeffs.order:
-        raise DataError(
-            f"input length {len(x)} too short; need more than {3 * coeffs.order} samples"
-        )
-    padlen = min(padlen, len(x) - 1)
-    left = 2.0 * x[0] - x[padlen:0:-1]
-    right = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
-    ext = np.concatenate([left, x, right])
-    zi_unit = _section_step_state(coeffs.sections)
-    y = sosfilt(coeffs, ext, [z * ext[0] for z in zi_unit])
-    y = y[::-1]
-    y = sosfilt(coeffs, y, [z * y[0] for z in zi_unit])
-    y = y[::-1]
-    return y[padlen : len(ext) - padlen]
+    stacked = not isinstance(x, np.ndarray)
+    shape = (len(x), *np.shape(x[0])) if stacked else x.shape
+    n = shape[-1]
+    if n <= 3 * coeffs.order:
+        raise DataError(f"input length {n} too short; need more than {3 * coeffs.order} samples")
+    padlen = min(3 * coeffs.order if padlen is None else padlen, n - 1)
+    ext = np.empty(shape[:-1] + (n + 2 * padlen,))
+    body = ext[..., padlen : padlen + n]
+    if stacked:
+        np.stack(x, out=body)
+    else:
+        body[...] = x
+    ext[..., :padlen] = 2.0 * body[..., :1] - body[..., padlen:0:-1]
+    ext[..., padlen + n :] = 2.0 * body[..., -1:] - body[..., -2 : -padlen - 2 : -1]
+    for y in (ext, ext[..., ::-1]):  # forward, then backward over the forward output
+        sosfilt(coeffs, y)
+    return body
 
 
-def reject_artifacts(epochs: list[Epoch], peak_uv: float) -> tuple[list[Epoch], int]:
-    """Keep epochs whose peak absolute amplitude stays within peak_uv."""
+def reject_artifacts(epochs: np.ndarray, peak_uv: float) -> tuple[np.ndarray, int]:
+    """Indices of the epochs [n, ...] whose peak absolute amplitude stays
+    within peak_uv, and the number rejected."""
     if not peak_uv > 0:
         raise ConfigError("peak_uv must be positive")
-    kept = [e for e in epochs if np.max(np.abs(e.data)) <= peak_uv]
+    peaks = np.max(np.abs(epochs), axis=tuple(range(1, np.ndim(epochs))))
+    kept = np.flatnonzero(peaks <= peak_uv)
     return kept, len(epochs) - len(kept)
 
 
@@ -261,7 +267,7 @@ def welch_psd(
     overlap_fraction: float = 0.5,
     window: str = "hann",
 ) -> Psd:
-    """Welch PSD: averaged one-sided periodograms of overlapped windowed segments.
+    """Welch PSD along the last axis: averaged one-sided periodograms of windowed segments.
 
     Normalized by the window power, so the integral of the PSD estimates
     the signal variance plus DC power.
@@ -269,8 +275,8 @@ def welch_psd(
     x = np.asarray(x, dtype=float)
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise ConfigError(f"segment_len must be a power of two >= 2, got {segment_len}")
-    if len(x) < segment_len:
-        raise DataError(f"signal length {len(x)} shorter than segment {segment_len}")
+    if x.shape[-1] < segment_len:
+        raise DataError(f"signal length {x.shape[-1]} shorter than Welch segment {segment_len}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ConfigError("overlap_fraction must lie in [0, 1)")
     if window == "hann":
@@ -280,117 +286,110 @@ def welch_psd(
     else:
         raise ConfigError(f"unsupported window {window!r}")
     hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
-    n_segments = (len(x) - segment_len) // hop + 1
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)[..., ::hop, :]
     scale = 1.0 / (fs_hz * np.sum(w * w))
-    acc = np.zeros(segment_len // 2 + 1)
-    for s in range(n_segments):
-        seg = x[s * hop : s * hop + segment_len] * w
-        spec = np.abs(np.fft.rfft(seg)) ** 2 * scale
-        spec[1:-1] *= 2.0  # one-sided: double all bins except DC and Nyquist
-        acc += spec
-    power = acc / n_segments
+    spec = np.abs(np.fft.rfft(segments * w)) ** 2 * scale
+    spec[..., 1:-1] *= 2.0  # one-sided: double all bins except DC and Nyquist
+    power = np.sum(spec, axis=-2) / segments.shape[-2]
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs_hz)
     return Psd(freqs, power, fs_hz / segment_len)
 
 
-def band_power(psd: Psd, low_hz: float, high_hz: float) -> float:
-    """Trapezoidal integral of the PSD over [low_hz, high_hz]."""
-    if not 0.0 <= low_hz < high_hz <= psd.freqs_hz[-1]:
-        raise ConfigError(
-            f"band ({low_hz}, {high_hz}) outside [0, {psd.freqs_hz[-1]}] or inverted"
-        )
-    sel = (psd.freqs_hz >= low_hz) & (psd.freqs_hz <= high_hz)
-    if np.count_nonzero(sel) < 2:
+def band_power(psd: Psd, low_hz: float, high_hz: float) -> np.ndarray:
+    """Trapezoidal integral of the PSD over [low_hz, high_hz], per signal."""
+    freqs = psd.freqs_hz
+    if not 0.0 <= low_hz < high_hz <= freqs[-1]:
+        raise ConfigError(f"band ({low_hz}, {high_hz}) outside [0, {freqs[-1]}] or inverted")
+    lo = np.searchsorted(freqs, low_hz, side="left")
+    hi = np.searchsorted(freqs, high_hz, side="right")
+    if hi - lo < 2:
         raise DataError(f"no PSD bins inside band ({low_hz}, {high_hz})")
-    return float(np.trapezoid(psd.power[sel], psd.freqs_hz[sel]))
+    # a slice, not a boolean mask: the band's bins stay contiguous, so each
+    # signal's sum runs in the same order whatever it is batched with
+    return np.trapezoid(psd.power[..., lo:hi], freqs[lo:hi], axis=-1)
 
 
-def spectral_entropy(psd: Psd) -> float:
-    """Shannon entropy of the normalized PSD, scaled to [0, 1] by ln(n_bins)."""
-    if len(psd.power) < 2:
+def spectral_entropy(psd: Psd) -> np.ndarray:
+    """Shannon entropy of the normalized PSD, scaled to [0, 1] by ln(n_bins), per signal."""
+    n_bins = psd.power.shape[-1]
+    if n_bins < 2:
         raise DataError("spectral entropy needs at least 2 bins")
-    total = float(np.sum(psd.power))
-    if total <= 0.0:
+    total = np.sum(psd.power, axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise DataError("spectral entropy undefined for an all-zero PSD")
     p = psd.power / total
-    nz = p[p > 0.0]
-    h = float(-np.sum(nz * np.log(nz)))
-    return h / float(np.log(len(psd.power)))
+    h = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)  # 0 log 0 = 0
+    return h / np.log(n_bins)
 
 
 def time_domain_stats(x: np.ndarray) -> FeatureVector:
-    """Fixed-order time-domain statistics of one channel.
+    """Fixed-order time-domain statistics along the last axis.
 
     Order: mean, population variance, skewness, excess kurtosis, RMS,
-    zero-crossing count, Hjorth mobility, Hjorth complexity. On a
-    constant signal the moment ratios and Hjorth parameters are
-    undefined; they are reported as 0 with a warning.
+    zero-crossing count, Hjorth mobility, Hjorth complexity; values are
+    [..., 8]. On a constant signal the moment ratios and Hjorth parameters
+    are undefined, and on a linear one the Hjorth complexity; they are
+    reported as 0 with one warning per case.
     """
-    x = np.asarray(x, dtype=float)
-    if len(x) < 2:
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape[-1] < 2:
         raise DataError("time_domain_stats needs at least 2 samples")
-    mean = float(np.mean(x))
-    var = float(np.mean((x - mean) ** 2))
-    rms = float(np.sqrt(np.mean(x * x)))
-    zc = int(np.sum(x[:-1] * x[1:] < 0.0))
-    if var == 0.0:
+    mean = np.mean(x, axis=-1, keepdims=True)
+    d = x - mean
+    var = np.mean(d**2, axis=-1)
+    rms = np.sqrt(np.mean(x * x, axis=-1))
+    zc = np.sum(x[..., :-1] * x[..., 1:] < 0.0, axis=-1)
+    dx = np.diff(x, axis=-1)
+    var_dx = np.mean((dx - np.mean(dx, axis=-1, keepdims=True)) ** 2, axis=-1)
+    ddx = np.diff(dx, axis=-1)
+    var_ddx = np.mean((ddx - np.mean(ddx, axis=-1, keepdims=True)) ** 2, axis=-1)
+    constant = var == 0.0
+    flat = constant | (var_dx == 0.0)  # constant or linear: Hjorth complexity undefined
+    if np.any(constant):
         warnings.warn("constant signal: skewness/kurtosis/Hjorth reported as 0")
-        skew = kurt = mobility = complexity = 0.0
-    else:
-        d = x - mean
-        skew = float(np.mean(d**3) / var**1.5)
-        kurt = float(np.mean(d**4) / var**2 - 3.0)
-        dx = np.diff(x)
-        var_dx = float(np.mean((dx - np.mean(dx)) ** 2))
-        mobility = float(np.sqrt(var_dx / var))
-        if var_dx == 0.0:
-            warnings.warn("linear signal: Hjorth complexity reported as 0")
-            complexity = 0.0
-        else:
-            ddx = np.diff(dx)
-            var_ddx = float(np.mean((ddx - np.mean(ddx)) ** 2))
-            complexity = float(np.sqrt(var_ddx / var_dx) / np.sqrt(var_dx / var))
-    values = [mean, var, skew, kurt, rms, float(zc), mobility, complexity]
-    return FeatureVector(np.array(values), list(TIME_DOMAIN_STAT_NAMES))
+    if np.any(flat & ~constant):
+        warnings.warn("linear signal: Hjorth complexity reported as 0")
+    # masked entries get a unit denominator here and a 0 result below
+    var_safe = np.where(constant, 1.0, var)
+    # powers of the variance go through Python's float pow one value at a time:
+    # numpy's vectorized power and square can differ from it in the last bit
+    var_obj = np.asarray(var_safe, dtype=object)
+    skew = np.mean(d**3, axis=-1) / np.asarray(var_obj**1.5, dtype=float)
+    kurt = np.mean(d**4, axis=-1) / np.asarray(var_obj**2, dtype=float) - 3.0
+    mobility = np.sqrt(var_dx / var_safe)
+    complexity = np.sqrt(var_ddx / np.where(flat, 1.0, var_dx)) / np.where(flat, 1.0, mobility)
+    skew, kurt, mobility = (np.where(constant, 0.0, v) for v in (skew, kurt, mobility))
+    values = [mean[..., 0], var, skew, kurt, rms, zc, mobility, np.where(flat, 0.0, complexity)]
+    return FeatureVector(np.stack(values, axis=-1), list(TIME_DOMAIN_STAT_NAMES))
 
 
 def extract_features(
-    epoch: Epoch,
+    epochs: np.ndarray,
     fs_hz: float,
     config: FeatureConfig | None = None,
     channel_names: list[str] | None = None,
 ) -> FeatureVector:
     """Per-channel band powers, spectral entropy, and time-domain statistics.
 
-    With the default five bands this yields 14 features per channel,
-    named `<channel>.<feature>`.
+    `epochs` is [..., n_ch, n_samples]; values are [..., n_features]. With
+    the default five bands this yields 14 features per channel, named
+    `<channel>.<feature>` and grouped by channel.
     """
     cfg = config or FeatureConfig()
-    n_ch, n_samp = epoch.data.shape
+    n_ch = np.shape(epochs)[-2]
     if channel_names is None:
         channel_names = [f"ch{i}" for i in range(n_ch)]
     if len(channel_names) != n_ch:
         raise DataError(f"{len(channel_names)} channel names for {n_ch} channels")
-    if n_samp < cfg.welch_segment_len:
-        raise DataError(
-            f"epoch length {n_samp} shorter than Welch segment {cfg.welch_segment_len}"
-        )
-    seg = cfg.welch_segment_len
-    values: list[float] = []
-    names: list[str] = []
-    for ci, ch in enumerate(channel_names):
-        sig = epoch.data[ci]
-        psd = welch_psd(sig, fs_hz, seg, cfg.welch_overlap, cfg.welch_window)
-        for bname, (lo, hi) in cfg.bands.items():
-            hi_eff = min(hi, psd.freqs_hz[-1])
-            values.append(band_power(psd, lo, hi_eff))
-            names.append(f"{ch}.bandpower.{bname}")
-        values.append(spectral_entropy(psd))
-        names.append(f"{ch}.entropy")
-        stats = time_domain_stats(sig)
-        values.extend(stats.values)
-        names.extend(f"{ch}.{n}" for n in stats.names)
-    return FeatureVector(np.array(values), names)
+    psd = welch_psd(epochs, fs_hz, cfg.welch_segment_len, cfg.welch_overlap, cfg.welch_window)
+    spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in cfg.bands.values()]
+    spectral.append(spectral_entropy(psd))
+    per_channel = np.concatenate(
+        [np.stack(spectral, axis=-1), time_domain_stats(epochs).values], axis=-1
+    )  # [..., n_ch, 14]
+    kinds = [f"bandpower.{b}" for b in cfg.bands] + ["entropy"] + TIME_DOMAIN_STAT_NAMES
+    names = [f"{ch}.{kind}" for ch in channel_names for kind in kinds]
+    return FeatureVector(per_channel.reshape(per_channel.shape[:-2] + (len(names),)), names)
 
 
 def fit_normalization(features: np.ndarray, mode: str = "zscore") -> NormalizationParams:

@@ -480,6 +480,96 @@ def test_mixed_sample_rates_are_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_short_manifest_row_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    with open(raw / "manifest.csv", "a", encoding="utf-8") as fh:
+        fh.write("epoch_0000.csv,NEGATIVE\n")
+    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
+               "--out", str(tmp_path / "f.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest.csv: line 11" in err and "sample_rate_hz" in err and "channels" in err
+
+
+def test_nan_raw_sample_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    target = raw / "epoch_0004.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    lines[6] = "0.1,nan,0.3,0.4\n"
+    target.write_text("".join(lines))
+    out = tmp_path / "f.csv"
+    code = run("featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epoch_0004.csv" in err and "line 7" in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_window_shorter_than_welch_segment_is_config_error(tmp_path, capsys, how):
+    # raised before the manifest is read: this one does not even exist
+    argv = ["featurize", "--manifest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "f")]
+    if how == "flag":
+        argv += ["--window-len", "128", "--hop", "64"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_len": 128, "hop": 64}))
+        argv += ["--config", str(cfg)]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "window_len 128" in err and "welch_segment_len 256" in err
+
+
+def test_recording_with_every_window_rejected_is_skipped(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--window-len", "512", "--out", str(raw)) == 0
+    target = raw / "epoch_0004.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    lines[1:] = ["5000.0,5000.0,5000.0,5000.0\n" if i % 2 else row
+                 for i, row in enumerate(lines[1:])]  # a large artifact in every window
+    target.write_text("".join(lines))
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", str(raw / "manifest.csv"), "--window-len", "256",
+               "--hop", "128", "--out", str(out)) == 0
+    assert "rejected 3 of 27 epochs" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 1 + 24
+
+
+def test_recording_shorter_than_welch_segment_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--window-len", "128", "--out", str(raw)) == 0
+    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
+               "--out", str(tmp_path / "f.csv"))
+    assert code == 2
+    assert "shorter than Welch segment" in capsys.readouterr().err
+
+
+def test_mixed_lengths_keep_manifest_order(tmp_path):
+    # recordings are filtered in batches of equal length; rows stay in manifest order
+    parts = {}
+    for wl in ("256", "384"):
+        raw = tmp_path / wl
+        assert run("synth", "--per-class", "3", "--window-len", wl, "--seed", wl,
+                   "--out", str(raw)) == 0
+        assert run("featurize", "--manifest", str(raw / "manifest.csv"),
+                   "--out", str(tmp_path / f"{wl}.csv")) == 0
+        parts[wl] = (tmp_path / f"{wl}.csv").read_text().splitlines()
+        for f in raw.glob("epoch_*.csv"):
+            f.rename(tmp_path / f"{wl}_{f.name}")
+    rows = ["file,label,sample_rate_hz,channels"]
+    for wl in ("256", "384"):
+        rows += [f"{wl}_{line}" for line in (tmp_path / wl / "manifest.csv").read_text().splitlines()[1:]]
+    order = [1, 10, 2, 11, 3] + list(range(4, 10)) + list(range(12, 19))
+    (tmp_path / "manifest.csv").write_text("\n".join(rows[:1] + [rows[i] for i in order]) + "\n")
+    assert run("featurize", "--manifest", str(tmp_path / "manifest.csv"),
+               "--out", str(tmp_path / "mixed.csv")) == 0
+    both = [None] + parts["256"][1:] + parts["384"][1:]
+    want = [parts["256"][0]] + [both[i] for i in order]
+    assert (tmp_path / "mixed.csv").read_text().splitlines() == want
+
+
 def write_without_class(src, dst, label):
     ds = dataio.load_feature_csv(src)
     keep = ds.labels != ds.class_names.index(label)

@@ -109,6 +109,23 @@ class TestRawRecordings:
         with pytest.raises(DataError, match="missing file"):
             dataio.load_raw_recordings(str(tmp_path), p)
 
+    def test_short_manifest_row_names_its_line(self, tmp_path):
+        manifest = self.make_raw(tmp_path)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("r0.csv,POSITIVE\n")
+        with pytest.raises(DataError, match=r"line 4: no channels, sample_rate_hz cell"):
+            dataio.load_raw_recordings(str(tmp_path), manifest)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_file_and_line(self, tmp_path, cell):
+        manifest = self.make_raw(tmp_path)
+        path = tmp_path / "r1.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = f"0.5,{cell},0.5,0.5\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"r1\.csv: line 6: non-finite"):
+            dataio.load_raw_recordings(str(tmp_path), manifest)
+
     def test_inconsistent_channels(self, tmp_path):
         rec = dataio.Recording(["TP9"], 256.0, np.zeros((1, 8)), label=0)
         dataio.save_recording_csv(rec, str(tmp_path / "a.csv"))
@@ -122,35 +139,39 @@ class TestRawRecordings:
 
 
 class TestWindowing:
-    def rec(self, n_samples, label=0):
-        return dataio.Recording(
-            ["c0"], 100.0, np.arange(n_samples, dtype=float)[None, :], label=label
-        )
+    def rec(self, n_samples, n_ch=1):
+        return np.arange(n_ch * n_samples, dtype=float).reshape(n_ch, n_samples)
 
     def test_offsets(self):
-        eps = dataio.window_recording(self.rec(10), 4, 3)
-        assert [e.source_offset for e in eps] == [0, 3, 6]
+        w = dataio.window_recording(self.rec(10), 4, 3)
+        assert w.shape == (3, 1, 4)
+        assert w[:, 0].tolist() == [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 9]]
 
     def test_full_window(self):
-        eps = dataio.window_recording(self.rec(10), 10, 3)
-        assert len(eps) == 1 and eps[0].source_offset == 0
+        w = dataio.window_recording(self.rec(10), 10, 3)
+        assert len(w) == 1 and w[0, 0].tolist() == list(range(10))
 
     def test_unit_window(self):
         assert len(dataio.window_recording(self.rec(5), 1, 1)) == 5
-
-    def test_unlabeled_rejected(self):
-        rec = self.rec(10, label=None)
-        with pytest.raises(DataError, match="unlabeled"):
-            dataio.window_recording(rec, 4, 2)
 
     @pytest.mark.parametrize("n,w,h", [(17, 5, 3), (64, 64, 1), (33, 8, 8), (100, 7, 13)])
     def test_count_formula(self, n, w, h):
         eps = dataio.window_recording(self.rec(n), w, h)
         assert len(eps) == (n - w) // h + 1
 
-    def test_epochs_inherit_label(self):
-        eps = dataio.window_recording(self.rec(12, label=2), 4, 4)
-        assert all(e.label == 2 for e in eps)
+    def test_channels_stay_aligned_in_a_view(self):
+        data = self.rec(12, n_ch=3)
+        w = dataio.window_recording(data, 4, 4)
+        assert w.shape == (3, 3, 4)
+        assert np.shares_memory(w, data)
+        for k in range(3):
+            assert np.array_equal(w[k], data[:, 4 * k : 4 * k + 4])
+
+    def test_bad_window_or_hop(self):
+        with pytest.raises(ConfigError):
+            dataio.window_recording(self.rec(10), 11, 1)
+        with pytest.raises(ConfigError):
+            dataio.window_recording(self.rec(10), 4, 0)
 
 
 def make_dataset(per_class_counts, seed=0):
@@ -236,31 +257,43 @@ class TestStratifiedSplit:
 
 class TestSynthGenerate:
     def test_counts(self):
-        eps = dataio.synth_generate(5, 128, 256.0, seed=0)
-        assert len(eps) == 15
-        assert sorted(np.bincount([e.label for e in eps]).tolist()) == [5, 5, 5]
+        data, labels = dataio.synth_generate(5, 128, 256.0, seed=0)
+        assert len(data) == len(labels) == 15
+        assert sorted(np.bincount(labels).tolist()) == [5, 5, 5]
 
     def test_determinism(self):
         a = dataio.synth_generate(2, 64, 256.0, seed=9)
         b = dataio.synth_generate(2, 64, 256.0, seed=9)
-        for ea, eb in zip(a, b):
-            assert np.array_equal(ea.data, eb.data)
+        for xa, xb in zip(a, b):
+            assert np.array_equal(xa, xb)
 
     def test_class1_alpha_beats_beta(self):
-        eps = [e for e in dataio.synth_generate(4, 512, 256.0, seed=1) if e.label == 1]
-        for ep in eps:
-            psd = dsp.welch_psd(ep.data[0], 256.0, segment_len=256)
-            alpha = dsp.band_power(psd, 8.0, 13.0)
-            beta = dsp.band_power(psd, 13.0, 30.0)
-            assert alpha > beta
+        data, labels = dataio.synth_generate(4, 512, 256.0, seed=1)
+        psd = dsp.welch_psd(data[labels == 1, 0], 256.0, segment_len=256)
+        alpha = dsp.band_power(psd, 8.0, 13.0)
+        beta = dsp.band_power(psd, 13.0, 30.0)
+        assert len(alpha) == 4 and np.all(alpha > beta)
 
     def test_precondition(self):
         with pytest.raises(ConfigError):
             dataio.synth_generate(0, 128, 256.0, seed=0)
 
     def test_shape(self):
-        eps = dataio.synth_generate(1, 100, 200.0, seed=0)
-        assert eps[0].data.shape == (len(dataio.DEFAULT_CHANNELS), 100)
+        data, labels = dataio.synth_generate(1, 100, 200.0, seed=0)
+        assert data.shape == (3, len(dataio.DEFAULT_CHANNELS), 100)
+        assert labels.tolist() == [0, 1, 2]
+
+    def test_rng_draw_order(self):
+        # per epoch, class by class: frequency, channel phases, then the noise block
+        data, _ = dataio.synth_generate(2, 32, 256.0, seed=3)
+        rng = np.random.default_rng(3)
+        t = np.arange(32) / 256.0
+        for i, (lo, hi) in enumerate([(4.0, 7.0), (4.0, 7.0), (10.0, 13.0)]):
+            freq = rng.uniform(lo, hi)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+            noise = rng.standard_normal((4, 32))
+            tone = 3.0 * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
+            assert np.array_equal(data[i], noise + tone)
 
 
 def test_write_split_sidecar(tmp_path):

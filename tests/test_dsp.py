@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegpipe import dataio, dsp
 from eegpipe.errors import ConfigError, DataError
@@ -117,6 +119,15 @@ class TestFiltfilt:
         x = np.random.default_rng(2).normal(size=333)
         assert len(dsp.filtfilt(eeg_filter, x)) == 333
 
+    def test_sosfilt_in_place_on_a_reversed_view(self, eeg_filter):
+        x = np.random.default_rng(3).normal(size=(3, 200))
+        want = dsp.sosfilt(eeg_filter, x[:, ::-1].copy())
+        rev = x[:, ::-1]
+        assert dsp.sosfilt(eeg_filter, rev) is rev
+        assert np.array_equal(rev, want)
+        const = np.full((2, 50), 7.3)
+        assert np.max(np.abs(dsp.sosfilt(eeg_filter, const))) < 1e-9
+
     def test_too_short_input(self, eeg_filter):
         with pytest.raises(DataError, match="too short"):
             dsp.filtfilt(eeg_filter, np.zeros(12))
@@ -124,11 +135,8 @@ class TestFiltfilt:
 
 class TestArtifactRejection:
     def epochs(self, peaks):
-        out = []
-        for p in peaks:
-            data = np.zeros((2, 16))
-            data[1, 3] = p
-            out.append(dataio.Epoch(data, 0))
+        out = np.zeros((len(peaks), 2, 16))
+        out[:, 1, 3] = peaks
         return out
 
     def test_all_zero_kept(self):
@@ -137,17 +145,17 @@ class TestArtifactRejection:
 
     def test_large_peak_rejected(self):
         kept, rej = dsp.reject_artifacts(self.epochs([500.0]), 100.0)
-        assert kept == [] and rej == 1
+        assert len(kept) == 0 and rej == 1
 
     def test_conservation_and_order(self):
         eps = self.epochs([10.0, 500.0, 50.0, -200.0])
         kept, rej = dsp.reject_artifacts(eps, 100.0)
         assert len(kept) + rej == 4
-        assert kept == [eps[0], eps[2]]
+        assert kept.tolist() == [0, 2]
 
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
-            dsp.reject_artifacts([], 0.0)
+            dsp.reject_artifacts(np.zeros((0, 2, 16)), 0.0)
 
 
 class TestWelch:
@@ -283,33 +291,116 @@ class TestTimeDomainStats:
         assert stats["hjorth_complexity"] == 0.0
         assert stats["mean"] == 3.0
 
+    def test_moment_ratios_match_scalar_formula_exactly(self):
+        # the scalar definitions, one signal at a time with Python floats
+        x = np.random.default_rng(12).normal(size=(3000, 64))
+        fv = dsp.time_domain_stats(x)
+        for row, values in zip(x, fv.values):
+            d = row - float(np.mean(row))
+            var = float(np.mean(d**2))
+            assert values[2] == float(np.mean(d**3) / var**1.5)
+            assert values[3] == float(np.mean(d**4) / var**2 - 3.0)
+
+    def test_masks_warn_once_per_case(self):
+        noise = np.random.default_rng(6).normal(size=64)
+        batch = np.stack([np.full(64, 3.0), np.arange(64.0), np.full(64, -1.0), noise])
+        with pytest.warns(UserWarning) as record:
+            fv = dsp.time_domain_stats(batch)
+        assert sorted(str(w.message).split(":")[0] for w in record) == [
+            "constant signal", "linear signal"]
+        stats = {name: fv.values[:, j] for j, name in enumerate(fv.names)}
+        assert stats["skewness"][[0, 2]].tolist() == [0.0, 0.0]
+        assert stats["hjorth_mobility"][[0, 2]].tolist() == [0.0, 0.0]
+        assert stats["hjorth_complexity"][:3].tolist() == [0.0, 0.0, 0.0]
+        assert stats["kurtosis"][1] == pytest.approx(-1.2, abs=1e-2)  # uniform ramp
+        assert np.array_equal(fv.values[3], dsp.time_domain_stats(noise).values)
+
 
 class TestExtractFeatures:
     def test_four_channels_give_56_features(self):
-        ep = dataio.synth_generate(1, 256, 256.0, seed=0)[0]
-        fv = dsp.extract_features(ep, 256.0, channel_names=dataio.DEFAULT_CHANNELS)
+        data, _ = dataio.synth_generate(1, 256, 256.0, seed=0)
+        fv = dsp.extract_features(data[0], 256.0, channel_names=dataio.DEFAULT_CHANNELS)
         assert len(fv.values) == 56
         assert fv.names[0] == "TP9.bandpower.delta"
         assert "AF7.entropy" in fv.names
 
     def test_names_unique_and_stable(self):
-        ep = dataio.synth_generate(1, 256, 256.0, seed=1)[0]
-        a = dsp.extract_features(ep, 256.0)
-        b = dsp.extract_features(ep, 256.0)
+        data, _ = dataio.synth_generate(1, 256, 256.0, seed=1)
+        a = dsp.extract_features(data[0], 256.0)
+        b = dsp.extract_features(data[0], 256.0)
         assert a.names == b.names
         assert len(set(a.names)) == len(a.names)
 
     def test_all_zero_epoch_hits_entropy_error(self):
-        ep = dataio.Epoch(np.zeros((4, 256)), 0)
-        psd = dsp.welch_psd(ep.data[0], 256.0, 256)
+        epoch = np.zeros((4, 256))
+        psd = dsp.welch_psd(epoch[0], 256.0, 256)
         assert dsp.band_power(psd, 8.0, 13.0) == 0.0
         with pytest.raises(DataError, match="all-zero"):
-            dsp.extract_features(ep, 256.0)
+            dsp.extract_features(epoch, 256.0)
 
     def test_short_epoch_rejected(self):
-        ep = dataio.Epoch(np.random.default_rng(0).normal(size=(2, 64)), 0)
+        epoch = np.random.default_rng(0).normal(size=(2, 64))
         with pytest.raises(DataError, match="shorter than Welch"):
-            dsp.extract_features(ep, 256.0)
+            dsp.extract_features(epoch, 256.0)
+
+    def test_empty_batch(self):
+        fv = dsp.extract_features(np.zeros((0, 4, 256)), 256.0)
+        assert fv.values.shape == (0, 56) and len(fv.names) == 56
+
+    def test_batch_shape_and_channel_grouping(self):
+        data, _ = dataio.synth_generate(2, 256, 256.0, seed=2)
+        fv = dsp.extract_features(data.reshape(2, 3, 4, 256), 256.0)
+        assert fv.values.shape == (2, 3, 56)
+        # the 14 features of channel c are the columns [14c, 14c + 14)
+        one = dsp.extract_features(data[5, 2:3], 256.0, channel_names=["ch2"])
+        assert np.array_equal(fv.values[1, 2, 28:42], one.values)
+
+
+# features of a small band set at a short Welch segment keep the examples fast
+SMALL = dsp.FeatureConfig(welch_segment_len=128)
+
+
+@st.composite
+def epoch_stacks(draw):
+    """A stack [n, n_ch, n_samples] of random epochs, as a contiguous array or
+    as a strided or reversed view of a larger one."""
+    n = draw(st.integers(1, 4))
+    n_ch = draw(st.integers(1, 3))
+    n_samples = draw(st.integers(SMALL.welch_segment_len, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "strided", "reversed"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    if layout == "contiguous":
+        return scale * rng.standard_normal((n, n_ch, n_samples))
+    if layout == "strided":
+        return scale * rng.standard_normal((2 * n, n_ch + 1, 2 * n_samples))[::2, 1:, ::2]
+    return (scale * rng.standard_normal((n, n_ch, n_samples)))[::-1, :, ::-1]
+
+
+class TestBatchIndependence:
+    """An epoch's filtered signal and features must not depend on what it is
+    batched with: each equals, bit for bit, the same call on that epoch alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(epoch_stacks())
+    def test_extract_features_row_equals_single_epoch(self, stack):
+        batch = dsp.extract_features(stack, 256.0, SMALL).values
+        assert batch.shape == (len(stack), 14 * stack.shape[1])
+        for i in range(len(stack)):
+            assert np.array_equal(batch[i], dsp.extract_features(stack[i:i + 1], 256.0, SMALL).values[0])
+            assert np.array_equal(batch[i], dsp.extract_features(stack[i], 256.0, SMALL).values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(epoch_stacks())
+    def test_filtfilt_row_equals_single_epoch(self, stack):
+        coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
+        batch = dsp.filtfilt(coeffs, stack)
+        assert batch.shape == stack.shape
+        for i in range(len(stack)):
+            assert np.array_equal(batch[i], dsp.filtfilt(coeffs, stack[i:i + 1])[0])
+            assert np.array_equal(batch[i, -1], dsp.filtfilt(coeffs, stack[i, -1]))
+        # a sequence of arrays is filtered as its stack
+        assert np.array_equal(batch, dsp.filtfilt(coeffs, list(stack)))
 
 
 class TestNormalization:
