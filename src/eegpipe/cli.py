@@ -213,6 +213,8 @@ def cmd_featurize(args) -> int:
     if args.window_len is not None and args.window_len < fc.welch_segment_len:
         raise ConfigError(f"window_len {args.window_len} is shorter than "
                           f"welch_segment_len {fc.welch_segment_len}")
+    if args.hop is not None and args.hop < 1:
+        raise ConfigError(f"hop must be >= 1, got {args.hop}")
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",
@@ -265,7 +267,22 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _train_gru(train_ds, val_ds, args):
+def _train_config(args) -> nn.TrainConfig:
+    """The GRU training settings of train and compare, checked before any file is read."""
+    for flag, value in (("--seq-len", args.seq_len), ("--hidden", args.hidden)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return nn.TrainConfig(
+        optimizer=args.optimizer,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        max_epochs=args.epochs,
+        patience=args.patience,
+        seed=derive_seed(args.seed, "train"),
+    )
+
+
+def _train_gru(train_ds, val_ds, args, train_cfg: nn.TrainConfig):
     """Shared by cmd_train and cmd_compare: normalize, reshape, train."""
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
     X_tr = nn.dataset_to_sequences(dsp.apply_normalization(train_ds.features, norm), args.seq_len)
@@ -277,30 +294,23 @@ def _train_gru(train_ds, val_ds, args):
         n_classes=len(train_ds.class_names),
         seed=derive_seed(args.seed, "init"),
     )
-    train_cfg = nn.TrainConfig(
-        optimizer=args.optimizer,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=derive_seed(args.seed, "train"),
-    )
     model, history = nn.train(model_cfg, (X_tr, train_ds.labels), (X_va, val_ds.labels), train_cfg)
     return model, history, norm
 
 
 def cmd_train(args) -> int:
+    train_cfg = _train_config(args)
     _announce("train", {"train": args.train, "val": args.val, "seed": args.seed})
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
     os.makedirs(args.out, exist_ok=True)
-    model, history, norm = _train_gru(train_ds, val_ds, args)
-    val_loss = history.val_loss[int(np.argmin(history.val_loss))] if len(history) else float("nan")
-    val_acc = history.val_acc[int(np.argmin(history.val_loss))] if len(history) else float("nan")
+    model, history, norm = _train_gru(train_ds, val_ds, args, train_cfg)
+    best = int(np.argmin(history.val_loss))
     nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
     nn.save_history(history, os.path.join(args.out, "history.csv"))
-    print(f"trained {len(history)} epochs; best val_loss={val_loss:.6f} val_acc={val_acc:.4f}")
+    print(f"trained {len(history)} epochs; best val_loss={history.val_loss[best]:.6f} "
+          f"val_acc={history.val_acc[best]:.4f}")
     return 0
 
 
@@ -328,6 +338,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = dataio.SplitSpec(*args.fractions, seed=derive_seed(args.seed, "split"), stratified=True)
+    train_cfg = _train_config(args)
     _announce("compare", {"input": args.input, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
     train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
@@ -335,7 +346,7 @@ def cmd_compare(args) -> int:
 
     results = []
 
-    model, history, norm = _train_gru(train_ds, val_ds, args)
+    model, history, norm = _train_gru(train_ds, val_ds, args, train_cfg)
     X_tr = dsp.apply_normalization(train_ds.features, norm)
     X_te = dsp.apply_normalization(test_ds.features, norm)
     y_tr, y_te = train_ds.labels, test_ds.labels

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,10 @@ CHECKPOINT_VERSION = 1
 GATES = ("z", "r", "h")  # order of the H-row gate blocks in GruParams
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function; exp only ever sees non-positive arguments."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 @dataclass
@@ -60,10 +62,6 @@ class GruParams:
             for k, gate in enumerate(GATES):
                 yield f"{name}_{gate}", arr[k * H : (k + 1) * H]
 
-    @classmethod
-    def zeros_like(cls, other: "GruParams") -> "GruParams":
-        return cls(**{name: np.zeros_like(arr) for name, arr in other.items()})
-
 
 @dataclass
 class DenseParams:
@@ -75,10 +73,6 @@ class DenseParams:
     def items(self):
         yield "W", self.W
         yield "b", self.b
-
-    @classmethod
-    def zeros_like(cls, other: "DenseParams") -> "DenseParams":
-        return cls(W=np.zeros_like(other.W), b=np.zeros_like(other.b))
 
 
 @dataclass
@@ -111,8 +105,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1/beta2 must lie in [0, 1)")
         if self.epsilon <= 0:
@@ -161,78 +159,110 @@ def init_model(cfg: ModelConfig) -> Model:
     return Model(cfg, gru, dense)
 
 
-def gru_cell_forward(p: GruParams, x_t, h_prev):
-    """One GRU step for a batch: x_t [B, input_dim], h_prev [B, H].
+class GruCache(NamedTuple):
+    """What gru_forward keeps for gru_backward, stacked over time."""
 
-    Returns (h_t, cache); the cache holds (x_t, h_prev, z, r, h_cand)
-    for the backward pass.
+    x: np.ndarray  # [T*B, input_dim], the input frames in time-major row order
+    hs: np.ndarray  # [T+1, B, H], hs[0] = 0 and hs[t+1] the state after step t
+    zr: np.ndarray  # [T, B, 2H], update and reset gates
+    h_cand: np.ndarray  # [T, B, H], candidate states
+
+
+def gru_cell_forward(p: GruParams, a_t, h_prev, zr, h_cand, h_t):
+    """One GRU step for a batch, written into preallocated arrays.
+
+    a_t [B, 3H] is the step's input projection x_t @ W.T for all three
+    gates and h_prev [B, H] the previous state. The update and reset gates
+    go to zr [B, 2H], the candidate state to h_cand [B, H] and the new
+    state to h_t [B, H], which is returned.
     """
-    if x_t.shape[1] != p.input_dim or h_prev.shape[1] != p.hidden_dim:
-        raise DataError(
-            f"shape mismatch: x {x_t.shape}, h {h_prev.shape} for params "
-            f"({p.hidden_dim} hidden, {p.input_dim} input)"
-        )
-    H2 = 2 * p.hidden_dim
-    a = x_t @ p.W.T  # input part of all three gates
-    zr = sigmoid(a[:, :H2] + h_prev @ p.U[:H2].T + p.b[:H2])
-    z, r = np.split(zr, 2, axis=1)
-    h_cand = np.tanh(a[:, H2:] + (r * h_prev) @ p.U[H2:].T + p.b[H2:])
-    h_t = z * h_prev + (1.0 - z) * h_cand
-    return h_t, (x_t, h_prev, z, r, h_cand)
+    H = p.hidden_dim
+    H2 = 2 * H
+    # summed as (a + h_prev @ U.T) + b, the order of the unhoisted projection
+    np.matmul(h_prev, p.U[:H2].T, out=zr)
+    zr += a_t[:, :H2]
+    zr += p.b[:H2]
+    sigmoid(zr, out=zr)
+    np.matmul(zr[:, H:] * h_prev, p.U[H2:].T, out=h_cand)
+    h_cand += a_t[:, H2:]
+    h_cand += p.b[H2:]
+    np.tanh(h_cand, out=h_cand)
+    z = zr[:, :H]
+    np.multiply(z, h_prev, out=h_t)
+    h_t += (1.0 - z) * h_cand
+    return h_t
 
 
 def gru_forward(p: GruParams, xs):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    Time is the leading axis. Returns (hs [T, batch, H], caches) with
-    hs[t] the hidden state after step t.
+    Time is the leading axis. The input projection of all T steps is one
+    matmul before the loop; each step adds only the recurrent part.
+    Returns (hs [T, batch, H], GruCache) with hs[t] the hidden state
+    after step t.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3:
         raise DataError(f"gru_forward expects [T, batch, d], got {xs.ndim}-D")
-    T, B = xs.shape[:2]
+    T, B, d = xs.shape
     if T < 1:
         raise DataError("empty input sequence")
-    h = np.zeros((B, p.hidden_dim))
-    hs = np.empty((T, B, p.hidden_dim))
-    caches = []
+    if d != p.input_dim:
+        raise DataError(f"shape mismatch: input {xs.shape} for params with {p.input_dim} inputs")
+    H = p.hidden_dim
+    x = xs.reshape(T * B, d)
+    a = (x @ p.W.T).reshape(T, B, 3 * H)
+    hs = np.empty((T + 1, B, H))
+    hs[0] = 0.0
+    zr = np.empty((T, B, 2 * H))
+    h_cand = np.empty((T, B, H))
     for t in range(T):
-        h, cache = gru_cell_forward(p, xs[t], h)
-        hs[t] = h
-        caches.append(cache)
-    return hs, caches
+        gru_cell_forward(p, a[t], hs[t], zr[t], h_cand[t], hs[t + 1])
+    return hs[1:], GruCache(x, hs, zr, h_cand)
 
 
-def gru_backward(p: GruParams, caches, grad_hs):
+def gru_backward(p: GruParams, cache: GruCache, grad_hs, out: GruParams | None = None):
     """Exact BPTT through the recurrence.
 
     grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
-    from above. Returns (parameter gradients summed over time and batch,
-    gradients w.r.t. each input frame [T, batch, input_dim]).
+    from above. Only the state gradient and the three gate gradients are
+    carried through the time loop; the parameter and input gradients are
+    one matmul or sum each over all T*batch rows afterwards. Returns
+    (parameter gradients summed over time and batch, written into `out`
+    when given, and gradients w.r.t. each input frame [T, batch, input_dim]).
     """
-    T = len(caches)
+    T, B, H = cache.h_cand.shape
     if grad_hs.shape[0] != T:
         raise DataError(f"grad_hs length {grad_hs.shape[0]} != cache length {T}")
-    H2 = 2 * p.hidden_dim
-    grads = GruParams.zeros_like(p)
-    grad_xs = np.empty((T, grad_hs.shape[1], p.input_dim))
-    carry = np.zeros_like(grad_hs[0])
+    H2 = 2 * H
+    h_prev, h_cand = cache.hs[:-1], cache.h_cand
+    z, r = cache.zr[..., :H], cache.zr[..., H:]
+    # d(h_t)/d(pre-activation) of the z, candidate and r gates, for all steps
+    # (the r factor is the gradient w.r.t. r * h_prev, not h_t)
+    slope = cache.zr * (1.0 - cache.zr)  # sigmoid' of z and r
+    f_z = (h_prev - h_cand) * slope[..., :H]
+    f_c = (1.0 - z) * (1.0 - h_cand * h_cand)
+    f_r = h_prev * slope[..., H:]
+    U_zr, U_c = p.U[:H2], p.U[H2:]
+    da = np.empty((T, B, 3 * H))  # pre-activation gradients in [z, r, h] order
+    carry = 0.0
     for t in range(T - 1, -1, -1):
-        x_t, h_prev, z, r, h_cand = caches[t]
         dh = grad_hs[t] + carry
-        # pre-activation gradients of the three gates, [B, 3H] in [z, r, h] order
-        da_c = dh * (1.0 - z) * (1.0 - h_cand * h_cand)
-        ds = da_c @ p.U[H2:]  # gradient into r * h_prev
-        da = np.concatenate(
-            [dh * (h_prev - h_cand) * z * (1.0 - z), ds * h_prev * r * (1.0 - r), da_c], axis=1
-        )
-        grads.W += da.T @ x_t
-        grads.U[:H2] += da[:, :H2].T @ h_prev
-        grads.U[H2:] += da_c.T @ (r * h_prev)
-        grads.b += da.sum(axis=0)
-        carry = dh * z + ds * r + da[:, :H2] @ p.U[:H2]
-        grad_xs[t] = da @ p.W
-    return grads, grad_xs
+        da_t = da[t]
+        da_c = np.multiply(dh, f_c[t], out=da_t[:, H2:])
+        ds = da_c @ U_c  # gradient into r * h_prev
+        np.multiply(dh, f_z[t], out=da_t[:, :H])
+        np.multiply(ds, f_r[t], out=da_t[:, H:H2])
+        if t:
+            carry = dh * z[t] + ds * r[t] + da_t[:, :H2] @ U_zr
+    da = da.reshape(T * B, 3 * H)
+    if out is None:
+        out = GruParams(np.empty_like(p.W), np.empty_like(p.U), np.empty_like(p.b))
+    np.matmul(da.T, cache.x, out=out.W)
+    np.matmul(da[:, :H2].T, h_prev.reshape(T * B, H), out=out.U[:H2])
+    np.matmul(da[:, H2:].T, (r * h_prev).reshape(T * B, H), out=out.U[H2:])
+    np.sum(da, axis=0, out=out.b)
+    return out, (da @ p.W).reshape(T, B, p.input_dim)
 
 
 def flatten(hs):
@@ -255,9 +285,16 @@ def dense_forward(p: DenseParams, v):
     return v @ p.W.T + p.b
 
 
-def dense_backward(p: DenseParams, v, grad_logits):
-    """Gradients of the affine map, summed over the batch: returns (dW, db, dv)."""
-    return grad_logits.T @ v, grad_logits.sum(axis=0), grad_logits @ p.W
+def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams | None = None):
+    """Gradients of the affine map, summed over the batch: returns (dW, db, dv).
+
+    dW and db are written into `out` when given.
+    """
+    if out is None:
+        out = DenseParams(np.empty_like(p.W), np.empty_like(p.b))
+    np.matmul(grad_logits.T, v, out=out.W)
+    np.sum(grad_logits, axis=0, out=out.b)
+    return out.W, out.b, grad_logits @ p.W
 
 
 def softmax(logits):
@@ -293,18 +330,21 @@ def model_forward(model: Model, xs_batch):
     x = np.asarray(xs_batch, dtype=float)
     if x.ndim != 3:
         raise DataError("model_forward expects [batch, T, input_dim]")
-    hs, caches = gru_forward(model.gru, x.swapaxes(0, 1))  # [T, B, H]
+    hs, gru_cache = gru_forward(model.gru, x.swapaxes(0, 1))  # [T, B, H]
     v = flatten(hs)
     logits = dense_forward(model.dense, v)
-    return logits, (caches, v, hs.shape)
+    return logits, (gru_cache, v)
 
 
-def model_backward(model: Model, cache, grad_logits):
-    """Full backward pass; returns (gru grads, dense grads) summed over the batch."""
-    caches, v, hs_shape = cache
-    dW, db, dv = dense_backward(model.dense, v, grad_logits)
-    grad_hs = unflatten(dv, hs_shape[0], hs_shape[2])
-    gru_grads, _ = gru_backward(model.gru, caches, grad_hs)
+def model_backward(model: Model, cache, grad_logits, out: Model | None = None):
+    """Full backward pass; returns (gru grads, dense grads) summed over the batch.
+
+    With `out`, a Model-shaped set of arrays, the gradients are written there.
+    """
+    gru_cache, v = cache
+    dW, db, dv = dense_backward(model.dense, v, grad_logits, out and out.dense)
+    T, _, H = gru_cache.h_cand.shape
+    gru_grads, _ = gru_backward(model.gru, gru_cache, unflatten(dv, T, H), out and out.gru)
     return gru_grads, DenseParams(W=dW, b=db)
 
 
@@ -319,35 +359,69 @@ def predict_batch(model: Model, X):
 # optimizers
 
 
-def _grad_tree(gru_grads: GruParams, dense_grads: DenseParams) -> dict[str, np.ndarray]:
-    tree = {f"gru.{n}": a for n, a in gru_grads.items()}
-    tree.update({f"dense.{n}": a for n, a in dense_grads.items()})
-    return tree
+class FlatParams:
+    """Named arrays that are views into one float64 vector.
+
+    Built from (name, array) pairs, whose values it copies in order:
+    `vector` is the buffer and `arrays[name]` the view shaped like the
+    named array, so an update of `vector` updates every array at once.
+    """
+
+    def __init__(self, items):
+        items = [(name, np.asarray(arr, dtype=float)) for name, arr in items]
+        self.vector = np.concatenate([arr.reshape(-1) for _, arr in items])
+        self.names = [name for name, _ in items]
+        self.ends = np.cumsum([arr.size for _, arr in items])
+        self.arrays = {name: self.vector[end - arr.size : end].reshape(arr.shape)
+                       for (name, arr), end in zip(items, self.ends)}
+
+    def locate(self, i: int) -> tuple[str, int]:
+        """(name, flat index within that array) of entry i of `vector`."""
+        k = int(np.searchsorted(self.ends, i, side="right"))
+        return self.names[k], i - int(self.ends[k - 1] if k else 0)
+
+    def model(self, config: ModelConfig) -> Model:
+        """A Model over these arrays, named as Model.param_items names them."""
+        a = self.arrays
+        return Model(config, GruParams(a["gru.W"], a["gru.U"], a["gru.b"]),
+                     DenseParams(a["dense.W"], a["dense.b"]))
 
 
-def adam_step(params: dict, grads: dict, state: dict, t: int, cfg: TrainConfig) -> None:
-    """One Adam update with bias correction; mutates params and state in place."""
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        if name not in state:
-            state[name] = (np.zeros_like(p), np.zeros_like(p))
-        m, v = state[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+def _require_finite(grads: FlatParams) -> None:
+    finite = np.isfinite(grads.vector)
+    if not finite.all():
+        name, _ = grads.locate(int(np.argmin(finite)))
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
 
 
-def sgd_step(params: dict, grads: dict, state: dict, t: int, cfg: TrainConfig) -> None:
+def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: TrainConfig) -> None:
+    """One Adam update with bias correction, in place on the whole parameter vector.
+
+    `state` holds the moment vectors m and v; it starts empty. The operations
+    are those of the textbook per-array update, in the same order.
+    """
+    _require_finite(grads)
+    g = grads.vector
+    if not state:
+        state.update(m=np.zeros_like(g), v=np.zeros_like(g))
+    m, v = state["m"], state["v"]
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    step = m / (1.0 - cfg.beta1**t)  # m_hat
+    step *= cfg.learning_rate
+    denom = v / (1.0 - cfg.beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step /= denom
+    params.vector -= step
+
+
+def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: TrainConfig) -> None:
     """Plain gradient descent step; state and t kept for API symmetry."""
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        p -= cfg.learning_rate * g
+    _require_finite(grads)
+    params.vector -= cfg.learning_rate * grads.vector
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +436,14 @@ def evaluate_model(model: Model, X, y) -> tuple[float, float]:
     return float(np.mean(losses)), float(np.mean(preds == np.asarray(y)))
 
 
+def _flat_copy(model: Model) -> tuple[FlatParams, Model, FlatParams, Model]:
+    """A copy of model's parameters and a zeroed gradient of the same layout,
+    each as one flat vector and as a Model over views into it."""
+    params = FlatParams(model.param_items())
+    grads = FlatParams((name, np.zeros_like(arr)) for name, arr in model.param_items())
+    return params, params.model(model.config), grads, grads.model(model.config)
+
+
 def train(
     model_cfg: ModelConfig,
     train_data: tuple[np.ndarray, np.ndarray],
@@ -371,7 +453,9 @@ def train(
     """Mini-batch training with seeded shuffling and early stopping.
 
     Stops once validation loss has not improved for `patience` epochs
-    and restores the parameters of the best validation epoch.
+    and restores the parameters of the best validation epoch. The
+    parameters, their gradient and the optimizer moments are each one
+    flat vector.
     """
     X_tr, y_tr = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=int)
     X_va, y_va = np.asarray(val_data[0], dtype=float), np.asarray(val_data[1], dtype=int)
@@ -384,14 +468,13 @@ def train(
         if len(y) and (y.min() < 0 or y.max() >= model_cfg.n_classes):
             raise DataError("label out of range for model n_classes")
 
-    model = init_model(model_cfg)
-    params = dict(model.param_items())
+    params, model, grads, grad_model = _flat_copy(init_model(model_cfg))
     opt_state: dict = {}
     step_fn = adam_step if cfg.optimizer == "adam" else sgd_step
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = params.vector.copy()
     wait = 0
     t = 0
     n = len(y_tr)
@@ -404,16 +487,16 @@ def train(
             xb, yb = X_tr[sel], y_tr[sel]
             logits, cache = model_forward(model, xb)
             losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
-            batch_loss = float(np.mean(losses))
-            if not np.isfinite(batch_loss):
+            batch_loss = float(np.sum(losses))
+            if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            loss_sum += float(np.sum(losses))
+            loss_sum += batch_loss
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-            gru_g, dense_g = model_backward(model, cache, grad_logits / len(sel))
+            model_backward(model, cache, grad_logits / len(sel), out=grad_model)
             t += 1
-            step_fn(params, _grad_tree(gru_g, dense_g), opt_state, t, cfg)
+            step_fn(params, grads, opt_state, t, cfg)
         val_loss, val_acc = evaluate_model(model, X_va, y_va)
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
@@ -421,52 +504,49 @@ def train(
         history.val_acc.append(val_acc)
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            np.copyto(best, params.vector)
             wait = 0
         else:
             wait += 1
             if wait >= cfg.patience:
                 break
-    for k, v in params.items():
-        v[...] = best_params[k]
+    params.vector[...] = best
     return model, history
 
 
 def gradient_check(model: Model, X, labels, eps: float = 1e-5):
     """Central-difference check of the gradient of the mean loss over a
-    [batch, T, input_dim] array.
+    [batch, T, input_dim] array, on a copy of model's parameters.
 
     Returns (max relative error, path of the worst scalar parameter).
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigError("eps must lie in [1e-7, 1e-3]")
+    params, work, grads, grad_model = _flat_copy(model)
 
     def loss_fn():
-        logits, cache = model_forward(model, X)
+        logits, cache = model_forward(work, X)
         losses, grad = softmax_cross_entropy_batch(logits, labels)
         return float(np.mean(losses)), cache, grad / len(losses)
 
-    loss, cache, grad_logits = loss_fn()
-    gru_g, dense_g = model_backward(model, cache, grad_logits)
-    analytic = _grad_tree(gru_g, dense_g)
+    _, cache, grad_logits = loss_fn()
+    model_backward(work, cache, grad_logits, out=grad_model)
+    theta, analytic = params.vector, grads.vector
     worst = 0.0
     worst_path = ""
-    for name, arr in model.param_items():
-        flat = arr.reshape(-1)
-        g_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, _, _ = loss_fn()
-            flat[i] = orig - eps
-            lm, _, _ = loss_fn()
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            denom = max(abs(numeric), abs(g_flat[i]), 1e-8)
-            rel = abs(numeric - g_flat[i]) / denom
-            if rel > worst:
-                worst = rel
-                worst_path = f"{name}[{i}]"
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        lp, _, _ = loss_fn()
+        theta[i] = orig - eps
+        lm, _, _ = loss_fn()
+        theta[i] = orig
+        numeric = (lp - lm) / (2.0 * eps)
+        denom = max(abs(numeric), abs(analytic[i]), 1e-8)
+        rel = abs(numeric - analytic[i]) / denom
+        if rel > worst:
+            worst = rel
+            worst_path = "{}[{}]".format(*params.locate(i))
     return worst, worst_path
 
 
@@ -476,6 +556,8 @@ def gradient_check(model: Model, X, labels, eps: float = 1e-5):
 
 def dataset_to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
     """Reshape a [n, n_features] matrix into [n, seq_len, n_features/seq_len]."""
+    if seq_len < 1:
+        raise ConfigError(f"sequence length must be >= 1, got {seq_len}")
     X = np.asarray(features, dtype=float)
     n, f = X.shape
     if f % seq_len:

@@ -71,6 +71,31 @@ class TestExitCodes:
         assert "--fractions" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--batch-size", "0", "batch_size"), ("--seq-len", "0", "--seq-len"),
+        ("--hidden", "0", "--hidden"),
+        ("--epochs", "0", "max_epochs"), ("--epochs", "-1", "max_epochs"),
+        ("--patience", "-1", "patience"), ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+    ])
+    def test_bad_training_setting_rejected_before_any_file(self, tmp_path, capsys, command,
+                                                           flag, value, key):
+        # the input files do not exist: the setting must be rejected first
+        out = str(tmp_path / "out")
+        assert run(command, *REQUIRED[command], flag, value, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert key in captured.err and not captured.out
+        assert not os.path.exists(out)
+
+    def test_bad_hop_rejected_before_manifest_is_read(self, tmp_path, capsys):
+        out = str(tmp_path / "f.csv")
+        assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--hop", "0",
+                   "--out", out) == 1
+        captured = capsys.readouterr()
+        assert "hop must be >= 1" in captured.err and not captured.out
+        assert not os.path.exists(out)
+
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json at all {")

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegpipe import nn
 from eegpipe.errors import ConfigError, DataError, NumericError
@@ -75,12 +77,23 @@ def test_init_draws_gates_in_z_r_h_order():
     assert keys == ["W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h"]
 
 
+def zero_gru(p):
+    return nn.GruParams(*(np.zeros_like(arr) for _, arr in p.items()))
+
+
+def cell_step(p, x_t, h_prev):
+    """One gru_cell_forward step from an input frame; returns (h_t, z, r, h_cand)."""
+    B, H = h_prev.shape
+    zr, h_cand, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
+    nn.gru_cell_forward(p, x_t @ p.W.T, h_prev, zr, h_cand, h_t)
+    return h_t, zr[:, :H], zr[:, H:], h_cand
+
+
 class TestGruCell:
     def test_zero_params(self):
-        p = nn.GruParams.zeros_like(small_model().gru)
+        p = zero_gru(small_model().gru)
         x = np.array([[1.0, -2.0, 0.5]])
-        h, cache = nn.gru_cell_forward(p, x, np.zeros((1, 4)))
-        _, _, z, r, hc = cache
+        h, z, r, hc = cell_step(p, x, np.zeros((1, 4)))
         assert np.all(z == 0.5) and np.all(r == 0.5)
         assert np.all(hc == 0.0) and np.all(h == 0.0)
 
@@ -88,7 +101,7 @@ class TestGruCell:
         m = small_model(seed=3)
         m.gru.b[:4] = 50.0  # z block -> 1
         h_prev = np.array([[0.3, -0.8, 0.1, 0.9]])
-        h, _ = nn.gru_cell_forward(m.gru, np.array([[1.0, 2.0, 3.0]]), h_prev)
+        h, *_ = cell_step(m.gru, np.array([[1.0, 2.0, 3.0]]), h_prev)
         assert np.max(np.abs(h - h_prev)) < 1e-6
 
     def test_matches_scalar_oracle(self):
@@ -101,7 +114,7 @@ class TestGruCell:
     def test_shape_mismatch(self):
         m = small_model()
         with pytest.raises(DataError, match="shape"):
-            nn.gru_cell_forward(m.gru, np.zeros((1, 7)), np.zeros((1, 4)))
+            nn.gru_forward(m.gru, np.zeros((1, 1, 7)))
 
 
 class TestGruForward:
@@ -109,11 +122,11 @@ class TestGruForward:
         m = small_model(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 1, 3))
         hs, _ = nn.gru_forward(m.gru, x)
-        h_cell, _ = nn.gru_cell_forward(m.gru, x[0], np.zeros((1, 4)))
+        h_cell, *_ = cell_step(m.gru, x[0], np.zeros((1, 4)))
         assert np.array_equal(hs[0], h_cell)
 
     def test_zero_params_zero_states(self):
-        p = nn.GruParams.zeros_like(small_model().gru)
+        p = zero_gru(small_model().gru)
         hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)))
         assert np.all(hs == 0.0)
 
@@ -132,11 +145,11 @@ class TestGruForward:
     def test_gate_ranges_and_hidden_bounds(self):
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
-        hs, caches = nn.gru_forward(m.gru, xs)
-        for _, _, z, r, hc in caches:
-            assert np.all((z > 0) & (z < 1))
-            assert np.all((r > 0) & (r < 1))
-            assert np.all((hc > -1) & (hc < 1))
+        hs, cache = nn.gru_forward(m.gru, xs)
+        z, r, hc = cache.zr[..., :4], cache.zr[..., 4:], cache.h_cand
+        assert np.all((z > 0) & (z < 1))
+        assert np.all((r > 0) & (r < 1))
+        assert np.all((hc > -1) & (hc < 1))
         assert np.all((hs > -1) & (hs < 1))
 
     def test_batched_matches_single(self):
@@ -147,6 +160,99 @@ class TestGruForward:
         for b in range(4):
             hs_1, _ = nn.gru_forward(m.gru, X[b][:, None])
             assert np.max(np.abs(hs_b[:, b, :] - hs_1[:, 0])) < 1e-14
+
+
+def reference_gru_forward(p, xs, proj=None):
+    """Per-step GRU forward, each step projecting its own input frame
+    unless the projections proj [T, B, 3H] are given.
+
+    Returns (hs [T, B, H], per-step caches (x_t, h_prev, z, r, h_cand)).
+    """
+    H2 = 2 * p.hidden_dim
+    h = np.zeros((xs.shape[1], p.hidden_dim))
+    hs, caches = [], []
+    for t, x_t in enumerate(xs):
+        a = x_t @ p.W.T if proj is None else proj[t]
+        zr = nn.sigmoid(a[:, :H2] + h @ p.U[:H2].T + p.b[:H2])
+        z, r = np.split(zr, 2, axis=1)
+        h_cand = np.tanh(a[:, H2:] + (r * h) @ p.U[H2:].T + p.b[H2:])
+        caches.append((x_t, h, z, r, h_cand))
+        h = z * h + (1.0 - z) * h_cand
+        hs.append(h)
+    return np.array(hs), caches
+
+
+def reference_gru_backward(p, caches, grad_hs):
+    """Per-step BPTT that accumulates the parameter gradients inside the time loop.
+
+    Returns ((dW, dU, db), grad_xs [T, B, input_dim]).
+    """
+    H2 = 2 * p.hidden_dim
+    dW, dU, db = np.zeros_like(p.W), np.zeros_like(p.U), np.zeros_like(p.b)
+    grad_xs = np.empty((len(caches), grad_hs.shape[1], p.input_dim))
+    carry = np.zeros_like(grad_hs[0])
+    for t in range(len(caches) - 1, -1, -1):
+        x_t, h_prev, z, r, h_cand = caches[t]
+        dh = grad_hs[t] + carry
+        da_c = dh * (1.0 - z) * (1.0 - h_cand * h_cand)
+        ds = da_c @ p.U[H2:]
+        da = np.concatenate(
+            [dh * (h_prev - h_cand) * z * (1.0 - z), ds * h_prev * r * (1.0 - r), da_c], axis=1
+        )
+        dW += da.T @ x_t
+        dU[:H2] += da[:, :H2].T @ h_prev
+        dU[H2:] += da_c.T @ (r * h_prev)
+        db += da.sum(axis=0)
+        carry = dh * z + ds * r + da[:, :H2] @ p.U[:H2]
+        grad_xs[t] = da @ p.W
+    return (dW, dU, db), grad_xs
+
+
+def assert_close_to(got, want, rel):
+    """Max-abs difference within rel times the largest magnitude of want (exact if want is 0)."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+class TestKernelMatchesPerStepReference:
+    @settings(max_examples=150, deadline=None)
+    @given(T=st.integers(1, 6), B=st.integers(1, 5), d=st.integers(1, 4), H=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forward_and_backward(self, T, B, d, H, seed):
+        rng = np.random.default_rng(seed)
+        p = nn.init_model(nn.ModelConfig(d, H, T, 2, seed=seed)).gru
+        p.b[:] = rng.normal(size=3 * H)
+        xs = rng.normal(size=(T, B, d)) * 2.0
+        hs, cache = nn.gru_forward(p, xs)
+        # the hoisted projection is one matmul over all T*B rows; a per-step
+        # matmul may round differently (BLAS uses gemv for one row), but only
+        # within the error bound of a d-term dot product
+        proj = (xs.reshape(T * B, d) @ p.W.T).reshape(T, B, 3 * H)
+        per_step = np.array([x_t @ p.W.T for x_t in xs])
+        bound = d * np.finfo(float).eps * (np.abs(xs) @ np.abs(p.W).T)
+        assert np.all(np.abs(proj - per_step) <= bound)
+        # given the same projections, every step is bit-identical
+        want_hs, caches = reference_gru_forward(p, xs, proj)
+        assert np.array_equal(hs, want_hs)
+        assert np.array_equal(cache.zr, np.array([np.hstack(c[2:4]) for c in caches]))
+        assert np.array_equal(cache.h_cand, np.array([c[4] for c in caches]))
+        grad_hs = rng.normal(size=(T, B, H))
+        grads, grad_xs = nn.gru_backward(p, cache, grad_hs)
+        want, want_xs = reference_gru_backward(p, caches, grad_hs)
+        for got, ref in zip((grads.W, grads.U, grads.b, grad_xs), (*want, want_xs)):
+            assert_close_to(got, ref, 1e-12)
+
+    def test_writes_into_given_gradient_arrays(self):
+        m = small_model(seed=4)
+        xs = np.random.default_rng(2).normal(size=(5, 3, 3))
+        _, cache = nn.gru_forward(m.gru, xs)
+        grad_hs = np.random.default_rng(3).normal(size=(5, 3, 4))
+        fresh, _ = nn.gru_backward(m.gru, cache, grad_hs)
+        out = zero_gru(m.gru)
+        got, _ = nn.gru_backward(m.gru, cache, grad_hs, out)
+        assert got is out
+        for (name, a), (_, b) in zip(fresh.items(), out.items()):
+            assert np.array_equal(a, b), name
 
 
 class TestGruBackward:
@@ -275,42 +381,94 @@ class TestSoftmaxCrossEntropy:
             nn.softmax_cross_entropy_batch(np.zeros((1, 3)), [5])
 
 
+def flat(**arrays):
+    return nn.FlatParams((name, np.asarray(a, dtype=float)) for name, a in arrays.items())
+
+
 class TestOptimizers:
     def setup_method(self):
         self.cfg = nn.TrainConfig(learning_rate=0.01)
-        self.params = {"w": np.array([1.0, -2.0])}
+        self.params = flat(w=[1.0, -2.0])
 
     def test_zero_gradient_no_change(self):
-        before = self.params["w"].copy()
-        nn.adam_step(self.params, {"w": np.zeros(2)}, {}, 1, self.cfg)
-        assert np.array_equal(self.params["w"], before)
+        before = self.params.vector.copy()
+        nn.adam_step(self.params, flat(w=np.zeros(2)), {}, 1, self.cfg)
+        assert np.array_equal(self.params.vector, before)
 
     def test_first_step_bounded_by_lr(self):
-        grads = {"w": np.array([3.7, -0.01])}
-        before = self.params["w"].copy()
+        grads = flat(w=[3.7, -0.01])
+        before = self.params.vector.copy()
         nn.adam_step(self.params, grads, {}, 1, self.cfg)
-        delta = self.params["w"] - before
+        delta = self.params.vector - before
         assert np.all(np.abs(delta) <= self.cfg.learning_rate * (1 + 1e-6))
-        assert np.all(np.sign(delta) == -np.sign(grads["w"]))
+        assert np.all(np.sign(delta) == -np.sign(grads.vector))
 
     def test_deterministic_across_runs(self):
         runs = []
         for _ in range(2):
-            p = {"w": np.array([1.0, -2.0])}
+            p = flat(w=[1.0, -2.0])
             state = {}
             rng = np.random.default_rng(5)
             for t in range(1, 20):
-                nn.adam_step(p, {"w": rng.normal(size=2)}, state, t, self.cfg)
-            runs.append(p["w"])
+                nn.adam_step(p, flat(w=rng.normal(size=2)), state, t, self.cfg)
+            runs.append(p.arrays["w"])
         assert np.array_equal(runs[0], runs[1])
 
     def test_non_finite_gradient_aborts_with_name(self):
         with pytest.raises(NumericError, match="'w'"):
-            nn.adam_step(self.params, {"w": np.array([np.nan, 0.0])}, {}, 1, self.cfg)
+            nn.adam_step(self.params, flat(w=[np.nan, 0.0]), {}, 1, self.cfg)
+
+    @pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+    def test_non_finite_gradient_names_first_offending_array(self, step):
+        m = small_model(seed=2)
+        params = nn.FlatParams(m.param_items())
+        grads = nn.FlatParams((name, np.zeros_like(a)) for name, a in m.param_items())
+        grads.arrays["gru.U"][3, 1] = np.inf
+        grads.arrays["dense.W"][0, 0] = np.nan
+        before = params.vector.copy()
+        with pytest.raises(NumericError, match="'gru.U'"):
+            step(params, grads, {}, 1, self.cfg)
+        assert np.array_equal(params.vector, before)  # nothing was updated
 
     def test_sgd_step(self):
-        nn.sgd_step(self.params, {"w": np.array([1.0, 1.0])}, {}, 1, self.cfg)
-        assert np.allclose(self.params["w"], [0.99, -2.01])
+        nn.sgd_step(self.params, flat(w=[1.0, 1.0]), {}, 1, self.cfg)
+        assert np.allclose(self.params.arrays["w"], [0.99, -2.01])
+
+    def test_flat_adam_is_bit_identical_to_per_array_adam(self):
+        # 200 steps on three arrays of different shapes and gradient scales
+        rng = np.random.default_rng(11)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3)}
+        ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = nn.FlatParams(ref.items())
+        state, ref_state = {}, {}
+        cfg = nn.TrainConfig(learning_rate=0.003, beta1=0.8, beta2=0.95, epsilon=1e-7)
+        for t in range(1, 201):
+            g = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4)
+                 for name, shape in shapes.items()}
+            textbook_adam(ref, g, ref_state, t, cfg)
+            nn.adam_step(params, nn.FlatParams(g.items()), state, t, cfg)
+            for name in shapes:
+                assert np.array_equal(params.arrays[name], ref[name]), (t, name)
+
+    def test_flat_params_locate(self):
+        p = flat(a=np.zeros((2, 3)), b=np.zeros(1), c=np.zeros(4))
+        assert p.vector.shape == (11,)
+        assert [p.locate(i) for i in (0, 5, 6, 7, 10)] == [
+            ("a", 0), ("a", 5), ("b", 0), ("c", 0), ("c", 3)]
+        p.vector[6] = 9.0
+        assert p.arrays["b"][0] == 9.0  # the arrays are views
+
+
+def textbook_adam(params, grads, state, t, cfg):
+    """Adam as a separate update per named array (Kingma and Ba 2015, Algorithm 1)."""
+    for name, p in params.items():
+        g = grads[name]
+        m, v = state.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 def xor_sequence_dataset(n_per_pattern=50, noise=0.05, seed=0):
@@ -400,6 +558,34 @@ class TestTraining:
         cfg = nn.ModelConfig(3, 4, 2, 2, seed=0)
         with pytest.raises(DataError, match="shape"):
             nn.train(cfg, (X, y), (X, y), nn.TrainConfig())
+
+
+def test_train_calls_adam_step_once_per_batch(monkeypatch):
+    # the step is looked up in the module at call time, so a wrapper sees every step
+    calls = []
+    step = nn.adam_step
+
+    def counted(params, grads, state, t, cfg):
+        calls.append(t)
+        return step(params, grads, state, t, cfg)
+
+    monkeypatch.setattr(nn, "adam_step", counted)
+    X, y = xor_sequence_dataset(5)  # 20 examples
+    cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
+    tcfg = nn.TrainConfig(batch_size=6, max_epochs=3, patience=3, seed=0)
+    result = nn.train(cfg, (X, y), (X, y), tcfg)
+    model, history = result
+    assert len(result) == 2 and isinstance(model, nn.Model) and len(history) == 3
+    assert calls == list(range(1, 3 * math.ceil(20 / 6) + 1))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("max_epochs", 0), ("max_epochs", -1), ("patience", 0),
+    ("patience", -1), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+])
+def test_train_config_rejects(field, value):
+    with pytest.raises(ConfigError, match=field):
+        nn.TrainConfig(**{field: value})
 
 
 class TestPredict:
@@ -503,3 +689,5 @@ def test_dataset_to_sequences():
     assert seqs[0, 1].tolist() == [3.0, 4.0, 5.0]
     with pytest.raises(ConfigError, match="divisible"):
         nn.dataset_to_sequences(X, 5)
+    with pytest.raises(ConfigError, match="sequence length"):
+        nn.dataset_to_sequences(X, 0)
