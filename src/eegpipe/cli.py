@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -215,6 +216,8 @@ def cmd_featurize(args) -> int:
                           f"welch_segment_len {fc.welch_segment_len}")
     if args.hop is not None and args.hop < 1:
         raise ConfigError(f"hop must be >= 1, got {args.hop}")
+    if math.isnan(fc.artifact_threshold_uv):
+        raise ConfigError("artifact_threshold_uv must be a number, got nan")
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",

@@ -7,6 +7,7 @@ operation here is deterministic and safe to call concurrently.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -115,10 +116,39 @@ def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
     """Load a featured CSV (header row, one string label column) into a Dataset.
 
     Class ids are assigned by lexicographic order of the distinct label
-    strings, which keeps the mapping stable across reloads.
+    strings, which keeps the mapping stable across reloads. A well-formed
+    file with the label last is parsed in one loadtxt call; any other file
+    is scanned cell by cell, which names the row and column at fault.
     """
     if not os.path.isfile(path):
         raise DataError(f"feature CSV not found: {path}")
+    ds = _parse_feature_csv(path, label_column)
+    return _scan_feature_csv(path, label_column) if ds is None else ds
+
+
+def _parse_feature_csv(path: str, label_column: str) -> Dataset | None:
+    """A featured CSV whose label is its last column, parsed in one loadtxt call.
+
+    None unless the file is one _scan_feature_csv would accept, with the
+    same values; other files, and files with the label elsewhere, take the scan.
+    """
+    lines = _plain_csv_lines(path)
+    if lines is None:
+        return None
+    header = lines[0].split(",")
+    if len(header) < 2 or header[-1] != label_column or len(set(header)) != len(header):
+        return None
+    cells, labels = [], []
+    for line in lines[1:]:
+        numbers, _, label = line.rpartition(",")
+        cells.append(numbers)
+        labels.append(label)
+    features = _loadtxt_matrix(cells, len(header) - 1)
+    return None if features is None else _labelled_dataset(features, labels, header[:-1])
+
+
+def _scan_feature_csv(path: str, label_column: str) -> Dataset:
+    """load_feature_csv cell by cell: the path that names the first bad row and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,10 +183,15 @@ def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
             label_strs.append(row[label_idx])
     if not rows:
         raise DataError(f"no data rows in {path}")
+    return _labelled_dataset(np.array(rows, dtype=float), label_strs, feature_names)
+
+
+def _labelled_dataset(features: np.ndarray, label_strs: list[str],
+                      feature_names: list[str]) -> Dataset:
     class_names = sorted(set(label_strs))
     class_ids = {name: i for i, name in enumerate(class_names)}
     labels = np.array([class_ids[s] for s in label_strs], dtype=int)
-    return Dataset(np.array(rows, dtype=float), labels, class_names, feature_names)
+    return Dataset(features, labels, class_names, feature_names)
 
 
 def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
@@ -174,12 +209,27 @@ def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
 
 
 def save_feature_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a Dataset in the featured-CSV format load_feature_csv reads."""
+    """Write a Dataset in the featured-CSV format load_feature_csv reads.
+
+    The bytes are those of csv.writer with repr'd floats: a float's repr
+    never needs quoting, so only the label cell goes through the writer,
+    once per class name.
+    """
+    # csv.writer quotes an empty cell only when it is alone on its row
+    tails = [_csv_line(["0", name])[1:] if ds.n_features else _csv_line([name])
+             for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.feature_names + [label_column])
-        for row, lab in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [ds.class_names[lab]])
+        csv.writer(fh).writerow(ds.feature_names + [label_column])
+        # one row at a time: a whole-matrix tolist() would raise peak memory
+        fh.writelines(",".join(map(repr, row.tolist())) + tails[lab]
+                      for row, lab in zip(ds.features, ds.labels.tolist()))
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One row as csv.writer writes it, line terminator included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list[str]]:
@@ -229,36 +279,90 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         fpath = os.path.join(path, e["file"])
         if not os.path.isfile(fpath):
             raise DataError(f"manifest references missing file: {fpath}")
-        with open(fpath, newline="", encoding="utf-8") as fh:
-            rdr = csv.reader(fh)
-            header = next(rdr, None)
-            if header != channels:
-                raise DataError(f"{fpath}: header {header} does not match manifest channels")
-            try:
-                samples = [[float(c) for c in row] for row in rdr]
-            except ValueError as exc:
-                raise DataError(f"{fpath}: line {rdr.line_num}: {exc}") from None
-        if not samples:
-            raise DataError(f"{fpath}: no samples")
-        bad = next((i for i, row in enumerate(samples) if len(row) != len(channels)), None)
-        if bad is not None:
-            raise DataError(f"{fpath}: line {bad + 2}: {len(samples[bad])} cells, header has "
-                            f"{len(channels)}")
-        data = np.array(samples, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-        if bad.size:
-            raise DataError(f"{fpath}: line {bad[0] + 2}: non-finite sample")
+        lines = _plain_csv_lines(fpath)
+        data = None
+        if lines is not None and lines[0].split(",") == channels:
+            data = _loadtxt_matrix(lines[1:], len(channels))
+        if data is None:
+            data = _scan_raw_csv(fpath, channels)
         recordings.append(Recording(channels, fs, data.T, label=class_ids[e["label"]]))
     return recordings, class_names
 
 
+# With none of these in a file's text, each of its lines is one csv record
+# whose cells are line.split(","): str.splitlines also ends a line at \v, \f,
+# \x1c-\x1e, \x85, \u2028 and \u2029, where the csv reader does not, and a
+# quote changes how csv splits. loadtxt strips \x1c-\x1f around a number,
+# where float() of an ASCII cell does not.
+_NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+
+
+def _plain_csv_lines(path: str) -> list[str] | None:
+    """A CSV file's lines from one read, or None unless they are its csv records.
+
+    None too for a file with a blank line, which the csv reader returns as a
+    row with no cells and loadtxt skips, or with no line after the header.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.splitlines()
+    return lines if len(lines) > 1 and "" not in lines else None
+
+
+def _loadtxt_matrix(lines: list[str], n_cols: int) -> np.ndarray | None:
+    """The [len(lines), n_cols] matrix of comma-separated plain lines, if all finite.
+
+    loadtxt parses a decimal string to the same double as float(); None
+    where it fails, or where the matrix is not the one float() would give
+    cell by cell, so that the caller's csv scan names the fault.
+    """
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if data.shape != (len(lines), n_cols) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _scan_raw_csv(fpath: str, channels: list[str]) -> np.ndarray:
+    """A raw recording read row by row: the path that names the first bad line."""
+    with open(fpath, newline="", encoding="utf-8") as fh:
+        rdr = csv.reader(fh)
+        header = next(rdr, None)
+        if header != channels:
+            raise DataError(f"{fpath}: header {header} does not match manifest channels")
+        try:
+            samples = [[float(c) for c in row] for row in rdr]
+        except ValueError as exc:
+            raise DataError(f"{fpath}: line {rdr.line_num}: {exc}") from None
+    if not samples:
+        raise DataError(f"{fpath}: no samples")
+    bad = next((i for i, row in enumerate(samples) if len(row) != len(channels)), None)
+    if bad is not None:
+        raise DataError(f"{fpath}: line {bad + 2}: {len(samples[bad])} cells, header has "
+                        f"{len(channels)}")
+    data = np.array(samples, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataError(f"{fpath}: line {bad[0] + 2}: non-finite sample")
+    return data
+
+
 def save_recording_csv(rec: Recording, path: str) -> None:
-    """Write one recording as a CSV with channel header, one row per sample."""
+    """Write one recording as a CSV with channel header, one row per sample.
+
+    The bytes are those csv.writer writes for repr'd floats: its default line
+    terminator is \\r\\n, and no float's repr needs quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rec.channels)
-        for row in rec.data.T:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(rec.channels)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rec.data.T.tolist())
 
 
 def window_recording(data: np.ndarray, window_len: int | None = None,
@@ -370,8 +474,8 @@ def synth_generate(
         raise ConfigError("n_per_class must be >= 1")
     if window_len < 8:
         raise ConfigError("window_len must be >= 8")
-    if fs <= 0:
-        raise ConfigError("fs must be positive")
+    if not (math.isfinite(fs) and fs > 0):
+        raise ConfigError(f"fs must be positive and finite, got {fs}")
     rng = np.random.default_rng(seed)
     n_ch = len(DEFAULT_CHANNELS)
     t = np.arange(window_len) / fs

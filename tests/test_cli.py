@@ -96,6 +96,21 @@ class TestExitCodes:
         assert "hop must be >= 1" in captured.err and not captured.out
         assert not os.path.exists(out)
 
+    def test_nan_threshold_rejected_before_manifest_is_read(self, tmp_path, capsys):
+        out = str(tmp_path / "f.csv")
+        assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--threshold", "nan",
+                   "--out", out) == 1
+        captured = capsys.readouterr()
+        assert "artifact_threshold_uv" in captured.err and not captured.out
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("fs", ["nan", "inf"])
+    def test_non_finite_fs_rejected_before_output(self, tmp_path, capsys, fs):
+        out = str(tmp_path / "raw")
+        assert run("synth", "--per-class", "2", "--fs", fs, "--out", out) == 1
+        assert "fs must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json at all {")

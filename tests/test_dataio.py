@@ -1,5 +1,13 @@
+import csv
+import io
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegpipe import dataio, dsp
 from eegpipe.errors import ConfigError, DataError
@@ -136,6 +144,210 @@ class TestRawRecordings:
         )
         with pytest.raises(DataError, match="inconsistent channel"):
             dataio.load_raw_recordings(str(tmp_path), p)
+
+
+# Finite doubles, with the subnormals, the largest double and -0.0 drawn often.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, -0.0, 0.0]),
+)
+
+
+def matrices(max_cols=4):
+    return st.integers(1, max_cols).flatmap(
+        lambda k: st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=1, max_size=12))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+def reference_csv(header, rows):
+    """csv.writer with repr'd floats: the bytes both writers must produce."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def write_manifest(root, channels, name="r.csv"):
+    path = os.path.join(root, "manifest.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"file,label,sample_rate_hz,channels\n{name},A,256,{';'.join(channels)}\n")
+    return path
+
+
+def raw_outcome(root, channels):
+    """The loaded [samples, channels] bits, or the DataError text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs, _ = dataio.load_raw_recordings(root, write_manifest(root, channels))
+    except DataError as exc:
+        return str(exc)
+    return bits(recs[0].data.T)
+
+
+def scan_raw_outcome(root, channels):
+    try:
+        return bits(dataio._scan_raw_csv(os.path.join(root, "r.csv"), channels))
+    except DataError as exc:
+        return str(exc)
+
+
+def feature_outcome(load, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load(path, "label")
+    except DataError as exc:
+        return str(exc)
+    return bits(ds.features), ds.labels.tolist(), ds.class_names, ds.feature_names
+
+
+class TestCsvFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_raw_roundtrip_is_bit_exact(self, rows):
+        data = np.array(rows)
+        channels = dataio.DEFAULT_CHANNELS[: data.shape[1]]
+        with tempfile.TemporaryDirectory() as root:
+            dataio.save_recording_csv(dataio.Recording(channels, 256.0, data.T),
+                                      os.path.join(root, "r.csv"))
+            assert raw_outcome(root, channels) == bits(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.sampled_from([["A", "B", "C"], ['say "hi"', "a,b", "plain"]]),
+           st.data())
+    def test_feature_roundtrip_is_bit_exact(self, rows, names, draw):
+        data = np.array(rows)
+        labels = draw.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        ds = dataio.Dataset(data, labels, names, [f"f{i}" for i in range(data.shape[1])])
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "f.csv")
+            dataio.save_feature_csv(ds, path)
+            back = dataio.load_feature_csv(path)
+        assert bits(back.features) == bits(data)
+        assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
+        assert back.feature_names == ds.feature_names
+
+    def test_raw_bytes_match_csv_writer(self, tmp_path):
+        data = np.array([[0.1, -0.0, 5e-324], [1.7976931348623157e308, -2.5e-310, 1e22]])
+        rec = dataio.Recording(["TP9", "AF7"], 256.0, data)
+        dataio.save_recording_csv(rec, str(tmp_path / "r.csv"))
+        want = reference_csv(rec.channels, [[repr(float(v)) for v in row] for row in data.T])
+        assert (tmp_path / "r.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("n_features", [0, 2])
+    def test_feature_bytes_match_csv_writer(self, tmp_path, n_features):
+        names = ["", "a,b", "line\nbreak", "plain", 'say "hi"']
+        features = np.array([[0.1, -0.0], [5e-324, 1e22], [-3.0, 2.5]] * 2)[:, :n_features]
+        labels = [1, 4, 0, 2, 3, 1]
+        ds = dataio.Dataset(features, labels, names, ["w", "x"][:n_features])
+        path = str(tmp_path / "f.csv")
+        dataio.save_feature_csv(ds, path)
+        want = reference_csv(ds.feature_names + ["label"],
+                             [[repr(float(v)) for v in row] + [names[k]]
+                              for row, k in zip(features, labels)])
+        assert (tmp_path / "f.csv").read_bytes() == want
+        back = dataio.load_feature_csv(path)
+        assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
+        assert bits(back.features) == bits(features)
+
+    def test_well_formed_files_skip_the_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the row-by-row scan ran on a well-formed file")
+
+        monkeypatch.setattr(dataio, "_scan_raw_csv", no_scan)
+        monkeypatch.setattr(dataio, "_scan_feature_csv", no_scan)
+        data, labels = dataio.synth_generate(2, 64, 256.0, seed=0)
+        for i, x in enumerate(data):
+            rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, x)
+            dataio.save_recording_csv(rec, str(tmp_path / f"r{i}.csv"))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("file,label,sample_rate_hz,channels\n" + "".join(
+            f"r{i}.csv,{k},256,TP9;AF7;AF8;TP10\n" for i, k in enumerate(labels)))
+        recs, _ = dataio.load_raw_recordings(str(tmp_path), str(manifest))
+        assert [bits(r.data) for r in recs] == [bits(x) for x in data]
+        ds = dataio.Dataset(data[:, 0, :8], labels, ["x", "y", "z"], [f"s{i}" for i in range(8)])
+        dataio.save_feature_csv(ds, str(tmp_path / "f.csv"))
+        assert bits(dataio.load_feature_csv(str(tmp_path / "f.csv")).features) == bits(ds.features)
+
+
+# (case, file text, expected: the loaded rows, or a fragment of the DataError)
+RAW_CASES = [
+    ("blank line", "a,b\r\n1,2\r\n\r\n3,4\r\n", "line 3: 0 cells, header has 2"),
+    ("only a blank line", "a,b\r\n\r\n", "line 2: 0 cells, header has 2"),
+    ("a column too many", "a,b\r\n1,2,3\r\n4,5,6\r\n", "line 2: 3 cells, header has 2"),
+    ("trailing comma", "a,b\r\n1,2,\r\n", "line 2: could not convert string to float: ''"),
+    ("hash in a cell", "a,b\r\n1,2#3\r\n", "could not convert string to float: '2#3'"),
+    ("LF-only", "a,b\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+    ("CR-only", "a,b\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+    ("quoted numbers", 'a,b\r\n"1",2\r\n', [[1, 2]]),
+    ("underscore", "a,b\r\n1_0,2\r\n", [[10, 2]]),
+    ("padded cells", "a,b\r\n 1 ,\t2 \r\n", [[1, 2]]),
+    ("header only", "a,b\r\n", "no samples"),
+    ("ragged row", "a,b\r\n1,2\r\n3\r\n", "line 3: 1 cells, header has 2"),
+    ("non-numeric cell", "a,b\r\n1,x\r\n", "line 2: could not convert string to float: 'x'"),
+    ("nan cell", "a,b\r\n1,2\r\n1,nan\r\n", "line 3: non-finite sample"),
+    ("inf cell", "a,b\r\ninf,1\r\n", "line 2: non-finite sample"),
+    ("file separator pad", "a,b\r\n1\x1c,2\r\n", "could not convert string to float: '1\\x1c'"),
+    ("form feed pad", "a,b\r\n1\x0c,2\r\n", [[1, 2]]),
+    ("form feed in a cell", "a,b\r\n1,2\x0c3,4\r\n", "could not convert string to float: '2\\x0c3'"),
+    ("header not the manifest's", "a,c\r\n1,2\r\n", "header ['a', 'c'] does not match manifest"),
+    ("quote opening a header field", 'a,"b\r\n1,2\r\n3,4\r\n', "does not match manifest channels"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in RAW_CASES], ids=[c[0] for c in RAW_CASES])
+def test_raw_loader_matches_the_row_scan(tmp_path, text, expected):
+    (tmp_path / "r.csv").write_bytes(text.encode("utf-8"))
+    got = raw_outcome(str(tmp_path), ["a", "b"])
+    assert got == scan_raw_outcome(str(tmp_path), ["a", "b"])
+    if isinstance(expected, str):
+        assert expected in got
+    else:
+        assert got == bits(expected)
+
+
+FEATURE_CASES = [
+    ("blank line", "f1,f2,label\r\n1,2,A\r\n\r\n3,4,B\r\n", "row 3 has 0 cells, expected 3"),
+    ("only a blank line", "f1,f2,label\r\n\r\n", "row 2 has 0 cells, expected 3"),
+    ("trailing comma", "f1,f2,label\r\n1,2,A,\r\n", "row 2 has 4 cells, expected 3"),
+    ("hash in a cell", "f1,f2,label\r\n1,2#,A\r\n", "value '2#' at row 2, column 'f2'"),
+    ("LF-only", "f1,f2,label\n1,2,A\n3,4,B\n", ([[1, 2], [3, 4]], [0, 1], ["A", "B"])),
+    ("quoted numbers", 'f1,f2,label\r\n"1",2,A\r\n', ([[1, 2]], [0], ["A"])),
+    ("underscore", "f1,f2,label\r\n1_0,2,A\r\n", ([[10, 2]], [0], ["A"])),
+    ("padded cells", "f1,f2,label\r\n 1 ,\t2 ,A\r\n", ([[1, 2]], [0], ["A"])),
+    ("header only", "f1,f2,label\r\n", "no data rows"),
+    ("ragged row", "f1,f2,label\r\n1,A\r\n", "row 2 has 2 cells, expected 3"),
+    ("non-numeric cell", "f1,f2,label\r\nx,2,A\r\n", "value 'x' at row 2, column 'f1'"),
+    ("nan cell", "f1,f2,label\r\n1,2,A\r\nnan,2,A\r\n", "value 'nan' at row 3, column 'f1'"),
+    ("inf cell", "f1,f2,label\r\n1,-inf,A\r\n", "value '-inf' at row 2, column 'f2'"),
+    ("quoted label", 'f1,f2,label\r\n1,2,"a,b"\r\n', ([[1, 2]], [0], ["a,b"])),
+    ("no feature column", "label\r\nB\r\nA\r\n", ([[], []], [1, 0], ["A", "B"])),
+    ("label first", "label,f1,f2\r\nB,1,2\r\nA,3,4\r\n", ([[1, 2], [3, 4]], [1, 0], ["A", "B"])),
+    ("file separator pad", "f1,f2,label\r\n1\x1c,2,A\r\n", "value '1\\x1c' at row 2"),
+    ("form feed in a label", "f1,f2,label\r\n1,2,A\x0c3,4,B\r\n", "row 2 has 5 cells"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in FEATURE_CASES],
+                         ids=[c[0] for c in FEATURE_CASES])
+def test_feature_loader_matches_the_cell_scan(tmp_path, text, expected):
+    path = str(tmp_path / "f.csv")
+    (tmp_path / "f.csv").write_bytes(text.encode("utf-8"))
+    got = feature_outcome(dataio.load_feature_csv, path)
+    assert got == feature_outcome(dataio._scan_feature_csv, path)
+    if isinstance(expected, str):
+        assert expected in got
+    else:
+        rows, labels, names = expected
+        assert got[:3] == (bits(rows), labels, names)
+
 
 
 class TestWindowing:
