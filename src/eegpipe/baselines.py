@@ -3,13 +3,12 @@ one-vs-rest linear SVM, and depth-limited gradient boosting.
 
 Everything is built on numpy with deterministic, seeded training. All
 classifiers expose predict_* returning (class ids, probability matrix)
-with rows on the simplex, and every model serializes to versioned JSON
-with an exact roundtrip.
+with rows on the simplex. Trees are flat arrays grown by one iterative
+grower and walked one depth level at a time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .nn import softmax
 
-MODEL_FORMAT_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # logistic regression (softmax + L2, full-batch gradient descent)
@@ -27,7 +24,6 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass
 class LinearModel:
-    kind: str  # "logistic" | "svm"
     W: np.ndarray  # [classes, features]
     b: np.ndarray  # [classes]
 
@@ -62,7 +58,7 @@ def fit_logistic(
             raise NumericError("logistic regression diverged (non-finite loss)")
         W -= learning_rate * gW
         b -= learning_rate * gb
-    return LinearModel("logistic", W, b)
+    return LinearModel(W, b)
 
 
 def predict_logistic(model: LinearModel, X):
@@ -76,19 +72,74 @@ def predict_logistic(model: LinearModel, X):
 
 
 @dataclass
-class TreeNode:
-    """Split node (feature/threshold/children) or leaf (probs/value)."""
+class Tree:
+    """Flat binary tree, nodes in depth-first, left-child-first order.
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    probs: np.ndarray | None = None  # classification leaf
-    value: float | None = None  # regression leaf
+    Node i splits on X[:, feature[i]] <= threshold[i] into left[i] and
+    right[i]; both are -1 at a leaf. leaf[i] is the node's output:
+    [n_nodes, classes] probabilities for a classification tree, [n_nodes]
+    Newton values for a regression tree. Prediction reads it at leaves.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+
+
+def _grow(X, n_rows: int, max_depth: int, min_leaf: int, find_split, leaf_value) -> Tree:
+    """Grow a tree over rows 0..n_rows-1 of X with an explicit stack.
+
+    A node below max_depth with at least 2*min_leaf rows asks
+    find_split(idx) for a (feature, threshold, score) split or None;
+    leaf_value(idx) gives every node's output. The right child is pushed
+    before the left, so nodes (and any random draws inside find_split)
+    come in depth-first, left-first order: a left child is always the
+    node right after its parent.
+    """
+    feature, threshold, left, right, leaf = [], [], [], [], []
+    stack = [(np.arange(n_rows), 0, -1)]  # rows, depth, parent if a right child
+    while stack:
+        idx, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        split = None
+        if depth < max_depth and len(idx) >= 2 * min_leaf:
+            split = find_split(idx)
+        f, thr = (-1, 0.0) if split is None else split[:2]
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1 if split is None else node + 1)
+        right.append(-1)
+        leaf.append(leaf_value(idx))
+        if split is not None:
+            mask = X[idx, f] <= thr
+            stack.append((idx[~mask], depth + 1, node))
+            stack.append((idx[mask], depth + 1, -1))
+    return Tree(np.array(feature), np.array(threshold), np.array(left),
+                np.array(right), np.array(leaf))
+
+
+def _tree_outputs(tree: Tree, X) -> np.ndarray:
+    """Leaf output of every row of X: [n, classes] probabilities for a
+    classification tree, [n] values for a regression tree.
+
+    All rows move down one depth level per pass, one comparison
+    X[row, feature] <= threshold per row still at a split node, so rows
+    equal to a threshold go left.
+    """
+    node = np.zeros(len(X), dtype=np.intp)
+    rows, at = np.arange(len(X)), node  # rows still moving and their nodes
+    while True:
+        inner = tree.left[at] >= 0
+        rows, at = rows[inner], at[inner]
+        if not rows.size:
+            return tree.leaf[node]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        at = np.where(go_left, tree.left[at], tree.right[at])
+        node[rows] = at
 
 
 def _gini_sum(counts: np.ndarray, n: int) -> float:
@@ -162,69 +213,31 @@ def fit_tree(
     min_leaf: int = 1,
     rng: np.random.Generator | None = None,
     max_features: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow a CART classification tree with Gini impurity.
 
     When rng/max_features are given, each split considers a random
-    feature subset (used by the random forest).
+    feature subset (used by the random forest). A pure node is a leaf
+    and draws no subset.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise DataError("cannot fit a tree on an empty dataset")
+    subsample = max_features is not None and max_features < X.shape[1]
 
-    def grow(idx, depth):
-        counts = np.bincount(y[idx], minlength=n_classes)
-        node_n = len(idx)
-        if depth >= max_depth or node_n < 2 * min_leaf or np.max(counts) == node_n:
-            return TreeNode(probs=counts / node_n)
-        if max_features is not None and max_features < X.shape[1]:
+    def find_split(idx):
+        if np.all(y[idx] == y[idx[0]]):
+            return None
+        feats = None
+        if subsample:
             feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
-        else:
-            feats = None
-        split = best_gini_split(X[idx], y[idx], n_classes, min_leaf, feats)
-        if split is None:
-            return TreeNode(probs=counts / node_n)
-        f, thr, _ = split
-        mask = X[idx, f] <= thr
-        return TreeNode(
-            feature=f,
-            threshold=thr,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
+        return best_gini_split(X[idx], y[idx], n_classes, min_leaf, feats)
 
-    return grow(np.arange(len(y)), 0)
+    def leaf_value(idx):
+        return np.bincount(y[idx], minlength=n_classes) / len(idx)
 
-
-def _tree_outputs(tree: TreeNode, X) -> np.ndarray:
-    """Leaf output of every row of X: [n, classes] probabilities for a
-    classification tree, [n] values for a regression tree.
-
-    Rows are routed down the tree as index arrays, one comparison
-    X[idx, feature] <= threshold per split node, so rows equal to a
-    threshold go left.
-    """
-    out = None
-    stack = [(tree, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            leaf = node.value if node.probs is None else node.probs
-            if out is None:
-                out = np.empty((len(X),) + np.shape(leaf))
-            out[idx] = leaf
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.right, idx[~go_left]))
-        stack.append((node.left, idx[go_left]))
-    return out
-
-
-def predict_tree(tree: TreeNode, X):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    probs = _tree_outputs(tree, X)
-    return np.argmax(probs, axis=1), probs
+    return _grow(X, len(y), max_depth, min_leaf, find_split, leaf_value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +246,8 @@ def predict_tree(tree: TreeNode, X):
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_classes: int
-    seed: int
 
 
 def fit_forest(
@@ -277,7 +289,7 @@ def fit_forest(
                 rng=rng, max_features=max_features,
             )
         )
-    return ForestModel(trees, n_classes, seed)
+    return ForestModel(trees, n_classes)
 
 
 def predict_forest(model: ForestModel, X):
@@ -326,16 +338,7 @@ def fit_linear_svm(
                 b[active] += eta * targets[active]
             W_avg += W
             b_avg += b
-    return LinearModel("svm", W_avg / t, b_avg / t)
-
-
-def svm_hinge_loss(model: LinearModel, X, y) -> float:
-    """Mean one-vs-rest hinge loss of a fitted model (no regularizer)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    scores = X @ model.W.T + model.b
-    targets = np.where(np.arange(model.W.shape[0])[None, :] == y[:, None], 1.0, -1.0)
-    return float(np.mean(np.maximum(0.0, 1.0 - targets * scores)))
+    return LinearModel(W_avg / t, b_avg / t)
 
 
 def predict_svm(model: LinearModel, X):
@@ -353,7 +356,7 @@ def predict_svm(model: LinearModel, X):
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # [classes], log-odds of the class priors
-    trees: list[list[TreeNode]]  # per round, one regression tree per class
+    trees: list[list[Tree]]  # per round, one regression tree per class
     learning_rate: float
     n_classes: int
 
@@ -373,31 +376,17 @@ def best_mse_split(X, g, min_leaf: int):
     return _best_prefix_split(X, None, min_leaf, side_scores, parent - 1e-12)
 
 
-def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> TreeNode:
+def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> Tree:
     """Regression tree on residuals; leaf value is the Newton step
     sum(residual) / sum(hessian)."""
 
-    def grow(idx, depth):
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
-            return _leaf(idx)
-        split = best_mse_split(X[idx], residual[idx], min_leaf)
-        if split is None:
-            return _leaf(idx)
-        f, thr, _ = split
-        mask = X[idx, f] <= thr
-        return TreeNode(
-            feature=f,
-            threshold=thr,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
+    def find_split(idx):
+        return best_mse_split(X[idx], residual[idx], min_leaf)
 
-    def _leaf(idx):
-        denom = float(np.sum(hessian[idx]))
-        num = float(np.sum(residual[idx]))
-        return TreeNode(value=num / max(denom, 1e-12))
+    def leaf_value(idx):
+        return float(np.sum(residual[idx])) / max(float(np.sum(hessian[idx])), 1e-12)
 
-    return grow(np.arange(len(residual)), 0)
+    return _grow(X, len(residual), max_depth, min_leaf, find_split, leaf_value)
 
 
 def fit_boosting(
@@ -426,7 +415,7 @@ def fit_boosting(
     priors = np.clip(onehot.mean(axis=0), 1e-12, 1.0 - 1e-12)
     init_scores = np.log(priors / (1.0 - priors))
     F = np.tile(init_scores, (n, 1))
-    rounds: list[list[TreeNode]] = []
+    rounds: list[list[Tree]] = []
     for _ in range(n_rounds):
         per_class = []
         for cidx in range(n_classes):
@@ -449,18 +438,6 @@ def boost_scores(model: BoostModel, X) -> np.ndarray:
     return F
 
 
-def boost_logistic_loss(model: BoostModel, X, y) -> float:
-    """Mean one-vs-rest logistic loss of the fitted ensemble."""
-    y = np.asarray(y, dtype=int)
-    F = boost_scores(model, X)
-    onehot = np.zeros_like(F)
-    onehot[np.arange(len(y)), y] = 1.0
-    # log(1 + exp(-t*F)) with t in {-1, +1}, numerically stable
-    t = 2.0 * onehot - 1.0
-    z = -t * F
-    return float(np.mean(np.logaddexp(0.0, z)))
-
-
 def predict_boost(model: BoostModel, X):
     """Argmax of per-class scores; probabilities are normalized sigmoids,
     so a 0-round model predicts the class priors exactly."""
@@ -468,93 +445,3 @@ def predict_boost(model: BoostModel, X):
     sig = 1.0 / (1.0 + np.exp(-F))
     probs = sig / sig.sum(axis=1, keepdims=True)
     return np.argmax(probs, axis=1), probs
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _tree_to_obj(node: TreeNode):
-    if node.is_leaf:
-        if node.probs is not None:
-            return {"probs": [float(p) for p in node.probs]}
-        return {"value": float(node.value)}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_obj(node.left),
-        "right": _tree_to_obj(node.right),
-    }
-
-
-def _tree_from_obj(obj) -> TreeNode:
-    if "probs" in obj:
-        return TreeNode(probs=np.asarray(obj["probs"], dtype=float))
-    if "value" in obj:
-        return TreeNode(value=float(obj["value"]))
-    return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_tree_from_obj(obj["left"]),
-        right=_tree_from_obj(obj["right"]),
-    )
-
-
-def save_model(model, path: str) -> None:
-    """Write any baseline model as versioned JSON."""
-    if isinstance(model, LinearModel):
-        doc = {
-            "type": model.kind,
-            "W": model.W.tolist(),
-            "b": model.b.tolist(),
-        }
-    elif isinstance(model, TreeNode):
-        doc = {"type": "tree", "root": _tree_to_obj(model)}
-    elif isinstance(model, ForestModel):
-        doc = {
-            "type": "forest",
-            "n_classes": model.n_classes,
-            "seed": model.seed,
-            "trees": [_tree_to_obj(t) for t in model.trees],
-        }
-    elif isinstance(model, BoostModel):
-        doc = {
-            "type": "boost",
-            "n_classes": model.n_classes,
-            "learning_rate": model.learning_rate,
-            "init_scores": model.init_scores.tolist(),
-            "rounds": [[_tree_to_obj(t) for t in rnd] for rnd in model.trees],
-        }
-    else:
-        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    doc["format_version"] = MODEL_FORMAT_VERSION
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_model(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {doc.get('format_version')}")
-    kind = doc["type"]
-    if kind in ("logistic", "svm"):
-        return LinearModel(kind, np.asarray(doc["W"], dtype=float), np.asarray(doc["b"], dtype=float))
-    if kind == "tree":
-        return _tree_from_obj(doc["root"])
-    if kind == "forest":
-        return ForestModel(
-            [_tree_from_obj(t) for t in doc["trees"]], doc["n_classes"], doc["seed"]
-        )
-    if kind == "boost":
-        return BoostModel(
-            np.asarray(doc["init_scores"], dtype=float),
-            [[_tree_from_obj(t) for t in rnd] for rnd in doc["rounds"]],
-            doc["learning_rate"],
-            doc["n_classes"],
-        )
-    raise DataError(f"unknown model type {kind!r}")

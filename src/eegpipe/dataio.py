@@ -46,8 +46,8 @@ class Recording:
             raise DataError(
                 f"channel name count {len(self.channels)} != data rows {self.data.shape[0]}"
             )
-        if not self.sample_rate_hz > 0:
-            raise DataError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataError("sample_rate_hz must be positive and finite")
 
     @property
     def n_channels(self) -> int:

@@ -220,8 +220,8 @@ def _svg_panel(title, epochs, series, x0, y0, w, h):
     return "\n".join(parts)
 
 
-def emit_curves(history: TrainHistory, out_dir: str, svg: bool = True) -> list[str]:
-    """Write curves.csv (always) and a self-contained curves.svg.
+def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
+    """Write curves.csv and a self-contained curves.svg.
 
     The SVG has two panels (loss and accuracy vs epoch, train and
     validation series) and needs no external renderer.
@@ -229,37 +229,33 @@ def emit_curves(history: TrainHistory, out_dir: str, svg: bool = True) -> list[s
     if len(history) == 0:
         raise DataError("cannot emit curves for an empty history")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     csv_path = os.path.join(out_dir, "curves.csv")
     save_history(history, csv_path)
-    written.append(csv_path)
-    if svg:
-        epochs = list(range(1, len(history) + 1))
-        if len(epochs) == 1:  # polylines need two points
-            epochs = [1, 1]
-            dup = lambda s: [s[0], s[0]]
-        else:
-            dup = lambda s: s
-        body = [
-            '<svg xmlns="http://www.w3.org/2000/svg" width="760" height="300" '
-            'viewBox="0 0 760 300">',
-            '<rect width="760" height="300" fill="white"/>',
-            _svg_panel(
-                "Loss", epochs,
-                [(dup(history.train_loss), "#1f77b4", "train"),
-                 (dup(history.val_loss), "#d62728", "val")],
-                50, 30, 280, 230,
-            ),
-            _svg_panel(
-                "Accuracy", epochs,
-                [(dup(history.train_acc), "#1f77b4", "train"),
-                 (dup(history.val_acc), "#d62728", "val")],
-                430, 30, 280, 230,
-            ),
-            "</svg>",
-        ]
-        svg_path = os.path.join(out_dir, "curves.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(body) + "\n")
-        written.append(svg_path)
-    return written
+    epochs = list(range(1, len(history) + 1))
+    if len(epochs) == 1:  # polylines need two points
+        epochs = [1, 1]
+        dup = lambda s: [s[0], s[0]]
+    else:
+        dup = lambda s: s
+    body = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="760" height="300" '
+        'viewBox="0 0 760 300">',
+        '<rect width="760" height="300" fill="white"/>',
+        _svg_panel(
+            "Loss", epochs,
+            [(dup(history.train_loss), "#1f77b4", "train"),
+             (dup(history.val_loss), "#d62728", "val")],
+            50, 30, 280, 230,
+        ),
+        _svg_panel(
+            "Accuracy", epochs,
+            [(dup(history.train_acc), "#1f77b4", "train"),
+             (dup(history.val_acc), "#d62728", "val")],
+            430, 30, 280, 230,
+        ),
+        "</svg>",
+    ]
+    svg_path = os.path.join(out_dir, "curves.svg")
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(body) + "\n")
+    return [csv_path, svg_path]

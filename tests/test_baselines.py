@@ -1,5 +1,5 @@
-import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegpipe import baselines
-from eegpipe.errors import DataError
 
 
 def blob_dataset(seed=0, n=40, gap=4.0):
@@ -22,6 +21,26 @@ def blob_dataset(seed=0, n=40, gap=4.0):
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
+
+
+def predict_tree(tree, X):
+    """Class ids and leaf probabilities of one classification tree."""
+    probs = baselines._tree_outputs(tree, np.atleast_2d(np.asarray(X, dtype=float)))
+    return np.argmax(probs, axis=1), probs
+
+
+def svm_hinge_loss(model, X, y):
+    """Mean one-vs-rest hinge loss of a fitted linear model (no regularizer)."""
+    scores = np.asarray(X, dtype=float) @ model.W.T + model.b
+    targets = np.where(np.arange(model.W.shape[0])[None, :] == y[:, None], 1.0, -1.0)
+    return float(np.mean(np.maximum(0.0, 1.0 - targets * scores)))
+
+
+def boost_logistic_loss(model, X, y):
+    """Mean one-vs-rest logistic loss of a boosted ensemble."""
+    F = baselines.boost_scores(model, X)
+    t = np.where(np.arange(F.shape[1])[None, :] == y[:, None], 1.0, -1.0)
+    return float(np.mean(np.logaddexp(0.0, -t * F)))
 
 
 def xor_cluster_dataset(n_per_corner=12, noise=0.08, seed=42):
@@ -151,18 +170,19 @@ class TestTree:
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
         y = np.ones(10, dtype=int)
-        root = baselines.fit_tree(X, y, n_classes=2)
-        assert root.is_leaf
-        assert root.probs.tolist() == [0.0, 1.0]
+        tree = baselines.fit_tree(X, y, n_classes=2)
+        assert tree.left.tolist() == [-1] and tree.right.tolist() == [-1]
+        assert tree.leaf.tolist() == [[0.0, 1.0]]
 
     def test_one_dimensional_midpoint(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
-        root = baselines.fit_tree(X, y, n_classes=2)
-        assert not root.is_leaf
-        assert root.feature == 0
-        assert root.threshold == 2.5
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = baselines.fit_tree(X, y, n_classes=2)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 2.5
+        assert tree.left.tolist() == [1, -1, -1]
+        assert tree.right.tolist() == [2, -1, -1]
+        assert tree.leaf[1:].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_gini_closed_forms(self):
         # pure node: impurity 0; perfectly mixed 3-class node: 1 - 3*(1/3)^2 = 2/3
@@ -172,8 +192,8 @@ class TestTree:
 
     def test_xor_tree_beats_linear(self):
         X, y = xor_cluster_dataset()
-        root = baselines.fit_tree(X, y, n_classes=2)
-        preds, _ = baselines.predict_tree(root, X)
+        tree = baselines.fit_tree(X, y, n_classes=2)
+        preds, _ = predict_tree(tree, X)
         assert np.mean(preds == y) == 1.0
         linear = baselines.fit_logistic(X, y, n_classes=2, iterations=2000)
         pl, _ = baselines.predict_logistic(linear, X)
@@ -216,14 +236,23 @@ class TestTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))
         y = rng.integers(0, 2, size=200)
+        tree = baselines.fit_tree(X, y, n_classes=2, max_depth=2)
 
         def depth(node):
-            if node.is_leaf:
+            if tree.left[node] < 0:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
 
-        root = baselines.fit_tree(X, y, n_classes=2, max_depth=2)
-        assert depth(root) <= 2
+        assert depth(0) <= 2
+
+    def test_row_equal_to_threshold_goes_left(self):
+        stump = baselines.Tree(
+            feature=np.array([1, -1, -1]), threshold=np.array([2.0, 0.0, 0.0]),
+            left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+            leaf=np.array([0.0, -1.0, 1.0]),
+        )
+        X = np.array([[9.0, 2.0], [9.0, np.nextafter(2.0, 3.0)], [9.0, 1.0]])
+        assert baselines._tree_outputs(stump, X).tolist() == [-1.0, 1.0, -1.0]
 
     def test_tie_prefers_lowest_feature(self):
         # duplicated feature columns give identical best scores
@@ -243,7 +272,7 @@ class TestForest:
         )
         tree = baselines.fit_tree(X, y, n_classes=2)
         _, pf = baselines.predict_forest(forest, X)
-        _, pt = baselines.predict_tree(tree, X)
+        _, pt = predict_tree(tree, X)
         assert np.array_equal(pf, pt)
 
     def test_seed_determinism(self):
@@ -287,7 +316,7 @@ class TestSvm:
         margins = (2 * y - 1) * (X @ w - 2.0)
         assert margins.min() > 0  # sanity: truly separable
         model = baselines.fit_linear_svm(X, y, n_classes=2, seed=0)
-        loss = baselines.svm_hinge_loss(model, X, y)
+        loss = svm_hinge_loss(model, X, y)
         assert loss < 0.01
         preds, _ = baselines.predict_svm(model, X)
         assert np.array_equal(preds, y)
@@ -342,23 +371,19 @@ class TestBoosting:
         losses = []
         for rounds in (0, 5, 15, 40):
             model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=rounds)
-            losses.append(baselines.boost_logistic_loss(model, X, y))
+            losses.append(boost_logistic_loss(model, X, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_xor_solved_with_depth_two(self):
         # representability oracle: a hand-built depth-2 tree computes XOR,
         # returning +1 on the off-diagonal corners and -1 elsewhere
-        inner_lo = baselines.TreeNode(
-            feature=1, threshold=0.5,
-            left=baselines.TreeNode(value=-1.0),
-            right=baselines.TreeNode(value=1.0),
+        hand = baselines.Tree(
+            feature=np.array([0, 1, -1, -1, 1, -1, -1]),
+            threshold=np.array([0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0]),
+            left=np.array([1, 2, -1, -1, 5, -1, -1]),
+            right=np.array([4, 3, -1, -1, 6, -1, -1]),
+            leaf=np.array([0.0, 0.0, -1.0, 1.0, 0.0, 1.0, -1.0]),
         )
-        inner_hi = baselines.TreeNode(
-            feature=1, threshold=0.5,
-            left=baselines.TreeNode(value=1.0),
-            right=baselines.TreeNode(value=-1.0),
-        )
-        hand = baselines.TreeNode(feature=0, threshold=0.5, left=inner_lo, right=inner_hi)
         assert baselines._tree_outputs(hand, XOR_X).tolist() == [-1.0, 1.0, 1.0, -1.0]
 
         X, y = xor_cluster_dataset()
@@ -375,54 +400,152 @@ class TestBoosting:
         assert np.array_equal(p1, p2)
 
 
-class TestModelPersistence:
-    @pytest.mark.parametrize("kind", ["logistic", "svm"])
-    def test_linear_roundtrip(self, tmp_path, kind):
-        X, y = blob_dataset(seed=13)
-        if kind == "logistic":
-            model = baselines.fit_logistic(X, y, n_classes=2, iterations=30)
+@dataclass
+class TreeNode:
+    """Node of the reference trees: a split (feature, threshold, children)
+    or a leaf (probabilities or Newton value)."""
+
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    leaf: object = None
+
+
+def ref_fit_tree(X, y, n_classes, max_depth=12, min_leaf=1, rng=None, max_features=None):
+    """Reference recursive CART grower: purity stop, then the feature draw."""
+
+    def grow(idx, depth):
+        counts = np.bincount(y[idx], minlength=n_classes)
+        node_n = len(idx)
+        if depth >= max_depth or node_n < 2 * min_leaf or np.max(counts) == node_n:
+            return TreeNode(leaf=counts / node_n)
+        if max_features is not None and max_features < X.shape[1]:
+            feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
         else:
-            model = baselines.fit_linear_svm(X, y, n_classes=2, seed=0)
-        path = str(tmp_path / "m.json")
-        baselines.save_model(model, path)
-        back = baselines.load_model(path)
-        assert back.kind == model.kind
-        assert np.array_equal(back.W, model.W)
-        assert np.array_equal(back.b, model.b)
+            feats = None
+        split = baselines.best_gini_split(X[idx], y[idx], n_classes, min_leaf, feats)
+        if split is None:
+            return TreeNode(leaf=counts / node_n)
+        f, thr, _ = split
+        mask = X[idx, f] <= thr
+        return TreeNode(f, thr, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
 
-    def test_tree_roundtrip(self, tmp_path):
-        X, y = blob_dataset(seed=14)
-        root = baselines.fit_tree(X, y, n_classes=2)
-        path = str(tmp_path / "t.json")
-        baselines.save_model(root, path)
-        back = baselines.load_model(path)
-        p1, pr1 = baselines.predict_tree(root, X)
-        p2, pr2 = baselines.predict_tree(back, X)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(pr1, pr2)
+    return grow(np.arange(len(y)), 0)
 
-    def test_forest_roundtrip(self, tmp_path):
-        X, y = blob_dataset(seed=15)
-        forest = baselines.fit_forest(X, y, n_classes=2, n_trees=4, seed=0)
-        path = str(tmp_path / "f.json")
-        baselines.save_model(forest, path)
-        back = baselines.load_model(path)
-        _, p1 = baselines.predict_forest(forest, X)
-        _, p2 = baselines.predict_forest(back, X)
-        assert np.array_equal(p1, p2)
 
-    def test_boost_roundtrip(self, tmp_path):
-        X, y = blob_dataset(seed=16)
-        model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=8)
-        path = str(tmp_path / "b.json")
-        baselines.save_model(model, path)
-        back = baselines.load_model(path)
-        assert np.array_equal(
-            baselines.boost_scores(model, X), baselines.boost_scores(back, X)
-        )
+def ref_fit_regression_tree(X, residual, hessian, max_depth, min_leaf):
+    """Reference recursive regression grower with Newton leaf values."""
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "kind": "logistic"}')
-        with pytest.raises(DataError, match="version"):
-            baselines.load_model(str(path))
+    def leaf(idx):
+        denom = float(np.sum(hessian[idx]))
+        return TreeNode(leaf=float(np.sum(residual[idx])) / max(denom, 1e-12))
+
+    def grow(idx, depth):
+        if depth >= max_depth or len(idx) < 2 * min_leaf:
+            return leaf(idx)
+        split = baselines.best_mse_split(X[idx], residual[idx], min_leaf)
+        if split is None:
+            return leaf(idx)
+        f, thr, _ = split
+        mask = X[idx, f] <= thr
+        return TreeNode(f, thr, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+
+    return grow(np.arange(len(residual)), 0)
+
+
+def ref_outputs(root, X):
+    """Leaf output of every row, walking the reference tree one row at a time."""
+    out = []
+    for x in X:
+        node = root
+        while node.feature is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out.append(node.leaf)
+    return np.array(out)
+
+
+def ref_fit_forest(X, y, n_classes, n_trees, seed):
+    """Reference forest: bootstrap rows and sqrt(d) features per split."""
+    max_features = max(1, int(round(math.sqrt(X.shape[1]))))
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, len(y), size=len(y))
+        trees.append(ref_fit_tree(X[idx], y[idx], n_classes, rng=rng, max_features=max_features))
+    return trees
+
+
+def ref_fit_boosting(X, y, n_classes, n_rounds, max_depth, learning_rate=0.1):
+    """Reference boosting rounds: one regression tree per class and round."""
+    onehot = np.eye(n_classes)[y]
+    priors = np.clip(onehot.mean(axis=0), 1e-12, 1.0 - 1e-12)
+    F = np.tile(np.log(priors / (1.0 - priors)), (len(y), 1))
+    rounds = []
+    for _ in range(n_rounds):
+        per_class = []
+        for c in range(n_classes):
+            p = 1.0 / (1.0 + np.exp(-F[:, c]))
+            tree = ref_fit_regression_tree(X, onehot[:, c] - p, p * (1.0 - p), max_depth, 1)
+            F[:, c] += learning_rate * ref_outputs(tree, X)
+            per_class.append(tree)
+        rounds.append(per_class)
+    return rounds
+
+
+def assert_same_tree(flat, ref):
+    """flat holds ref's nodes in preorder with equal feature, threshold
+    and leaf bits."""
+    visited = []
+
+    def walk(i, node):
+        visited.append(i)
+        if node.feature is None:
+            assert flat.left[i] == -1 and flat.right[i] == -1
+            assert np.asarray(flat.leaf[i]).tobytes() == \
+                np.asarray(node.leaf, dtype=float).tobytes()
+            return
+        assert flat.feature[i] == node.feature
+        assert flat.threshold[i].tobytes() == np.float64(node.threshold).tobytes()
+        walk(flat.left[i], node.left)
+        walk(flat.right[i], node.right)
+
+    walk(0, ref)
+    assert visited == list(range(len(flat.feature)))
+
+
+def tie_heavy_dataset(seed, n, d, k):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)).round(1), rng.integers(0, k, size=n)
+
+
+class TestReferenceGrower:
+    """The flat grower against the recursive growers it replaced."""
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(12, 1), (3, 4)])
+    def test_fit_tree_matches_reference(self, max_depth, min_leaf):
+        X, y = tie_heavy_dataset(21, 80, 5, 3)
+        tree = baselines.fit_tree(X, y, 3, max_depth, min_leaf)
+        want = ref_fit_tree(X, y, 3, max_depth, min_leaf)
+        assert len(tree.feature) > 3
+        assert_same_tree(tree, want)
+        assert baselines._tree_outputs(tree, X).tobytes() == ref_outputs(want, X).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_forest_matches_reference(self, seed):
+        X, y = tie_heavy_dataset(seed + 100, 70, 9, 3)
+        forest = baselines.fit_forest(X, y, 3, n_trees=6, seed=seed)
+        want = ref_fit_forest(X, y, 3, n_trees=6, seed=seed)
+        assert all(len(t.feature) > 3 for t in forest.trees)
+        for tree, ref in zip(forest.trees, want, strict=True):
+            assert_same_tree(tree, ref)
+            assert baselines._tree_outputs(tree, X).tobytes() == ref_outputs(ref, X).tobytes()
+
+    def test_boosting_matches_reference(self):
+        X, y = tie_heavy_dataset(33, 60, 4, 3)
+        model = baselines.fit_boosting(X, y, 3, n_rounds=8, max_depth=3)
+        want = ref_fit_boosting(X, y, 3, n_rounds=8, max_depth=3)
+        assert all(len(t.feature) > 1 for t in model.trees[0])
+        for got_round, want_round in zip(model.trees, want, strict=True):
+            for tree, ref in zip(got_round, want_round, strict=True):
+                assert_same_tree(tree, ref)

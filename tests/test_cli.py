@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +519,24 @@ def test_mixed_sample_rates_are_data_error(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
     assert "mixed sample rates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_sample_rate_is_data_error_without_traceback(tmp_path):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "2", "--out", str(raw)) == 0
+    manifest = raw / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(",256.0,", ",inf,"))
+    out = tmp_path / "f.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eegpipe.cli", "featurize", "--manifest", str(manifest),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "sample_rate_hz must be positive and finite" in proc.stderr
     assert not out.exists()
 
 

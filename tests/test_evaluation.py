@@ -192,7 +192,7 @@ class TestEmitCurves:
 
     def test_csv_roundtrips_history(self, tmp_path):
         h = self.hist(4)
-        evaluation.emit_curves(h, str(tmp_path), svg=False)
+        evaluation.emit_curves(h, str(tmp_path))
         back = load_history(str(tmp_path / "curves.csv"))
         assert back.train_loss == h.train_loss
         assert back.val_acc == h.val_acc
