@@ -95,54 +95,74 @@ def _fractions(value) -> tuple[float, float, float]:
 
 class Setting(NamedTuple):
     """One tunable: its config-file key (also the argparse dest), its flag
-    (None: config file only), converter, and default in each command that
-    reads it. A default of None means the command derives the value."""
+    (None: config file only), converter, default in each command that reads
+    it, and domain. A default of None means the command derives the value.
+    The domain is (test, words), or None: any converted value passes, or the
+    library checks it before any file is read (TrainConfig, SplitSpec, synth)."""
 
     key: str
     flag: str | None
     convert: Callable[[object], object]
     defaults: dict[str, object]
+    domain: tuple[Callable[[object], bool], str] | None = None
 
 
 _FEATURE = dsp.FeatureConfig()
 _GRU = ("train", "compare")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
 
 SETTINGS = {s.key: s for s in [
     Setting("per_class", "--per-class", _integer, {"synth": 100}),
     # epoch length in samples; featurize keeps each recording whole if unset
-    Setting("window_len", "--window-len", _integer, {"synth": 256, "featurize": None}),
+    Setting("window_len", "--window-len", _integer, {"synth": 256, "featurize": None},
+            _AT_LEAST_1),
     Setting("fs", "--fs", _real, {"synth": dataio.DEFAULT_SAMPLE_RATE_HZ}),
-    Setting("hop", "--hop", _integer, {"featurize": None}),  # the window length if unset
-    Setting("filter_low_hz", "--filter-low", _real, {"featurize": _FEATURE.filter_low_hz}),
-    Setting("filter_high_hz", "--filter-high", _real, {"featurize": _FEATURE.filter_high_hz}),
-    Setting("filter_order", "--filter-order", _integer, {"featurize": _FEATURE.filter_order}),
+    # the window length if unset
+    Setting("hop", "--hop", _integer, {"featurize": None}, _AT_LEAST_1),
+    Setting("filter_low_hz", "--filter-low", _real, {"featurize": _FEATURE.filter_low_hz},
+            _POSITIVE_FINITE),
+    Setting("filter_high_hz", "--filter-high", _real, {"featurize": _FEATURE.filter_high_hz},
+            _POSITIVE_FINITE),
+    Setting("filter_order", "--filter-order", _integer, {"featurize": _FEATURE.filter_order},
+            (lambda v: v in (2, 4, 6, 8), "one of 2, 4, 6, 8")),
     Setting("artifact_threshold_uv", "--threshold", _real,
-            {"featurize": _FEATURE.artifact_threshold_uv}),
-    Setting("welch_segment_len", None, _integer, {"featurize": _FEATURE.welch_segment_len}),
-    Setting("welch_overlap", None, _real, {"featurize": _FEATURE.welch_overlap}),
+            {"featurize": _FEATURE.artifact_threshold_uv}, (lambda v: v > 0, "> 0")),
+    Setting("welch_segment_len", None, _integer, {"featurize": _FEATURE.welch_segment_len},
+            (lambda v: v >= 2 and v & (v - 1) == 0, "a power of two >= 2")),
+    Setting("welch_overlap", None, _real, {"featurize": _FEATURE.welch_overlap},
+            (lambda v: 0 <= v < 1, "in [0, 1)")),
     Setting("fractions", "--fractions", _fractions,
             dict.fromkeys(("split", "compare"), (0.6, 0.2, 0.2))),
-    Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32)),
-    Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4)),
+    Setting("label_column", "--label-column", _text,
+            dict.fromkeys(("split", "train", "evaluate", "compare"), "label")),
+    Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32), _AT_LEAST_1),
+    Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4), _AT_LEAST_1),
     Setting("lr", "--lr", _real, dict.fromkeys(_GRU, 1e-3)),
     Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, 32)),
     Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, 150)),
     Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, 10)),
     Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam")),
-    Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore")),
-    Setting("n_trees", "--n-trees", _integer, {"compare": 100}),
-    Setting("forest_depth", None, _integer, {"compare": 12}),
-    Setting("boost_rounds", "--boost-rounds", _integer, {"compare": 100}),
-    Setting("boost_depth", None, _integer, {"compare": 3}),
-    Setting("boost_lr", None, _real, {"compare": 0.1}),
+    Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore"),
+            (lambda v: v in ("zscore", "minmax"), "zscore or minmax")),
+    Setting("n_trees", "--n-trees", _integer, {"compare": 100}, _AT_LEAST_1),
+    Setting("forest_depth", None, _integer, {"compare": 12}, _AT_LEAST_0),
+    Setting("boost_rounds", "--boost-rounds", _integer, {"compare": 100}, _AT_LEAST_0),
+    Setting("boost_depth", None, _integer, {"compare": 3}, _AT_LEAST_0),
+    Setting("boost_lr", None, _real, {"compare": 0.1},
+            (lambda v: 0 <= v < math.inf, "finite and >= 0")),
 ]}
 
 
 def _convert(setting: Setting, value, where: str):
     try:
-        return setting.convert(value)
+        value = setting.convert(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if setting.domain is not None and not setting.domain[0](value):
+        raise ConfigError(f"{where}: {setting.key} must be {setting.domain[1]}, got {value!r}")
+    return value
 
 
 def resolve_settings(command: str, flags: dict, config: dict) -> dict:
@@ -178,12 +198,11 @@ def _announce(name: str, settings: dict) -> None:
 
 
 def cmd_synth(args) -> int:
-    if args.per_class < 1:
-        raise ConfigError("--per-class must be >= 1")
-    _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
-                        "fs": args.fs, "seed": args.seed})
+    # synth_generate checks per_class, window_len and fs before anything is printed or written
     data, labels = dataio.synth_generate(args.per_class, args.window_len, args.fs,
                                          derive_seed(args.seed, "synth"))
+    _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
+                        "fs": args.fs, "seed": args.seed})
     os.makedirs(args.out, exist_ok=True)
     manifest_rows = []
     for i, (x, label) in enumerate(zip(data, labels)):
@@ -214,10 +233,6 @@ def cmd_featurize(args) -> int:
     if args.window_len is not None and args.window_len < fc.welch_segment_len:
         raise ConfigError(f"window_len {args.window_len} is shorter than "
                           f"welch_segment_len {fc.welch_segment_len}")
-    if args.hop is not None and args.hop < 1:
-        raise ConfigError(f"hop must be >= 1, got {args.hop}")
-    if math.isnan(fc.artifact_threshold_uv):
-        raise ConfigError("artifact_threshold_uv must be a number, got nan")
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",
@@ -238,9 +253,7 @@ def cmd_featurize(args) -> int:
     windows = [dataio.window_recording(filtered[i], args.window_len, args.hop)
                for i in range(len(recordings))]
     threshold = fc.artifact_threshold_uv
-    if threshold <= 0:
-        print("warning: artifact threshold <= 0 rejects every epoch", file=sys.stderr)
-    kept = [dsp.reject_artifacts(w, threshold)[0] if threshold > 0 else [] for w in windows]
+    kept = [dsp.reject_artifacts(w, threshold)[0] for w in windows]
     n_epochs, n_kept = sum(map(len, windows)), sum(map(len, kept))
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
@@ -272,9 +285,6 @@ def cmd_split(args) -> int:
 
 def _train_config(args) -> nn.TrainConfig:
     """The GRU training settings of train and compare, checked before any file is read."""
-    for flag, value in (("--seq-len", args.seq_len), ("--hidden", args.hidden)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
     return nn.TrainConfig(
         optimizer=args.optimizer,
         learning_rate=args.lr,
@@ -307,9 +317,9 @@ def cmd_train(args) -> int:
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
-    os.makedirs(args.out, exist_ok=True)
     model, history, norm = _train_gru(train_ds, val_ds, args, train_cfg)
     best = int(np.argmin(history.val_loss))
+    os.makedirs(args.out, exist_ok=True)
     nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
     nn.save_history(history, os.path.join(args.out, "history.csv"))
     print(f"trained {len(history)} epochs; best val_loss={history.val_loss[best]:.6f} "
@@ -416,7 +426,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; CLI flags take precedence")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--verbose", action="store_true")
-        p.add_argument("--label-column", default="label")
         for flag in required:
             p.add_argument(flag, required=True)
         for row in SETTINGS.values():

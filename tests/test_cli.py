@@ -113,6 +113,43 @@ class TestExitCodes:
         assert "fs must be positive and finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command,argv,doc,key", [
+        ("compare", [], {"boost_lr": float("nan")}, "boost_lr"),
+        ("compare", [], {"forest_depth": -3}, "forest_depth"),
+        ("train", ["--norm", "foo"], {}, "normalization"),
+        ("featurize", ["--filter-order", "3"], {}, "filter_order"),
+        ("featurize", [], {"welch_overlap": 1.5}, "welch_overlap"),
+        ("featurize", [], {"welch_segment_len": 100}, "welch_segment_len"),
+        ("compare", ["--n-trees", "0"], {}, "n_trees"),
+    ], ids=["boost_lr_nan", "forest_depth_negative", "norm", "filter_order", "welch_overlap",
+            "welch_segment_len", "n_trees"])
+    def test_out_of_domain_setting_rejected_before_any_file(self, tmp_path, capsys, command,
+                                                            argv, doc, key):
+        # the input files do not exist: the setting must be rejected first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, *REQUIRED[command], *argv, "--config", str(cfg),
+                   "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert f"{key} must be" in captured.err and not captured.out
+        assert not out.exists()
+
+    def test_failed_train_leaves_no_output(self, pipeline, tmp_path):
+        # 56 features do not divide into sequences of 5: this fails after the inputs are read
+        out = tmp_path / "run"
+        assert run("train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                   "--val", os.path.join(pipeline["splits"], "val.csv"),
+                   "--seq-len", "5", "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--per-class", "0"), ("--fs", "nan")])
+    def test_bad_synth_setting_prints_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "raw"
+        assert run("synth", flag, value, "--out", str(out)) == 1
+        assert not capsys.readouterr().out
+        assert not out.exists()
+
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json at all {")
@@ -138,6 +175,13 @@ SAMPLES = {
     cli._text: ("from-flag", "from-file"),
     cli._fractions: ("0.5,0.25,0.25", [0.7, 0.2, 0.1]),
 }
+# rows whose domain excludes the generic samples; normalization has only two
+# values, so its flag value is the default
+ROW_SAMPLES = {
+    "filter_order": ("8", 6),
+    "welch_segment_len": ("512", 128),
+    "normalization": ("zscore", "minmax"),
+}
 
 
 def parsed_flags(command, *argv):
@@ -148,7 +192,7 @@ class TestSettings:
     @pytest.mark.parametrize("key,command", ROW_COMMANDS)
     def test_flag_beats_file_beats_default(self, key, command):
         row = SETTINGS[key]
-        flag_value, file_value = SAMPLES[row.convert]
+        flag_value, file_value = ROW_SAMPLES.get(key, SAMPLES[row.convert])
         default = resolve_settings(command, parsed_flags(command), {})[key]
         assert default == row.defaults[command]
         from_file = resolve_settings(command, parsed_flags(command), {key: file_value})[key]
@@ -156,7 +200,8 @@ class TestSettings:
         if row.flag is not None:
             flags = parsed_flags(command, row.flag, flag_value)
             from_flag = resolve_settings(command, flags, {key: file_value})[key]
-            assert from_flag == row.convert(flag_value) not in (default, from_file)
+            assert from_flag == row.convert(flag_value) != from_file
+            assert from_flag != default or key == "normalization"
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_config_of_defaults_resolves_like_no_config(self, command):
@@ -207,6 +252,30 @@ class TestSettings:
                    "--out", str(tmp_path / "out"))
         assert code == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_defaults_lie_in_their_domain(self):
+        for row in SETTINGS.values():
+            if row.domain is not None:
+                for default in row.defaults.values():
+                    assert default is None or row.domain[0](default), row.key
+
+    def test_readme_table_lists_the_settings(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            cells = [[c.strip() for c in line.strip().strip("|").split("|")]
+                     for line in fh if line.startswith("| `")]
+        table = {key.strip("`"): (None if flag == "config file only" else flag.strip("`"),
+                                  set(read_by.split(", ")))
+                 for key, flag, _, _, _, read_by in cells}
+        assert table == {key: (row.flag, set(row.defaults)) for key, row in SETTINGS.items()}
+
+    def test_label_column_is_a_setting(self, pipeline, tmp_path, capsys):
+        assert run("synth", "--label-column", "emotion", "--out", str(tmp_path / "raw")) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"label_column": "emotion"}))
+        assert run("split", "--input", pipeline["feats"], "--config", str(cfg),
+                   "--out", str(tmp_path / "splits")) == 2
+        assert "'emotion' not found" in capsys.readouterr().err
 
     def test_config_file_reaches_train(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -271,11 +340,14 @@ class TestFeaturize:
         assert any(name.startswith("TP9.") for name in ds.feature_names)
         assert any(".bandpower.alpha" in name for name in ds.feature_names)
 
-    def test_threshold_zero_rejects_everything(self, pipeline, tmp_path, capsys):
-        code = run("featurize", "--manifest",
-                   os.path.join(pipeline["raw"], "manifest.csv"),
-                   "--threshold", "0", "--out", str(tmp_path / "f.csv"))
-        assert code == 2
+    def test_threshold_zero_rejects_everything(self, tmp_path, capsys):
+        # a threshold that would reject every epoch is a config error, like NaN
+        for threshold in ("0", "-5"):
+            code = run("featurize", "--manifest", str(tmp_path / "absent.csv"),
+                       "--threshold", threshold, "--out", str(tmp_path / "f.csv"))
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "artifact_threshold_uv" in captured.err and not captured.out
 
     def test_deterministic(self, pipeline, tmp_path):
         out = str(tmp_path / "again.csv")
