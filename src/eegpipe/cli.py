@@ -233,6 +233,9 @@ def cmd_featurize(args) -> int:
     if args.window_len is not None and args.window_len < fc.welch_segment_len:
         raise ConfigError(f"window_len {args.window_len} is shorter than "
                           f"welch_segment_len {fc.welch_segment_len}")
+    if fc.filter_low_hz >= fc.filter_high_hz:
+        raise ConfigError(f"filter_low_hz {fc.filter_low_hz} is not below "
+                          f"filter_high_hz {fc.filter_high_hz}")
     _announce(
         "featurize",
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",

@@ -208,15 +208,29 @@ def _section_step_state(sections) -> list[np.ndarray]:
 def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     """Causal cascade filtering (direct form II transposed) along the last axis of
     the float array x, in place; returns x. Each section starts in its steady
-    state for a constant input x[..., 0], so a constant signal passes as 0."""
+    state for a constant input x[..., 0], so a constant signal passes as 0.
+
+    The time axis is walked in blocks of about 8192 samples of all signals
+    together: each block is copied time-major with the three input products
+    formed up front, so each step works on contiguous rows. Every sample gets
+    the same operations in the same order as a per-sample loop would apply.
+    """
     zi = [np.multiply.outer(z, x[..., 0]) for z in _section_step_state(coeffs.sections)]
+    xt = np.moveaxis(x, -1, 0)  # time-major view of x
+    if xt.ndim == 1:
+        xt = xt[:, None]  # keep each step a writable row, not a scalar
+    step = max(1, 8192 // max(1, xt[0].size))
     for (b0, b1, b2, a1, a2), (z1, z2) in zip(coeffs.sections, zi):
-        for i in range(x.shape[-1]):
-            xi = x[..., i]
-            yi = b0 * xi + z1
-            z1 = b1 * xi - a1 * yi + z2
-            z2 = b2 * xi - a2 * yi
-            x[..., i] = yi
+        for start in range(0, len(xt), step):
+            block = xt[start : start + step]
+            y = np.multiply(block, b0, order="C")
+            bx1 = np.multiply(block, b1, order="C")
+            bx2 = np.multiply(block, b2, order="C")
+            for yi, bx1i, bx2i in zip(y, bx1, bx2):
+                yi += z1
+                z1 = bx1i - a1 * yi + z2
+                z2 = bx2i - a2 * yi
+            block[...] = y
     return x
 
 
@@ -336,7 +350,10 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
         raise DataError("time_domain_stats needs at least 2 samples")
     mean = np.mean(x, axis=-1, keepdims=True)
     d = x - mean
-    var = np.mean(d**2, axis=-1)
+    d2 = d * d  # products, not np.power: libm pow costs most of this function
+    var = np.mean(d2, axis=-1)
+    m3, m4 = np.mean(d2 * d, axis=-1), np.mean(d2 * d2, axis=-1)
+    del d, d2  # as large as x: free them before the differences below
     rms = np.sqrt(np.mean(x * x, axis=-1))
     zc = np.sum(x[..., :-1] * x[..., 1:] < 0.0, axis=-1)
     dx = np.diff(x, axis=-1)
@@ -354,8 +371,8 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
     # powers of the variance go through Python's float pow one value at a time:
     # numpy's vectorized power and square can differ from it in the last bit
     var_obj = np.asarray(var_safe, dtype=object)
-    skew = np.mean(d**3, axis=-1) / np.asarray(var_obj**1.5, dtype=float)
-    kurt = np.mean(d**4, axis=-1) / np.asarray(var_obj**2, dtype=float) - 3.0
+    skew = m3 / np.asarray(var_obj**1.5, dtype=float)
+    kurt = m4 / np.asarray(var_obj**2, dtype=float) - 3.0
     mobility = np.sqrt(var_dx / var_safe)
     complexity = np.sqrt(var_ddx / np.where(flat, 1.0, var_dx)) / np.where(flat, 1.0, mobility)
     skew, kurt, mobility = (np.where(constant, 0.0, v) for v in (skew, kurt, mobility))

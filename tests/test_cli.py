@@ -654,6 +654,16 @@ def test_window_shorter_than_welch_segment_is_config_error(tmp_path, capsys, how
     assert "window_len 128" in err and "welch_segment_len 256" in err
 
 
+@pytest.mark.parametrize("low,high", [("50", "40"), ("40", "40")])
+def test_inverted_band_is_config_error_before_manifest_is_read(tmp_path, capsys, low, high):
+    # the manifest does not exist: the band must be rejected before it is opened
+    assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--filter-low", low,
+               "--filter-high", high, "--out", str(tmp_path / "f.csv")) == 1
+    captured = capsys.readouterr()
+    assert f"filter_low_hz {float(low)} is not below filter_high_hz {float(high)}" in captured.err
+    assert not captured.out
+
+
 def test_recording_with_every_window_rejected_is_skipped(tmp_path, capsys):
     raw = tmp_path / "raw"
     assert run("synth", "--per-class", "3", "--window-len", "512", "--out", str(raw)) == 0

@@ -109,9 +109,11 @@ def breaks_a_rule(command, drawn):
             return True
         if (checked_by is None or command in checked_by) and not rule(values[key]):
             return True
+    if command != "featurize":
+        return False
     window = values.get("window_len")
-    return command == "featurize" and window is not None and \
-        window < values.get("welch_segment_len", 256)
+    return (window is not None and window < values.get("welch_segment_len", 256)) or \
+        values.get("filter_low_hz", 0.5) >= values.get("filter_high_hz", 45.0)
 
 
 JUNK = ["", "abc", "1.5", "0x10", "-", "--out", "nan", "inf", "-inf", "1e400", " 4 "]

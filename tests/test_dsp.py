@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,9 +78,28 @@ class TestButterworthDesign:
             dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 3)
 
 
+def reference_sosfilt(coeffs, x):
+    """The per-sample DF2T loop that sosfilt's blocked kernel replaced, kept
+    as a bit-exact reference: in place along the last axis, returns x."""
+    zi = [np.multiply.outer(z, x[..., 0]) for z in dsp._section_step_state(coeffs.sections)]
+    for (b0, b1, b2, a1, a2), (z1, z2) in zip(coeffs.sections, zi):
+        for i in range(x.shape[-1]):
+            xi = x[..., i]
+            yi = b0 * xi + z1
+            z1 = b1 * xi - a1 * yi + z2
+            z2 = b2 * xi - a2 * yi
+            x[..., i] = yi
+    return x
+
+
 @pytest.fixture(scope="module")
 def eeg_filter():
     return dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
+
+
+# a bandpass design has b1 = 0, so some reorderings of a step cannot show on it
+GENERAL_FILTER = dsp.FilterCoefficients(
+    [(0.2, 0.3, -0.1, -1.2, 0.5), (0.7, -0.4, 0.25, 0.3, 0.2)], 4, 0.0, 0.0, 1.0)
 
 
 class TestFiltfilt:
@@ -127,6 +148,34 @@ class TestFiltfilt:
         assert np.array_equal(rev, want)
         const = np.full((2, 50), 7.3)
         assert np.max(np.abs(dsp.sosfilt(eeg_filter, const))) < 1e-9
+
+    @pytest.mark.parametrize("general", [False, True], ids=["bandpass", "general"])
+    @pytest.mark.parametrize("shape", [(700,), (3, 6000), (1200, 40), (2, 3, 500)])
+    def test_sosfilt_equals_per_sample_reference(self, eeg_filter, shape, general):
+        # 1-D; several blocks with a short last one; a block of a few steps;
+        # more than one batch axis
+        coeffs = GENERAL_FILTER if general else eeg_filter
+        x = 20.0 * np.random.default_rng(sum(shape)).normal(size=shape)
+        want = reference_sosfilt(coeffs, x.copy())
+        got = x.copy()
+        assert dsp.sosfilt(coeffs, got) is got
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["bandpass", "general"])
+    def test_sosfilt_equals_reference_on_filtfilts_reversed_view(self, eeg_filter, general):
+        coeffs = GENERAL_FILTER if general else eeg_filter
+        ext = np.random.default_rng(4).normal(size=(4, 3, 3000))
+        want = ext.copy()
+        reference_sosfilt(coeffs, want[..., ::-1])
+        rev = ext[..., ::-1]
+        assert dsp.sosfilt(coeffs, rev) is rev
+        assert np.array_equal(ext, want)
+
+    def test_sosfilt_signal_alone_equals_it_inside_a_batch(self, eeg_filter):
+        batch = np.random.default_rng(5).normal(size=(1200, 300))
+        alone = batch[777].copy()
+        dsp.sosfilt(eeg_filter, batch)
+        assert np.array_equal(dsp.sosfilt(eeg_filter, alone), batch[777])
 
     def test_too_short_input(self, eeg_filter):
         with pytest.raises(DataError, match="too short"):
@@ -297,9 +346,26 @@ class TestTimeDomainStats:
         fv = dsp.time_domain_stats(x)
         for row, values in zip(x, fv.values):
             d = row - float(np.mean(row))
-            var = float(np.mean(d**2))
-            assert values[2] == float(np.mean(d**3) / var**1.5)
-            assert values[3] == float(np.mean(d**4) / var**2 - 3.0)
+            d2 = d * d
+            var = float(np.mean(d2))
+            assert values[2] == float(np.mean(d2 * d) / var**1.5)
+            assert values[3] == float(np.mean(d2 * d2) / var**2 - 3.0)
+
+    def test_moment_ratios_near_exact_means(self):
+        # oracle: the means of d**3 and d**4 taken exactly over the float
+        # deviations d; each ratio is judged against its own magnitude
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((300, 64)) * rng.choice([1e-3, 1.0, 50.0], size=(300, 1))
+        x[:100] = np.exp(x[:100] / np.max(np.abs(x[:100]), axis=1, keepdims=True))  # skewed rows
+        fv = dsp.time_domain_stats(x)
+        for row, (_, var, skew, kurt, *_) in zip(x, fv.values):
+            d = [Fraction(v) for v in row - np.mean(row)]
+            m3 = sum(v**3 for v in d) / len(d)
+            m4 = sum(v**4 for v in d) / len(d)
+            abs3 = float(sum(abs(v) ** 3 for v in d) / len(d))
+            assert abs(skew - float(m3) / var**1.5) <= 4 * eps * abs3 / var**1.5
+            assert abs(kurt - (float(m4 / Fraction(var) ** 2) - 3.0)) <= 4 * eps * (kurt + 3.0)
 
     def test_masks_warn_once_per_case(self):
         noise = np.random.default_rng(6).normal(size=64)
