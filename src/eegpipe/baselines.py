@@ -363,8 +363,11 @@ class BoostModel:
 
 def best_mse_split(X, g, min_leaf: int):
     """Variance-reduction split for regression targets g; same tie rules as
-    Gini, and a split must beat the parent by more than 1e-12."""
+    Gini, and a split must beat the parent by more than 1e-12. A constant
+    target has no variance to reduce, so it is never split."""
     n = len(g)
+    if n < 2 or (g == g[0]).all():
+        return None
     total = float(np.sum(g))
     total_sq = float(np.sum(g * g))
     parent = total_sq - total * total / n

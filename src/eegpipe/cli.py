@@ -241,14 +241,16 @@ def cmd_featurize(args) -> int:
         {"manifest": args.manifest, "band": f"{fc.filter_low_hz}-{fc.filter_high_hz}Hz",
          "order": fc.filter_order, "threshold_uv": fc.artifact_threshold_uv},
     )
-    data_dir = os.path.dirname(os.path.abspath(args.manifest))
-    recordings, class_names = dataio.load_raw_recordings(data_dir, args.manifest)
-    if not recordings:
+    entries, fs = dataio.read_manifest(args.manifest)
+    if not entries:
         raise DataError("manifest lists no recordings")
-    channel_names, fs = recordings[0].channels, recordings[0].sample_rate_hz
+    # the band is checked against the manifest's rate before any recording is read
     coeffs = dsp.design_butterworth_bandpass(
         fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
+    data_dir = os.path.dirname(os.path.abspath(args.manifest))
+    recordings, class_names = dataio.load_raw_recordings(data_dir, args.manifest)
+    channel_names = recordings[0].channels
     filtered = {}
     for n in dict.fromkeys(rec.n_samples for rec in recordings):
         idx = [i for i, rec in enumerate(recordings) if rec.n_samples == n]

@@ -232,13 +232,12 @@ def _csv_line(cells: list[str]) -> str:
     return buf.getvalue()
 
 
-def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list[str]]:
-    """Load raw recordings listed in a manifest CSV.
+def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
+    """The rows of a manifest CSV and the sample rate they share.
 
-    Manifest columns: file,label,sample_rate_hz,channels with channels
-    ';'-separated. Each recording CSV has a channel-name header and one
-    row per sample. Returns the recordings plus the lexicographically
-    ordered class-name table backing their integer labels.
+    Manifest columns: file,label,sample_rate_hz,channels. Every row must
+    have all four cells and one positive, finite sample rate; no recording
+    file is opened. The rate is None for a manifest without rows.
     """
     if not os.path.isfile(manifest):
         raise DataError(f"manifest not found: {manifest}")
@@ -253,22 +252,37 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
             if missing:
                 raise DataError(f"{manifest}: line {reader.line_num}: no {', '.join(missing)} cell")
             entries.append(row)
+    rates = set()
+    for e in entries:
+        try:
+            rates.add(float(e["sample_rate_hz"]))
+        except ValueError:
+            raise DataError(f"bad sample_rate_hz {e['sample_rate_hz']!r} in manifest") from None
+    if len(rates) > 1:
+        # one filter design and one Welch grid serve every recording
+        raise DataError(f"mixed sample rates in manifest: {sorted(rates)} Hz")
+    fs = rates.pop() if rates else None
+    if fs is not None and not 0 < fs < math.inf:
+        raise DataError("sample_rate_hz must be positive and finite")
+    return entries, fs
+
+
+def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list[str]]:
+    """Load raw recordings listed in a manifest CSV (see read_manifest).
+
+    The channels cell is ';'-separated. Each recording CSV has a
+    channel-name header and one row per sample. Returns the recordings
+    plus the lexicographically ordered class-name table backing their
+    integer labels.
+    """
+    entries, fs = read_manifest(manifest)
     if not entries:
         return [], []
     class_names = sorted({e["label"] for e in entries})
     class_ids = {name: i for i, name in enumerate(class_names)}
-    rates = []
-    for e in entries:
-        try:
-            rates.append(float(e["sample_rate_hz"]))
-        except ValueError:
-            raise DataError(f"bad sample_rate_hz {e['sample_rate_hz']!r} in manifest") from None
-    if len(set(rates)) > 1:
-        # one filter design and one Welch grid serve every recording
-        raise DataError(f"mixed sample rates in manifest: {sorted(set(rates))} Hz")
     channel_ref: list[str] | None = None
     recordings = []
-    for e, fs in zip(entries, rates):
+    for e in entries:
         channels = e["channels"].split(";")
         if channel_ref is None:
             channel_ref = channels

@@ -29,9 +29,18 @@ GATES = ("z", "r", "h")  # order of the H-row gate blocks in GruParams
 
 
 def sigmoid(x, out=None):
-    """Logistic function; exp only ever sees non-positive arguments."""
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    """Logistic function as 0.5 * tanh(0.5 * x) + 0.5, written into `out`
+    when given (which may be x itself).
+
+    It cannot overflow, it gives exactly 0 and 1 far out in the tails, and
+    its absolute error is within eps of the exact 1 / (1 + e^-x). Below
+    about x = -37 it returns 0 rather than the tiny true value.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 @dataclass
@@ -171,35 +180,34 @@ class GruCache(NamedTuple):
 def gru_cell_forward(p: GruParams, a_t, h_prev, zr, h_cand, h_t):
     """One GRU step for a batch, written into preallocated arrays.
 
-    a_t [B, 3H] is the step's input projection x_t @ W.T for all three
-    gates and h_prev [B, H] the previous state. The update and reset gates
-    go to zr [B, 2H], the candidate state to h_cand [B, H] and the new
-    state to h_t [B, H], which is returned.
+    a_t [B, 3H] is the step's biased input projection x_t @ W.T + b for
+    all three gates and h_prev [B, H] the previous state. The update and
+    reset gates go to zr [B, 2H], the candidate state to h_cand [B, H] and
+    the new state to h_t [B, H], which is returned.
     """
     H = p.hidden_dim
     H2 = 2 * H
-    # summed as (a + h_prev @ U.T) + b, the order of the unhoisted projection
     np.matmul(h_prev, p.U[:H2].T, out=zr)
     zr += a_t[:, :H2]
-    zr += p.b[:H2]
     sigmoid(zr, out=zr)
-    np.matmul(zr[:, H:] * h_prev, p.U[H2:].T, out=h_cand)
+    np.multiply(zr[:, H:], h_prev, out=h_t)  # r * h_prev, h_t as scratch
+    np.matmul(h_t, p.U[H2:].T, out=h_cand)
     h_cand += a_t[:, H2:]
-    h_cand += p.b[H2:]
     np.tanh(h_cand, out=h_cand)
-    z = zr[:, :H]
-    np.multiply(z, h_prev, out=h_t)
-    h_t += (1.0 - z) * h_cand
+    # z * h_prev + (1 - z) * h_cand, as h_cand + z * (h_prev - h_cand)
+    np.subtract(h_prev, h_cand, out=h_t)
+    h_t *= zr[:, :H]
+    h_t += h_cand
     return h_t
 
 
 def gru_forward(p: GruParams, xs):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    Time is the leading axis. The input projection of all T steps is one
-    matmul before the loop; each step adds only the recurrent part.
-    Returns (hs [T, batch, H], GruCache) with hs[t] the hidden state
-    after step t.
+    Time is the leading axis. The biased input projection x @ W.T + b of
+    all T steps is formed before the loop; each step adds only the
+    recurrent part. Returns (hs [T, batch, H], GruCache) with hs[t] the
+    hidden state after step t.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3:
@@ -211,7 +219,9 @@ def gru_forward(p: GruParams, xs):
         raise DataError(f"shape mismatch: input {xs.shape} for params with {p.input_dim} inputs")
     H = p.hidden_dim
     x = xs.reshape(T * B, d)
-    a = (x @ p.W.T).reshape(T, B, 3 * H)
+    a = x @ p.W.T
+    a += p.b
+    a = a.reshape(T, B, 3 * H)
     hs = np.empty((T + 1, B, H))
     hs[0] = 0.0
     zr = np.empty((T, B, 2 * H))
@@ -226,10 +236,12 @@ def gru_backward(p: GruParams, cache: GruCache, grad_hs, out: GruParams | None =
 
     grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
     from above. Only the state gradient and the three gate gradients are
-    carried through the time loop; the parameter and input gradients are
-    one matmul or sum each over all T*batch rows afterwards. Returns
-    (parameter gradients summed over time and batch, written into `out`
-    when given, and gradients w.r.t. each input frame [T, batch, input_dim]).
+    carried through the time loop, in preallocated buffers; the parameter
+    gradients are one matmul or sum each over all T*batch rows afterwards.
+    Returns (parameter gradients summed over time and batch, written into
+    `out` when given, and da [T, batch, 3H], the gradient w.r.t. each
+    step's gate pre-activations in [z, r, h] order). The gradients w.r.t.
+    the input frames, if wanted, are da @ W.
     """
     T, B, H = cache.h_cand.shape
     if grad_hs.shape[0] != T:
@@ -245,24 +257,30 @@ def gru_backward(p: GruParams, cache: GruCache, grad_hs, out: GruParams | None =
     f_r = h_prev * slope[..., H:]
     U_zr, U_c = p.U[:H2], p.U[H2:]
     da = np.empty((T, B, 3 * H))  # pre-activation gradients in [z, r, h] order
-    carry = 0.0
+    da_z, da_r, da_zr, da_c = da[..., :H], da[..., H:H2], da[..., :H2], da[..., H2:]
+    dh, ds, term = (np.empty((B, H)) for _ in range(3))
+    carry = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        dh = grad_hs[t] + carry
-        da_t = da[t]
-        da_c = np.multiply(dh, f_c[t], out=da_t[:, H2:])
-        ds = da_c @ U_c  # gradient into r * h_prev
-        np.multiply(dh, f_z[t], out=da_t[:, :H])
-        np.multiply(ds, f_r[t], out=da_t[:, H:H2])
+        np.add(grad_hs[t], carry, out=dh)
+        np.multiply(dh, f_c[t], out=da_c[t])
+        np.matmul(da_c[t], U_c, out=ds)  # gradient into r * h_prev
+        np.multiply(dh, f_z[t], out=da_z[t])
+        np.multiply(ds, f_r[t], out=da_r[t])
         if t:
-            carry = dh * z[t] + ds * r[t] + da_t[:, :H2] @ U_zr
-    da = da.reshape(T * B, 3 * H)
+            # carry = dh * z + ds * r + da_zr @ U_zr, summed left to right
+            np.multiply(dh, z[t], out=carry)
+            np.multiply(ds, r[t], out=term)
+            carry += term
+            np.matmul(da_zr[t], U_zr, out=term)
+            carry += term
+    flat = da.reshape(T * B, 3 * H)
     if out is None:
         out = GruParams(np.empty_like(p.W), np.empty_like(p.U), np.empty_like(p.b))
-    np.matmul(da.T, cache.x, out=out.W)
-    np.matmul(da[:, :H2].T, h_prev.reshape(T * B, H), out=out.U[:H2])
-    np.matmul(da[:, H2:].T, (r * h_prev).reshape(T * B, H), out=out.U[H2:])
-    np.sum(da, axis=0, out=out.b)
-    return out, (da @ p.W).reshape(T, B, p.input_dim)
+    np.matmul(flat.T, cache.x, out=out.W)
+    np.matmul(flat[:, :H2].T, h_prev.reshape(T * B, H), out=out.U[:H2])
+    np.matmul(flat[:, H2:].T, (r * h_prev).reshape(T * B, H), out=out.U[H2:])
+    flat.sum(axis=0, out=out.b)
+    return out, da
 
 
 def flatten(hs):
@@ -293,7 +311,7 @@ def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams | None = Non
     if out is None:
         out = DenseParams(np.empty_like(p.W), np.empty_like(p.b))
     np.matmul(grad_logits.T, v, out=out.W)
-    np.sum(grad_logits, axis=0, out=out.b)
+    grad_logits.sum(axis=0, out=out.b)
     return out.W, out.b, grad_logits @ p.W
 
 
@@ -315,7 +333,7 @@ def softmax_cross_entropy_batch(logits, labels):
         raise DataError(f"label out of range for {logits.shape[1]} classes")
     rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     losses = log_z[:, 0] - shifted[rows, labels]
     grads = np.exp(shifted - log_z)
     grads[rows, labels] -= 1.0
@@ -397,21 +415,25 @@ def _require_finite(grads: FlatParams) -> None:
 def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: TrainConfig) -> None:
     """One Adam update with bias correction, in place on the whole parameter vector.
 
-    `state` holds the moment vectors m and v; it starts empty. The operations
-    are those of the textbook per-array update, in the same order.
+    `state` holds the moment vectors m and v and two scratch vectors; it
+    starts empty. The operations are those of the textbook per-array
+    update, in the same order.
     """
     _require_finite(grads)
     g = grads.vector
     if not state:
-        state.update(m=np.zeros_like(g), v=np.zeros_like(g))
-    m, v = state["m"], state["v"]
+        state.update((k, np.zeros_like(g)) for k in ("m", "v", "step", "denom"))
+    m, v, step, denom = state["m"], state["v"], state["step"], state["denom"]
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
+    np.multiply(g, 1.0 - cfg.beta1, out=step)
+    m += step
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    step = m / (1.0 - cfg.beta1**t)  # m_hat
+    np.multiply(g, 1.0 - cfg.beta2, out=step)
+    step *= g
+    v += step
+    np.divide(m, 1.0 - cfg.beta1**t, out=step)  # m_hat
     step *= cfg.learning_rate
-    denom = v / (1.0 - cfg.beta2**t)  # v_hat
+    np.divide(v, 1.0 - cfg.beta2**t, out=denom)  # v_hat
     np.sqrt(denom, out=denom)
     denom += cfg.epsilon
     step /= denom
@@ -487,13 +509,13 @@ def train(
             xb, yb = X_tr[sel], y_tr[sel]
             logits, cache = model_forward(model, xb)
             losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
-            batch_loss = float(np.sum(losses))
+            batch_loss = float(losses.sum())
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             loss_sum += batch_loss
-            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+            correct += int((logits.argmax(axis=1) == yb).sum())
             model_backward(model, cache, grad_logits / len(sel), out=grad_model)
             t += 1
             step_fn(params, grads, opt_state, t, cfg)

@@ -232,6 +232,14 @@ class TestTree:
         assert baselines.best_mse_split(X, g, min_leaf=1) is None
         assert brute_force_best_mse_split(X, g, min_leaf=1) is None
 
+    @pytest.mark.parametrize("value", [5.07, 13.7, 1e3 / 3])
+    def test_mse_split_leaves_constant_target_alone(self, value):
+        # rounding in the prefix sums of a large constant target can beat the
+        # fixed 1e-12 margin; a constant target must still have no split
+        for seed in range(10):
+            X = np.random.default_rng(seed).normal(size=(180, 56))
+            assert baselines.best_mse_split(X, np.full(180, value), 1) is None
+
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))

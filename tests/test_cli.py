@@ -664,6 +664,20 @@ def test_inverted_band_is_config_error_before_manifest_is_read(tmp_path, capsys,
     assert not captured.out
 
 
+def test_band_above_nyquist_is_config_error_before_recordings_are_read(tmp_path, capsys):
+    # the manifest names recordings that do not exist: the band must be checked
+    # against its 256 Hz rate before any of them is opened
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file,label,sample_rate_hz,channels\n"
+                        "absent_0.csv,calm,256.0,TP9;AF7\nabsent_1.csv,happy,256.0,TP9;AF7\n")
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", str(manifest), "--filter-high", "200",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "fs/2" in err and "200.0" in err and "missing file" not in err
+    assert not out.exists()
+
+
 def test_recording_with_every_window_rejected_is_skipped(tmp_path, capsys):
     raw = tmp_path / "raw"
     assert run("synth", "--per-class", "3", "--window-len", "512", "--out", str(raw)) == 0

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -51,16 +52,27 @@ def scalar_gru_oracle(p, xs):
     return hs
 
 
-def test_sigmoid_matches_two_sided_formula():
-    x = np.array([-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.0, 40.0, 800.0, np.nan])
-    neg = x < 0
-    want = np.where(neg, np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))),
-                    1.0 / (1.0 + np.exp(-np.maximum(x, 0))))
-    want[np.isnan(x)] = np.nan
+def exact_sigmoid(v: float) -> decimal.Decimal:
+    """1 / (1 + e^-v) in 60-digit decimal arithmetic from the exact value of v."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return 1 / (1 + (-decimal.Decimal(v)).exp())
+
+
+def test_sigmoid_within_eps_of_exact_oracle():
+    rng = np.random.default_rng(20)
+    edges = [-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.0, 40.0, 800.0]
+    x = np.concatenate([edges, rng.normal(scale=5.0, size=2000), rng.uniform(-40, 40, 2000)])
     with np.errstate(over="raise", invalid="raise"):
-        got = nn.sigmoid(x)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert got[0] == 0.0 and got[-2] == 1.0
+        got = nn.sigmoid(np.append(x, np.nan))
+    assert np.isnan(got[-1])
+    got = got[:-1]
+    eps = decimal.Decimal(np.finfo(float).eps)
+    worst = max(abs(decimal.Decimal(g) - exact_sigmoid(v)) for v, g in zip(x.tolist(), got.tolist()))
+    assert worst <= eps
+    assert got[0] == 0.0 and got[len(edges) - 1] == 1.0
+    # written in place, the same values
+    buf = x.copy()
+    assert nn.sigmoid(buf, out=buf) is buf and np.array_equal(buf, got)
 
 
 def test_init_draws_gates_in_z_r_h_order():
@@ -85,7 +97,7 @@ def cell_step(p, x_t, h_prev):
     """One gru_cell_forward step from an input frame; returns (h_t, z, r, h_cand)."""
     B, H = h_prev.shape
     zr, h_cand, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
-    nn.gru_cell_forward(p, x_t @ p.W.T, h_prev, zr, h_cand, h_t)
+    nn.gru_cell_forward(p, x_t @ p.W.T + p.b, h_prev, zr, h_cand, h_t)
     return h_t, zr[:, :H], zr[:, H:], h_cand
 
 
@@ -164,7 +176,7 @@ class TestGruForward:
 
 def reference_gru_forward(p, xs, proj=None):
     """Per-step GRU forward, each step projecting its own input frame
-    unless the projections proj [T, B, 3H] are given.
+    unless the biased projections proj [T, B, 3H] (x_t @ W.T + b) are given.
 
     Returns (hs [T, B, H], per-step caches (x_t, h_prev, z, r, h_cand)).
     """
@@ -172,12 +184,12 @@ def reference_gru_forward(p, xs, proj=None):
     h = np.zeros((xs.shape[1], p.hidden_dim))
     hs, caches = [], []
     for t, x_t in enumerate(xs):
-        a = x_t @ p.W.T if proj is None else proj[t]
-        zr = nn.sigmoid(a[:, :H2] + h @ p.U[:H2].T + p.b[:H2])
+        a = x_t @ p.W.T + p.b if proj is None else proj[t]
+        zr = nn.sigmoid(a[:, :H2] + h @ p.U[:H2].T)
         z, r = np.split(zr, 2, axis=1)
-        h_cand = np.tanh(a[:, H2:] + (r * h) @ p.U[H2:].T + p.b[H2:])
+        h_cand = np.tanh(a[:, H2:] + (r * h) @ p.U[H2:].T)
         caches.append((x_t, h, z, r, h_cand))
-        h = z * h + (1.0 - z) * h_cand
+        h = h_cand + z * (h - h_cand)
         hs.append(h)
     return np.array(hs), caches
 
@@ -231,13 +243,14 @@ class TestKernelMatchesPerStepReference:
         per_step = np.array([x_t @ p.W.T for x_t in xs])
         bound = d * np.finfo(float).eps * (np.abs(xs) @ np.abs(p.W).T)
         assert np.all(np.abs(proj - per_step) <= bound)
-        # given the same projections, every step is bit-identical
-        want_hs, caches = reference_gru_forward(p, xs, proj)
+        # given the same biased projections, every step is bit-identical
+        want_hs, caches = reference_gru_forward(p, xs, proj + p.b)
         assert np.array_equal(hs, want_hs)
         assert np.array_equal(cache.zr, np.array([np.hstack(c[2:4]) for c in caches]))
         assert np.array_equal(cache.h_cand, np.array([c[4] for c in caches]))
         grad_hs = rng.normal(size=(T, B, H))
-        grads, grad_xs = nn.gru_backward(p, cache, grad_hs)
+        grads, da = nn.gru_backward(p, cache, grad_hs)
+        grad_xs = da @ p.W
         want, want_xs = reference_gru_backward(p, caches, grad_hs)
         for got, ref in zip((grads.W, grads.U, grads.b, grad_xs), (*want, want_xs)):
             assert_close_to(got, ref, 1e-12)
@@ -260,10 +273,11 @@ class TestGruBackward:
         m = small_model(seed=7)
         xs = np.random.default_rng(0).normal(size=(5, 1, 3))
         _, caches = nn.gru_forward(m.gru, xs)
-        grads, grad_xs = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)))
+        grads, da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)))
         for _, arr in grads.items():
             assert np.all(arr == 0.0)
-        assert grad_xs.shape == xs.shape
+        assert da.shape == (5, 1, 12) and np.all(da == 0.0)
+        assert (da @ m.gru.W).shape == xs.shape
 
     def test_input_gradients_match_finite_differences(self):
         m = small_model(seed=11)
@@ -276,7 +290,8 @@ class TestGruBackward:
             return float(np.sum(hs * w))
 
         _, caches = nn.gru_forward(m.gru, xs)
-        _, grad_xs = nn.gru_backward(m.gru, caches, w)
+        _, da = nn.gru_backward(m.gru, caches, w)
+        grad_xs = da @ m.gru.W
         eps = 1e-6
         for t in range(4):
             for j in range(3):
