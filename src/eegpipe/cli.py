@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
     command("train", "train the GRU classifier", "--train", "--val")
     command("evaluate", "checkpoint + test CSV -> confusion + metrics", "--checkpoint", "--test")
     command("compare", "train GRU + baselines on one split, emit table", "--input")
-    command("report", "history CSV -> curves.csv + curves.svg", "--history")
+    command("report", "history CSV -> curves.svg", "--history")
     return parser
 
 

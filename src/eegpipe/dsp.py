@@ -113,8 +113,23 @@ class NormalizationParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationParams":
-        kwargs = {k: np.asarray(d[k], dtype=float) for k in ("mean", "std", "min", "max") if k in d}
-        return cls(mode=d["mode"], **kwargs)
+        """Read statistics written by to_dict; anything that could not have
+        been fitted is a DataError: an unknown mode, a missing, non-finite or
+        ragged statistic, a zscore std <= 0 or a minmax max < min."""
+        mode = d["mode"]
+        keys = {"zscore": ("mean", "std"), "minmax": ("min", "max")}.get(mode)
+        if keys is None:
+            raise DataError(f"unknown normalization mode {mode!r}")
+        lo, hi = (np.asarray(d[k], dtype=float) for k in keys)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise DataError(f"normalization {keys[0]} and {keys[1]} must be vectors of one length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise DataError("normalization statistics must be finite")
+        if mode == "zscore" and not (hi > 0).all():
+            raise DataError("normalization std must be > 0")
+        if mode == "minmax" and not (hi >= lo).all():
+            raise DataError("normalization max must be >= min")
+        return cls(mode, **dict(zip(keys, (lo, hi))))
 
 
 @dataclass

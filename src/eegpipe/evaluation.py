@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .nn import TrainHistory, save_history
+from .nn import TrainHistory
 
 
 @dataclass
@@ -221,7 +221,7 @@ def _svg_panel(title, epochs, series, x0, y0, w, h):
 
 
 def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
-    """Write curves.csv and a self-contained curves.svg.
+    """Write a self-contained curves.svg and return its path in a list.
 
     The SVG has two panels (loss and accuracy vs epoch, train and
     validation series) and needs no external renderer.
@@ -229,8 +229,6 @@ def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
     if len(history) == 0:
         raise DataError("cannot emit curves for an empty history")
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "curves.csv")
-    save_history(history, csv_path)
     epochs = list(range(1, len(history) + 1))
     if len(epochs) == 1:  # polylines need two points
         epochs = [1, 1]
@@ -258,4 +256,4 @@ def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
     svg_path = os.path.join(out_dir, "curves.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")
-    return [csv_path, svg_path]
+    return [svg_path]

@@ -1,10 +1,10 @@
 """GRU sequence classifier with exact manual gradients.
 
 Architecture: input -> GRU over T steps -> flatten of the full hidden
-sequence -> dense softmax head. Forward, backward (BPTT), optimizers,
-the training loop, and a finite-difference gradient checker all live
-here. Every routine takes a batch: a single example is a batch of one
-(`x[None]`). Everything is float64 and deterministic per seed.
+sequence -> dense softmax head. Forward, backward (BPTT), optimizers and
+the training loop all live here. Every routine takes a batch: a single
+example is a batch of one (`x[None]`). Everything is float64 and
+deterministic per seed.
 
 Gating convention: h_t = z ⊙ h_prev + (1 − z) ⊙ h̃, i.e. z → 1 preserves
 the previous hidden state. The three gates are stored fused, as blocks of
@@ -18,7 +18,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,46 +167,103 @@ def init_model(cfg: ModelConfig) -> Model:
     return Model(cfg, gru, dense)
 
 
-class GruCache(NamedTuple):
-    """What gru_forward keeps for gru_backward, stacked over time."""
+class GruWorkspace:
+    """The buffers of one GRU forward and backward pass for one shape: T steps,
+    H hidden units, d inputs and a batch of B, with the per-step views into
+    them built once.
 
-    x: np.ndarray  # [T*B, input_dim], the input frames in time-major row order
-    hs: np.ndarray  # [T+1, B, H], hs[0] = 0 and hs[t+1] the state after step t
-    zr: np.ndarray  # [T, B, 2H], update and reset gates
-    h_cand: np.ndarray  # [T, B, H], candidate states
+    Time-stacked state is feature-major, [H, B] per step, so that each gate
+    block is a contiguous row slice:
+    - x [T*B, d+1] holds the input frames, row t*B + b for example b at
+      step t, and a last column of ones, so that the bias rides in the
+      input projection and its gradient in dW's matrix product; Wb [3H, d+1]
+      holds [W | b];
+    - a [T, 3H, B] the biased input projections W @ x_t + b;
+    - hs [T+1, H, B] the states, hs[0] = 0 and hs[t+1] the state after step
+      t; zr [T, 2H, B] the update and reset gates; rh [T, H, B] r * h_prev;
+      h_cand [T, H, B] the candidate states and diff [T, H, B] h_prev - h_cand;
+    - da_steps [T, 3H, B] the gate pre-activation gradients, copied after the
+      time loop into da [3H, T*B] (column t*B + b), so that each weight
+      gradient is one matrix product over all T*B columns.
 
-
-def gru_cell_forward(p: GruParams, a_t, h_prev, zr, h_cand, h_t):
-    """One GRU step for a batch, written into preallocated arrays.
-
-    a_t [B, 3H] is the step's biased input projection x_t @ W.T + b for
-    all three gates and h_prev [B, H] the previous state. The update and
-    reset gates go to zr [B, 2H], the candidate state to h_cand [B, H] and
-    the new state to h_t [B, H], which is returned.
+    gru_forward fills the forward buffers and returns the workspace as its
+    cache; gru_backward reads them and fills the backward ones. Each call
+    overwrites what the last call on the same workspace left, so a cache,
+    and the arrays and views returned with it, are valid only until the
+    next call on that workspace.
     """
-    H = p.hidden_dim
-    H2 = 2 * H
-    np.matmul(h_prev, p.U[:H2].T, out=zr)
-    zr += a_t[:, :H2]
+
+    def __init__(self, T: int, H: int, d: int, B: int):
+        H2 = 2 * H
+        self.shape = (T, H, d, B)
+        self.x = np.empty((T * B, d + 1))
+        self.x[:, d] = 1.0
+        self.x_steps = self.x[:, :d].reshape(T, B, d)
+        self.x_cols = self.x.reshape(T, B, d + 1).transpose(0, 2, 1)  # [d+1, B] per step
+        self.Wb = np.empty((3 * H, d + 1))
+        self.a = np.empty((T, 3 * H, B))
+        self.hs = np.zeros((T + 1, H, B))
+        self.zr = np.empty((T, H2, B))
+        self.rh, self.h_cand, self.diff = (np.empty((T, H, B)) for _ in range(3))
+        # d(h_t)/d(pre-activation) of the z, candidate and r gates (the r
+        # factor is the gradient w.r.t. r * h_prev, not h_t); slope is
+        # sigmoid' of z and r
+        self.slope = np.empty((T, H2, B))
+        self.f_z, self.f_c, self.f_r = (np.empty((T, H, B)) for _ in range(3))
+        self.da_steps = np.empty((T, 3 * H, B))
+        self.da = np.empty((3 * H, T * B))
+        self.dWb = np.empty((3 * H, d + 1))
+        self.rows = np.empty((T * B, H))  # row-layout copy of h_prev, then of r * h_prev
+        self.dh, self.ds, self.term, self.carry = (np.empty((H, B)) for _ in range(4))
+        a, hs, zr, da = self.a, self.hs, self.zr, self.da_steps
+        self.forward_steps = [
+            (a[t, :H2], a[t, H2:], hs[t], zr[t], zr[t, :H], zr[t, H:], self.rh[t],
+             self.h_cand[t], self.diff[t], hs[t + 1])
+            for t in range(T)
+        ]
+        self.backward_steps = [
+            (self.f_z[t], self.f_c[t], self.f_r[t], zr[t, :H], zr[t, H:],
+             da[t, :H], da[t, H:H2], da[t, :H2], da[t, H2:])
+            for t in range(T)
+        ]
+
+
+def gru_cell_forward(U_zr, U_c, step):
+    """One GRU step for a batch, feature-major, written into preallocated arrays.
+
+    U_zr [2H, H] and U_c [H, H] are the recurrent weights of the update and
+    reset gates and of the candidate. `step` is one entry of
+    GruWorkspace.forward_steps: the step's biased input projections a_zr
+    [2H, B] and a_c [H, B], the previous state h_prev [H, B], and the
+    arrays written here: the gates zr [2H, B] with their z and r halves,
+    rh = r * h_prev, the candidate state h_cand, diff = h_prev - h_cand and
+    the new state h_t, each [H, B]; h_t is returned.
+    """
+    a_zr, a_c, h_prev, zr, z, r, rh, h_cand, diff, h_t = step
+    np.matmul(U_zr, h_prev, out=zr)
+    zr += a_zr
     sigmoid(zr, out=zr)
-    np.multiply(zr[:, H:], h_prev, out=h_t)  # r * h_prev, h_t as scratch
-    np.matmul(h_t, p.U[H2:].T, out=h_cand)
-    h_cand += a_t[:, H2:]
+    np.multiply(r, h_prev, out=rh)
+    np.matmul(U_c, rh, out=h_cand)
+    h_cand += a_c
     np.tanh(h_cand, out=h_cand)
     # z * h_prev + (1 - z) * h_cand, as h_cand + z * (h_prev - h_cand)
-    np.subtract(h_prev, h_cand, out=h_t)
-    h_t *= zr[:, :H]
+    np.subtract(h_prev, h_cand, out=diff)
+    np.multiply(diff, z, out=h_t)
     h_t += h_cand
     return h_t
 
 
-def gru_forward(p: GruParams, xs):
+def gru_forward(p: GruParams, xs, workspaces: dict | None = None):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    Time is the leading axis. The biased input projection x @ W.T + b of
+    Time is the leading axis. The biased input projection W @ x_t + b of
     all T steps is formed before the loop; each step adds only the
-    recurrent part. Returns (hs [T, batch, H], GruCache) with hs[t] the
-    hidden state after step t.
+    recurrent part. The work runs in the GruWorkspace that `workspaces`
+    maps this shape (T, H, d, batch) to, built and added on first use, or
+    in a fresh one when `workspaces` is None. Returns (hs [T, batch, H],
+    cache) with hs[t] the hidden state after step t, a view into the cache,
+    which is the GruWorkspace and valid only until its next use.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3:
@@ -218,75 +274,89 @@ def gru_forward(p: GruParams, xs):
     if d != p.input_dim:
         raise DataError(f"shape mismatch: input {xs.shape} for params with {p.input_dim} inputs")
     H = p.hidden_dim
-    x = xs.reshape(T * B, d)
-    a = x @ p.W.T
-    a += p.b
-    a = a.reshape(T, B, 3 * H)
-    hs = np.empty((T + 1, B, H))
-    hs[0] = 0.0
-    zr = np.empty((T, B, 2 * H))
-    h_cand = np.empty((T, B, H))
-    for t in range(T):
-        gru_cell_forward(p, a[t], hs[t], zr[t], h_cand[t], hs[t + 1])
-    return hs[1:], GruCache(x, hs, zr, h_cand)
+    if workspaces is None:
+        workspaces = {}
+    ws = workspaces.get((T, H, d, B))
+    if ws is None:
+        ws = workspaces[T, H, d, B] = GruWorkspace(T, H, d, B)
+    np.copyto(ws.x_steps, xs)
+    np.copyto(ws.Wb[:, :d], p.W)
+    np.copyto(ws.Wb[:, d], p.b)
+    np.matmul(ws.Wb, ws.x_cols, out=ws.a)
+    U_zr, U_c = p.U[: 2 * H], p.U[2 * H :]
+    for step in ws.forward_steps:
+        gru_cell_forward(U_zr, U_c, step)
+    return ws.hs[1:].transpose(0, 2, 1), ws
 
 
-def gru_backward(p: GruParams, cache: GruCache, grad_hs, out: GruParams | None = None):
+def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | None = None):
     """Exact BPTT through the recurrence.
 
     grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
-    from above. Only the state gradient and the three gate gradients are
-    carried through the time loop, in preallocated buffers; the parameter
-    gradients are one matmul or sum each over all T*batch rows afterwards.
-    Returns (parameter gradients summed over time and batch, written into
-    `out` when given, and da [T, batch, 3H], the gradient w.r.t. each
-    step's gate pre-activations in [z, r, h] order). The gradients w.r.t.
-    the input frames, if wanted, are da @ W.
+    from above. It is read through its [T, H, batch] transpose, which is
+    contiguous when it comes from dense_backward through model_backward.
+    Only the state gradient and the three gate gradients are carried
+    through the time loop, in the workspace's buffers; the parameter
+    gradients are one matrix product each over all T*batch columns
+    afterwards (dW with db). Returns (parameter gradients summed over time
+    and batch, written into `out` when given, and da [T, batch, 3H], the
+    gradient w.r.t. each step's gate pre-activations in [z, r, h] order, a
+    view into the workspace). The gradients w.r.t. the input frames, if
+    wanted, are da @ W.
     """
-    T, B, H = cache.h_cand.shape
-    if grad_hs.shape[0] != T:
-        raise DataError(f"grad_hs length {grad_hs.shape[0]} != cache length {T}")
+    ws = cache
+    T, H, d, B = ws.shape
+    if grad_hs.shape != (T, B, H):
+        raise DataError(f"grad_hs of shape {grad_hs.shape} for a cache of length {T}, "
+                        f"batch {B} and {H} hidden units")
     H2 = 2 * H
-    h_prev, h_cand = cache.hs[:-1], cache.h_cand
-    z, r = cache.zr[..., :H], cache.zr[..., H:]
-    # d(h_t)/d(pre-activation) of the z, candidate and r gates, for all steps
-    # (the r factor is the gradient w.r.t. r * h_prev, not h_t)
-    slope = cache.zr * (1.0 - cache.zr)  # sigmoid' of z and r
-    f_z = (h_prev - h_cand) * slope[..., :H]
-    f_c = (1.0 - z) * (1.0 - h_cand * h_cand)
-    f_r = h_prev * slope[..., H:]
-    U_zr, U_c = p.U[:H2], p.U[H2:]
-    da = np.empty((T, B, 3 * H))  # pre-activation gradients in [z, r, h] order
-    da_z, da_r, da_zr, da_c = da[..., :H], da[..., H:H2], da[..., :H2], da[..., H2:]
-    dh, ds, term = (np.empty((B, H)) for _ in range(3))
-    carry = np.zeros((B, H))
+    h_prev, slope, f_z, f_c, f_r = ws.hs[:-1], ws.slope, ws.f_z, ws.f_c, ws.f_r
+    np.subtract(1.0, ws.zr, out=slope)
+    slope *= ws.zr
+    np.multiply(ws.diff, slope[:, :H], out=f_z)
+    np.subtract(1.0, ws.zr[:, :H], out=f_r)  # 1 - z, f_r as scratch
+    np.multiply(ws.h_cand, ws.h_cand, out=f_c)
+    np.subtract(1.0, f_c, out=f_c)
+    f_c *= f_r
+    np.multiply(h_prev, slope[:, H:], out=f_r)
+    U_zr_T, U_c_T = p.U[:H2].T, p.U[H2:].T
+    grad = grad_hs.transpose(0, 2, 1)
+    dh, ds, term, carry = ws.dh, ws.ds, ws.term, ws.carry
+    carry[...] = 0.0
     for t in range(T - 1, -1, -1):
-        np.add(grad_hs[t], carry, out=dh)
-        np.multiply(dh, f_c[t], out=da_c[t])
-        np.matmul(da_c[t], U_c, out=ds)  # gradient into r * h_prev
-        np.multiply(dh, f_z[t], out=da_z[t])
-        np.multiply(ds, f_r[t], out=da_r[t])
+        f_z_t, f_c_t, f_r_t, z, r, da_z, da_r, da_zr, da_c = ws.backward_steps[t]
+        np.add(grad[t], carry, out=dh)
+        np.multiply(dh, f_c_t, out=da_c)
+        np.matmul(U_c_T, da_c, out=ds)  # gradient into r * h_prev
+        np.multiply(dh, f_z_t, out=da_z)
+        np.multiply(ds, f_r_t, out=da_r)
         if t:
-            # carry = dh * z + ds * r + da_zr @ U_zr, summed left to right
-            np.multiply(dh, z[t], out=carry)
-            np.multiply(ds, r[t], out=term)
+            # carry = dh * z + ds * r + U_zr.T @ da_zr, summed left to right
+            np.multiply(dh, z, out=carry)
+            np.multiply(ds, r, out=term)
             carry += term
-            np.matmul(da_zr[t], U_zr, out=term)
+            np.matmul(U_zr_T, da_zr, out=term)
             carry += term
-    flat = da.reshape(T * B, 3 * H)
     if out is None:
         out = GruParams(np.empty_like(p.W), np.empty_like(p.U), np.empty_like(p.b))
-    np.matmul(flat.T, cache.x, out=out.W)
-    np.matmul(flat[:, :H2].T, h_prev.reshape(T * B, H), out=out.U[:H2])
-    np.matmul(flat[:, H2:].T, (r * h_prev).reshape(T * B, H), out=out.U[H2:])
-    flat.sum(axis=0, out=out.b)
-    return out, da
+    da, rows, rows_steps = ws.da, ws.rows, ws.rows.reshape(T, B, H)
+    np.copyto(da.reshape(3 * H, T, B), ws.da_steps.transpose(1, 0, 2))
+    np.matmul(da, ws.x, out=ws.dWb)
+    np.copyto(out.W, ws.dWb[:, :d])
+    np.copyto(out.b, ws.dWb[:, d])
+    np.copyto(rows_steps, h_prev.transpose(0, 2, 1))
+    np.matmul(da[:H2], rows, out=out.U[:H2])
+    np.copyto(rows_steps, ws.rh.transpose(0, 2, 1))
+    np.matmul(da[H2:], rows, out=out.U[H2:])
+    return out, ws.da_steps.transpose(0, 2, 1)
 
 
 def flatten(hs):
     """Concatenate each example's hidden sequence in time order.
 
-    [T, B, H] -> [B, T*H]; unflatten recovers the input exactly.
+    [T, B, H] -> [B, T*H]; unflatten recovers the input exactly. Both are
+    views, not copies, when the data are laid out [T, H, B], as
+    gru_forward's states and dense_backward's input gradient are.
     """
     return hs.swapaxes(0, 1).reshape(hs.shape[1], -1)
 
@@ -306,13 +376,15 @@ def dense_forward(p: DenseParams, v):
 def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams | None = None):
     """Gradients of the affine map, summed over the batch: returns (dW, db, dv).
 
-    dW and db are written into `out` when given.
+    dW and db are written into `out` when given. dv [B, flat_dim] is the
+    transpose of W.T @ grad_logits.T, laid out [flat_dim, B] like the
+    GRU's states.
     """
     if out is None:
         out = DenseParams(np.empty_like(p.W), np.empty_like(p.b))
     np.matmul(grad_logits.T, v, out=out.W)
     grad_logits.sum(axis=0, out=out.b)
-    return out.W, out.b, grad_logits @ p.W
+    return out.W, out.b, (p.W.T @ grad_logits.T).T
 
 
 def softmax(logits):
@@ -340,15 +412,17 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
-def model_forward(model: Model, xs_batch):
-    """Full forward pass for a [batch, T, input_dim] array.
+def model_forward(model: Model, xs_batch, workspaces: dict | None = None):
+    """Full forward pass for a [batch, T, input_dim] array, in the GRU
+    workspace that `workspaces` maps its shape to (see gru_forward).
 
-    Returns (logits [batch, classes], cache for model_backward).
+    Returns (logits [batch, classes], cache for model_backward); the cache
+    is valid until that workspace is used again.
     """
     x = np.asarray(xs_batch, dtype=float)
     if x.ndim != 3:
         raise DataError("model_forward expects [batch, T, input_dim]")
-    hs, gru_cache = gru_forward(model.gru, x.swapaxes(0, 1))  # [T, B, H]
+    hs, gru_cache = gru_forward(model.gru, x.swapaxes(0, 1), workspaces)  # [T, B, H]
     v = flatten(hs)
     logits = dense_forward(model.dense, v)
     return logits, (gru_cache, v)
@@ -361,14 +435,24 @@ def model_backward(model: Model, cache, grad_logits, out: Model | None = None):
     """
     gru_cache, v = cache
     dW, db, dv = dense_backward(model.dense, v, grad_logits, out and out.dense)
-    T, _, H = gru_cache.h_cand.shape
+    T, H, _, _ = gru_cache.shape
     gru_grads, _ = gru_backward(model.gru, gru_cache, unflatten(dv, T, H), out and out.gru)
     return gru_grads, DenseParams(W=dW, b=db)
 
 
 def predict_batch(model: Model, X):
-    """Classify [batch, T, input_dim]; ties go to the lowest class id."""
-    logits, _ = model_forward(model, X)
+    """Classify [batch, T, input_dim]; ties go to the lowest class id.
+
+    Floating-point overflow or invalid operations in the forward pass, and
+    non-finite logits, are a NumericError: such a model predicts nothing.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logits, _ = model_forward(model, X)
+    except FloatingPointError as exc:
+        raise NumericError(f"the model's forward pass failed: {exc}") from None
+    if not np.isfinite(logits).all():
+        raise NumericError("the model's logits are not finite")
     probs = softmax(logits)
     return np.argmax(probs, axis=1), probs
 
@@ -450,9 +534,12 @@ def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: Tr
 # training
 
 
-def evaluate_model(model: Model, X, y) -> tuple[float, float]:
-    """Mean loss and accuracy over a [n, T, d] set, fixed summation order."""
-    logits, _ = model_forward(model, X)
+def evaluate_model(model: Model, X, y, workspaces: dict | None = None) -> tuple[float, float]:
+    """Mean loss and accuracy over a [n, T, d] set, fixed summation order.
+
+    The forward pass runs in `workspaces` as model_forward's does.
+    """
+    logits, _ = model_forward(model, X, workspaces)
     losses, _ = softmax_cross_entropy_batch(logits, y)
     preds = np.argmax(softmax(logits), axis=1)
     return float(np.mean(losses)), float(np.mean(preds == np.asarray(y)))
@@ -477,7 +564,8 @@ def train(
     Stops once validation loss has not improved for `patience` epochs
     and restores the parameters of the best validation epoch. The
     parameters, their gradient and the optimizer moments are each one
-    flat vector.
+    flat vector. One GRU workspace per batch shape (the full batch, the
+    last partial batch and the validation set) serves the whole run.
     """
     X_tr, y_tr = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=int)
     X_va, y_va = np.asarray(val_data[0], dtype=float), np.asarray(val_data[1], dtype=int)
@@ -492,6 +580,7 @@ def train(
 
     params, model, grads, grad_model = _flat_copy(init_model(model_cfg))
     opt_state: dict = {}
+    workspaces: dict = {}
     step_fn = adam_step if cfg.optimizer == "adam" else sgd_step
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
@@ -507,7 +596,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             xb, yb = X_tr[sel], y_tr[sel]
-            logits, cache = model_forward(model, xb)
+            logits, cache = model_forward(model, xb, workspaces)
             losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
             batch_loss = float(losses.sum())
             if not math.isfinite(batch_loss):
@@ -519,7 +608,7 @@ def train(
             model_backward(model, cache, grad_logits / len(sel), out=grad_model)
             t += 1
             step_fn(params, grads, opt_state, t, cfg)
-        val_loss, val_acc = evaluate_model(model, X_va, y_va)
+        val_loss, val_acc = evaluate_model(model, X_va, y_va, workspaces)
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.val_loss.append(val_loss)
@@ -534,42 +623,6 @@ def train(
                 break
     params.vector[...] = best
     return model, history
-
-
-def gradient_check(model: Model, X, labels, eps: float = 1e-5):
-    """Central-difference check of the gradient of the mean loss over a
-    [batch, T, input_dim] array, on a copy of model's parameters.
-
-    Returns (max relative error, path of the worst scalar parameter).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ConfigError("eps must lie in [1e-7, 1e-3]")
-    params, work, grads, grad_model = _flat_copy(model)
-
-    def loss_fn():
-        logits, cache = model_forward(work, X)
-        losses, grad = softmax_cross_entropy_batch(logits, labels)
-        return float(np.mean(losses)), cache, grad / len(losses)
-
-    _, cache, grad_logits = loss_fn()
-    model_backward(work, cache, grad_logits, out=grad_model)
-    theta, analytic = params.vector, grads.vector
-    worst = 0.0
-    worst_path = ""
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + eps
-        lp, _, _ = loss_fn()
-        theta[i] = orig - eps
-        lm, _, _ = loss_fn()
-        theta[i] = orig
-        numeric = (lp - lm) / (2.0 * eps)
-        denom = max(abs(numeric), abs(analytic[i]), 1e-8)
-        rel = abs(numeric - analytic[i]) / denom
-        if rel > worst:
-            worst = rel
-            worst_path = "{}[{}]".format(*params.locate(i))
-    return worst, worst_path
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +668,8 @@ def _array(section: dict, key: str, shape: tuple) -> np.ndarray:
     arr = np.asarray(section[key], dtype=float)
     if arr.shape != shape:
         raise DataError(f"{key} has shape {arr.shape}, model_config implies {shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{key} holds a non-finite value")
     return arr
 
 

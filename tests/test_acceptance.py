@@ -14,6 +14,7 @@ import pytest
 
 from eegpipe import baselines, dataio, dsp, evaluation, nn
 from eegpipe.cli import main
+from gradcheck import gradient_check
 
 
 def verdict(num, ok, text):
@@ -74,7 +75,7 @@ def test_criterion_1_gradient_check():
         model = nn.init_model(nn.ModelConfig(3, 4, 5, 3, seed=seed))
         xs = rng.normal(size=(5, 3))
         label = int(rng.integers(0, 3))
-        err, _ = nn.gradient_check(model, xs[None], [label], eps=1e-5)
+        err, _ = gradient_check(model, xs[None], [label], eps=1e-5)
         assert err < 1e-4, f"seed {seed}: relative error {err}"
         worst = max(worst, err)
     elapsed = time.monotonic() - t0

@@ -496,19 +496,64 @@ def _float_sequence_length(doc):
     return doc
 
 
-@pytest.mark.parametrize("edit", [
-    _not_an_object, _drop("gru"), _drop("gru", "W_z"), _unknown_config_key, _short_gate_block,
-    _float_sequence_length,
+def _nan_dense_bias(doc):
+    doc["dense"]["b"][0] = float("nan")
+    return doc
+
+
+def _normalization_entry(key, value):
+    def edit(doc):
+        doc["normalization"][key][0] = value
+        return doc
+    return edit
+
+
+def _unknown_normalization_mode(doc):
+    doc["normalization"]["mode"] = "robust"
+    return doc
+
+
+def _minmax_max_below_min(doc):
+    n = len(doc["normalization"]["mean"])
+    doc["normalization"] = {"mode": "minmax", "min": [0.0] * n, "max": [1.0] * (n - 1) + [-1.0]}
+    return doc
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_not_an_object, "checkpoint"), (_drop("gru"), "gru"), (_drop("gru", "W_z"), "W_z"),
+    (_unknown_config_key, "depth"), (_short_gate_block, "U_r"),
+    (_float_sequence_length, "sequence_length"), (_nan_dense_bias, "non-finite"),
+    (_normalization_entry("std", float("nan")), "finite"),
+    (_normalization_entry("mean", float("inf")), "finite"),
+    (_normalization_entry("std", 0.0), "std"), (_unknown_normalization_mode, "'robust'"),
+    (_minmax_max_below_min, "max"),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
-        "float_sequence_length"])
-def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit):
+        "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
+        "unknown_normalization_mode", "minmax_max_below_min"])
+def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
     doc = json.load(open(os.path.join(pipeline["run"], "checkpoint.json")))
     ck = tmp_path / "bad.json"
     ck.write_text(json.dumps(edit(doc)))
     code = run("evaluate", "--checkpoint", str(ck), "--out", str(tmp_path / "out"),
                "--test", os.path.join(pipeline["splits"], "test.csv"))
     assert code == 2
-    assert "checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checkpoint" in err and needle in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_overflowing_checkpoint_is_numeric_error(pipeline, tmp_path, capsys):
+    # finite but huge weights overflow the forward pass: no made-up accuracy, no warning
+    doc = json.load(open(os.path.join(pipeline["run"], "checkpoint.json")))
+    doc["gru"]["W_z"] = [[1e308] * len(row) for row in doc["gru"]["W_z"]]
+    ck = tmp_path / "huge.json"
+    ck.write_text(json.dumps(doc))
+    code = run("evaluate", "--checkpoint", str(ck), "--out", str(tmp_path / "out"),
+               "--test", os.path.join(pipeline["splits"], "test.csv"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "Warning" not in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 class TestCompareAndReport:
@@ -537,8 +582,7 @@ class TestCompareAndReport:
         rep_out = str(tmp_path / "rep")
         assert run("report", "--history", os.path.join(out, "history.csv"),
                    "--out", rep_out) == 0
-        assert os.path.exists(os.path.join(rep_out, "curves.csv"))
-        assert os.path.exists(os.path.join(rep_out, "curves.svg"))
+        assert os.listdir(rep_out) == ["curves.svg"]
 
     @pytest.mark.parametrize("content", [
         None,

@@ -7,7 +7,7 @@ import pytest
 
 from eegpipe import evaluation
 from eegpipe.errors import DataError
-from eegpipe.nn import TrainHistory, load_history
+from eegpipe.nn import TrainHistory
 
 
 class TestConfusion:
@@ -185,17 +185,9 @@ class TestEmitCurves:
 
     def test_files_written(self, tmp_path):
         paths = evaluation.emit_curves(self.hist(3), str(tmp_path))
-        for p in paths:
-            assert os.path.exists(p)
-        assert any(p.endswith("curves.csv") for p in paths)
-        assert any(p.endswith(".svg") for p in paths)
-
-    def test_csv_roundtrips_history(self, tmp_path):
-        h = self.hist(4)
-        evaluation.emit_curves(h, str(tmp_path))
-        back = load_history(str(tmp_path / "curves.csv"))
-        assert back.train_loss == h.train_loss
-        assert back.val_acc == h.val_acc
+        # the SVG alone: history.csv already holds the numbers
+        assert paths == [str(tmp_path / "curves.svg")]
+        assert os.listdir(tmp_path) == ["curves.svg"]
 
     def test_flat_history_svg_valid(self, tmp_path):
         h = TrainHistory([0.5] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eegpipe import nn
 from eegpipe.errors import ConfigError, DataError, NumericError
+from gradcheck import gradient_check
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -94,11 +95,19 @@ def zero_gru(p):
 
 
 def cell_step(p, x_t, h_prev):
-    """One gru_cell_forward step from an input frame; returns (h_t, z, r, h_cand)."""
+    """One feature-major gru_cell_forward step from input frames x_t [B, d]
+    and states h_prev [B, H]; returns (h_t, z, r, h_cand), each [B, H]."""
     B, H = h_prev.shape
-    zr, h_cand, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
-    nn.gru_cell_forward(p, x_t @ p.W.T + p.b, h_prev, zr, h_cand, h_t)
-    return h_t, zr[:, :H], zr[:, H:], h_cand
+    H2 = 2 * H
+    # the biased projection as gru_forward forms it, [W | b] @ [x_t; 1]
+    x1 = np.hstack([x_t, np.ones((B, 1))])
+    a = np.hstack([p.W, p.b[:, None]]) @ x1.T
+    zr = np.empty((H2, B))
+    rh, h_cand, diff, h_t = (np.empty((H, B)) for _ in range(4))
+    step = (a[:H2], a[H2:], np.ascontiguousarray(h_prev.T), zr, zr[:H], zr[H:], rh, h_cand, diff,
+            h_t)
+    assert nn.gru_cell_forward(p.U[:H2], p.U[H2:], step) is h_t
+    return h_t.T, zr[:H].T, zr[H:].T, h_cand.T
 
 
 class TestGruCell:
@@ -158,7 +167,7 @@ class TestGruForward:
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
         hs, cache = nn.gru_forward(m.gru, xs)
-        z, r, hc = cache.zr[..., :4], cache.zr[..., 4:], cache.h_cand
+        z, r, hc = cache.zr[:, :4], cache.zr[:, 4:], cache.h_cand
         assert np.all((z > 0) & (z < 1))
         assert np.all((r > 0) & (r < 1))
         assert np.all((hc > -1) & (hc < 1))
@@ -175,19 +184,21 @@ class TestGruForward:
 
 
 def reference_gru_forward(p, xs, proj=None):
-    """Per-step GRU forward, each step projecting its own input frame
-    unless the biased projections proj [T, B, 3H] (x_t @ W.T + b) are given.
+    """Per-step GRU forward over xs [T, B, d], feature-major ([H, B] states),
+    each step projecting its own input frame unless the biased projections
+    proj [T, 3H, B] (W @ x_t + b) are given.
 
-    Returns (hs [T, B, H], per-step caches (x_t, h_prev, z, r, h_cand)).
+    Returns (hs [T, H, B], per-step caches (x_t [B, d], then h_prev, z, r
+    and h_cand, each [H, B])).
     """
     H2 = 2 * p.hidden_dim
-    h = np.zeros((xs.shape[1], p.hidden_dim))
+    h = np.zeros((p.hidden_dim, xs.shape[1]))
     hs, caches = [], []
     for t, x_t in enumerate(xs):
-        a = x_t @ p.W.T + p.b if proj is None else proj[t]
-        zr = nn.sigmoid(a[:, :H2] + h @ p.U[:H2].T)
-        z, r = np.split(zr, 2, axis=1)
-        h_cand = np.tanh(a[:, H2:] + (r * h) @ p.U[H2:].T)
+        a = p.W @ x_t.T + p.b[:, None] if proj is None else proj[t]
+        zr = nn.sigmoid(p.U[:H2] @ h + a[:H2])
+        z, r = np.split(zr, 2, axis=0)
+        h_cand = np.tanh(p.U[H2:] @ (r * h) + a[H2:])
         caches.append((x_t, h, z, r, h_cand))
         h = h_cand + z * (h - h_cand)
         hs.append(h)
@@ -195,28 +206,29 @@ def reference_gru_forward(p, xs, proj=None):
 
 
 def reference_gru_backward(p, caches, grad_hs):
-    """Per-step BPTT that accumulates the parameter gradients inside the time loop.
+    """Per-step feature-major BPTT that accumulates the parameter gradients
+    inside the time loop; grad_hs is [T, H, B].
 
     Returns ((dW, dU, db), grad_xs [T, B, input_dim]).
     """
     H2 = 2 * p.hidden_dim
     dW, dU, db = np.zeros_like(p.W), np.zeros_like(p.U), np.zeros_like(p.b)
-    grad_xs = np.empty((len(caches), grad_hs.shape[1], p.input_dim))
+    grad_xs = np.empty((len(caches), grad_hs.shape[2], p.input_dim))
     carry = np.zeros_like(grad_hs[0])
     for t in range(len(caches) - 1, -1, -1):
         x_t, h_prev, z, r, h_cand = caches[t]
         dh = grad_hs[t] + carry
         da_c = dh * (1.0 - z) * (1.0 - h_cand * h_cand)
-        ds = da_c @ p.U[H2:]
+        ds = p.U[H2:].T @ da_c
         da = np.concatenate(
-            [dh * (h_prev - h_cand) * z * (1.0 - z), ds * h_prev * r * (1.0 - r), da_c], axis=1
+            [dh * (h_prev - h_cand) * z * (1.0 - z), ds * h_prev * r * (1.0 - r), da_c], axis=0
         )
-        dW += da.T @ x_t
-        dU[:H2] += da[:, :H2].T @ h_prev
-        dU[H2:] += da_c.T @ (r * h_prev)
-        db += da.sum(axis=0)
-        carry = dh * z + ds * r + da[:, :H2] @ p.U[:H2]
-        grad_xs[t] = da @ p.W
+        dW += da @ x_t
+        dU[:H2] += da[:H2] @ h_prev.T
+        dU[H2:] += da_c @ (r * h_prev).T
+        db += da.sum(axis=1)
+        carry = dh * z + ds * r + p.U[:H2].T @ da[:H2]
+        grad_xs[t] = (p.W.T @ da).T
     return (dW, dU, db), grad_xs
 
 
@@ -236,22 +248,22 @@ class TestKernelMatchesPerStepReference:
         p.b[:] = rng.normal(size=3 * H)
         xs = rng.normal(size=(T, B, d)) * 2.0
         hs, cache = nn.gru_forward(p, xs)
-        # the hoisted projection is one matmul over all T*B rows; a per-step
-        # matmul may round differently (BLAS uses gemv for one row), but only
-        # within the error bound of a d-term dot product
-        proj = (xs.reshape(T * B, d) @ p.W.T).reshape(T, B, 3 * H)
-        per_step = np.array([x_t @ p.W.T for x_t in xs])
-        bound = d * np.finfo(float).eps * (np.abs(xs) @ np.abs(p.W).T)
-        assert np.all(np.abs(proj - per_step) <= bound)
+        # the hoisted projection is one stacked matmul over all T steps, with
+        # the bias as a last input column of ones; it may round differently
+        # from a per-step W @ x_t + b, but only within the error bound of a
+        # (d+1)-term dot product
+        per_step = np.array([p.W @ x_t.T + p.b[:, None] for x_t in xs])
+        terms = np.abs(p.W) @ np.abs(xs).transpose(0, 2, 1) + np.abs(p.b)[:, None]
+        assert np.all(np.abs(cache.a - per_step) <= (d + 1) * np.finfo(float).eps * terms)
         # given the same biased projections, every step is bit-identical
-        want_hs, caches = reference_gru_forward(p, xs, proj + p.b)
-        assert np.array_equal(hs, want_hs)
-        assert np.array_equal(cache.zr, np.array([np.hstack(c[2:4]) for c in caches]))
+        want_hs, caches = reference_gru_forward(p, xs, cache.a)
+        assert np.array_equal(hs, want_hs.transpose(0, 2, 1))
+        assert np.array_equal(cache.zr, np.array([np.vstack(c[2:4]) for c in caches]))
         assert np.array_equal(cache.h_cand, np.array([c[4] for c in caches]))
         grad_hs = rng.normal(size=(T, B, H))
         grads, da = nn.gru_backward(p, cache, grad_hs)
         grad_xs = da @ p.W
-        want, want_xs = reference_gru_backward(p, caches, grad_hs)
+        want, want_xs = reference_gru_backward(p, caches, grad_hs.transpose(0, 2, 1))
         for got, ref in zip((grads.W, grads.U, grads.b, grad_xs), (*want, want_xs)):
             assert_close_to(got, ref, 1e-12)
 
@@ -266,6 +278,54 @@ class TestKernelMatchesPerStepReference:
         assert got is out
         for (name, a), (_, b) in zip(fresh.items(), out.items()):
             assert np.array_equal(a, b), name
+
+
+def model_step(model, X, y, workspaces):
+    """Logits and the flat gradient of one forward and backward pass."""
+    logits, cache = nn.model_forward(model, X, workspaces)
+    _, grad_logits = nn.softmax_cross_entropy_batch(logits, y)
+    grads = nn.FlatParams((name, np.zeros_like(a)) for name, a in model.param_items())
+    nn.model_backward(model, cache, grad_logits / len(y), out=grads.model(model.config))
+    return logits.copy(), grads.vector
+
+
+class TestWorkspace:
+    def test_reused_workspaces_equal_fresh_ones_bit_for_bit(self):
+        m = small_model(seed=16)
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(20, 5, 3)), rng.integers(0, 3, 20)
+        Xv, yv = rng.normal(size=(9, 5, 3)), rng.integers(0, 3, 9)
+        workspaces = {}
+        for epoch in range(2):
+            perm = rng.permutation(20)
+            for start in range(0, 20, 6):  # batches of 6, 6, 6 and 2
+                sel = perm[start : start + 6]
+                got = model_step(m, X[sel], y[sel], workspaces)
+                want = model_step(m, X[sel], y[sel], None)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert nn.evaluate_model(m, Xv, yv, workspaces) == nn.evaluate_model(m, Xv, yv)
+            m.gru.U *= 1.1  # new parameters, same workspaces
+        assert sorted(workspaces) == [(5, 4, 3, 2), (5, 4, 3, 6), (5, 4, 3, 9)]
+
+    def test_no_buffer_is_shared_across_shapes(self):
+        m = small_model(seed=17)
+        workspaces = {}
+        for B in (1, 2, 6):
+            nn.model_forward(m, np.ones((B, 5, 3)), workspaces)
+        buffers = [[a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+                   for ws in workspaces.values()]
+        assert len(buffers) == 3 and all(len(b) >= 10 for b in buffers)
+        for i, own in enumerate(buffers):
+            for other in buffers[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in own for b in other)
+
+    def test_dense_head_reads_and_returns_the_state_layout_without_copies(self):
+        m = small_model(seed=18)
+        logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), {})
+        assert v.shape == (2, 20) and np.shares_memory(v, ws.hs)
+        _, _, dv = nn.dense_backward(m.dense, v, np.ones_like(logits))
+        grad_hs = nn.unflatten(dv, 5, 4)
+        assert grad_hs.transpose(0, 2, 1).flags.c_contiguous  # feature-major, as gru_backward reads it
 
 
 class TestGruBackward:
@@ -609,6 +669,18 @@ class TestPredict:
         _, probs = nn.predict_batch(m, np.random.default_rng(0).normal(size=(4, 5, 3)))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
+    def test_non_finite_logits_are_numeric_error(self):
+        m = small_model(seed=8)
+        m.dense.b[1] = np.nan
+        with pytest.raises(NumericError, match="logits"):
+            nn.predict_batch(m, np.zeros((2, 5, 3)))
+
+    def test_overflow_is_numeric_error(self):
+        m = small_model(seed=8)
+        m.gru.W[:] = 1e308
+        with pytest.raises(NumericError, match="overflow"):
+            nn.predict_batch(m, np.ones((2, 5, 3)))
+
     def test_logit_shift_invariance(self):
         m = small_model(seed=8)
         xs = np.random.default_rng(1).normal(size=(4, 5, 3))
@@ -623,15 +695,15 @@ class TestGradientCheck:
     def test_small_model_passes(self):
         m = small_model(seed=13)
         xs = np.random.default_rng(2).normal(size=(1, 5, 3))
-        err, path = nn.gradient_check(m, xs, [1])
+        err, path = gradient_check(m, xs, [1])
         assert err < 1e-4
         assert path  # worst offender is named
 
     def test_halving_eps_is_sane(self):
         m = small_model(seed=14)
         xs = np.random.default_rng(3).normal(size=(1, 5, 3))
-        e1, _ = nn.gradient_check(m, xs, [0], eps=1e-4)
-        e2, _ = nn.gradient_check(m, xs, [0], eps=5e-5)
+        e1, _ = gradient_check(m, xs, [0], eps=1e-4)
+        e2, _ = gradient_check(m, xs, [0], eps=5e-5)
         assert e2 < max(4.0 * e1, 1e-6)
 
     def test_saturated_case_both_gradients_vanish(self):
@@ -639,7 +711,7 @@ class TestGradientCheck:
         m.dense.b[:] = 0.0
         m.dense.b[2] = 60.0  # loss for label 2 is ~0, all grads ~0
         xs = np.zeros((1, 5, 3))
-        err, _ = nn.gradient_check(m, xs, [2])
+        err, _ = gradient_check(m, xs, [2])
         logits, cache = nn.model_forward(m, xs)
         loss, grad = nn.softmax_cross_entropy_batch(logits, [2])
         assert loss[0] < 1e-8
@@ -649,7 +721,7 @@ class TestGradientCheck:
     def test_eps_range_enforced(self):
         m = small_model()
         with pytest.raises(ConfigError):
-            nn.gradient_check(m, np.zeros((1, 5, 3)), [0], eps=1e-2)
+            gradient_check(m, np.zeros((1, 5, 3)), [0], eps=1e-2)
 
 
 class TestPersistence:
