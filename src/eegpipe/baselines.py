@@ -147,35 +147,56 @@ def _gini_sum(counts: np.ndarray, n: int) -> float:
     return n - float(np.sum(counts.astype(float) ** 2)) / n
 
 
-def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: float):
+def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: float,
+                       order=None):
     """Exact prefix-sum split scan shared by the Gini and MSE splitters.
 
     Each column of X (restricted to feature_indices, in that order) is
-    stable-sorted; side_scores(order, n_left) maps the [n, d] sort order
-    and the [n-1, 1] left-side sizes to the [n-1, d] scores of splitting
-    after each sorted position. A position is a candidate only when its
-    value differs from the next one, both sides hold at least min_leaf
-    rows and its score is below bound. argmin over the feature-major array
-    takes the first minimum, so ties go to the lower feature, then the
-    lower threshold. Returns (feature, threshold, score) or None.
+    stable-sorted, unless `order`, the [d, n] stable sort order of X's
+    columns (one row per column), is given; side_scores(order, n_left)
+    maps that order and the [n-1] left-side sizes to the [d, n-1] scores
+    of splitting after each sorted position. A position is a candidate
+    only when its value differs from the next one, both sides hold at
+    least min_leaf rows and its score is below bound. argmin over the
+    feature-major scores takes the first minimum, so ties go to the lower
+    feature, then the lower threshold. Returns (feature, threshold, score)
+    or None.
     """
     if feature_indices is not None:
         X = X[:, feature_indices]
     n, d = X.shape
     if n < 2 or d == 0:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    n_left = np.arange(1, n, dtype=float)[:, None]
+    if order is None:
+        order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take(X, order * d + np.arange(d)[:, None])  # xs[j, i] = X[order[j, i], j]
+    n_left = np.arange(1, n, dtype=float)
     scores = side_scores(order, n_left)
     sizes_ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    ok = (xs[:-1] != xs[1:]) & sizes_ok & (scores < bound)
-    scores = np.where(ok, scores, np.inf).T
+    ok = (xs[:, :-1] != xs[:, 1:]) & sizes_ok & (scores < bound)
+    scores = np.where(ok, scores, np.inf)
     j, i = divmod(int(np.argmin(scores)), n - 1)
-    if not ok[i, j]:
+    if not ok[j, i]:
         return None
     feature = j if feature_indices is None else feature_indices[j]
-    return int(feature), float((xs[i, j] + xs[i + 1, j]) / 2.0), float(scores[j, i])
+    return int(feature), float((xs[j, i] + xs[j, i + 1]) / 2.0), float(scores[j, i])
+
+
+def _node_order(order, idx):
+    """The [d, len(idx)] stable column order of X[idx], from the [d, n] one
+    of X; idx is ascending.
+
+    Filtering each column's order to the node's rows keeps their relative
+    order, and a stable sort breaks ties by row, so this equals sorting
+    X[idx] afresh.
+    """
+    d, n = order.shape
+    if len(idx) == n:
+        return order
+    local = np.full(n, -1)
+    local[idx] = np.arange(len(idx))
+    node = local[order]
+    return node[node >= 0].reshape(d, len(idx))
 
 
 def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
@@ -192,10 +213,10 @@ def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
     def side_scores(order, n_left):
         ys = y[order]
         n_right = n - n_left
-        sq_left = np.zeros((n - 1, ys.shape[1]))
-        sq_right = np.zeros((n - 1, ys.shape[1]))
+        sq_left = np.zeros((ys.shape[0], n - 1))
+        sq_right = np.zeros((ys.shape[0], n - 1))
         for c in range(n_classes):
-            left = np.cumsum(ys[:-1] == c, axis=0)
+            left = np.cumsum(ys[:, :-1] == c, axis=1)
             sq_left += left.astype(float) ** 2
             sq_right += (counts_total[c] - left).astype(float) ** 2
         return (n_left - sq_left / n_left) + (n_right - sq_right / n_right)
@@ -323,18 +344,17 @@ def fit_linear_svm(
     W_avg = np.zeros_like(W)
     b_avg = np.zeros_like(b)
     rng = np.random.default_rng(seed)
+    all_targets = np.where(np.arange(n_classes) == y[:, None], 1.0, -1.0)  # [n, classes] of +-1
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            xi = X[i]
-            targets = np.where(np.arange(n_classes) == y[i], 1.0, -1.0)
-            margins = targets * (W @ xi + b)
-            active = margins < 1.0
+            xi, targets = X[i], all_targets[i]
+            active = targets * (W @ xi + b) < 1.0
             W *= 1.0 - eta * lam
-            if np.any(active):
-                W[active] += (eta / 1.0) * np.outer(targets[active], xi)
+            if active.any():
+                W[active] += eta * np.outer(targets[active], xi)
                 b[active] += eta * targets[active]
             W_avg += W
             b_avg += b
@@ -361,10 +381,11 @@ class BoostModel:
     n_classes: int
 
 
-def best_mse_split(X, g, min_leaf: int):
+def best_mse_split(X, g, min_leaf: int, order=None):
     """Variance-reduction split for regression targets g; same tie rules as
     Gini, and a split must beat the parent by more than 1e-12. A constant
-    target has no variance to reduce, so it is never split."""
+    target has no variance to reduce, so it is never split. `order`, when
+    given, is the [d, n] stable sort order of X's columns."""
     n = len(g)
     if n < 2 or (g == g[0]).all():
         return None
@@ -373,21 +394,25 @@ def best_mse_split(X, g, min_leaf: int):
     parent = total_sq - total * total / n
 
     def side_scores(order, n_left):
-        s = np.cumsum(g[order][:-1], axis=0)
+        s = np.cumsum(g[order][:, :-1], axis=1)
         return total_sq - s * s / n_left - (total - s) ** 2 / (n - n_left)
 
-    return _best_prefix_split(X, None, min_leaf, side_scores, parent - 1e-12)
+    return _best_prefix_split(X, None, min_leaf, side_scores, parent - 1e-12, order)
 
 
-def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> Tree:
+def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int, order) -> Tree:
     """Regression tree on residuals; leaf value is the Newton step
-    sum(residual) / sum(hessian)."""
+    sum(residual) / sum(hessian). `order` is the [d, n] stable sort order
+    of X's columns, from which each node's own order is derived."""
 
     def find_split(idx):
-        return best_mse_split(X[idx], residual[idx], min_leaf)
+        g = residual[idx]
+        if (g == g[0]).all():  # best_mse_split returns None before it reads an order
+            return best_mse_split(X[idx], g, min_leaf)
+        return best_mse_split(X[idx], g, min_leaf, _node_order(order, idx))
 
     def leaf_value(idx):
-        return float(np.sum(residual[idx])) / max(float(np.sum(hessian[idx])), 1e-12)
+        return float(residual[idx].sum()) / max(float(hessian[idx].sum()), 1e-12)
 
     return _grow(X, len(residual), max_depth, min_leaf, find_split, leaf_value)
 
@@ -418,6 +443,7 @@ def fit_boosting(
     priors = np.clip(onehot.mean(axis=0), 1e-12, 1.0 - 1e-12)
     init_scores = np.log(priors / (1.0 - priors))
     F = np.tile(init_scores, (n, 1))
+    order = np.argsort(X.T, axis=1, kind="stable")  # once: every tree splits rows of X
     rounds: list[list[Tree]] = []
     for _ in range(n_rounds):
         per_class = []
@@ -425,7 +451,7 @@ def fit_boosting(
             p = 1.0 / (1.0 + np.exp(-F[:, cidx]))
             residual = onehot[:, cidx] - p
             hessian = p * (1.0 - p)
-            tree = _fit_regression_tree(X, residual, hessian, max_depth, min_leaf)
+            tree = _fit_regression_tree(X, residual, hessian, max_depth, min_leaf, order)
             F[:, cidx] += learning_rate * _tree_outputs(tree, X)
             per_class.append(tree)
         rounds.append(per_class)

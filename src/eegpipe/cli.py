@@ -221,6 +221,39 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# samples per extract_features call when featurize stacks short recordings:
+# few enough that a block's copies and temporaries stay small
+FEATURE_BLOCK_SAMPLES = 1 << 13
+
+
+def _feature_blocks(windows, kept):
+    """Group consecutive recordings, in order, into blocks for one
+    extract_features call each: recordings with the same window shape share
+    a block of at most FEATURE_BLOCK_SAMPLES kept samples, and a recording
+    at or above the budget is a block of its own. Yields each block as a
+    list of (window view, kept indices) pairs, so that no epochs are copied
+    before their block is used."""
+    block, size = [], 0
+    for w, k in zip(windows, kept):
+        n = len(k) * math.prod(w.shape[1:])
+        if block and (w.shape[1:] != block[0][0].shape[1:] or size + n > FEATURE_BLOCK_SAMPLES
+                      or max(size, n) >= FEATURE_BLOCK_SAMPLES):
+            yield block
+            block, size = [], 0
+        block.append((w, k))
+        size += n
+    if block:
+        yield block
+
+
+def _kept_epochs(block):
+    """A block's kept epochs as one array: a lone recording's w[k] as it is."""
+    if len(block) == 1:
+        w, k = block[0]
+        return w[k]
+    return np.concatenate([w[k] for w, k in block])
+
+
 def cmd_featurize(args) -> int:
     fc = dsp.FeatureConfig(
         filter_low_hz=args.filter_low_hz,
@@ -263,12 +296,17 @@ def cmd_featurize(args) -> int:
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
-    # one recording at a time: the windows of a whole manifest may not fit in memory
-    rows = []
-    for w, k in zip(windows, kept):
-        fv = dsp.extract_features(w[k], fs, fc, channel_names)
-        rows.append(fv.values)
-    ds = dataio.Dataset(np.concatenate(rows),
+    features, row = None, 0
+    for block in _feature_blocks(windows, kept):
+        # the epochs are a temporary of the call, freed before the next block is
+        # stacked, and the rows go straight into one matrix: small arrays kept
+        # between the blocks' temporaries fragment the heap, which grew peak RSS
+        fv = dsp.extract_features(_kept_epochs(block), fs, fc, channel_names)
+        if features is None:
+            features = np.empty((n_kept, len(fv.names)))
+        features[row : row + len(fv.values)] = fv.values
+        row += len(fv.values)
+    ds = dataio.Dataset(features,
                         np.repeat([rec.label for rec in recordings], list(map(len, kept))),
                         class_names, fv.names)
     dataio.save_feature_csv(ds, args.out)

@@ -6,6 +6,7 @@ operation here is deterministic and safe to call concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -147,9 +148,23 @@ def _parse_feature_csv(path: str, label_column: str) -> Dataset | None:
     return None if features is None else _labelled_dataset(features, labels, header[:-1])
 
 
+@contextlib.contextmanager
+def _open_csv(path: str):
+    """A CSV file opened for the csv reader. Bytes that are not UTF-8 text,
+    and a record the reader refuses (such as a field over its size limit),
+    are data errors that name the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _scan_feature_csv(path: str, label_column: str) -> Dataset:
     """load_feature_csv cell by cell: the path that names the first bad row and column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -241,7 +256,7 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     """
     if not os.path.isfile(manifest):
         raise DataError(f"manifest not found: {manifest}")
-    with open(manifest, newline="", encoding="utf-8") as fh:
+    with _open_csv(manifest) as fh:
         reader = csv.DictReader(fh)
         required = {"file", "label", "sample_rate_hz", "channels"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -346,7 +361,7 @@ def _loadtxt_matrix(lines: list[str], n_cols: int) -> np.ndarray | None:
 
 def _scan_raw_csv(fpath: str, channels: list[str]) -> np.ndarray:
     """A raw recording read row by row: the path that names the first bad line."""
-    with open(fpath, newline="", encoding="utf-8") as fh:
+    with _open_csv(fpath) as fh:
         rdr = csv.reader(fh)
         header = next(rdr, None)
         if header != channels:

@@ -187,10 +187,12 @@ class GruWorkspace:
       gradient is one matrix product over all T*B columns.
 
     gru_forward fills the forward buffers and returns the workspace as its
-    cache; gru_backward reads them and fills the backward ones. Each call
-    overwrites what the last call on the same workspace left, so a cache,
-    and the arrays and views returned with it, are valid only until the
-    next call on that workspace.
+    cache; gru_backward reads them and fills the backward ones, which its
+    first call on the workspace builds, so a workspace that only ever runs
+    forward (validation, prediction) holds none. Each call overwrites what
+    the last call on the same workspace left, so a cache, and the arrays
+    and views returned with it, are valid only until the next call on that
+    workspace.
     """
 
     def __init__(self, T: int, H: int, d: int, B: int):
@@ -205,6 +207,18 @@ class GruWorkspace:
         self.hs = np.zeros((T + 1, H, B))
         self.zr = np.empty((T, H2, B))
         self.rh, self.h_cand, self.diff = (np.empty((T, H, B)) for _ in range(3))
+        a, hs, zr = self.a, self.hs, self.zr
+        self.forward_steps = [
+            (a[t, :H2], a[t, H2:], hs[t], zr[t], zr[t, :H], zr[t, H:], self.rh[t],
+             self.h_cand[t], self.diff[t], hs[t + 1])
+            for t in range(T)
+        ]
+        self.backward_steps = None  # with the backward buffers, by add_backward_buffers
+
+    def add_backward_buffers(self) -> None:
+        """Build the buffers and per-step views that gru_backward writes."""
+        T, H, d, B = self.shape
+        H2 = 2 * H
         # d(h_t)/d(pre-activation) of the z, candidate and r gates (the r
         # factor is the gradient w.r.t. r * h_prev, not h_t); slope is
         # sigmoid' of z and r
@@ -215,12 +229,7 @@ class GruWorkspace:
         self.dWb = np.empty((3 * H, d + 1))
         self.rows = np.empty((T * B, H))  # row-layout copy of h_prev, then of r * h_prev
         self.dh, self.ds, self.term, self.carry = (np.empty((H, B)) for _ in range(4))
-        a, hs, zr, da = self.a, self.hs, self.zr, self.da_steps
-        self.forward_steps = [
-            (a[t, :H2], a[t, H2:], hs[t], zr[t], zr[t, :H], zr[t, H:], self.rh[t],
-             self.h_cand[t], self.diff[t], hs[t + 1])
-            for t in range(T)
-        ]
+        zr, da = self.zr, self.da_steps
         self.backward_steps = [
             (self.f_z[t], self.f_c[t], self.f_r[t], zr[t, :H], zr[t, H:],
              da[t, :H], da[t, H:H2], da[t, :H2], da[t, H2:])
@@ -309,6 +318,8 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | No
     if grad_hs.shape != (T, B, H):
         raise DataError(f"grad_hs of shape {grad_hs.shape} for a cache of length {T}, "
                         f"batch {B} and {H} hidden units")
+    if ws.backward_steps is None:
+        ws.add_backward_buffers()
     H2 = 2 * H
     h_prev, slope, f_z, f_c, f_r = ws.hs[:-1], ws.slope, ws.f_z, ws.f_c, ws.f_r
     np.subtract(1.0, ws.zr, out=slope)
@@ -727,18 +738,22 @@ def save_history(history: TrainHistory, path: str) -> None:
 
 
 def load_history(path: str) -> TrainHistory:
-    """Read a history CSV; a missing file, column or number is a DataError."""
+    """Read a history CSV; a missing file, column or number, or a number
+    that is not finite and so has no place on a curve, is a DataError."""
     hist = TrainHistory()
     line = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for line, row in enumerate(csv.DictReader(fh), start=2):
                 for col in _HISTORY_COLUMNS:
-                    getattr(hist, col).append(float(row[col]))
+                    value = float(row[col])
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite {col} {row[col]!r}")
+                    getattr(hist, col).append(value)
     except OSError as exc:
         raise DataError(f"cannot read history {path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"history {path} has no {exc} column") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, csv.Error) as exc:
         raise DataError(f"history {path}: unparsable value on line {line}: {exc}") from None
     return hist

@@ -224,6 +224,18 @@ class TestTree:
         assert baselines.best_mse_split(X, g, min_leaf) == \
             brute_force_best_mse_split(X, g, min_leaf)
 
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_split_problem(), st.data())
+    def test_node_order_equals_a_fresh_stable_sort(self, problem, data):
+        # boosting sorts X once and derives each node's order from it
+        X, _, _, g, min_leaf, _ = problem
+        rows = data.draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X)))
+        idx = np.flatnonzero(rows)
+        order = baselines._node_order(np.argsort(X.T, axis=1, kind="stable"), idx)
+        assert np.array_equal(order, np.argsort(X[idx], axis=0, kind="stable").T)
+        assert baselines.best_mse_split(X[idx], g[idx], min_leaf, order) == \
+            baselines.best_mse_split(X[idx], g[idx], min_leaf)
+
     def test_mse_split_needs_more_than_rounding_gain(self):
         # both sides have mean -2/3, so no split gains anything, yet the
         # computed score lands one ulp below the parent's
@@ -315,7 +327,42 @@ class TestForest:
         assert np.mean(preds == y) >= 0.95
 
 
+def ref_fit_linear_svm(X, y, n_classes, c=1.0, epochs=50, seed=0):
+    """Reference per-sample SGD loop, building each example's +-1 targets at every step."""
+    n, d = X.shape
+    lam = 1.0 / (c * n)
+    W, b = np.zeros((n_classes, d)), np.zeros(n_classes)
+    W_avg, b_avg = np.zeros_like(W), np.zeros_like(b)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            xi = X[i]
+            targets = np.where(np.arange(n_classes) == y[i], 1.0, -1.0)
+            margins = targets * (W @ xi + b)
+            active = margins < 1.0
+            W *= 1.0 - eta * lam
+            if np.any(active):
+                W[active] += (eta / 1.0) * np.outer(targets[active], xi)
+                b[active] += eta * targets[active]
+            W_avg += W
+            b_avg += b
+    return baselines.LinearModel(W_avg / t, b_avg / t)
+
+
 class TestSvm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_matches_per_sample_reference(self, seed, n_classes):
+        rng = np.random.default_rng(seed + 40)
+        X, y = rng.normal(size=(45, 5)), rng.integers(0, n_classes, 45)
+        got = baselines.fit_linear_svm(X, y, n_classes, epochs=10, seed=seed)
+        want = ref_fit_linear_svm(X, y, n_classes, epochs=10, seed=seed)
+        assert got.W.tobytes() == want.W.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+
     def test_separable_margin_hinge_near_zero(self):
         # blobs at distance 4 with radius ~0.5 have margin > 1 under the
         # analytic separator w=(0.5,0.5), b=-2, so zero hinge is attainable

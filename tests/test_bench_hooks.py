@@ -10,7 +10,7 @@ import types
 
 import numpy as np
 
-from eegpipe import nn
+from eegpipe import baselines, nn
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -80,3 +80,45 @@ def test_train_call_census(monkeypatch):
         "model_forward": batches + epochs, "dense_backward": batches,
         "gru_backward": batches, "evaluate_model": epochs,
     }
+
+
+def nodes_that_search(tree, X, max_depth, min_leaf):
+    """How many nodes of a fitted tree were below max_depth with at least
+    2*min_leaf rows, and how many of those split, from the rows of X that
+    reach each node."""
+    searched = split = 0
+    stack = [(0, np.arange(len(X)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if depth < max_depth and len(rows) >= 2 * min_leaf:
+            searched += 1
+        if tree.left[node] >= 0:
+            split += 1
+            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack += [(tree.left[node], rows[go_left], depth + 1),
+                      (tree.right[node], rows[~go_left], depth + 1)]
+    return searched, split
+
+
+def test_boosting_split_census(monkeypatch):
+    # best_mse_split.calls and found_ratio read one call per node that reaches
+    # the split search, returning a split exactly where the tree has one
+    results = []
+    best_mse_split = baselines.best_mse_split
+
+    def counted(*args, **kwargs):
+        results.append(best_mse_split(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(baselines, "best_mse_split", counted)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 4)).round(1)
+    y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int) + (X[:, 2] > 0.8)
+    max_depth, min_leaf = 3, 2
+    model = baselines.fit_boosting(X, y, 3, n_rounds=4, max_depth=max_depth, min_leaf=min_leaf)
+    counts = [nodes_that_search(tree, X, max_depth, min_leaf)
+              for per_class in model.trees for tree in per_class]
+    searched, found = map(sum, zip(*counts))
+    assert found > len(counts)  # deeper than stumps
+    assert len(results) == searched
+    assert sum(r is not None for r in results) == found

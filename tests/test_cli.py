@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -588,7 +589,8 @@ class TestCompareAndReport:
         None,
         "epoch,train_loss,train_acc,val_loss\n1,0.5,0.5,0.6\n",
         "epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,abc,0.5\n",
-    ], ids=["missing_file", "missing_column", "unparsable_cell"])
+        "epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,1e999,0.5\n",
+    ], ids=["missing_file", "missing_column", "unparsable_cell", "non_finite_cell"])
     def test_bad_history_is_data_error(self, tmp_path, capsys, content):
         path = tmp_path / "history.csv"
         if content is not None:
@@ -768,6 +770,98 @@ def test_mixed_lengths_keep_manifest_order(tmp_path):
     both = [None] + parts["256"][1:] + parts["384"][1:]
     want = [parts["256"][0]] + [both[i] for i in order]
     assert (tmp_path / "mixed.csv").read_text().splitlines() == want
+
+
+def write_manifest(root, lengths, artifacts=()):
+    """Synth recordings of the given sample counts, in that order, and their
+    manifest; each recording listed in `artifacts` gets a spike every 64
+    samples, so that artifact rejection drops every window of it."""
+    rows = ["file,label,sample_rate_hz,channels"]
+    for k, n in enumerate(lengths):
+        data, labels = dataio.synth_generate(1, n, 256.0, seed=k)
+        x, label = data[k % 3], int(labels[k % 3])
+        if k in artifacts:
+            x[:, ::64] = 5000.0
+        name = f"rec_{k:02d}.csv"
+        dataio.save_recording_csv(
+            dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, x, label=label), str(root / name))
+        rows.append(f"{name},{dataio.SYNTH_CLASS_NAMES[label]},256.0,"
+                    f"{';'.join(dataio.DEFAULT_CHANNELS)}")
+    manifest = root / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest
+
+
+def per_recording_features(manifest, window_len, hop):
+    """featurize's rows and labels with extract_features called once per recording."""
+    fc = dsp.FeatureConfig()
+    recordings, _ = dataio.load_raw_recordings(str(manifest.parent), str(manifest))
+    coeffs = dsp.design_butterworth_bandpass(fc.filter_low_hz, fc.filter_high_hz, 256.0,
+                                             fc.filter_order)
+    rows, labels = [], []
+    for rec in recordings:
+        w = dataio.window_recording(dsp.filtfilt(coeffs, rec.data), window_len, hop)
+        kept, _ = dsp.reject_artifacts(w, fc.artifact_threshold_uv)
+        rows.append(dsp.extract_features(w[kept], 256.0, fc, rec.channels).values)
+        labels += [rec.label] * len(kept)
+    return np.concatenate(rows), np.array(labels)
+
+
+@pytest.mark.parametrize("lengths,artifacts,window_len,hop,blocks", [
+    # mixed lengths, one window per recording: a block ends where the shape
+    # changes or 8192 samples would be passed; 2048 and 4096 samples are at
+    # or above the budget, so each is a block of its own
+    ([256] * 3 + [384] * 2 + [256] * 10 + [2048, 4096] + [256] * 2, (), None, None,
+     [(3, 4, 256), (2, 4, 384), (8, 4, 256), (2, 4, 256), (1, 4, 2048), (1, 4, 4096),
+      (2, 4, 256)]),
+    # 3 windows of 512-sample recordings; the second keeps none, mid-block
+    ([512] * 5, (1,), 256, 128, [(6, 4, 256), (6, 4, 256)]),
+], ids=["mixed_lengths", "empty_mid_block"])
+def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, lengths,
+                                                         artifacts, window_len, hop, blocks):
+    manifest = write_manifest(tmp_path, lengths, artifacts)
+    calls = []
+    extract = dsp.extract_features
+
+    def recorded(epochs, *args, **kwargs):
+        calls.append(epochs.shape)
+        return extract(epochs, *args, **kwargs)
+
+    monkeypatch.setattr(dsp, "extract_features", recorded)
+    window = [] if window_len is None else ["--window-len", str(window_len), "--hop", str(hop)]
+    out = tmp_path / "features.csv"
+    assert run("featurize", "--manifest", str(manifest), *window, "--out", str(out)) == 0
+    assert calls == blocks
+    monkeypatch.setattr(dsp, "extract_features", extract)
+    want, labels = per_recording_features(manifest, window_len, hop)
+    got = dataio.load_feature_csv(str(out))
+    assert len(got.labels) == sum(b[0] for b in blocks)
+    assert got.features.tobytes() == want.tobytes()
+    assert got.labels.tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("bad", [b"\xff\xfe", b"1" * 200_000 + b","],
+                         ids=["not_utf8", "overlong_field"])
+@pytest.mark.parametrize("target", ["recording", "manifest", "features", "history"])
+def test_undecodable_or_overlong_csv_is_data_error(pipeline, tmp_path, capsys, target, bad):
+    # these reached the csv reader's own exceptions, a traceback with no exit code
+    raw = tmp_path / "raw"
+    shutil.copytree(pipeline["raw"], raw)
+    features, history = tmp_path / "features.csv", tmp_path / "history.csv"
+    shutil.copy(pipeline["feats"], features)
+    shutil.copy(os.path.join(pipeline["run"], "history.csv"), history)
+    manifest = ["featurize", "--manifest", str(raw / "manifest.csv")]
+    path, argv = {
+        "recording": (raw / "epoch_0001.csv", manifest),
+        "manifest": (raw / "manifest.csv", manifest),
+        "features": (features, ["split", "--input", str(features)]),
+        "history": (history, ["report", "--history", str(history)]),
+    }[target]
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 3
+    path.write_bytes(data[:cut] + bad + data[cut:])
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def write_without_class(src, dst, label):

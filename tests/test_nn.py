@@ -311,13 +311,31 @@ class TestWorkspace:
         m = small_model(seed=17)
         workspaces = {}
         for B in (1, 2, 6):
-            nn.model_forward(m, np.ones((B, 5, 3)), workspaces)
+            model_step(m, np.ones((B, 5, 3)), np.zeros(B, dtype=int), workspaces)
         buffers = [[a for a in vars(ws).values() if isinstance(a, np.ndarray)]
                    for ws in workspaces.values()]
-        assert len(buffers) == 3 and all(len(b) >= 10 for b in buffers)
+        assert len(buffers) == 3 and all(len(b) >= 20 for b in buffers)
         for i, own in enumerate(buffers):
             for other in buffers[i + 1 :]:
                 assert not any(np.shares_memory(a, b) for a in own for b in other)
+
+    def test_forward_only_workspace_holds_no_backward_buffers(self):
+        m = small_model(seed=19)
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(7, 5, 3)), rng.integers(0, 3, 7)
+        workspaces = {}
+        nn.evaluate_model(m, X, y, workspaces)
+        (ws,) = workspaces.values()
+        forward = {name for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        assert ws.backward_steps is None
+        assert forward == {"x", "x_steps", "x_cols", "Wb", "a", "hs", "zr", "rh", "h_cand",
+                           "diff"}
+        # its first backward pass builds the rest, and matches a fresh workspace
+        got = model_step(m, X, y, workspaces)
+        want = model_step(m, X, y, None)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert ws.backward_steps is not None and hasattr(ws, "da")
+        assert nn.evaluate_model(m, X, y, workspaces) == nn.evaluate_model(m, X, y)
 
     def test_dense_head_reads_and_returns_the_state_layout_without_copies(self):
         m = small_model(seed=18)
