@@ -1,9 +1,9 @@
 """Classical baselines: softmax regression, CART, random forest,
 one-vs-rest linear SVM, and depth-limited gradient boosting.
 
-Everything is built on numpy with deterministic, seeded training. All
-classifiers expose predict_* returning (class ids, probability matrix)
-with rows on the simplex. Trees are flat arrays grown by one iterative
+Everything is built on numpy with deterministic, seeded training. Every
+predict_* returns class ids only: the argmax of the model's own scores,
+ties to the lowest class id. Trees are flat arrays grown by one iterative
 grower and walked one depth level at a time.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .nn import softmax
+from .nn import softmax_cross_entropy_batch
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +31,8 @@ class LinearModel:
 def logistic_loss_grad(W, b, X, y, l2: float):
     """Mean cross-entropy with L2 weight decay (bias excluded) and its gradient."""
     n = len(y)
-    probs = softmax(X @ W.T + b)
-    eps = 1e-300
-    loss = -float(np.mean(np.log(probs[np.arange(n), y] + eps)))
-    loss += 0.5 * l2 * float(np.sum(W * W))
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    losses, delta = softmax_cross_entropy_batch(X @ W.T + b, y)
+    loss = float(np.mean(losses)) + 0.5 * l2 * float(np.sum(W * W))
     gW = delta.T @ X / n + l2 * W
     gb = delta.sum(axis=0) / n
     return loss, gW, gb
@@ -62,9 +58,9 @@ def fit_logistic(
 
 
 def predict_logistic(model: LinearModel, X):
+    """Argmax of the class scores X @ W.T + b."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    probs = softmax(X @ model.W.T + model.b)
-    return np.argmax(probs, axis=1), probs
+    return (X @ model.W.T + model.b).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +310,12 @@ def fit_forest(
 
 
 def predict_forest(model: ForestModel, X):
+    """Argmax of the trees' summed leaf probabilities."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    probs = np.zeros((len(X), model.n_classes))
+    votes = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
-        probs += _tree_outputs(tree, X)
-    probs /= len(model.trees)
-    return np.argmax(probs, axis=1), probs
+        votes += _tree_outputs(tree, X)
+    return votes.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +357,7 @@ def fit_linear_svm(
     return LinearModel(W_avg / t, b_avg / t)
 
 
-def predict_svm(model: LinearModel, X):
-    """Argmax margin; probabilities are a softmax over margins for reporting."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    scores = X @ model.W.T + model.b
-    probs = softmax(scores)
-    return np.argmax(scores, axis=1), probs
+predict_svm = predict_logistic  # the same argmax of linear class scores
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +459,4 @@ def boost_scores(model: BoostModel, X) -> np.ndarray:
 
 
 def predict_boost(model: BoostModel, X):
-    """Argmax of per-class scores; probabilities are normalized sigmoids,
-    so a 0-round model predicts the class priors exactly."""
-    F = boost_scores(model, X)
-    sig = 1.0 / (1.0 + np.exp(-F))
-    probs = sig / sig.sum(axis=1, keepdims=True)
-    return np.argmax(probs, axis=1), probs
+    return boost_scores(model, X).argmax(axis=1)

@@ -339,19 +339,23 @@ def _train_config(args) -> nn.TrainConfig:
 
 
 def _train_gru(train_ds, val_ds, args, train_cfg: nn.TrainConfig):
-    """Shared by cmd_train and cmd_compare: normalize, reshape, train."""
+    """Shared by cmd_train and cmd_compare: normalize, reshape, train.
+    Returns the model, its history, the normalization and the normalized
+    training features."""
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
-    X_tr = nn.dataset_to_sequences(dsp.apply_normalization(train_ds.features, norm), args.seq_len)
-    X_va = nn.dataset_to_sequences(dsp.apply_normalization(val_ds.features, norm), args.seq_len)
+    X_tr = dsp.apply_normalization(train_ds.features, norm)
+    seqs_tr, seqs_va = (nn.dataset_to_sequences(X, args.seq_len)
+                        for X in (X_tr, dsp.apply_normalization(val_ds.features, norm)))
     model_cfg = nn.ModelConfig(
-        input_dim=X_tr.shape[2],
+        input_dim=seqs_tr.shape[2],
         hidden_dim=args.hidden,
         sequence_length=args.seq_len,
         n_classes=len(train_ds.class_names),
         seed=derive_seed(args.seed, "init"),
     )
-    model, history = nn.train(model_cfg, (X_tr, train_ds.labels), (X_va, val_ds.labels), train_cfg)
-    return model, history, norm
+    model, history = nn.train(model_cfg, (seqs_tr, train_ds.labels), (seqs_va, val_ds.labels),
+                              train_cfg)
+    return model, history, norm, X_tr
 
 
 def cmd_train(args) -> int:
@@ -360,7 +364,7 @@ def cmd_train(args) -> int:
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
-    model, history, norm = _train_gru(train_ds, val_ds, args, train_cfg)
+    model, history, norm, _ = _train_gru(train_ds, val_ds, args, train_cfg)
     best = int(np.argmin(history.val_loss))
     os.makedirs(args.out, exist_ok=True)
     nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
@@ -382,7 +386,7 @@ def cmd_evaluate(args) -> int:
         )
     feats = dsp.apply_normalization(test_ds.features, norm) if norm is not None else test_ds.features
     X = nn.dataset_to_sequences(feats, model.config.sequence_length)
-    preds, _ = nn.predict_batch(model, X)
+    preds = nn.predict_batch(model, X)
     cm = evaluation.confusion(preds, test_ds.labels, len(class_names), class_names)
     report = evaluation.metrics(cm)
     os.makedirs(args.out, exist_ok=True)
@@ -402,18 +406,16 @@ def cmd_compare(args) -> int:
 
     results = []
 
-    model, history, norm = _train_gru(train_ds, val_ds, args, train_cfg)
-    X_tr = dsp.apply_normalization(train_ds.features, norm)
+    model, history, norm, X_tr = _train_gru(train_ds, val_ds, args, train_cfg)
     X_te = dsp.apply_normalization(test_ds.features, norm)
     y_tr, y_te = train_ds.labels, test_ds.labels
-    preds, _ = nn.predict_batch(model, nn.dataset_to_sequences(X_te, args.seq_len))
-    results.append(("gru", preds))
+    results.append(("gru", nn.predict_batch(model, nn.dataset_to_sequences(X_te, args.seq_len))))
 
     logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
-    results.append(("logistic", baselines.predict_logistic(logit, X_te)[0]))
+    results.append(("logistic", baselines.predict_logistic(logit, X_te)))
 
     svm = baselines.fit_linear_svm(X_tr, y_tr, n_classes, seed=derive_seed(args.seed, "svm"))
-    results.append(("linear_svm", baselines.predict_svm(svm, X_te)[0]))
+    results.append(("linear_svm", baselines.predict_svm(svm, X_te)))
 
     forest = baselines.fit_forest(
         X_tr, y_tr, n_classes,
@@ -421,7 +423,7 @@ def cmd_compare(args) -> int:
         max_depth=args.forest_depth,
         seed=derive_seed(args.seed, "forest"),
     )
-    results.append(("random_forest", baselines.predict_forest(forest, X_te)[0]))
+    results.append(("random_forest", baselines.predict_forest(forest, X_te)))
 
     boost = baselines.fit_boosting(
         X_tr, y_tr, n_classes,
@@ -429,7 +431,7 @@ def cmd_compare(args) -> int:
         max_depth=args.boost_depth,
         learning_rate=args.boost_lr,
     )
-    results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)[0]))
+    results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)))
 
     os.makedirs(args.out, exist_ok=True)
     reports = []
@@ -449,8 +451,7 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     _announce("report", {"history": args.history})
     history = nn.load_history(args.history)
-    written = evaluation.emit_curves(history, args.out)
-    print("wrote " + ", ".join(written))
+    print("wrote " + evaluation.emit_curves(history, args.out))
     return 0
 
 

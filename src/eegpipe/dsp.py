@@ -139,7 +139,6 @@ class FeatureConfig:
     bands: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(EEG_BANDS))
     welch_segment_len: int = 256
     welch_overlap: float = 0.5
-    welch_window: str = "hann"
     filter_low_hz: float = 0.5
     filter_high_hz: float = 45.0
     filter_order: int = 4
@@ -310,7 +309,7 @@ def welch_psd(
         raise ConfigError("overlap_fraction must lie in [0, 1)")
     if window == "hann":
         w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    elif window in ("rect", "rectangular", "boxcar"):
+    elif window == "rect":
         w = np.ones(segment_len)
     else:
         raise ConfigError(f"unsupported window {window!r}")
@@ -413,7 +412,7 @@ def extract_features(
         channel_names = [f"ch{i}" for i in range(n_ch)]
     if len(channel_names) != n_ch:
         raise DataError(f"{len(channel_names)} channel names for {n_ch} channels")
-    psd = welch_psd(epochs, fs_hz, cfg.welch_segment_len, cfg.welch_overlap, cfg.welch_window)
+    psd = welch_psd(epochs, fs_hz, cfg.welch_segment_len, cfg.welch_overlap)
     spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in cfg.bands.values()]
     spectral.append(spectral_entropy(psd))
     per_channel = np.concatenate(

@@ -220,8 +220,8 @@ def _svg_panel(title, epochs, series, x0, y0, w, h):
     return "\n".join(parts)
 
 
-def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
-    """Write a self-contained curves.svg and return its path in a list.
+def emit_curves(history: TrainHistory, out_dir: str) -> str:
+    """Write a self-contained curves.svg and return its path.
 
     The SVG has two panels (loss and accuracy vs epoch, train and
     validation series) and needs no external renderer.
@@ -256,4 +256,4 @@ def emit_curves(history: TrainHistory, out_dir: str) -> list[str]:
     svg_path = os.path.join(out_dir, "curves.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")
-    return [svg_path]
+    return svg_path

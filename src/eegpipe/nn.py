@@ -398,17 +398,11 @@ def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams | None = Non
     return out.W, out.b, (p.W.T @ grad_logits.T).T
 
 
-def softmax(logits):
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy_batch(logits, labels):
     """Numerically stable per-example losses and gradients for [batch, classes].
 
-    grads = softmax(logits) - one_hot(labels); each row sums to 0.
+    The only softmax in the package: grads are the softmax probabilities
+    of the logits minus the one-hot labels, so each row sums to 0.
     """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -452,7 +446,8 @@ def model_backward(model: Model, cache, grad_logits, out: Model | None = None):
 
 
 def predict_batch(model: Model, X):
-    """Classify [batch, T, input_dim]; ties go to the lowest class id.
+    """Class ids of [batch, T, input_dim]: the argmax of the logits, ties to
+    the lowest class id.
 
     Floating-point overflow or invalid operations in the forward pass, and
     non-finite logits, are a NumericError: such a model predicts nothing.
@@ -464,8 +459,7 @@ def predict_batch(model: Model, X):
         raise NumericError(f"the model's forward pass failed: {exc}") from None
     if not np.isfinite(logits).all():
         raise NumericError("the model's logits are not finite")
-    probs = softmax(logits)
-    return np.argmax(probs, axis=1), probs
+    return logits.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +540,13 @@ def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: Tr
 
 
 def evaluate_model(model: Model, X, y, workspaces: dict | None = None) -> tuple[float, float]:
-    """Mean loss and accuracy over a [n, T, d] set, fixed summation order.
-
-    The forward pass runs in `workspaces` as model_forward's does.
+    """Mean loss and accuracy over a [n, T, d] set, fixed summation order;
+    a prediction is the argmax of the logits, as in predict_batch. The
+    forward pass runs in `workspaces` as model_forward's does.
     """
     logits, _ = model_forward(model, X, workspaces)
     losses, _ = softmax_cross_entropy_batch(logits, y)
-    preds = np.argmax(softmax(logits), axis=1)
-    return float(np.mean(losses)), float(np.mean(preds == np.asarray(y)))
+    return float(np.mean(losses)), float(np.mean(logits.argmax(axis=1) == np.asarray(y)))
 
 
 def _flat_copy(model: Model) -> tuple[FlatParams, Model, FlatParams, Model]:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -23,10 +23,12 @@ XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
 
-def predict_tree(tree, X):
-    """Class ids and leaf probabilities of one classification tree."""
-    probs = baselines._tree_outputs(tree, np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.argmax(probs, axis=1), probs
+def same_trees(trees_a, trees_b):
+    """Whether two lists of trees hold equal arrays, field by field."""
+    return len(trees_a) == len(trees_b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for a, b in zip(trees_a, trees_b) for f in fields(baselines.Tree)
+    )
 
 
 def svm_hinge_loss(model, X, y):
@@ -60,13 +62,18 @@ class TestLogistic:
     def test_separable_blobs_perfect(self):
         X, y = blob_dataset()
         model = baselines.fit_logistic(X, y, n_classes=2)
-        assert np.array_equal(baselines.predict_logistic(model, X)[0], y)
+        assert np.array_equal(baselines.predict_logistic(model, X), y)
 
     def test_zero_iterations_uniform_probs(self):
+        # zero weights give every class probability 1/2: the loss is ln 2 and
+        # the bias gradient is 1/2 minus each class's share; the scores tie,
+        # so every row goes to class 0
         X, y = blob_dataset()
         model = baselines.fit_logistic(X, y, n_classes=2, iterations=0)
-        _, probs = baselines.predict_logistic(model, X)
-        assert np.max(np.abs(probs - 0.5)) < 1e-15
+        loss, _, gb = baselines.logistic_loss_grad(model.W, model.b, X, y, l2=1e-4)
+        assert abs(loss - math.log(2.0)) < 1e-15
+        assert np.max(np.abs(gb - (0.5 - np.bincount(y) / len(y)))) < 1e-15
+        assert not baselines.predict_logistic(model, X).any()
 
     def test_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -99,7 +106,7 @@ class TestLogistic:
     def test_xor_not_linearly_solvable(self):
         X, y = xor_cluster_dataset()
         model = baselines.fit_logistic(X, y, n_classes=2, iterations=2000)
-        preds, _ = baselines.predict_logistic(model, X)
+        preds = baselines.predict_logistic(model, X)
         assert np.mean(preds == y) <= 0.75
 
 
@@ -193,10 +200,10 @@ class TestTree:
     def test_xor_tree_beats_linear(self):
         X, y = xor_cluster_dataset()
         tree = baselines.fit_tree(X, y, n_classes=2)
-        preds, _ = predict_tree(tree, X)
+        preds = baselines._tree_outputs(tree, X).argmax(axis=1)
         assert np.mean(preds == y) == 1.0
         linear = baselines.fit_logistic(X, y, n_classes=2, iterations=2000)
-        pl, _ = baselines.predict_logistic(linear, X)
+        pl = baselines.predict_logistic(linear, X)
         assert np.mean(preds == y) >= np.mean(pl == y)
 
     def test_split_matches_brute_force_oracle(self):
@@ -291,17 +298,16 @@ class TestForest:
             feature_subsample=1.0, seed=0,
         )
         tree = baselines.fit_tree(X, y, n_classes=2)
-        _, pf = baselines.predict_forest(forest, X)
-        _, pt = predict_tree(tree, X)
-        assert np.array_equal(pf, pt)
+        assert same_trees(forest.trees, [tree])
+        assert np.array_equal(baselines.predict_forest(forest, X),
+                              baselines._tree_outputs(tree, X).argmax(axis=1))
 
     def test_seed_determinism(self):
         X, y = blob_dataset(seed=3)
         f1 = baselines.fit_forest(X, y, n_classes=2, n_trees=5, seed=11)
         f2 = baselines.fit_forest(X, y, n_classes=2, n_trees=5, seed=11)
-        _, p1 = baselines.predict_forest(f1, X)
-        _, p2 = baselines.predict_forest(f2, X)
-        assert np.array_equal(p1, p2)
+        assert same_trees(f1.trees, f2.trees)
+        assert np.array_equal(baselines.predict_forest(f1, X), baselines.predict_forest(f2, X))
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(4)
@@ -309,21 +315,23 @@ class TestForest:
         y = rng.integers(0, 2, size=60)
         f1 = baselines.fit_forest(X, y, n_classes=2, n_trees=3, seed=1)
         f2 = baselines.fit_forest(X, y, n_classes=2, n_trees=3, seed=2)
-        _, p1 = baselines.predict_forest(f1, X)
-        _, p2 = baselines.predict_forest(f2, X)
-        assert not np.array_equal(p1, p2)
+        assert not same_trees(f1.trees, f2.trees)
+        votes = [sum(baselines._tree_outputs(t, X) for t in f.trees) for f in (f1, f2)]
+        assert not np.array_equal(*votes)
 
     def test_probabilities_on_simplex(self):
+        # every node of every tree holds class probabilities
         X, y = blob_dataset(seed=5)
         forest = baselines.fit_forest(X, y, n_classes=2, n_trees=7, seed=0)
-        _, probs = baselines.predict_forest(forest, X)
-        assert np.all(probs >= 0)
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+        for tree in forest.trees:
+            assert tree.leaf.shape == (len(tree.feature), 2)
+            assert np.all(tree.leaf >= 0)
+            assert np.max(np.abs(tree.leaf.sum(axis=1) - 1.0)) < 1e-12
 
     def test_separable_accuracy(self):
         X, y = blob_dataset(seed=6)
         forest = baselines.fit_forest(X, y, n_classes=2, n_trees=15, seed=3)
-        preds, _ = baselines.predict_forest(forest, X)
+        preds = baselines.predict_forest(forest, X)
         assert np.mean(preds == y) >= 0.95
 
 
@@ -373,8 +381,7 @@ class TestSvm:
         model = baselines.fit_linear_svm(X, y, n_classes=2, seed=0)
         loss = svm_hinge_loss(model, X, y)
         assert loss < 0.01
-        preds, _ = baselines.predict_svm(model, X)
-        assert np.array_equal(preds, y)
+        assert np.array_equal(baselines.predict_svm(model, X), y)
 
     def test_feature_scaling_changes_nothing_after_norm(self):
         # invariance holds when inputs are standardized first
@@ -386,8 +393,8 @@ class TestSvm:
 
         m1 = baselines.fit_linear_svm(standardize(X), y, n_classes=2, seed=1)
         m2 = baselines.fit_linear_svm(standardize(Xs), y, n_classes=2, seed=1)
-        p1, _ = baselines.predict_svm(m1, standardize(X))
-        p2, _ = baselines.predict_svm(m2, standardize(Xs))
+        p1 = baselines.predict_svm(m1, standardize(X))
+        p2 = baselines.predict_svm(m2, standardize(Xs))
         assert np.array_equal(p1, p2)
 
     def test_three_class(self):
@@ -399,9 +406,9 @@ class TestSvm:
         y = np.repeat(np.arange(3), 30)
         X = (X - X.mean(axis=0)) / X.std(axis=0)
         model = baselines.fit_linear_svm(X, y, n_classes=3, seed=2)
-        preds, probs = baselines.predict_svm(model, X)
+        preds = baselines.predict_svm(model, X)
         assert np.mean(preds == y) >= 0.95
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
+        assert np.array_equal(preds, np.argmax(X @ model.W.T + model.b, axis=1))
 
     def test_determinism(self):
         X, y = blob_dataset(seed=10)
@@ -416,8 +423,10 @@ class TestBoosting:
         y = np.array([0] * 6 + [1] * 3 + [2] * 1)
         X = np.random.default_rng(0).normal(size=(10, 2))
         model = baselines.fit_boosting(X, y, n_classes=3, n_rounds=0)
-        _, probs = baselines.predict_boost(model, X)
-        assert np.max(np.abs(probs - np.array([0.6, 0.3, 0.1]))) < 1e-12
+        priors = np.array([0.6, 0.3, 0.1])
+        F = baselines.boost_scores(model, X)
+        assert np.max(np.abs(F - np.log(priors / (1.0 - priors)))) < 1e-12
+        assert not baselines.predict_boost(model, X).any()
 
     def test_training_loss_monotone_nonincreasing(self):
         rng = np.random.default_rng(2)
@@ -443,16 +452,29 @@ class TestBoosting:
 
         X, y = xor_cluster_dataset()
         model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=50, max_depth=2)
-        preds, _ = baselines.predict_boost(model, X)
-        assert np.mean(preds == y) == 1.0
+        assert np.mean(baselines.predict_boost(model, X) == y) == 1.0
 
     def test_determinism(self):
         X, y = blob_dataset(seed=12)
         m1 = baselines.fit_boosting(X, y, n_classes=2, n_rounds=10)
         m2 = baselines.fit_boosting(X, y, n_classes=2, n_rounds=10)
-        _, p1 = baselines.predict_boost(m1, X)
-        _, p2 = baselines.predict_boost(m2, X)
-        assert np.array_equal(p1, p2)
+        assert all(same_trees(r1, r2) for r1, r2 in zip(m1.trees, m2.trees, strict=True))
+        assert baselines.boost_scores(m1, X).tobytes() == baselines.boost_scores(m2, X).tobytes()
+
+
+class TestDecisionRule:
+    """Every predict_* is the exact argmax of its model's scores."""
+
+    # a gap that a softmax rounds away, one that saturated sigmoids round
+    # away, and an exact tie, which goes to the lowest class id
+    @pytest.mark.parametrize("scores", [[0.0, 1e-17], [40.0, 41.0], [0.0, 2.0, 2.0]])
+    def test_near_tie_goes_to_the_larger_score(self, scores):
+        X = np.ones((2, 3))
+        linear = baselines.LinearModel(W=np.zeros((len(scores), 3)), b=np.array(scores))
+        boost = baselines.BoostModel(np.array(scores), [], 0.1, len(scores))
+        assert baselines.predict_logistic(linear, X).tolist() == [1, 1]
+        assert baselines.predict_svm(linear, X).tolist() == [1, 1]
+        assert baselines.predict_boost(boost, X).tolist() == [1, 1]
 
 
 @dataclass

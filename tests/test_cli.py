@@ -411,7 +411,7 @@ class TestTrain:
         ds = dataio.load_feature_csv(val)
         truth = [names.index(ds.class_names[c]) for c in ds.labels]
         X = nn.dataset_to_sequences(dsp.apply_normalization(ds.features, norm), 4)
-        preds, _ = nn.predict_batch(model, X)
+        preds = nn.predict_batch(model, X)
         hist = nn.load_history(os.path.join(out, "history.csv"))
         assert hist.val_acc == [float(np.mean(preds == np.array(truth)))]
 

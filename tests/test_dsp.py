@@ -240,6 +240,11 @@ class TestWelch:
         with pytest.raises(ConfigError):
             dsp.welch_psd(np.zeros(300), 256.0, segment_len=100)
 
+    @pytest.mark.parametrize("window", ["rectangular", "boxcar", "hamming", ""])
+    def test_window_other_than_hann_or_rect_rejected(self, window):
+        with pytest.raises(ConfigError, match="window"):
+            dsp.welch_psd(np.zeros(256), 256.0, window=window)
+
     def test_freq_axis(self):
         psd = dsp.welch_psd(np.random.default_rng(0).normal(size=256), 256.0, 128)
         assert psd.freqs_hz[0] == 0.0

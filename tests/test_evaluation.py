@@ -184,21 +184,19 @@ class TestEmitCurves:
         )
 
     def test_files_written(self, tmp_path):
-        paths = evaluation.emit_curves(self.hist(3), str(tmp_path))
+        path = evaluation.emit_curves(self.hist(3), str(tmp_path))
         # the SVG alone: history.csv already holds the numbers
-        assert paths == [str(tmp_path / "curves.svg")]
+        assert path == str(tmp_path / "curves.svg")
         assert os.listdir(tmp_path) == ["curves.svg"]
 
     def test_flat_history_svg_valid(self, tmp_path):
         h = TrainHistory([0.5] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
-        paths = evaluation.emit_curves(h, str(tmp_path))
-        svg = open([p for p in paths if p.endswith(".svg")][0]).read()
+        svg = open(evaluation.emit_curves(h, str(tmp_path))).read()
         assert svg.startswith("<svg") or "<svg" in svg
         assert "polyline" in svg
         assert "NaN" not in svg
 
     def test_single_epoch(self, tmp_path):
         h = TrainHistory([1.0], [0.3], [1.1], [0.2])
-        paths = evaluation.emit_curves(h, str(tmp_path))
-        svg = open([p for p in paths if p.endswith(".svg")][0]).read()
+        svg = open(evaluation.emit_curves(h, str(tmp_path))).read()
         assert "NaN" not in svg

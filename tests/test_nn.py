@@ -594,8 +594,7 @@ def test_xor_is_representable_by_construction():
         m = nn.init_model(nn.ModelConfig(2, 4, 2, 2, seed=seed))
         for _, arr in m.param_items():
             arr[...] = rng.normal(0, 8.0, size=arr.shape)
-        preds, _ = nn.predict_batch(m, X)
-        if np.array_equal(preds, y):
+        if np.array_equal(nn.predict_batch(m, X), y):
             found = True
             break
     assert found, "no random tiny GRU separates XOR; task may be ill-posed"
@@ -624,9 +623,7 @@ class TestTraining:
             [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
              [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]
         )
-        preds, probs = nn.predict_batch(model, canon)
-        assert preds.tolist() == [0, 1, 1, 0]
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
+        assert nn.predict_batch(model, canon).tolist() == [0, 1, 1, 0]
 
     def test_early_stopping_restores_best_epoch(self):
         X, y = xor_sequence_dataset(10, seed=1)
@@ -683,9 +680,33 @@ def test_train_config_rejects(field, value):
 
 class TestPredict:
     def test_probabilities_sum_to_one(self):
+        # the probabilities the loss implies (gradient plus one-hot) lie on
+        # the simplex, and the prediction is their argmax and the logits'
         m = small_model(seed=6)
-        _, probs = nn.predict_batch(m, np.random.default_rng(0).normal(size=(4, 5, 3)))
+        xs = np.random.default_rng(0).normal(size=(4, 5, 3))
+        logits, _ = nn.model_forward(m, xs)
+        labels = np.array([0, 1, 2, 0])
+        _, grads = nn.softmax_cross_entropy_batch(logits, labels)
+        probs = grads + np.eye(3)[labels]
+        assert np.all(probs >= 0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
+        preds = nn.predict_batch(m, xs)
+        assert np.array_equal(preds, probs.argmax(axis=1))
+        assert np.array_equal(preds, logits.argmax(axis=1))
+
+    # a gap that a softmax rounds away, and an exact tie, which goes to the
+    # lowest class id
+    @pytest.mark.parametrize("bias", [[0.0, 1e-17], [0.0, 2.0, 2.0]])
+    def test_near_tie_goes_to_the_larger_logit(self, bias):
+        m = small_model(seed=6, classes=len(bias))
+        m.dense.W[:] = 0.0
+        m.dense.b[:] = bias
+        xs = np.random.default_rng(0).normal(size=(3, 5, 3))
+        logits, _ = nn.model_forward(m, xs)
+        assert logits.argmax(axis=1).tolist() == [1, 1, 1]
+        assert nn.predict_batch(m, xs).tolist() == [1, 1, 1]
+        _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int))
+        assert acc == 1.0
 
     def test_non_finite_logits_are_numeric_error(self):
         m = small_model(seed=8)
@@ -702,11 +723,13 @@ class TestPredict:
     def test_logit_shift_invariance(self):
         m = small_model(seed=8)
         xs = np.random.default_rng(1).normal(size=(4, 5, 3))
-        pred1, probs1 = nn.predict_batch(m, xs)
+        y = np.array([0, 1, 2, 1])
+        pred1, (loss1, acc1) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y)
         m.dense.b += 13.7  # constant shift of all logits
-        pred2, probs2 = nn.predict_batch(m, xs)
+        pred2, (loss2, acc2) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y)
         assert np.array_equal(pred1, pred2)
-        assert np.max(np.abs(probs1 - probs2)) < 1e-12
+        assert acc1 == acc2
+        assert abs(loss1 - loss2) < 1e-12
 
 
 class TestGradientCheck:
@@ -764,13 +787,17 @@ class TestPersistence:
     def test_reads_checkpoint_written_before_gate_fusion(self, tmp_path):
         # checkpoint_v1.json was written by the per-gate implementation
         # (ModelConfig(2, 3, 2, 2, seed=0), biases and normalization set from
-        # default_rng(7)); the probabilities are its predict_batch output
+        # default_rng(7)); the probabilities are the softmax of its logits
         path = os.path.join(DATA, "checkpoint_v1.json")
         model, names, norm = nn.load_checkpoint(path)
         assert names == ["CALM", "TENSE"] and norm.n_features == 4
         ref = json.load(open(os.path.join(DATA, "checkpoint_v1_probs.json")))
-        _, probs = nn.predict_batch(model, np.array(ref["input"]))
+        logits, _ = nn.model_forward(model, np.array(ref["input"]))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
         assert np.max(np.abs(probs - np.array(ref["probs"]))) < 1e-12
+        assert np.array_equal(nn.predict_batch(model, np.array(ref["input"])),
+                              np.argmax(ref["probs"], axis=1))
         out = str(tmp_path / "resaved.json")
         nn.save_checkpoint(out, model, names, norm)
         assert open(out, "rb").read() == open(path, "rb").read()
