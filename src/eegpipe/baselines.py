@@ -374,9 +374,11 @@ class BoostModel:
 
 def best_mse_split(X, g, min_leaf: int, order=None):
     """Variance-reduction split for regression targets g; same tie rules as
-    Gini, and a split must beat the parent by more than 1e-12. A constant
-    target has no variance to reduce, so it is never split. `order`, when
-    given, is the [d, n] stable sort order of X's columns."""
+    Gini, and a split must beat the parent by more than 1e-12 times the
+    larger of 1 and sum(g**2): the scores are differences of sums that large,
+    so a nearly constant target's rounding error must not pass for a gain. A
+    constant target has no variance to reduce, so it is never split. `order`,
+    when given, is the [d, n] stable sort order of X's columns."""
     n = len(g)
     if n < 2 or (g == g[0]).all():
         return None
@@ -388,7 +390,8 @@ def best_mse_split(X, g, min_leaf: int, order=None):
         s = np.cumsum(g[order][:, :-1], axis=1)
         return total_sq - s * s / n_left - (total - s) ** 2 / (n - n_left)
 
-    return _best_prefix_split(X, None, min_leaf, side_scores, parent - 1e-12, order)
+    margin = 1e-12 * max(1.0, total_sq)
+    return _best_prefix_split(X, None, min_leaf, side_scores, parent - margin, order)
 
 
 def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int, order) -> Tree:

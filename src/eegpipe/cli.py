@@ -204,19 +204,19 @@ def cmd_synth(args) -> int:
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
     os.makedirs(args.out, exist_ok=True)
-    manifest_rows = []
-    for i, (x, label) in enumerate(zip(data, labels)):
-        fname = f"epoch_{i:04d}.csv"
-        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, x, label=int(label))
-        dataio.save_recording_csv(rec, os.path.join(args.out, fname))
-        manifest_rows.append(
-            (fname, dataio.SYNTH_CLASS_NAMES[label], args.fs, ";".join(dataio.DEFAULT_CHANNELS))
-        )
-    manifest_path = os.path.join(args.out, "manifest.csv")
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
+    fnames = [f"epoch_{i:04d}.csv" for i in range(len(labels))]
+
+    def write(i):
+        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data[i], label=int(labels[i]))
+        dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
+
+    # the files are formatted and written in shares across the usable CPUs
+    dataio._map_in_shares(write, range(len(labels)))
+    channels = ";".join(dataio.DEFAULT_CHANNELS)
+    with open(os.path.join(args.out, "manifest.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("file,label,sample_rate_hz,channels\n")
-        for fname, label, rate, channels in manifest_rows:
-            fh.write(f"{fname},{label},{rate},{channels}\n")
+        for fname, label in zip(fnames, labels):
+            fh.write(f"{fname},{dataio.SYNTH_CLASS_NAMES[label]},{args.fs},{channels}\n")
     print(f"wrote {len(labels)} epoch files + manifest to {args.out}")
     return 0
 

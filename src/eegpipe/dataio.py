@@ -9,14 +9,17 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PipelineError
 
 # Muse headband electrode set used by the reference dataset.
 DEFAULT_CHANNELS = ["TP9", "AF7", "AF8", "TP10"]
@@ -235,9 +238,8 @@ def save_feature_csv(ds: Dataset, path: str, label_column: str = "label") -> Non
              for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.feature_names + [label_column])
-        # one row at a time: a whole-matrix tolist() would raise peak memory
-        fh.writelines(",".join(map(repr, row.tolist())) + tails[lab]
-                      for row, lab in zip(ds.features, ds.labels.tolist()))
+        _write_float_rows(fh, ds.features, [tails[lab] for lab in ds.labels.tolist()],
+                          _FEATURE_BLOCK_ROWS)
 
 
 def _csv_line(cells: list[str]) -> str:
@@ -288,20 +290,20 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
     The channels cell is ';'-separated. Each recording CSV has a
     channel-name header and one row per sample. Returns the recordings
     plus the lexicographically ordered class-name table backing their
-    integer labels.
+    integer labels. The files are read and parsed in shares across the
+    usable CPUs (_map_in_shares); a bad row raises the same error as in a
+    serial loop, that of the first bad row in manifest order.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
         return [], []
     class_names = sorted({e["label"] for e in entries})
     class_ids = {name: i for i, name in enumerate(class_names)}
-    channel_ref: list[str] | None = None
-    recordings = []
-    for e in entries:
+    channel_ref = entries[0]["channels"].split(";")
+
+    def parse(e):
         channels = e["channels"].split(";")
-        if channel_ref is None:
-            channel_ref = channels
-        elif channels != channel_ref:
+        if channels != channel_ref:
             raise DataError(
                 f"inconsistent channel sets in manifest: {channels} vs {channel_ref}"
             )
@@ -312,10 +314,98 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         data = None
         if lines is not None and lines[0].split(",") == channels:
             data = _loadtxt_matrix(lines[1:], len(channels))
-        if data is None:
-            data = _scan_raw_csv(fpath, channels)
-        recordings.append(Recording(channels, fs, data.T, label=class_ids[e["label"]]))
-    return recordings, class_names
+        return _scan_raw_csv(fpath, channels) if data is None else data
+
+    return [Recording(e["channels"].split(";"), fs, data.T, label=class_ids[e["label"]])
+            for e, data in zip(entries, _map_in_shares(parse, entries))], class_names
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where fork or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_in_shares(fn, items) -> list:
+    """[fn(item) for item in items], spread over one process per usable CPU.
+
+    The items are cut into contiguous shares, at most one per item. This
+    process runs the first share; a forked child runs each later one and
+    pipes back the pickled results, or the exception that stopped it. The
+    shares are read in order, so the exception raised is the first failing
+    item's, as in a serial loop; a child that dies or sends nothing raises a
+    PipelineError that names its exit status. A child starts as a copy of
+    this process and leaves by os._exit, so it flushes no inherited buffer:
+    fn must only parse, format and do file I/O, and its calls in a child are
+    invisible to this process (a wrapper installed on fn counts only this
+    process's share). Private, so that no tracer makes it a span of its own.
+    """
+    n_shares = min(_usable_cpus(), len(items))
+    if n_shares < 2:
+        return [fn(item) for item in items]
+    bounds = [len(items) * k // n_shares for k in range(n_shares + 1)]
+    children = []  # (pid, read end of its pipe), in share order, until reaped
+    try:
+        for k in range(1, n_shares):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_share(fn, items[bounds[k] : bounds[k + 1]], w)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(item) for item in items[: bounds[1]]]
+        while children:
+            pid, r = children[0]
+            children[0] = (pid, None)
+            with open(r, "rb") as fh:
+                try:
+                    outcome = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):  # nothing, or not all, was sent
+                    outcome = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0 or outcome is None:
+                how = f"exit status {status}" if status >= 0 else f"signal {-status}"
+                raise PipelineError(f"worker process {pid} ended with {how} and sent no result")
+            ok, value = outcome
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        # the children left after a failure: their results are not wanted
+        for pid, r in children:
+            if r is not None:
+                os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, share, fd: int) -> None:
+    """A forked child of _map_in_shares from start to end: it runs fn over
+    its share, pickles the outcome down the pipe fd and leaves by os._exit
+    (status 1 when nothing could be sent, such as after an exception that
+    does not pickle)."""
+    status = 1
+    try:
+        try:
+            outcome = (True, [fn(item) for item in share])
+        except Exception as exc:
+            outcome = (False, exc)
+        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        if not outcome[0]:
+            pickle.loads(payload)  # an exception that cannot be rebuilt is no result
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # With none of these in a file's text, each of its lines is one csv record
@@ -387,11 +477,40 @@ def save_recording_csv(rec: Recording, path: str) -> None:
     """Write one recording as a CSV with channel header, one row per sample.
 
     The bytes are those csv.writer writes for repr'd floats: its default line
-    terminator is \\r\\n, and no float's repr needs quoting.
+    terminator is \\r\\n, and no float's repr needs quoting. One str % call
+    formats all the samples.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(rec.channels)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rec.data.T.tolist())
+        _write_float_rows(fh, rec.data.T)
+
+
+# rows per str % call when save_feature_csv writes a feature matrix: its
+# temporaries come on top of featurize's peak memory, so blocks stay small
+_FEATURE_BLOCK_ROWS = 64
+
+
+def _write_float_rows(fh, rows: np.ndarray, tails: list[str] | None = None,
+                      block_rows: int | None = None) -> None:
+    """Write the rows of a [n, d] float matrix as lines of comma-separated reprs.
+
+    Each line ends in \\r\\n, or in tails[i], which is passed as a %s
+    argument so that its text is written as it is. One str % call formats
+    each block of block_rows rows, or the whole matrix by default.
+    """
+    n, d = rows.shape
+    line = ",".join(["%r"] * d) + ("\r\n" if tails is None else "%s")
+    step = max(1, n if block_rows is None else block_rows)
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        if tails is None:
+            values = block.ravel().tolist()
+        else:
+            cells = block.tolist()
+            for row, tail in zip(cells, tails[start : start + step]):
+                row.append(tail)
+            values = itertools.chain.from_iterable(cells)
+        fh.write(line * len(block) % tuple(values))
 
 
 def window_recording(data: np.ndarray, window_len: int | None = None,

@@ -136,10 +136,11 @@ def brute_force_best_split(X, y, n_classes, min_leaf=1, features=None):
 
 def brute_force_best_mse_split(X, g, min_leaf):
     """Independent exhaustive variance-reduction search; a split must beat
-    the parent by more than 1e-12."""
+    the parent by more than 1e-12 times the larger of 1 and sum(g**2)."""
     n = len(g)
     total, total_sq = float(np.sum(g)), float(np.sum(g * g))
     parent = total_sq - total * total / n
+    margin = 1e-12 * max(1.0, total_sq)
     best = None  # (feature, threshold, score)
     for j in range(X.shape[1]):
         vals = np.unique(X[:, j])
@@ -151,7 +152,7 @@ def brute_force_best_mse_split(X, g, min_leaf):
                 continue
             s_left, s_right = float(np.sum(g[mask])), float(np.sum(g[~mask]))
             score = total_sq - s_left * s_left / n_left - s_right * s_right / n_right
-            if score < parent - 1e-12 and (best is None or score < best[2]):
+            if score < parent - margin and (best is None or score < best[2]):
                 best = (j, thr, score)
     return best
 
@@ -258,6 +259,19 @@ class TestTree:
         for seed in range(10):
             X = np.random.default_rng(seed).normal(size=(180, 56))
             assert baselines.best_mse_split(X, np.full(180, value), 1) is None
+
+    @pytest.mark.parametrize("value", [13.7, 100 / 3, 1e3 / 3])
+    def test_mse_split_leaves_nearly_constant_target_alone(self, value):
+        # one entry one ulp above the rest: no split gains more than 1e-26,
+        # but the rounding of sums near 180 * value**2 reached 3.7e-9 below
+        # the parent's score, past a fixed 1e-12 margin
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(180, 56))
+            g = np.full(180, value)
+            g[rng.integers(180)] = np.nextafter(value, np.inf)
+            assert baselines.best_mse_split(X, g, 1) is None
+            assert brute_force_best_mse_split(X, g, 1) is None
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(1)

@@ -257,6 +257,28 @@ class TestCsvFormat:
         assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
         assert bits(back.features) == bits(features)
 
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_bytes_match_csv_writer_across_row_blocks(self, tmp_path, monkeypatch, block):
+        # feature rows are formatted a block at a time, and a recording in
+        # one go; labels that look like % formats are text, not specifiers
+        monkeypatch.setattr(dataio, "_FEATURE_BLOCK_ROWS", block)
+        names = ["%s", "100%", "%r%%", ""]
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-300, 300, size=(7, 2))
+        labels = [0, 1, 2, 3, 0, 1, 2]
+        for n_features in (0, 1, 2):
+            ds = dataio.Dataset(features[:, :n_features], labels, names,
+                                ["w", "x"][:n_features])
+            path = tmp_path / f"f{n_features}.csv"
+            dataio.save_feature_csv(ds, str(path))
+            assert path.read_bytes() == reference_csv(
+                ds.feature_names + ["label"],
+                [[repr(float(v)) for v in row] + [names[k]] for row, k in zip(ds.features, labels)])
+        rec = dataio.Recording(["TP9", "AF7"], 256.0, features.T)
+        dataio.save_recording_csv(rec, str(tmp_path / "r.csv"))
+        assert (tmp_path / "r.csv").read_bytes() == reference_csv(
+            rec.channels, [[repr(float(v)) for v in row] for row in features])
+
     def test_well_formed_files_skip_the_scan(self, tmp_path, monkeypatch):
         def no_scan(*args):
             raise AssertionError("the row-by-row scan ran on a well-formed file")

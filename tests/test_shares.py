@@ -1,0 +1,266 @@
+"""synth writes, and load_raw_recordings parses, raw recordings in shares
+across forked processes, one per usable CPU (dataio._map_in_shares).
+
+Whatever the CPU count, the files, arrays, exit codes and messages must be
+those of a serial loop; a failing or dying share must raise, never hang; and
+no process may be left behind (see the no_child_left fixture). The CPU count
+is forced by replacing dataio._usable_cpus.
+"""
+
+import contextlib
+import io
+import itertools
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from eegpipe import dataio
+from eegpipe.cli import derive_seed, main
+from eegpipe.errors import DataError, PipelineError
+from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+CHANNELS = ";".join(dataio.DEFAULT_CHANNELS)
+
+
+@contextlib.contextmanager
+def cpus(n):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_usable_cpus", lambda: n)
+        yield
+
+
+def cli(argv, n):
+    """main(argv) at n usable CPUs: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with cpus(n), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
+
+
+SYNTH = ["synth", "--per-class", "2", "--window-len", "300", "--seed", "5"]  # 6 files
+
+
+def synth_at(n, out):
+    code, stdout, stderr = cli([*SYNTH, "--out", str(out)], n)
+    assert (code, stderr) == (0, "")
+    return stdout.replace(str(out), "<out>")
+
+
+# 7 is more CPUs than synth writes files
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_synth_writes_the_same_tree_at_any_cpu_count(tmp_path, n):
+    serial = synth_at(1, tmp_path / "serial")
+    assert synth_at(n, tmp_path / "shared") == serial
+    want = tree(tmp_path / "serial")
+    assert len(want) == 7
+    assert tree(tmp_path / "shared") == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
+    synth_at(1, tmp_path)
+    with cpus(n):
+        recs, names = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"))
+    # the oracle: the generator's own arrays, which the files hold bit for bit
+    data, labels = dataio.synth_generate(2, 300, dataio.DEFAULT_SAMPLE_RATE_HZ,
+                                         derive_seed(5, "synth"))
+    assert names == dataio.SYNTH_CLASS_NAMES
+    assert [r.label for r in recs] == labels.tolist()
+    assert all(r.channels == dataio.DEFAULT_CHANNELS and r.sample_rate_hz == 256.0
+               for r in recs)
+    assert [r.data.tobytes() for r in recs] == [x.tobytes() for x in data]
+    # the arrays are the transposed [samples, channels] parse, as in a serial load
+    assert all(r.data.T.flags.c_contiguous for r in recs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+def test_shares_are_contiguous_and_results_come_back_in_order(n, n_items):
+    with cpus(n):
+        got = dataio._map_in_shares(lambda i: (i, os.getpid()), range(n_items))
+    assert [i for i, _ in got] == list(range(n_items))
+    runs = [(pid, len(list(g))) for pid, g in itertools.groupby(pid for _, pid in got)]
+    shares = min(n, n_items)
+    assert [size for _, size in runs] == [
+        n_items * (k + 1) // shares - n_items * k // shares for k in range(shares)]
+    # this process runs the first share, and each other share has a process of its own
+    assert [pid == os.getpid() for pid, _ in runs] == [k == 0 for k in range(shares)]
+    assert len({pid for pid, _ in runs}) == shares
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("first_bad", [0, 3, 4])
+def test_first_failing_item_wins(watchdog, n, first_bad):
+    def fn(i):
+        if i >= first_bad:
+            raise DataError(f"bad item {i}")
+        return i
+
+    with cpus(n), pytest.raises(DataError, match=rf"^bad item {first_bad}$"):
+        dataio._map_in_shares(fn, range(6))
+
+
+def write_manifest(root, rows):
+    (root / "manifest.csv").write_text(
+        "file,label,sample_rate_hz,channels\n"
+        + "".join(f"{name},POSITIVE,256,{channels}\n" for name, channels in rows))
+    return str(root / "manifest.csv")
+
+
+def write_recordings(root, sizes):
+    rng = np.random.default_rng(0)
+    for i, n_samples in enumerate(sizes):
+        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0,
+                               rng.normal(size=(4, n_samples)), label=0)
+        dataio.save_recording_csv(rec, str(root / f"r{i}.csv"))
+
+
+def spoil(path):
+    """A non-finite sample on line 6 of a recording file."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = "0.5,nan,0.5,0.5\r\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("bad", [1, 3])
+def test_load_error_names_the_first_bad_row_in_manifest_order(tmp_path, watchdog, n, bad):
+    # later rows fail in each of the other checks: a missing file, then
+    # a channel set that differs from the first row's
+    write_recordings(tmp_path, [40] * 5)
+    spoil(tmp_path / f"r{bad}.csv")
+    rows = [(f"r{i}.csv", CHANNELS) for i in range(5)]
+    rows[4] = ("absent.csv", CHANNELS)
+    rows.append(("r0.csv", "TP9;AF7"))
+    manifest = write_manifest(tmp_path, rows)
+    with cpus(n), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
+        dataio.load_raw_recordings(str(tmp_path), manifest)
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_bad_recording_while_children_hold_big_results_does_not_hang(tmp_path, watchdog, bad):
+    # three shares of two files: the bad file is in this process's share or
+    # the first child's, and each later share parses two recordings whose
+    # pickled arrays are ten times a pipe's default buffer
+    write_recordings(tmp_path, [40, 40, 20_000, 20_000, 20_000, 20_000])
+    spoil(tmp_path / f"r{bad}.csv")
+    manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
+    with cpus(3), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
+        dataio.load_raw_recordings(str(tmp_path), manifest)
+
+
+def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monkeypatch,
+                                                                 watchdog):
+    write_recordings(tmp_path, [40] * 6)
+    manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
+    parent, plain_lines = os.getpid(), dataio._plain_csv_lines
+
+    def dies_in_a_child(path):
+        if path.endswith("r3.csv") and os.getpid() != parent:
+            os._exit(1)
+        return plain_lines(path)
+
+    monkeypatch.setattr(dataio, "_plain_csv_lines", dies_in_a_child)
+    with cpus(3), pytest.raises(PipelineError, match=r"ended with exit status 1 and sent no result"):
+        dataio.load_raw_recordings(str(tmp_path), manifest)
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)  # pickles as (a,), which cannot rebuild it
+
+
+@pytest.mark.parametrize("exc", [NeedsTwoArguments("x", "y"), DataError(lambda: 0)],
+                         ids=["cannot_rebuild", "cannot_pickle"])
+def test_exception_that_cannot_be_sent_is_an_error_naming_the_status(watchdog, exc):
+    def fn(i):
+        if i == 3:
+            raise exc
+        return i
+
+    with cpus(2), pytest.raises(PipelineError, match=r"ended with exit status 1"):
+        dataio._map_in_shares(fn, range(4))
+
+
+@pytest.fixture(scope="module")
+def raw_files(tmp_path_factory):
+    """The raw and mixed recordings of test_file_fuzz's pipeline."""
+    root = tmp_path_factory.mktemp("raw_files")
+    ok(["synth", "--per-class", "3", "--out", str(root / "raw")])
+    mixed_manifest(root)
+    return root
+
+
+# both corpora read by featurize: the file fuzzing's raw recordings and
+# manifests (test_cli_fuzz's command lines name absent inputs only, so they
+# stop before any recording is read)
+RAW_TARGETS = sorted(t for t in COMMANDS if t.startswith(("raw/", "mixed/")))
+
+
+@pytest.mark.parametrize("corruption", ["none", *sorted(CORRUPTIONS)])
+@pytest.mark.parametrize("target", RAW_TARGETS)
+def test_raw_file_fuzz_gives_the_same_outcome_at_1_and_3_cpus(raw_files, tmp_path, watchdog,
+                                                             target, corruption):
+    work = tmp_path / "work"
+    shutil.copytree(raw_files, work)
+    path = work / target
+    if corruption != "none":
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    outcomes = []
+    for n in (1, 3):
+        out = tmp_path / "out"
+        with cpus(n):
+            code, err = run(command(work, target, out))
+        outcomes.append((code, err, out.read_bytes() if out.exists() else None))
+        if out.exists():
+            out.unlink()
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] in (0, 2)
+
+
+def run_cli_module(args, tmp_path):
+    """`python -m eegpipe.cli args` at 3 usable CPUs, with stdout and stderr piped
+    and so block-buffered."""
+    code = ("import runpy, sys\n"
+            "import eegpipe.dataio\n"
+            "eegpipe.dataio._usable_cpus = lambda: 3\n"
+            "runpy.run_module('eegpipe.cli', run_name='__main__', alter_sys=True)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+
+
+def test_piped_output_lines_appear_once(tmp_path):
+    # the children are forked with these lines still in this process's
+    # stdout buffer, and must not flush it again
+    proc = run_cli_module([*SYNTH, "--out", "raw"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[eegpipe synth] per_class=2 window_len=300 fs=256.0 seed=5",
+        "wrote 6 epoch files + manifest to raw",
+    ]
+    spoil(tmp_path / "raw" / "epoch_0005.csv")
+    proc = run_cli_module(["featurize", "--manifest", "raw/manifest.csv", "--out", "f.csv"],
+                          tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [
+        "[eegpipe featurize] manifest=raw/manifest.csv band=0.5-45.0Hz order=4 "
+        "threshold_uv=100.0"]
+    fpath = os.path.join(str(tmp_path), "raw", "epoch_0005.csv")
+    assert proc.stderr == f"data error: {fpath}: line 6: non-finite sample\n"
