@@ -10,6 +10,7 @@ so a whole run is reproducible from a single integer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -188,6 +189,18 @@ def resolve_settings(command: str, flags: dict, config: dict) -> dict:
     return resolved
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """The writes of a command's output: an OSError there, such as a
+    directory where a file is wanted or a file where a directory is, is a
+    bad --out, a ConfigError that names it. Inputs are read outside, so
+    that an unreadable input stays a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out}: {exc}") from None
+
+
 def _announce(name: str, settings: dict) -> None:
     line = " ".join(f"{k}={v}" for k, v in settings.items())
     print(f"[eegpipe {name}] {line}")
@@ -203,17 +216,20 @@ def cmd_synth(args) -> int:
                                          derive_seed(args.seed, "synth"))
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     fnames = [f"epoch_{i:04d}.csv" for i in range(len(labels))]
 
     def write(i):
         rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data[i], label=int(labels[i]))
-        dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
+        with _writing(args.out):
+            dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
 
     # the files are formatted and written in shares across the usable CPUs
-    dataio._map_in_shares(write, range(len(labels)))
+    dataio._map_in_shares(lambda share: [write(i) for i in share], range(len(labels)))
     channels = ";".join(dataio.DEFAULT_CHANNELS)
-    with open(os.path.join(args.out, "manifest.csv"), "w", newline="", encoding="utf-8") as fh:
+    manifest = os.path.join(args.out, "manifest.csv")
+    with _writing(args.out), open(manifest, "w", newline="", encoding="utf-8") as fh:
         fh.write("file,label,sample_rate_hz,channels\n")
         for fname, label in zip(fnames, labels):
             fh.write(f"{fname},{dataio.SYNTH_CLASS_NAMES[label]},{args.fs},{channels}\n")
@@ -254,6 +270,62 @@ def _kept_epochs(block):
     return np.concatenate([w[k] for w, k in block])
 
 
+# the stages of featurize's work on a share after parsing, in the order a
+# serial run meets them: an error of an earlier stage wins in any share
+_FILTER, _WINDOW, _FEATURES = range(3)
+
+
+class _FeaturizedShare(NamedTuple):
+    """What featurize's work on one share of recordings sends back: its epoch
+    count, the labels and feature rows of its kept epochs, the feature names,
+    and the (stage, error) that stopped it, if one did."""
+
+    n_epochs: int
+    labels: np.ndarray
+    rows: np.ndarray | None
+    names: list[str] | None
+    error: tuple[int, PipelineError] | None
+
+
+def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
+    """Filter one share of recordings, in one batch per length, window them,
+    reject artifacts and extract the kept epochs' features. The error that
+    stops this is returned with its stage, not raised, so that cmd_featurize
+    can put every share's parse errors first and each stage after the one
+    before, as in a serial run."""
+    fs, channels = recordings[0].sample_rate_hz, recordings[0].channels
+    rec_labels = [rec.label for rec in recordings]
+    stage, n_epochs, labels, rows, names = _FILTER, 0, np.empty(0, dtype=int), None, None
+    try:
+        filtered = {}
+        for n in dict.fromkeys(rec.n_samples for rec in recordings):
+            idx = [i for i, rec in enumerate(recordings) if rec.n_samples == n]
+            filtered.update(zip(idx, dsp.filtfilt(coeffs, [recordings[i].data for i in idx])))
+        # the raw samples are not read past the filter: the list is this share's
+        # own, so emptying it frees them before the feature stage's temporaries
+        recordings.clear()
+        stage = _WINDOW
+        windows = [dataio.window_recording(filtered[i], window_len, hop)
+                   for i in range(len(filtered))]
+        kept = [dsp.reject_artifacts(w, fc.artifact_threshold_uv)[0] for w in windows]
+        n_epochs = sum(map(len, windows))
+        labels = np.repeat(rec_labels, list(map(len, kept)))
+        stage, row = _FEATURES, 0
+        for block in _feature_blocks(windows, kept):
+            # the epochs are a temporary of the call, freed before the next block is
+            # stacked, and the rows go straight into one matrix: small arrays kept
+            # between the blocks' temporaries fragment the heap, which grew peak RSS
+            fv = dsp.extract_features(_kept_epochs(block), fs, fc, channels)
+            if rows is None:
+                rows = np.empty((len(labels), len(fv.names)))
+            rows[row : row + len(fv.values)] = fv.values
+            row += len(fv.values)
+        names = fv.names
+    except PipelineError as exc:
+        return _FeaturizedShare(n_epochs, labels, rows, names, (stage, exc))
+    return _FeaturizedShare(n_epochs, labels, rows, names, None)
+
+
 def cmd_featurize(args) -> int:
     fc = dsp.FeatureConfig(
         filter_low_hz=args.filter_low_hz,
@@ -282,34 +354,24 @@ def cmd_featurize(args) -> int:
         fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
-    recordings, class_names = dataio.load_raw_recordings(data_dir, args.manifest)
-    channel_names = recordings[0].channels
-    filtered = {}
-    for n in dict.fromkeys(rec.n_samples for rec in recordings):
-        idx = [i for i, rec in enumerate(recordings) if rec.n_samples == n]
-        filtered.update(zip(idx, dsp.filtfilt(coeffs, [recordings[i].data for i in idx])))
-    windows = [dataio.window_recording(filtered[i], args.window_len, args.hop)
-               for i in range(len(recordings))]
+    # each share of recordings is featurized in the process that parsed it
+    shares, class_names = dataio.load_raw_recordings(
+        data_dir, args.manifest,
+        per_share=lambda recs: _featurize_share(recs, coeffs, fc, args.window_len, args.hop))
+    errors = sorted((s.error for s in shares if s.error is not None), key=lambda e: e[0])
+    if errors and errors[0][0] < _FEATURES:
+        raise errors[0][1]
+    n_epochs, n_kept = sum(s.n_epochs for s in shares), sum(len(s.labels) for s in shares)
     threshold = fc.artifact_threshold_uv
-    kept = [dsp.reject_artifacts(w, threshold)[0] for w in windows]
-    n_epochs, n_kept = sum(map(len, windows)), sum(map(len, kept))
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
-    features, row = None, 0
-    for block in _feature_blocks(windows, kept):
-        # the epochs are a temporary of the call, freed before the next block is
-        # stacked, and the rows go straight into one matrix: small arrays kept
-        # between the blocks' temporaries fragment the heap, which grew peak RSS
-        fv = dsp.extract_features(_kept_epochs(block), fs, fc, channel_names)
-        if features is None:
-            features = np.empty((n_kept, len(fv.names)))
-        features[row : row + len(fv.values)] = fv.values
-        row += len(fv.values)
-    ds = dataio.Dataset(features,
-                        np.repeat([rec.label for rec in recordings], list(map(len, kept))),
-                        class_names, fv.names)
-    dataio.save_feature_csv(ds, args.out)
+    if errors:
+        raise errors[0][1]
+    ds = dataio.Dataset(np.concatenate([s.rows for s in shares]),
+                        np.concatenate([s.labels for s in shares]), class_names, shares[0].names)
+    with _writing(args.out):
+        dataio.save_feature_csv(ds, args.out)
     print(f"wrote {ds.n_examples} x {ds.n_features} feature matrix to {args.out}")
     return 0
 
@@ -320,7 +382,8 @@ def cmd_split(args) -> int:
     _announce("split", {"input": args.input, "fractions": args.fractions, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
     train, val, test = dataio.stratified_split(ds, spec)
-    dataio.write_split(train, val, test, spec, args.out)
+    with _writing(args.out):
+        dataio.write_split(train, val, test, spec, args.out)
     print(f"split {ds.n_examples} rows -> "
           f"{train.n_examples}/{val.n_examples}/{test.n_examples} in {args.out}")
     return 0
@@ -366,9 +429,11 @@ def cmd_train(args) -> int:
                             train_ds.class_names)
     model, history, norm, _ = _train_gru(train_ds, val_ds, args, train_cfg)
     best = int(np.argmin(history.val_loss))
-    os.makedirs(args.out, exist_ok=True)
-    nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, train_ds.class_names, norm)
-    nn.save_history(history, os.path.join(args.out, "history.csv"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model,
+                           train_ds.class_names, norm)
+        nn.save_history(history, os.path.join(args.out, "history.csv"))
     print(f"trained {len(history)} epochs; best val_loss={history.val_loss[best]:.6f} "
           f"val_acc={history.val_acc[best]:.4f}")
     return 0
@@ -389,9 +454,10 @@ def cmd_evaluate(args) -> int:
     preds = nn.predict_batch(model, X)
     cm = evaluation.confusion(preds, test_ds.labels, len(class_names), class_names)
     report = evaluation.metrics(cm)
-    os.makedirs(args.out, exist_ok=True)
-    evaluation.write_confusion_csv(cm, os.path.join(args.out, "confusion.csv"))
-    evaluation.write_metrics_json(report, class_names, os.path.join(args.out, "metrics.json"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        evaluation.write_confusion_csv(cm, os.path.join(args.out, "confusion.csv"))
+        evaluation.write_metrics_json(report, class_names, os.path.join(args.out, "metrics.json"))
     print(f"test accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -433,17 +499,18 @@ def cmd_compare(args) -> int:
     )
     results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)))
 
-    os.makedirs(args.out, exist_ok=True)
     reports = []
-    for name, preds in results:
-        cm = evaluation.confusion(preds, y_te, n_classes, ds.class_names)
-        rep = evaluation.metrics(cm)
-        reports.append((name, rep))
-        evaluation.write_metrics_json(
-            rep, ds.class_names, os.path.join(args.out, f"metrics_{name}.json")
-        )
-    text = evaluation.compare_report(reports, args.out)
-    nn.save_history(history, os.path.join(args.out, "history.csv"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        for name, preds in results:
+            cm = evaluation.confusion(preds, y_te, n_classes, ds.class_names)
+            rep = evaluation.metrics(cm)
+            reports.append((name, rep))
+            evaluation.write_metrics_json(
+                rep, ds.class_names, os.path.join(args.out, f"metrics_{name}.json")
+            )
+        text = evaluation.compare_report(reports, args.out)
+        nn.save_history(history, os.path.join(args.out, "history.csv"))
     print(text, end="")
     return 0
 
@@ -451,7 +518,9 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     _announce("report", {"history": args.history})
     history = nn.load_history(args.history)
-    print("wrote " + evaluation.emit_curves(history, args.out))
+    with _writing(args.out):
+        path = evaluation.emit_curves(history, args.out)
+    print("wrote " + path)
     return 0
 
 

@@ -15,6 +15,8 @@ import math
 import os
 import pickle
 import signal
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +286,7 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     return entries, fs
 
 
-def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list[str]]:
+def load_raw_recordings(path: str, manifest: str, per_share=None) -> tuple[list, list[str]]:
     """Load raw recordings listed in a manifest CSV (see read_manifest).
 
     The channels cell is ';'-separated. Each recording CSV has a
@@ -293,6 +295,13 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
     integer labels. The files are read and parsed in shares across the
     usable CPUs (_map_in_shares); a bad row raises the same error as in a
     serial loop, that of the first bad row in manifest order.
+
+    With per_share, the process that parsed a share passes its recordings,
+    in manifest order, to per_share(recordings), and only what that returns
+    comes back: the list holds one return per share, in manifest order, in
+    place of the recordings. The list is per_share's own, to empty once it
+    is done with the samples. per_share runs only on a share whose every row
+    parsed, so a parse error still comes before anything per_share raises.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
@@ -314,10 +323,13 @@ def load_raw_recordings(path: str, manifest: str) -> tuple[list[Recording], list
         data = None
         if lines is not None and lines[0].split(",") == channels:
             data = _loadtxt_matrix(lines[1:], len(channels))
-        return _scan_raw_csv(fpath, channels) if data is None else data
+        data = _scan_raw_csv(fpath, channels) if data is None else data
+        return Recording(channels, fs, data.T, label=class_ids[e["label"]])
 
-    return [Recording(e["channels"].split(";"), fs, data.T, label=class_ids[e["label"]])
-            for e, data in zip(entries, _map_in_shares(parse, entries))], class_names
+    if per_share is None:
+        return _map_in_shares(lambda share: [parse(e) for e in share], entries), class_names
+    return _map_in_shares(lambda share: [per_share([parse(e) for e in share])],
+                          entries), class_names
 
 
 def _usable_cpus() -> int:
@@ -328,22 +340,31 @@ def _usable_cpus() -> int:
 
 
 def _map_in_shares(fn, items) -> list:
-    """[fn(item) for item in items], spread over one process per usable CPU.
+    """fn(share) for contiguous shares of items, one process per usable CPU:
+    fn returns a list for its share, and the lists are joined in share order.
 
-    The items are cut into contiguous shares, at most one per item. This
-    process runs the first share; a forked child runs each later one and
-    pipes back the pickled results, or the exception that stopped it. The
-    shares are read in order, so the exception raised is the first failing
-    item's, as in a serial loop; a child that dies or sends nothing raises a
-    PipelineError that names its exit status. A child starts as a copy of
-    this process and leaves by os._exit, so it flushes no inherited buffer:
-    fn must only parse, format and do file I/O, and its calls in a child are
-    invisible to this process (a wrapper installed on fn counts only this
-    process's share). Private, so that no tracer makes it a span of its own.
+    There are at most as many shares as items. This process runs the first
+    share; a forked child runs each later one and pipes back the pickled
+    list, or the exception that stopped it. The shares are read in order, so
+    the exception raised is the first failing share's, as in a serial loop;
+    a child that dies or sends nothing raises a PipelineError that names its
+    exit status. The warnings a child's fn raises are recorded there and
+    issued again here, in share order (_reissue_warnings), so that this
+    process's filters act on them as if fn had run here.
+
+    A child starts as a copy of this process and leaves by os._exit, so it
+    flushes no inherited buffer and runs no exit handler: fn may compute,
+    including numpy DSP, and read and write files, but must not print, and
+    its calls in a child are invisible to this process (a wrapper installed
+    on fn counts only this process's share). Forking a process that has run
+    threaded BLAS is safe with numpy's OpenBLAS, a pthreads build: it stops
+    its thread pool in a pthread_atfork handler, and a child starts its own
+    pool when it first needs one. Private, so that no tracer makes it a span
+    of its own.
     """
     n_shares = min(_usable_cpus(), len(items))
     if n_shares < 2:
-        return [fn(item) for item in items]
+        return list(fn(items))
     bounds = [len(items) * k // n_shares for k in range(n_shares + 1)]
     children = []  # (pid, read end of its pipe), in share order, until reaped
     try:
@@ -359,7 +380,7 @@ def _map_in_shares(fn, items) -> list:
                 _run_share(fn, items[bounds[k] : bounds[k + 1]], w)
             os.close(w)
             children.append((pid, r))
-        results = [fn(item) for item in items[: bounds[1]]]
+        results = list(fn(items[: bounds[1]]))
         while children:
             pid, r = children[0]
             children[0] = (pid, None)
@@ -373,7 +394,8 @@ def _map_in_shares(fn, items) -> list:
             if status != 0 or outcome is None:
                 how = f"exit status {status}" if status >= 0 else f"signal {-status}"
                 raise PipelineError(f"worker process {pid} ended with {how} and sent no result")
-            ok, value = outcome
+            ok, value, caught = outcome
+            _reissue_warnings(caught)
             if not ok:
                 raise value
             results.extend(value)
@@ -389,23 +411,41 @@ def _map_in_shares(fn, items) -> list:
 
 def _run_share(fn, share, fd: int) -> None:
     """A forked child of _map_in_shares from start to end: it runs fn over
-    its share, pickles the outcome down the pipe fd and leaves by os._exit
-    (status 1 when nothing could be sent, such as after an exception that
-    does not pickle)."""
+    its share, recording the warnings raised, pickles the outcome down the
+    pipe fd and leaves by os._exit (status 1 when nothing could be sent, such
+    as after an exception or warning that does not pickle)."""
     status = 1
     try:
-        try:
-            outcome = (True, [fn(item) for item in share])
-        except Exception as exc:
-            outcome = (False, exc)
-        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        if not outcome[0]:
-            pickle.loads(payload)  # an exception that cannot be rebuilt is no result
+        # record=True keeps this process's filters and only replaces the
+        # display; the caller's filters and registries make the final call
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = (True, list(fn(share)))
+            except Exception as exc:
+                outcome = (False, exc)
+        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        payload = pickle.dumps((*outcome, caught), protocol=pickle.HIGHEST_PROTOCOL)
+        if caught or not outcome[0]:
+            pickle.loads(payload)  # an exception or warning that cannot be rebuilt is no result
         with open(fd, "wb") as fh:
             fh.write(payload)
         status = 0
     finally:
         os._exit(status)
+
+
+def _reissue_warnings(caught) -> None:
+    """Issue again the (message, category, filename, lineno) warnings that a
+    child recorded, as warnings.warn did at their origin: under the module
+    and once-per-location registry of the loaded module of that file, so
+    that a warning already shown here, or shown twice, is shown once."""
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=None if module is None else module.__name__,
+            registry=None if module is None else vars(module).setdefault("__warningregistry__", {}))
 
 
 # With none of these in a file's text, each of its lines is one csv record

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_criterion_3_dsp_oracles():
 
 
 def test_criterion_4_end_to_end(synthetic_run):
-    acc = json.load(open(synthetic_run["metrics"]))["accuracy"]
+    acc = json.loads(Path(synthetic_run["metrics"]).read_text())["accuracy"]
     elapsed = synthetic_run["elapsed"]
     verdict(4, acc >= 0.95 and elapsed < 60.0,
             f"synthetic test accuracy {acc:.4f}, pipeline {elapsed:.1f}s")
@@ -208,12 +209,9 @@ def brute_force_best_split(X, y, n_classes):
 
 
 def test_criterion_5_baseline_sanity(synthetic_run):
-    forest_acc = json.load(
-        open(os.path.join(synthetic_run["cmp"], "metrics_random_forest.json"))
-    )["accuracy"]
-    boost_acc = json.load(
-        open(os.path.join(synthetic_run["cmp"], "metrics_gradient_boosting.json"))
-    )["accuracy"]
+    cmp = Path(synthetic_run["cmp"])
+    forest_acc = json.loads((cmp / "metrics_random_forest.json").read_text())["accuracy"]
+    boost_acc = json.loads((cmp / "metrics_gradient_boosting.json").read_text())["accuracy"]
     assert forest_acc >= 0.95
     assert boost_acc >= 0.95
 
@@ -270,11 +268,11 @@ def test_criterion_6_evaluation_invariants():
 def test_criterion_7_determinism(synthetic_run, tmp_path):
     second = run_chain(str(tmp_path))
     hist_same = (
-        open(synthetic_run["history"], "rb").read() == open(second["history"], "rb").read()
+        Path(synthetic_run["history"]).read_bytes() == Path(second["history"]).read_bytes()
     )
     table_same = all(
-        open(os.path.join(synthetic_run["cmp"], name), "rb").read()
-        == open(os.path.join(second["cmp"], name), "rb").read()
+        Path(synthetic_run["cmp"], name).read_bytes()
+        == Path(second["cmp"], name).read_bytes()
         for name in ("comparison.csv", "comparison.txt")
     )
     verdict(7, hist_same and table_same,
@@ -294,7 +292,7 @@ def test_criterion_8_real_dataset(tmp_path):
     assert run("compare", "--seed", "1", "--input", feats, "--out", out) == 0
 
     def acc(name):
-        return json.load(open(os.path.join(out, f"metrics_{name}.json")))["accuracy"]
+        return json.loads(Path(out, f"metrics_{name}.json").read_text())["accuracy"]
 
     gru, forest, boost, logit = (
         acc("gru"), acc("random_forest"), acc("gradient_boosting"), acc("logistic")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestSynth:
         names = sorted(os.listdir(pipeline["raw"]))
         epochs = [n for n in names if n.startswith("epoch_")]
         assert len(epochs) == 24  # 8 per class x 3 classes
-        manifest = open(os.path.join(pipeline["raw"], "manifest.csv")).read()
+        manifest = Path(pipeline["raw"], "manifest.csv").read_text()
         lines = manifest.strip().splitlines()
         assert lines[0] == "file,label,sample_rate_hz,channels"
         assert len(lines) == 25
@@ -318,16 +319,16 @@ class TestSynth:
         again = str(tmp_path / "again")
         assert run("synth", "--per-class", "8", "--out", again) == 0
         for name in sorted(os.listdir(pipeline["raw"])):
-            a = open(os.path.join(pipeline["raw"], name), "rb").read()
-            b = open(os.path.join(again, name), "rb").read()
+            a = Path(pipeline["raw"], name).read_bytes()
+            b = Path(again, name).read_bytes()
             assert a == b, name
 
     def test_seed_changes_output(self, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert run("synth", "--per-class", "2", "--out", d1) == 0
         assert run("synth", "--per-class", "2", "--seed", "1", "--out", d2) == 0
-        a = open(os.path.join(d1, "epoch_0000.csv")).read()
-        b = open(os.path.join(d2, "epoch_0000.csv")).read()
+        a = Path(d1, "epoch_0000.csv").read_text()
+        b = Path(d2, "epoch_0000.csv").read_text()
         assert a != b
 
 
@@ -354,7 +355,7 @@ class TestFeaturize:
         out = str(tmp_path / "again.csv")
         assert run("featurize", "--manifest",
                    os.path.join(pipeline["raw"], "manifest.csv"), "--out", out) == 0
-        assert open(out, "rb").read() == open(pipeline["feats"], "rb").read()
+        assert Path(out).read_bytes() == Path(pipeline["feats"]).read_bytes()
 
 
 class TestSplit:
@@ -362,7 +363,7 @@ class TestSplit:
         d = pipeline["splits"]
         for name in ("train.csv", "val.csv", "test.csv", "split.json"):
             assert os.path.exists(os.path.join(d, name))
-        sidecar = json.load(open(os.path.join(d, "split.json")))
+        sidecar = json.loads(Path(d, "split.json").read_text())
         assert sidecar["fractions"] == [0.6, 0.2, 0.2]
         counts = sidecar["counts_per_class"]
         assert sorted(counts) == ["test", "train", "val"]
@@ -423,8 +424,8 @@ class TestEvaluate:
             "evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
             "--test", os.path.join(pipeline["splits"], "test.csv"), "--out", out,
         ) == 0
-        doc = json.load(open(os.path.join(out, "metrics.json")))
-        rows = open(os.path.join(out, "confusion.csv")).read().strip().splitlines()
+        doc = json.loads(Path(out, "metrics.json").read_text())
+        rows = Path(out, "confusion.csv").read_text().strip().splitlines()
         counts = np.array([[int(v) for v in r.split(",")[1:]] for r in rows[1:]])
         assert doc["accuracy"] == pytest.approx(np.trace(counts) / counts.sum(), abs=1e-12)
         assert doc["support"] == counts.sum(axis=1).tolist()
@@ -460,8 +461,8 @@ class TestEvaluate:
     def test_unknown_test_label_is_data_error(self, pipeline, tmp_path, capsys):
         src = os.path.join(pipeline["splits"], "test.csv")
         bad = str(tmp_path / "renamed.csv")
-        with open(src, encoding="utf-8") as fh:
-            open(bad, "w", encoding="utf-8").write(fh.read().replace("NEUTRAL", "BORED"))
+        text = Path(src).read_text(encoding="utf-8")
+        Path(bad).write_text(text.replace("NEUTRAL", "BORED"), encoding="utf-8")
         code = run("evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
                    "--test", bad, "--out", str(tmp_path / "out"))
         assert code == 2
@@ -532,7 +533,7 @@ def _minmax_max_below_min(doc):
         "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
         "unknown_normalization_mode", "minmax_max_below_min"])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
-    doc = json.load(open(os.path.join(pipeline["run"], "checkpoint.json")))
+    doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
     ck = tmp_path / "bad.json"
     ck.write_text(json.dumps(edit(doc)))
     code = run("evaluate", "--checkpoint", str(ck), "--out", str(tmp_path / "out"),
@@ -545,7 +546,7 @@ def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, ne
 
 def test_overflowing_checkpoint_is_numeric_error(pipeline, tmp_path, capsys):
     # finite but huge weights overflow the forward pass: no made-up accuracy, no warning
-    doc = json.load(open(os.path.join(pipeline["run"], "checkpoint.json")))
+    doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
     doc["gru"]["W_z"] = [[1e308] * len(row) for row in doc["gru"]["W_z"]]
     ck = tmp_path / "huge.json"
     ck.write_text(json.dumps(doc))
@@ -555,6 +556,28 @@ def test_overflowing_checkpoint_is_numeric_error(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric error" in err and "Warning" not in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv,out", [
+    # a directory where the feature file goes
+    (["featurize", "--manifest", "raw/manifest.csv"], "splits"),
+    # a file where the output directory goes
+    (["evaluate", "--checkpoint", "run/checkpoint.json", "--test", "splits/test.csv"],
+     "features.csv"),
+    # a directory under a regular file
+    (["split", "--input", "features.csv"], "features.csv/sub"),
+], ids=["featurize_into_directory", "evaluate_into_file", "split_under_file"])
+def test_unwritable_output_is_config_error_naming_it(pipeline, tmp_path, capsys, argv, out):
+    # each ended in an OSError traceback, with no exit code
+    root = tmp_path / "pipe"
+    shutil.copytree(pipeline["root"], root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    argv = [str(root / a) if "/" in a or a.endswith(".csv") else a for a in argv]
+    assert run(*argv, "--out", str(root / out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {root / out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 class TestCompareAndReport:
@@ -568,13 +591,13 @@ class TestCompareAndReport:
         names = ["gru", "logistic", "linear_svm", "random_forest", "gradient_boosting"]
         for n in names:
             assert os.path.exists(os.path.join(out, f"metrics_{n}.json"))
-        rows = open(os.path.join(out, "comparison.csv")).read().strip().splitlines()
+        rows = Path(out, "comparison.csv").read_text().strip().splitlines()
         assert rows[0].startswith("model,accuracy")
         assert len(rows) == 6
         # the table accuracy equals the per-model metrics file
         for row in rows[1:]:
             cells = row.split(",")
-            doc = json.load(open(os.path.join(out, f"metrics_{cells[0]}.json")))
+            doc = json.loads(Path(out, f"metrics_{cells[0]}.json").read_text())
             assert float(cells[1]) == doc["accuracy"]
         accs = [float(r.split(",")[1]) for r in rows[1:]]
         assert accs == sorted(accs, reverse=True)
@@ -827,6 +850,8 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
         calls.append(epochs.shape)
         return extract(epochs, *args, **kwargs)
 
+    # one share, so that every block is formed and counted in this process
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(dsp, "extract_features", recorded)
     window = [] if window_len is None else ["--window-len", str(window_len), "--hop", str(hop)]
     out = tmp_path / "features.csv"
@@ -838,6 +863,11 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
     assert len(got.labels) == sum(b[0] for b in blocks)
     assert got.features.tobytes() == want.tobytes()
     assert got.labels.tolist() == labels.tolist()
+    # three shares form blocks of their own, and write the same bytes
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+    shared = tmp_path / "shared.csv"
+    assert run("featurize", "--manifest", str(manifest), *window, "--out", str(shared)) == 0
+    assert shared.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("bad", [b"\xff\xfe", b"1" * 200_000 + b","],

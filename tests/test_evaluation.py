@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestConfusionCsv:
         cm = evaluation.ConfusionMatrix(np.array([[5, 1], [2, 7]]), ["NEG", "POS"])
         path = str(tmp_path / "cm.csv")
         evaluation.write_confusion_csv(cm, path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(Path(path).read_text().splitlines()))
         assert rows[0] == ["true\\predicted", "NEG", "POS"]
         assert rows[1] == ["NEG", "5", "1"]
         assert rows[2] == ["POS", "2", "7"]
@@ -129,7 +130,7 @@ class TestMetricsJson:
         rep = evaluation.metrics(cm)
         path = str(tmp_path / "m.json")
         evaluation.write_metrics_json(rep, ["a", "b"], path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         assert doc["accuracy"] == rep.accuracy
         assert doc["precision"] == [1.0, 2.0 / 3.0]
         assert doc["class_names"] == ["a", "b"]
@@ -151,10 +152,10 @@ class TestCompareReport:
         lines = text.strip().splitlines()
         names = [ln.split()[0] for ln in lines[2:]]
         assert names == ["high", "mid", "low"]
-        rows = list(csv.reader(open(tmp_path / "comparison.csv")))
+        rows = list(csv.reader((tmp_path / "comparison.csv").read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == ["high", "mid", "low"]
         assert rows[1][1] == repr(0.9)
-        assert open(tmp_path / "comparison.txt").read() == text
+        assert (tmp_path / "comparison.txt").read_text() == text
 
     def test_single_row(self):
         text = evaluation.compare_report([("only", make_report(1.0))])
@@ -191,12 +192,12 @@ class TestEmitCurves:
 
     def test_flat_history_svg_valid(self, tmp_path):
         h = TrainHistory([0.5] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
-        svg = open(evaluation.emit_curves(h, str(tmp_path))).read()
+        svg = Path(evaluation.emit_curves(h, str(tmp_path))).read_text()
         assert svg.startswith("<svg") or "<svg" in svg
         assert "polyline" in svg
         assert "NaN" not in svg
 
     def test_single_epoch(self, tmp_path):
         h = TrainHistory([1.0], [0.3], [1.1], [0.2])
-        svg = open(evaluation.emit_curves(h, str(tmp_path))).read()
+        svg = Path(evaluation.emit_curves(h, str(tmp_path))).read_text()
         assert "NaN" not in svg

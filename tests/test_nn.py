@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -782,7 +783,7 @@ class TestPersistence:
         # re-saving reproduces the file byte for byte
         path2 = str(tmp_path / "ck2.json")
         nn.save_checkpoint(path2, m2, names, norm2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
     def test_reads_checkpoint_written_before_gate_fusion(self, tmp_path):
         # checkpoint_v1.json was written by the per-gate implementation
@@ -791,7 +792,7 @@ class TestPersistence:
         path = os.path.join(DATA, "checkpoint_v1.json")
         model, names, norm = nn.load_checkpoint(path)
         assert names == ["CALM", "TENSE"] and norm.n_features == 4
-        ref = json.load(open(os.path.join(DATA, "checkpoint_v1_probs.json")))
+        ref = json.loads(Path(DATA, "checkpoint_v1_probs.json").read_text())
         logits, _ = nn.model_forward(model, np.array(ref["input"]))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
@@ -800,7 +801,7 @@ class TestPersistence:
                               np.argmax(ref["probs"], axis=1))
         out = str(tmp_path / "resaved.json")
         nn.save_checkpoint(out, model, names, norm)
-        assert open(out, "rb").read() == open(path, "rb").read()
+        assert Path(out).read_bytes() == Path(path).read_bytes()
 
     def test_history_roundtrip(self, tmp_path):
         h = nn.TrainHistory(

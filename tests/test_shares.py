@@ -1,10 +1,10 @@
-"""synth writes, and load_raw_recordings parses, raw recordings in shares
-across forked processes, one per usable CPU (dataio._map_in_shares).
+"""synth writes, and featurize parses and featurizes, raw recordings in
+shares across forked processes, one per usable CPU (dataio._map_in_shares).
 
-Whatever the CPU count, the files, arrays, exit codes and messages must be
-those of a serial loop; a failing or dying share must raise, never hang; and
-no process may be left behind (see the no_child_left fixture). The CPU count
-is forced by replacing dataio._usable_cpus.
+Whatever the CPU count, the files, arrays, exit codes, messages and warnings
+must be those of a serial loop; a failing or dying share must raise, never
+hang; and no process may be left behind (see the no_child_left fixture). The
+CPU count is forced by replacing dataio._usable_cpus.
 """
 
 import contextlib
@@ -14,11 +14,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 
-from eegpipe import dataio
+from conftest import WATCHDOG_S
+from eegpipe import dataio, dsp
 from eegpipe.cli import derive_seed, main
 from eegpipe.errors import DataError, PipelineError
 from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
@@ -92,7 +95,8 @@ def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
 @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
 def test_shares_are_contiguous_and_results_come_back_in_order(n, n_items):
     with cpus(n):
-        got = dataio._map_in_shares(lambda i: (i, os.getpid()), range(n_items))
+        got = dataio._map_in_shares(lambda share: [(i, os.getpid()) for i in share],
+                                    range(n_items))
     assert [i for i, _ in got] == list(range(n_items))
     runs = [(pid, len(list(g))) for pid, g in itertools.groupby(pid for _, pid in got)]
     shares = min(n, n_items)
@@ -112,7 +116,7 @@ def test_first_failing_item_wins(watchdog, n, first_bad):
         return i
 
     with cpus(n), pytest.raises(DataError, match=rf"^bad item {first_bad}$"):
-        dataio._map_in_shares(fn, range(6))
+        dataio._map_in_shares(lambda share: [fn(i) for i in share], range(6))
 
 
 def write_manifest(root, rows):
@@ -194,7 +198,7 @@ def test_exception_that_cannot_be_sent_is_an_error_naming_the_status(watchdog, e
         return i
 
     with cpus(2), pytest.raises(PipelineError, match=r"ended with exit status 1"):
-        dataio._map_in_shares(fn, range(4))
+        dataio._map_in_shares(lambda share: [fn(i) for i in share], range(4))
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +268,109 @@ def test_piped_output_lines_appear_once(tmp_path):
         "threshold_uv=100.0"]
     fpath = os.path.join(str(tmp_path), "raw", "epoch_0005.csv")
     assert proc.stderr == f"data error: {fpath}: line 6: non-finite sample\n"
+
+
+def short_recording(path):
+    """10 samples: the file parses, but is too short to filter."""
+    rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0,
+                           np.random.default_rng(1).normal(size=(4, 10)), label=0)
+    dataio.save_recording_csv(rec, str(path))
+
+
+def zero_recording(path):
+    """All zeros: the file parses and filters, but its PSD is all zero."""
+    dataio.save_recording_csv(
+        dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, np.zeros((4, 300)), label=0), str(path))
+
+
+# a fault that parsing finds, or one of a later stage than the earlier fault's
+LATER_FAULTS = {
+    "none": (None, None),
+    "missing": (os.remove, "manifest references missing file: {}"),
+    "non_finite": (spoil, "{}: line 6: non-finite sample"),
+    "too_short": (short_recording, "input length 10 too short; need more than 12 samples"),
+}
+EARLIER_FAULTS = {
+    "too_short": (short_recording, "input length 10 too short; need more than 12 samples"),
+    "all_zero": (zero_recording, "spectral entropy undefined for an all-zero PSD"),
+}
+
+
+@pytest.mark.parametrize("later", sorted(LATER_FAULTS))
+@pytest.mark.parametrize("earlier", sorted(EARLIER_FAULTS))
+def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watchdog,
+                                                                  earlier, later):
+    # at 3 CPUs the shares are files {0, 1}, {2, 3} and {4, 5}: the earlier
+    # fault is in this process's share, the later one in the last child's.
+    # A serial run meets every parse error before any filter error, and
+    # prints the rejection line before any feature error, so those must win
+    # whatever share finds them first
+    raw = tmp_path / "raw"
+    synth_at(1, raw)
+    spoil_early, message = EARLIER_FAULTS[earlier]
+    spoil_early(raw / "epoch_0000.csv")
+    spoil_late, late_message = LATER_FAULTS[later]
+    if spoil_late is not None:
+        spoil_late(raw / "epoch_0005.csv")
+        message = late_message.format(raw / "epoch_0005.csv")
+    argv = ["featurize", "--manifest", str(raw / "manifest.csv"),
+            "--out", str(tmp_path / "f.csv")]
+    outcomes = [cli(argv, n) for n in (1, 3)]
+    assert outcomes[1] == outcomes[0]
+    code, stdout, stderr = outcomes[0]
+    assert (code, stderr) == (2, f"data error: {message}\n")
+    rejection_line = (earlier, later) == ("all_zero", "none")
+    assert ("rejected 0 of 6 epochs" in stdout) == rejection_line
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path, monkeypatch,
+                                                                      watchdog):
+    synth_at(1, tmp_path)
+    extract = dsp.extract_features
+
+    def warns(epochs, *args, **kwargs):
+        warnings.warn("featurizing a block")  # raised in every share, shown once
+        for epoch in epochs:
+            warnings.warn(f"epoch {zlib.crc32(epoch.tobytes())}")
+        return extract(epochs, *args, **kwargs)
+
+    monkeypatch.setattr(dsp, "extract_features", warns)
+    argv = ["featurize", "--manifest", str(tmp_path / "manifest.csv"),
+            "--out", str(tmp_path / "f.csv")]
+    recorded = []
+    for n in (1, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert cli(argv, n)[0] == 0
+        recorded.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert recorded[1] == recorded[0]
+    # one block of six epochs at 1 CPU, three blocks at 3 CPUs; each
+    # recording is one epoch, filtered alone here
+    recs, _ = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"))
+    coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
+    assert [m for _, m, _, _ in recorded[0]] == ["featurizing a block"] + [
+        f"epoch {zlib.crc32(dsp.filtfilt(coeffs, r.data).tobytes())}" for r in recs]
+
+
+def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
+    # the children filter with numpy, and forking a process whose OpenBLAS
+    # has started a thread pool must neither hang nor change a bit
+    raw = tmp_path / "raw"
+    synth_at(1, raw)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from eegpipe import dataio\n"
+            "from eegpipe.cli import main\n"
+            "a = np.ones((600, 600))\n"
+            "a @ a\n"
+            "dataio._usable_cpus = lambda: int(sys.argv[1])\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "2"}
+    for n in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(n), "featurize",
+             "--manifest", str(raw / "manifest.csv"), "--out", str(tmp_path / f"{n}.csv")],
+            capture_output=True, text=True, env=env, timeout=WATCHDOG_S)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
