@@ -201,6 +201,48 @@ def _writing(out: str):
         raise ConfigError(f"cannot write output {out}: {exc}") from None
 
 
+# the files split, train, evaluate, compare and report write under their
+# --out directory (synth writes manifest.csv and its epoch files there, and
+# featurize writes the file --out)
+_OUTPUT_NAMES = {
+    "split": ["train.csv", "val.csv", "test.csv", "split.json"],
+    "train": ["checkpoint.json", "history.csv"],
+    "evaluate": ["confusion.csv", "metrics.json"],
+    "compare": [*(f"metrics_{name}.json" for name in
+                  ("gru", "logistic", "linear_svm", "random_forest", "gradient_boosting")),
+                "comparison.csv", "comparison.txt", "history.csv"],
+    "report": ["curves.svg"],
+}
+
+
+def _output_paths(args) -> list[str]:
+    if args.command == "featurize":
+        return [args.out]
+    names = (["manifest.csv", *_synth_file_names(args.per_class)] if args.command == "synth"
+             else _OUTPUT_NAMES[args.command])
+    return [os.path.join(args.out, name) for name in names]
+
+
+def _refuse_overwriting_inputs(args, inputs: list[str]) -> None:
+    """An output of the command that is the same file as one of the inputs is
+    a ConfigError that names both: the command would overwrite what it reads,
+    and leave the next command a file of the wrong kind. main checks the
+    config file and the input flags' files before the command runs, and
+    featurize the recordings once it has read the manifest."""
+    found = []
+    for path in inputs:
+        with contextlib.suppress(OSError):
+            found.append((path, os.stat(path)))
+    for out in _output_paths(args) if found else ():
+        try:
+            out_stat = os.stat(out)
+        except OSError:
+            continue
+        for path, in_stat in found:
+            if os.path.samestat(out_stat, in_stat):
+                raise ConfigError(f"output {out} is the input {path}")
+
+
 def _announce(name: str, settings: dict) -> None:
     line = " ".join(f"{k}={v}" for k, v in settings.items())
     print(f"[eegpipe {name}] {line}")
@@ -210,23 +252,31 @@ def _announce(name: str, settings: dict) -> None:
 # commands
 
 
+def _synth_file_names(per_class: int) -> list[str]:
+    return [f"epoch_{i:04d}.csv" for i in range(len(dataio.SYNTH_BANDS) * per_class)]
+
+
 def cmd_synth(args) -> int:
-    # synth_generate checks per_class, window_len and fs before anything is printed or written
-    data, labels = dataio.synth_generate(args.per_class, args.window_len, args.fs,
-                                         derive_seed(args.seed, "synth"))
+    # per_class, window_len and fs are checked before anything is printed or written
+    labels = dataio._synth_labels(args.per_class, args.window_len, args.fs)
+    seed = derive_seed(args.seed, "synth")
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
-    fnames = [f"epoch_{i:04d}.csv" for i in range(len(labels))]
+    fnames = _synth_file_names(args.per_class)
 
-    def write(i):
-        rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data[i], label=int(labels[i]))
-        with _writing(args.out):
-            dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
+    def write(share):
+        # a share draws its own epochs, one at a time (synth_generate's, bit for bit)
+        epochs = dataio._synth_epochs(args.per_class, args.window_len, args.fs, seed, share.start)
+        for i, data in zip(share, epochs):
+            rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data, label=int(labels[i]))
+            with _writing(args.out):
+                dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
+        return []
 
-    # the files are formatted and written in shares across the usable CPUs
-    dataio._map_in_shares(lambda share: [write(i) for i in share], range(len(labels)))
+    # the files are drawn, formatted and written in shares across the usable CPUs
+    dataio._map_in_shares(write, range(len(labels)))
     channels = ";".join(dataio.DEFAULT_CHANNELS)
     manifest = os.path.join(args.out, "manifest.csv")
     with _writing(args.out), open(manifest, "w", newline="", encoding="utf-8") as fh:
@@ -238,7 +288,8 @@ def cmd_synth(args) -> int:
 
 
 # samples per extract_features call when featurize stacks short recordings:
-# few enough that a block's copies and temporaries stay small
+# few enough that a block's copies and temporaries stay small. A recording
+# of at least this many samples is featurized alone, as soon as it is parsed
 FEATURE_BLOCK_SAMPLES = 1 << 13
 
 
@@ -272,7 +323,7 @@ def _kept_epochs(block):
 
 # the stages of featurize's work on a share after parsing, in the order a
 # serial run meets them: an error of an earlier stage wins in any share
-_FILTER, _WINDOW, _FEATURES = range(3)
+_FILTER, _WINDOW, _FEATURES, _DONE = range(4)
 
 
 class _FeaturizedShare(NamedTuple):
@@ -287,43 +338,90 @@ class _FeaturizedShare(NamedTuple):
     error: tuple[int, PipelineError] | None
 
 
+class _ShareFeaturizer:
+    """featurize's work on one share of recordings, a group of them at a time:
+    filter the group in one batch per length, window it, reject artifacts and
+    extract the kept epochs' features. An error is kept with its stage, not
+    raised, so that cmd_featurize can put every share's parse errors first and
+    each stage after the one before, as in a serial run; after an error, a
+    later group runs only the stages before the error's, to find an earlier
+    stage's error."""
+
+    def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
+        self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
+        self.n_epochs, self.labels, self.rows, self.names, self.error = 0, [], [], None, None
+
+    def add(self, group: list) -> None:
+        """Featurize a group of recordings, and empty its list: the raw samples
+        are freed once they are filtered, before the feature stage's temporaries."""
+        if not group:
+            return
+        stop = _DONE if self.error is None else self.error[0]
+        fs, channels = group[0].sample_rate_hz, group[0].channels
+        rec_labels = [rec.label for rec in group]
+        raw = {i: rec.data for i, rec in enumerate(group)}
+        group.clear()
+        stage = _FILTER
+        try:
+            if stop == _FILTER:
+                return
+            filtered = {}
+            while raw:  # one batch per length, in order of first appearance
+                n = next(iter(raw.values())).shape[-1]
+                idx = [i for i, data in raw.items() if data.shape[-1] == n]
+                # filtfilt frees each batch's raw samples once it has stacked them
+                filtered.update(zip(idx, dsp.filtfilt(self.coeffs, [raw.pop(i) for i in idx])))
+            stage = _WINDOW
+            if stop == _WINDOW:
+                return
+            windows = [dataio.window_recording(filtered[i], self.window_len, self.hop)
+                       for i in range(len(filtered))]
+            kept = [dsp.reject_artifacts(w, self.fc.artifact_threshold_uv)[0] for w in windows]
+            self.n_epochs += sum(map(len, windows))
+            labels = np.repeat(rec_labels, list(map(len, kept)))
+            self.labels.append(labels)
+            stage = _FEATURES
+            if stop == _FEATURES:
+                return
+            rows, row = None, 0
+            for block in _feature_blocks(windows, kept):
+                # the epochs are a temporary of the call, freed before the next block is
+                # stacked, and the rows go straight into one matrix: small arrays kept
+                # between the blocks' temporaries fragment the heap, which grew peak RSS
+                fv = dsp.extract_features(_kept_epochs(block), fs, self.fc, channels)
+                if rows is None:
+                    rows = np.empty((len(labels), len(fv.names)))
+                rows[row : row + len(fv.values)] = fv.values
+                row += len(fv.values)
+            self.rows.append(rows)
+            self.names = fv.names
+        except PipelineError as exc:
+            self.error = (stage, exc)
+
+    def result(self) -> _FeaturizedShare:
+        labels = np.concatenate(self.labels) if self.labels else np.empty(0, dtype=int)
+        rows = None if self.error is not None else np.concatenate(self.rows)
+        return _FeaturizedShare(self.n_epochs, labels, rows, self.names, self.error)
+
+
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
-    """Filter one share of recordings, in one batch per length, window them,
-    reject artifacts and extract the kept epochs' features. The error that
-    stops this is returned with its stage, not raised, so that cmd_featurize
-    can put every share's parse errors first and each stage after the one
-    before, as in a serial run."""
-    fs, channels = recordings[0].sample_rate_hz, recordings[0].channels
-    rec_labels = [rec.label for rec in recordings]
-    stage, n_epochs, labels, rows, names = _FILTER, 0, np.empty(0, dtype=int), None, None
-    try:
-        filtered = {}
-        for n in dict.fromkeys(rec.n_samples for rec in recordings):
-            idx = [i for i, rec in enumerate(recordings) if rec.n_samples == n]
-            filtered.update(zip(idx, dsp.filtfilt(coeffs, [recordings[i].data for i in idx])))
-        # the raw samples are not read past the filter: the list is this share's
-        # own, so emptying it frees them before the feature stage's temporaries
-        recordings.clear()
-        stage = _WINDOW
-        windows = [dataio.window_recording(filtered[i], window_len, hop)
-                   for i in range(len(filtered))]
-        kept = [dsp.reject_artifacts(w, fc.artifact_threshold_uv)[0] for w in windows]
-        n_epochs = sum(map(len, windows))
-        labels = np.repeat(rec_labels, list(map(len, kept)))
-        stage, row = _FEATURES, 0
-        for block in _feature_blocks(windows, kept):
-            # the epochs are a temporary of the call, freed before the next block is
-            # stacked, and the rows go straight into one matrix: small arrays kept
-            # between the blocks' temporaries fragment the heap, which grew peak RSS
-            fv = dsp.extract_features(_kept_epochs(block), fs, fc, channels)
-            if rows is None:
-                rows = np.empty((len(labels), len(fv.names)))
-            rows[row : row + len(fv.values)] = fv.values
-            row += len(fv.values)
-        names = fv.names
-    except PipelineError as exc:
-        return _FeaturizedShare(n_epochs, labels, rows, names, (stage, exc))
-    return _FeaturizedShare(n_epochs, labels, rows, names, None)
+    """Featurize one share of recordings as they are parsed (_ShareFeaturizer).
+    A recording of at least FEATURE_BLOCK_SAMPLES samples is a group of its
+    own, freed before the next recording is parsed; each run of shorter ones
+    between them is one group, filtered as one batch. A parse error is not
+    caught: it stops the share, as it would a serial run."""
+    share = _ShareFeaturizer(coeffs, fc, window_len, hop)
+    group = []
+    for rec in recordings:
+        alone = rec.data.size >= FEATURE_BLOCK_SAMPLES
+        if alone:
+            share.add(group)
+        group.append(rec)
+        del rec  # the group holds the only reference
+        if alone:
+            share.add(group)
+    share.add(group)
+    return share.result()
 
 
 def cmd_featurize(args) -> int:
@@ -354,7 +452,8 @@ def cmd_featurize(args) -> int:
         fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
-    # each share of recordings is featurized in the process that parsed it
+    _refuse_overwriting_inputs(args, [os.path.join(data_dir, e["file"]) for e in entries])
+    # each share of recordings is featurized in the process that parses it
     shares, class_names = dataio.load_raw_recordings(
         data_dir, args.manifest,
         per_share=lambda recs: _featurize_share(recs, coeffs, fc, args.window_len, args.hop))
@@ -541,6 +640,7 @@ def build_parser() -> _Parser:
         p.add_argument("--verbose", action="store_true")
         for flag in required:
             p.add_argument(flag, required=True)
+        p.set_defaults(input_flags=[flag[2:] for flag in required])
         for row in SETTINGS.values():
             if row.flag is not None and name in row.defaults:
                 default = row.defaults[name]
@@ -564,6 +664,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         vars(args).update(resolve_settings(args.command, vars(args), _load_config(args.config)))
+        inputs = [args.config] if args.config is not None else []
+        _refuse_overwriting_inputs(args, inputs + [vars(args)[key] for key in args.input_flags])
         # looked up at call time, so a wrapper installed on the module is honoured
         return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:

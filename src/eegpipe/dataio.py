@@ -296,12 +296,14 @@ def load_raw_recordings(path: str, manifest: str, per_share=None) -> tuple[list,
     usable CPUs (_map_in_shares); a bad row raises the same error as in a
     serial loop, that of the first bad row in manifest order.
 
-    With per_share, the process that parsed a share passes its recordings,
-    in manifest order, to per_share(recordings), and only what that returns
-    comes back: the list holds one return per share, in manifest order, in
-    place of the recordings. The list is per_share's own, to empty once it
-    is done with the samples. per_share runs only on a share whose every row
-    parsed, so a parse error still comes before anything per_share raises.
+    With per_share, the process that parses a share calls
+    per_share(recordings) on an iterator over the share's recordings, in
+    manifest order, that parses each one as it is drawn; only what per_share
+    returns comes back: the list holds one return per share, in manifest
+    order, in place of the recordings. So per_share can be done with one
+    recording before the next is parsed. A parse error is raised from the
+    draw, and the rows per_share leaves undrawn are parsed after it returns,
+    so a bad row still raises its error, in place of the share's return.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
@@ -326,10 +328,16 @@ def load_raw_recordings(path: str, manifest: str, per_share=None) -> tuple[list,
         data = _scan_raw_csv(fpath, channels) if data is None else data
         return Recording(channels, fs, data.T, label=class_ids[e["label"]])
 
+    def stream(share):
+        recordings = map(parse, share)
+        result = per_share(recordings)
+        for _ in recordings:  # the rows per_share left undrawn
+            pass
+        return [result]
+
     if per_share is None:
         return _map_in_shares(lambda share: [parse(e) for e in share], entries), class_names
-    return _map_in_shares(lambda share: [per_share([parse(e) for e in share])],
-                          entries), class_names
+    return _map_in_shares(stream, entries), class_names
 
 
 def _usable_cpus() -> int:
@@ -518,16 +526,18 @@ def save_recording_csv(rec: Recording, path: str) -> None:
 
     The bytes are those csv.writer writes for repr'd floats: its default line
     terminator is \\r\\n, and no float's repr needs quoting. One str % call
-    formats all the samples.
+    formats each block of _RAW_BLOCK_ROWS samples.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(rec.channels)
-        _write_float_rows(fh, rec.data.T)
+        _write_float_rows(fh, rec.data.T, block_rows=_RAW_BLOCK_ROWS)
 
 
-# rows per str % call when save_feature_csv writes a feature matrix: its
-# temporaries come on top of featurize's peak memory, so blocks stay small
+# rows per str % call when a feature matrix or a recording is written: a
+# block's temporaries (a list of Python floats, the text) come on top of the
+# command's peak memory, so blocks stay small; larger ones are no faster
 _FEATURE_BLOCK_ROWS = 64
+_RAW_BLOCK_ROWS = 256
 
 
 def _write_float_rows(fh, rows: np.ndarray, tails: list[str] | None = None,
@@ -658,21 +668,35 @@ def synth_generate(
     beta-ish), identical frequency on every channel with per-channel
     random phase. Deterministic per seed.
     """
+    labels = _synth_labels(n_per_class, window_len, fs)
+    data = np.empty((len(labels), len(DEFAULT_CHANNELS), window_len))
+    for i, epoch in enumerate(_synth_epochs(n_per_class, window_len, fs, seed)):
+        data[i] = epoch
+    return data, labels
+
+
+def _synth_labels(n_per_class: int, window_len: int, fs: float) -> np.ndarray:
+    """The labels of synth_generate's epochs, once its settings are checked."""
     if n_per_class < 1:
         raise ConfigError("n_per_class must be >= 1")
     if window_len < 8:
         raise ConfigError("window_len must be >= 8")
     if not (math.isfinite(fs) and fs > 0):
         raise ConfigError(f"fs must be positive and finite, got {fs}")
+    return np.repeat(sorted(SYNTH_BANDS), n_per_class)
+
+
+def _synth_epochs(n_per_class: int, window_len: int, fs: float, seed: int, start: int = 0):
+    """Yield synth_generate's epochs from index start on, one [n_ch, window_len]
+    array at a time. The seeded draws of the epochs before start are replayed
+    and dropped, so the epochs of any share equal those rows of the whole."""
     rng = np.random.default_rng(seed)
     n_ch = len(DEFAULT_CHANNELS)
     t = np.arange(window_len) / fs
-    labels = np.repeat(sorted(SYNTH_BANDS), n_per_class)
-    data = np.empty((len(labels), n_ch, window_len))
-    for i, label in enumerate(labels):
+    for i, label in enumerate(np.repeat(sorted(SYNTH_BANDS), n_per_class)):
         lo, hi = SYNTH_BANDS[label]
         freq = rng.uniform(lo, hi)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_ch)
         noise = rng.standard_normal((n_ch, window_len))
-        data[i] = noise + SYNTH_AMPLITUDE * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
-    return data, labels
+        if i >= start:
+            yield noise + SYNTH_AMPLITUDE * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])

@@ -12,6 +12,8 @@ it is batched with.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -219,32 +221,108 @@ def _section_step_state(sections) -> list[np.ndarray]:
     return states
 
 
+@functools.lru_cache(maxsize=64)
+def _section_powers(a1: float, a2: float, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers of a DF2T section's state transition A = [[-a1, 1], [-a2, 0]]:
+    the first row of A^j for j < span, as two vectors, and A^span. They are
+    formed in extended precision and rounded once, and are read-only, as
+    every caller shares them."""
+    a = np.array([[-a1, 1.0], [-a2, 0.0]], dtype=np.longdouble)
+    powers = [np.eye(2, dtype=np.longdouble)]
+    for _ in range(span):
+        powers.append(a @ powers[-1])
+    first = np.array([p[0] for p in powers[:span]], dtype=float)
+    out = first[:, 0], first[:, 1], powers[span].astype(float)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _filter_section(blocks: np.ndarray, section, z1_start, z2_start) -> None:
+    """One DF2T section over blocks[j, k, ...], sample k * span + j of each
+    signal, in place; z1_start and z2_start are the state before sample 0."""
+    b0, b1, b2, a1, a2 = section
+    span = len(blocks)
+    rows = max(1, 8192 // blocks[0].size)  # rows per chunk of temporaries
+    # 1. every block from a zero state, one in-block position of all blocks per
+    # step; the chunk's three input products are formed up front
+    z1 = z2 = 0.0
+    for start in range(0, span, rows):
+        chunk = blocks[start : start + rows]
+        y, bx1, bx2 = (np.multiply(chunk, b) for b in (b0, b1, b2))
+        for yi, bx1i, bx2i in zip(y, bx1, bx2):
+            yi += z1
+            z1 = bx1i - a1 * yi + z2
+            z2 = bx2i - a2 * yi
+        chunk[...] = y
+    # 2. the true state at the start of each block: that of the block before,
+    # carried across it by A^span, plus the block's own zero-state end state
+    p, q, m = _section_powers(a1, a2, span)
+    s1, s2 = np.empty_like(z1), np.empty_like(z2)
+    s1[0], s2[0] = z1_start, z2_start
+    for k in range(len(s1) - 1):
+        s1[k + 1] = m[0, 0] * s1[k] + m[0, 1] * s2[k] + z1[k]
+        s2[k + 1] = m[1, 0] * s1[k] + m[1, 1] * s2[k] + z2[k]
+    # 3. add each start state's zero-input response, y_j = (A^j s)[0]
+    for start in range(0, span, rows):
+        chunk = blocks[start : start + rows]
+        chunk += np.multiply.outer(p[start : start + rows], s1)
+        chunk += np.multiply.outer(q[start : start + rows], s2)
+
+
+# samples of whole signals per _filter_chunk call
+_FILTER_CHUNK = 1 << 16
+
+
+def _filter_chunk(sections, states, xt: np.ndarray) -> None:
+    """sosfilt on the time-major view xt [n, ...], in place, from the steady
+    states of the sections for a constant input xt[0]."""
+    n = len(xt)
+    span = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    n_full, tail = divmod(n, span)
+    # blocks[j, k] is sample k * span + j; full[j, k] views the same sample of xt
+    blocks = np.zeros((span, n_full + (tail > 0), *xt.shape[1:]))
+    full = xt[: n_full * span].reshape(n_full, span, *xt.shape[1:]).swapaxes(0, 1)
+    last = xt[n_full * span :]  # the samples of a short last block, if any
+    blocks[:, :n_full] = full
+    blocks[:tail, n_full:] = last[:, None]
+    for section, state in zip(sections, states):
+        z1, z2 = np.multiply.outer(state, xt[0])
+        _filter_section(blocks, section, z1, z2)
+    full[...] = blocks[:, :n_full]
+    last[...] = blocks[:tail, -1]
+
+
 def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     """Causal cascade filtering (direct form II transposed) along the last axis of
     the float array x, in place; returns x. Each section starts in its steady
     state for a constant input x[..., 0], so a constant signal passes as 0.
 
-    The time axis is walked in blocks of about 8192 samples of all signals
-    together: each block is copied time-major with the three input products
-    formed up front, so each step works on contiguous rows. Every sample gets
-    the same operations in the same order as a per-sample loop would apply.
+    A two-level block recurrence replaces the loop over samples. The signals
+    go through in chunks of about _FILTER_CHUNK samples, so the blocked copy
+    of a chunk and its temporaries stay small. The time axis is cut into
+    blocks of about sqrt(n) samples, zero-padded at the end. For each
+    section, one DF2T step per in-block position runs over every block of
+    the chunk at once, each block from a zero state; then the true
+    block-start states are carried across the blocks by the section's 2x2
+    transition matrix, and their zero-input response is added. So the
+    Python loops take about 3 sqrt(n) turns per section and chunk, not n.
+
+    The result is not that of a per-sample loop bit for bit: on the EEG
+    bandpass designs its error against an extended-precision reference is
+    within 1e-11 of max|y| (see tests/test_dsp.py). Every operation is
+    elementwise, and the block length depends on n only, so a signal's
+    result does not depend on what it is batched with.
     """
-    zi = [np.multiply.outer(z, x[..., 0]) for z in _section_step_state(coeffs.sections)]
+    if x.size == 0:
+        return x
     xt = np.moveaxis(x, -1, 0)  # time-major view of x
     if xt.ndim == 1:
         xt = xt[:, None]  # keep each step a writable row, not a scalar
-    step = max(1, 8192 // max(1, xt[0].size))
-    for (b0, b1, b2, a1, a2), (z1, z2) in zip(coeffs.sections, zi):
-        for start in range(0, len(xt), step):
-            block = xt[start : start + step]
-            y = np.multiply(block, b0, order="C")
-            bx1 = np.multiply(block, b1, order="C")
-            bx2 = np.multiply(block, b2, order="C")
-            for yi, bx1i, bx2i in zip(y, bx1, bx2):
-                yi += z1
-                z1 = bx1i - a1 * yi + z2
-                z2 = bx2i - a2 * yi
-            block[...] = y
+    per_chunk = max(1, _FILTER_CHUNK // (len(xt) * math.prod(xt.shape[2:])))
+    states = _section_step_state(coeffs.sections)
+    for start in range(0, xt.shape[1], per_chunk):
+        _filter_chunk(coeffs.sections, states, xt[:, start : start + per_chunk])
     return x
 
 
@@ -252,12 +330,14 @@ def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.nda
     """Zero-phase forward-backward filtering along the last axis, with
     reflective edge padding.
 
-    `x` is an array [..., n_samples] or a sequence of equal-shape arrays,
+    `x` is an array [..., n_samples] or a list of equal-shape arrays,
     filtered as their stack; the stack is written straight into the padded
-    work array, which is then filtered in place. Default padding is 3x the
-    filter order. Initial conditions are the steady-state response to the
-    first padded sample, so constant inputs pass through a bandpass as
-    exactly zero. The effective magnitude response is |H|^2.
+    work array, which is then filtered in place. The list is emptied once
+    it is stacked, so that arrays it alone holds are freed before the
+    filter runs. Default padding is 3x the filter order. Initial conditions
+    are the steady-state response to the first padded sample, so constant
+    inputs pass through a bandpass as exactly zero. The effective magnitude
+    response is |H|^2.
     """
     stacked = not isinstance(x, np.ndarray)
     shape = (len(x), *np.shape(x[0])) if stacked else x.shape
@@ -269,6 +349,7 @@ def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.nda
     body = ext[..., padlen : padlen + n]
     if stacked:
         np.stack(x, out=body)
+        x.clear()
     else:
         body[...] = x
     ext[..., :padlen] = 2.0 * body[..., :1] - body[..., padlen:0:-1]

@@ -580,6 +580,73 @@ def test_unwritable_output_is_config_error_naming_it(pipeline, tmp_path, capsys,
     assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("argv,source,target,out", [
+    # the manifest, or one of its recordings, as the feature file
+    (["featurize", "--manifest", "raw/manifest.csv"], None, "raw/manifest.csv",
+     "raw/manifest.csv"),
+    (["featurize", "--manifest", "raw/manifest.csv"], None, "raw/epoch_0000.csv",
+     "raw/epoch_0000.csv"),
+    # an input file named as one of the files written into --out
+    (["split", "--input", "splits/train.csv"], None, "splits/train.csv", "splits"),
+    (["train", "--train", "run/history.csv", "--val", "splits/val.csv"], "splits/train.csv",
+     "run/history.csv", "run"),
+    (["evaluate", "--checkpoint", "run/checkpoint.json", "--test", "run/confusion.csv"],
+     "splits/test.csv", "run/confusion.csv", "run"),
+    (["compare", "--input", "cmp/comparison.csv"], "features.csv", "cmp/comparison.csv", "cmp"),
+    (["report", "--history", "curves/curves.svg"], "run/history.csv", "curves/curves.svg",
+     "curves"),
+    # the config file
+    (["synth", "--per-class", "2", "--config", "raw/manifest.csv"], "config.json",
+     "raw/manifest.csv", "raw"),
+], ids=["featurize_manifest", "featurize_recording", "split", "train", "evaluate", "compare",
+        "report", "synth_config"])
+def test_output_that_is_an_input_is_config_error_naming_both(pipeline, tmp_path, capsys, argv,
+                                                             source, target, out):
+    # each exited 0 over its own input, and the next command that read it failed
+    root = tmp_path / "pipe"
+    shutil.copytree(pipeline["root"], root)
+    (root / "config.json").write_text("{}")
+    if source is not None:
+        (root / target).parent.mkdir(exist_ok=True)
+        shutil.copyfile(root / source, root / target)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    argv = [str(root / a) if "/" in a else a for a in argv]
+    assert run(*argv, "--out", str(root / out)) == 1
+    captured = capsys.readouterr()
+    written = root / out if out == target else root / target
+    assert captured.err == f"error: output {written} is the input {root / target}\n"
+    assert "wrote" not in captured.out
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+
+def test_output_paths_name_every_file_each_command_writes(pipeline, tmp_path):
+    # the check above knows each command's outputs by name, apart from the writers
+    j = os.path.join
+    outs = {name: str(tmp_path / name) for name in ("evaluate", "compare", "report")}
+    commands = [
+        ["synth", "--per-class", "8", "--out", pipeline["raw"]],
+        ["featurize", "--manifest", j(pipeline["raw"], "manifest.csv"), "--out", pipeline["feats"]],
+        ["split", "--input", pipeline["feats"], "--out", pipeline["splits"]],
+        ["train", "--train", j(pipeline["splits"], "train.csv"),
+         "--val", j(pipeline["splits"], "val.csv"), "--out", pipeline["run"]],
+        ["evaluate", "--checkpoint", j(pipeline["run"], "checkpoint.json"),
+         "--test", j(pipeline["splits"], "test.csv"), "--out", outs["evaluate"]],
+        ["compare", "--input", pipeline["feats"], "--out", outs["compare"], "--hidden", "8",
+         "--epochs", "2", "--patience", "2", "--n-trees", "2", "--boost-rounds", "2"],
+        ["report", "--history", j(pipeline["run"], "history.csv"), "--out", outs["report"]],
+    ]
+    for argv in commands:
+        if argv[0] in outs:
+            assert run(*argv) == 0
+        args = build_parser().parse_args(argv)
+        vars(args).update(resolve_settings(args.command, vars(args), {}))
+        if args.command == "featurize":
+            assert cli._output_paths(args) == [pipeline["feats"]]
+        else:
+            written = sorted(os.listdir(args.out))
+            assert sorted(cli._output_paths(args)) == [j(args.out, f) for f in written]
+
+
 class TestCompareAndReport:
     def test_compare_writes_consistent_outputs(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "cmp")

@@ -530,6 +530,22 @@ class TestSynthGenerate:
             assert np.array_equal(data[i], noise + tone)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(per_class=st.integers(1, 4), window_len=st.integers(8, 64),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_contiguous_share_equals_those_rows_of_the_whole(self, per_class, window_len,
+                                                                seed, data):
+        # synth draws each share of its files in the process that writes them
+        whole, _ = dataio.synth_generate(per_class, window_len, 256.0, seed)
+        start = data.draw(st.integers(0, len(whole)))
+        stop = data.draw(st.integers(start, len(whole)))
+        share = [epoch for _, epoch in zip(range(start, stop),
+                                           dataio._synth_epochs(per_class, window_len, 256.0,
+                                                                seed, start))]
+        assert len(share) == stop - start
+        for i, epoch in zip(range(start, stop), share):
+            assert epoch.tobytes() == whole[i].tobytes()
+
 def test_write_split_sidecar(tmp_path):
     ds = make_dataset([10, 10, 10])
     spec = dataio.SplitSpec(0.6, 0.2, 0.2, seed=4)

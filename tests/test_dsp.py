@@ -79,10 +79,12 @@ class TestButterworthDesign:
 
 
 def reference_sosfilt(coeffs, x):
-    """The per-sample DF2T loop that sosfilt's blocked kernel replaced, kept
-    as a bit-exact reference: in place along the last axis, returns x."""
-    zi = [np.multiply.outer(z, x[..., 0]) for z in dsp._section_step_state(coeffs.sections)]
-    for (b0, b1, b2, a1, a2), (z1, z2) in zip(coeffs.sections, zi):
+    """The per-sample DF2T loop: in place along the last axis, returns x.
+    Run on an np.longdouble array, it is the extended-precision oracle."""
+    zi = [np.multiply.outer(np.asarray(z, dtype=x.dtype), x[..., 0])
+          for z in dsp._section_step_state(coeffs.sections)]
+    for section, (z1, z2) in zip(coeffs.sections, zi):
+        b0, b1, b2, a1, a2 = np.asarray(section, dtype=x.dtype)
         for i in range(x.shape[-1]):
             xi = x[..., i]
             yi = b0 * xi + z1
@@ -90,6 +92,16 @@ def reference_sosfilt(coeffs, x):
             z2 = b2 * xi - a2 * yi
             x[..., i] = yi
     return x
+
+
+# sosfilt's error against the extended-precision loop, relative to each
+# signal's largest output; the worst case measured is about 4e-12 (order 8)
+SOSFILT_BOUND = 1e-11
+
+
+def relative_errors(got, want):
+    """max|got - want| / max|want| per signal along the last axis."""
+    return np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -149,33 +161,68 @@ class TestFiltfilt:
         const = np.full((2, 50), 7.3)
         assert np.max(np.abs(dsp.sosfilt(eeg_filter, const))) < 1e-9
 
-    @pytest.mark.parametrize("general", [False, True], ids=["bandpass", "general"])
-    @pytest.mark.parametrize("shape", [(700,), (3, 6000), (1200, 40), (2, 3, 500)])
-    def test_sosfilt_equals_per_sample_reference(self, eeg_filter, shape, general):
-        # 1-D; several blocks with a short last one; a block of a few steps;
-        # more than one batch axis
-        coeffs = GENERAL_FILTER if general else eeg_filter
-        x = 20.0 * np.random.default_rng(sum(shape)).normal(size=shape)
-        want = reference_sosfilt(coeffs, x.copy())
+    @pytest.mark.parametrize("coeffs", [
+        *(dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, order) for order in (2, 4, 6, 8)),
+        dsp.design_butterworth_bandpass(4.0, 8.0, 256.0, 8), GENERAL_FILTER,
+    ], ids=["order2", "order4", "order6", "order8", "order8_narrow", "general"])
+    @pytest.mark.parametrize("n", [2, 13, 16, 300, 10000, 20000])
+    def test_sosfilt_within_bound_of_extended_reference(self, coeffs, n):
+        # blocks are ceil(sqrt(n)) long: 2 is one block, 16 and 10000 fill
+        # their last block, 13 leaves a one-sample last block and 20000 one
+        # of 120 samples; the signals carry DC offsets of 0 and 50. (At n = 1
+        # a bandpass output is rounding error alone: no relative bound holds.)
+        x = 20.0 * np.random.default_rng(n).normal(size=(2, 3, n))
+        x[1] += 50.0
+        want = reference_sosfilt(coeffs, x.astype(np.longdouble))
         got = x.copy()
         assert dsp.sosfilt(coeffs, got) is got
-        assert np.array_equal(got, want)
+        assert np.max(relative_errors(got, want)) < SOSFILT_BOUND
 
     @pytest.mark.parametrize("general", [False, True], ids=["bandpass", "general"])
-    def test_sosfilt_equals_reference_on_filtfilts_reversed_view(self, eeg_filter, general):
+    @pytest.mark.parametrize("shape", [(700,), (3, 6000), (1200, 40), (2, 3, 500)])
+    def test_sosfilt_within_bound_of_extended_reference_at_any_batch_shape(
+            self, eeg_filter, shape, general):
+        # 1-D; long signals; many short ones; more than one batch axis
+        coeffs = GENERAL_FILTER if general else eeg_filter
+        x = 20.0 * np.random.default_rng(sum(shape)).normal(size=shape)
+        want = reference_sosfilt(coeffs, x.astype(np.longdouble))
+        got = x.copy()
+        assert dsp.sosfilt(coeffs, got) is got
+        assert np.max(relative_errors(got, want)) < SOSFILT_BOUND
+
+    @pytest.mark.parametrize("general", [False, True], ids=["bandpass", "general"])
+    def test_sosfilt_within_bound_of_reference_on_filtfilts_reversed_view(self, eeg_filter,
+                                                                         general):
         coeffs = GENERAL_FILTER if general else eeg_filter
         ext = np.random.default_rng(4).normal(size=(4, 3, 3000))
-        want = ext.copy()
+        want = ext.astype(np.longdouble)
         reference_sosfilt(coeffs, want[..., ::-1])
         rev = ext[..., ::-1]
         assert dsp.sosfilt(coeffs, rev) is rev
-        assert np.array_equal(ext, want)
+        assert np.max(relative_errors(ext, want)) < SOSFILT_BOUND
 
     def test_sosfilt_signal_alone_equals_it_inside_a_batch(self, eeg_filter):
         batch = np.random.default_rng(5).normal(size=(1200, 300))
         alone = batch[777].copy()
         dsp.sosfilt(eeg_filter, batch)
         assert np.array_equal(dsp.sosfilt(eeg_filter, alone), batch[777])
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(1, 64), n=st.integers(1, 3000), general=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sosfilt_signal_alone_equals_it_inside_any_batch(self, width, n, general, seed,
+                                                             data):
+        coeffs = GENERAL_FILTER if general else dsp.design_butterworth_bandpass(
+            0.5, 45.0, 256.0, 4)
+        batch = 20.0 * np.random.default_rng(seed).normal(size=(width, n))
+        row = data.draw(st.integers(0, width - 1))
+        alone = batch[row].copy()
+        dsp.sosfilt(coeffs, batch)
+        assert np.array_equal(dsp.sosfilt(coeffs, alone), batch[row])
+
+    def test_empty_batch(self, eeg_filter):
+        assert dsp.sosfilt(eeg_filter, np.zeros((3, 0, 100))).shape == (3, 0, 100)
+        assert dsp.filtfilt(eeg_filter, np.zeros((0, 4, 300))).shape == (0, 4, 300)
 
     def test_too_short_input(self, eeg_filter):
         with pytest.raises(DataError, match="too short"):

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 
@@ -278,9 +279,12 @@ def short_recording(path):
 
 
 def zero_recording(path):
-    """All zeros: the file parses and filters, but its PSD is all zero."""
+    """All zeros, as long as the file it replaces: the file parses and filters,
+    but its PSD is all zero."""
+    n_samples = len(path.read_text().splitlines()) - 1
     dataio.save_recording_csv(
-        dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, np.zeros((4, 300)), label=0), str(path))
+        dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, np.zeros((4, n_samples)), label=0),
+        str(path))
 
 
 # a fault that parsing finds, or one of a later stage than the earlier fault's
@@ -296,17 +300,22 @@ EARLIER_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("later", sorted(LATER_FAULTS))
-@pytest.mark.parametrize("earlier", sorted(EARLIER_FAULTS))
-def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watchdog,
-                                                                  earlier, later):
+def fault_pairs(test):
+    """Parametrize a test over every (earlier, later) pair of faults."""
+    test = pytest.mark.parametrize("earlier", sorted(EARLIER_FAULTS))(test)
+    return pytest.mark.parametrize("later", sorted(LATER_FAULTS))(test)
+
+
+def check_stage_failure(tmp_path, n_samples, earlier, later):
     # at 3 CPUs the shares are files {0, 1}, {2, 3} and {4, 5}: the earlier
     # fault is in this process's share, the later one in the last child's.
     # A serial run meets every parse error before any filter error, and
     # prints the rejection line before any feature error, so those must win
     # whatever share finds them first
     raw = tmp_path / "raw"
-    synth_at(1, raw)
+    code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", str(n_samples),
+                           "--seed", "5", "--out", str(raw)], 1)
+    assert (code, stderr) == (0, "")
     spoil_early, message = EARLIER_FAULTS[earlier]
     spoil_early(raw / "epoch_0000.csv")
     spoil_late, late_message = LATER_FAULTS[later]
@@ -322,6 +331,20 @@ def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watc
     rejection_line = (earlier, later) == ("all_zero", "none")
     assert ("rejected 0 of 6 epochs" in stdout) == rejection_line
     assert not (tmp_path / "f.csv").exists()
+
+
+@fault_pairs
+def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watchdog,
+                                                                  earlier, later):
+    # recordings of 4 x 300 samples: each share's are filtered in one batch
+    check_stage_failure(tmp_path, 300, earlier, later)
+
+
+@fault_pairs
+def test_dsp_stage_failure_in_recordings_featurized_as_parsed(tmp_path, watchdog, earlier,
+                                                              later):
+    # recordings of 4 x 2048 samples: each is featurized before the next is parsed
+    check_stage_failure(tmp_path, 2048, earlier, later)
 
 
 def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path, monkeypatch,
@@ -351,6 +374,25 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
     coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
     assert [m for _, m, _, _ in recorded[0]] == ["featurizing a block"] + [
         f"epoch {zlib.crc32(dsp.filtfilt(coeffs, r.data).tobytes())}" for r in recs]
+
+
+def test_featurize_peak_memory_does_not_grow_with_the_share(tmp_path, watchdog):
+    # at 1 CPU one share holds every recording, and a long one is featurized
+    # and freed before the next is parsed: the traced peak over 12 recordings
+    # of 15360 samples exceeds that over 4 by less than one recording's samples
+    n_samples = 15360
+    write_recordings(tmp_path, [n_samples] * 12)
+    peaks = []
+    for n_recordings in (4, 12):
+        manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(n_recordings)])
+        tracemalloc.start()
+        try:
+            outcome = cli(["featurize", "--manifest", manifest, "--out", str(tmp_path / "f.csv")], 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert outcome[0] == 0
+    assert peaks[1] - peaks[0] < 4 * n_samples * 8
 
 
 def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
