@@ -287,38 +287,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# samples per extract_features call when featurize stacks short recordings:
-# few enough that a block's copies and temporaries stay small. A recording
-# of at least this many samples is featurized alone, as soon as it is parsed
-FEATURE_BLOCK_SAMPLES = 1 << 13
-
-
-def _feature_blocks(windows, kept):
-    """Group consecutive recordings, in order, into blocks for one
-    extract_features call each: recordings with the same window shape share
-    a block of at most FEATURE_BLOCK_SAMPLES kept samples, and a recording
-    at or above the budget is a block of its own. Yields each block as a
-    list of (window view, kept indices) pairs, so that no epochs are copied
-    before their block is used."""
-    block, size = [], 0
-    for w, k in zip(windows, kept):
-        n = len(k) * math.prod(w.shape[1:])
-        if block and (w.shape[1:] != block[0][0].shape[1:] or size + n > FEATURE_BLOCK_SAMPLES
-                      or max(size, n) >= FEATURE_BLOCK_SAMPLES):
-            yield block
-            block, size = [], 0
-        block.append((w, k))
-        size += n
-    if block:
-        yield block
-
-
-def _kept_epochs(block):
-    """A block's kept epochs as one array: a lone recording's w[k] as it is."""
-    if len(block) == 1:
-        w, k = block[0]
-        return w[k]
-    return np.concatenate([w[k] for w, k in block])
+# raw samples (over all channels) per featurize group: consecutive recordings
+# of one shape are filtered, windowed and featurized together up to this many,
+# few enough that a group's copies and temporaries stay small. A recording of
+# at least this many samples is a group of its own
+FEATURE_BLOCK_SAMPLES = 1 << 14
 
 
 # the stages of featurize's work on a share after parsing, in the order a
@@ -340,60 +313,46 @@ class _FeaturizedShare(NamedTuple):
 
 class _ShareFeaturizer:
     """featurize's work on one share of recordings, a group of them at a time:
-    filter the group in one batch per length, window it, reject artifacts and
-    extract the kept epochs' features. An error is kept with its stage, not
-    raised, so that cmd_featurize can put every share's parse errors first and
-    each stage after the one before, as in a serial run; after an error, a
-    later group runs only the stages before the error's, to find an earlier
-    stage's error."""
+    one call each of filtfilt, window_recording, reject_artifacts and
+    extract_features per group. An error is kept with its stage, not raised,
+    so that cmd_featurize can put every share's parse errors first and each
+    stage after the one before, as in a serial run; after an error, a later
+    group runs only the stages before the error's, to find an earlier stage's
+    error."""
 
     def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
         self.n_epochs, self.labels, self.rows, self.names, self.error = 0, [], [], None, None
 
     def add(self, group: list) -> None:
-        """Featurize a group of recordings, and empty its list: the raw samples
-        are freed once they are filtered, before the feature stage's temporaries."""
+        """Featurize a group of same-shape recordings, and empty its list: the
+        raw samples are freed once filtfilt has stacked them, and the group's
+        temporaries when this returns."""
         if not group:
             return
         stop = _DONE if self.error is None else self.error[0]
         fs, channels = group[0].sample_rate_hz, group[0].channels
         rec_labels = [rec.label for rec in group]
-        raw = {i: rec.data for i, rec in enumerate(group)}
+        raw = [rec.data for rec in group]
         group.clear()
         stage = _FILTER
         try:
             if stop == _FILTER:
                 return
-            filtered = {}
-            while raw:  # one batch per length, in order of first appearance
-                n = next(iter(raw.values())).shape[-1]
-                idx = [i for i, data in raw.items() if data.shape[-1] == n]
-                # filtfilt frees each batch's raw samples once it has stacked them
-                filtered.update(zip(idx, dsp.filtfilt(self.coeffs, [raw.pop(i) for i in idx])))
+            filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
             stage = _WINDOW
             if stop == _WINDOW:
                 return
-            windows = [dataio.window_recording(filtered[i], self.window_len, self.hop)
-                       for i in range(len(filtered))]
-            kept = [dsp.reject_artifacts(w, self.fc.artifact_threshold_uv)[0] for w in windows]
-            self.n_epochs += sum(map(len, windows))
-            labels = np.repeat(rec_labels, list(map(len, kept)))
-            self.labels.append(labels)
+            windows = dataio.window_recording(filtered, self.window_len, self.hop)
+            epochs = windows.reshape(-1, *windows.shape[2:])  # [g * n_windows, n_ch, wl]
+            kept, _ = dsp.reject_artifacts(epochs, self.fc.artifact_threshold_uv)
+            self.n_epochs += len(epochs)
+            self.labels.append(np.repeat(rec_labels, windows.shape[1])[kept])
             stage = _FEATURES
             if stop == _FEATURES:
                 return
-            rows, row = None, 0
-            for block in _feature_blocks(windows, kept):
-                # the epochs are a temporary of the call, freed before the next block is
-                # stacked, and the rows go straight into one matrix: small arrays kept
-                # between the blocks' temporaries fragment the heap, which grew peak RSS
-                fv = dsp.extract_features(_kept_epochs(block), fs, self.fc, channels)
-                if rows is None:
-                    rows = np.empty((len(labels), len(fv.names)))
-                rows[row : row + len(fv.values)] = fv.values
-                row += len(fv.values)
-            self.rows.append(rows)
+            fv = dsp.extract_features(epochs[kept], fs, self.fc, channels)
+            self.rows.append(fv.values)
             self.names = fv.names
         except PipelineError as exc:
             self.error = (stage, exc)
@@ -405,20 +364,20 @@ class _ShareFeaturizer:
 
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
-    """Featurize one share of recordings as they are parsed (_ShareFeaturizer).
-    A recording of at least FEATURE_BLOCK_SAMPLES samples is a group of its
-    own, freed before the next recording is parsed; each run of shorter ones
-    between them is one group, filtered as one batch. A parse error is not
-    caught: it stops the share, as it would a serial run."""
+    """Featurize one share of recordings as they are parsed (_ShareFeaturizer),
+    in groups of consecutive recordings of one shape, up to
+    FEATURE_BLOCK_SAMPLES samples a group. A group is featurized and freed as
+    soon as it can take no other recording of its shape, before the next
+    recording is parsed. A parse error is not caught: it stops the share, as
+    it would a serial run."""
     share = _ShareFeaturizer(coeffs, fc, window_len, hop)
     group = []
     for rec in recordings:
-        alone = rec.data.size >= FEATURE_BLOCK_SAMPLES
-        if alone:
+        if group and rec.data.shape != group[0].data.shape:
             share.add(group)
         group.append(rec)
         del rec  # the group holds the only reference
-        if alone:
+        if (len(group) + 1) * group[0].data.size > FEATURE_BLOCK_SAMPLES:
             share.add(group)
     share.add(group)
     return share.result()
@@ -456,7 +415,7 @@ def cmd_featurize(args) -> int:
     # each share of recordings is featurized in the process that parses it
     shares, class_names = dataio.load_raw_recordings(
         data_dir, args.manifest,
-        per_share=lambda recs: _featurize_share(recs, coeffs, fc, args.window_len, args.hop))
+        per_share=lambda recs: [_featurize_share(recs, coeffs, fc, args.window_len, args.hop)])
     errors = sorted((s.error for s in shares if s.error is not None), key=lambda e: e[0])
     if errors and errors[0][0] < _FEATURES:
         raise errors[0][1]
@@ -637,7 +596,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
         p.add_argument("--config", help="JSON config file; CLI flags take precedence")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--verbose", action="store_true",
+                       help="accepted, but changes no output yet (ROADMAP item 2)")
         for flag in required:
             p.add_argument(flag, required=True)
         p.set_defaults(input_flags=[flag[2:] for flag in required])

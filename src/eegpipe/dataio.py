@@ -286,24 +286,20 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     return entries, fs
 
 
-def load_raw_recordings(path: str, manifest: str, per_share=None) -> tuple[list, list[str]]:
+def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list, list[str]]:
     """Load raw recordings listed in a manifest CSV (see read_manifest).
 
     The channels cell is ';'-separated. Each recording CSV has a
-    channel-name header and one row per sample. Returns the recordings
-    plus the lexicographically ordered class-name table backing their
-    integer labels. The files are read and parsed in shares across the
-    usable CPUs (_map_in_shares); a bad row raises the same error as in a
-    serial loop, that of the first bad row in manifest order.
-
-    With per_share, the process that parses a share calls
-    per_share(recordings) on an iterator over the share's recordings, in
-    manifest order, that parses each one as it is drawn; only what per_share
-    returns comes back: the list holds one return per share, in manifest
-    order, in place of the recordings. So per_share can be done with one
-    recording before the next is parsed. A parse error is raised from the
-    draw, and the rows per_share leaves undrawn are parsed after it returns,
-    so a bad row still raises its error, in place of the share's return.
+    channel-name header and one row per sample. The files are read and
+    parsed in shares across the usable CPUs (_map_in_shares): the process
+    that parses a share calls per_share on an iterator that parses each of
+    its recordings, in manifest order, as it is drawn, so per_share can be
+    done with one recording before the next is parsed. Returns the lists
+    per_share returns, joined in share order (by default the recordings),
+    and the lexicographically ordered class-name table backing the integer
+    labels. A bad row raises the same error as in a serial loop, that of the
+    first bad row in manifest order: the rows per_share leaves undrawn are
+    parsed after it returns.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
@@ -333,10 +329,8 @@ def load_raw_recordings(path: str, manifest: str, per_share=None) -> tuple[list,
         result = per_share(recordings)
         for _ in recordings:  # the rows per_share left undrawn
             pass
-        return [result]
+        return result
 
-    if per_share is None:
-        return _map_in_shares(lambda share: [parse(e) for e in share], entries), class_names
     return _map_in_shares(stream, entries), class_names
 
 
@@ -565,11 +559,11 @@ def _write_float_rows(fh, rows: np.ndarray, tails: list[str] | None = None,
 
 def window_recording(data: np.ndarray, window_len: int | None = None,
                      hop: int | None = None) -> np.ndarray:
-    """Fixed-length windows at a fixed hop of a recording's data [n_ch, n_samples].
+    """Fixed-length windows at a fixed hop of recordings' data [..., n_ch, n_samples].
 
-    Returns a read-only view [n_windows, n_ch, window_len]; window k starts
-    at sample k * hop. By default one window spans the whole recording and
-    the hop is the window length.
+    Returns a read-only view [..., n_windows, n_ch, window_len]; window k
+    starts at sample k * hop. By default one window spans the whole
+    recording and the hop is the window length.
     """
     n_samples = data.shape[-1]
     window_len = n_samples if window_len is None else window_len

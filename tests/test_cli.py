@@ -897,16 +897,27 @@ def per_recording_features(manifest, window_len, hop):
     return np.concatenate(rows), np.array(labels)
 
 
+# samples per channel that fill featurize's group budget, at 4 channels
+BUDGET_LEN = cli.FEATURE_BLOCK_SAMPLES // 4
+
+
 @pytest.mark.parametrize("lengths,artifacts,window_len,hop,blocks", [
-    # mixed lengths, one window per recording: a block ends where the shape
-    # changes or 8192 samples would be passed; 2048 and 4096 samples are at
-    # or above the budget, so each is a block of its own
+    # mixed lengths, one window per recording: a group ends where the
+    # recording shape changes, and 4 x 4096 samples fill the budget alone
     ([256] * 3 + [384] * 2 + [256] * 10 + [2048, 4096] + [256] * 2, (), None, None,
-     [(3, 4, 256), (2, 4, 384), (8, 4, 256), (2, 4, 256), (1, 4, 2048), (1, 4, 4096),
-      (2, 4, 256)]),
-    # 3 windows of 512-sample recordings; the second keeps none, mid-block
-    ([512] * 5, (1,), 256, 128, [(6, 4, 256), (6, 4, 256)]),
-], ids=["mixed_lengths", "empty_mid_block"])
+     [(3, 4, 256), (2, 4, 384), (10, 4, 256), (1, 4, 2048), (1, 4, 4096), (2, 4, 256)]),
+    # 3 windows of 512-sample recordings; the second keeps none, mid-group
+    ([512] * 5, (1,), 256, 128, [(12, 4, 256)]),
+    # a group that exactly fills the budget, then the next recording
+    ([256] * (BUDGET_LEN // 256 + 1), (), None, None,
+     [(BUDGET_LEN // 256, 4, 256), (1, 4, 256)]),
+    # a recording one sample per channel under the budget has no room for another
+    ([BUDGET_LEN - 1] * 2, (), None, None, [(1, 4, BUDGET_LEN - 1)] * 2),
+    # a recording over the budget after short ones with the same window shape
+    ([256] * 3 + [BUDGET_LEN + 256], (), 256, 256,
+     [(3, 4, 256), (BUDGET_LEN // 256 + 1, 4, 256)]),
+], ids=["mixed_lengths", "empty_mid_block", "fills_budget", "one_under_budget",
+        "over_budget_after_short"])
 def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, lengths,
                                                          artifacts, window_len, hop, blocks):
     manifest = write_manifest(tmp_path, lengths, artifacts)
@@ -917,7 +928,7 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
         calls.append(epochs.shape)
         return extract(epochs, *args, **kwargs)
 
-    # one share, so that every block is formed and counted in this process
+    # one share, so that every group is formed and counted in this process
     monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(dsp, "extract_features", recorded)
     window = [] if window_len is None else ["--window-len", str(window_len), "--hop", str(hop)]
@@ -930,7 +941,7 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
     assert len(got.labels) == sum(b[0] for b in blocks)
     assert got.features.tobytes() == want.tobytes()
     assert got.labels.tolist() == labels.tolist()
-    # three shares form blocks of their own, and write the same bytes
+    # three shares form groups of their own, and write the same bytes
     monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
     shared = tmp_path / "shared.csv"
     assert run("featurize", "--manifest", str(manifest), *window, "--out", str(shared)) == 0

@@ -394,12 +394,16 @@ class TestWindowing:
         assert len(eps) == (n - w) // h + 1
 
     def test_channels_stay_aligned_in_a_view(self):
-        data = self.rec(12, n_ch=3)
-        w = dataio.window_recording(data, 4, 4)
-        assert w.shape == (3, 3, 4)
+        # a batch [g, n_ch, n] of recordings: each one's windows are those of
+        # the 2-D call on it, in a view of the batch
+        data = np.arange(2 * 3 * 14, dtype=float).reshape(2, 3, 14)
+        w = dataio.window_recording(data, 4, 3)
+        assert w.shape == (2, 4, 3, 4)
         assert np.shares_memory(w, data)
-        for k in range(3):
-            assert np.array_equal(w[k], data[:, 4 * k : 4 * k + 4])
+        for g in range(2):
+            assert np.array_equal(w[g], dataio.window_recording(data[g], 4, 3))
+            for k in range(4):
+                assert np.array_equal(w[g, k], data[g, :, 3 * k : 3 * k + 4])
 
     def test_bad_window_or_hop(self):
         with pytest.raises(ConfigError):

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import WATCHDOG_S
 from eegpipe import dataio, dsp
-from eegpipe.cli import derive_seed, main
+from eegpipe.cli import FEATURE_BLOCK_SAMPLES, derive_seed, main
 from eegpipe.errors import DataError, PipelineError
 from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
 
@@ -343,7 +343,8 @@ def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watc
 @fault_pairs
 def test_dsp_stage_failure_in_recordings_featurized_as_parsed(tmp_path, watchdog, earlier,
                                                               later):
-    # recordings of 4 x 2048 samples: each is featurized before the next is parsed
+    # recordings of 4 x 2048 samples: a share is several groups, each featurized
+    # before the next recording is parsed
     check_stage_failure(tmp_path, 2048, earlier, later)
 
 
@@ -376,14 +377,12 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
         f"epoch {zlib.crc32(dsp.filtfilt(coeffs, r.data).tobytes())}" for r in recs]
 
 
-def test_featurize_peak_memory_does_not_grow_with_the_share(tmp_path, watchdog):
-    # at 1 CPU one share holds every recording, and a long one is featurized
-    # and freed before the next is parsed: the traced peak over 12 recordings
-    # of 15360 samples exceeds that over 4 by less than one recording's samples
-    n_samples = 15360
-    write_recordings(tmp_path, [n_samples] * 12)
+def featurize_peak_growth(tmp_path, n_samples, counts):
+    """How much featurize's traced peak grows, at 1 CPU, from the first count
+    of recordings of 4 x n_samples to the second."""
+    write_recordings(tmp_path, [n_samples] * counts[1])
     peaks = []
-    for n_recordings in (4, 12):
+    for n_recordings in counts:
         manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(n_recordings)])
         tracemalloc.start()
         try:
@@ -392,7 +391,25 @@ def test_featurize_peak_memory_does_not_grow_with_the_share(tmp_path, watchdog):
         finally:
             tracemalloc.stop()
         assert outcome[0] == 0
-    assert peaks[1] - peaks[0] < 4 * n_samples * 8
+    return peaks[1] - peaks[0]
+
+
+def test_featurize_peak_memory_does_not_grow_with_the_share(tmp_path, watchdog):
+    # at 1 CPU one share holds every recording, and a long one is featurized
+    # and freed before the next is parsed: the traced peak over 12 recordings
+    # of 15360 samples exceeds that over 4 by less than one recording's samples
+    assert featurize_peak_growth(tmp_path, 15360, (4, 12)) < 4 * 15360 * 8
+
+
+def test_featurize_peak_memory_does_not_grow_with_a_run_of_short_recordings(tmp_path,
+                                                                           watchdog):
+    # each group of short recordings is featurized and freed before the next
+    # recording is parsed: from 300 recordings of 4 x 256 samples to 900, the
+    # traced peak grows by less than a few copies of the added feature rows
+    # plus one group's samples
+    added_rows = 600 * 4 * 14 * 8
+    growth = featurize_peak_growth(tmp_path, 256, (300, 900))
+    assert growth < 4 * added_rows + FEATURE_BLOCK_SAMPLES * 8
 
 
 def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
