@@ -290,7 +290,8 @@ def cmd_synth(args) -> int:
 # raw samples (over all channels) per featurize group: consecutive recordings
 # of one shape are filtered, windowed and featurized together up to this many,
 # few enough that a group's copies and temporaries stay small. A recording of
-# at least this many samples is a group of its own
+# at least this many samples is a group of its own. A group's kept epochs are
+# featurized in blocks of up to this many samples (at least one epoch a block)
 FEATURE_BLOCK_SAMPLES = 1 << 14
 
 
@@ -301,24 +302,26 @@ _FILTER, _WINDOW, _FEATURES, _DONE = range(4)
 
 class _FeaturizedShare(NamedTuple):
     """What featurize's work on one share of recordings sends back: its epoch
-    count, the labels and feature rows of its kept epochs, the feature names,
-    and the (stage, error) that stopped it, if one did."""
+    count, the labels of its kept epochs (an array per group), their feature
+    rows (an array per feature block), the feature names, and the (stage,
+    error) that stopped it, if one did. cmd_featurize joins the arrays of
+    every share once."""
 
     n_epochs: int
-    labels: np.ndarray
-    rows: np.ndarray | None
+    labels: list[np.ndarray]
+    rows: list[np.ndarray]
     names: list[str] | None
     error: tuple[int, PipelineError] | None
 
 
 class _ShareFeaturizer:
     """featurize's work on one share of recordings, a group of them at a time:
-    one call each of filtfilt, window_recording, reject_artifacts and
-    extract_features per group. An error is kept with its stage, not raised,
-    so that cmd_featurize can put every share's parse errors first and each
-    stage after the one before, as in a serial run; after an error, a later
-    group runs only the stages before the error's, to find an earlier stage's
-    error."""
+    one call each of filtfilt, window_recording and reject_artifacts per
+    group, and one call of extract_features per block of its kept epochs. An
+    error is kept with its stage, not raised, so that cmd_featurize can put
+    every share's parse errors first and each stage after the one before, as
+    in a serial run; after an error, a later group runs only the stages
+    before the error's, to find an earlier stage's error."""
 
     def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
@@ -327,7 +330,9 @@ class _ShareFeaturizer:
     def add(self, group: list) -> None:
         """Featurize a group of same-shape recordings, and empty its list: the
         raw samples are freed once filtfilt has stacked them, and the group's
-        temporaries when this returns."""
+        temporaries when this returns. Each block of kept epochs is copied out
+        of the windows view on its own, so the kept epochs are never copied
+        whole."""
         if not group:
             return
         stop = _DONE if self.error is None else self.error[0]
@@ -344,23 +349,29 @@ class _ShareFeaturizer:
             if stop == _WINDOW:
                 return
             windows = dataio.window_recording(filtered, self.window_len, self.hop)
-            epochs = windows.reshape(-1, *windows.shape[2:])  # [g * n_windows, n_ch, wl]
-            kept, _ = dsp.reject_artifacts(epochs, self.fc.artifact_threshold_uv)
-            self.n_epochs += len(epochs)
-            self.labels.append(np.repeat(rec_labels, windows.shape[1])[kept])
+            g, n_windows, n_ch, window_len = windows.shape
+            kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
+                                           self.fc.artifact_threshold_uv)
+            self.n_epochs += g * n_windows
+            self.labels.append(np.repeat(rec_labels, n_windows)[kept])
             stage = _FEATURES
             if stop == _FEATURES:
                 return
-            fv = dsp.extract_features(epochs[kept], fs, self.fc, channels)
-            self.rows.append(fv.values)
-            self.names = fv.names
+            per_block = max(1, FEATURE_BLOCK_SAMPLES // (n_ch * window_len))
+            # a group that keeps no epoch still makes one call, on an empty
+            # block: it sets the feature names, and raises what the feature
+            # stage would raise on this shape
+            for start in range(0, max(len(kept), 1), per_block):
+                # (recording, window) of each epoch in the block
+                block = np.divmod(kept[start : start + per_block], n_windows)
+                fv = dsp.extract_features(windows[block], fs, self.fc, channels)
+                self.rows.append(fv.values)
+                self.names = fv.names
         except PipelineError as exc:
             self.error = (stage, exc)
 
     def result(self) -> _FeaturizedShare:
-        labels = np.concatenate(self.labels) if self.labels else np.empty(0, dtype=int)
-        rows = None if self.error is not None else np.concatenate(self.rows)
-        return _FeaturizedShare(self.n_epochs, labels, rows, self.names, self.error)
+        return _FeaturizedShare(self.n_epochs, self.labels, self.rows, self.names, self.error)
 
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
@@ -419,15 +430,16 @@ def cmd_featurize(args) -> int:
     errors = sorted((s.error for s in shares if s.error is not None), key=lambda e: e[0])
     if errors and errors[0][0] < _FEATURES:
         raise errors[0][1]
-    n_epochs, n_kept = sum(s.n_epochs for s in shares), sum(len(s.labels) for s in shares)
+    labels = [block for s in shares for block in s.labels]
+    n_epochs, n_kept = sum(s.n_epochs for s in shares), sum(map(len, labels))
     threshold = fc.artifact_threshold_uv
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
     if errors:
         raise errors[0][1]
-    ds = dataio.Dataset(np.concatenate([s.rows for s in shares]),
-                        np.concatenate([s.labels for s in shares]), class_names, shares[0].names)
+    ds = dataio.Dataset(np.concatenate([rows for s in shares for rows in s.rows]),
+                        np.concatenate(labels), class_names, shares[0].names)
     with _writing(args.out):
         dataio.save_feature_csv(ds, args.out)
     print(f"wrote {ds.n_examples} x {ds.n_features} feature matrix to {args.out}")

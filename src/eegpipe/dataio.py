@@ -133,24 +133,18 @@ def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
 
 
 def _parse_feature_csv(path: str, label_column: str) -> Dataset | None:
-    """A featured CSV whose label is its last column, parsed in one loadtxt call.
+    """A featured CSV whose label is its last column, parsed by _read_plain_csv.
 
     None unless the file is one _scan_feature_csv would accept, with the
     same values; other files, and files with the label elsewhere, take the scan.
     """
-    lines = _plain_csv_lines(path)
-    if lines is None:
+    plain = _read_plain_csv(
+        path, lambda h: len(h) >= 2 and h[-1] == label_column and len(set(h)) == len(h),
+        labelled=True)
+    if plain is None:
         return None
-    header = lines[0].split(",")
-    if len(header) < 2 or header[-1] != label_column or len(set(header)) != len(header):
-        return None
-    cells, labels = [], []
-    for line in lines[1:]:
-        numbers, _, label = line.rpartition(",")
-        cells.append(numbers)
-        labels.append(label)
-    features = _loadtxt_matrix(cells, len(header) - 1)
-    return None if features is None else _labelled_dataset(features, labels, header[:-1])
+    header, features, labels = plain
+    return _labelled_dataset(features, labels, header[:-1])
 
 
 @contextlib.contextmanager
@@ -317,11 +311,8 @@ def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list,
         fpath = os.path.join(path, e["file"])
         if not os.path.isfile(fpath):
             raise DataError(f"manifest references missing file: {fpath}")
-        lines = _plain_csv_lines(fpath)
-        data = None
-        if lines is not None and lines[0].split(",") == channels:
-            data = _loadtxt_matrix(lines[1:], len(channels))
-        data = _scan_raw_csv(fpath, channels) if data is None else data
+        plain = _read_plain_csv(fpath, lambda header: header == channels)
+        data = _scan_raw_csv(fpath, channels) if plain is None else plain[1]
         return Recording(channels, fs, data.T, label=class_ids[e["label"]])
 
     def stream(share):
@@ -458,21 +449,65 @@ def _reissue_warnings(caught) -> None:
 _NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
 
 
-def _plain_csv_lines(path: str) -> list[str] | None:
-    """A CSV file's lines from one read, or None unless they are its csv records.
+# characters per read of a plain CSV file: a piece's text, lines and parse
+# come on top of the command's peak memory, so pieces stay small. 64 Ki is
+# about 850 lines of a raw recording; on a 1.16 MB one, larger pieces (up
+# to the whole file) parse no faster, and 4 Ki pieces take twice as long
+_CSV_CHUNK_CHARS = 1 << 16
 
-    None too for a file with a blank line, which the csv reader returns as a
-    row with no cells and loadtxt skips, or with no line after the header.
+
+def _read_plain_csv(path: str, header_ok, labelled: bool = False
+                    ) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """The header cells of a plain CSV file and the [n, d] matrix of its
+    other lines, read about _CSV_CHUNK_CHARS characters at a time. With
+    labelled, the last cell of each line is its label, returned in a list,
+    and the matrix holds the cells before it; else the list is empty.
+
+    Each piece's complete lines go to _loadtxt_matrix as soon as they are
+    read, and the pieces' matrices are joined once, so the file's text is
+    never held whole. None unless the file is UTF-8 text whose lines are its
+    csv records (see _NOT_PLAIN), with no blank line (which the csv reader
+    returns as a row with no cells and loadtxt skips), a header whose cells
+    header_ok accepts and a line after it; None too where a piece does not
+    parse, so that the caller's csv scan names the fault.
     """
+    header, blocks, labels = None, [], []
+    pending = []  # the text read since the last line end
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            while True:
+                chunk = fh.read(_CSV_CHUNK_CHARS)
+                if any(c in chunk for c in _NOT_PLAIN):
+                    return None
+                # without those, only \n, \r and \r\n end a line; a \r that
+                # ends the piece waits, for the next may start with \n
+                end = len(chunk) - chunk.endswith("\r")
+                cut = max(chunk.rfind("\n", 0, end), chunk.rfind("\r", 0, end)) + 1
+                if chunk and not cut:
+                    pending.append(chunk)
+                    continue
+                lines = "".join([*pending, chunk[:cut]]).splitlines()
+                pending = [chunk[cut:]]
+                if "" in lines:
+                    return None
+                if header is None and lines:
+                    header = lines.pop(0).split(",")
+                    if not header_ok(header):
+                        return None
+                if lines:
+                    if labelled:
+                        cells = [line.rpartition(",") for line in lines]
+                        labels += [label for _, _, label in cells]
+                        lines = [numbers for numbers, _, _ in cells]
+                    block = _loadtxt_matrix(lines, len(header) - labelled)
+                    if block is None:
+                        return None
+                    blocks.append(block)
+                if not chunk:
+                    break
     except UnicodeDecodeError:
         return None
-    if any(c in text for c in _NOT_PLAIN):
-        return None
-    lines = text.splitlines()
-    return lines if len(lines) > 1 and "" not in lines else None
+    return (header, np.concatenate(blocks), labels) if blocks else None
 
 
 def _loadtxt_matrix(lines: list[str], n_cols: int) -> np.ndarray | None:

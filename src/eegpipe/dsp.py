@@ -361,10 +361,15 @@ def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.nda
 
 def reject_artifacts(epochs: np.ndarray, peak_uv: float) -> tuple[np.ndarray, int]:
     """Indices of the epochs [n, ...] whose peak absolute amplitude stays
-    within peak_uv, and the number rejected."""
+    within peak_uv, and the number rejected.
+
+    An epoch's peak is the larger of its maximum and minus its minimum, so
+    no |x| copy of the epochs is made; a NaN sample makes the peak NaN, and
+    the epoch is rejected."""
     if not peak_uv > 0:
         raise ConfigError("peak_uv must be positive")
-    peaks = np.max(np.abs(epochs), axis=tuple(range(1, np.ndim(epochs))))
+    axes = tuple(range(1, np.ndim(epochs)))
+    peaks = np.maximum(np.max(epochs, axis=axes), -np.min(epochs, axis=axes))
     kept = np.flatnonzero(peaks <= peak_uv)
     return kept, len(epochs) - len(kept)
 

@@ -883,9 +883,10 @@ def write_manifest(root, lengths, artifacts=()):
 
 
 def per_recording_features(manifest, window_len, hop):
-    """featurize's rows and labels with extract_features called once per recording."""
+    """featurize's rows and class names with extract_features called once per
+    recording."""
     fc = dsp.FeatureConfig()
-    recordings, _ = dataio.load_raw_recordings(str(manifest.parent), str(manifest))
+    recordings, class_names = dataio.load_raw_recordings(str(manifest.parent), str(manifest))
     coeffs = dsp.design_butterworth_bandpass(fc.filter_low_hz, fc.filter_high_hz, 256.0,
                                              fc.filter_order)
     rows, labels = [], []
@@ -893,8 +894,8 @@ def per_recording_features(manifest, window_len, hop):
         w = dataio.window_recording(dsp.filtfilt(coeffs, rec.data), window_len, hop)
         kept, _ = dsp.reject_artifacts(w, fc.artifact_threshold_uv)
         rows.append(dsp.extract_features(w[kept], 256.0, fc, rec.channels).values)
-        labels += [rec.label] * len(kept)
-    return np.concatenate(rows), np.array(labels)
+        labels += [class_names[rec.label]] * len(kept)
+    return np.concatenate(rows), labels
 
 
 # samples per channel that fill featurize's group budget, at 4 channels
@@ -908,16 +909,19 @@ BUDGET_LEN = cli.FEATURE_BLOCK_SAMPLES // 4
      [(3, 4, 256), (2, 4, 384), (10, 4, 256), (1, 4, 2048), (1, 4, 4096), (2, 4, 256)]),
     # 3 windows of 512-sample recordings; the second keeps none, mid-group
     ([512] * 5, (1,), 256, 128, [(12, 4, 256)]),
+    # the first recording keeps none: at 2 and 3 CPUs, the first share keeps none
+    ([512] * 2, (0,), 256, 128, [(3, 4, 256)]),
     # a group that exactly fills the budget, then the next recording
     ([256] * (BUDGET_LEN // 256 + 1), (), None, None,
      [(BUDGET_LEN // 256, 4, 256), (1, 4, 256)]),
     # a recording one sample per channel under the budget has no room for another
     ([BUDGET_LEN - 1] * 2, (), None, None, [(1, 4, BUDGET_LEN - 1)] * 2),
-    # a recording over the budget after short ones with the same window shape
+    # a recording over the budget after short ones with the same window shape:
+    # its kept epochs are featurized in blocks of at most the budget
     ([256] * 3 + [BUDGET_LEN + 256], (), 256, 256,
-     [(3, 4, 256), (BUDGET_LEN // 256 + 1, 4, 256)]),
-], ids=["mixed_lengths", "empty_mid_block", "fills_budget", "one_under_budget",
-        "over_budget_after_short"])
+     [(3, 4, 256), (BUDGET_LEN // 256, 4, 256), (1, 4, 256)]),
+], ids=["mixed_lengths", "empty_mid_block", "empty_first_share", "fills_budget",
+        "one_under_budget", "over_budget_after_short"])
 def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, lengths,
                                                          artifacts, window_len, hop, blocks):
     manifest = write_manifest(tmp_path, lengths, artifacts)
@@ -940,12 +944,27 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
     got = dataio.load_feature_csv(str(out))
     assert len(got.labels) == sum(b[0] for b in blocks)
     assert got.features.tobytes() == want.tobytes()
-    assert got.labels.tolist() == labels.tolist()
-    # three shares form groups of their own, and write the same bytes
-    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
-    shared = tmp_path / "shared.csv"
-    assert run("featurize", "--manifest", str(manifest), *window, "--out", str(shared)) == 0
-    assert shared.read_bytes() == out.read_bytes()
+    # by name: a class with no kept epoch is not in the file
+    assert [got.class_names[i] for i in got.labels] == labels
+    # two or three shares form groups of their own, and write the same bytes
+    for n in (2, 3):
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: n)
+        shared = tmp_path / f"shared_{n}.csv"
+        assert run("featurize", "--manifest", str(manifest), *window, "--out", str(shared)) == 0
+        assert shared.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_recording_too_short_for_welch_fails_though_none_of_it_is_kept(tmp_path, monkeypatch,
+                                                                       capsys, n):
+    # its group keeps no epoch, but the feature stage still meets its shape
+    manifest = write_manifest(tmp_path, [200, 256], artifacts=(0,))
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: n)
+    out = tmp_path / "features.csv"
+    assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "data error: signal length 200 shorter than Welch segment 256\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [b"\xff\xfe", b"1" * 200_000 + b","],

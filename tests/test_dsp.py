@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,20 @@ class TestArtifactRejection:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             dsp.reject_artifacts(np.zeros((0, 2, 16)), 0.0)
+
+    def test_keeps_the_epochs_the_peak_of_abs_keeps(self):
+        # the peak as max(max, -min) against the max of |x| it replaced, on
+        # every pair of special values in one epoch, the rest of it zero
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 100.0, -100.0,
+                   np.nextafter(100.0, np.inf), np.nextafter(-100.0, -np.inf), 99.5, -99.5]
+        pairs = list(itertools.product(special, repeat=2))
+        eps = np.zeros((len(pairs), 2, 16))
+        eps[:, 0, 5], eps[:, 1, 9] = np.array(pairs).T
+        for e in (eps, -eps, eps[:, :, ::-1]):
+            want = np.flatnonzero(np.max(np.abs(e), axis=(1, 2)) <= 100.0)
+            kept, rej = dsp.reject_artifacts(e, 100.0)
+            assert kept.tolist() == want.tolist()
+            assert rej == len(e) - len(want)
 
 
 class TestWelch:

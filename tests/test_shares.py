@@ -173,14 +173,14 @@ def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monk
                                                                  watchdog):
     write_recordings(tmp_path, [40] * 6)
     manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
-    parent, plain_lines = os.getpid(), dataio._plain_csv_lines
+    parent, read_plain = os.getpid(), dataio._read_plain_csv
 
-    def dies_in_a_child(path):
+    def dies_in_a_child(path, *args, **kwargs):
         if path.endswith("r3.csv") and os.getpid() != parent:
             os._exit(1)
-        return plain_lines(path)
+        return read_plain(path, *args, **kwargs)
 
-    monkeypatch.setattr(dataio, "_plain_csv_lines", dies_in_a_child)
+    monkeypatch.setattr(dataio, "_read_plain_csv", dies_in_a_child)
     with cpus(3), pytest.raises(PipelineError, match=r"ended with exit status 1 and sent no result"):
         dataio.load_raw_recordings(str(tmp_path), manifest)
 
@@ -410,6 +410,28 @@ def test_featurize_peak_memory_does_not_grow_with_a_run_of_short_recordings(tmp_
     added_rows = 600 * 4 * 14 * 8
     growth = featurize_peak_growth(tmp_path, 256, (300, 900))
     assert growth < 4 * added_rows + FEATURE_BLOCK_SAMPLES * 8
+
+
+def test_featurize_peak_memory_stays_under_four_copies_of_a_long_recording(tmp_path,
+                                                                         watchdog):
+    # one recording of 4 x 61440 samples cut into 479 overlapping epochs at
+    # 1 CPU: its text is parsed in pieces and its kept epochs are featurized
+    # in blocks, so the traced peak stays under 4 times its float64 samples
+    # (as one array, the kept epochs alone are twice that, and their feature
+    # temporaries about five times the epochs)
+    n_samples = 61440
+    write_recordings(tmp_path, [n_samples])
+    manifest = write_manifest(tmp_path, [("r0.csv", CHANNELS)])
+    tracemalloc.start()
+    try:
+        outcome = cli(["featurize", "--manifest", manifest, "--window-len", "256",
+                       "--hop", "128", "--out", str(tmp_path / "f.csv")], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome[0] == 0
+    assert "wrote 479 x 56 feature matrix" in outcome[1]
+    assert peak < 4 * (4 * n_samples * 8)
 
 
 def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
