@@ -300,20 +300,6 @@ FEATURE_BLOCK_SAMPLES = 1 << 14
 _FILTER, _WINDOW, _FEATURES, _DONE = range(4)
 
 
-class _FeaturizedShare(NamedTuple):
-    """What featurize's work on one share of recordings sends back: its epoch
-    count, the labels of its kept epochs (an array per group), their feature
-    rows (an array per feature block), the feature names, and the (stage,
-    error) that stopped it, if one did. cmd_featurize joins the arrays of
-    every share once."""
-
-    n_epochs: int
-    labels: list[np.ndarray]
-    rows: list[np.ndarray]
-    names: list[str] | None
-    error: tuple[int, PipelineError] | None
-
-
 class _ShareFeaturizer:
     """featurize's work on one share of recordings, a group of them at a time:
     one call each of filtfilt, window_recording and reject_artifacts per
@@ -321,7 +307,9 @@ class _ShareFeaturizer:
     error is kept with its stage, not raised, so that cmd_featurize can put
     every share's parse errors first and each stage after the one before, as
     in a serial run; after an error, a later group runs only the stages
-    before the error's, to find an earlier stage's error."""
+    before the error's, to find an earlier stage's error. A share sends the
+    featurizer back: cmd_featurize joins every share's labels (an array per
+    group) and feature rows (an array per block) once."""
 
     def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
@@ -370,17 +358,14 @@ class _ShareFeaturizer:
         except PipelineError as exc:
             self.error = (stage, exc)
 
-    def result(self) -> _FeaturizedShare:
-        return _FeaturizedShare(self.n_epochs, self.labels, self.rows, self.names, self.error)
-
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
     """Featurize one share of recordings as they are parsed (_ShareFeaturizer),
     in groups of consecutive recordings of one shape, up to
     FEATURE_BLOCK_SAMPLES samples a group. A group is featurized and freed as
     soon as it can take no other recording of its shape, before the next
-    recording is parsed. A parse error is not caught: it stops the share, as
-    it would a serial run."""
+    recording is parsed, and the featurizer is returned. A parse error is
+    not caught: it stops the share, as it would a serial run."""
     share = _ShareFeaturizer(coeffs, fc, window_len, hop)
     group = []
     for rec in recordings:
@@ -391,7 +376,7 @@ def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop)
         if (len(group) + 1) * group[0].data.size > FEATURE_BLOCK_SAMPLES:
             share.add(group)
     share.add(group)
-    return share.result()
+    return share
 
 
 def cmd_featurize(args) -> int:
@@ -453,7 +438,7 @@ def cmd_split(args) -> int:
     ds = dataio.load_feature_csv(args.input, args.label_column)
     train, val, test = dataio.stratified_split(ds, spec)
     with _writing(args.out):
-        dataio.write_split(train, val, test, spec, args.out)
+        dataio.write_split(train, val, test, spec, args.out, args.label_column)
     print(f"split {ds.n_examples} rows -> "
           f"{train.n_examples}/{val.n_examples}/{test.n_examples} in {args.out}")
     return 0
@@ -513,13 +498,7 @@ def cmd_evaluate(args) -> int:
     _announce("evaluate", {"checkpoint": args.checkpoint, "test": args.test})
     model, class_names, norm = nn.load_checkpoint(args.checkpoint)
     test_ds = dataio.relabel(dataio.load_feature_csv(args.test, args.label_column), class_names)
-    expected = norm.n_features if norm is not None else model.config.input_dim * model.config.sequence_length
-    if test_ds.n_features != expected:
-        raise DataError(
-            f"feature count mismatch: checkpoint expects {expected}, "
-            f"test set has {test_ds.n_features}"
-        )
-    feats = dsp.apply_normalization(test_ds.features, norm) if norm is not None else test_ds.features
+    feats = dsp.apply_normalization(test_ds.features, norm)
     X = nn.dataset_to_sequences(feats, model.config.sequence_length)
     preds = nn.predict_batch(model, X)
     cm = evaluation.confusion(preds, test_ds.labels, len(class_names), class_names)

@@ -122,27 +122,19 @@ def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
     """Load a featured CSV (header row, one string label column) into a Dataset.
 
     Class ids are assigned by lexicographic order of the distinct label
-    strings, which keeps the mapping stable across reloads. A well-formed
-    file with the label last is parsed in one loadtxt call; any other file
-    is scanned cell by cell, which names the row and column at fault.
+    strings, which keeps the mapping stable across reloads. A plain file
+    (see _read_plain_csv) whose header has no duplicate and the label last
+    is parsed a piece at a time by loadtxt, to the values the scan would
+    give; any other file is scanned cell by cell, which names the row and
+    column at fault.
     """
     if not os.path.isfile(path):
         raise DataError(f"feature CSV not found: {path}")
-    ds = _parse_feature_csv(path, label_column)
-    return _scan_feature_csv(path, label_column) if ds is None else ds
-
-
-def _parse_feature_csv(path: str, label_column: str) -> Dataset | None:
-    """A featured CSV whose label is its last column, parsed by _read_plain_csv.
-
-    None unless the file is one _scan_feature_csv would accept, with the
-    same values; other files, and files with the label elsewhere, take the scan.
-    """
     plain = _read_plain_csv(
         path, lambda h: len(h) >= 2 and h[-1] == label_column and len(set(h)) == len(h),
         labelled=True)
     if plain is None:
-        return None
+        return _scan_feature_csv(path, label_column)
     header, features, labels = plain
     return _labelled_dataset(features, labels, header[:-1])
 
@@ -234,8 +226,8 @@ def save_feature_csv(ds: Dataset, path: str, label_column: str = "label") -> Non
              for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.feature_names + [label_column])
-        _write_float_rows(fh, ds.features, [tails[lab] for lab in ds.labels.tolist()],
-                          _FEATURE_BLOCK_ROWS)
+        _write_float_rows(fh, ds.features, _FEATURE_BLOCK_ROWS,
+                          [tails[lab] for lab in ds.labels.tolist()])
 
 
 def _csv_line(cells: list[str]) -> str:
@@ -559,7 +551,7 @@ def save_recording_csv(rec: Recording, path: str) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(rec.channels)
-        _write_float_rows(fh, rec.data.T, block_rows=_RAW_BLOCK_ROWS)
+        _write_float_rows(fh, rec.data.T, _RAW_BLOCK_ROWS)
 
 
 # rows per str % call when a feature matrix or a recording is written: a
@@ -569,24 +561,23 @@ _FEATURE_BLOCK_ROWS = 64
 _RAW_BLOCK_ROWS = 256
 
 
-def _write_float_rows(fh, rows: np.ndarray, tails: list[str] | None = None,
-                      block_rows: int | None = None) -> None:
+def _write_float_rows(fh, rows: np.ndarray, block_rows: int,
+                      tails: list[str] | None = None) -> None:
     """Write the rows of a [n, d] float matrix as lines of comma-separated reprs.
 
     Each line ends in \\r\\n, or in tails[i], which is passed as a %s
     argument so that its text is written as it is. One str % call formats
-    each block of block_rows rows, or the whole matrix by default.
+    each block of block_rows rows.
     """
     n, d = rows.shape
     line = ",".join(["%r"] * d) + ("\r\n" if tails is None else "%s")
-    step = max(1, n if block_rows is None else block_rows)
-    for start in range(0, n, step):
-        block = rows[start : start + step]
+    for start in range(0, n, block_rows):
+        block = rows[start : start + block_rows]
         if tails is None:
             values = block.ravel().tolist()
         else:
             cells = block.tolist()
-            for row, tail in zip(cells, tails[start : start + step]):
+            for row, tail in zip(cells, tails[start : start + block_rows]):
                 row.append(tail)
             values = itertools.chain.from_iterable(cells)
         fh.write(line * len(block) % tuple(values))
@@ -627,27 +618,21 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
 
     Per class, the three split counts come from the largest-remainder
     rule, so each split's class count deviates from the ideal by at most
-    one example. Identical spec + dataset always yields the same split.
+    one example. Unstratified, all rows are one group, whatever their class.
+    Identical spec + dataset always yields the same split.
     """
     rng = np.random.default_rng(spec.seed)
-    n = ds.n_examples
-    memberships = np.empty(n, dtype=int)  # 0=train 1=val 2=test
-    if spec.stratified:
-        for c in range(len(ds.class_names)):
-            idx = np.flatnonzero(ds.labels == c)
-            if len(idx) < 3:
-                raise DataError(
-                    f"class {ds.class_names[c]!r} has {len(idx)} examples; "
-                    "stratified splitting needs at least 3"
-                )
-            idx = rng.permutation(idx)
-            n_tr, n_va, n_te = _largest_remainder(len(idx), spec.fractions)
-            memberships[idx[:n_tr]] = 0
-            memberships[idx[n_tr : n_tr + n_va]] = 1
-            memberships[idx[n_tr + n_va :]] = 2
-    else:
-        idx = rng.permutation(n)
-        n_tr, n_va, n_te = _largest_remainder(n, spec.fractions)
+    memberships = np.empty(ds.n_examples, dtype=int)  # 0=train 1=val 2=test
+    groups = ([np.flatnonzero(ds.labels == c) for c in range(len(ds.class_names))]
+              if spec.stratified else [np.arange(ds.n_examples)])
+    for c, idx in enumerate(groups):
+        if spec.stratified and len(idx) < 3:
+            raise DataError(
+                f"class {ds.class_names[c]!r} has {len(idx)} examples; "
+                "stratified splitting needs at least 3"
+            )
+        idx = rng.permutation(idx)
+        n_tr, n_va, n_te = _largest_remainder(len(idx), spec.fractions)
         memberships[idx[:n_tr]] = 0
         memberships[idx[n_tr : n_tr + n_va]] = 1
         memberships[idx[n_tr + n_va :]] = 2
@@ -664,14 +649,16 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
 
 
 def write_split(
-    train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, out_dir: str
+    train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, out_dir: str,
+    label_column: str = "label",
 ) -> dict:
-    """Write the three split CSVs plus the JSON sidecar; returns the sidecar dict."""
+    """Write the three split CSVs, their label column named label_column, plus
+    the JSON sidecar; returns the sidecar dict."""
     os.makedirs(out_dir, exist_ok=True)
     names = ("train", "val", "test")
     counts = {}
     for name, part in zip(names, (train, val, test)):
-        save_feature_csv(part, os.path.join(out_dir, f"{name}.csv"))
+        save_feature_csv(part, os.path.join(out_dir, f"{name}.csv"), label_column)
         counts[name] = {
             cname: int(np.sum(part.labels == c)) for c, cname in enumerate(part.class_names)
         }

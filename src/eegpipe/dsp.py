@@ -270,43 +270,19 @@ def _filter_section(blocks: np.ndarray, section, z1_start, z2_start) -> None:
         chunk += np.multiply.outer(q[start : start + rows], s2)
 
 
-# samples of whole signals per _filter_chunk call
-_FILTER_CHUNK = 1 << 16
-
-
-def _filter_chunk(sections, states, xt: np.ndarray) -> None:
-    """sosfilt on the time-major view xt [n, ...], in place, from the steady
-    states of the sections for a constant input xt[0]."""
-    n = len(xt)
-    span = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    n_full, tail = divmod(n, span)
-    # blocks[j, k] is sample k * span + j; full[j, k] views the same sample of xt
-    blocks = np.zeros((span, n_full + (tail > 0), *xt.shape[1:]))
-    full = xt[: n_full * span].reshape(n_full, span, *xt.shape[1:]).swapaxes(0, 1)
-    last = xt[n_full * span :]  # the samples of a short last block, if any
-    blocks[:, :n_full] = full
-    blocks[:tail, n_full:] = last[:, None]
-    for section, state in zip(sections, states):
-        z1, z2 = np.multiply.outer(state, xt[0])
-        _filter_section(blocks, section, z1, z2)
-    full[...] = blocks[:, :n_full]
-    last[...] = blocks[:tail, -1]
-
-
 def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     """Causal cascade filtering (direct form II transposed) along the last axis of
     the float array x, in place; returns x. Each section starts in its steady
     state for a constant input x[..., 0], so a constant signal passes as 0.
 
-    A two-level block recurrence replaces the loop over samples. The signals
-    go through in chunks of about _FILTER_CHUNK samples, so the blocked copy
-    of a chunk and its temporaries stay small. The time axis is cut into
-    blocks of about sqrt(n) samples, zero-padded at the end. For each
-    section, one DF2T step per in-block position runs over every block of
-    the chunk at once, each block from a zero state; then the true
-    block-start states are carried across the blocks by the section's 2x2
-    transition matrix, and their zero-input response is added. So the
-    Python loops take about 3 sqrt(n) turns per section and chunk, not n.
+    A two-level block recurrence replaces the loop over samples. The time
+    axis is cut into blocks of about sqrt(n) samples, zero-padded at the
+    end. For each section, one DF2T step per in-block position runs over
+    every block of every signal at once, each block from a zero state; then
+    the true block-start states are carried across the blocks by the
+    section's 2x2 transition matrix, and their zero-input response is added.
+    So the Python loops take about 3 sqrt(n) turns per section, not n. The
+    blocked copy is as large as x: callers bound the batches they filter.
 
     The result is not that of a per-sample loop bit for bit: on the EEG
     bandpass designs its error against an extended-precision reference is
@@ -319,10 +295,20 @@ def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     xt = np.moveaxis(x, -1, 0)  # time-major view of x
     if xt.ndim == 1:
         xt = xt[:, None]  # keep each step a writable row, not a scalar
-    per_chunk = max(1, _FILTER_CHUNK // (len(xt) * math.prod(xt.shape[2:])))
-    states = _section_step_state(coeffs.sections)
-    for start in range(0, xt.shape[1], per_chunk):
-        _filter_chunk(coeffs.sections, states, xt[:, start : start + per_chunk])
+    n = len(xt)
+    span = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    n_full, tail = divmod(n, span)
+    # blocks[j, k] is sample k * span + j; full[j, k] views the same sample of xt
+    blocks = np.zeros((span, n_full + (tail > 0), *xt.shape[1:]))
+    full = xt[: n_full * span].reshape(n_full, span, *xt.shape[1:]).swapaxes(0, 1)
+    last = xt[n_full * span :]  # the samples of a short last block, if any
+    blocks[:, :n_full] = full
+    blocks[:tail, n_full:] = last[:, None]
+    for section, state in zip(coeffs.sections, _section_step_state(coeffs.sections)):
+        z1, z2 = np.multiply.outer(state, xt[0])
+        _filter_section(blocks, section, z1, z2)
+    full[...] = blocks[:, :n_full]
+    last[...] = blocks[:tail, -1]
     return x
 
 

@@ -645,10 +645,11 @@ def dataset_to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
     return X.reshape(n, seq_len, f // seq_len)
 
 
-def save_checkpoint(path: str, model: Model, class_names: list[str], normalization=None) -> None:
+def save_checkpoint(path: str, model: Model, class_names: list[str], normalization) -> None:
     """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact.
 
-    The GRU is written as one key per gate block (W_z, W_r, W_h, U_z, ...).
+    The GRU is written as one key per gate block (W_z, W_r, W_h, U_z, ...),
+    next to the NormalizationParams fitted on the model's training split.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -660,7 +661,7 @@ def save_checkpoint(path: str, model: Model, class_names: list[str], normalizati
             "seed": model.config.seed,
         },
         "class_names": list(class_names),
-        "normalization": normalization.to_dict() if normalization is not None else None,
+        "normalization": normalization.to_dict(),
         "gru": {n: a.tolist() for n, a in model.gru.gate_blocks()},
         "dense": {n: a.tolist() for n, a in model.dense.items()},
     }
@@ -679,9 +680,10 @@ def _array(section: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def load_checkpoint(path: str):
-    """Returns (model, class_names, normalization or None).
+    """Returns (model, class_names, normalization).
 
-    Anything but a well-formed version-1 checkpoint is a DataError.
+    Anything but a well-formed version-1 checkpoint is a DataError, such as
+    one without the normalization its model was trained on.
     """
     from .dsp import NormalizationParams
 
@@ -708,8 +710,8 @@ def load_checkpoint(path: str):
         if not (isinstance(class_names, list) and len(class_names) == C
                 and all(isinstance(n, str) for n in class_names)):
             raise DataError(f"class_names must list {C} strings")
-        norm = NormalizationParams.from_dict(doc["normalization"]) if doc.get("normalization") else None
-        if norm is not None and norm.n_features != cfg.input_dim * cfg.sequence_length:
+        norm = NormalizationParams.from_dict(doc["normalization"])
+        if norm.n_features != cfg.input_dim * cfg.sequence_length:
             raise DataError(f"normalization covers {norm.n_features} features, the model "
                             f"{cfg.input_dim * cfg.sequence_length}")
     except KeyError as exc:

@@ -1,16 +1,19 @@
 """The benchmark tracer's counters hang on named eegpipe functions: a rename
-there silently drops a per-layer metric, so each name is checked here."""
+there silently drops a per-layer metric, so each name is checked here, and
+so is what each counter reads."""
 
 import collections
+import csv
 import importlib
 import json
 import math
 import os
+import re
 import types
 
 import numpy as np
 
-from eegpipe import baselines, nn
+from eegpipe import baselines, cli, dataio, dsp, nn
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -30,6 +33,35 @@ def test_every_count_hook_names_a_traced_public_function():
     traced = {name for _, _, name in tracer.traced_functions(modules)}
     missing = sorted(set(tracer.COUNT_HOOKS) - traced)
     assert not missing, f"tracer hooks name no public eegpipe function: {missing}"
+
+
+def test_each_count_hook_reads_what_it_claims(tmp_path, monkeypatch, capsys):
+    # synth and featurize at 1 CPU, so every call is in this process; a low
+    # threshold rejects some of the 3 windows of each recording
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
+    raw, n_recordings, n_ch, n = str(tmp_path / "raw"), 12, 4, 512
+    tracer = load_tracer()
+    with tracer.Tracer({"cli": cli, "dataio": dataio, "dsp": dsp}) as traced:
+        assert cli.main(["synth", "--per-class", "4", "--window-len", str(n), "--seed", "1",
+                         "--out", raw]) == 0
+        assert cli.main(["featurize", "--manifest", os.path.join(raw, "manifest.csv"),
+                         "--window-len", "256", "--hop", "128", "--threshold", "6",
+                         "--out", str(tmp_path / "features.csv")]) == 0
+    with open(os.path.join(raw, "manifest.csv"), newline="", encoding="utf-8") as fh:
+        files = [row["file"] for row in csv.DictReader(fh)]
+    assert len(files) == n_recordings
+    raw_bytes = sum(os.path.getsize(os.path.join(raw, f)) for f in files)
+    rejected, attempted = map(int, re.search(r"rejected (\d+) of (\d+) epochs",
+                                             capsys.readouterr().out).groups())
+    assert 0 < rejected < attempted == 3 * n_recordings
+    # filtfilt pads each end by 3x the order (4) and filters forward and back
+    padded = n_recordings * n_ch * (n + 2 * 3 * 4)
+    assert traced.counts == {
+        "dataio.raw_bytes_written": raw_bytes, "dataio.raw_bytes_read": raw_bytes,
+        "dsp.samples_filtered": 2 * padded,
+        "dsp.reject_artifacts.attempted": attempted,
+        "dsp.reject_artifacts.kept": attempted - rejected,
+    }
 
 
 BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")

@@ -469,6 +469,35 @@ class TestEvaluate:
         assert "BORED" in capsys.readouterr().err
 
 
+def test_label_column_keeps_its_name_through_split_train_and_evaluate(pipeline, tmp_path):
+    # split writes the label column under the name it read it by, so that
+    # train and evaluate find it under the name the config gives
+    feats = tmp_path / "features.csv"
+    header, body = Path(pipeline["feats"]).read_bytes().split(b"\r\n", 1)
+    assert header.endswith(b",label")
+    feats.write_bytes(header[: -len(b"label")] + b"emotion\r\n" + body)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"label_column": "emotion"}))
+    splits, run_dir, out = (str(tmp_path / name) for name in ("splits", "run", "eval"))
+    assert run("split", "--config", str(config), "--input", str(feats), "--out", splits) == 0
+    for name in ("train", "val", "test"):
+        want = Path(pipeline["splits"], f"{name}.csv").read_bytes()
+        assert Path(splits, f"{name}.csv").read_bytes() == want.replace(
+            b",label\r\n", b",emotion\r\n", 1)
+    assert run(
+        "train", "--config", str(config), "--train", os.path.join(splits, "train.csv"),
+        "--val", os.path.join(splits, "val.csv"), "--out", run_dir,
+        "--hidden", "8", "--epochs", "8", "--patience", "8",
+    ) == 0
+    assert run("evaluate", "--config", str(config), "--out", out,
+               "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+               "--test", os.path.join(splits, "test.csv")) == 0
+    default = str(tmp_path / "default_eval")
+    assert run("evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
+               "--test", os.path.join(pipeline["splits"], "test.csv"), "--out", default) == 0
+    assert Path(out, "metrics.json").read_bytes() == Path(default, "metrics.json").read_bytes()
+
+
 def _not_an_object(doc):
     return [1, 2]
 
@@ -521,6 +550,12 @@ def _minmax_max_below_min(doc):
     return doc
 
 
+def _null_normalization(doc):
+    # train always writes the normalization its model was trained on
+    doc["normalization"] = None
+    return doc
+
+
 @pytest.mark.parametrize("edit,needle", [
     (_not_an_object, "checkpoint"), (_drop("gru"), "gru"), (_drop("gru", "W_z"), "W_z"),
     (_unknown_config_key, "depth"), (_short_gate_block, "U_r"),
@@ -528,10 +563,12 @@ def _minmax_max_below_min(doc):
     (_normalization_entry("std", float("nan")), "finite"),
     (_normalization_entry("mean", float("inf")), "finite"),
     (_normalization_entry("std", 0.0), "std"), (_unknown_normalization_mode, "'robust'"),
-    (_minmax_max_below_min, "max"),
+    (_minmax_max_below_min, "max"), (_null_normalization, "malformed checkpoint"),
+    (_drop("normalization"), "normalization"),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
         "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
-        "unknown_normalization_mode", "minmax_max_below_min"])
+        "unknown_normalization_mode", "minmax_max_below_min", "null_normalization",
+        "no_normalization"])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
     doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
     ck = tmp_path / "bad.json"

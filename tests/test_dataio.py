@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegpipe import dataio, dsp
+from eegpipe import cli, dataio, dsp
 from eegpipe.errors import ConfigError, DataError
 
 
@@ -491,6 +492,47 @@ class TestStratifiedSplit:
             ds, dataio.SplitSpec(0.6, 0.2, 0.2, seed=2, stratified=False)
         )
         assert tr.n_examples + va.n_examples + te.n_examples == 30
+
+    @pytest.mark.parametrize("counts", [[15, 15], [7], [3, 5, 2], [40, 1, 9], [100, 100, 100]])
+    @pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.2), (0.5, 0.25, 0.25), (0.7, 0.1, 0.2)])
+    @pytest.mark.parametrize("seed", [0, 2, 12345, 2**32 - 1])
+    def test_unstratified_is_one_permutation_of_all_rows(self, counts, fractions, seed):
+        # classes play no part, so a class of one or two rows is no error
+        ds = make_dataset(counts)
+        parts = dataio.stratified_split(ds, dataio.SplitSpec(*fractions, seed=seed,
+                                                             stratified=False))
+        want = unstratified_reference(ds.n_examples, fractions, seed)
+        for part, rows in zip(parts, want):
+            assert part.features[:, 0].tolist() == rows.tolist()
+            assert part.labels.tolist() == ds.labels[rows].tolist()
+
+
+def unstratified_reference(n, fractions, seed):
+    """The sorted row indices of each split: rng.permutation(n), cut into
+    counts apportioned by largest remainder, ties to the earlier split."""
+    perm = np.random.default_rng(seed).permutation(n)
+    ideal = [f * n for f in fractions]
+    sizes = [math.floor(v) for v in ideal]
+    for i in sorted(range(3), key=lambda i: sizes[i] - ideal[i])[: n - sum(sizes)]:
+        sizes[i] += 1
+    cuts = np.cumsum([0, *sizes])
+    return [np.sort(perm[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("counts,seed", [([15, 15], 1), ([4, 9, 30], 2), ([50, 50, 50], 3)])
+def test_split_no_stratify_writes_the_reference_rows(tmp_path, counts, seed):
+    ds = make_dataset(counts)
+    feats = tmp_path / "features.csv"
+    dataio.save_feature_csv(ds, str(feats))
+    header, *lines = feats.read_bytes().split(b"\r\n")[:-1]
+    out = tmp_path / "splits"
+    assert cli.main(["split", "--input", str(feats), "--out", str(out), "--no-stratify",
+                     "--seed", str(seed)]) == 0
+    want = unstratified_reference(ds.n_examples, (0.6, 0.2, 0.2),
+                                  cli.derive_seed(seed, "split"))
+    for name, rows in zip(("train", "val", "test"), want):
+        text = b"".join(line + b"\r\n" for line in [header, *(lines[i] for i in rows)])
+        assert (out / f"{name}.csv").read_bytes() == text
 
 
 class TestSynthGenerate:
