@@ -295,25 +295,17 @@ def cmd_synth(args) -> int:
 FEATURE_BLOCK_SAMPLES = 1 << 14
 
 
-# the stages of featurize's work on a share after parsing, in the order a
-# serial run meets them: an error of an earlier stage wins in any share
-_FILTER, _WINDOW, _FEATURES, _DONE = range(4)
-
-
 class _ShareFeaturizer:
     """featurize's work on one share of recordings, a group of them at a time:
     one call each of filtfilt, window_recording and reject_artifacts per
-    group, and one call of extract_features per block of its kept epochs. An
-    error is kept with its stage, not raised, so that cmd_featurize can put
-    every share's parse errors first and each stage after the one before, as
-    in a serial run; after an error, a later group runs only the stages
-    before the error's, to find an earlier stage's error. A share sends the
-    featurizer back: cmd_featurize joins every share's labels (an array per
-    group) and feature rows (an array per block) once."""
+    group, and one call of extract_features per block of its kept epochs.
+    An error is raised at once, so a share stops at its first bad group. A
+    share sends the featurizer back: cmd_featurize joins every share's labels
+    (an array per group) and feature rows (an array per block) once."""
 
     def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
-        self.n_epochs, self.labels, self.rows, self.names, self.error = 0, [], [], None, None
+        self.n_epochs, self.labels, self.rows, self.names = 0, [], [], None
 
     def add(self, group: list) -> None:
         """Featurize a group of same-shape recordings, and empty its list: the
@@ -323,58 +315,50 @@ class _ShareFeaturizer:
         whole."""
         if not group:
             return
-        stop = _DONE if self.error is None else self.error[0]
         fs, channels = group[0].sample_rate_hz, group[0].channels
         rec_labels = [rec.label for rec in group]
         raw = [rec.data for rec in group]
         group.clear()
-        stage = _FILTER
-        try:
-            if stop == _FILTER:
-                return
-            filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
-            stage = _WINDOW
-            if stop == _WINDOW:
-                return
-            windows = dataio.window_recording(filtered, self.window_len, self.hop)
-            g, n_windows, n_ch, window_len = windows.shape
-            kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
-                                           self.fc.artifact_threshold_uv)
-            self.n_epochs += g * n_windows
-            self.labels.append(np.repeat(rec_labels, n_windows)[kept])
-            stage = _FEATURES
-            if stop == _FEATURES:
-                return
-            per_block = max(1, FEATURE_BLOCK_SAMPLES // (n_ch * window_len))
-            # a group that keeps no epoch still makes one call, on an empty
-            # block: it sets the feature names, and raises what the feature
-            # stage would raise on this shape
-            for start in range(0, max(len(kept), 1), per_block):
-                # (recording, window) of each epoch in the block
-                block = np.divmod(kept[start : start + per_block], n_windows)
-                fv = dsp.extract_features(windows[block], fs, self.fc, channels)
-                self.rows.append(fv.values)
-                self.names = fv.names
-        except PipelineError as exc:
-            self.error = (stage, exc)
+        filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
+        windows = dataio.window_recording(filtered, self.window_len, self.hop)
+        g, n_windows, n_ch, window_len = windows.shape
+        kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
+                                       self.fc.artifact_threshold_uv)
+        self.n_epochs += g * n_windows
+        self.labels.append(np.repeat(rec_labels, n_windows)[kept])
+        per_block = max(1, FEATURE_BLOCK_SAMPLES // (n_ch * window_len))
+        # a group that keeps no epoch still makes one call, on an empty
+        # block: it sets the feature names, and raises what the feature
+        # stage would raise on this shape
+        for start in range(0, max(len(kept), 1), per_block):
+            # (recording, window) of each epoch in the block
+            block = np.divmod(kept[start : start + per_block], n_windows)
+            fv = dsp.extract_features(windows[block], fs, self.fc, channels)
+            self.rows.append(fv.values)
+            self.names = fv.names
 
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
     """Featurize one share of recordings as they are parsed (_ShareFeaturizer),
     in groups of consecutive recordings of one shape, up to
-    FEATURE_BLOCK_SAMPLES samples a group. A group is featurized and freed as
-    soon as it can take no other recording of its shape, before the next
-    recording is parsed, and the featurizer is returned. A parse error is
-    not caught: it stops the share, as it would a serial run."""
+    FEATURE_BLOCK_SAMPLES samples a group, and return the featurizer. A group
+    is featurized and freed as soon as it can take no other recording of its
+    shape, before the next recording is parsed. The share raises the error of
+    its first bad recording, whatever stage finds it, as a serial run would:
+    a parse error is raised after the group parsed before it, whose error wins."""
     share = _ShareFeaturizer(coeffs, fc, window_len, hop)
     group = []
-    for rec in recordings:
-        if group and rec.data.shape != group[0].data.shape:
-            share.add(group)
-        group.append(rec)
-        del rec  # the group holds the only reference
-        if (len(group) + 1) * group[0].data.size > FEATURE_BLOCK_SAMPLES:
-            share.add(group)
+    try:
+        for rec in recordings:
+            if group and rec.data.shape != group[0].data.shape:
+                share.add(group)
+            group.append(rec)
+            del rec  # the group holds the only reference
+            if (len(group) + 1) * group[0].data.size > FEATURE_BLOCK_SAMPLES:
+                share.add(group)
+    except PipelineError:
+        share.add(group)  # empty unless parsing failed
+        raise
     share.add(group)
     return share
 
@@ -412,17 +396,12 @@ def cmd_featurize(args) -> int:
     shares, class_names = dataio.load_raw_recordings(
         data_dir, args.manifest,
         per_share=lambda recs: [_featurize_share(recs, coeffs, fc, args.window_len, args.hop)])
-    errors = sorted((s.error for s in shares if s.error is not None), key=lambda e: e[0])
-    if errors and errors[0][0] < _FEATURES:
-        raise errors[0][1]
     labels = [block for s in shares for block in s.labels]
     n_epochs, n_kept = sum(s.n_epochs for s in shares), sum(map(len, labels))
     threshold = fc.artifact_threshold_uv
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
-    if errors:
-        raise errors[0][1]
     ds = dataio.Dataset(np.concatenate([rows for s in shares for rows in s.rows]),
                         np.concatenate(labels), class_names, shares[0].names)
     with _writing(args.out):

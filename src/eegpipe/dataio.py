@@ -283,9 +283,10 @@ def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list,
     done with one recording before the next is parsed. Returns the lists
     per_share returns, joined in share order (by default the recordings),
     and the lexicographically ordered class-name table backing the integer
-    labels. A bad row raises the same error as in a serial loop, that of the
-    first bad row in manifest order: the rows per_share leaves undrawn are
-    parsed after it returns.
+    labels. per_share must draw every recording, or raise; a bad row raises
+    as it is drawn. The first share that raises wins, so with the default
+    per_share the error is that of the first bad row in manifest order, as
+    in a serial loop.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
@@ -307,14 +308,7 @@ def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list,
         data = _scan_raw_csv(fpath, channels) if plain is None else plain[1]
         return Recording(channels, fs, data.T, label=class_ids[e["label"]])
 
-    def stream(share):
-        recordings = map(parse, share)
-        result = per_share(recordings)
-        for _ in recordings:  # the rows per_share left undrawn
-            pass
-        return result
-
-    return _map_in_shares(stream, entries), class_names
+    return _map_in_shares(lambda share: per_share(map(parse, share)), entries), class_names
 
 
 def _usable_cpus() -> int:

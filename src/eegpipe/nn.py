@@ -696,6 +696,9 @@ def load_checkpoint(path: str):
         raise DataError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {doc.get('format_version')}")
+    for key in ("model_config", "gru", "dense", "normalization"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DataError(f"checkpoint {path}: {key} is not a JSON object")
     try:
         cfg = ModelConfig(**doc["model_config"])
         H, C = cfg.hidden_dim, cfg.n_classes

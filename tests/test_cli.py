@@ -550,10 +550,16 @@ def _minmax_max_below_min(doc):
     return doc
 
 
-def _null_normalization(doc):
-    # train always writes the normalization its model was trained on
-    doc["normalization"] = None
-    return doc
+def _replace(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+# each section that must be a JSON object, as null, a list and a string
+_NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "normalization")
+                for kind, value in (("null", None), ("list", [1.0]), ("string", "zscore"))]
 
 
 @pytest.mark.parametrize("edit,needle", [
@@ -563,12 +569,12 @@ def _null_normalization(doc):
     (_normalization_entry("std", float("nan")), "finite"),
     (_normalization_entry("mean", float("inf")), "finite"),
     (_normalization_entry("std", 0.0), "std"), (_unknown_normalization_mode, "'robust'"),
-    (_minmax_max_below_min, "max"), (_null_normalization, "malformed checkpoint"),
-    (_drop("normalization"), "normalization"),
+    (_minmax_max_below_min, "max"), (_drop("normalization"), "normalization"),
+    *((_replace(key, value), key) for _, key, value in _NOT_OBJECTS),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
         "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
-        "unknown_normalization_mode", "minmax_max_below_min", "null_normalization",
-        "no_normalization"])
+        "unknown_normalization_mode", "minmax_max_below_min", "no_normalization",
+        *(f"{kind}_{key}" for kind, key, _ in _NOT_OBJECTS)])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
     doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
     ck = tmp_path / "bad.json"
@@ -595,21 +601,38 @@ def test_overflowing_checkpoint_is_numeric_error(pipeline, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("argv,out", [
-    # a directory where the feature file goes
-    (["featurize", "--manifest", "raw/manifest.csv"], "splits"),
-    # a file where the output directory goes
-    (["evaluate", "--checkpoint", "run/checkpoint.json", "--test", "splits/test.csv"],
-     "features.csv"),
-    # a directory under a regular file
-    (["split", "--input", "features.csv"], "features.csv/sub"),
-], ids=["featurize_into_directory", "evaluate_into_file", "split_under_file"])
-def test_unwritable_output_is_config_error_naming_it(pipeline, tmp_path, capsys, argv, out):
+# each command's arguments but --out, over a copy of the pipeline fixture,
+# with the fewest epochs, trees and rounds
+_ARGV = {
+    "synth": ["synth", "--per-class", "2"],
+    "featurize": ["featurize", "--manifest", "raw/manifest.csv"],
+    "split": ["split", "--input", "features.csv"],
+    "train": ["train", "--train", "splits/train.csv", "--val", "splits/val.csv",
+              "--hidden", "4", "--epochs", "1"],
+    "evaluate": ["evaluate", "--checkpoint", "run/checkpoint.json", "--test", "splits/test.csv"],
+    "compare": ["compare", "--input", "features.csv", "--hidden", "4", "--epochs", "1",
+                "--n-trees", "1", "--boost-rounds", "1"],
+    "report": ["report", "--history", "run/history.csv"],
+}
+
+
+# featurize writes a file at --out, every other command a directory. The
+# regular file "plain" is no command's input
+_BAD_OUTPUTS = {
+    "featurize_into_directory": ("featurize", "splits"),
+    **{f"{name}_into_file": (name, "plain") for name in _ARGV if name != "featurize"},
+    **{f"{name}_under_file": (name, "plain/sub") for name in _ARGV},
+}
+
+
+@pytest.mark.parametrize("name,out", list(_BAD_OUTPUTS.values()), ids=list(_BAD_OUTPUTS))
+def test_unwritable_output_is_config_error_naming_it(pipeline, tmp_path, capsys, name, out):
     # each ended in an OSError traceback, with no exit code
     root = tmp_path / "pipe"
     shutil.copytree(pipeline["root"], root)
+    (root / "plain").write_text("")
     before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
-    argv = [str(root / a) if "/" in a or a.endswith(".csv") else a for a in argv]
+    argv = [str(root / a) if "/" in a or a.endswith(".csv") else a for a in _ARGV[name]]
     assert run(*argv, "--out", str(root / out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write output {root / out}: ")

@@ -287,65 +287,49 @@ def zero_recording(path):
         str(path))
 
 
-# a fault that parsing finds, or one of a later stage than the earlier fault's
-LATER_FAULTS = {
-    "none": (None, None),
+# a fault in a recording file that featurize's parse, filter or feature
+# stage finds, and its message
+FAULTS = {
     "missing": (os.remove, "manifest references missing file: {}"),
     "non_finite": (spoil, "{}: line 6: non-finite sample"),
-    "too_short": (short_recording, "input length 10 too short; need more than 12 samples"),
-}
-EARLIER_FAULTS = {
     "too_short": (short_recording, "input length 10 too short; need more than 12 samples"),
     "all_zero": (zero_recording, "spectral entropy undefined for an all-zero PSD"),
 }
 
 
-def fault_pairs(test):
-    """Parametrize a test over every (earlier, later) pair of faults."""
-    test = pytest.mark.parametrize("earlier", sorted(EARLIER_FAULTS))(test)
-    return pytest.mark.parametrize("later", sorted(LATER_FAULTS))(test)
-
-
-def check_stage_failure(tmp_path, n_samples, earlier, later):
-    # at 3 CPUs the shares are files {0, 1}, {2, 3} and {4, 5}: the earlier
-    # fault is in this process's share, the later one in the last child's.
-    # A serial run meets every parse error before any filter error, and
-    # prints the rejection line before any feature error, so those must win
-    # whatever share finds them first
-    raw = tmp_path / "raw"
+@pytest.mark.parametrize("n_samples", [300, 2048])
+@pytest.mark.parametrize("positions", [(0, 5), (1, 2), (0, 1)], ids=["0_5", "1_2", "0_1"])
+@pytest.mark.parametrize("later", sorted(FAULTS))
+@pytest.mark.parametrize("earlier", sorted(FAULTS))
+def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, later,
+                                                   positions, n_samples):
+    # the oracle: a serial run with only the earlier fault. At 2 CPUs the
+    # shares are files {0, 1, 2} and {3, 4, 5}, at 3 CPUs {0, 1}, {2, 3} and
+    # {4, 5}; a group is a share's recordings of 4 x 300 samples, or two of
+    # 4 x 2048, so the faults fall in one group, one share or two shares
+    raw, out = tmp_path / "raw", tmp_path / "f.csv"
     code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", str(n_samples),
                            "--seed", "5", "--out", str(raw)], 1)
     assert (code, stderr) == (0, "")
-    spoil_early, message = EARLIER_FAULTS[earlier]
-    spoil_early(raw / "epoch_0000.csv")
-    spoil_late, late_message = LATER_FAULTS[later]
-    if spoil_late is not None:
-        spoil_late(raw / "epoch_0005.csv")
-        message = late_message.format(raw / "epoch_0005.csv")
-    argv = ["featurize", "--manifest", str(raw / "manifest.csv"),
-            "--out", str(tmp_path / "f.csv")]
-    outcomes = [cli(argv, n) for n in (1, 3)]
-    assert outcomes[1] == outcomes[0]
-    code, stdout, stderr = outcomes[0]
-    assert (code, stderr) == (2, f"data error: {message}\n")
-    rejection_line = (earlier, later) == ("all_zero", "none")
-    assert ("rejected 0 of 6 epochs" in stdout) == rejection_line
-    assert not (tmp_path / "f.csv").exists()
+    argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out)]
 
+    def outcome(n):
+        """(exit code, stdout, stderr, whether --out exists) at n CPUs."""
+        result = (*cli(argv, n), out.exists())
+        if out.exists():
+            out.unlink()
+        return result
 
-@fault_pairs
-def test_dsp_stage_failure_gives_the_same_outcome_at_1_and_3_cpus(tmp_path, watchdog,
-                                                                  earlier, later):
-    # recordings of 4 x 300 samples: each share's are filtered in one batch
-    check_stage_failure(tmp_path, 300, earlier, later)
-
-
-@fault_pairs
-def test_dsp_stage_failure_in_recordings_featurized_as_parsed(tmp_path, watchdog, earlier,
-                                                              later):
-    # recordings of 4 x 2048 samples: a share is several groups, each featurized
-    # before the next recording is parsed
-    check_stage_failure(tmp_path, 2048, earlier, later)
+    first, second = (raw / f"epoch_{k:04d}.csv" for k in positions)
+    spoil_first, message = FAULTS[earlier]
+    spoil_first(first)
+    want = outcome(1)
+    # no rejection line: it is printed only when every recording featurizes
+    assert want == (2, want[1], f"data error: {message.format(first)}\n", False)
+    assert "rejected" not in want[1]
+    FAULTS[later][0](second)
+    for n in (1, 2, 3):
+        assert outcome(n) == want
 
 
 def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path, monkeypatch,
