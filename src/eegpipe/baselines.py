@@ -28,6 +28,11 @@ class LinearModel:
     b: np.ndarray  # [classes]
 
 
+# step size and L2 weight decay of every logistic regression fit
+_LOGISTIC_LEARNING_RATE = 0.5
+_LOGISTIC_L2 = 1e-4
+
+
 def logistic_loss_grad(W, b, X, y, l2: float):
     """Mean cross-entropy with L2 weight decay (bias excluded) and its gradient."""
     n = len(y)
@@ -38,10 +43,9 @@ def logistic_loss_grad(W, b, X, y, l2: float):
     return loss, gW, gb
 
 
-def fit_logistic(
-    X, y, n_classes: int, learning_rate: float = 0.5, iterations: int = 500, l2: float = 1e-4
-) -> LinearModel:
-    """Softmax regression by full-batch gradient descent from zero weights."""
+def fit_logistic(X, y, n_classes: int, iterations: int = 500) -> LinearModel:
+    """Softmax regression by full-batch gradient descent from zero weights,
+    at step size _LOGISTIC_LEARNING_RATE with L2 weight decay _LOGISTIC_L2."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if n_classes < 2:
@@ -49,11 +53,11 @@ def fit_logistic(
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
     for _ in range(iterations):
-        loss, gW, gb = logistic_loss_grad(W, b, X, y, l2)
+        loss, gW, gb = logistic_loss_grad(W, b, X, y, _LOGISTIC_L2)
         if not math.isfinite(loss):
             raise NumericError("logistic regression diverged (non-finite loss)")
-        W -= learning_rate * gW
-        b -= learning_rate * gb
+        W -= _LOGISTIC_LEARNING_RATE * gW
+        b -= _LOGISTIC_LEARNING_RATE * gb
     return LinearModel(W, b)
 
 
@@ -275,7 +279,6 @@ def fit_forest(
     max_depth: int = 12,
     feature_subsample: float | None = None,
     bootstrap: bool = True,
-    min_leaf: int = 1,
     seed: int = 0,
 ) -> ForestModel:
     """Bootstrap-aggregated CART trees with per-split feature subsampling.
@@ -291,9 +294,7 @@ def fit_forest(
     n, d = X.shape
     if feature_subsample is None:
         max_features = max(1, int(round(math.sqrt(d))))
-    elif feature_subsample >= 1.0:
-        max_features = None
-    else:
+    else:  # a fraction >= 1 gives max_features >= d: no subsampling
         max_features = max(1, int(round(feature_subsample * d)))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
@@ -301,10 +302,7 @@ def fit_forest(
         rng = np.random.default_rng(ss)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(
-            fit_tree(
-                X[idx], y[idx], n_classes, max_depth, min_leaf,
-                rng=rng, max_features=max_features,
-            )
+            fit_tree(X[idx], y[idx], n_classes, max_depth, rng=rng, max_features=max_features)
         )
     return ForestModel(trees, n_classes)
 
@@ -322,19 +320,17 @@ def predict_forest(model: ForestModel, X):
 # linear SVM (one-vs-rest hinge, averaged stochastic subgradient)
 
 
-def fit_linear_svm(
-    X, y, n_classes: int, c: float = 1.0, epochs: int = 50, seed: int = 0
-) -> LinearModel:
+def fit_linear_svm(X, y, n_classes: int, epochs: int = 50, seed: int = 0) -> LinearModel:
     """One-vs-rest hinge loss via seeded SGD with iterate averaging.
 
-    Objective per class: lambda/2 ||w||^2 + mean hinge, lambda = 1/(c*n).
+    Objective per class: lambda/2 ||w||^2 + mean hinge, lambda = 1/n.
     The returned weights are the average over all SGD iterates, which
     stabilizes the final decision rule.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n, d = X.shape
-    lam = 1.0 / (c * n)
+    lam = 1.0 / n
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     W_avg = np.zeros_like(W)

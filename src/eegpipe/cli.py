@@ -99,7 +99,8 @@ class Setting(NamedTuple):
     (None: config file only), converter, default in each command that reads
     it, and domain. A default of None means the command derives the value.
     The domain is (test, words), or None: any converted value passes, or the
-    library checks it before any file is read (TrainConfig, SplitSpec, synth)."""
+    library checks it before any file is read (TrainConfig's lr, batch_size,
+    epochs and patience, SplitSpec, synth)."""
 
     key: str
     flag: str | None
@@ -144,7 +145,8 @@ SETTINGS = {s.key: s for s in [
     Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, 32)),
     Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, 150)),
     Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, 10)),
-    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam")),
+    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam"),
+            (lambda v: v in ("adam", "sgd"), "adam or sgd")),
     Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore"),
             (lambda v: v in ("zscore", "minmax"), "zscore or minmax")),
     Setting("n_trees", "--n-trees", _integer, {"compare": 100}, _AT_LEAST_1),

@@ -55,14 +55,6 @@ class Recording:
         if not 0 < self.sample_rate_hz < math.inf:
             raise DataError("sample_rate_hz must be positive and finite")
 
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass
 class Dataset:
@@ -449,34 +441,26 @@ def _read_plain_csv(path: str, header_ok, labelled: bool = False
     labelled, the last cell of each line is its label, returned in a list,
     and the matrix holds the cells before it; else the list is empty.
 
-    Each piece's complete lines go to _loadtxt_matrix as soon as they are
-    read, and the pieces' matrices are joined once, so the file's text is
-    never held whole. None unless the file is UTF-8 text whose lines are its
-    csv records (see _NOT_PLAIN), with no blank line (which the csv reader
-    returns as a row with no cells and loadtxt skips), a header whose cells
-    header_ok accepts and a line after it; None too where a piece does not
-    parse, so that the caller's csv scan names the fault.
+    Each piece is read on to the end of its last line, and its lines go to
+    _loadtxt_matrix at once; the pieces' matrices are joined once, so the
+    file's text is never held whole. None unless the file is UTF-8 text whose
+    lines are its csv records (see _NOT_PLAIN), with no blank line (which the
+    csv reader returns as a row with no cells and loadtxt skips), a header
+    whose cells header_ok accepts and a line after it; None too where a piece
+    does not parse, so that the caller's csv scan names the fault.
     """
     header, blocks, labels = None, [], []
-    pending = []  # the text read since the last line end
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            while True:
-                chunk = fh.read(_CSV_CHUNK_CHARS)
+            # the file object ends a line at \n, \r or \r\n, and keeps a \r\n whole
+            while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
                 if any(c in chunk for c in _NOT_PLAIN):
                     return None
-                # without those, only \n, \r and \r\n end a line; a \r that
-                # ends the piece waits, for the next may start with \n
-                end = len(chunk) - chunk.endswith("\r")
-                cut = max(chunk.rfind("\n", 0, end), chunk.rfind("\r", 0, end)) + 1
-                if chunk and not cut:
-                    pending.append(chunk)
-                    continue
-                lines = "".join([*pending, chunk[:cut]]).splitlines()
-                pending = [chunk[cut:]]
+                # without those, the file's line ends are splitlines' only ones
+                lines = chunk.splitlines()
                 if "" in lines:
                     return None
-                if header is None and lines:
+                if header is None:
                     header = lines.pop(0).split(",")
                     if not header_ok(header):
                         return None
@@ -489,8 +473,6 @@ def _read_plain_csv(path: str, header_ok, labelled: bool = False
                     if block is None:
                         return None
                     blocks.append(block)
-                if not chunk:
-                    break
     except UnicodeDecodeError:
         return None
     return (header, np.concatenate(blocks), labels) if blocks else None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class NormalizationParams:
 class FeatureConfig:
     """Feature-extraction parameters."""
 
-    bands: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(EEG_BANDS))
     welch_segment_len: int = 256
     welch_overlap: float = 0.5
     filter_low_hz: float = 0.5
@@ -474,9 +473,9 @@ def extract_features(
 ) -> FeatureVector:
     """Per-channel band powers, spectral entropy, and time-domain statistics.
 
-    `epochs` is [..., n_ch, n_samples]; values are [..., n_features]. With
-    the default five bands this yields 14 features per channel, named
-    `<channel>.<feature>` and grouped by channel.
+    `epochs` is [..., n_ch, n_samples]; values are [..., n_features]. The
+    bands are the five EEG_BANDS, so this yields 14 features per channel,
+    named `<channel>.<feature>` and grouped by channel.
     """
     cfg = config or FeatureConfig()
     n_ch = np.shape(epochs)[-2]
@@ -485,12 +484,12 @@ def extract_features(
     if len(channel_names) != n_ch:
         raise DataError(f"{len(channel_names)} channel names for {n_ch} channels")
     psd = welch_psd(epochs, fs_hz, cfg.welch_segment_len, cfg.welch_overlap)
-    spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in cfg.bands.values()]
+    spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in EEG_BANDS.values()]
     spectral.append(spectral_entropy(psd))
     per_channel = np.concatenate(
         [np.stack(spectral, axis=-1), time_domain_stats(epochs).values], axis=-1
     )  # [..., n_ch, 14]
-    kinds = [f"bandpower.{b}" for b in cfg.bands] + ["entropy"] + TIME_DOMAIN_STAT_NAMES
+    kinds = [f"bandpower.{b}" for b in EEG_BANDS] + ["entropy"] + TIME_DOMAIN_STAT_NAMES
     names = [f"{ch}.{kind}" for ch in channel_names for kind in kinds]
     return FeatureVector(per_channel.reshape(per_channel.shape[:-2] + (len(names),)), names)
 

@@ -177,8 +177,6 @@ def compare_report(
 def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
     if xmax == xmin:
         xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
     pts = []
     for x, y in zip(xs, ys):
         px = x0 + (x - xmin) / (xmax - xmin) * w

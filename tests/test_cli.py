@@ -81,7 +81,7 @@ class TestExitCodes:
         ("--hidden", "0", "--hidden"),
         ("--epochs", "0", "max_epochs"), ("--epochs", "-1", "max_epochs"),
         ("--patience", "-1", "patience"), ("--lr", "nan", "learning_rate"),
-        ("--lr", "inf", "learning_rate"),
+        ("--lr", "inf", "learning_rate"), ("--optimizer", "rmsprop", "optimizer must be"),
     ])
     def test_bad_training_setting_rejected_before_any_file(self, tmp_path, capsys, command,
                                                            flag, value, key):
@@ -157,6 +157,43 @@ class TestExitCodes:
         cfg.write_text("not json at all {")
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
+    def test_config_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "raw"
+        assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimizer_outside_its_domain_fails_every_command_reading_the_file(
+            self, pipeline, tmp_path, capsys):
+        # split never reads the optimizer, but one config file serves the chain
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": "rmsprop"}))
+        out = tmp_path / "splits"
+        assert run("split", "--input", pipeline["feats"], "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert "'optimizer': optimizer must be adam or sgd" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_no_rows_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("file,label,sample_rate_hz,channels\n")
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert "data error: manifest lists no recordings" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_epoch_rejected_is_data_error_after_the_rejection_line(self, pipeline,
+                                                                          tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
+                   "--threshold", "1e-9", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "rejected 24 of 24 epochs (threshold 1e-09 uV)" in captured.out
+        assert "data error: all epochs rejected" in captured.err
+        assert not out.exists()
+
 
 # the flags each command requires, with placeholder paths: the tests below
 # only parse them, or stop at the config file before any path is read
@@ -177,12 +214,13 @@ SAMPLES = {
     cli._text: ("from-flag", "from-file"),
     cli._fractions: ("0.5,0.25,0.25", [0.7, 0.2, 0.1]),
 }
-# rows whose domain excludes the generic samples; normalization has only two
-# values, so its flag value is the default
+# rows whose domain excludes the generic samples; normalization and optimizer
+# have only two values each, so their flag value is the default
 ROW_SAMPLES = {
     "filter_order": ("8", 6),
     "welch_segment_len": ("512", 128),
     "normalization": ("zscore", "minmax"),
+    "optimizer": ("adam", "sgd"),
 }
 
 
@@ -203,7 +241,7 @@ class TestSettings:
             flags = parsed_flags(command, row.flag, flag_value)
             from_flag = resolve_settings(command, flags, {key: file_value})[key]
             assert from_flag == row.convert(flag_value) != from_file
-            assert from_flag != default or key == "normalization"
+            assert from_flag != default or key in ("normalization", "optimizer")
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_config_of_defaults_resolves_like_no_config(self, command):

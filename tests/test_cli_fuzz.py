@@ -66,7 +66,7 @@ RULES = {
     "batch_size": (int, _at_least(1), TRAINING),
     "epochs": (int, _at_least(1), TRAINING),
     "patience": (int, _at_least(1), TRAINING),
-    "optimizer": (str, lambda v: v in ("adam", "sgd"), TRAINING),
+    "optimizer": (str, lambda v: v in ("adam", "sgd"), None),
     "normalization": (str, lambda v: v in ("zscore", "minmax"), None),
     "n_trees": (int, _at_least(1), None),
     "forest_depth": (int, _at_least(0), None),

@@ -102,7 +102,7 @@ class TestRawRecordings:
         recs, class_names = dataio.load_raw_recordings(str(tmp_path), manifest)
         assert len(recs) == 2
         assert recs[0].channels == ["TP9", "AF7", "AF8", "TP10"]
-        assert recs[0].n_channels == 4
+        assert recs[0].data.shape[0] == 4
         assert class_names == ["POSITIVE"]
 
     def test_empty_manifest(self, tmp_path):

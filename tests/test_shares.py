@@ -169,10 +169,11 @@ def test_bad_recording_while_children_hold_big_results_does_not_hang(tmp_path, w
         dataio.load_raw_recordings(str(tmp_path), manifest)
 
 
-def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monkeypatch,
-                                                                 watchdog):
-    write_recordings(tmp_path, [40] * 6)
-    manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
+def dying_child_manifest(root, monkeypatch, n_samples):
+    """The manifest of six recordings of n_samples, whose reader exits with
+    status 1 at r3.csv when a child process reads it."""
+    write_recordings(root, [n_samples] * 6)
+    manifest = write_manifest(root, [(f"r{i}.csv", CHANNELS) for i in range(6)])
     parent, read_plain = os.getpid(), dataio._read_plain_csv
 
     def dies_in_a_child(path, *args, **kwargs):
@@ -181,8 +182,25 @@ def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monk
         return read_plain(path, *args, **kwargs)
 
     monkeypatch.setattr(dataio, "_read_plain_csv", dies_in_a_child)
+    return manifest
+
+
+def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monkeypatch,
+                                                                 watchdog):
+    manifest = dying_child_manifest(tmp_path, monkeypatch, 40)
     with cpus(3), pytest.raises(PipelineError, match=r"ended with exit status 1 and sent no result"):
         dataio.load_raw_recordings(str(tmp_path), manifest)
+
+
+def test_child_that_exits_mid_featurize_exits_1_with_no_traceback(tmp_path, monkeypatch,
+                                                                 watchdog):
+    manifest = dying_child_manifest(tmp_path, monkeypatch, 300)
+    out = tmp_path / "features.csv"
+    code, _, stderr = cli(["featurize", "--manifest", manifest, "--out", str(out)], 3)
+    assert code == 1
+    assert stderr.startswith("error: worker process ") and "exit status 1" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
 
 
 class NeedsTwoArguments(Exception):

@@ -1,0 +1,163 @@
+"""No option is left that nothing sets: every defaulted parameter of a
+function, method or dataclass field in the package is passed, by keyword or
+by position, by at least one call in src/, tests/ or perfbench/. An option
+no caller sets is a constant dressed as a setting.
+
+Calls are matched to definitions by name alone (a bare name, or an
+attribute's last part), and a call that unpacks `*` or `**` counts as
+passing everything, so the guard can miss an unset option but never
+reports a set one."""
+
+import ast
+import os
+
+from test_private_names import module_trees
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CALLERS = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
+
+
+def caller_trees():
+    """The syntax tree of every Python file under CALLERS."""
+    for top in CALLERS:
+        for parent, dirs, files in os.walk(top):
+            dirs.sort()
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(parent, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield ast.parse(fh.read(), path)
+
+
+def _is_field_holder(cls):
+    """A dataclass or NamedTuple: its annotated class attributes are the
+    constructor's parameters, in order."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+    return any((m.id if isinstance(m, ast.Name) else getattr(m, "attr", None))
+               in ("dataclass", "NamedTuple") for m in marks)
+
+
+def _function_options(fn, skip_first):
+    """(position or None, name, line) of each defaulted parameter of fn; a
+    keyword-only one has no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first_default = len(positional) - len(fn.args.defaults)
+    found = [(i - skip_first, a.arg, a.lineno)
+             for i, a in enumerate(positional) if i >= first_default]
+    found += [(None, a.arg, a.lineno)
+              for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def defaulted_options(tree):
+    """callee name -> [(position or None, parameter, line)] of every function,
+    method and dataclass or NamedTuple field with a default. A method's
+    positions leave out self or cls; a field's callee is its class."""
+    options = {}
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                name = node.name if child.name == "__init__" else child.name
+                options.setdefault(name, []).extend(
+                    _function_options(child, int(in_class and not static)))
+                visit(child, False)
+            elif isinstance(child, ast.ClassDef):
+                if _is_field_holder(child):
+                    fields = [s for s in child.body
+                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    options.setdefault(child.name, []).extend(
+                        (i, s.target.id, s.lineno) for i, s in enumerate(fields)
+                        if s.value is not None)
+                visit(child, True)
+            else:
+                visit(child, in_class)
+
+    visit(tree, False)
+    return options
+
+
+def passed_options(tree):
+    """callee name -> (number of positional arguments, keyword names) of each
+    call; a call that unpacks `*` or `**` passes everything (None)."""
+    passed = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            passed.setdefault(name, []).append(None)
+        else:
+            passed.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+    return passed
+
+
+def unset_options(definitions, calls):
+    """'module:line callee.parameter' of each option in definitions
+    ({module: defaulted_options}) that no call in calls (passed_options
+    merged) passes."""
+    unset = []
+    for module, options in definitions.items():
+        for callee, params in options.items():
+            sites = calls.get(callee, [])
+            for position, param, line in params:
+                if not any(site is None
+                           or param in site[1]
+                           or position is not None and 0 <= position < site[0]
+                           for site in sites):
+                    unset.append(f"{module}:{line} {callee}.{param}")
+    return unset
+
+
+def test_every_option_of_the_package_is_set_by_some_caller():
+    definitions = {module: defaulted_options(tree) for module, tree in module_trees().items()}
+    assert "fit_forest" in definitions["baselines.py"]
+    calls = {}
+    for tree in caller_trees():
+        for name, sites in passed_options(tree).items():
+            calls.setdefault(name, []).extend(sites)
+    unset = unset_options(definitions, calls)
+    assert not unset, f"options that no call in src/, tests/ or perfbench/ sets: {unset}"
+
+
+def test_the_guard_finds_options_no_call_sets():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "def fit(x, rate=0.5, steps=10, *, l2=1e-4, seed=0):\n"
+        "    return x\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    size: int\n"
+        "    bands: dict = field(default_factory=dict)\n"
+        "    order: int = 4\n"
+        "class Model:\n"
+        "    def __init__(self, depth=3):\n"
+        "        pass\n"
+        "    def score(self, x, scale=1.0):\n"
+        "        def inner(y, shift=0):\n"
+        "            return y\n"
+        "        return inner(x)\n"
+        "fit(1, 0.1, seed=2)\n"
+        "Config(3, order=8)\n"
+        "Model(5).score(1)\n"
+        "args = [1]\n"
+        "inner(*args)\n"
+    )
+    options = defaulted_options(tree)
+    assert options["fit"] == [(1, "rate", 2), (2, "steps", 2), (None, "l2", 2),
+                              (None, "seed", 2)]
+    assert options["Config"] == [(1, "bands", 7), (2, "order", 8)]
+    assert options["Model"] == [(0, "depth", 10)]
+    assert options["score"] == [(1, "scale", 12)]
+    assert options["inner"] == [(1, "shift", 13)]
+    calls = passed_options(tree)
+    assert calls["fit"] == [(2, {"seed"})] and None in calls["inner"]
+    assert unset_options({"m.py": options}, calls) == [
+        "m.py:2 fit.steps", "m.py:2 fit.l2", "m.py:7 Config.bands", "m.py:12 score.scale",
+    ]
