@@ -437,24 +437,18 @@ def _train_config(args) -> nn.TrainConfig:
     )
 
 
-def _train_gru(train_ds, val_ds, args, train_cfg: nn.TrainConfig):
-    """Shared by cmd_train and cmd_compare: normalize, reshape, train.
-    Returns the model, its history, the normalization and the normalized
-    training features."""
-    norm = dsp.fit_normalization(train_ds.features, args.normalization)
-    X_tr = dsp.apply_normalization(train_ds.features, norm)
-    seqs_tr, seqs_va = (nn.dataset_to_sequences(X, args.seq_len)
-                        for X in (X_tr, dsp.apply_normalization(val_ds.features, norm)))
+def _train_gru(train, val, n_classes: int, args, train_cfg: nn.TrainConfig):
+    """Shared by cmd_train and cmd_compare: train on the (sequences, labels)
+    pairs train and val, made from normalized features. Returns the model
+    and its history."""
     model_cfg = nn.ModelConfig(
-        input_dim=seqs_tr.shape[2],
+        input_dim=train[0].shape[2],
         hidden_dim=args.hidden,
         sequence_length=args.seq_len,
-        n_classes=len(train_ds.class_names),
+        n_classes=n_classes,
         seed=derive_seed(args.seed, "init"),
     )
-    model, history = nn.train(model_cfg, (seqs_tr, train_ds.labels), (seqs_va, val_ds.labels),
-                              train_cfg)
-    return model, history, norm, X_tr
+    return nn.train(model_cfg, train, val, train_cfg)
 
 
 def cmd_train(args) -> int:
@@ -463,7 +457,10 @@ def cmd_train(args) -> int:
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
-    model, history, norm, _ = _train_gru(train_ds, val_ds, args, train_cfg)
+    norm = dsp.fit_normalization(train_ds.features, args.normalization)
+    train, val = ((nn.dataset_to_sequences(dsp.apply_normalization(d.features, norm),
+                                           args.seq_len), d.labels) for d in (train_ds, val_ds))
+    model, history = _train_gru(train, val, len(train_ds.class_names), args, train_cfg)
     best = int(np.argmin(history.val_loss))
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -500,34 +497,57 @@ def cmd_compare(args) -> int:
     train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
     n_classes = len(ds.class_names)
 
-    results = []
-
-    model, history, norm, X_tr = _train_gru(train_ds, val_ds, args, train_cfg)
-    X_te = dsp.apply_normalization(test_ds.features, norm)
+    norm = dsp.fit_normalization(train_ds.features, args.normalization)
+    X_tr, X_va, X_te = (dsp.apply_normalization(d.features, norm)
+                        for d in (train_ds, val_ds, test_ds))
     y_tr, y_te = train_ds.labels, test_ds.labels
-    results.append(("gru", nn.predict_batch(model, nn.dataset_to_sequences(X_te, args.seq_len))))
+    # the GRU reads the same arrays, as [n, seq_len, d] views
+    seqs_tr, seqs_va, seqs_te = (nn.dataset_to_sequences(X, args.seq_len)
+                                 for X in (X_tr, X_va, X_te))
 
-    logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
-    results.append(("logistic", baselines.predict_logistic(logit, X_te)))
+    def fit_baselines():
+        logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
+        results = [("logistic", baselines.predict_logistic(logit, X_te))]
+        svm = baselines.fit_linear_svm(X_tr, y_tr, n_classes, seed=derive_seed(args.seed, "svm"))
+        results.append(("linear_svm", baselines.predict_svm(svm, X_te)))
+        forest = baselines.fit_forest(
+            X_tr, y_tr, n_classes,
+            n_trees=args.n_trees,
+            max_depth=args.forest_depth,
+            seed=derive_seed(args.seed, "forest"),
+        )
+        results.append(("random_forest", baselines.predict_forest(forest, X_te)))
+        boost = baselines.fit_boosting(
+            X_tr, y_tr, n_classes,
+            n_rounds=args.boost_rounds,
+            max_depth=args.boost_depth,
+            learning_rate=args.boost_lr,
+        )
+        results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)))
+        return results
 
-    svm = baselines.fit_linear_svm(X_tr, y_tr, n_classes, seed=derive_seed(args.seed, "svm"))
-    results.append(("linear_svm", baselines.predict_svm(svm, X_te)))
+    def fit_gru():
+        model, history = _train_gru((seqs_tr, y_tr), (seqs_va, val_ds.labels), n_classes,
+                                    args, train_cfg)
+        return nn.predict_batch(model, seqs_te), history
 
-    forest = baselines.fit_forest(
-        X_tr, y_tr, n_classes,
-        n_trees=args.n_trees,
-        max_depth=args.forest_depth,
-        seed=derive_seed(args.seed, "forest"),
-    )
-    results.append(("random_forest", baselines.predict_forest(forest, X_te)))
+    def outcome(fit):
+        # a PipelineError is returned, so that both items' errors reach this
+        # process and are raised in report order below
+        try:
+            return fit()
+        except PipelineError as exc:
+            return exc
 
-    boost = baselines.fit_boosting(
-        X_tr, y_tr, n_classes,
-        n_rounds=args.boost_rounds,
-        max_depth=args.boost_depth,
-        learning_rate=args.boost_lr,
-    )
-    results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)))
+    # the baselines run in this process, so a tracer counts their calls; the
+    # GRU trains beside them in a forked child when a second CPU is usable
+    fitted_baselines, fitted_gru = dataio._map_in_shares(
+        lambda share: [outcome(fit) for fit in share], [fit_baselines, fit_gru])
+    for fitted in (fitted_gru, fitted_baselines):
+        if isinstance(fitted, PipelineError):
+            raise fitted
+    gru_preds, history = fitted_gru
+    results = [("gru", gru_preds), *fitted_baselines]
 
     reports = []
     with _writing(args.out):

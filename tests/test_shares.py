@@ -1,5 +1,6 @@
 """synth writes, and featurize parses and featurizes, raw recordings in
-shares across forked processes, one per usable CPU (dataio._map_in_shares).
+shares across forked processes, one per usable CPU (dataio._map_in_shares);
+compare fits the GRU in a forked share beside the baselines.
 
 Whatever the CPU count, the files, arrays, exit codes, messages and warnings
 must be those of a serial loop; a failing or dying share must raise, never
@@ -22,9 +23,9 @@ import numpy as np
 import pytest
 
 from conftest import WATCHDOG_S
-from eegpipe import dataio, dsp
+from eegpipe import baselines, dataio, dsp, nn
 from eegpipe.cli import FEATURE_BLOCK_SAMPLES, derive_seed, main
-from eegpipe.errors import DataError, PipelineError
+from eegpipe.errors import DataError, NumericError, PipelineError
 from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -436,11 +437,9 @@ def test_featurize_peak_memory_stays_under_four_copies_of_a_long_recording(tmp_p
     assert peak < 4 * (4 * n_samples * 8)
 
 
-def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
-    # the children filter with numpy, and forking a process whose OpenBLAS
-    # has started a thread pool must neither hang nor change a bit
-    raw = tmp_path / "raw"
-    synth_at(1, raw)
+def main_after_threaded_blas(n, argv):
+    """main(argv) at n usable CPUs in a fresh interpreter whose OpenBLAS has
+    started a thread pool: the completed process."""
     code = ("import sys\n"
             "import numpy as np\n"
             "from eegpipe import dataio\n"
@@ -450,10 +449,133 @@ def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
             "dataio._usable_cpus = lambda: int(sys.argv[1])\n"
             "sys.exit(main(sys.argv[2:]))\n")
     env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "2"}
+    return subprocess.run([sys.executable, "-c", code, str(n), *argv],
+                          capture_output=True, text=True, env=env, timeout=WATCHDOG_S)
+
+
+def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
+    # the children filter with numpy, and forking a process whose OpenBLAS
+    # has started a thread pool must neither hang nor change a bit
+    raw = tmp_path / "raw"
+    synth_at(1, raw)
     for n in (1, 2):
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(n), "featurize",
-             "--manifest", str(raw / "manifest.csv"), "--out", str(tmp_path / f"{n}.csv")],
-            capture_output=True, text=True, env=env, timeout=WATCHDOG_S)
+        proc = main_after_threaded_blas(n, ["featurize", "--manifest", str(raw / "manifest.csv"),
+                                            "--out", str(tmp_path / f"{n}.csv")])
         assert (proc.returncode, proc.stderr) == (0, "")
     assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+# compare fits the four baselines in this process and the GRU beside them in
+# a forked child, as the two items of one _map_in_shares call
+
+
+@pytest.fixture(scope="module")
+def compare_features(tmp_path_factory):
+    """A 30-row feature file (10 per class) for compare."""
+    root = tmp_path_factory.mktemp("compare")
+    code, _, stderr = cli(["synth", "--per-class", "10", "--seed", "5",
+                           "--out", str(root / "raw")], 1)
+    assert (code, stderr) == (0, "")
+    code, _, stderr = cli(["featurize", "--manifest", str(root / "raw" / "manifest.csv"),
+                           "--out", str(root / "features.csv")], 1)
+    assert (code, stderr) == (0, "")
+    return str(root / "features.csv")
+
+
+COMPARE_SMALL = ["--hidden", "4", "--epochs", "6", "--patience", "6",
+                 "--n-trees", "4", "--boost-rounds", "4"]
+
+
+def compare_at(n, features, out, seed=1):
+    """compare at n usable CPUs: (exit code, stdout with out replaced, stderr)."""
+    code, stdout, stderr = cli(["compare", "--input", features, "--out", str(out),
+                                "--seed", str(seed), *COMPARE_SMALL], n)
+    return code, stdout.replace(str(out), "<out>"), stderr
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compare_writes_the_same_files_at_any_cpu_count(compare_features, tmp_path, watchdog,
+                                                        seed, n):
+    want = compare_at(1, compare_features, tmp_path / "one", seed)
+    assert (want[0], want[2]) == (0, "")
+    assert compare_at(n, compare_features, tmp_path / "n", seed) == want
+    assert tree(tmp_path / "n") == tree(tmp_path / "one")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compare_fits_the_baselines_here_and_the_gru_in_a_child(compare_features, tmp_path,
+                                                               monkeypatch, watchdog, n):
+    pids = tmp_path / "pids"
+
+    def recording_pid(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nn, "train", recording_pid("gru", nn.train))
+    monkeypatch.setattr(baselines, "fit_boosting",
+                        recording_pid("boosting", baselines.fit_boosting))
+    assert compare_at(n, compare_features, tmp_path / "out")[0] == 0
+    where = dict(line.split() for line in pids.read_text().splitlines())
+    assert where["boosting"] == str(os.getpid())
+    assert (where["gru"] == str(os.getpid())) == (n == 1)
+
+
+def fails(error):
+    def raises(*args, **kwargs):
+        raise error
+    return raises
+
+
+GRU_FAILS = ("train", NumericError("training diverged: non-finite loss at epoch 0, batch 0"))
+LOGISTIC_FAILS = ("fit_logistic", DataError("logistic regression failed"))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("failing, want_code, want_stderr", [
+    ([GRU_FAILS], 3, "numeric error: training diverged: non-finite loss at epoch 0, batch 0\n"),
+    ([LOGISTIC_FAILS], 2, "data error: logistic regression failed\n"),
+    # the GRU is first in the report, so its error wins, although the
+    # baselines are the first share
+    ([GRU_FAILS, LOGISTIC_FAILS], 3,
+     "numeric error: training diverged: non-finite loss at epoch 0, batch 0\n"),
+], ids=["gru", "logistic", "both"])
+def test_compare_raises_the_first_failing_model_in_report_order(compare_features, tmp_path,
+                                                                 monkeypatch, watchdog, n,
+                                                                 failing, want_code,
+                                                                 want_stderr):
+    for name, error in failing:
+        monkeypatch.setattr(nn if name == "train" else baselines, name, fails(error))
+    out = tmp_path / "out"
+    assert compare_at(n, compare_features, out)[::2] == (want_code, want_stderr)
+    assert not out.exists()
+
+
+def test_gru_share_that_exits_mid_training_exits_1_with_no_traceback(compare_features, tmp_path,
+                                                                    monkeypatch, watchdog):
+    parent, step = os.getpid(), nn.adam_step
+
+    def dies_in_a_child(params, grads, state, t, cfg):
+        if t == 3 and os.getpid() != parent:
+            os._exit(1)
+        return step(params, grads, state, t, cfg)
+
+    monkeypatch.setattr(nn, "adam_step", dies_in_a_child)
+    out = tmp_path / "out"
+    code, _, stderr = compare_at(2, compare_features, out)
+    assert code == 1
+    assert stderr.startswith("error: worker process ") and "exit status 1" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_compare_after_threaded_blas_matches_one_cpu(compare_features, tmp_path, watchdog):
+    # the GRU trains with numpy matmuls in the forked child
+    for n in (1, 2):
+        proc = main_after_threaded_blas(n, ["compare", "--input", compare_features,
+                                            "--out", str(tmp_path / str(n)), *COMPARE_SMALL])
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert tree(tmp_path / "2") == tree(tmp_path / "1")
