@@ -28,9 +28,10 @@ class LinearModel:
     b: np.ndarray  # [classes]
 
 
-# step size and L2 weight decay of every logistic regression fit
+# step size, L2 weight decay and step count of every logistic regression fit
 _LOGISTIC_LEARNING_RATE = 0.5
 _LOGISTIC_L2 = 1e-4
+_LOGISTIC_ITERATIONS = 500
 
 
 def logistic_loss_grad(W, b, X, y, l2: float):
@@ -43,16 +44,17 @@ def logistic_loss_grad(W, b, X, y, l2: float):
     return loss, gW, gb
 
 
-def fit_logistic(X, y, n_classes: int, iterations: int = 500) -> LinearModel:
-    """Softmax regression by full-batch gradient descent from zero weights,
-    at step size _LOGISTIC_LEARNING_RATE with L2 weight decay _LOGISTIC_L2."""
+def fit_logistic(X, y, n_classes: int) -> LinearModel:
+    """Softmax regression by _LOGISTIC_ITERATIONS steps of full-batch gradient
+    descent from zero weights, at step size _LOGISTIC_LEARNING_RATE with L2
+    weight decay _LOGISTIC_L2."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if n_classes < 2:
         raise ConfigError("need at least 2 classes")
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
-    for _ in range(iterations):
+    for _ in range(_LOGISTIC_ITERATIONS):
         loss, gW, gb = logistic_loss_grad(W, b, X, y, _LOGISTIC_L2)
         if not math.isfinite(loss):
             raise NumericError("logistic regression diverged (non-finite loss)")
@@ -88,10 +90,10 @@ class Tree:
     leaf: np.ndarray
 
 
-def _grow(X, n_rows: int, max_depth: int, min_leaf: int, find_split, leaf_value) -> Tree:
+def _grow(X, n_rows: int, max_depth: int, find_split, leaf_value) -> Tree:
     """Grow a tree over rows 0..n_rows-1 of X with an explicit stack.
 
-    A node below max_depth with at least 2*min_leaf rows asks
+    A node below max_depth with at least 2 rows asks
     find_split(idx) for a (feature, threshold, score) split or None;
     leaf_value(idx) gives every node's output. The right child is pushed
     before the left, so nodes (and any random draws inside find_split)
@@ -106,7 +108,7 @@ def _grow(X, n_rows: int, max_depth: int, min_leaf: int, find_split, leaf_value)
         if parent >= 0:
             right[parent] = node
         split = None
-        if depth < max_depth and len(idx) >= 2 * min_leaf:
+        if depth < max_depth and len(idx) >= 2:
             split = find_split(idx)
         f, thr = (-1, 0.0) if split is None else split[:2]
         feature.append(f)
@@ -147,8 +149,7 @@ def _gini_sum(counts: np.ndarray, n: int) -> float:
     return n - float(np.sum(counts.astype(float) ** 2)) / n
 
 
-def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: float,
-                       order=None):
+def _best_prefix_split(X, feature_indices, side_scores, bound: float, order=None):
     """Exact prefix-sum split scan shared by the Gini and MSE splitters.
 
     Each column of X (restricted to feature_indices, in that order) is
@@ -156,11 +157,10 @@ def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: fl
     columns (one row per column), is given; side_scores(order, n_left)
     maps that order and the [n-1] left-side sizes to the [d, n-1] scores
     of splitting after each sorted position. A position is a candidate
-    only when its value differs from the next one, both sides hold at
-    least min_leaf rows and its score is below bound. argmin over the
-    feature-major scores takes the first minimum, so ties go to the lower
-    feature, then the lower threshold. Returns (feature, threshold, score)
-    or None.
+    only when its value differs from the next one and its score is below
+    bound. argmin over the feature-major scores takes the first minimum, so
+    ties go to the lower feature, then the lower threshold. Returns
+    (feature, threshold, score) or None.
     """
     if feature_indices is not None:
         X = X[:, feature_indices]
@@ -172,8 +172,7 @@ def _best_prefix_split(X, feature_indices, min_leaf: int, side_scores, bound: fl
     xs = np.take(X, order * d + np.arange(d)[:, None])  # xs[j, i] = X[order[j, i], j]
     n_left = np.arange(1, n, dtype=float)
     scores = side_scores(order, n_left)
-    sizes_ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    ok = (xs[:, :-1] != xs[:, 1:]) & sizes_ok & (scores < bound)
+    ok = (xs[:, :-1] != xs[:, 1:]) & (scores < bound)
     scores = np.where(ok, scores, np.inf)
     j, i = divmod(int(np.argmin(scores)), n - 1)
     if not ok[j, i]:
@@ -199,7 +198,7 @@ def _node_order(order, idx):
     return node[node >= 0].reshape(d, len(idx))
 
 
-def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
+def best_gini_split(X, y, n_classes: int, feature_indices=None):
     """Exhaustive scan for the split minimizing the weighted Gini impurity.
 
     Candidate thresholds are midpoints between consecutive distinct
@@ -222,7 +221,7 @@ def best_gini_split(X, y, n_classes: int, min_leaf: int, feature_indices=None):
         return (n_left - sq_left / n_left) + (n_right - sq_right / n_right)
 
     return _best_prefix_split(
-        X, feature_indices, min_leaf, side_scores, _gini_sum(counts_total, n)
+        X, feature_indices, side_scores, _gini_sum(counts_total, n)
     )
 
 
@@ -231,7 +230,6 @@ def fit_tree(
     y,
     n_classes: int,
     max_depth: int = 12,
-    min_leaf: int = 1,
     rng: np.random.Generator | None = None,
     max_features: int | None = None,
 ) -> Tree:
@@ -253,12 +251,12 @@ def fit_tree(
         feats = None
         if subsample:
             feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
-        return best_gini_split(X[idx], y[idx], n_classes, min_leaf, feats)
+        return best_gini_split(X[idx], y[idx], n_classes, feats)
 
     def leaf_value(idx):
         return np.bincount(y[idx], minlength=n_classes) / len(idx)
 
-    return _grow(X, len(y), max_depth, min_leaf, find_split, leaf_value)
+    return _grow(X, len(y), max_depth, find_split, leaf_value)
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +275,23 @@ def fit_forest(
     n_classes: int,
     n_trees: int = 100,
     max_depth: int = 12,
-    feature_subsample: float | None = None,
-    bootstrap: bool = True,
     seed: int = 0,
 ) -> ForestModel:
-    """Bootstrap-aggregated CART trees with per-split feature subsampling.
-
-    feature_subsample is the fraction of features per split; the default
-    None means sqrt(n_features). Per-tree seeds are pre-assigned so the
-    result does not depend on fitting order.
+    """Bootstrap-aggregated CART trees that each draw round(sqrt(n_features))
+    features per split. Per-tree seeds are pre-assigned so the result does
+    not depend on fitting order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if n_trees < 1:
         raise ConfigError("n_trees must be >= 1")
     n, d = X.shape
-    if feature_subsample is None:
-        max_features = max(1, int(round(math.sqrt(d))))
-    else:  # a fraction >= 1 gives max_features >= d: no subsampling
-        max_features = max(1, int(round(feature_subsample * d)))
+    max_features = max(1, int(round(math.sqrt(d))))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(
             fit_tree(X[idx], y[idx], n_classes, max_depth, rng=rng, max_features=max_features)
         )
@@ -320,8 +311,12 @@ def predict_forest(model: ForestModel, X):
 # linear SVM (one-vs-rest hinge, averaged stochastic subgradient)
 
 
-def fit_linear_svm(X, y, n_classes: int, epochs: int = 50, seed: int = 0) -> LinearModel:
-    """One-vs-rest hinge loss via seeded SGD with iterate averaging.
+_SVM_EPOCHS = 50  # passes over the data of every linear SVM fit
+
+
+def fit_linear_svm(X, y, n_classes: int, seed: int = 0) -> LinearModel:
+    """One-vs-rest hinge loss via _SVM_EPOCHS epochs of seeded SGD with
+    iterate averaging.
 
     Objective per class: lambda/2 ||w||^2 + mean hinge, lambda = 1/n.
     The returned weights are the average over all SGD iterates, which
@@ -338,7 +333,7 @@ def fit_linear_svm(X, y, n_classes: int, epochs: int = 50, seed: int = 0) -> Lin
     rng = np.random.default_rng(seed)
     all_targets = np.where(np.arange(n_classes) == y[:, None], 1.0, -1.0)  # [n, classes] of +-1
     t = 0
-    for _ in range(epochs):
+    for _ in range(_SVM_EPOCHS):
         for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
@@ -368,7 +363,7 @@ class BoostModel:
     n_classes: int
 
 
-def best_mse_split(X, g, min_leaf: int, order=None):
+def best_mse_split(X, g, order=None):
     """Variance-reduction split for regression targets g; same tie rules as
     Gini, and a split must beat the parent by more than 1e-12 times the
     larger of 1 and sum(g**2): the scores are differences of sums that large,
@@ -387,10 +382,10 @@ def best_mse_split(X, g, min_leaf: int, order=None):
         return total_sq - s * s / n_left - (total - s) ** 2 / (n - n_left)
 
     margin = 1e-12 * max(1.0, total_sq)
-    return _best_prefix_split(X, None, min_leaf, side_scores, parent - margin, order)
+    return _best_prefix_split(X, None, side_scores, parent - margin, order)
 
 
-def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int, order) -> Tree:
+def _fit_regression_tree(X, residual, hessian, max_depth: int, order) -> Tree:
     """Regression tree on residuals; leaf value is the Newton step
     sum(residual) / sum(hessian). `order` is the [d, n] stable sort order
     of X's columns, from which each node's own order is derived."""
@@ -398,13 +393,13 @@ def _fit_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int, or
     def find_split(idx):
         g = residual[idx]
         if (g == g[0]).all():  # best_mse_split returns None before it reads an order
-            return best_mse_split(X[idx], g, min_leaf)
-        return best_mse_split(X[idx], g, min_leaf, _node_order(order, idx))
+            return best_mse_split(X[idx], g)
+        return best_mse_split(X[idx], g, _node_order(order, idx))
 
     def leaf_value(idx):
         return float(residual[idx].sum()) / max(float(hessian[idx].sum()), 1e-12)
 
-    return _grow(X, len(residual), max_depth, min_leaf, find_split, leaf_value)
+    return _grow(X, len(residual), max_depth, find_split, leaf_value)
 
 
 def fit_boosting(
@@ -414,7 +409,6 @@ def fit_boosting(
     n_rounds: int = 100,
     max_depth: int = 3,
     learning_rate: float = 0.1,
-    min_leaf: int = 1,
 ) -> BoostModel:
     """Gradient boosting with one-vs-rest logistic loss.
 
@@ -441,7 +435,7 @@ def fit_boosting(
             p = 1.0 / (1.0 + np.exp(-F[:, cidx]))
             residual = onehot[:, cidx] - p
             hessian = p * (1.0 - p)
-            tree = _fit_regression_tree(X, residual, hessian, max_depth, min_leaf, order)
+            tree = _fit_regression_tree(X, residual, hessian, max_depth, order)
             F[:, cidx] += learning_rate * _tree_outputs(tree, X)
             per_class.append(tree)
         rounds.append(per_class)

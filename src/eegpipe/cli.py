@@ -110,6 +110,7 @@ class Setting(NamedTuple):
 
 
 _FEATURE = dsp.FeatureConfig()
+_TRAIN = nn.TrainConfig()
 _GRU = ("train", "compare")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
@@ -136,16 +137,16 @@ SETTINGS = {s.key: s for s in [
     Setting("welch_overlap", None, _real, {"featurize": _FEATURE.welch_overlap},
             (lambda v: 0 <= v < 1, "in [0, 1)")),
     Setting("fractions", "--fractions", _fractions,
-            dict.fromkeys(("split", "compare"), (0.6, 0.2, 0.2))),
+            dict.fromkeys(("split", "compare"), dataio.SplitSpec().fractions)),
     Setting("label_column", "--label-column", _text,
             dict.fromkeys(("split", "train", "evaluate", "compare"), "label")),
     Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32), _AT_LEAST_1),
     Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4), _AT_LEAST_1),
-    Setting("lr", "--lr", _real, dict.fromkeys(_GRU, 1e-3)),
-    Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, 32)),
-    Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, 150)),
-    Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, 10)),
-    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam"),
+    Setting("lr", "--lr", _real, dict.fromkeys(_GRU, _TRAIN.learning_rate)),
+    Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, _TRAIN.batch_size)),
+    Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, _TRAIN.max_epochs)),
+    Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, _TRAIN.patience)),
+    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, _TRAIN.optimizer),
             (lambda v: v in ("adam", "sgd"), "adam or sgd")),
     Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore"),
             (lambda v: v in ("zscore", "minmax"), "zscore or minmax")),
@@ -388,10 +389,11 @@ def cmd_featurize(args) -> int:
     entries, fs = dataio.read_manifest(args.manifest)
     if not entries:
         raise DataError("manifest lists no recordings")
-    # the band is checked against the manifest's rate before any recording is read
+    # the filter and EEG bands are checked against the manifest's rate before any recording is read
     coeffs = dsp.design_butterworth_bandpass(
         fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
+    dsp.check_bands(fs, fc.welch_segment_len)
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
     _refuse_overwriting_inputs(args, [os.path.join(data_dir, e["file"]) for e in entries])
     # each share of recordings is featurized in the process that parses it

@@ -311,7 +311,7 @@ def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.ndarray:
+def filtfilt(coeffs: FilterCoefficients, x) -> np.ndarray:
     """Zero-phase forward-backward filtering along the last axis, with
     reflective edge padding.
 
@@ -319,17 +319,17 @@ def filtfilt(coeffs: FilterCoefficients, x, padlen: int | None = None) -> np.nda
     filtered as their stack; the stack is written straight into the padded
     work array, which is then filtered in place. The list is emptied once
     it is stacked, so that arrays it alone holds are freed before the
-    filter runs. Default padding is 3x the filter order. Initial conditions
-    are the steady-state response to the first padded sample, so constant
-    inputs pass through a bandpass as exactly zero. The effective magnitude
-    response is |H|^2.
+    filter runs. Each edge is padded by 3x the filter order, which the
+    input must exceed in length. Initial conditions are the steady-state
+    response to the first padded sample, so constant inputs pass through a
+    bandpass as exactly zero. The effective magnitude response is |H|^2.
     """
     stacked = not isinstance(x, np.ndarray)
     shape = (len(x), *np.shape(x[0])) if stacked else x.shape
     n = shape[-1]
-    if n <= 3 * coeffs.order:
-        raise DataError(f"input length {n} too short; need more than {3 * coeffs.order} samples")
-    padlen = min(3 * coeffs.order if padlen is None else padlen, n - 1)
+    padlen = 3 * coeffs.order
+    if n <= padlen:
+        raise DataError(f"input length {n} too short; need more than {padlen} samples")
     ext = np.empty(shape[:-1] + (n + 2 * padlen,))
     body = ext[..., padlen : padlen + n]
     if stacked:
@@ -364,9 +364,9 @@ def welch_psd(
     fs_hz: float,
     segment_len: int = 256,
     overlap_fraction: float = 0.5,
-    window: str = "hann",
 ) -> Psd:
-    """Welch PSD along the last axis: averaged one-sided periodograms of windowed segments.
+    """Welch PSD along the last axis: averaged one-sided periodograms of
+    Hann-windowed segments.
 
     Normalized by the window power, so the integral of the PSD estimates
     the signal variance plus DC power.
@@ -378,12 +378,7 @@ def welch_psd(
         raise DataError(f"signal length {x.shape[-1]} shorter than Welch segment {segment_len}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ConfigError("overlap_fraction must lie in [0, 1)")
-    if window == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    elif window == "rect":
-        w = np.ones(segment_len)
-    else:
-        raise ConfigError(f"unsupported window {window!r}")
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)  # periodic Hann
     hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)[..., ::hop, :]
     scale = 1.0 / (fs_hz * np.sum(w * w))
@@ -406,6 +401,19 @@ def band_power(psd: Psd, low_hz: float, high_hz: float) -> np.ndarray:
     # a slice, not a boolean mask: the band's bins stay contiguous, so each
     # signal's sum runs in the same order whatever it is batched with
     return np.trapezoid(psd.power[..., lo:hi], freqs[lo:hi], axis=-1)
+
+
+def check_bands(fs_hz: float, segment_len: int) -> None:
+    """Raise a ConfigError naming the first EEG_BANDS band that extract_features
+    cannot measure at fs_hz: clipped to Nyquist, as there, the band must keep
+    the 2 bins of a segment_len-point Welch PSD that band_power needs."""
+    freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs_hz)
+    for name, (lo, hi) in EEG_BANDS.items():
+        try:
+            band_power(Psd(freqs, 0.0 * freqs, fs_hz / segment_len), lo, min(hi, freqs[-1]))
+        except (ConfigError, DataError) as exc:
+            raise ConfigError(f"EEG band {name} ({lo}-{hi} Hz) cannot be measured at sample rate "
+                              f"{fs_hz} Hz with welch_segment_len {segment_len}: {exc}") from None
 
 
 def spectral_entropy(psd: Psd) -> np.ndarray:

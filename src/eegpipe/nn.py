@@ -17,13 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, PipelineError
 
 CHECKPOINT_VERSION = 1
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma and Ba's settings
 GATES = ("z", "r", "h")  # order of the H-row gate blocks in GruParams
 # ufuncs take `out` positionally here: numpy spends 0.1-0.4 us a call parsing out=
 
@@ -103,9 +104,6 @@ class ModelConfig:
 class TrainConfig:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 150
     patience: int = 10
@@ -120,18 +118,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1/beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
 
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    train_acc: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_acc: list[float] = field(default_factory=list)
+    train_loss: list[float]
+    train_acc: list[float]
+    val_loss: list[float]
+    val_acc: list[float]
 
     def __len__(self):
         return len(self.train_loss)
@@ -514,18 +508,18 @@ def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: T
     if not state:
         state.update((k, np.zeros_like(g)) for k in ("m", "v", "step", "denom"))
     m, v, step, denom = state["m"], state["v"], state["step"], state["denom"]
-    m *= cfg.beta1
-    np.multiply(g, 1.0 - cfg.beta1, step)
+    m *= _ADAM_BETA1
+    np.multiply(g, 1.0 - _ADAM_BETA1, step)
     m += step
-    v *= cfg.beta2
-    np.multiply(g, 1.0 - cfg.beta2, step)
+    v *= _ADAM_BETA2
+    np.multiply(g, 1.0 - _ADAM_BETA2, step)
     step *= g
     v += step
-    np.divide(m, 1.0 - cfg.beta1**t, step)  # m_hat
+    np.divide(m, 1.0 - _ADAM_BETA1**t, step)  # m_hat
     step *= cfg.learning_rate
-    np.divide(v, 1.0 - cfg.beta2**t, denom)  # v_hat
+    np.divide(v, 1.0 - _ADAM_BETA2**t, denom)  # v_hat
     np.sqrt(denom, denom)
-    denom += cfg.epsilon
+    denom += _ADAM_EPSILON
     step /= denom
     params.vector -= step
 
@@ -588,7 +582,7 @@ def train(
     workspaces: dict = {}
     step_fn = adam_step if cfg.optimizer == "adam" else sgd_step
     rng = np.random.default_rng(cfg.seed)
-    history = TrainHistory()
+    history = TrainHistory([], [], [], [])
     best_loss = np.inf
     best = params.vector.copy()
     wait = 0
@@ -739,7 +733,7 @@ def save_history(history: TrainHistory, path: str) -> None:
 def load_history(path: str) -> TrainHistory:
     """Read a history CSV; a missing file, column or number, or a number
     that is not finite and so has no place on a curve, is a DataError."""
-    hist = TrainHistory()
+    hist = TrainHistory([], [], [], [])
     line = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:

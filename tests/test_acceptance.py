@@ -156,12 +156,15 @@ def test_criterion_3_dsp_oracles():
     )))
     assert cut_err < 1e-3
 
-    # single-segment rectangular Welch satisfies Parseval exactly
+    # single-segment Welch satisfies Parseval exactly for its Hann window w:
+    # sum(P) * df = sum((x w)^2) / sum(w^2)
     rng = np.random.default_rng(0)
     x = rng.normal(size=256)
-    psd = dsp.welch_psd(x, fs, segment_len=256, overlap_fraction=0.0, window="rect")
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(256) / 256)
+    psd = dsp.welch_psd(x, fs, segment_len=256, overlap_fraction=0.0)
     df = psd.freqs_hz[1] - psd.freqs_hz[0]
-    parseval_rel = abs(float(np.sum(psd.power) * df) - float(np.mean(x**2))) / float(np.mean(x**2))
+    windowed = float(np.sum((x * w) ** 2) / np.sum(w * w))
+    parseval_rel = abs(float(np.sum(psd.power) * df) - windowed) / windowed
     assert parseval_rel < 1e-9
 
     freqs = np.arange(4, dtype=float)
@@ -223,7 +226,7 @@ def test_criterion_5_baseline_sanity(synthetic_run):
         X = rng.normal(size=(n, d)).round(2)
         y = rng.integers(0, k, size=n)
         want = brute_force_best_split(X, y, k)
-        got = baselines.best_gini_split(X, y, k, min_leaf=1)
+        got = baselines.best_gini_split(X, y, k)
         if want is None:
             assert got is None, f"trial {trial}"
         else:

@@ -64,12 +64,12 @@ class TestLogistic:
         model = baselines.fit_logistic(X, y, n_classes=2)
         assert np.array_equal(baselines.predict_logistic(model, X), y)
 
-    def test_zero_iterations_uniform_probs(self):
-        # zero weights give every class probability 1/2: the loss is ln 2 and
-        # the bias gradient is 1/2 minus each class's share; the scores tie,
-        # so every row goes to class 0
+    def test_zero_weights_uniform_probs(self):
+        # zero weights, where every fit starts, give every class probability
+        # 1/2: the loss is ln 2 and the bias gradient is 1/2 minus each
+        # class's share; the scores tie, so every row goes to class 0
         X, y = blob_dataset()
-        model = baselines.fit_logistic(X, y, n_classes=2, iterations=0)
+        model = baselines.LinearModel(W=np.zeros((2, X.shape[1])), b=np.zeros(2))
         loss, _, gb = baselines.logistic_loss_grad(model.W, model.b, X, y, l2=1e-4)
         assert abs(loss - math.log(2.0)) < 1e-15
         assert np.max(np.abs(gb - (0.5 - np.bincount(y) / len(y)))) < 1e-15
@@ -96,21 +96,22 @@ class TestLogistic:
                 assert abs(num - gflat[i]) < 1e-7
 
     def test_loss_decreases(self):
+        # the fit starts from zero weights, whose loss is ln 2 (see above)
         X, y = blob_dataset(seed=1)
-        m_few = baselines.fit_logistic(X, y, n_classes=2, iterations=5)
-        m_many = baselines.fit_logistic(X, y, n_classes=2, iterations=200)
-        l_few, _, _ = baselines.logistic_loss_grad(m_few.W, m_few.b, X, y, l2=1e-4)
-        l_many, _, _ = baselines.logistic_loss_grad(m_many.W, m_many.b, X, y, l2=1e-4)
-        assert l_many < l_few
+        model = baselines.fit_logistic(X, y, n_classes=2)
+        loss, _, _ = baselines.logistic_loss_grad(model.W, model.b, X, y, l2=1e-4)
+        assert loss < math.log(2.0)
 
     def test_xor_not_linearly_solvable(self):
+        # no line classifies more than 3 of the 4 XOR corners, so no linear
+        # model, however long it trains, scores above 0.75 on their clusters
         X, y = xor_cluster_dataset()
-        model = baselines.fit_logistic(X, y, n_classes=2, iterations=2000)
+        model = baselines.fit_logistic(X, y, n_classes=2)
         preds = baselines.predict_logistic(model, X)
         assert np.mean(preds == y) <= 0.75
 
 
-def brute_force_best_split(X, y, n_classes, min_leaf=1, features=None):
+def brute_force_best_split(X, y, n_classes, features=None):
     """Independent exhaustive Gini search over every midpoint threshold."""
     n = len(y)
     parent = n - sum(np.sum(y == c) ** 2 for c in range(n_classes)) / n
@@ -120,8 +121,6 @@ def brute_force_best_split(X, y, n_classes, min_leaf=1, features=None):
         for lo, hi in zip(vals[:-1], vals[1:]):
             thr = (lo + hi) / 2.0
             mask = X[:, j] <= thr
-            if min(mask.sum(), (~mask).sum()) < min_leaf:
-                continue
             score = 0.0
             for side in (mask, ~mask):
                 ns = int(side.sum())
@@ -134,7 +133,7 @@ def brute_force_best_split(X, y, n_classes, min_leaf=1, features=None):
     return best
 
 
-def brute_force_best_mse_split(X, g, min_leaf):
+def brute_force_best_mse_split(X, g):
     """Independent exhaustive variance-reduction search; a split must beat
     the parent by more than 1e-12 times the larger of 1 and sum(g**2)."""
     n = len(g)
@@ -148,8 +147,6 @@ def brute_force_best_mse_split(X, g, min_leaf):
             thr = (lo + hi) / 2.0
             mask = X[:, j] <= thr
             n_left, n_right = int(mask.sum()), int((~mask).sum())
-            if min(n_left, n_right) < min_leaf:
-                continue
             s_left, s_right = float(np.sum(g[mask])), float(np.sum(g[~mask]))
             score = total_sq - s_left * s_left / n_left - s_right * s_right / n_right
             if score < parent - margin and (best is None or score < best[2]):
@@ -160,7 +157,7 @@ def brute_force_best_mse_split(X, g, min_leaf):
 @st.composite
 def tie_heavy_split_problem(draw):
     """Small-integer features (many ties), labels, integer-valued residuals
-    (so every prefix sum is exact), min_leaf and a random feature subset."""
+    (so every prefix sum is exact) and a random feature subset."""
     n = draw(st.integers(1, 16))
     d = draw(st.integers(1, 4))
     k = draw(st.integers(2, 3))
@@ -168,10 +165,9 @@ def tie_heavy_split_problem(draw):
                  dtype=float).reshape(n, d)
     y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     g = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
-    min_leaf = draw(st.integers(1, 3))
     features = draw(st.permutations(range(d)).flatmap(
         lambda p: st.integers(1, d).map(lambda m: list(p[:m]))))
-    return X, y, k, g, min_leaf, features
+    return X, y, k, g, features
 
 
 class TestTree:
@@ -203,7 +199,7 @@ class TestTree:
         tree = baselines.fit_tree(X, y, n_classes=2)
         preds = baselines._tree_outputs(tree, X).argmax(axis=1)
         assert np.mean(preds == y) == 1.0
-        linear = baselines.fit_logistic(X, y, n_classes=2, iterations=2000)
+        linear = baselines.fit_logistic(X, y, n_classes=2)
         pl = baselines.predict_logistic(linear, X)
         assert np.mean(preds == y) >= np.mean(pl == y)
 
@@ -213,7 +209,7 @@ class TestTree:
             X = rng.normal(size=(25, 4)).round(2)
             y = rng.integers(0, 3, size=25)
             want = brute_force_best_split(X, y, 3)
-            got = baselines.best_gini_split(X, y, 3, min_leaf=1)
+            got = baselines.best_gini_split(X, y, 3)
             if want is None:
                 assert got is None
             else:
@@ -226,31 +222,30 @@ class TestTree:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_split_problem())
     def test_scans_match_brute_force_on_ties(self, problem):
-        X, y, k, g, min_leaf, features = problem
-        assert baselines.best_gini_split(X, y, k, min_leaf, features) == \
-            brute_force_best_split(X, y, k, min_leaf, features)
-        assert baselines.best_mse_split(X, g, min_leaf) == \
-            brute_force_best_mse_split(X, g, min_leaf)
+        X, y, k, g, features = problem
+        assert baselines.best_gini_split(X, y, k, features) == \
+            brute_force_best_split(X, y, k, features)
+        assert baselines.best_mse_split(X, g) == brute_force_best_mse_split(X, g)
 
     @settings(max_examples=100, deadline=None)
     @given(tie_heavy_split_problem(), st.data())
     def test_node_order_equals_a_fresh_stable_sort(self, problem, data):
         # boosting sorts X once and derives each node's order from it
-        X, _, _, g, min_leaf, _ = problem
+        X, _, _, g, _ = problem
         rows = data.draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X)))
         idx = np.flatnonzero(rows)
         order = baselines._node_order(np.argsort(X.T, axis=1, kind="stable"), idx)
         assert np.array_equal(order, np.argsort(X[idx], axis=0, kind="stable").T)
-        assert baselines.best_mse_split(X[idx], g[idx], min_leaf, order) == \
-            baselines.best_mse_split(X[idx], g[idx], min_leaf)
+        assert baselines.best_mse_split(X[idx], g[idx], order) == \
+            baselines.best_mse_split(X[idx], g[idx])
 
     def test_mse_split_needs_more_than_rounding_gain(self):
         # both sides have mean -2/3, so no split gains anything, yet the
         # computed score lands one ulp below the parent's
         X = np.array([[0.0]] * 3 + [[1.0]] * 3)
         g = np.array([-1.0, -3.0, 2.0, -1.0, 0.0, -1.0])
-        assert baselines.best_mse_split(X, g, min_leaf=1) is None
-        assert brute_force_best_mse_split(X, g, min_leaf=1) is None
+        assert baselines.best_mse_split(X, g) is None
+        assert brute_force_best_mse_split(X, g) is None
 
     @pytest.mark.parametrize("value", [5.07, 13.7, 1e3 / 3])
     def test_mse_split_leaves_constant_target_alone(self, value):
@@ -258,7 +253,7 @@ class TestTree:
         # fixed 1e-12 margin; a constant target must still have no split
         for seed in range(10):
             X = np.random.default_rng(seed).normal(size=(180, 56))
-            assert baselines.best_mse_split(X, np.full(180, value), 1) is None
+            assert baselines.best_mse_split(X, np.full(180, value)) is None
 
     @pytest.mark.parametrize("value", [13.7, 100 / 3, 1e3 / 3])
     def test_mse_split_leaves_nearly_constant_target_alone(self, value):
@@ -270,8 +265,8 @@ class TestTree:
             X = rng.normal(size=(180, 56))
             g = np.full(180, value)
             g[rng.integers(180)] = np.nextafter(value, np.inf)
-            assert baselines.best_mse_split(X, g, 1) is None
-            assert brute_force_best_mse_split(X, g, 1) is None
+            assert baselines.best_mse_split(X, g) is None
+            assert brute_force_best_mse_split(X, g) is None
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(1)
@@ -299,19 +294,21 @@ class TestTree:
         # duplicated feature columns give identical best scores
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([0, 0, 1, 1])
-        feat, thr, _ = baselines.best_gini_split(X, y, 2, min_leaf=1)
+        feat, thr, _ = baselines.best_gini_split(X, y, 2)
         assert feat == 0
         assert thr == 2.5
 
 
 class TestForest:
     def test_degenerate_forest_equals_single_tree(self):
+        # a one-tree forest is one tree grown on a bootstrap sample, drawing
+        # round(sqrt(d)) features per split from the tree's own generator
         X, y = blob_dataset(seed=2)
-        forest = baselines.fit_forest(
-            X, y, n_classes=2, n_trees=1, bootstrap=False,
-            feature_subsample=1.0, seed=0,
-        )
-        tree = baselines.fit_tree(X, y, n_classes=2)
+        forest = baselines.fit_forest(X, y, n_classes=2, n_trees=1, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+        rows = rng.integers(0, len(y), size=len(y))
+        tree = baselines.fit_tree(X[rows], y[rows], n_classes=2, rng=rng,
+                                  max_features=max(1, round(math.sqrt(X.shape[1]))))
         assert same_trees(forest.trees, [tree])
         assert np.array_equal(baselines.predict_forest(forest, X),
                               baselines._tree_outputs(tree, X).argmax(axis=1))
@@ -349,7 +346,7 @@ class TestForest:
         assert np.mean(preds == y) >= 0.95
 
 
-def ref_fit_linear_svm(X, y, n_classes, c=1.0, epochs=50, seed=0):
+def ref_fit_linear_svm(X, y, n_classes, epochs, seed, c=1.0):
     """Reference per-sample SGD loop, building each example's +-1 targets at every step."""
     n, d = X.shape
     lam = 1.0 / (c * n)
@@ -380,8 +377,8 @@ class TestSvm:
     def test_matches_per_sample_reference(self, seed, n_classes):
         rng = np.random.default_rng(seed + 40)
         X, y = rng.normal(size=(45, 5)), rng.integers(0, n_classes, 45)
-        got = baselines.fit_linear_svm(X, y, n_classes, epochs=10, seed=seed)
-        want = ref_fit_linear_svm(X, y, n_classes, epochs=10, seed=seed)
+        got = baselines.fit_linear_svm(X, y, n_classes, seed=seed)
+        want = ref_fit_linear_svm(X, y, n_classes, epochs=50, seed=seed)
         assert got.W.tobytes() == want.W.tobytes()
         assert got.b.tobytes() == want.b.tobytes()
 
@@ -503,19 +500,19 @@ class TreeNode:
     leaf: object = None
 
 
-def ref_fit_tree(X, y, n_classes, max_depth=12, min_leaf=1, rng=None, max_features=None):
+def ref_fit_tree(X, y, n_classes, max_depth=12, rng=None, max_features=None):
     """Reference recursive CART grower: purity stop, then the feature draw."""
 
     def grow(idx, depth):
         counts = np.bincount(y[idx], minlength=n_classes)
         node_n = len(idx)
-        if depth >= max_depth or node_n < 2 * min_leaf or np.max(counts) == node_n:
+        if depth >= max_depth or node_n < 2 or np.max(counts) == node_n:
             return TreeNode(leaf=counts / node_n)
         if max_features is not None and max_features < X.shape[1]:
             feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
         else:
             feats = None
-        split = baselines.best_gini_split(X[idx], y[idx], n_classes, min_leaf, feats)
+        split = baselines.best_gini_split(X[idx], y[idx], n_classes, feats)
         if split is None:
             return TreeNode(leaf=counts / node_n)
         f, thr, _ = split
@@ -525,7 +522,7 @@ def ref_fit_tree(X, y, n_classes, max_depth=12, min_leaf=1, rng=None, max_featur
     return grow(np.arange(len(y)), 0)
 
 
-def ref_fit_regression_tree(X, residual, hessian, max_depth, min_leaf):
+def ref_fit_regression_tree(X, residual, hessian, max_depth):
     """Reference recursive regression grower with Newton leaf values."""
 
     def leaf(idx):
@@ -533,9 +530,9 @@ def ref_fit_regression_tree(X, residual, hessian, max_depth, min_leaf):
         return TreeNode(leaf=float(np.sum(residual[idx])) / max(denom, 1e-12))
 
     def grow(idx, depth):
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
+        if depth >= max_depth or len(idx) < 2:
             return leaf(idx)
-        split = baselines.best_mse_split(X[idx], residual[idx], min_leaf)
+        split = baselines.best_mse_split(X[idx], residual[idx])
         if split is None:
             return leaf(idx)
         f, thr, _ = split
@@ -577,7 +574,7 @@ def ref_fit_boosting(X, y, n_classes, n_rounds, max_depth, learning_rate=0.1):
         per_class = []
         for c in range(n_classes):
             p = 1.0 / (1.0 + np.exp(-F[:, c]))
-            tree = ref_fit_regression_tree(X, onehot[:, c] - p, p * (1.0 - p), max_depth, 1)
+            tree = ref_fit_regression_tree(X, onehot[:, c] - p, p * (1.0 - p), max_depth)
             F[:, c] += learning_rate * ref_outputs(tree, X)
             per_class.append(tree)
         rounds.append(per_class)
@@ -613,11 +610,11 @@ def tie_heavy_dataset(seed, n, d, k):
 class TestReferenceGrower:
     """The flat grower against the recursive growers it replaced."""
 
-    @pytest.mark.parametrize("max_depth,min_leaf", [(12, 1), (3, 4)])
-    def test_fit_tree_matches_reference(self, max_depth, min_leaf):
+    @pytest.mark.parametrize("max_depth", [12, 3])
+    def test_fit_tree_matches_reference(self, max_depth):
         X, y = tie_heavy_dataset(21, 80, 5, 3)
-        tree = baselines.fit_tree(X, y, 3, max_depth, min_leaf)
-        want = ref_fit_tree(X, y, 3, max_depth, min_leaf)
+        tree = baselines.fit_tree(X, y, 3, max_depth)
+        want = ref_fit_tree(X, y, 3, max_depth)
         assert len(tree.feature) > 3
         assert_same_tree(tree, want)
         assert baselines._tree_outputs(tree, X).tobytes() == ref_outputs(want, X).tobytes()

@@ -114,15 +114,15 @@ def test_train_call_census(monkeypatch):
     }
 
 
-def nodes_that_search(tree, X, max_depth, min_leaf):
+def nodes_that_search(tree, X, max_depth):
     """How many nodes of a fitted tree were below max_depth with at least
-    2*min_leaf rows, and how many of those split, from the rows of X that
-    reach each node."""
+    2 rows, and how many of those split, from the rows of X that reach each
+    node."""
     searched = split = 0
     stack = [(0, np.arange(len(X)), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        if depth < max_depth and len(rows) >= 2 * min_leaf:
+        if depth < max_depth and len(rows) >= 2:
             searched += 1
         if tree.left[node] >= 0:
             split += 1
@@ -146,9 +146,9 @@ def test_boosting_split_census(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 4)).round(1)
     y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int) + (X[:, 2] > 0.8)
-    max_depth, min_leaf = 3, 2
-    model = baselines.fit_boosting(X, y, 3, n_rounds=4, max_depth=max_depth, min_leaf=min_leaf)
-    counts = [nodes_that_search(tree, X, max_depth, min_leaf)
+    max_depth = 3
+    model = baselines.fit_boosting(X, y, 3, n_rounds=4, max_depth=max_depth)
+    counts = [nodes_that_search(tree, X, max_depth)
               for per_class in model.trees for tree in per_class]
     searched, found = map(sum, zip(*counts))
     assert found > len(counts)  # deeper than stumps

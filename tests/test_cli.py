@@ -308,6 +308,16 @@ class TestSettings:
                                   set(read_by.split(", ")))
                  for key, flag, _, _, _, read_by in cells}
         assert table == {key: (row.flag, set(row.defaults)) for key, row in SETTINGS.items()}
+        # a default that every reading command shares reads back through the
+        # row's own converter
+        checked = 0
+        for key, _, _, _, default, _ in cells:
+            row = SETTINGS[key.strip("`")]
+            values = set(row.defaults.values())
+            if len(values) == 1 and None not in values:
+                assert row.convert(default) == values.pop(), key
+                checked += 1
+        assert checked == len(SETTINGS) - 2  # window_len and hop differ or derive
 
     def test_label_column_is_a_setting(self, pipeline, tmp_path, capsys):
         assert run("synth", "--label-column", "emotion", "--out", str(tmp_path / "raw")) == 1
@@ -909,6 +919,24 @@ def test_band_above_nyquist_is_config_error_before_recordings_are_read(tmp_path,
                "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "fs/2" in err and "200.0" in err and "missing file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fs,high,why", [("50", "20", "outside [0, 25.0]"),
+                                         ("60.1", "25", "no PSD bins inside band (30.0, 30.05)")])
+def test_eeg_band_the_rate_cannot_measure_is_config_error_before_recordings_are_read(
+        tmp_path, capsys, fs, high, why):
+    # the gamma band (30-45 Hz), clipped to Nyquist, keeps fewer than 2 Welch
+    # bins: checked against the manifest's rate before any recording is opened
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file,label,sample_rate_hz,channels\n"
+                        f"absent_0.csv,calm,{fs},TP9;AF7\nabsent_1.csv,happy,{fs},TP9;AF7\n")
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", str(manifest), "--filter-high", high,
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"EEG band gamma (30.0-45.0 Hz) cannot be measured at sample rate {float(fs)} Hz" in err
+    assert why in err and "missing file" not in err
     assert not out.exists()
 
 

@@ -535,7 +535,9 @@ class TestOptimizers:
         ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = nn.FlatParams(ref.items())
         state, ref_state = {}, {}
-        cfg = nn.TrainConfig(learning_rate=0.003, beta1=0.8, beta2=0.95, epsilon=1e-7)
+        cfg = nn.TrainConfig(learning_rate=0.003)
+        # Kingma and Ba's suggested settings
+        assert (nn._ADAM_BETA1, nn._ADAM_BETA2, nn._ADAM_EPSILON) == (0.9, 0.999, 1e-8)
         for t in range(1, 201):
             g = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4)
                  for name, shape in shapes.items()}
@@ -558,11 +560,12 @@ def textbook_adam(params, grads, state, t, cfg):
     for name, p in params.items():
         g = grads[name]
         m, v = state.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        beta1, beta2 = nn._ADAM_BETA1, nn._ADAM_BETA2
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + nn._ADAM_EPSILON)
 
 
 def xor_sequence_dataset(n_per_pattern=50, noise=0.05, seed=0):

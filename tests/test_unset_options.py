@@ -1,7 +1,8 @@
 """No option is left that nothing sets: every defaulted parameter of a
 function, method or dataclass field in the package is passed, by keyword or
-by position, by at least one call in src/, tests/ or perfbench/. An option
-no caller sets is a constant dressed as a setting.
+by position, by at least one call in src/ or perfbench/. An option no caller
+sets is a constant dressed as a setting. Tests do not count as callers: an
+option only a test sets is one no run of the program can reach.
 
 Calls are matched to definitions by name alone (a bare name, or an
 attribute's last part), and a call that unpacks `*` or `**` counts as
@@ -14,13 +15,13 @@ import os
 from test_private_names import module_trees
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-CALLERS = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
+CALLERS = ("src", "perfbench")
 
 
-def caller_trees():
-    """The syntax tree of every Python file under CALLERS."""
+def caller_trees(root=ROOT):
+    """The syntax tree of every Python file under the CALLERS directories of root."""
     for top in CALLERS:
-        for parent, dirs, files in os.walk(top):
+        for parent, dirs, files in os.walk(os.path.join(root, top)):
             dirs.sort()
             for name in sorted(files):
                 if name.endswith(".py"):
@@ -115,15 +116,35 @@ def unset_options(definitions, calls):
     return unset
 
 
+def merged_calls(root=ROOT):
+    """passed_options of every file caller_trees(root) yields, merged."""
+    calls = {}
+    for tree in caller_trees(root):
+        for name, sites in passed_options(tree).items():
+            calls.setdefault(name, []).extend(sites)
+    return calls
+
+
 def test_every_option_of_the_package_is_set_by_some_caller():
     definitions = {module: defaulted_options(tree) for module, tree in module_trees().items()}
     assert "fit_forest" in definitions["baselines.py"]
-    calls = {}
-    for tree in caller_trees():
-        for name, sites in passed_options(tree).items():
-            calls.setdefault(name, []).extend(sites)
-    unset = unset_options(definitions, calls)
-    assert not unset, f"options that no call in src/, tests/ or perfbench/ sets: {unset}"
+    unset = unset_options(definitions, merged_calls())
+    assert not unset, f"options that no call in src/ or perfbench/ sets: {unset}"
+
+
+def test_a_call_made_only_from_tests_does_not_count(tmp_path):
+    files = {
+        "src/pkg/m.py": "def fit(x, rate=0.5, steps=10):\n    return x\nfit(1, steps=3)\n",
+        "perfbench/run.py": "fit(2)\n",
+        "tests/test_m.py": "fit(1, rate=0.1)\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    options = {"m.py": defaulted_options(ast.parse(files["src/pkg/m.py"]))}
+    calls = merged_calls(str(tmp_path))
+    assert calls["fit"] == [(1, {"steps"}), (1, set())]
+    assert unset_options(options, calls) == ["m.py:1 fit.rate"]
 
 
 def test_the_guard_finds_options_no_call_sets():
