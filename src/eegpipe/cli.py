@@ -389,11 +389,12 @@ def cmd_featurize(args) -> int:
     entries, fs = dataio.read_manifest(args.manifest)
     if not entries:
         raise DataError("manifest lists no recordings")
-    # the filter and EEG bands are checked against the manifest's rate before any recording is read
+    # the EEG bands, then the filter, are checked against the manifest's rate
+    # before any recording is read
+    dsp.check_bands(fs, fc.welch_segment_len)
     coeffs = dsp.design_butterworth_bandpass(
         fc.filter_low_hz, fc.filter_high_hz, fs, fc.filter_order
     )
-    dsp.check_bands(fs, fc.welch_segment_len)
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
     _refuse_overwriting_inputs(args, [os.path.join(data_dir, e["file"]) for e in entries])
     # each share of recordings is featurized in the process that parses it

@@ -16,6 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,9 +53,10 @@ class FilterCoefficients:
     fs_hz: float
 
     def __post_init__(self):
-        for b0, b1, b2, a1, a2 in self.sections:
-            roots = np.roots([1.0, a1, a2])
-            if np.any(np.abs(roots) >= 1.0):
+        # Jury's test, exact on the stored floats: both roots of z^2 + a1 z + a2
+        # lie inside the unit circle iff |a2| < 1 and |a1| < 1 + a2
+        for _, _, _, a1, a2 in self.sections:
+            if not (math.isfinite(a1) and abs(a2) < 1.0 and abs(Fraction(a1)) < 1 + Fraction(a2)):
                 raise NumericError(f"unstable filter section (a1={a1}, a2={a2})")
 
 
@@ -166,30 +168,37 @@ def design_butterworth_bandpass(
             f"band edges must satisfy 0 < low < high < fs/2, got ({low_hz}, {high_hz}) at fs {fs_hz}"
         )
     n = order // 2
-    wl = 2.0 * fs_hz * np.tan(np.pi * low_hz / fs_hz)
-    wh = 2.0 * fs_hz * np.tan(np.pi * high_hz / fs_hz)
-    w0 = np.sqrt(wl * wh)
-    bw = wh - wl
+    # at a rate near the float range the pre-warp or the poles overflow, or the
+    # poles round onto z = 1; that is checked once they are formed (here, or as
+    # an unstable section), so the steps on the way stay silent
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wl = 2.0 * fs_hz * np.tan(np.pi * low_hz / fs_hz)
+        wh = 2.0 * fs_hz * np.tan(np.pi * high_hz / fs_hz)
+        w0 = np.sqrt(wl * wh)
+        bw = wh - wl
 
-    # lowpass prototype poles on the left half of the unit circle
-    k = np.arange(1, n + 1)
-    proto = np.exp(1j * np.pi * (2 * k + n - 1) / (2 * n))
-    # lowpass -> bandpass: each prototype pole yields two analog poles
-    analog = []
-    for p in proto:
-        disc = np.sqrt((p * bw) ** 2 - 4.0 * w0**2 + 0j)
-        analog.append((p * bw + disc) / 2.0)
-        analog.append((p * bw - disc) / 2.0)
-    # bilinear transform; zeros land at z=+1 (n of them) and z=-1 (n of them)
-    zpoles = np.array([(2.0 * fs_hz + s) / (2.0 * fs_hz - s) for s in analog])
+        # lowpass prototype poles on the left half of the unit circle
+        k = np.arange(1, n + 1)
+        proto = np.exp(1j * np.pi * (2 * k + n - 1) / (2 * n))
+        # lowpass -> bandpass: each prototype pole yields two analog poles
+        analog = []
+        for p in proto:
+            disc = np.sqrt((p * bw) ** 2 - 4.0 * w0**2 + 0j)
+            analog.append((p * bw + disc) / 2.0)
+            analog.append((p * bw - disc) / 2.0)
+        # bilinear transform; zeros land at z=+1 (n of them) and z=-1 (n of them)
+        zpoles = np.array([(2.0 * fs_hz + s) / (2.0 * fs_hz - s) for s in analog])
 
-    # unit gain at the warped center frequency (analog response is 1 there)
-    fc = fs_hz / np.pi * np.arctan(w0 / (2.0 * fs_hz))
-    zc = np.exp(2j * np.pi * fc / fs_hz)
-    resp = (zc - 1.0) ** n * (zc + 1.0) ** n
-    for p in zpoles:
-        resp /= zc - p
-    gain = 1.0 / abs(resp)
+        # unit gain at the warped center frequency (analog response is 1 there)
+        fc = fs_hz / np.pi * np.arctan(w0 / (2.0 * fs_hz))
+        zc = np.exp(2j * np.pi * fc / fs_hz)
+        resp = (zc - 1.0) ** n * (zc + 1.0) ** n
+        for p in zpoles:
+            resp /= zc - p
+        gain = 1.0 / abs(resp)
+    if not np.all(np.isfinite([wl, wh, *zpoles])):
+        raise ConfigError(f"fs {fs_hz} Hz is too high for the filter design: "
+                          "its pre-warped band edges or poles are not finite")
 
     # pair conjugate poles into biquads; each section takes one zero pair
     cplx = sorted(
@@ -208,15 +217,21 @@ def design_butterworth_bandpass(
 
 
 def _section_step_state(sections) -> list[np.ndarray]:
-    """Steady-state DF2T internal state per section for a unit-step input."""
+    """Steady-state DF2T internal state per section for a unit-step input.
+
+    With A = [[-a1, 1], [-a2, 0]] and c = (b1 - a1 b0, b2 - a2 b0), each
+    section's state solves (I - A) zi = c, scaled by the DC gain of the
+    sections before it. All of it is exact in rationals, and each value is
+    rounded once. FilterCoefficients' stability test makes 1 + a1 + a2 > 0,
+    so a bandpass section (b1 = 0, b2 = -b0) gets exactly (-b0, -b0) and
+    passes a gain of 0 to the sections after it."""
     states = []
-    scale = 1.0
-    for b0, b1, b2, a1, a2 in sections:
-        a_mat = np.array([[-a1, 1.0], [-a2, 0.0]])
-        b_vec = np.array([b1 - a1 * b0, b2 - a2 * b0])
-        zi = np.linalg.solve(np.eye(2) - a_mat, b_vec)
-        states.append(zi * scale)
-        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2) if abs(1.0 + a1 + a2) > 1e-300 else 0.0
+    scale = Fraction(1)
+    for b0, b1, b2, a1, a2 in (map(Fraction, section) for section in sections):
+        c1, c2 = b1 - a1 * b0, b2 - a2 * b0
+        z1 = (c1 + c2) / (1 + a1 + a2)
+        states.append(np.array([float(z1 * scale), float((c2 - a2 * z1) * scale)]))
+        scale *= (b0 + b1 + b2) / (1 + a1 + a2)
     return states
 
 
@@ -397,7 +412,8 @@ def band_power(psd: Psd, low_hz: float, high_hz: float) -> np.ndarray:
     lo = np.searchsorted(freqs, low_hz, side="left")
     hi = np.searchsorted(freqs, high_hz, side="right")
     if hi - lo < 2:
-        raise DataError(f"no PSD bins inside band ({low_hz}, {high_hz})")
+        raise DataError(f"{hi - lo} PSD bin(s) inside band ({low_hz}, {high_hz}); "
+                        "band_power needs 2")
     # a slice, not a boolean mask: the band's bins stay contiguous, so each
     # signal's sum runs in the same order whatever it is batched with
     return np.trapezoid(psd.power[..., lo:hi], freqs[lo:hi], axis=-1)

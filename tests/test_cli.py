@@ -922,12 +922,20 @@ def test_band_above_nyquist_is_config_error_before_recordings_are_read(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fs,high,why", [("50", "20", "outside [0, 25.0]"),
-                                         ("60.1", "25", "no PSD bins inside band (30.0, 30.05)")])
+GAMMA, DELTA = "gamma (30.0-45.0 Hz)", "delta (0.5-4.0 Hz)"
+
+
+@pytest.mark.parametrize("fs,high,band,why", [
+    ("50", "20", GAMMA, "outside [0, 25.0]"),
+    ("60.1", "25", GAMMA, "1 PSD bin(s) inside band (30.0, 30.05); band_power needs 2"),
+    # the filter's pre-warp overflows at these rates, but the bands are checked first
+    ("9e307", "45", DELTA, "0 PSD bin(s) inside band (0.5, 4.0)"),
+    ("1e308", "45", DELTA, "0 PSD bin(s) inside band (0.5, 4.0)"),
+], ids=["50Hz", "60.1Hz", "9e307Hz", "1e308Hz"])
 def test_eeg_band_the_rate_cannot_measure_is_config_error_before_recordings_are_read(
-        tmp_path, capsys, fs, high, why):
-    # the gamma band (30-45 Hz), clipped to Nyquist, keeps fewer than 2 Welch
-    # bins: checked against the manifest's rate before any recording is opened
+        tmp_path, capsys, fs, high, band, why):
+    # a band, clipped to Nyquist, keeps fewer than 2 Welch bins: checked
+    # against the manifest's rate before any recording is opened
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("file,label,sample_rate_hz,channels\n"
                         f"absent_0.csv,calm,{fs},TP9;AF7\nabsent_1.csv,happy,{fs},TP9;AF7\n")
@@ -935,8 +943,18 @@ def test_eeg_band_the_rate_cannot_measure_is_config_error_before_recordings_are_
     assert run("featurize", "--manifest", str(manifest), "--filter-high", high,
                "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert f"EEG band gamma (30.0-45.0 Hz) cannot be measured at sample rate {float(fs)} Hz" in err
+    assert f"EEG band {band} cannot be measured at sample rate {float(fs)} Hz" in err
     assert why in err and "missing file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low", ["1e-7", "1e-9"])
+def test_filter_with_a_root_at_one_is_numeric_error(pipeline, tmp_path, capsys, low):
+    # at 256 Hz these designs have a section with 1 + a1 + a2 exactly 0
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
+               "--filter-low", low, "--out", str(out)) == 3
+    assert "numeric error: unstable filter section" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegpipe import dataio, dsp
-from eegpipe.errors import ConfigError, DataError
+from eegpipe.errors import ConfigError, DataError, NumericError
 
 
 def analytic_bandpass_magnitude(f, low, high, fs, order):
@@ -78,6 +79,106 @@ class TestButterworthDesign:
         with pytest.raises(ConfigError):
             dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 3)
 
+    @pytest.mark.parametrize("fs", [9e307, 1e308])
+    def test_rate_whose_prewarp_overflows_is_config_error_naming_fs(self, fs):
+        with pytest.raises(ConfigError, match=re.escape(f"fs {fs} Hz")):
+            dsp.design_butterworth_bandpass(0.5, 45.0, fs, 4)
+
+    # at these a section's 1 + a1 + a2 is exactly 0: a root at z = 1
+    @pytest.mark.parametrize("low,fs", [(1e-7, 256.0), (1e-9, 256.0), (0.5, 1e9), (0.5, 1e300)])
+    def test_design_with_a_root_at_one_is_unstable(self, low, fs):
+        with pytest.raises(NumericError, match="unstable filter section"):
+            dsp.design_butterworth_bandpass(low, 45.0, fs, 4)
+
+
+def section(a1, a2):
+    return dsp.FilterCoefficients([(1.0, 0.0, -1.0, a1, a2)], 2, 0.0, 0.0, 1.0)
+
+
+# the a1, a2 of the first section that design_butterworth_bandpass(1e-9, 45.0,
+# 256.0, 4) forms: 1 + a1 + a2 is exactly 0, a root at z = 1, though LAPACK's
+# eigenvalues put both roots just inside the unit circle
+ROOT_AT_ONE = (-1.99999999996529, 0.99999999996529)
+
+
+class TestSectionStability:
+    def test_agrees_with_roots_away_from_the_boundary(self):
+        rng = np.random.default_rng(0)
+        stable = unstable = 0
+        for a1, a2 in zip(rng.uniform(-2.2, 2.2, 4000), rng.uniform(-1.2, 1.2, 4000)):
+            radius = np.max(np.abs(np.roots([1.0, a1, a2])))
+            if abs(radius - 1.0) < 1e-9:
+                continue
+            if radius < 1.0:
+                section(a1, a2)
+                stable += 1
+            else:
+                with pytest.raises(NumericError, match="unstable filter section"):
+                    section(a1, a2)
+                unstable += 1
+        assert stable > 1000 and unstable > 1000
+
+    @pytest.mark.parametrize("a1,a2", [(-2.0, 1.0), ROOT_AT_ONE, (0.0, 1.0), (0.0, -1.0),
+                                       (0.5, 1.0), (1.5, -1.0), (2.0, 1.0), (-1.0, 0.0),
+                                       (float("nan"), 0.5), (0.0, float("nan")),
+                                       (float("inf"), 0.5)])
+    def test_a_root_on_or_beyond_the_unit_circle_is_unstable(self, a1, a2):
+        with pytest.raises(NumericError, match="unstable filter section"):
+            section(a1, a2)
+
+    @pytest.mark.parametrize("a1,a2", [(0.0, np.nextafter(1.0, 0.0)),
+                                       (0.0, np.nextafter(-1.0, 0.0)),
+                                       (np.nextafter(-1.0, 0.0), 0.0),
+                                       (-1.9999999999999996, 0.9999999999999998)])
+    def test_roots_just_inside_the_unit_circle_are_stable(self, a1, a2):
+        section(a1, a2)
+
+    def test_the_root_at_one_is_exact(self):
+        a1, a2 = ROOT_AT_ONE
+        assert 1 + Fraction(a1) + Fraction(a2) == 0
+
+
+# a bandpass design has b1 = 0, so some reorderings of a step cannot show on it
+GENERAL_FILTER = dsp.FilterCoefficients(
+    [(0.2, 0.3, -0.1, -1.2, 0.5), (0.7, -0.4, 0.25, 0.3, 0.2)], 4, 0.0, 0.0, 1.0)
+
+def cramer_step_state(sections):
+    """Each section's unit-step steady state by Cramer's rule on
+    (I - A) zi = c in rationals, times the exact DC gain of the sections
+    before it, rounded once."""
+    states, scale = [], Fraction(1)
+    for b0, b1, b2, a1, a2 in (map(Fraction, s) for s in sections):
+        c1, c2 = b1 - a1 * b0, b2 - a2 * b0
+        det = (1 + a1) + a2  # det [[1 + a1, -1], [a2, 1]]
+        z1, z2 = (c1 + c2) / det, ((1 + a1) * c2 - a2 * c1) / det
+        states.append([float(z1 * scale), float(z2 * scale)])
+        scale *= (b0 + b1 + b2) / det
+    return states
+
+
+BANDPASS_GRID = [(lo, hi, fs, order) for order in (2, 4, 6, 8)
+                 for lo, hi in [(0.5, 45.0), (4.0, 8.0), (13.0, 30.0), (1.0, 100.0),
+                                (0.1, 127.0), (30.0, 45.0)]
+                 for fs in (128.0, 256.0, 512.0, 1000.0) if hi < fs / 2]
+GRID_IDS = ["{}-{}Hz@{}-o{}".format(*design) for design in BANDPASS_GRID]
+
+
+class TestSectionStepState:
+    @pytest.mark.parametrize("coeffs", [*(dsp.design_butterworth_bandpass(*design)
+                                          for design in BANDPASS_GRID), GENERAL_FILTER],
+                             ids=[*GRID_IDS, "general"])
+    def test_equals_cramers_rule_rounded_once(self, coeffs):
+        got = [list(z) for z in dsp._section_step_state(coeffs.sections)]
+        assert got == cramer_step_state(coeffs.sections)
+
+    @pytest.mark.parametrize("design", BANDPASS_GRID, ids=GRID_IDS)
+    def test_bandpass_gets_minus_b0_then_zeros(self, design):
+        sections = dsp.design_butterworth_bandpass(*design).sections
+        first, *rest = dsp._section_step_state(sections)
+        b0 = sections[0][0]
+        assert list(first) == [-b0, -b0]
+        assert all(list(z) == [0.0, 0.0] for z in rest)
+
 
 def reference_sosfilt(coeffs, x):
     """The per-sample DF2T loop: in place along the last axis, returns x.
@@ -109,10 +210,6 @@ def relative_errors(got, want):
 def eeg_filter():
     return dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
 
-
-# a bandpass design has b1 = 0, so some reorderings of a step cannot show on it
-GENERAL_FILTER = dsp.FilterCoefficients(
-    [(0.2, 0.3, -0.1, -1.2, 0.5), (0.7, -0.4, 0.25, 0.3, 0.2)], 4, 0.0, 0.0, 1.0)
 
 
 class TestFiltfilt:
@@ -330,7 +427,7 @@ class TestBandPower:
         assert abs(sum(parts) - total) / total < 1e-9
 
     def test_empty_band(self, psd):
-        with pytest.raises(DataError, match="no PSD bins"):
+        with pytest.raises(DataError, match=r"0 PSD bin\(s\) inside band \(4.2, 4.4\); band_power needs 2"):
             dsp.band_power(psd, 4.2, 4.4)
 
     def test_bad_range(self, psd):
