@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -416,7 +417,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_split(args) -> int:
-    spec = dataio.SplitSpec(*args.fractions, seed=derive_seed(args.seed, "split"),
+    spec = dataio.SplitSpec(args.fractions, seed=derive_seed(args.seed, "split"),
                             stratified=not args.no_stratify)
     _announce("split", {"input": args.input, "fractions": args.fractions, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
@@ -460,6 +461,12 @@ def cmd_train(args) -> int:
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
+    # the model reads columns by position, so val must keep training's names and order
+    for i, (want, got) in enumerate(
+            itertools.zip_longest(train_ds.feature_names, val_ds.feature_names), start=1):
+        if want != got:
+            raise DataError(f"{args.val}: feature column {i} is {got!r}, "
+                            f"not {want!r} as in {args.train}")
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
     train, val = ((nn.dataset_to_sequences(dsp.apply_normalization(d.features, norm),
                                            args.seq_len), d.labels) for d in (train_ds, val_ds))
@@ -493,7 +500,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = dataio.SplitSpec(*args.fractions, seed=derive_seed(args.seed, "split"), stratified=True)
+    spec = dataio.SplitSpec(args.fractions, seed=derive_seed(args.seed, "split"), stratified=True)
     train_cfg = _train_config(args)
     _announce("compare", {"input": args.input, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)

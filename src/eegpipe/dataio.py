@@ -92,22 +92,18 @@ class Dataset:
 class SplitSpec:
     """Train/val/test fractions plus seed for a deterministic split."""
 
-    train_fraction: float = 0.6
-    val_fraction: float = 0.2
-    test_fraction: float = 0.2
+    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
     stratified: bool = True
 
     def __post_init__(self):
-        fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
+        fracs = self.fractions
+        if len(fracs) != 3:
+            raise ConfigError(f"split fractions must be three, got {fracs}")
         if not all(0.0 < f < 1.0 for f in fracs):
             raise ConfigError(f"split fractions must each lie in (0,1), got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
-
-    @property
-    def fractions(self) -> tuple[float, float, float]:
-        return (self.train_fraction, self.val_fraction, self.test_fraction)
 
 
 def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
@@ -233,8 +229,9 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     """The rows of a manifest CSV and the sample rate they share.
 
     Manifest columns: file,label,sample_rate_hz,channels. Every row must
-    have all four cells and one positive, finite sample rate; no recording
-    file is opened. The rate is None for a manifest without rows.
+    have all four cells and one positive, finite sample rate; the first bad
+    row wins, and no recording file is opened. The rate is None for a
+    manifest without rows.
     """
     if not os.path.isfile(manifest):
         raise DataError(f"manifest not found: {manifest}")
@@ -243,25 +240,25 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
         required = {"file", "label", "sample_rate_hz", "channels"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"manifest must have columns {sorted(required)}")
-        entries = []
+        entries, rates = [], set()
         for row in reader:
+            where = f"{manifest}: line {reader.line_num}"
             missing = sorted(k for k in required if row[k] is None)
             if missing:
-                raise DataError(f"{manifest}: line {reader.line_num}: no {', '.join(missing)} cell")
+                raise DataError(f"{where}: no {', '.join(missing)} cell")
+            try:
+                fs = float(row["sample_rate_hz"])
+            except ValueError:
+                fs = math.nan
+            if not 0 < fs < math.inf:
+                raise DataError(f"{where}: sample_rate_hz must be positive and finite, "
+                                f"got {row['sample_rate_hz']!r}")
             entries.append(row)
-    rates = set()
-    for e in entries:
-        try:
-            rates.add(float(e["sample_rate_hz"]))
-        except ValueError:
-            raise DataError(f"bad sample_rate_hz {e['sample_rate_hz']!r} in manifest") from None
+            rates.add(fs)
     if len(rates) > 1:
         # one filter design and one Welch grid serve every recording
         raise DataError(f"mixed sample rates in manifest: {sorted(rates)} Hz")
-    fs = rates.pop() if rates else None
-    if fs is not None and not 0 < fs < math.inf:
-        raise DataError("sample_rate_hz must be positive and finite")
-    return entries, fs
+    return entries, rates.pop() if rates else None
 
 
 def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list, list[str]]:

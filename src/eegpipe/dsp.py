@@ -44,20 +44,36 @@ TIME_DOMAIN_STAT_NAMES = [
 
 @dataclass
 class FilterCoefficients:
-    """Cascade of biquad sections (b0,b1,b2,a1,a2) plus design metadata."""
+    """Cascade of biquad sections (b0, b1, b2, a1, a2), with each section's
+    steady state for a unit step, solved once here."""
 
     sections: list[tuple[float, float, float, float, float]]
-    order: int
-    low_hz: float
-    high_hz: float
-    fs_hz: float
 
     def __post_init__(self):
         # Jury's test, exact on the stored floats: both roots of z^2 + a1 z + a2
-        # lie inside the unit circle iff |a2| < 1 and |a1| < 1 + a2
-        for _, _, _, a1, a2 in self.sections:
+        # lie inside the unit circle iff |a2| < 1 and |a1| < 1 + a2. It makes
+        # 1 + a1 + a2 > 0, so with A = [[-a1, 1], [-a2, 0]] and c = (b1 - a1 b0,
+        # b2 - a2 b0) each step state solves (I - A) zi = c, scaled by the DC
+        # gain of the sections before it, exact in rationals and rounded once: a
+        # bandpass section (b1 = 0, b2 = -b0) gets (-b0, -b0) and passes a gain
+        # of 0 to the sections after it
+        self.step_states = []
+        scale = Fraction(1)
+        for section in self.sections:
+            a1, a2 = section[3:]
             if not (math.isfinite(a1) and abs(a2) < 1.0 and abs(Fraction(a1)) < 1 + Fraction(a2)):
                 raise NumericError(f"unstable filter section (a1={a1}, a2={a2})")
+            if not all(map(math.isfinite, section)):
+                raise NumericError(f"non-finite filter section {tuple(map(float, section))}")
+            b0, b1, b2, a1, a2 = map(Fraction, section)
+            c1, c2 = b1 - a1 * b0, b2 - a2 * b0
+            z1 = (c1 + c2) / (1 + a1 + a2)
+            self.step_states.append((float(z1 * scale), float((c2 - a2 * z1) * scale)))
+            scale *= (b0 + b1 + b2) / (1 + a1 + a2)
+
+    @property
+    def order(self) -> int:
+        return 2 * len(self.sections)
 
 
 @dataclass
@@ -66,7 +82,6 @@ class Psd:
 
     freqs_hz: np.ndarray
     power: np.ndarray
-    resolution_hz: float
 
     def __post_init__(self):
         self.freqs_hz = np.asarray(self.freqs_hz, dtype=float)
@@ -92,28 +107,22 @@ class FeatureVector:
             raise DataError("feature names must be unique")
 
 
+# the checkpoint keys of each normalization mode's two statistics
+_NORM_KEYS = {"zscore": ("mean", "std"), "minmax": ("min", "max")}
+
+
 @dataclass
 class NormalizationParams:
-    """Per-feature statistics fitted on the training split only."""
+    """Per-feature statistics fitted on the training split only: lo and hi are
+    the mean and std (zscore) or the min and max (minmax) of each column."""
 
-    mode: str  # "zscore" | "minmax"
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
-    min: np.ndarray | None = None
-    max: np.ndarray | None = None
-
-    @property
-    def n_features(self) -> int:
-        ref = self.mean if self.mode == "zscore" else self.min
-        return len(ref)
+    mode: str  # a key of _NORM_KEYS
+    lo: np.ndarray
+    hi: np.ndarray
 
     def to_dict(self) -> dict:
-        out = {"mode": self.mode}
-        for key in ("mean", "std", "min", "max"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = [float(v) for v in val]
-        return out
+        lo_key, hi_key = _NORM_KEYS[self.mode]
+        return {"mode": self.mode, lo_key: self.lo.tolist(), hi_key: self.hi.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationParams":
@@ -121,7 +130,7 @@ class NormalizationParams:
         been fitted is a DataError: an unknown mode, a missing, non-finite or
         ragged statistic, a zscore std <= 0 or a minmax max < min."""
         mode = d["mode"]
-        keys = {"zscore": ("mean", "std"), "minmax": ("min", "max")}.get(mode)
+        keys = _NORM_KEYS.get(mode)
         if keys is None:
             raise DataError(f"unknown normalization mode {mode!r}")
         lo, hi = (np.asarray(d[k], dtype=float) for k in keys)
@@ -133,7 +142,7 @@ class NormalizationParams:
             raise DataError("normalization std must be > 0")
         if mode == "minmax" and not (hi >= lo).all():
             raise DataError("normalization max must be >= min")
-        return cls(mode, **dict(zip(keys, (lo, hi))))
+        return cls(mode, lo, hi)
 
 
 @dataclass
@@ -213,26 +222,7 @@ def design_butterworth_bandpass(
         a1 = float(-(p1 + p2).real)
         a2 = float((p1 * p2).real)
         sections.append((g_sec, 0.0, -g_sec, a1, a2))
-    return FilterCoefficients(sections, order, low_hz, high_hz, fs_hz)
-
-
-def _section_step_state(sections) -> list[np.ndarray]:
-    """Steady-state DF2T internal state per section for a unit-step input.
-
-    With A = [[-a1, 1], [-a2, 0]] and c = (b1 - a1 b0, b2 - a2 b0), each
-    section's state solves (I - A) zi = c, scaled by the DC gain of the
-    sections before it. All of it is exact in rationals, and each value is
-    rounded once. FilterCoefficients' stability test makes 1 + a1 + a2 > 0,
-    so a bandpass section (b1 = 0, b2 = -b0) gets exactly (-b0, -b0) and
-    passes a gain of 0 to the sections after it."""
-    states = []
-    scale = Fraction(1)
-    for b0, b1, b2, a1, a2 in (map(Fraction, section) for section in sections):
-        c1, c2 = b1 - a1 * b0, b2 - a2 * b0
-        z1 = (c1 + c2) / (1 + a1 + a2)
-        states.append(np.array([float(z1 * scale), float((c2 - a2 * z1) * scale)]))
-        scale *= (b0 + b1 + b2) / (1 + a1 + a2)
-    return states
+    return FilterCoefficients(sections)
 
 
 @functools.lru_cache(maxsize=64)
@@ -318,7 +308,7 @@ def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     last = xt[n_full * span :]  # the samples of a short last block, if any
     blocks[:, :n_full] = full
     blocks[:tail, n_full:] = last[:, None]
-    for section, state in zip(coeffs.sections, _section_step_state(coeffs.sections)):
+    for section, state in zip(coeffs.sections, coeffs.step_states):
         z1, z2 = np.multiply.outer(state, xt[0])
         _filter_section(blocks, section, z1, z2)
     full[...] = blocks[:, :n_full]
@@ -401,7 +391,7 @@ def welch_psd(
     spec[..., 1:-1] *= 2.0  # one-sided: double all bins except DC and Nyquist
     power = np.sum(spec, axis=-2) / segments.shape[-2]
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs_hz)
-    return Psd(freqs, power, fs_hz / segment_len)
+    return Psd(freqs, power)
 
 
 def band_power(psd: Psd, low_hz: float, high_hz: float) -> np.ndarray:
@@ -426,7 +416,7 @@ def check_bands(fs_hz: float, segment_len: int) -> None:
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / fs_hz)
     for name, (lo, hi) in EEG_BANDS.items():
         try:
-            band_power(Psd(freqs, 0.0 * freqs, fs_hz / segment_len), lo, min(hi, freqs[-1]))
+            band_power(Psd(freqs, 0.0 * freqs), lo, min(hi, freqs[-1]))
         except (ConfigError, DataError) as exc:
             raise ConfigError(f"EEG band {name} ({lo}-{hi} Hz) cannot be measured at sample rate "
                               f"{fs_hz} Hz with welch_segment_len {segment_len}: {exc}") from None
@@ -534,7 +524,7 @@ def fit_normalization(features: np.ndarray, mode: str = "zscore") -> Normalizati
         if np.any(constant):
             warnings.warn(f"{int(np.sum(constant))} constant feature column(s); std set to 1")
             std = np.where(constant, 1.0, std)
-        return NormalizationParams(mode="zscore", mean=mean, std=std)
+        return NormalizationParams("zscore", mean, std)
     if mode == "minmax":
         lo = np.min(x, axis=0)
         hi = np.max(x, axis=0)
@@ -542,22 +532,23 @@ def fit_normalization(features: np.ndarray, mode: str = "zscore") -> Normalizati
             warnings.warn(
                 f"{int(np.sum(lo == hi))} constant feature column(s); mapped to 0.5"
             )
-        return NormalizationParams(mode="minmax", min=lo, max=hi)
+        return NormalizationParams("minmax", lo, hi)
     raise ConfigError(f"unknown normalization mode {mode!r}")
 
 
 def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Apply fitted normalization to any split with a matching column count."""
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.n_features:
+    n = len(params.lo)
+    if x.ndim != 2 or x.shape[1] != n:
         raise DataError(
-            f"feature count mismatch: params expect {params.n_features}, got {x.shape[1] if x.ndim == 2 else 'non-matrix'}"
+            f"feature count mismatch: params expect {n}, got {x.shape[1] if x.ndim == 2 else 'non-matrix'}"
         )
     if params.mode == "zscore":
-        return (x - params.mean) / params.std
-    span = params.max - params.min
+        return (x - params.lo) / params.hi
+    span = params.hi - params.lo
     out = np.empty_like(x)
     const = span == 0.0
     out[:, const] = 0.5
-    out[:, ~const] = (x[:, ~const] - params.min[~const]) / span[~const]
+    out[:, ~const] = (x[:, ~const] - params.lo[~const]) / span[~const]
     return out

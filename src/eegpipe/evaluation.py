@@ -140,13 +140,10 @@ def write_metrics_json(report: MetricsReport, class_names: list[str], path: str)
         fh.write("\n")
 
 
-def compare_report(
-    results: list[tuple[str, MetricsReport]], out_dir: str | None = None
-) -> str:
-    """Accuracy-sorted comparison table; returns the aligned text form.
-
-    When out_dir is given, also writes comparison.csv and comparison.txt.
-    Ties in accuracy keep the input order.
+def compare_report(results: list[tuple[str, MetricsReport]], out_dir: str) -> str:
+    """Write the accuracy-sorted comparison table to out_dir, an existing
+    directory, as comparison.csv and comparison.txt; returns the aligned text
+    form. Ties in accuracy keep the input order.
     """
     if not results:
         raise DataError("compare_report needs at least one result")
@@ -159,18 +156,16 @@ def compare_report(
     for name, rep in rows:
         lines.append(f"{name:<{name_w}}  {rep.accuracy:8.4f}  {rep.macro_f1:8.4f}")
     text = "\n".join(lines) + "\n"
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "accuracy", "macro_precision", "macro_recall", "macro_f1"])
-            for name, rep in rows:
-                writer.writerow(
-                    [name, repr(rep.accuracy), repr(rep.macro_precision),
-                     repr(rep.macro_recall), repr(rep.macro_f1)]
-                )
-        with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model", "accuracy", "macro_precision", "macro_recall", "macro_f1"])
+        for name, rep in rows:
+            writer.writerow(
+                [name, repr(rep.accuracy), repr(rep.macro_precision),
+                 repr(rep.macro_recall), repr(rep.macro_f1)]
+            )
+    with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
     return text
 
 

@@ -705,11 +705,12 @@ def load_checkpoint(path: str):
         )
         class_names = doc["class_names"]
         if not (isinstance(class_names, list) and len(class_names) == C
-                and all(isinstance(n, str) for n in class_names)):
-            raise DataError(f"class_names must list {C} strings")
+                and all(isinstance(n, str) for n in class_names)
+                and len(set(class_names)) == C):
+            raise DataError(f"class_names must list {C} distinct strings")
         norm = NormalizationParams.from_dict(doc["normalization"])
-        if norm.n_features != cfg.input_dim * cfg.sequence_length:
-            raise DataError(f"normalization covers {norm.n_features} features, the model "
+        if len(norm.lo) != cfg.input_dim * cfg.sequence_length:
+            raise DataError(f"normalization covers {len(norm.lo)} features, the model "
                             f"{cfg.input_dim * cfg.sequence_length}")
     except KeyError as exc:
         raise DataError(f"checkpoint {path} lacks key {exc}") from None

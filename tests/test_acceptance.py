@@ -130,8 +130,8 @@ def analytic_bandpass_magnitude(f, low, high, fs, order):
     return 1.0 / np.sqrt(1.0 + x ** (2 * n))
 
 
-def sos_magnitude(coeffs, f):
-    z = np.exp(2j * np.pi * np.asarray(f, dtype=float) / coeffs.fs_hz)
+def sos_magnitude(coeffs, f, fs):
+    z = np.exp(2j * np.pi * np.asarray(f, dtype=float) / fs)
     h = np.ones_like(z)
     for b0, b1, b2, a1, a2 in coeffs.sections:
         h *= (b0 + b1 / z + b2 / z**2) / (1 + a1 / z + a2 / z**2)
@@ -144,15 +144,15 @@ def test_criterion_3_dsp_oracles():
 
     probe = np.linspace(0.1, fs / 2 - 0.1, 100)
     mag_err = float(np.max(np.abs(
-        sos_magnitude(coeffs, probe) - analytic_bandpass_magnitude(probe, low, high, fs, order)
+        sos_magnitude(coeffs, probe, fs) - analytic_bandpass_magnitude(probe, low, high, fs, order)
     )))
     assert mag_err < 1e-6
 
-    dc = float(sos_magnitude(coeffs, np.array([0.0]))[0])
+    dc = float(sos_magnitude(coeffs, np.array([0.0]), fs)[0])
     assert dc == 0.0
 
     cut_err = float(np.max(np.abs(
-        sos_magnitude(coeffs, np.array([low, high])) - 1.0 / math.sqrt(2.0)
+        sos_magnitude(coeffs, np.array([low, high]), fs) - 1.0 / math.sqrt(2.0)
     )))
     assert cut_err < 1e-3
 
@@ -168,9 +168,9 @@ def test_criterion_3_dsp_oracles():
     assert parseval_rel < 1e-9
 
     freqs = np.arange(4, dtype=float)
-    assert dsp.spectral_entropy(dsp.Psd(freqs, np.array([0.0, 3.0, 0.0, 0.0]), 1.0)) == 0.0
-    assert dsp.spectral_entropy(dsp.Psd(freqs, np.array([1.0, 1.0, 0.0, 0.0]), 1.0)) == 0.5
-    assert dsp.spectral_entropy(dsp.Psd(freqs, np.ones(4), 1.0)) == 1.0
+    assert dsp.spectral_entropy(dsp.Psd(freqs, np.array([0.0, 3.0, 0.0, 0.0]))) == 0.0
+    assert dsp.spectral_entropy(dsp.Psd(freqs, np.array([1.0, 1.0, 0.0, 0.0]))) == 0.5
+    assert dsp.spectral_entropy(dsp.Psd(freqs, np.ones(4))) == 1.0
 
     verdict(3, True,
             f"filter magnitude err {mag_err:.2e}, |H(0)|=0, cutoff err {cut_err:.2e}, "

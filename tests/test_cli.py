@@ -446,6 +446,33 @@ class TestTrain:
         hist = nn.load_history(os.path.join(out, "history.csv"))
         assert len(set(hist.val_loss)) == 1
 
+    # a val file whose columns differ from training's in name or order would be
+    # fed to the model by position
+    @pytest.mark.parametrize("change,column,got", [
+        ("swap_first_two", 1, "TP9.bandpower.theta"), ("rename_all", 1, "v.TP9.bandpower.delta"),
+        ("drop_last", 56, None)])
+    def test_val_columns_must_match_training(self, pipeline, tmp_path, capsys, change, column,
+                                             got):
+        ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "val.csv"))
+        order = list(range(len(ds.feature_names)))
+        names = list(ds.feature_names)
+        if change == "swap_first_two":
+            order[:2] = [1, 0]
+            names = [names[i] for i in order]
+        elif change == "rename_all":
+            names = [f"v.{n}" for n in names]
+        else:
+            order, names = order[:-1], names[:-1]
+        val = str(tmp_path / "val.csv")
+        dataio.save_feature_csv(dataio.Dataset(ds.features[:, order], ds.labels,
+                                               ds.class_names, names), val)
+        out = tmp_path / "run"
+        assert run("train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                   "--val", val, "--out", str(out), "--hidden", "8", "--epochs", "1") == 2
+        want = ds.feature_names[column - 1]
+        assert f"feature column {column} is {got!r}, not {want!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_val_labels_follow_training_class_table(self, pipeline, tmp_path):
         # a val file without NEGATIVE rows numbers its classes from 0 on its own;
         # train must score it against the training file's class ids
@@ -618,10 +645,13 @@ _NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "
     (_normalization_entry("mean", float("inf")), "finite"),
     (_normalization_entry("std", 0.0), "std"), (_unknown_normalization_mode, "'robust'"),
     (_minmax_max_below_min, "max"), (_drop("normalization"), "normalization"),
+    # two rows of one name would score a class's epochs under another's row
+    (_replace("class_names", ["NEGATIVE", "NEGATIVE", "POSITIVE"]), "distinct"),
     *((_replace(key, value), key) for _, key, value in _NOT_OBJECTS),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
         "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
         "unknown_normalization_mode", "minmax_max_below_min", "no_normalization",
+        "duplicate_class_names",
         *(f"{kind}_{key}" for kind, key, _ in _NOT_OBJECTS)])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
     doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
@@ -835,6 +865,24 @@ def test_mixed_sample_rates_are_data_error(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
     assert "mixed sample rates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first,second", [("nan", "nan"), ("256.0", "-1")])
+def test_bad_sample_rate_is_named_not_called_mixed(tmp_path, capsys, first, second):
+    raw = tmp_path / "raw"
+    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
+    manifest = raw / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(",256.0,", f",{first},")
+    lines[2] = lines[2].replace(",256.0,", f",{second},")
+    manifest.write_text("".join(lines))
+    out = tmp_path / "f.csv"
+    assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    bad = 2 if first == "nan" else 3
+    assert f"manifest.csv: line {bad}: sample_rate_hz must be positive and finite" in err
+    assert "mixed" not in err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -134,6 +135,23 @@ class TestRawRecordings:
         path.write_text("".join(lines))
         with pytest.raises(DataError, match=r"r1\.csv: line 6: non-finite"):
             dataio.load_raw_recordings(str(tmp_path), manifest)
+
+    # the first row whose rate is not positive and finite wins, before any row
+    # after it (a short one too) and before the rates are compared
+    @pytest.mark.parametrize("rates,line,cell", [
+        (["nan", "nan"], 2, "nan"), (["256", "-1"], 3, "-1"), (["-1", "256"], 2, "-1"),
+        (["256", "0", "inf"], 3, "0"), (["256", "abc", "-1"], 3, "abc"), (["256", " "], 3, " "),
+        (["-inf", None], 2, "-inf")],
+        ids=["nan_nan", "minus_one_second", "minus_one_first", "zero", "text", "blank",
+             "minus_inf_before_short_row"])
+    def test_bad_sample_rate_names_its_line_and_cell(self, tmp_path, rates, line, cell):
+        rows = [f"r.csv,A,{rate},TP9" if rate is not None else "r.csv,A" for rate in rates]
+        p = write_csv(tmp_path / "manifest.csv",
+                      "\n".join(["file,label,sample_rate_hz,channels", *rows]) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"manifest.csv: line {line}: sample_rate_hz must be positive and finite, "
+                f"got {cell!r}")):
+            dataio.read_manifest(p)
 
     def test_inconsistent_channels(self, tmp_path):
         rec = dataio.Recording(["TP9"], 256.0, np.zeros((1, 8)), label=0)
@@ -426,7 +444,7 @@ def make_dataset(per_class_counts, seed=0):
 class TestStratifiedSplit:
     def test_exact_divisibility(self):
         ds = make_dataset([100, 100, 100])
-        spec = dataio.SplitSpec(0.6, 0.2, 0.2, seed=0)
+        spec = dataio.SplitSpec((0.6, 0.2, 0.2), seed=0)
         tr, va, te = dataio.stratified_split(ds, spec)
         assert (tr.n_examples, va.n_examples, te.n_examples) == (180, 60, 60)
         for part in (tr, va, te):
@@ -435,7 +453,7 @@ class TestStratifiedSplit:
 
     def test_seeded_determinism(self):
         ds = make_dataset([20, 20, 20])
-        spec = dataio.SplitSpec(0.6, 0.2, 0.2, seed=7)
+        spec = dataio.SplitSpec((0.6, 0.2, 0.2), seed=7)
         a = dataio.stratified_split(ds, spec)
         b = dataio.stratified_split(ds, spec)
         for pa, pb in zip(a, b):
@@ -456,7 +474,7 @@ class TestStratifiedSplit:
         fracs = (0.6, 0.2, 0.2)
         expected = {c: apportion(n, fracs) for c, n in enumerate([10, 10, 9])}
         ds = make_dataset([10, 10, 9])
-        tr, va, te = dataio.stratified_split(ds, dataio.SplitSpec(*fracs, seed=1))
+        tr, va, te = dataio.stratified_split(ds, dataio.SplitSpec(fracs, seed=1))
         for c in range(3):
             got = [int(np.sum(p.labels == c)) for p in (tr, va, te)]
             assert got == expected[c]
@@ -466,30 +484,32 @@ class TestStratifiedSplit:
 
     def test_disjoint_and_covering(self):
         ds = make_dataset([11, 13, 9], seed=5)
-        tr, va, te = dataio.stratified_split(ds, dataio.SplitSpec(0.5, 0.25, 0.25, seed=3))
+        tr, va, te = dataio.stratified_split(ds, dataio.SplitSpec((0.5, 0.25, 0.25), seed=3))
         ids = np.concatenate([p.features[:, 0] for p in (tr, va, te)])
         assert sorted(ids.tolist()) == list(range(ds.n_examples))
 
     def test_class_too_small(self):
         ds = make_dataset([10, 2])
         with pytest.raises(DataError, match="at least 3"):
-            dataio.stratified_split(ds, dataio.SplitSpec(0.6, 0.2, 0.2))
+            dataio.stratified_split(ds, dataio.SplitSpec((0.6, 0.2, 0.2)))
 
     def test_empty_split_rejected(self):
         ds = make_dataset([3])
         with pytest.raises(DataError, match="empty split"):
-            dataio.stratified_split(ds, dataio.SplitSpec(0.6, 0.2, 0.2))
+            dataio.stratified_split(ds, dataio.SplitSpec((0.6, 0.2, 0.2)))
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
-            dataio.SplitSpec(0.5, 0.2, 0.2)
+            dataio.SplitSpec((0.5, 0.2, 0.2))
         with pytest.raises(ConfigError):
-            dataio.SplitSpec(1.0, 0.5, -0.5)
+            dataio.SplitSpec((1.0, 0.5, -0.5))
+        with pytest.raises(ConfigError, match="must be three"):
+            dataio.SplitSpec((0.5, 0.5))
 
     def test_unstratified_covers(self):
         ds = make_dataset([15, 15])
         tr, va, te = dataio.stratified_split(
-            ds, dataio.SplitSpec(0.6, 0.2, 0.2, seed=2, stratified=False)
+            ds, dataio.SplitSpec((0.6, 0.2, 0.2), seed=2, stratified=False)
         )
         assert tr.n_examples + va.n_examples + te.n_examples == 30
 
@@ -499,8 +519,8 @@ class TestStratifiedSplit:
     def test_unstratified_is_one_permutation_of_all_rows(self, counts, fractions, seed):
         # classes play no part, so a class of one or two rows is no error
         ds = make_dataset(counts)
-        parts = dataio.stratified_split(ds, dataio.SplitSpec(*fractions, seed=seed,
-                                                             stratified=False))
+        parts = dataio.stratified_split(ds, dataio.SplitSpec(fractions, seed=seed,
+                                                            stratified=False))
         want = unstratified_reference(ds.n_examples, fractions, seed)
         for part, rows in zip(parts, want):
             assert part.features[:, 0].tolist() == rows.tolist()
@@ -594,7 +614,7 @@ class TestSynthGenerate:
 
 def test_write_split_sidecar(tmp_path):
     ds = make_dataset([10, 10, 10])
-    spec = dataio.SplitSpec(0.6, 0.2, 0.2, seed=4)
+    spec = dataio.SplitSpec((0.6, 0.2, 0.2), seed=4)
     parts = dataio.stratified_split(ds, spec)
     sidecar = dataio.write_split(*parts, spec, str(tmp_path))
     assert sidecar["seed"] == 4

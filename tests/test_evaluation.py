@@ -157,22 +157,23 @@ class TestCompareReport:
         assert rows[1][1] == repr(0.9)
         assert (tmp_path / "comparison.txt").read_text() == text
 
-    def test_single_row(self):
-        text = evaluation.compare_report([("only", make_report(1.0))])
+    def test_single_row(self, tmp_path):
+        text = evaluation.compare_report([("only", make_report(1.0))], str(tmp_path))
         lines = text.strip().splitlines()
         assert len(lines) == 3
         assert lines[2].startswith("only")
         assert "1.0000" in lines[2]
 
-    def test_ties_keep_input_order(self):
+    def test_ties_keep_input_order(self, tmp_path):
         results = [("first", make_report(0.5)), ("second", make_report(0.5))]
-        text = evaluation.compare_report(results)
+        text = evaluation.compare_report(results, str(tmp_path))
         lines = text.strip().splitlines()
         assert [ln.split()[0] for ln in lines[2:]] == ["first", "second"]
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            evaluation.compare_report([])
+            evaluation.compare_report([], str(tmp_path))
+        assert not os.listdir(tmp_path)
 
 
 class TestEmitCurves:
