@@ -198,8 +198,9 @@ def _node_order(order, idx):
     return node[node >= 0].reshape(d, len(idx))
 
 
-def best_gini_split(X, y, n_classes: int, feature_indices=None):
-    """Exhaustive scan for the split minimizing the weighted Gini impurity.
+def best_gini_split(X, y, n_classes: int, feature_indices):
+    """Exhaustive scan for the split minimizing the weighted Gini impurity,
+    over the columns feature_indices of X, or all of them when it is None.
 
     Candidate thresholds are midpoints between consecutive distinct
     sorted values. Ties are broken by lower feature index, then lower
@@ -225,25 +226,19 @@ def best_gini_split(X, y, n_classes: int, feature_indices=None):
     )
 
 
-def fit_tree(
-    X,
-    y,
-    n_classes: int,
-    max_depth: int = 12,
-    rng: np.random.Generator | None = None,
-    max_features: int | None = None,
-) -> Tree:
+def fit_tree(X, y, n_classes: int, max_depth: int, rng: np.random.Generator | None,
+             max_features: int) -> Tree:
     """Grow a CART classification tree with Gini impurity.
 
-    When rng/max_features are given, each split considers a random
-    feature subset (used by the random forest). A pure node is a leaf
-    and draws no subset.
+    Each split considers a random subset of max_features features, drawn
+    from rng (which may be None when max_features covers every feature:
+    then no subset is drawn). A pure node is a leaf and draws no subset.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise DataError("cannot fit a tree on an empty dataset")
-    subsample = max_features is not None and max_features < X.shape[1]
+    subsample = max_features < X.shape[1]
 
     def find_split(idx):
         if np.all(y[idx] == y[idx[0]]):
@@ -269,14 +264,7 @@ class ForestModel:
     n_classes: int
 
 
-def fit_forest(
-    X,
-    y,
-    n_classes: int,
-    n_trees: int = 100,
-    max_depth: int = 12,
-    seed: int = 0,
-) -> ForestModel:
+def fit_forest(X, y, n_classes: int, n_trees: int, max_depth: int, seed: int) -> ForestModel:
     """Bootstrap-aggregated CART trees that each draw round(sqrt(n_features))
     features per split. Per-tree seeds are pre-assigned so the result does
     not depend on fitting order.
@@ -314,7 +302,7 @@ def predict_forest(model: ForestModel, X):
 _SVM_EPOCHS = 50  # passes over the data of every linear SVM fit
 
 
-def fit_linear_svm(X, y, n_classes: int, seed: int = 0) -> LinearModel:
+def fit_linear_svm(X, y, n_classes: int, seed: int) -> LinearModel:
     """One-vs-rest hinge loss via _SVM_EPOCHS epochs of seeded SGD with
     iterate averaging.
 
@@ -402,14 +390,8 @@ def _fit_regression_tree(X, residual, hessian, max_depth: int, order) -> Tree:
     return _grow(X, len(residual), max_depth, find_split, leaf_value)
 
 
-def fit_boosting(
-    X,
-    y,
-    n_classes: int,
-    n_rounds: int = 100,
-    max_depth: int = 3,
-    learning_rate: float = 0.1,
-) -> BoostModel:
+def fit_boosting(X, y, n_classes: int, n_rounds: int, max_depth: int,
+                 learning_rate: float) -> BoostModel:
     """Gradient boosting with one-vs-rest logistic loss.
 
     Scores start at the log-odds of the class priors; each round fits

@@ -140,7 +140,7 @@ SETTINGS = {s.key: s for s in [
     Setting("fractions", "--fractions", _fractions,
             dict.fromkeys(("split", "compare"), dataio.SplitSpec().fractions)),
     Setting("label_column", "--label-column", _text,
-            dict.fromkeys(("split", "train", "evaluate", "compare"), "label")),
+            dict.fromkeys(("split", "train", "evaluate", "compare"), dataio.LABEL_COLUMN)),
     Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32), _AT_LEAST_1),
     Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4), _AT_LEAST_1),
     Setting("lr", "--lr", _real, dict.fromkeys(_GRU, _TRAIN.learning_rate)),
@@ -455,18 +455,24 @@ def _train_gru(train, val, n_classes: int, args, train_cfg: nn.TrainConfig):
     return nn.train(model_cfg, train, val, train_cfg)
 
 
+def _require_columns(want: list[str], want_source: str, got: list[str], got_path: str) -> None:
+    """The model reads feature columns by position, so got_path's must be
+    want's (read from want_source) in name and order: a DataError names the
+    first that differs, and both counts when they differ."""
+    for i, (w, g) in enumerate(itertools.zip_longest(want, got), start=1):
+        if w != g:
+            counts = "" if len(got) == len(want) else f" ({len(got)} columns, not {len(want)})"
+            raise DataError(f"{got_path}: feature column {i} is {g!r}, not {w!r} "
+                            f"as in {want_source}{counts}")
+
+
 def cmd_train(args) -> int:
     train_cfg = _train_config(args)
     _announce("train", {"train": args.train, "val": args.val, "seed": args.seed})
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
                             train_ds.class_names)
-    # the model reads columns by position, so val must keep training's names and order
-    for i, (want, got) in enumerate(
-            itertools.zip_longest(train_ds.feature_names, val_ds.feature_names), start=1):
-        if want != got:
-            raise DataError(f"{args.val}: feature column {i} is {got!r}, "
-                            f"not {want!r} as in {args.train}")
+    _require_columns(train_ds.feature_names, args.train, val_ds.feature_names, args.val)
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
     train, val = ((nn.dataset_to_sequences(dsp.apply_normalization(d.features, norm),
                                            args.seq_len), d.labels) for d in (train_ds, val_ds))
@@ -475,7 +481,7 @@ def cmd_train(args) -> int:
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model,
-                           train_ds.class_names, norm)
+                           train_ds.class_names, train_ds.feature_names, norm)
         nn.save_history(history, os.path.join(args.out, "history.csv"))
     print(f"trained {len(history)} epochs; best val_loss={history.val_loss[best]:.6f} "
           f"val_acc={history.val_acc[best]:.4f}")
@@ -484,8 +490,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _announce("evaluate", {"checkpoint": args.checkpoint, "test": args.test})
-    model, class_names, norm = nn.load_checkpoint(args.checkpoint)
+    model, class_names, feature_names, norm = nn.load_checkpoint(args.checkpoint)
     test_ds = dataio.relabel(dataio.load_feature_csv(args.test, args.label_column), class_names)
+    _require_columns(feature_names, args.checkpoint, test_ds.feature_names, args.test)
     feats = dsp.apply_normalization(test_ds.features, norm)
     X = nn.dataset_to_sequences(feats, model.config.sequence_length)
     preds = nn.predict_batch(model, X)
@@ -641,6 +648,12 @@ def main(argv=None) -> int:
         return 3
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # a fixed line, not the exception's text, which names no setting and
+        # is empty for a bare MemoryError
+        print("error: out of memory: a setting asks for more than this machine holds "
+              "(such as --per-class, --window-len or --hidden)", file=sys.stderr)
         return 1
 
 

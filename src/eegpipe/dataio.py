@@ -34,6 +34,10 @@ SYNTH_BANDS = {0: (4.0, 7.0), 1: (10.0, 13.0), 2: (20.0, 25.0)}
 SYNTH_AMPLITUDE = 3.0
 SYNTH_CLASS_NAMES = ["NEGATIVE", "NEUTRAL", "POSITIVE"]
 
+# the label column featurize writes, and the one the later commands read
+# unless told otherwise
+LABEL_COLUMN = "label"
+
 
 @dataclass
 class Recording:
@@ -42,7 +46,7 @@ class Recording:
     channels: list[str]
     sample_rate_hz: float
     data: np.ndarray  # [n_channels, n_samples]
-    label: int | None = None
+    label: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -106,8 +110,9 @@ class SplitSpec:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 
-def load_feature_csv(path: str, label_column: str = "label") -> Dataset:
-    """Load a featured CSV (header row, one string label column) into a Dataset.
+def load_feature_csv(path: str, label_column: str) -> Dataset:
+    """Load a featured CSV (header row, one string label column, named
+    label_column) into a Dataset.
 
     Class ids are assigned by lexicographic order of the distinct label
     strings, which keeps the mapping stable across reloads. A plain file
@@ -202,7 +207,7 @@ def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
     return Dataset(ds.features, lookup[ds.labels], list(class_names), ds.feature_names)
 
 
-def save_feature_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
+def save_feature_csv(ds: Dataset, path: str, label_column: str = LABEL_COLUMN) -> None:
     """Write a Dataset in the featured-CSV format load_feature_csv reads.
 
     The bytes are those of csv.writer with repr'd floats: a float's repr
@@ -261,7 +266,7 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     return entries, rates.pop() if rates else None
 
 
-def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list, list[str]]:
+def load_raw_recordings(path: str, manifest: str, per_share) -> tuple[list, list[str]]:
     """Load raw recordings listed in a manifest CSV (see read_manifest).
 
     The channels cell is ';'-separated. Each recording CSV has a
@@ -270,12 +275,12 @@ def load_raw_recordings(path: str, manifest: str, per_share=list) -> tuple[list,
     that parses a share calls per_share on an iterator that parses each of
     its recordings, in manifest order, as it is drawn, so per_share can be
     done with one recording before the next is parsed. Returns the lists
-    per_share returns, joined in share order (by default the recordings),
-    and the lexicographically ordered class-name table backing the integer
-    labels. per_share must draw every recording, or raise; a bad row raises
-    as it is drawn. The first share that raises wins, so with the default
-    per_share the error is that of the first bad row in manifest order, as
-    in a serial loop.
+    per_share returns, joined in share order (the recordings, when
+    per_share is list), and the lexicographically ordered class-name table
+    backing the integer labels. per_share must draw every recording, or
+    raise; a bad row raises as it is drawn. The first share that raises
+    wins, so with per_share list the error is that of the first bad row in
+    manifest order, as in a serial loop.
     """
     entries, fs = read_manifest(manifest)
     if not entries:
@@ -556,13 +561,12 @@ def _write_float_rows(fh, rows: np.ndarray, block_rows: int,
         fh.write(line * len(block) % tuple(values))
 
 
-def window_recording(data: np.ndarray, window_len: int | None = None,
-                     hop: int | None = None) -> np.ndarray:
+def window_recording(data: np.ndarray, window_len: int | None, hop: int | None) -> np.ndarray:
     """Fixed-length windows at a fixed hop of recordings' data [..., n_ch, n_samples].
 
     Returns a read-only view [..., n_windows, n_ch, window_len]; window k
-    starts at sample k * hop. By default one window spans the whole
-    recording and the hop is the window length.
+    starts at sample k * hop. A window_len of None spans the whole
+    recording, and a hop of None is the window length.
     """
     n_samples = data.shape[-1]
     window_len = n_samples if window_len is None else window_len
@@ -621,10 +625,8 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
     return parts[0], parts[1], parts[2]
 
 
-def write_split(
-    train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, out_dir: str,
-    label_column: str = "label",
-) -> dict:
+def write_split(train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, out_dir: str,
+                label_column: str) -> dict:
     """Write the three split CSVs, their label column named label_column, plus
     the JSON sidecar; returns the sidecar dict."""
     os.makedirs(out_dir, exist_ok=True)

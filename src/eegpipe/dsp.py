@@ -157,9 +157,8 @@ class FeatureConfig:
     artifact_threshold_uv: float = 100.0
 
 
-def design_butterworth_bandpass(
-    low_hz: float, high_hz: float, fs_hz: float, order: int = 4
-) -> FilterCoefficients:
+def design_butterworth_bandpass(low_hz: float, high_hz: float, fs_hz: float,
+                                order: int) -> FilterCoefficients:
     """Design a digital Butterworth bandpass as second-order sections.
 
     `order` is the overall bandpass order (an order-4 bandpass has an
@@ -364,12 +363,7 @@ def reject_artifacts(epochs: np.ndarray, peak_uv: float) -> tuple[np.ndarray, in
     return kept, len(epochs) - len(kept)
 
 
-def welch_psd(
-    x: np.ndarray,
-    fs_hz: float,
-    segment_len: int = 256,
-    overlap_fraction: float = 0.5,
-) -> Psd:
+def welch_psd(x: np.ndarray, fs_hz: float, segment_len: int, overlap_fraction: float) -> Psd:
     """Welch PSD along the last axis: averaged one-sided periodograms of
     Hann-windowed segments.
 
@@ -479,25 +473,19 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
     return FeatureVector(np.stack(values, axis=-1), list(TIME_DOMAIN_STAT_NAMES))
 
 
-def extract_features(
-    epochs: np.ndarray,
-    fs_hz: float,
-    config: FeatureConfig | None = None,
-    channel_names: list[str] | None = None,
-) -> FeatureVector:
+def extract_features(epochs: np.ndarray, fs_hz: float, config: FeatureConfig,
+                     channel_names: list[str]) -> FeatureVector:
     """Per-channel band powers, spectral entropy, and time-domain statistics.
 
     `epochs` is [..., n_ch, n_samples]; values are [..., n_features]. The
     bands are the five EEG_BANDS, so this yields 14 features per channel,
-    named `<channel>.<feature>` and grouped by channel.
+    named `<channel>.<feature>` and grouped by channel. The Welch settings
+    come from config.
     """
-    cfg = config or FeatureConfig()
     n_ch = np.shape(epochs)[-2]
-    if channel_names is None:
-        channel_names = [f"ch{i}" for i in range(n_ch)]
     if len(channel_names) != n_ch:
         raise DataError(f"{len(channel_names)} channel names for {n_ch} channels")
-    psd = welch_psd(epochs, fs_hz, cfg.welch_segment_len, cfg.welch_overlap)
+    psd = welch_psd(epochs, fs_hz, config.welch_segment_len, config.welch_overlap)
     spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in EEG_BANDS.values()]
     spectral.append(spectral_entropy(psd))
     per_channel = np.concatenate(
@@ -508,8 +496,9 @@ def extract_features(
     return FeatureVector(per_channel.reshape(per_channel.shape[:-2] + (len(names),)), names)
 
 
-def fit_normalization(features: np.ndarray, mode: str = "zscore") -> NormalizationParams:
-    """Fit per-column normalization statistics (training split only).
+def fit_normalization(features: np.ndarray, mode: str) -> NormalizationParams:
+    """Fit per-column zscore or minmax (`mode`) normalization statistics
+    (training split only).
 
     Constant columns get std=1 (zscore maps them to 0) or are pinned to
     0.5 (minmax); either case raises a warning.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
     support: np.ndarray  # per-class true counts
-    zero_division_flags: list[str] = field(default_factory=list)
+    zero_division_flags: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -62,8 +62,9 @@ class MetricsReport:
         }
 
 
-def confusion(preds, truth, n_classes: int, class_names: list[str] | None = None) -> ConfusionMatrix:
-    """Count matrix with counts[i][j] = #{true class i predicted as j}."""
+def confusion(preds, truth, n_classes: int, class_names: list[str]) -> ConfusionMatrix:
+    """Count matrix with counts[i][j] = #{true class i predicted as j}, its
+    rows and columns named by class_names."""
     preds = np.asarray(preds, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if len(preds) != len(truth):
@@ -74,8 +75,6 @@ def confusion(preds, truth, n_classes: int, class_names: list[str] | None = None
         raise DataError(f"class id out of range [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (truth, preds), 1)
-    if class_names is None:
-        class_names = [str(i) for i in range(n_classes)]
     return ConfusionMatrix(counts, class_names)
 
 

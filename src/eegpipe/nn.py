@@ -23,15 +23,15 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, PipelineError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma and Ba's settings
 GATES = ("z", "r", "h")  # order of the H-row gate blocks in GruParams
 # ufuncs take `out` positionally here: numpy spends 0.1-0.4 us a call parsing out=
 
 
-def sigmoid(x, out=None):
+def sigmoid(x, out):
     """Logistic function as 0.5 * tanh(0.5 * x) + 0.5, written into `out`
-    when given (which may be x itself).
+    (which may be x itself) and returned.
 
     It cannot overflow, it gives exactly 0 and 1 far out in the tails, and
     its absolute error is within eps of the exact 1 / (1 + e^-x). Below
@@ -258,7 +258,7 @@ def gru_cell_forward(U_zr, U_c, step):
     return h_t
 
 
-def gru_forward(p: GruParams, xs, workspaces: dict | None = None):
+def gru_forward(p: GruParams, xs, workspaces: dict | None):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
     Time is the leading axis. The biased input projection W @ x_t + b of
@@ -293,7 +293,7 @@ def gru_forward(p: GruParams, xs, workspaces: dict | None = None):
     return ws.hs[1:].transpose(0, 2, 1), ws
 
 
-def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | None = None):
+def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams):
     """Exact BPTT through the recurrence.
 
     grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
@@ -302,11 +302,10 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | No
     Only the state gradient and the three gate gradients are carried
     through the time loop, in the workspace's buffers; the parameter
     gradients are one matrix product each over all T*batch columns
-    afterwards (dW with db). Returns (parameter gradients summed over time
-    and batch, written into `out` when given, and da [T, batch, 3H], the
-    gradient w.r.t. each step's gate pre-activations in [z, r, h] order, a
-    view into the workspace). The gradients w.r.t. the input frames, if
-    wanted, are da @ W.
+    afterwards (dW with db), summed over time and batch and written into
+    `out`. Returns da [T, batch, 3H], the gradient w.r.t. each step's gate
+    pre-activations in [z, r, h] order, a view into the workspace. The
+    gradients w.r.t. the input frames, if wanted, are da @ W.
     """
     ws = cache
     T, H, d, B = ws.shape
@@ -343,8 +342,6 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | No
             carry += term
             np.matmul(U_zr_T, da_zr, term)
             carry += term
-    if out is None:
-        out = GruParams(np.empty_like(p.W), np.empty_like(p.U), np.empty_like(p.b))
     da, rows, rows_steps = ws.da, ws.rows, ws.rows.reshape(T, B, H)
     np.copyto(da.reshape(3 * H, T, B), ws.da_steps.transpose(1, 0, 2))
     np.matmul(da, ws.x, ws.dWb)
@@ -354,7 +351,7 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams | No
     np.matmul(da[:H2], rows, out.U[:H2])
     np.copyto(rows_steps, ws.rh.transpose(0, 2, 1))
     np.matmul(da[H2:], rows, out.U[H2:])
-    return out, ws.da_steps.transpose(0, 2, 1)
+    return ws.da_steps.transpose(0, 2, 1)
 
 
 def flatten(hs):
@@ -379,18 +376,14 @@ def dense_forward(p: DenseParams, v):
     return v @ p.W.T + p.b
 
 
-def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams | None = None):
-    """Gradients of the affine map, summed over the batch: returns (dW, db, dv).
-
-    dW and db are written into `out` when given. dv [B, flat_dim] is the
-    transpose of W.T @ grad_logits.T, laid out [flat_dim, B] like the
-    GRU's states.
+def dense_backward(p: DenseParams, v, grad_logits, out: DenseParams):
+    """Gradients of the affine map, summed over the batch: dW and db are
+    written into `out`, and dv [B, flat_dim] is returned, the transpose of
+    W.T @ grad_logits.T, laid out [flat_dim, B] like the GRU's states.
     """
-    if out is None:
-        out = DenseParams(np.empty_like(p.W), np.empty_like(p.b))
     np.matmul(grad_logits.T, v, out.W)
     grad_logits.sum(axis=0, out=out.b)
-    return out.W, out.b, (p.W.T @ grad_logits.T).T
+    return (p.W.T @ grad_logits.T).T
 
 
 def softmax_cross_entropy_batch(logits, labels):
@@ -428,16 +421,13 @@ def model_forward(model: Model, xs_batch, workspaces: dict | None = None):
     return logits, (gru_cache, v)
 
 
-def model_backward(model: Model, cache, grad_logits, out: Model | None = None):
-    """Full backward pass; returns (gru grads, dense grads) summed over the batch.
-
-    With `out`, a Model-shaped set of arrays, the gradients are written there.
-    """
+def model_backward(model: Model, cache, grad_logits, out: Model) -> None:
+    """Full backward pass: the parameter gradients, summed over the batch,
+    are written into `out`, a Model-shaped set of arrays."""
     gru_cache, v = cache
-    dW, db, dv = dense_backward(model.dense, v, grad_logits, out and out.dense)
+    dv = dense_backward(model.dense, v, grad_logits, out.dense)
     T, H, _, _ = gru_cache.shape
-    gru_grads, _ = gru_backward(model.gru, gru_cache, unflatten(dv, T, H), out and out.gru)
-    return gru_grads, DenseParams(W=dW, b=db)
+    gru_backward(model.gru, gru_cache, unflatten(dv, T, H), out.gru)
 
 
 def predict_batch(model: Model, X):
@@ -534,7 +524,7 @@ def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: Tr
 # training
 
 
-def evaluate_model(model: Model, X, y, workspaces: dict | None = None) -> tuple[float, float]:
+def evaluate_model(model: Model, X, y, workspaces: dict) -> tuple[float, float]:
     """Mean loss and accuracy over a [n, T, d] set, fixed summation order;
     a prediction is the argmax of the logits, as in predict_batch. The
     forward pass runs in `workspaces` as model_forward's does.
@@ -588,38 +578,46 @@ def train(
     wait = 0
     t = 0
     n = len(y_tr)
-    for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            xb, yb = X_tr[sel], y_tr[sel]
-            logits, cache = model_forward(model, xb, workspaces)
-            losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
-            batch_loss = float(losses.sum())
-            if not math.isfinite(batch_loss):
-                raise NumericError(
-                    f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
-            loss_sum += batch_loss
-            correct += int((logits.argmax(axis=1) == yb).sum())
-            model_backward(model, cache, grad_logits / len(sel), out=grad_model)
-            t += 1
-            step_fn(params, grads, opt_state, t, cfg)
-        val_loss, val_acc = evaluate_model(model, X_va, y_va, workspaces)
-        history.train_loss.append(loss_sum / n)
-        history.train_acc.append(correct / n)
-        history.val_loss.append(val_loss)
-        history.val_acc.append(val_acc)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            np.copyto(best, params.vector)
-            wait = 0
-        else:
-            wait += 1
-            if wait >= cfg.patience:
-                break
+    epoch = batch = 0
+    try:
+        # an overflow or invalid operation anywhere in a step is divergence,
+        # as predict_batch would find it, and not a warning before the error
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.max_epochs):
+                perm = rng.permutation(n)
+                loss_sum = 0.0
+                correct = 0
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    sel = perm[start : start + cfg.batch_size]
+                    xb, yb = X_tr[sel], y_tr[sel]
+                    logits, cache = model_forward(model, xb, workspaces)
+                    losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
+                    batch_loss = float(losses.sum())
+                    if not math.isfinite(batch_loss):
+                        raise NumericError(
+                            f"training diverged: non-finite loss at epoch {epoch}, batch {batch}")
+                    loss_sum += batch_loss
+                    correct += int((logits.argmax(axis=1) == yb).sum())
+                    model_backward(model, cache, grad_logits / len(sel), out=grad_model)
+                    t += 1
+                    step_fn(params, grads, opt_state, t, cfg)
+                batch = None  # the validation pass
+                val_loss, val_acc = evaluate_model(model, X_va, y_va, workspaces)
+                history.train_loss.append(loss_sum / n)
+                history.train_acc.append(correct / n)
+                history.val_loss.append(val_loss)
+                history.val_acc.append(val_acc)
+                if val_loss < best_loss:
+                    best_loss = val_loss
+                    np.copyto(best, params.vector)
+                    wait = 0
+                else:
+                    wait += 1
+                    if wait >= cfg.patience:
+                        break
+    except FloatingPointError as exc:
+        where = "validation" if batch is None else f"batch {batch}"
+        raise NumericError(f"training diverged: {exc} at epoch {epoch}, {where}") from None
     params.vector[...] = best
     return model, history
 
@@ -639,11 +637,13 @@ def dataset_to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
     return X.reshape(n, seq_len, f // seq_len)
 
 
-def save_checkpoint(path: str, model: Model, class_names: list[str], normalization) -> None:
+def save_checkpoint(path: str, model: Model, class_names: list[str], feature_names: list[str],
+                    normalization) -> None:
     """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact.
 
     The GRU is written as one key per gate block (W_z, W_r, W_h, U_z, ...),
-    next to the NormalizationParams fitted on the model's training split.
+    next to the names of the feature columns the model reads, in order, and
+    the NormalizationParams fitted on the model's training split.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -655,6 +655,7 @@ def save_checkpoint(path: str, model: Model, class_names: list[str], normalizati
             "seed": model.config.seed,
         },
         "class_names": list(class_names),
+        "feature_names": list(feature_names),
         "normalization": normalization.to_dict(),
         "gru": {n: a.tolist() for n, a in model.gru.gate_blocks()},
         "dense": {n: a.tolist() for n, a in model.dense.items()},
@@ -674,10 +675,11 @@ def _array(section: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def load_checkpoint(path: str):
-    """Returns (model, class_names, normalization).
+    """Returns (model, class_names, feature_names, normalization).
 
-    Anything but a well-formed version-1 checkpoint is a DataError, such as
-    one without the normalization its model was trained on.
+    Anything but a well-formed version-2 checkpoint is a DataError, such as
+    one without the normalization its model was trained on, or one of
+    version 1, which holds no feature names.
     """
     from .dsp import NormalizationParams
 
@@ -703,20 +705,21 @@ def load_checkpoint(path: str):
         dense = DenseParams(
             _array(doc["dense"], "W", (C, H * cfg.sequence_length)), _array(doc["dense"], "b", (C,))
         )
-        class_names = doc["class_names"]
-        if not (isinstance(class_names, list) and len(class_names) == C
-                and all(isinstance(n, str) for n in class_names)
-                and len(set(class_names)) == C):
-            raise DataError(f"class_names must list {C} distinct strings")
+        n_features = cfg.input_dim * cfg.sequence_length
+        for key, count in (("class_names", C), ("feature_names", n_features)):
+            names = doc[key]
+            if not (isinstance(names, list) and len(names) == count
+                    and all(isinstance(n, str) for n in names) and len(set(names)) == count):
+                raise DataError(f"{key} must list {count} distinct strings")
         norm = NormalizationParams.from_dict(doc["normalization"])
-        if len(norm.lo) != cfg.input_dim * cfg.sequence_length:
+        if len(norm.lo) != n_features:
             raise DataError(f"normalization covers {len(norm.lo)} features, the model "
-                            f"{cfg.input_dim * cfg.sequence_length}")
+                            f"{n_features}")
     except KeyError as exc:
         raise DataError(f"checkpoint {path} lacks key {exc}") from None
     except (TypeError, ValueError, PipelineError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from None
-    return Model(cfg, gru, dense), class_names, norm
+    return Model(cfg, gru, dense), doc["class_names"], doc["feature_names"], norm
 
 
 _HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")

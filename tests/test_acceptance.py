@@ -109,7 +109,7 @@ def test_criterion_2_gru_scalar_oracle():
                         + b_h[i]) for i in range(2)]
         h = [z[i] * h[i] + (1.0 - z[i]) * hc[i] for i in range(2)]
         want.append(list(h))
-    hs, _ = nn.gru_forward(model.gru, np.array(xs)[:, None])
+    hs, _ = nn.gru_forward(model.gru, np.array(xs)[:, None], None)
     err = float(np.max(np.abs(hs[:, 0] - np.array(want))))
     verdict(2, err < 1e-12, f"forward pass vs scalar recomputation, max abs err {err:.2e}")
 
@@ -226,7 +226,7 @@ def test_criterion_5_baseline_sanity(synthetic_run):
         X = rng.normal(size=(n, d)).round(2)
         y = rng.integers(0, k, size=n)
         want = brute_force_best_split(X, y, k)
-        got = baselines.best_gini_split(X, y, k)
+        got = baselines.best_gini_split(X, y, k, None)
         if want is None:
             assert got is None, f"trial {trial}"
         else:
@@ -244,13 +244,14 @@ def test_criterion_6_evaluation_invariants():
     rng = np.random.default_rng(5)
     truth = rng.integers(0, 3, size=200)
     preds = rng.integers(0, 3, size=200)
-    cm = evaluation.confusion(preds, truth, 3)
+    names = ["a", "b", "c"]
+    cm = evaluation.confusion(preds, truth, 3, names)
     assert cm.total == 200  # conservation
     assert cm.counts.sum(axis=1).tolist() == [int(np.sum(truth == c)) for c in range(3)]
 
     perm = np.array([1, 2, 0])
     rep = evaluation.metrics(cm)
-    rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], 3))
+    rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], 3, names))
     inv = np.argsort(perm)
     assert rep_p.accuracy == rep.accuracy
     assert np.array_equal(rep_p.precision, rep.precision[inv])

@@ -174,14 +174,14 @@ class TestTree:
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
         y = np.ones(10, dtype=int)
-        tree = baselines.fit_tree(X, y, n_classes=2)
+        tree = baselines.fit_tree(X, y, 2, 12, None, X.shape[1])
         assert tree.left.tolist() == [-1] and tree.right.tolist() == [-1]
         assert tree.leaf.tolist() == [[0.0, 1.0]]
 
     def test_one_dimensional_midpoint(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
-        tree = baselines.fit_tree(X, y, n_classes=2)
+        tree = baselines.fit_tree(X, y, 2, 12, None, X.shape[1])
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
         assert tree.left.tolist() == [1, -1, -1]
@@ -196,7 +196,7 @@ class TestTree:
 
     def test_xor_tree_beats_linear(self):
         X, y = xor_cluster_dataset()
-        tree = baselines.fit_tree(X, y, n_classes=2)
+        tree = baselines.fit_tree(X, y, 2, 12, None, X.shape[1])
         preds = baselines._tree_outputs(tree, X).argmax(axis=1)
         assert np.mean(preds == y) == 1.0
         linear = baselines.fit_logistic(X, y, n_classes=2)
@@ -209,7 +209,7 @@ class TestTree:
             X = rng.normal(size=(25, 4)).round(2)
             y = rng.integers(0, 3, size=25)
             want = brute_force_best_split(X, y, 3)
-            got = baselines.best_gini_split(X, y, 3)
+            got = baselines.best_gini_split(X, y, 3, None)
             if want is None:
                 assert got is None
             else:
@@ -272,7 +272,7 @@ class TestTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))
         y = rng.integers(0, 2, size=200)
-        tree = baselines.fit_tree(X, y, n_classes=2, max_depth=2)
+        tree = baselines.fit_tree(X, y, 2, 2, None, X.shape[1])
 
         def depth(node):
             if tree.left[node] < 0:
@@ -294,7 +294,7 @@ class TestTree:
         # duplicated feature columns give identical best scores
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([0, 0, 1, 1])
-        feat, thr, _ = baselines.best_gini_split(X, y, 2)
+        feat, thr, _ = baselines.best_gini_split(X, y, 2, None)
         assert feat == 0
         assert thr == 2.5
 
@@ -304,19 +304,19 @@ class TestForest:
         # a one-tree forest is one tree grown on a bootstrap sample, drawing
         # round(sqrt(d)) features per split from the tree's own generator
         X, y = blob_dataset(seed=2)
-        forest = baselines.fit_forest(X, y, n_classes=2, n_trees=1, seed=5)
+        forest = baselines.fit_forest(X, y, 2, n_trees=1, max_depth=12, seed=5)
         rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         rows = rng.integers(0, len(y), size=len(y))
-        tree = baselines.fit_tree(X[rows], y[rows], n_classes=2, rng=rng,
-                                  max_features=max(1, round(math.sqrt(X.shape[1]))))
+        tree = baselines.fit_tree(X[rows], y[rows], 2, 12, rng,
+                                  max(1, round(math.sqrt(X.shape[1]))))
         assert same_trees(forest.trees, [tree])
         assert np.array_equal(baselines.predict_forest(forest, X),
                               baselines._tree_outputs(tree, X).argmax(axis=1))
 
     def test_seed_determinism(self):
         X, y = blob_dataset(seed=3)
-        f1 = baselines.fit_forest(X, y, n_classes=2, n_trees=5, seed=11)
-        f2 = baselines.fit_forest(X, y, n_classes=2, n_trees=5, seed=11)
+        f1 = baselines.fit_forest(X, y, 2, n_trees=5, max_depth=12, seed=11)
+        f2 = baselines.fit_forest(X, y, 2, n_trees=5, max_depth=12, seed=11)
         assert same_trees(f1.trees, f2.trees)
         assert np.array_equal(baselines.predict_forest(f1, X), baselines.predict_forest(f2, X))
 
@@ -324,8 +324,8 @@ class TestForest:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 4))
         y = rng.integers(0, 2, size=60)
-        f1 = baselines.fit_forest(X, y, n_classes=2, n_trees=3, seed=1)
-        f2 = baselines.fit_forest(X, y, n_classes=2, n_trees=3, seed=2)
+        f1 = baselines.fit_forest(X, y, 2, n_trees=3, max_depth=12, seed=1)
+        f2 = baselines.fit_forest(X, y, 2, n_trees=3, max_depth=12, seed=2)
         assert not same_trees(f1.trees, f2.trees)
         votes = [sum(baselines._tree_outputs(t, X) for t in f.trees) for f in (f1, f2)]
         assert not np.array_equal(*votes)
@@ -333,7 +333,7 @@ class TestForest:
     def test_probabilities_on_simplex(self):
         # every node of every tree holds class probabilities
         X, y = blob_dataset(seed=5)
-        forest = baselines.fit_forest(X, y, n_classes=2, n_trees=7, seed=0)
+        forest = baselines.fit_forest(X, y, 2, n_trees=7, max_depth=12, seed=0)
         for tree in forest.trees:
             assert tree.leaf.shape == (len(tree.feature), 2)
             assert np.all(tree.leaf >= 0)
@@ -341,7 +341,7 @@ class TestForest:
 
     def test_separable_accuracy(self):
         X, y = blob_dataset(seed=6)
-        forest = baselines.fit_forest(X, y, n_classes=2, n_trees=15, seed=3)
+        forest = baselines.fit_forest(X, y, 2, n_trees=15, max_depth=12, seed=3)
         preds = baselines.predict_forest(forest, X)
         assert np.mean(preds == y) >= 0.95
 
@@ -433,7 +433,7 @@ class TestBoosting:
     def test_zero_rounds_predicts_priors(self):
         y = np.array([0] * 6 + [1] * 3 + [2] * 1)
         X = np.random.default_rng(0).normal(size=(10, 2))
-        model = baselines.fit_boosting(X, y, n_classes=3, n_rounds=0)
+        model = baselines.fit_boosting(X, y, 3, n_rounds=0, max_depth=3, learning_rate=0.1)
         priors = np.array([0.6, 0.3, 0.1])
         F = baselines.boost_scores(model, X)
         assert np.max(np.abs(F - np.log(priors / (1.0 - priors)))) < 1e-12
@@ -445,7 +445,8 @@ class TestBoosting:
         y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int)
         losses = []
         for rounds in (0, 5, 15, 40):
-            model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=rounds)
+            model = baselines.fit_boosting(X, y, 2, n_rounds=rounds, max_depth=3,
+                                           learning_rate=0.1)
             losses.append(boost_logistic_loss(model, X, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -462,13 +463,13 @@ class TestBoosting:
         assert baselines._tree_outputs(hand, XOR_X).tolist() == [-1.0, 1.0, 1.0, -1.0]
 
         X, y = xor_cluster_dataset()
-        model = baselines.fit_boosting(X, y, n_classes=2, n_rounds=50, max_depth=2)
+        model = baselines.fit_boosting(X, y, 2, n_rounds=50, max_depth=2, learning_rate=0.1)
         assert np.mean(baselines.predict_boost(model, X) == y) == 1.0
 
     def test_determinism(self):
         X, y = blob_dataset(seed=12)
-        m1 = baselines.fit_boosting(X, y, n_classes=2, n_rounds=10)
-        m2 = baselines.fit_boosting(X, y, n_classes=2, n_rounds=10)
+        m1 = baselines.fit_boosting(X, y, 2, n_rounds=10, max_depth=3, learning_rate=0.1)
+        m2 = baselines.fit_boosting(X, y, 2, n_rounds=10, max_depth=3, learning_rate=0.1)
         assert all(same_trees(r1, r2) for r1, r2 in zip(m1.trees, m2.trees, strict=True))
         assert baselines.boost_scores(m1, X).tobytes() == baselines.boost_scores(m2, X).tobytes()
 
@@ -613,7 +614,7 @@ class TestReferenceGrower:
     @pytest.mark.parametrize("max_depth", [12, 3])
     def test_fit_tree_matches_reference(self, max_depth):
         X, y = tie_heavy_dataset(21, 80, 5, 3)
-        tree = baselines.fit_tree(X, y, 3, max_depth)
+        tree = baselines.fit_tree(X, y, 3, max_depth, None, X.shape[1])
         want = ref_fit_tree(X, y, 3, max_depth)
         assert len(tree.feature) > 3
         assert_same_tree(tree, want)
@@ -622,7 +623,7 @@ class TestReferenceGrower:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_forest_matches_reference(self, seed):
         X, y = tie_heavy_dataset(seed + 100, 70, 9, 3)
-        forest = baselines.fit_forest(X, y, 3, n_trees=6, seed=seed)
+        forest = baselines.fit_forest(X, y, 3, n_trees=6, max_depth=12, seed=seed)
         want = ref_fit_forest(X, y, 3, n_trees=6, seed=seed)
         assert all(len(t.feature) > 3 for t in forest.trees)
         for tree, ref in zip(forest.trees, want, strict=True):
@@ -631,7 +632,7 @@ class TestReferenceGrower:
 
     def test_boosting_matches_reference(self):
         X, y = tie_heavy_dataset(33, 60, 4, 3)
-        model = baselines.fit_boosting(X, y, 3, n_rounds=8, max_depth=3)
+        model = baselines.fit_boosting(X, y, 3, n_rounds=8, max_depth=3, learning_rate=0.1)
         want = ref_fit_boosting(X, y, 3, n_rounds=8, max_depth=3)
         assert all(len(t.feature) > 1 for t in model.trees[0])
         for got_round, want_round in zip(model.trees, want, strict=True):

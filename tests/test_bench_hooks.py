@@ -147,7 +147,7 @@ def test_boosting_split_census(monkeypatch):
     X = rng.normal(size=(60, 4)).round(1)
     y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int) + (X[:, 2] > 0.8)
     max_depth = 3
-    model = baselines.fit_boosting(X, y, 3, n_rounds=4, max_depth=max_depth)
+    model = baselines.fit_boosting(X, y, 3, n_rounds=4, max_depth=max_depth, learning_rate=0.1)
     counts = [nodes_that_search(tree, X, max_depth)
               for per_class in model.trees for tree in per_class]
     searched, found = map(sum, zip(*counts))

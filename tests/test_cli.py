@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 from eegpipe import cli, dataio, dsp, nn
 from eegpipe.cli import SETTINGS, build_parser, derive_seed, main, resolve_settings
@@ -337,7 +338,7 @@ class TestSettings:
         assert len(nn.load_history(str(tmp_path / "a" / "history.csv"))) == 3
         assert run(*argv, "--epochs", "2", "--out", str(tmp_path / "b")) == 0
         assert len(nn.load_history(str(tmp_path / "b" / "history.csv"))) == 2
-        model, _, _ = nn.load_checkpoint(str(tmp_path / "b" / "checkpoint.json"))
+        model, _, _, _ = nn.load_checkpoint(str(tmp_path / "b" / "checkpoint.json"))
         assert model.config.hidden_dim == 4
 
     def test_config_file_reaches_featurize(self, pipeline, tmp_path):
@@ -346,8 +347,8 @@ class TestSettings:
         out = str(tmp_path / "f.csv")
         assert run("featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
                    "--config", str(cfg), "--out", out) == 0
-        whole = dataio.load_feature_csv(pipeline["feats"]).n_examples
-        assert dataio.load_feature_csv(out).n_examples == 3 * whole
+        whole = dataio.load_feature_csv(pipeline["feats"], "label").n_examples
+        assert dataio.load_feature_csv(out, "label").n_examples == 3 * whole
 
 
 class TestSynth:
@@ -453,7 +454,7 @@ class TestTrain:
         ("drop_last", 56, None)])
     def test_val_columns_must_match_training(self, pipeline, tmp_path, capsys, change, column,
                                              got):
-        ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "val.csv"))
+        ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "val.csv"), "label")
         order = list(range(len(ds.feature_names)))
         names = list(ds.feature_names)
         if change == "swap_first_two":
@@ -483,8 +484,8 @@ class TestTrain:
             "train", "--train", os.path.join(pipeline["splits"], "train.csv"), "--val", val,
             "--out", out, "--hidden", "8", "--epochs", "1", "--lr", "0",
         ) == 0
-        model, names, norm = nn.load_checkpoint(os.path.join(out, "checkpoint.json"))
-        ds = dataio.load_feature_csv(val)
+        model, names, _, norm = nn.load_checkpoint(os.path.join(out, "checkpoint.json"))
+        ds = dataio.load_feature_csv(val, "label")
         truth = [names.index(ds.class_names[c]) for c in ds.labels]
         X = nn.dataset_to_sequences(dsp.apply_normalization(ds.features, norm), 4)
         preds = nn.predict_batch(model, X)
@@ -518,6 +519,29 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert "56" in err and "8" in err
+
+    # the checkpoint names the columns its model reads by position, so a test
+    # file with them swapped or renamed is refused, not scored
+    @pytest.mark.parametrize("change,got", [("swap_first_two", "TP9.bandpower.theta"),
+                                            ("rename_all", "t.TP9.bandpower.delta")])
+    def test_test_columns_must_match_the_checkpoint(self, pipeline, tmp_path, capsys, change,
+                                                    got):
+        ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "test.csv"), "label")
+        order, names = list(range(ds.n_features)), list(ds.feature_names)
+        if change == "swap_first_two":
+            order[:2] = [1, 0]
+            names = [names[i] for i in order]
+        else:
+            names = [f"t.{n}" for n in names]
+        test = str(tmp_path / "test.csv")
+        dataio.save_feature_csv(dataio.Dataset(ds.features[:, order], ds.labels,
+                                               ds.class_names, names), test)
+        ck = os.path.join(pipeline["run"], "checkpoint.json")
+        out = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", ck, "--test", test, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{test}: feature column 1 is {got!r}, not 'TP9.bandpower.delta' as in {ck}" in err
+        assert not out.exists()
 
 
     def test_test_labels_follow_checkpoint_class_table(self, pipeline, tmp_path):
@@ -632,6 +656,13 @@ def _replace(key, value):
     return edit
 
 
+def _feature_names(change):
+    def edit(doc):
+        doc["feature_names"] = change(doc["feature_names"])
+        return doc
+    return edit
+
+
 # each section that must be a JSON object, as null, a list and a string
 _NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "normalization")
                 for kind, value in (("null", None), ("list", [1.0]), ("string", "zscore"))]
@@ -647,11 +678,18 @@ _NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "
     (_minmax_max_below_min, "max"), (_drop("normalization"), "normalization"),
     # two rows of one name would score a class's epochs under another's row
     (_replace("class_names", ["NEGATIVE", "NEGATIVE", "POSITIVE"]), "distinct"),
+    # the feature names are what evaluate checks a test file's columns against
+    (_drop("feature_names"), "feature_names"),
+    (_feature_names(lambda names: names[:-1]), "feature_names must list 56 distinct strings"),
+    (_feature_names(lambda names: names[:1] + names[:-1]), "feature_names must list 56 distinct"),
+    (_feature_names(lambda names: [None] + names[1:]), "feature_names must list 56 distinct"),
+    (_replace("format_version", 1), "unsupported checkpoint version 1"),
     *((_replace(key, value), key) for _, key, value in _NOT_OBJECTS),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
         "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
         "unknown_normalization_mode", "minmax_max_below_min", "no_normalization",
-        "duplicate_class_names",
+        "duplicate_class_names", "no_feature_names", "short_feature_names",
+        "duplicate_feature_names", "non_string_feature_name", "version_1",
         *(f"{kind}_{key}" for kind, key, _ in _NOT_OBJECTS)])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
     doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
@@ -663,6 +701,57 @@ def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, ne
     err = capsys.readouterr().err
     assert "checkpoint" in err and needle in err
     assert not os.path.exists(tmp_path / "out")
+
+
+# an overflow in training is divergence, reported as one line on stderr, with
+# no numpy warning (and its source path) printed before it
+@pytest.mark.parametrize("optimizer,lr", [("adam", "1e307"), ("sgd", "1.7e308")])
+def test_diverging_training_is_one_line_numeric_error(pipeline, tmp_path, optimizer, lr):
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eegpipe.cli", "train", "--seed", "1",
+         "--train", os.path.join(pipeline["splits"], "train.csv"),
+         "--val", os.path.join(pipeline["splits"], "val.csv"), "--hidden", "8",
+         "--optimizer", optimizer, "--lr", lr, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numeric error: training diverged: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, cpus):
+    # a huge setting ends in numpy's MemoryError, made here without the
+    # allocation; at 3 CPUs only the forked shares raise it, so it reaches
+    # this process pickled from a child
+    synth_epochs = dataio._synth_epochs
+
+    def no_memory(n_per_class, window_len, fs, seed, start):
+        if start or cpus == 1:
+            raise _ArrayMemoryError((10**12, 4), np.dtype(float))
+        return synth_epochs(n_per_class, window_len, fs, seed, start)
+
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dataio, "_synth_epochs", no_memory)
+    assert run("synth", "--per-class", "2", "--out", str(tmp_path / "raw")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_in_train_is_one_line_error(pipeline, tmp_path, monkeypatch, capsys):
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(nn, "init_model", no_memory)
+    out = tmp_path / "run"
+    assert run("train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+               "--val", os.path.join(pipeline["splits"], "val.csv"), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_overflowing_checkpoint_is_numeric_error(pipeline, tmp_path, capsys):
@@ -1078,7 +1167,7 @@ def per_recording_features(manifest, window_len, hop):
     """featurize's rows and class names with extract_features called once per
     recording."""
     fc = dsp.FeatureConfig()
-    recordings, class_names = dataio.load_raw_recordings(str(manifest.parent), str(manifest))
+    recordings, class_names = dataio.load_raw_recordings(str(manifest.parent), str(manifest), list)
     coeffs = dsp.design_butterworth_bandpass(fc.filter_low_hz, fc.filter_high_hz, 256.0,
                                              fc.filter_order)
     rows, labels = [], []
@@ -1133,7 +1222,7 @@ def test_blocked_featurize_equals_per_recording_features(tmp_path, monkeypatch, 
     assert calls == blocks
     monkeypatch.setattr(dsp, "extract_features", extract)
     want, labels = per_recording_features(manifest, window_len, hop)
-    got = dataio.load_feature_csv(str(out))
+    got = dataio.load_feature_csv(str(out), "label")
     assert len(got.labels) == sum(b[0] for b in blocks)
     assert got.features.tobytes() == want.tobytes()
     # by name: a class with no kept epoch is not in the file
@@ -1184,7 +1273,7 @@ def test_undecodable_or_overlong_csv_is_data_error(pipeline, tmp_path, capsys, t
 
 
 def write_without_class(src, dst, label):
-    ds = dataio.load_feature_csv(src)
+    ds = dataio.load_feature_csv(src, "label")
     keep = ds.labels != ds.class_names.index(label)
     dataio.save_feature_csv(
         dataio.Dataset(ds.features[keep], ds.labels[keep], ds.class_names, ds.feature_names), dst

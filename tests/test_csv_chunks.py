@@ -79,7 +79,7 @@ def load_raw(root, body):
         f"file,label,sample_rate_hz,channels\nr.csv,POSITIVE,256,{';'.join(dataio.DEFAULT_CHANNELS)}\n")
     channels = list(dataio.DEFAULT_CHANNELS)
     plain = dataio._read_plain_csv(str(root / "r.csv"), lambda header: header == channels)
-    loaded = outcome(lambda: dataio.load_raw_recordings(str(root), str(root / "manifest.csv")))
+    loaded = outcome(lambda: dataio.load_raw_recordings(str(root), str(root / "manifest.csv"), list))
     if isinstance(loaded[0], list):
         loaded = [rec.data.tobytes() for rec in loaded[0]]
     return (None if plain is None else (plain[0], plain[1].tobytes(), plain[2])), loaded
@@ -89,7 +89,7 @@ def load_features(root, body):
     (root / "f.csv").write_text(body, newline="")
     path = str(root / "f.csv")
     plain = dataio._read_plain_csv(path, lambda header: header[-1] == "label", labelled=True)
-    loaded = outcome(lambda: dataio.load_feature_csv(path))
+    loaded = outcome(lambda: dataio.load_feature_csv(path, "label"))
     if isinstance(loaded, dataio.Dataset):
         loaded = (loaded.features.tobytes(), loaded.labels.tolist(), loaded.class_names,
                   loaded.feature_names)

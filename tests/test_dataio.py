@@ -26,13 +26,13 @@ class TestLoadFeatureCsv:
             tmp_path / "f.csv",
             "f1,f2,label\n1,2,POSITIVE\n3,4,NEGATIVE\n5,6,NEUTRAL\n",
         )
-        ds = dataio.load_feature_csv(p)
+        ds = dataio.load_feature_csv(p, "label")
         assert ds.class_names == ["NEGATIVE", "NEUTRAL", "POSITIVE"]
         assert list(ds.labels) == [2, 0, 1]
 
     def test_single_row(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,f2,label\n0,0,NEUTRAL\n")
-        ds = dataio.load_feature_csv(p)
+        ds = dataio.load_feature_csv(p, "label")
         assert ds.features.tolist() == [[0.0, 0.0]]
         assert list(ds.labels) == [0]
         assert ds.class_names == ["NEUTRAL"]
@@ -41,26 +41,26 @@ class TestLoadFeatureCsv:
     def test_nan_cell_reports_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,f2,label\n1,NaN,A\n")
         with pytest.raises(DataError, match=r"row 2.*'f2'"):
-            dataio.load_feature_csv(p)
+            dataio.load_feature_csv(p, "label")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            dataio.load_feature_csv(str(tmp_path / "absent.csv"))
+            dataio.load_feature_csv(str(tmp_path / "absent.csv"), "label")
 
     def test_duplicate_header(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,f1,label\n1,2,A\n")
         with pytest.raises(DataError, match="duplicate"):
-            dataio.load_feature_csv(p)
+            dataio.load_feature_csv(p, "label")
 
     def test_missing_label_column(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,f2\n1,2\n")
         with pytest.raises(DataError, match="label"):
-            dataio.load_feature_csv(p)
+            dataio.load_feature_csv(p, "label")
 
     def test_empty_dataset(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,label\n")
         with pytest.raises(DataError, match="no data rows"):
-            dataio.load_feature_csv(p)
+            dataio.load_feature_csv(p, "label")
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -72,15 +72,15 @@ class TestLoadFeatureCsv:
         )
         path = tmp_path / "out.csv"
         dataio.save_feature_csv(ds, str(path))
-        back = dataio.load_feature_csv(str(path))
+        back = dataio.load_feature_csv(str(path), "label")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert back.feature_names == ds.feature_names
 
     def test_mapping_stable_across_reload(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,label\n1,B\n2,A\n3,B\n")
-        a = dataio.load_feature_csv(p)
-        b = dataio.load_feature_csv(p)
+        a = dataio.load_feature_csv(p, "label")
+        b = dataio.load_feature_csv(p, "label")
         assert a.class_names == b.class_names
         assert np.array_equal(a.labels, b.labels)
 
@@ -100,7 +100,7 @@ class TestRawRecordings:
 
     def test_loads_recordings_with_channels(self, tmp_path):
         manifest = self.make_raw(tmp_path)
-        recs, class_names = dataio.load_raw_recordings(str(tmp_path), manifest)
+        recs, class_names = dataio.load_raw_recordings(str(tmp_path), manifest, list)
         assert len(recs) == 2
         assert recs[0].channels == ["TP9", "AF7", "AF8", "TP10"]
         assert recs[0].data.shape[0] == 4
@@ -108,7 +108,7 @@ class TestRawRecordings:
 
     def test_empty_manifest(self, tmp_path):
         p = write_csv(tmp_path / "manifest.csv", "file,label,sample_rate_hz,channels\n")
-        recs, names = dataio.load_raw_recordings(str(tmp_path), p)
+        recs, names = dataio.load_raw_recordings(str(tmp_path), p, list)
         assert recs == [] and names == []
 
     def test_missing_file_reference(self, tmp_path):
@@ -117,14 +117,14 @@ class TestRawRecordings:
             "file,label,sample_rate_hz,channels\nnope.csv,A,256,TP9\n",
         )
         with pytest.raises(DataError, match="missing file"):
-            dataio.load_raw_recordings(str(tmp_path), p)
+            dataio.load_raw_recordings(str(tmp_path), p, list)
 
     def test_short_manifest_row_names_its_line(self, tmp_path):
         manifest = self.make_raw(tmp_path)
         with open(manifest, "a", encoding="utf-8") as fh:
             fh.write("r0.csv,POSITIVE\n")
         with pytest.raises(DataError, match=r"line 4: no channels, sample_rate_hz cell"):
-            dataio.load_raw_recordings(str(tmp_path), manifest)
+            dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_sample_names_file_and_line(self, tmp_path, cell):
@@ -134,7 +134,7 @@ class TestRawRecordings:
         lines[5] = f"0.5,{cell},0.5,0.5\n"
         path.write_text("".join(lines))
         with pytest.raises(DataError, match=r"r1\.csv: line 6: non-finite"):
-            dataio.load_raw_recordings(str(tmp_path), manifest)
+            dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
     # the first row whose rate is not positive and finite wins, before any row
     # after it (a short one too) and before the rates are compared
@@ -162,7 +162,7 @@ class TestRawRecordings:
             "file,label,sample_rate_hz,channels\na.csv,X,256,TP9\nb.csv,X,256,AF7\n",
         )
         with pytest.raises(DataError, match="inconsistent channel"):
-            dataio.load_raw_recordings(str(tmp_path), p)
+            dataio.load_raw_recordings(str(tmp_path), p, list)
 
 
 # Finite doubles, with the subnormals, the largest double and -0.0 drawn often.
@@ -204,7 +204,7 @@ def raw_outcome(root, channels):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            recs, _ = dataio.load_raw_recordings(root, write_manifest(root, channels))
+            recs, _ = dataio.load_raw_recordings(root, write_manifest(root, channels), list)
     except DataError as exc:
         return str(exc)
     return bits(recs[0].data.T)
@@ -234,7 +234,7 @@ class TestCsvFormat:
         data = np.array(rows)
         channels = dataio.DEFAULT_CHANNELS[: data.shape[1]]
         with tempfile.TemporaryDirectory() as root:
-            dataio.save_recording_csv(dataio.Recording(channels, 256.0, data.T),
+            dataio.save_recording_csv(dataio.Recording(channels, 256.0, data.T, label=0),
                                       os.path.join(root, "r.csv"))
             assert raw_outcome(root, channels) == bits(data)
 
@@ -248,14 +248,14 @@ class TestCsvFormat:
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "f.csv")
             dataio.save_feature_csv(ds, path)
-            back = dataio.load_feature_csv(path)
+            back = dataio.load_feature_csv(path, "label")
         assert bits(back.features) == bits(data)
         assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
         assert back.feature_names == ds.feature_names
 
     def test_raw_bytes_match_csv_writer(self, tmp_path):
         data = np.array([[0.1, -0.0, 5e-324], [1.7976931348623157e308, -2.5e-310, 1e22]])
-        rec = dataio.Recording(["TP9", "AF7"], 256.0, data)
+        rec = dataio.Recording(["TP9", "AF7"], 256.0, data, label=0)
         dataio.save_recording_csv(rec, str(tmp_path / "r.csv"))
         want = reference_csv(rec.channels, [[repr(float(v)) for v in row] for row in data.T])
         assert (tmp_path / "r.csv").read_bytes() == want
@@ -272,7 +272,7 @@ class TestCsvFormat:
                              [[repr(float(v)) for v in row] + [names[k]]
                               for row, k in zip(features, labels)])
         assert (tmp_path / "f.csv").read_bytes() == want
-        back = dataio.load_feature_csv(path)
+        back = dataio.load_feature_csv(path, "label")
         assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
         assert bits(back.features) == bits(features)
 
@@ -293,7 +293,7 @@ class TestCsvFormat:
             assert path.read_bytes() == reference_csv(
                 ds.feature_names + ["label"],
                 [[repr(float(v)) for v in row] + [names[k]] for row, k in zip(ds.features, labels)])
-        rec = dataio.Recording(["TP9", "AF7"], 256.0, features.T)
+        rec = dataio.Recording(["TP9", "AF7"], 256.0, features.T, label=0)
         dataio.save_recording_csv(rec, str(tmp_path / "r.csv"))
         assert (tmp_path / "r.csv").read_bytes() == reference_csv(
             rec.channels, [[repr(float(v)) for v in row] for row in features])
@@ -306,16 +306,16 @@ class TestCsvFormat:
         monkeypatch.setattr(dataio, "_scan_feature_csv", no_scan)
         data, labels = dataio.synth_generate(2, 64, 256.0, seed=0)
         for i, x in enumerate(data):
-            rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, x)
+            rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, x, label=0)
             dataio.save_recording_csv(rec, str(tmp_path / f"r{i}.csv"))
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,label,sample_rate_hz,channels\n" + "".join(
             f"r{i}.csv,{k},256,TP9;AF7;AF8;TP10\n" for i, k in enumerate(labels)))
-        recs, _ = dataio.load_raw_recordings(str(tmp_path), str(manifest))
+        recs, _ = dataio.load_raw_recordings(str(tmp_path), str(manifest), list)
         assert [bits(r.data) for r in recs] == [bits(x) for x in data]
         ds = dataio.Dataset(data[:, 0, :8], labels, ["x", "y", "z"], [f"s{i}" for i in range(8)])
         dataio.save_feature_csv(ds, str(tmp_path / "f.csv"))
-        assert bits(dataio.load_feature_csv(str(tmp_path / "f.csv")).features) == bits(ds.features)
+        assert bits(dataio.load_feature_csv(str(tmp_path / "f.csv"), "label").features) == bits(ds.features)
 
 
 # (case, file text, expected: the loaded rows, or a fragment of the DataError)
@@ -569,7 +569,7 @@ class TestSynthGenerate:
 
     def test_class1_alpha_beats_beta(self):
         data, labels = dataio.synth_generate(4, 512, 256.0, seed=1)
-        psd = dsp.welch_psd(data[labels == 1, 0], 256.0, segment_len=256)
+        psd = dsp.welch_psd(data[labels == 1, 0], 256.0, segment_len=256, overlap_fraction=0.5)
         alpha = dsp.band_power(psd, 8.0, 13.0)
         beta = dsp.band_power(psd, 13.0, 30.0)
         assert len(alpha) == 4 and np.all(alpha > beta)
@@ -616,8 +616,8 @@ def test_write_split_sidecar(tmp_path):
     ds = make_dataset([10, 10, 10])
     spec = dataio.SplitSpec((0.6, 0.2, 0.2), seed=4)
     parts = dataio.stratified_split(ds, spec)
-    sidecar = dataio.write_split(*parts, spec, str(tmp_path))
+    sidecar = dataio.write_split(*parts, spec, str(tmp_path), "label")
     assert sidecar["seed"] == 4
     assert sidecar["counts_per_class"]["train"] == {"A": 6, "B": 6, "C": 6}
-    back = dataio.load_feature_csv(str(tmp_path / "train.csv"))
+    back = dataio.load_feature_csv(str(tmp_path / "train.csv"), "label")
     assert back.n_examples == 18

@@ -418,14 +418,14 @@ class TestWelch:
 
     def test_short_signal_rejected(self):
         with pytest.raises(DataError, match="shorter"):
-            dsp.welch_psd(np.zeros(100), 256.0, segment_len=256)
+            dsp.welch_psd(np.zeros(100), 256.0, segment_len=256, overlap_fraction=0.5)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigError):
-            dsp.welch_psd(np.zeros(300), 256.0, segment_len=100)
+            dsp.welch_psd(np.zeros(300), 256.0, segment_len=100, overlap_fraction=0.5)
 
     def test_freq_axis(self):
-        psd = dsp.welch_psd(np.random.default_rng(0).normal(size=256), 256.0, 128)
+        psd = dsp.welch_psd(np.random.default_rng(0).normal(size=256), 256.0, 128, 0.5)
         assert psd.freqs_hz[0] == 0.0
         assert psd.freqs_hz[-1] == 128.0
         assert len(psd.power) == 65
@@ -436,7 +436,7 @@ class TestBandPower:
     @pytest.fixture
     def psd(self):
         x = np.random.default_rng(3).normal(size=1024)
-        return dsp.welch_psd(x, 256.0, segment_len=256)
+        return dsp.welch_psd(x, 256.0, segment_len=256, overlap_fraction=0.5)
 
     def test_full_band_equals_total(self, psd):
         total = np.trapezoid(psd.power, psd.freqs_hz)
@@ -464,7 +464,7 @@ class TestCheckBands:
     def test_passes_exactly_where_extract_features_can_measure_every_band(self, fs, seg):
         x = np.random.default_rng(0).normal(size=(2, seg))
         try:
-            dsp.extract_features(x, fs, dsp.FeatureConfig(welch_segment_len=seg))
+            dsp.extract_features(x, fs, dsp.FeatureConfig(welch_segment_len=seg), ["ch0", "ch1"])
         except (ConfigError, DataError) as exc:
             with pytest.raises(ConfigError, match=f"sample rate {fs} Hz") as raised:
                 dsp.check_bands(fs, seg)
@@ -586,43 +586,48 @@ class TestTimeDomainStats:
         assert np.array_equal(fv.values[3], dsp.time_domain_stats(noise).values)
 
 
+FEATURES = dsp.FeatureConfig()
+
+
 class TestExtractFeatures:
     def test_four_channels_give_56_features(self):
         data, _ = dataio.synth_generate(1, 256, 256.0, seed=0)
-        fv = dsp.extract_features(data[0], 256.0, channel_names=dataio.DEFAULT_CHANNELS)
+        fv = dsp.extract_features(data[0], 256.0, FEATURES, dataio.DEFAULT_CHANNELS)
         assert len(fv.values) == 56
         assert fv.names[0] == "TP9.bandpower.delta"
         assert "AF7.entropy" in fv.names
 
     def test_names_unique_and_stable(self):
         data, _ = dataio.synth_generate(1, 256, 256.0, seed=1)
-        a = dsp.extract_features(data[0], 256.0)
-        b = dsp.extract_features(data[0], 256.0)
+        a = dsp.extract_features(data[0], 256.0, FEATURES, dataio.DEFAULT_CHANNELS)
+        b = dsp.extract_features(data[0], 256.0, FEATURES, dataio.DEFAULT_CHANNELS)
         assert a.names == b.names
         assert len(set(a.names)) == len(a.names)
 
     def test_all_zero_epoch_hits_entropy_error(self):
         epoch = np.zeros((4, 256))
-        psd = dsp.welch_psd(epoch[0], 256.0, 256)
+        psd = dsp.welch_psd(epoch[0], 256.0, 256, 0.5)
         assert dsp.band_power(psd, 8.0, 13.0) == 0.0
         with pytest.raises(DataError, match="all-zero"):
-            dsp.extract_features(epoch, 256.0)
+            dsp.extract_features(epoch, 256.0, FEATURES, dataio.DEFAULT_CHANNELS[:len(epoch)])
 
     def test_short_epoch_rejected(self):
         epoch = np.random.default_rng(0).normal(size=(2, 64))
         with pytest.raises(DataError, match="shorter than Welch"):
-            dsp.extract_features(epoch, 256.0)
+            dsp.extract_features(epoch, 256.0, FEATURES, dataio.DEFAULT_CHANNELS[:len(epoch)])
 
     def test_empty_batch(self):
-        fv = dsp.extract_features(np.zeros((0, 4, 256)), 256.0)
+        fv = dsp.extract_features(np.zeros((0, 4, 256)), 256.0, FEATURES,
+                                  dataio.DEFAULT_CHANNELS)
         assert fv.values.shape == (0, 56) and len(fv.names) == 56
 
     def test_batch_shape_and_channel_grouping(self):
         data, _ = dataio.synth_generate(2, 256, 256.0, seed=2)
-        fv = dsp.extract_features(data.reshape(2, 3, 4, 256), 256.0)
+        fv = dsp.extract_features(data.reshape(2, 3, 4, 256), 256.0, FEATURES,
+                                  dataio.DEFAULT_CHANNELS)
         assert fv.values.shape == (2, 3, 56)
         # the 14 features of channel c are the columns [14c, 14c + 14)
-        one = dsp.extract_features(data[5, 2:3], 256.0, channel_names=["ch2"])
+        one = dsp.extract_features(data[5, 2:3], 256.0, FEATURES, ["AF8"])
         assert np.array_equal(fv.values[1, 2, 28:42], one.values)
 
 
@@ -654,11 +659,14 @@ class TestBatchIndependence:
     @settings(max_examples=40, deadline=None)
     @given(epoch_stacks())
     def test_extract_features_row_equals_single_epoch(self, stack):
-        batch = dsp.extract_features(stack, 256.0, SMALL).values
+        names = dataio.DEFAULT_CHANNELS[: stack.shape[1]]
+        batch = dsp.extract_features(stack, 256.0, SMALL, names).values
         assert batch.shape == (len(stack), 14 * stack.shape[1])
         for i in range(len(stack)):
-            assert np.array_equal(batch[i], dsp.extract_features(stack[i:i + 1], 256.0, SMALL).values[0])
-            assert np.array_equal(batch[i], dsp.extract_features(stack[i], 256.0, SMALL).values)
+            one = dsp.extract_features(stack[i:i + 1], 256.0, SMALL, names).values[0]
+            assert np.array_equal(batch[i], one)
+            assert np.array_equal(batch[i],
+                                  dsp.extract_features(stack[i], 256.0, SMALL, names).values)
 
     @settings(max_examples=40, deadline=None)
     @given(epoch_stacks())
@@ -714,7 +722,7 @@ class TestNormalization:
         assert np.all(out[:, 0] == 0.5)
 
     def test_column_count_mismatch(self):
-        params = dsp.fit_normalization(np.random.default_rng(0).normal(size=(10, 3)))
+        params = dsp.fit_normalization(np.random.default_rng(0).normal(size=(10, 3)), "zscore")
         with pytest.raises(DataError, match="mismatch"):
             dsp.apply_normalization(np.zeros((4, 5)), params)
 

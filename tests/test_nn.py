@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_sigmoid_within_eps_of_exact_oracle():
     edges = [-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.0, 40.0, 800.0]
     x = np.concatenate([edges, rng.normal(scale=5.0, size=2000), rng.uniform(-40, 40, 2000)])
     with np.errstate(over="raise", invalid="raise"):
-        got = nn.sigmoid(np.append(x, np.nan))
+        got = nn.sigmoid(np.append(x, np.nan), np.empty(len(x) + 1))
     assert np.isnan(got[-1])
     got = got[:-1]
     eps = decimal.Decimal(np.finfo(float).eps)
@@ -93,6 +94,16 @@ def test_init_draws_gates_in_z_r_h_order():
 
 def zero_gru(p):
     return nn.GruParams(*(np.zeros_like(arr) for _, arr in p.items()))
+
+
+def unset_gru(p):
+    """GRU gradient arrays of p's shapes, all NaN until a backward pass writes them."""
+    return nn.GruParams(*(np.full_like(arr, np.nan) for _, arr in p.items()))
+
+
+def unset_dense(p):
+    """Dense gradient arrays of p's shapes, all NaN until a backward pass writes them."""
+    return nn.DenseParams(*(np.full_like(arr, np.nan) for _, arr in p.items()))
 
 
 def cell_step(p, x_t, h_prev):
@@ -129,45 +140,45 @@ class TestGruCell:
     def test_matches_scalar_oracle(self):
         m = nn.init_model(nn.ModelConfig(1, 2, 3, 2, seed=42))
         xs = np.array([[0.7], [-0.3], [1.2]])
-        hs, _ = nn.gru_forward(m.gru, xs[:, None])
+        hs, _ = nn.gru_forward(m.gru, xs[:, None], None)
         want = scalar_gru_oracle(m.gru, xs.tolist())
         assert np.max(np.abs(hs[:, 0] - np.array(want))) < 1e-12
 
     def test_shape_mismatch(self):
         m = small_model()
         with pytest.raises(DataError, match="shape"):
-            nn.gru_forward(m.gru, np.zeros((1, 1, 7)))
+            nn.gru_forward(m.gru, np.zeros((1, 1, 7)), None)
 
 
 class TestGruForward:
     def test_single_step_equals_cell(self):
         m = small_model(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 1, 3))
-        hs, _ = nn.gru_forward(m.gru, x)
+        hs, _ = nn.gru_forward(m.gru, x, None)
         h_cell, *_ = cell_step(m.gru, x[0], np.zeros((1, 4)))
         assert np.array_equal(hs[0], h_cell)
 
     def test_zero_params_zero_states(self):
         p = zero_gru(small_model().gru)
-        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)))
+        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), None)
         assert np.all(hs == 0.0)
 
     def test_order_sensitivity(self):
         m = small_model(seed=5)
         xs = np.array([[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]]])
-        h_fwd, _ = nn.gru_forward(m.gru, xs)
-        h_rev, _ = nn.gru_forward(m.gru, xs[::-1])
+        h_fwd, _ = nn.gru_forward(m.gru, xs, None)
+        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], None)
         assert np.max(np.abs(h_fwd[-1] - h_rev[-1])) > 1e-6
 
     def test_empty_sequence(self):
         m = small_model()
         with pytest.raises(DataError, match="empty"):
-            nn.gru_forward(m.gru, np.zeros((0, 1, 3)))
+            nn.gru_forward(m.gru, np.zeros((0, 1, 3)), None)
 
     def test_gate_ranges_and_hidden_bounds(self):
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
-        hs, cache = nn.gru_forward(m.gru, xs)
+        hs, cache = nn.gru_forward(m.gru, xs, None)
         z, r, hc = cache.zr[:, :4], cache.zr[:, 4:], cache.h_cand
         assert np.all((z > 0) & (z < 1))
         assert np.all((r > 0) & (r < 1))
@@ -178,9 +189,9 @@ class TestGruForward:
         m = small_model(seed=2)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(4, 6, 3))  # [B, T, d]
-        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1))
+        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), None)
         for b in range(4):
-            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None])
+            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], None)
             assert np.max(np.abs(hs_b[:, b, :] - hs_1[:, 0])) < 1e-14
 
 
@@ -197,7 +208,8 @@ def reference_gru_forward(p, xs, proj=None):
     hs, caches = [], []
     for t, x_t in enumerate(xs):
         a = p.W @ x_t.T + p.b[:, None] if proj is None else proj[t]
-        zr = nn.sigmoid(p.U[:H2] @ h + a[:H2])
+        zr = p.U[:H2] @ h + a[:H2]
+        nn.sigmoid(zr, zr)
         z, r = np.split(zr, 2, axis=0)
         h_cand = np.tanh(p.U[H2:] @ (r * h) + a[H2:])
         caches.append((x_t, h, z, r, h_cand))
@@ -248,7 +260,7 @@ class TestKernelMatchesPerStepReference:
         p = nn.init_model(nn.ModelConfig(d, H, T, 2, seed=seed)).gru
         p.b[:] = rng.normal(size=3 * H)
         xs = rng.normal(size=(T, B, d)) * 2.0
-        hs, cache = nn.gru_forward(p, xs)
+        hs, cache = nn.gru_forward(p, xs, None)
         # the hoisted projection is one stacked matmul over all T steps, with
         # the bias as a last input column of ones; it may round differently
         # from a per-step W @ x_t + b, but only within the error bound of a
@@ -262,7 +274,8 @@ class TestKernelMatchesPerStepReference:
         assert np.array_equal(cache.zr, np.array([np.vstack(c[2:4]) for c in caches]))
         assert np.array_equal(cache.h_cand, np.array([c[4] for c in caches]))
         grad_hs = rng.normal(size=(T, B, H))
-        grads, da = nn.gru_backward(p, cache, grad_hs)
+        grads = unset_gru(p)
+        da = nn.gru_backward(p, cache, grad_hs, grads)
         grad_xs = da @ p.W
         want, want_xs = reference_gru_backward(p, caches, grad_hs.transpose(0, 2, 1))
         for got, ref in zip((grads.W, grads.U, grads.b, grad_xs), (*want, want_xs)):
@@ -271,13 +284,13 @@ class TestKernelMatchesPerStepReference:
     def test_writes_into_given_gradient_arrays(self):
         m = small_model(seed=4)
         xs = np.random.default_rng(2).normal(size=(5, 3, 3))
-        _, cache = nn.gru_forward(m.gru, xs)
+        _, cache = nn.gru_forward(m.gru, xs, None)
         grad_hs = np.random.default_rng(3).normal(size=(5, 3, 4))
-        fresh, _ = nn.gru_backward(m.gru, cache, grad_hs)
-        out = zero_gru(m.gru)
-        got, _ = nn.gru_backward(m.gru, cache, grad_hs, out)
-        assert got is out
-        for (name, a), (_, b) in zip(fresh.items(), out.items()):
+        # every entry is overwritten, not added to: NaN and zero starts agree
+        zeroed, unset = zero_gru(m.gru), unset_gru(m.gru)
+        da = nn.gru_backward(m.gru, cache, grad_hs, zeroed)
+        assert np.array_equal(nn.gru_backward(m.gru, cache, grad_hs, unset), da)
+        for (name, a), (_, b) in zip(zeroed.items(), unset.items()):
             assert np.array_equal(a, b), name
 
 
@@ -304,7 +317,7 @@ class TestWorkspace:
                 got = model_step(m, X[sel], y[sel], workspaces)
                 want = model_step(m, X[sel], y[sel], None)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert nn.evaluate_model(m, Xv, yv, workspaces) == nn.evaluate_model(m, Xv, yv)
+            assert nn.evaluate_model(m, Xv, yv, workspaces) == nn.evaluate_model(m, Xv, yv, {})
             m.gru.U *= 1.1  # new parameters, same workspaces
         assert sorted(workspaces) == [(5, 4, 3, 2), (5, 4, 3, 6), (5, 4, 3, 9)]
 
@@ -336,13 +349,13 @@ class TestWorkspace:
         want = model_step(m, X, y, None)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert ws.backward_steps is not None and hasattr(ws, "da")
-        assert nn.evaluate_model(m, X, y, workspaces) == nn.evaluate_model(m, X, y)
+        assert nn.evaluate_model(m, X, y, workspaces) == nn.evaluate_model(m, X, y, {})
 
     def test_dense_head_reads_and_returns_the_state_layout_without_copies(self):
         m = small_model(seed=18)
         logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), {})
         assert v.shape == (2, 20) and np.shares_memory(v, ws.hs)
-        _, _, dv = nn.dense_backward(m.dense, v, np.ones_like(logits))
+        dv = nn.dense_backward(m.dense, v, np.ones_like(logits), unset_dense(m.dense))
         grad_hs = nn.unflatten(dv, 5, 4)
         assert grad_hs.transpose(0, 2, 1).flags.c_contiguous  # feature-major, as gru_backward reads it
 
@@ -351,8 +364,9 @@ class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         m = small_model(seed=7)
         xs = np.random.default_rng(0).normal(size=(5, 1, 3))
-        _, caches = nn.gru_forward(m.gru, xs)
-        grads, da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)))
+        _, caches = nn.gru_forward(m.gru, xs, None)
+        grads = unset_gru(m.gru)
+        da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)), grads)
         for _, arr in grads.items():
             assert np.all(arr == 0.0)
         assert da.shape == (5, 1, 12) and np.all(da == 0.0)
@@ -365,11 +379,11 @@ class TestGruBackward:
         w = rng.normal(size=(4, 1, 4))  # fixed projection defines a scalar loss
 
         def loss(x):
-            hs, _ = nn.gru_forward(m.gru, x)
+            hs, _ = nn.gru_forward(m.gru, x, None)
             return float(np.sum(hs * w))
 
-        _, caches = nn.gru_forward(m.gru, xs)
-        _, da = nn.gru_backward(m.gru, caches, w)
+        _, caches = nn.gru_forward(m.gru, xs, None)
+        da = nn.gru_backward(m.gru, caches, w, unset_gru(m.gru))
         grad_xs = da @ m.gru.W
         eps = 1e-6
         for t in range(4):
@@ -382,9 +396,9 @@ class TestGruBackward:
 
     def test_length_mismatch(self):
         m = small_model()
-        _, caches = nn.gru_forward(m.gru, np.zeros((3, 1, 3)))
+        _, caches = nn.gru_forward(m.gru, np.zeros((3, 1, 3)), None)
         with pytest.raises(DataError, match="length"):
-            nn.gru_backward(m.gru, caches, np.zeros((2, 1, 4)))
+            nn.gru_backward(m.gru, caches, np.zeros((2, 1, 4)), unset_gru(m.gru))
 
 
 class TestFlatten:
@@ -413,15 +427,18 @@ class TestDense:
     def test_bias_gradient_equals_upstream(self):
         p = nn.DenseParams(W=np.random.default_rng(0).normal(size=(3, 5)), b=np.zeros(3))
         g = np.array([0.2, -0.5, 0.9])
-        _, db, _ = nn.dense_backward(p, np.random.default_rng(1).normal(size=(1, 5)), g[None])
-        assert np.array_equal(db, g)
+        out = unset_dense(p)
+        nn.dense_backward(p, np.random.default_rng(1).normal(size=(1, 5)), g[None], out)
+        assert np.array_equal(out.b, g)
 
     def test_finite_difference_match(self):
         rng = np.random.default_rng(6)
         p = nn.DenseParams(W=rng.normal(size=(4, 6)), b=rng.normal(size=4))
         v = rng.normal(size=(1, 6))
         g = rng.normal(size=(1, 4))
-        dW, db, dv = nn.dense_backward(p, v, g)
+        out = unset_dense(p)
+        nn.dense_backward(p, v, g, out)
+        dW, db = out.W, out.b
 
         def loss():
             return float(np.sum(g * nn.dense_forward(p, v)))
@@ -635,7 +652,7 @@ class TestTraining:
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=4)
         tcfg = nn.TrainConfig(learning_rate=0.05, max_epochs=60, patience=5, seed=1)
         model, history = nn.train(cfg, (X, y), (Xv, yv), tcfg)
-        final_loss, _ = nn.evaluate_model(model, Xv, yv)
+        final_loss, _ = nn.evaluate_model(model, Xv, yv, {})
         assert final_loss == pytest.approx(min(history.val_loss), abs=1e-12)
 
     def test_history_determinism(self):
@@ -646,6 +663,20 @@ class TestTraining:
         _, h2 = nn.train(cfg, (X, y), (X, y), tcfg)
         assert h1.train_loss == h2.train_loss
         assert h1.val_loss == h2.val_loss
+
+    # an overflow is divergence at the step or validation pass that meets it,
+    # raised at once rather than warned about and found as a non-finite loss
+    @pytest.mark.parametrize("batch_size,where", [(6, "epoch 0, batch 1"),
+                                                  (32, "epoch 0, validation")])
+    def test_overflow_is_divergence_not_a_warning(self, batch_size, where):
+        X, y = xor_sequence_dataset(5)
+        cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
+        tcfg = nn.TrainConfig(learning_rate=1e307, batch_size=batch_size, max_epochs=3,
+                              patience=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^training diverged: overflow .* at {where}$"):
+                nn.train(cfg, (X, y), (X, y), tcfg)
 
     def test_shape_validation(self):
         X, y = xor_sequence_dataset(5)
@@ -709,7 +740,7 @@ class TestPredict:
         logits, _ = nn.model_forward(m, xs)
         assert logits.argmax(axis=1).tolist() == [1, 1, 1]
         assert nn.predict_batch(m, xs).tolist() == [1, 1, 1]
-        _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int))
+        _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int), {})
         assert acc == 1.0
 
     def test_non_finite_logits_are_numeric_error(self):
@@ -728,9 +759,9 @@ class TestPredict:
         m = small_model(seed=8)
         xs = np.random.default_rng(1).normal(size=(4, 5, 3))
         y = np.array([0, 1, 2, 1])
-        pred1, (loss1, acc1) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y)
+        pred1, (loss1, acc1) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, {})
         m.dense.b += 13.7  # constant shift of all logits
-        pred2, (loss2, acc2) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y)
+        pred2, (loss2, acc2) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, {})
         assert np.array_equal(pred1, pred2)
         assert acc1 == acc2
         assert abs(loss1 - loss2) < 1e-12
@@ -760,8 +791,9 @@ class TestGradientCheck:
         logits, cache = nn.model_forward(m, xs)
         loss, grad = nn.softmax_cross_entropy_batch(logits, [2])
         assert loss[0] < 1e-8
-        gru_g, dense_g = nn.model_backward(m, cache, grad)
-        assert all(np.max(np.abs(a)) < 1e-8 for _, a in gru_g.items())
+        out = nn.Model(m.config, unset_gru(m.gru), unset_dense(m.dense))
+        nn.model_backward(m, cache, grad, out)
+        assert all(np.max(np.abs(a)) < 1e-8 for _, a in out.gru.items())
 
     def test_eps_range_enforced(self):
         m = small_model()
@@ -774,11 +806,12 @@ class TestPersistence:
         from eegpipe import dsp
 
         m = small_model(seed=21)
-        norm = dsp.fit_normalization(np.random.default_rng(0).normal(size=(10, 15)))
+        norm = dsp.fit_normalization(np.random.default_rng(0).normal(size=(10, 15)), "zscore")
         path = str(tmp_path / "ck.json")
-        nn.save_checkpoint(path, m, ["A", "B", "C"], norm)
-        m2, names, norm2 = nn.load_checkpoint(path)
-        assert names == ["A", "B", "C"]
+        features = [f"f{i}" for i in range(15)]
+        nn.save_checkpoint(path, m, ["A", "B", "C"], features, norm)
+        m2, names, features2, norm2 = nn.load_checkpoint(path)
+        assert names == ["A", "B", "C"] and features2 == features
         for (n1, a1), (n2, a2) in zip(m.param_items(), m2.param_items()):
             assert np.array_equal(a1, a2), n1
         assert norm2.mode == norm.mode
@@ -786,16 +819,28 @@ class TestPersistence:
         assert np.array_equal(norm.hi, norm2.hi)
         # re-saving reproduces the file byte for byte
         path2 = str(tmp_path / "ck2.json")
-        nn.save_checkpoint(path2, m2, names, norm2)
+        nn.save_checkpoint(path2, m2, names, features2, norm2)
         assert Path(path).read_bytes() == Path(path2).read_bytes()
 
     def test_reads_checkpoint_written_before_gate_fusion(self, tmp_path):
         # checkpoint_v1.json was written by the per-gate implementation
         # (ModelConfig(2, 3, 2, 2, seed=0), biases and normalization set from
-        # default_rng(7)); the probabilities are the softmax of its logits
-        path = os.path.join(DATA, "checkpoint_v1.json")
-        model, names, norm = nn.load_checkpoint(path)
-        assert names == ["CALM", "TENSE"] and len(norm.lo) == 4
+        # default_rng(7)); the probabilities are the softmax of its logits.
+        # Version 1 holds no feature names, so it is refused as it is, and read
+        # once they are added next to the class names
+        v1 = os.path.join(DATA, "checkpoint_v1.json")
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            nn.load_checkpoint(v1)
+        doc = {}
+        for key, value in json.loads(Path(v1).read_text()).items():
+            doc[key] = 2 if key == "format_version" else value
+            if key == "class_names":
+                doc["feature_names"] = ["a.x", "a.y", "b.x", "b.y"]
+        path = str(tmp_path / "v2.json")
+        Path(path).write_text(json.dumps(doc) + "\n")
+        model, names, features, norm = nn.load_checkpoint(path)
+        assert names == ["CALM", "TENSE"] and features == doc["feature_names"]
+        assert len(norm.lo) == 4
         ref = json.loads(Path(DATA, "checkpoint_v1_probs.json").read_text())
         logits, _ = nn.model_forward(model, np.array(ref["input"]))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -804,7 +849,7 @@ class TestPersistence:
         assert np.array_equal(nn.predict_batch(model, np.array(ref["input"])),
                               np.argmax(ref["probs"], axis=1))
         out = str(tmp_path / "resaved.json")
-        nn.save_checkpoint(out, model, names, norm)
+        nn.save_checkpoint(out, model, names, features, norm)
         assert Path(out).read_bytes() == Path(path).read_bytes()
 
     def test_history_roundtrip(self, tmp_path):

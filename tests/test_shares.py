@@ -80,7 +80,7 @@ def test_synth_writes_the_same_tree_at_any_cpu_count(tmp_path, n):
 def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
     synth_at(1, tmp_path)
     with cpus(n):
-        recs, names = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"))
+        recs, names = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
     # the oracle: the generator's own arrays, which the files hold bit for bit
     data, labels = dataio.synth_generate(2, 300, dataio.DEFAULT_SAMPLE_RATE_HZ,
                                          derive_seed(5, "synth"))
@@ -155,7 +155,7 @@ def test_load_error_names_the_first_bad_row_in_manifest_order(tmp_path, watchdog
     rows.append(("r0.csv", "TP9;AF7"))
     manifest = write_manifest(tmp_path, rows)
     with cpus(n), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
-        dataio.load_raw_recordings(str(tmp_path), manifest)
+        dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
 
 @pytest.mark.parametrize("bad", [0, 2])
@@ -167,7 +167,7 @@ def test_bad_recording_while_children_hold_big_results_does_not_hang(tmp_path, w
     spoil(tmp_path / f"r{bad}.csv")
     manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
     with cpus(3), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
-        dataio.load_raw_recordings(str(tmp_path), manifest)
+        dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
 
 def dying_child_manifest(root, monkeypatch, n_samples):
@@ -190,7 +190,7 @@ def test_child_that_exits_mid_share_is_an_error_naming_its_status(tmp_path, monk
                                                                  watchdog):
     manifest = dying_child_manifest(tmp_path, monkeypatch, 40)
     with cpus(3), pytest.raises(PipelineError, match=r"ended with exit status 1 and sent no result"):
-        dataio.load_raw_recordings(str(tmp_path), manifest)
+        dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
 
 def test_child_that_exits_mid_featurize_exits_1_with_no_traceback(tmp_path, monkeypatch,
@@ -374,7 +374,7 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
     assert recorded[1] == recorded[0]
     # one block of six epochs at 1 CPU, three blocks at 3 CPUs; each
     # recording is one epoch, filtered alone here
-    recs, _ = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"))
+    recs, _ = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
     coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
     assert [m for _, m, _, _ in recorded[0]] == ["featurizing a block"] + [
         f"epoch {zlib.crc32(dsp.filtfilt(coeffs, r.data).tobytes())}" for r in recs]

@@ -1,13 +1,17 @@
-"""No option is left that nothing sets: every defaulted parameter of a
-function, method or dataclass field in the package is passed, by keyword or
-by position, by at least one call in src/ or perfbench/. An option no caller
-sets is a constant dressed as a setting. Tests do not count as callers: an
-option only a test sets is one no run of the program can reach.
+"""Every default is both overridden and relied on. Each defaulted parameter
+of a function, method or dataclass field in the package is passed, by
+keyword or by position, by at least one call in src/ or perfbench/, and
+omitted by at least one. An option no caller sets is a constant dressed as
+a setting; a default that every caller overrides is a second copy of a
+value whose home is elsewhere (the settings table, a config dataclass or a
+module constant). Tests do not count as callers: an option only a test
+sets, or a default only a test relies on, is one no run of the program
+reaches.
 
 Calls are matched to definitions by name alone (a bare name, or an
 attribute's last part), and a call that unpacks `*` or `**` counts as
-passing everything, so the guard can miss an unset option but never
-reports a set one."""
+passing everything and as relying on every default, so either guard can
+miss an option but never reports one wrongly."""
 
 import ast
 import os
@@ -99,21 +103,38 @@ def passed_options(tree):
     return passed
 
 
-def unset_options(definitions, calls):
+def _site_passes(site, position, param):
+    """True if a call site (see passed_options) passes the option, False if
+    it omits it, None if it unpacks `*` or `**` and so may do either."""
+    if site is None:
+        return None
+    return param in site[1] or position is not None and 0 <= position < site[0]
+
+
+def _options_where(definitions, calls, flagged):
     """'module:line callee.parameter' of each option in definitions
-    ({module: defaulted_options}) that no call in calls (passed_options
-    merged) passes."""
-    unset = []
+    ({module: defaulted_options}) for which flagged holds on the list of
+    _site_passes of every call to its callee in calls (passed_options
+    merged)."""
+    found = []
     for module, options in definitions.items():
         for callee, params in options.items():
             sites = calls.get(callee, [])
             for position, param, line in params:
-                if not any(site is None
-                           or param in site[1]
-                           or position is not None and 0 <= position < site[0]
-                           for site in sites):
-                    unset.append(f"{module}:{line} {callee}.{param}")
-    return unset
+                if flagged([_site_passes(site, position, param) for site in sites]):
+                    found.append(f"{module}:{line} {callee}.{param}")
+    return found
+
+
+def unset_options(definitions, calls):
+    """The options in definitions that no call in calls passes."""
+    return _options_where(definitions, calls, lambda passes: all(p is False for p in passes))
+
+
+def unrelied_defaults(definitions, calls):
+    """The options in definitions whose default no call in calls relies on:
+    every call passes them."""
+    return _options_where(definitions, calls, lambda passes: all(p is True for p in passes))
 
 
 def merged_calls(root=ROOT):
@@ -130,6 +151,13 @@ def test_every_option_of_the_package_is_set_by_some_caller():
     assert "fit_forest" in definitions["baselines.py"]
     unset = unset_options(definitions, merged_calls())
     assert not unset, f"options that no call in src/ or perfbench/ sets: {unset}"
+
+
+def test_every_default_of_the_package_is_relied_on_by_some_caller():
+    definitions = {module: defaulted_options(tree) for module, tree in module_trees().items()}
+    assert "fit_forest" in definitions["baselines.py"]
+    unrelied = unrelied_defaults(definitions, merged_calls())
+    assert not unrelied, f"defaults that every call in src/ or perfbench/ overrides: {unrelied}"
 
 
 def test_a_call_made_only_from_tests_does_not_count(tmp_path):
@@ -182,3 +210,33 @@ def test_the_guard_finds_options_no_call_sets():
     assert unset_options({"m.py": options}, calls) == [
         "m.py:2 fit.steps", "m.py:2 fit.l2", "m.py:7 Config.bands", "m.py:12 score.scale",
     ]
+
+
+def test_the_guard_finds_defaults_every_call_overrides():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "def fit(x, rate=0.5, steps=10, *, seed=0):\n"
+        "    return x\n"
+        "def load(path, column='label'):\n"
+        "    return path\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    size: int\n"
+        "    order: int = 4\n"
+        "fit(1, 0.1, seed=2)\n"
+        "fit(2, rate=0.3, steps=4, seed=1)\n"
+        "Config(3, 8)\n"
+        "Config(size=1, order=2)\n"
+        "load('a', 'b')\n"
+        "kwargs = {'path': 'c'}\n"
+        "load(**kwargs)\n"
+    )
+    options = defaulted_options(tree)
+    calls = passed_options(tree)
+    assert calls["load"] == [(2, set()), None]
+    # steps is omitted by the first call of fit, and load's column by the
+    # call that unpacks **, which counts as relying on every default
+    assert unrelied_defaults({"m.py": options}, calls) == [
+        "m.py:2 fit.rate", "m.py:2 fit.seed", "m.py:9 Config.order",
+    ]
+    assert unset_options({"m.py": options}, calls) == []
