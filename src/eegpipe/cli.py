@@ -311,6 +311,10 @@ class _ShareFeaturizer:
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
         self.n_epochs, self.labels, self.rows, self.names = 0, [], [], None
 
+    # an overflow makes a sample or feature inf or NaN, silently: an epoch
+    # whose filtered samples are not finite is rejected as an artifact, and a
+    # kept epoch whose features are not is a NumericError (_features)
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def add(self, group: list) -> None:
         """Featurize a group of same-shape recordings, and empty its list: the
         raw samples are freed once filtfilt has stacked them, and the group's
@@ -321,6 +325,7 @@ class _ShareFeaturizer:
             return
         fs, channels = group[0].sample_rate_hz, group[0].channels
         rec_labels = [rec.label for rec in group]
+        paths = [rec.path for rec in group]
         raw = [rec.data for rec in group]
         group.clear()
         filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
@@ -337,9 +342,28 @@ class _ShareFeaturizer:
         for start in range(0, max(len(kept), 1), per_block):
             # (recording, window) of each epoch in the block
             block = np.divmod(kept[start : start + per_block], n_windows)
+            self.rows.append(self._features(windows, block, fs, channels, paths))
+
+    def _features(self, windows, block, fs, channels, paths: list[str]) -> np.ndarray:
+        """The feature rows of the block's epochs of windows. A row that is
+        not finite is a NumericError that names its recording's file. When a
+        block of several recordings raises, each recording's epochs are
+        featurized again alone, in order, so that the error raised is that
+        of the first bad recording."""
+        try:
             fv = dsp.extract_features(windows[block], fs, self.fc, channels)
-            self.rows.append(fv.values)
-            self.names = fv.names
+        except PipelineError:
+            owners = np.unique(block[0])
+            for owner in owners if len(owners) > 1 else ():
+                mine = block[0] == owner
+                self._features(windows, (block[0][mine], block[1][mine]), fs, channels, paths)
+            raise
+        finite = np.isfinite(fv.values).all(axis=-1)
+        if not finite.all():
+            raise NumericError(f"{paths[block[0][np.argmin(finite)]]}: the features of an "
+                               "epoch overflow to values that are not finite")
+        self.names = fv.names
+        return fv.values
 
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):
@@ -496,7 +520,7 @@ def cmd_evaluate(args) -> int:
     feats = dsp.apply_normalization(test_ds.features, norm)
     X = nn.dataset_to_sequences(feats, model.config.sequence_length)
     preds = nn.predict_batch(model, X)
-    cm = evaluation.confusion(preds, test_ds.labels, len(class_names), class_names)
+    cm = evaluation.confusion(preds, test_ds.labels, class_names)
     report = evaluation.metrics(cm)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -570,7 +594,7 @@ def cmd_compare(args) -> int:
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         for name, preds in results:
-            cm = evaluation.confusion(preds, y_te, n_classes, ds.class_names)
+            cm = evaluation.confusion(preds, y_te, ds.class_names)
             rep = evaluation.metrics(cm)
             reports.append((name, rep))
             evaluation.write_metrics_json(

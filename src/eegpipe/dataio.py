@@ -41,12 +41,14 @@ LABEL_COLUMN = "label"
 
 @dataclass
 class Recording:
-    """Multichannel raw EEG time series (microvolts)."""
+    """Multichannel raw EEG time series (microvolts), and the CSV file it
+    was read from (None for one made in memory)."""
 
     channels: list[str]
     sample_rate_hz: float
     data: np.ndarray  # [n_channels, n_samples]
     label: int
+    path: str | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -112,24 +114,28 @@ class SplitSpec:
 
 def load_feature_csv(path: str, label_column: str) -> Dataset:
     """Load a featured CSV (header row, one string label column, named
-    label_column) into a Dataset.
+    label_column, and finite numbers in every other) into a Dataset; see
+    _read_numeric_csv.
 
     Class ids are assigned by lexicographic order of the distinct label
-    strings, which keeps the mapping stable across reloads. A plain file
-    (see _read_plain_csv) whose header has no duplicate and the label last
-    is parsed a piece at a time by loadtxt, to the values the scan would
-    give; any other file is scanned cell by cell, which names the row and
-    column at fault.
+    strings, which keeps the mapping stable across reloads.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"feature CSV not found: {path}")
-    plain = _read_plain_csv(
-        path, lambda h: len(h) >= 2 and h[-1] == label_column and len(set(h)) == len(h),
-        labelled=True)
-    if plain is None:
-        return _scan_feature_csv(path, label_column)
-    header, features, labels = plain
-    return _labelled_dataset(features, labels, header[:-1])
+    feature_names, features, label_strs = _read_numeric_csv(
+        path, _unique_columns_with(label_column), label_column)
+    class_names = sorted(set(label_strs))
+    class_ids = {name: i for i, name in enumerate(class_names)}
+    labels = np.array([class_ids[s] for s in label_strs], dtype=int)
+    return Dataset(features, labels, class_names, feature_names)
+
+
+def _unique_columns_with(*required: str):
+    """A header rule of _read_numeric_csv: unique names, required among them."""
+    def error(header: list[str]) -> str | None:
+        if len(set(header)) != len(header):
+            return "duplicate column names in header"
+        missing = [name for name in required if name not in header]
+        return f"column {missing[0]!r} not found in header" if missing else None
+    return error
 
 
 @contextlib.contextmanager
@@ -144,53 +150,6 @@ def _open_csv(path: str):
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def _scan_feature_csv(path: str, label_column: str) -> Dataset:
-    """load_feature_csv cell by cell: the path that names the first bad row and column."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"duplicate column names in header of {path}")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in {path}")
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows, label_strs = [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
-            vals = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: unparsable or non-finite value {cell!r} "
-                        f"at row {rownum}, column {header[i]!r}"
-                    )
-                vals.append(v)
-            rows.append(vals)
-            label_strs.append(row[label_idx])
-    if not rows:
-        raise DataError(f"no data rows in {path}")
-    return _labelled_dataset(np.array(rows, dtype=float), label_strs, feature_names)
-
-
-def _labelled_dataset(features: np.ndarray, label_strs: list[str],
-                      feature_names: list[str]) -> Dataset:
-    class_names = sorted(set(label_strs))
-    class_ids = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([class_ids[s] for s in label_strs], dtype=int)
-    return Dataset(features, labels, class_names, feature_names)
 
 
 def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
@@ -296,11 +255,10 @@ def load_raw_recordings(path: str, manifest: str, per_share) -> tuple[list, list
                 f"inconsistent channel sets in manifest: {channels} vs {channel_ref}"
             )
         fpath = os.path.join(path, e["file"])
-        if not os.path.isfile(fpath):
-            raise DataError(f"manifest references missing file: {fpath}")
-        plain = _read_plain_csv(fpath, lambda header: header == channels)
-        data = _scan_raw_csv(fpath, channels) if plain is None else plain[1]
-        return Recording(channels, fs, data.T, label=class_ids[e["label"]])
+        _, data, _ = _read_numeric_csv(
+            fpath, lambda h: None if h == channels else
+            f"header {h} does not match manifest channels")
+        return Recording(channels, fs, data.T, class_ids[e["label"]], fpath)
 
     return _map_in_shares(lambda share: per_share(map(parse, share)), entries), class_names
 
@@ -436,7 +394,7 @@ _NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
 _CSV_CHUNK_CHARS = 1 << 16
 
 
-def _read_plain_csv(path: str, header_ok, labelled: bool = False
+def _read_plain_csv(path: str, header_ok, labelled: bool
                     ) -> tuple[list[str], np.ndarray, list[str]] | None:
     """The header cells of a plain CSV file and the [n, d] matrix of its
     other lines, read about _CSV_CHUNK_CHARS characters at a time. With
@@ -496,28 +454,65 @@ def _loadtxt_matrix(lines: list[str], n_cols: int) -> np.ndarray | None:
     return data
 
 
-def _scan_raw_csv(fpath: str, channels: list[str]) -> np.ndarray:
-    """A raw recording read row by row: the path that names the first bad line."""
-    with _open_csv(fpath) as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr, None)
-        if header != channels:
-            raise DataError(f"{fpath}: header {header} does not match manifest channels")
-        try:
-            samples = [[float(c) for c in row] for row in rdr]
-        except ValueError as exc:
-            raise DataError(f"{fpath}: line {rdr.line_num}: {exc}") from None
-    if not samples:
-        raise DataError(f"{fpath}: no samples")
-    bad = next((i for i, row in enumerate(samples) if len(row) != len(channels)), None)
-    if bad is not None:
-        raise DataError(f"{fpath}: line {bad + 2}: {len(samples[bad])} cells, header has "
-                        f"{len(channels)}")
-    data = np.array(samples, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise DataError(f"{fpath}: line {bad[0] + 2}: non-finite sample")
-    return data
+def _read_numeric_csv(path: str, header_error, label_column: str | None = None
+                      ) -> tuple[list[str], np.ndarray, list[str]]:
+    """The one reader of the numeric CSV files (raw recordings, feature
+    matrices, training histories): the names of a file's number columns, the
+    [n, d] matrix of their values and, given a label_column, the label cell
+    of each line (else an empty list).
+
+    header_error(header) is None for a header the caller accepts, else why
+    it does not. A plain file (_read_plain_csv) whose label column, if any,
+    is last is parsed a piece at a time by loadtxt; any other goes to
+    _scan_numeric_csv, which reads the same values, or names the first bad
+    line.
+    """
+    if not os.path.isfile(path):
+        raise DataError(f"{path}: file not found")
+    labelled = label_column is not None
+    plain = _read_plain_csv(
+        path, lambda h: header_error(h) is None and (
+            not labelled or len(h) >= 2 and h[-1] == label_column), labelled)
+    if plain is None:
+        return _scan_numeric_csv(path, header_error, label_column)
+    header, data, labels = plain
+    return header[:-1] if labelled else header, data, labels
+
+
+def _scan_numeric_csv(path: str, header_error, label_column: str | None
+                      ) -> tuple[list[str], np.ndarray, list[str]]:
+    """_read_numeric_csv row by row, by the csv reader: a DataError names
+    the header's fault, else the first line that is not one cell per column
+    or holds a cell that is not a finite number, and that cell's column."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        error = header_error(header)
+        if error is not None:
+            raise DataError(f"{path}: {error}")
+        label_idx = header.index(label_column) if label_column is not None else None
+        names = [name for i, name in enumerate(header) if i != label_idx]
+        rows, labels = [], []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: {len(row)} cells, header has {len(header)}")
+            if label_idx is not None:
+                labels.append(row.pop(label_idx))
+            values = []
+            for name, cell in zip(names, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DataError(f"{where}, column {name!r}: unparsable or non-finite "
+                                    f"value {cell!r}")
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names)), labels
 
 
 def save_recording_csv(rec: Recording, path: str) -> None:

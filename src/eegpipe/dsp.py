@@ -88,8 +88,6 @@ class Psd:
         self.power = np.asarray(self.power, dtype=float)
         if self.power.shape[-1:] != self.freqs_hz.shape:
             raise DataError("freqs and power must have equal length")
-        if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
-            raise NumericError("PSD contains negative or non-finite power")
 
 
 @dataclass
@@ -461,16 +459,23 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
         warnings.warn("linear signal: Hjorth complexity reported as 0")
     # masked entries get a unit denominator here and a 0 result below
     var_safe = np.where(constant, 1.0, var)
-    # powers of the variance go through Python's float pow one value at a time:
-    # numpy's vectorized power and square can differ from it in the last bit
-    var_obj = np.asarray(var_safe, dtype=object)
-    skew = m3 / np.asarray(var_obj**1.5, dtype=float)
-    kurt = m4 / np.asarray(var_obj**2, dtype=float) - 3.0
+    power = np.frompyfunc(_power, 2, 1)
+    skew = m3 / np.asarray(power(var_safe, 1.5), dtype=float)
+    kurt = m4 / np.asarray(power(var_safe, 2), dtype=float) - 3.0
     mobility = np.sqrt(var_dx / var_safe)
     complexity = np.sqrt(var_ddx / np.where(flat, 1.0, var_dx)) / np.where(flat, 1.0, mobility)
     skew, kurt, mobility = (np.where(constant, 0.0, v) for v in (skew, kurt, mobility))
     values = [mean[..., 0], var, skew, kurt, rms, zc, mobility, np.where(flat, 0.0, complexity)]
     return FeatureVector(np.stack(values, axis=-1), list(TIME_DOMAIN_STAT_NAMES))
+
+
+def _power(base: float, exponent: float) -> float:
+    """Python's float pow, one value at a time (numpy's vectorized power and
+    square can differ from it in the last bit), and inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def extract_features(epochs: np.ndarray, fs_hz: float, config: FeatureConfig,
@@ -501,43 +506,59 @@ def fit_normalization(features: np.ndarray, mode: str) -> NormalizationParams:
     (training split only).
 
     Constant columns get std=1 (zscore maps them to 0) or are pinned to
-    0.5 (minmax); either case raises a warning.
+    0.5 (minmax); either case raises a warning. A column whose spread (its
+    std, or max - min) overflows is a NumericError that names it.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DataError("fit_normalization needs a non-empty 2-D matrix")
-    if mode == "zscore":
-        mean = np.mean(x, axis=0)
-        std = np.sqrt(np.mean((x - mean) ** 2, axis=0))  # population std
-        constant = std == 0.0
-        if np.any(constant):
-            warnings.warn(f"{int(np.sum(constant))} constant feature column(s); std set to 1")
-            std = np.where(constant, 1.0, std)
-        return NormalizationParams("zscore", mean, std)
-    if mode == "minmax":
-        lo = np.min(x, axis=0)
-        hi = np.max(x, axis=0)
-        if np.any(lo == hi):
-            warnings.warn(
-                f"{int(np.sum(lo == hi))} constant feature column(s); mapped to 0.5"
-            )
-        return NormalizationParams("minmax", lo, hi)
-    raise ConfigError(f"unknown normalization mode {mode!r}")
+    if mode not in _NORM_KEYS:
+        raise ConfigError(f"unknown normalization mode {mode!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "zscore":
+            lo = np.mean(x, axis=0)
+            hi = spread = np.sqrt(np.mean((x - lo) ** 2, axis=0))  # population std
+        else:
+            lo, hi = np.min(x, axis=0), np.max(x, axis=0)
+            spread = hi - lo
+    _require_finite_columns(spread, mode)
+    constant = spread == 0.0
+    if np.any(constant):
+        warnings.warn(f"{int(np.sum(constant))} constant feature column(s); "
+                      + ("std set to 1" if mode == "zscore" else "mapped to 0.5"))
+        if mode == "zscore":
+            hi = np.where(constant, 1.0, hi)
+    return NormalizationParams(mode, lo, hi)
 
 
 def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Apply fitted normalization to any split with a matching column count."""
+    """Apply fitted normalization to any split with a matching column count.
+    A minmax spread, or a value once normalized, that overflows is a
+    NumericError that names its column."""
     x = np.asarray(features, dtype=float)
     n = len(params.lo)
     if x.ndim != 2 or x.shape[1] != n:
         raise DataError(
             f"feature count mismatch: params expect {n}, got {x.shape[1] if x.ndim == 2 else 'non-matrix'}"
         )
-    if params.mode == "zscore":
-        return (x - params.lo) / params.hi
-    span = params.hi - params.lo
-    out = np.empty_like(x)
-    const = span == 0.0
-    out[:, const] = 0.5
-    out[:, ~const] = (x[:, ~const] - params.lo[~const]) / span[~const]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.mode == "zscore":
+            out = (x - params.lo) / params.hi
+        else:
+            span = params.hi - params.lo
+            # fit refuses a spread that overflows, but a checkpoint may hold one
+            _require_finite_columns(span, params.mode)
+            out = np.empty_like(x)
+            const = span == 0.0
+            out[:, const] = 0.5
+            out[:, ~const] = (x[:, ~const] - params.lo[~const]) / span[~const]
+    _require_finite_columns(out, params.mode)
     return out
+
+
+def _require_finite_columns(values: np.ndarray, mode: str) -> None:
+    """A NumericError that names the first feature column (1-based) of
+    values [..., n_features] holding a value that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(values)).all(axis=0))
+    if bad.size:
+        raise NumericError(f"{mode} normalization overflows in feature column {bad[0] + 1}")

@@ -62,9 +62,10 @@ class MetricsReport:
         }
 
 
-def confusion(preds, truth, n_classes: int, class_names: list[str]) -> ConfusionMatrix:
+def confusion(preds, truth, class_names: list[str]) -> ConfusionMatrix:
     """Count matrix with counts[i][j] = #{true class i predicted as j}, its
-    rows and columns named by class_names."""
+    rows and columns named by class_names, one per class id."""
+    n_classes = len(class_names)
     preds = np.asarray(preds, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if len(preds) != len(truth):

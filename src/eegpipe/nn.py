@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .errors import ConfigError, DataError, NumericError, PipelineError
 
 CHECKPOINT_VERSION = 2
@@ -735,22 +736,9 @@ def save_history(history: TrainHistory, path: str) -> None:
 
 
 def load_history(path: str) -> TrainHistory:
-    """Read a history CSV; a missing file, column or number, or a number
-    that is not finite and so has no place on a curve, is a DataError."""
-    hist = TrainHistory([], [], [], [])
-    line = 1
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for line, row in enumerate(csv.DictReader(fh), start=2):
-                for col in _HISTORY_COLUMNS:
-                    value = float(row[col])
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite {col} {row[col]!r}")
-                    getattr(hist, col).append(value)
-    except OSError as exc:
-        raise DataError(f"cannot read history {path}: {exc}") from None
-    except KeyError as exc:
-        raise DataError(f"history {path} has no {exc} column") from None
-    except (TypeError, ValueError, csv.Error) as exc:
-        raise DataError(f"history {path}: unparsable value on line {line}: {exc}") from None
-    return hist
+    """Read a history CSV (dataio._read_numeric_csv): unique column names,
+    the four of _HISTORY_COLUMNS among them, and a finite number, which has
+    a place on a curve, in every cell."""
+    names, values, _ = dataio._read_numeric_csv(
+        path, dataio._unique_columns_with(*_HISTORY_COLUMNS))
+    return TrainHistory(*(values[:, names.index(col)].tolist() for col in _HISTORY_COLUMNS))

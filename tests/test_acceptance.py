@@ -245,13 +245,13 @@ def test_criterion_6_evaluation_invariants():
     truth = rng.integers(0, 3, size=200)
     preds = rng.integers(0, 3, size=200)
     names = ["a", "b", "c"]
-    cm = evaluation.confusion(preds, truth, 3, names)
+    cm = evaluation.confusion(preds, truth, names)
     assert cm.total == 200  # conservation
     assert cm.counts.sum(axis=1).tolist() == [int(np.sum(truth == c)) for c in range(3)]
 
     perm = np.array([1, 2, 0])
     rep = evaluation.metrics(cm)
-    rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], 3, names))
+    rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], names))
     inv = np.argsort(perm)
     assert rep_p.accuracy == rep.accuracy
     assert np.array_equal(rep_p.precision, rep.precision[inv])

@@ -722,6 +722,91 @@ def test_diverging_training_is_one_line_numeric_error(pipeline, tmp_path, optimi
     assert not out.exists()
 
 
+def run_module(argv, cwd):
+    """python -m eegpipe.cli argv in cwd, in a process of its own, so that
+    every line it prints, warnings included, is seen."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "eegpipe.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
+def write_features(path, features):
+    n = len(features)
+    dataio.save_feature_csv(dataio.Dataset(features, np.arange(n) % 3, ["A", "B", "C"],
+                                           [f"f{i}" for i in range(features.shape[1])]),
+                            str(path))
+
+
+# a spread that overflows the normalization statistics (and, at the parent, a
+# checkpoint that evaluate refuses, or a loss that is not finite) is one line
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("norm", ["zscore", "minmax"])
+def test_overflowing_normalization_is_one_line_numeric_error(tmp_path, command, norm):
+    features = np.random.default_rng(0).normal(size=(30, 8))
+    features[:, 0] = np.where(np.arange(30) % 2, 1e308, -1e308)
+    write_features(tmp_path / "big.csv", features)
+    inputs = (["--train", "big.csv", "--val", "big.csv"] if command == "train"
+              else ["--input", "big.csv"])
+    proc = run_module([command, *inputs, "--seq-len", "2", "--norm", norm, "--epochs", "1",
+                       "--out", "out"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"numeric error: {norm} normalization overflows in feature column 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+# a test value whose z-score overflows, and a checkpoint's minmax column
+# whose max - min overflows (which maps every value to 0 at the parent)
+@pytest.mark.parametrize("norm", ["zscore", "minmax"])
+def test_evaluate_normalization_that_overflows_is_one_line_numeric_error(tmp_path, norm):
+    features = np.random.default_rng(0).normal(scale=0.01, size=(30, 8))
+    write_features(tmp_path / "train.csv", features)
+    proc = run_module(["train", "--train", "train.csv", "--val", "train.csv", "--seq-len", "2",
+                       "--hidden", "4", "--epochs", "1", "--norm", norm, "--out", "run"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if norm == "zscore":
+        features[4, 2] = 1.7e308  # std about 0.01: its z-score overflows
+    else:
+        doc = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        doc["normalization"]["min"][2], doc["normalization"]["max"][2] = -1e308, 1e308
+        (tmp_path / "run" / "checkpoint.json").write_text(json.dumps(doc))
+    write_features(tmp_path / "test.csv", features)
+    proc = run_module(["evaluate", "--checkpoint", "run/checkpoint.json", "--test", "test.csv",
+                       "--out", "out"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"numeric error: {norm} normalization overflows in feature column 3\n")
+    assert not (tmp_path / "out").exists()
+
+
+# three recordings of 2 x 512 samples, the middle one at +-amplitude: filtered
+# samples that are not finite reject their epoch, and features that are not
+# are one line naming the file, with no numpy warning (or traceback) before it
+@pytest.mark.parametrize("amplitude,threshold", [
+    (1e307, "100"), (1e200, "1e300"), (1e125, "1e300")])
+def test_overflow_in_featurize_is_rejected_or_named_without_warnings(tmp_path, amplitude,
+                                                                      threshold):
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(3):
+        data = rng.normal(size=(2, 512))
+        if i == 1:
+            data = amplitude * np.sign(data)
+        dataio.save_recording_csv(dataio.Recording(["TP9", "AF7"], 256.0, data, 0),
+                                  str(tmp_path / f"r{i}.csv"))
+        rows.append(f"r{i}.csv,{'AB'[i % 2]},256,TP9;AF7\n")
+    (tmp_path / "manifest.csv").write_text("file,label,sample_rate_hz,channels\n" + "".join(rows))
+    proc = run_module(["featurize", "--manifest", "manifest.csv", "--threshold", threshold,
+                       "--out", "f.csv"], tmp_path)
+    if threshold == "100":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert f"rejected 1 of 3 epochs (threshold {float(threshold)} uV)" in proc.stdout
+        assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 2
+    else:
+        assert (proc.returncode, proc.stderr) == (
+            3, f"numeric error: {tmp_path / 'r1.csv'}: the features of an epoch overflow to "
+               "values that are not finite\n")
+        assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, cpus):
     # a huge setting ends in numpy's MemoryError, made here without the
@@ -1055,7 +1140,7 @@ def test_band_above_nyquist_is_config_error_before_recordings_are_read(tmp_path,
     assert run("featurize", "--manifest", str(manifest), "--filter-high", "200",
                "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "fs/2" in err and "200.0" in err and "missing file" not in err
+    assert "fs/2" in err and "200.0" in err and "not found" not in err
     assert not out.exists()
 
 
@@ -1081,7 +1166,7 @@ def test_eeg_band_the_rate_cannot_measure_is_config_error_before_recordings_are_
                "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert f"EEG band {band} cannot be measured at sample rate {float(fs)} Hz" in err
-    assert why in err and "missing file" not in err
+    assert why in err and "not found" not in err
     assert not out.exists()
 
 

@@ -1,8 +1,9 @@
 """The plain-CSV reader (dataio._read_plain_csv) reads a file a piece of
 _CSV_CHUNK_CHARS characters at a time. Wherever a piece ends, inside a line,
 between the \\r and \\n of a line end, at a blank line or inside the header,
-the raw recordings and feature matrices read must be the same bits, and a
-bad file the same exit code and message, as when the file is one piece.
+the raw recordings, feature matrices and training histories read must be the
+same bits, and a bad file the same exit code and message, as when the file
+is one piece.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import shutil
 
 import pytest
 
-from eegpipe import dataio
+from eegpipe import dataio, nn
 from eegpipe.cli import main
 from test_file_fuzz import COMMANDS, CORRUPTIONS, command, pipeline
 
@@ -67,8 +68,13 @@ def cases(header, rows):
     }
 
 
+HISTORY_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+HISTORY_ROWS = ["1,0.5,-1.25,3e-05,7.0", "2,1e+300,-0.0,2.5,-4.75", "3,6.0,0.125,-8.5,9.0"]
+
+
 RAW_CASES = cases(RAW_HEADER, RAW_ROWS)
 FEATURE_CASES = cases(FEATURE_HEADER, FEATURE_ROWS)
+HISTORY_CASES = cases(HISTORY_HEADER, HISTORY_ROWS)
 
 
 def load_raw(root, body):
@@ -78,7 +84,7 @@ def load_raw(root, body):
     (root / "manifest.csv").write_text(
         f"file,label,sample_rate_hz,channels\nr.csv,POSITIVE,256,{';'.join(dataio.DEFAULT_CHANNELS)}\n")
     channels = list(dataio.DEFAULT_CHANNELS)
-    plain = dataio._read_plain_csv(str(root / "r.csv"), lambda header: header == channels)
+    plain = dataio._read_plain_csv(str(root / "r.csv"), lambda header: header == channels, False)
     loaded = outcome(lambda: dataio.load_raw_recordings(str(root), str(root / "manifest.csv"), list))
     if isinstance(loaded[0], list):
         loaded = [rec.data.tobytes() for rec in loaded[0]]
@@ -96,10 +102,25 @@ def load_features(root, body):
     return (None if plain is None else (plain[0], plain[1].tobytes(), plain[2])), loaded
 
 
-@pytest.mark.parametrize("kind,case", [("raw", c) for c in sorted(RAW_CASES)]
-                         + [("features", c) for c in sorted(FEATURE_CASES)])
+def load_history(root, body):
+    (root / "history.csv").write_text(body, newline="")
+    path = str(root / "history.csv")
+    plain = dataio._read_plain_csv(path, lambda header: header == HISTORY_HEADER.split(","),
+                                   False)
+    loaded = outcome(lambda: nn.load_history(path))
+    if isinstance(loaded, nn.TrainHistory):
+        loaded = (loaded.train_loss, loaded.train_acc, loaded.val_loss, loaded.val_acc)
+    return (None if plain is None else (plain[0], plain[1].tobytes(), plain[2])), loaded
+
+
+KINDS = {"raw": (load_raw, RAW_CASES), "features": (load_features, FEATURE_CASES),
+         "history": (load_history, HISTORY_CASES)}
+
+
+@pytest.mark.parametrize("kind,case", [(kind, c) for kind, (_, bodies) in KINDS.items()
+                                       for c in sorted(bodies)])
 def test_every_piece_size_reads_what_one_piece_reads(tmp_path, kind, case):
-    load, body = {"raw": (load_raw, RAW_CASES), "features": (load_features, FEATURE_CASES)}[kind]
+    load, body = KINDS[kind]
     body = body[case]
     want = load(tmp_path, body)
     # every size up to the file's length puts a piece end at every position
@@ -113,7 +134,7 @@ def test_the_cases_take_the_paths_they_are_named_for(tmp_path):
     # which reads a quote or line separator in a line to the same values
     parsed = {"crlf", "lone_cr", "mixed_ends", "no_trailing_newline"}
     same_values = parsed | {"quote_in_last_line", "line_separator_in_last_line"}
-    for load, bodies in ((load_raw, RAW_CASES), (load_features, FEATURE_CASES)):
+    for load, bodies in KINDS.values():
         want = load(tmp_path, bodies["crlf"])[1]
         for case, body in bodies.items():
             plain, loaded = load(tmp_path, body)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegpipe import cli, dataio, dsp
+from eegpipe import cli, dataio, dsp, nn
 from eegpipe.errors import ConfigError, DataError
 
 
@@ -40,7 +41,7 @@ class TestLoadFeatureCsv:
 
     def test_nan_cell_reports_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "f1,f2,label\n1,NaN,A\n")
-        with pytest.raises(DataError, match=r"row 2.*'f2'"):
+        with pytest.raises(DataError, match=r"line 2, column 'f2'"):
             dataio.load_feature_csv(p, "label")
 
     def test_missing_file(self, tmp_path):
@@ -116,7 +117,7 @@ class TestRawRecordings:
             tmp_path / "manifest.csv",
             "file,label,sample_rate_hz,channels\nnope.csv,A,256,TP9\n",
         )
-        with pytest.raises(DataError, match="missing file"):
+        with pytest.raises(DataError, match="file not found"):
             dataio.load_raw_recordings(str(tmp_path), p, list)
 
     def test_short_manifest_row_names_its_line(self, tmp_path):
@@ -133,7 +134,8 @@ class TestRawRecordings:
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = f"0.5,{cell},0.5,0.5\n"
         path.write_text("".join(lines))
-        with pytest.raises(DataError, match=r"r1\.csv: line 6: non-finite"):
+        with pytest.raises(DataError, match=re.escape(
+                f"r1.csv: line 6, column 'AF7': unparsable or non-finite value {cell!r}")):
             dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
     # the first row whose rate is not positive and finite wins, before any row
@@ -199,32 +201,42 @@ def write_manifest(root, channels, name="r.csv"):
     return path
 
 
+@contextlib.contextmanager
+def scan_only():
+    """Every CSV read goes to the row scan: the plain path declines each file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_read_plain_csv", lambda *args: None)
+        yield
+
+
+def outcome(load):
+    """load()'s result, with warnings as errors, or the DataError text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return load()
+    except DataError as exc:
+        return str(exc)
+
+
 def raw_outcome(root, channels):
     """The loaded [samples, channels] bits, or the DataError text."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            recs, _ = dataio.load_raw_recordings(root, write_manifest(root, channels), list)
-    except DataError as exc:
-        return str(exc)
-    return bits(recs[0].data.T)
+    recs = outcome(lambda: dataio.load_raw_recordings(root, write_manifest(root, channels),
+                                                      list)[0])
+    return recs if isinstance(recs, str) else bits(recs[0].data.T)
 
 
-def scan_raw_outcome(root, channels):
-    try:
-        return bits(dataio._scan_raw_csv(os.path.join(root, "r.csv"), channels))
-    except DataError as exc:
-        return str(exc)
-
-
-def feature_outcome(load, path):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ds = load(path, "label")
-    except DataError as exc:
-        return str(exc)
+def feature_outcome(path):
+    ds = outcome(lambda: dataio.load_feature_csv(path, "label"))
+    if isinstance(ds, str):
+        return ds
     return bits(ds.features), ds.labels.tolist(), ds.class_names, ds.feature_names
+
+
+def history_outcome(path):
+    """The four columns' bits, or the DataError text."""
+    h = outcome(lambda: nn.load_history(path))
+    return h if isinstance(h, str) else bits([h.train_loss, h.train_acc, h.val_loss, h.val_acc])
 
 
 class TestCsvFormat:
@@ -302,8 +314,7 @@ class TestCsvFormat:
         def no_scan(*args):
             raise AssertionError("the row-by-row scan ran on a well-formed file")
 
-        monkeypatch.setattr(dataio, "_scan_raw_csv", no_scan)
-        monkeypatch.setattr(dataio, "_scan_feature_csv", no_scan)
+        monkeypatch.setattr(dataio, "_scan_numeric_csv", no_scan)
         data, labels = dataio.synth_generate(2, 64, 256.0, seed=0)
         for i, x in enumerate(data):
             rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, x, label=0)
@@ -316,6 +327,9 @@ class TestCsvFormat:
         ds = dataio.Dataset(data[:, 0, :8], labels, ["x", "y", "z"], [f"s{i}" for i in range(8)])
         dataio.save_feature_csv(ds, str(tmp_path / "f.csv"))
         assert bits(dataio.load_feature_csv(str(tmp_path / "f.csv"), "label").features) == bits(ds.features)
+        history = nn.TrainHistory(*data[:4, 0, :3].tolist())
+        nn.save_history(history, str(tmp_path / "h.csv"))
+        assert history_outcome(str(tmp_path / "h.csv")) == bits(data[:4, 0, :3])
 
 
 # (case, file text, expected: the loaded rows, or a fragment of the DataError)
@@ -323,23 +337,29 @@ RAW_CASES = [
     ("blank line", "a,b\r\n1,2\r\n\r\n3,4\r\n", "line 3: 0 cells, header has 2"),
     ("only a blank line", "a,b\r\n\r\n", "line 2: 0 cells, header has 2"),
     ("a column too many", "a,b\r\n1,2,3\r\n4,5,6\r\n", "line 2: 3 cells, header has 2"),
-    ("trailing comma", "a,b\r\n1,2,\r\n", "line 2: could not convert string to float: ''"),
-    ("hash in a cell", "a,b\r\n1,2#3\r\n", "could not convert string to float: '2#3'"),
+    ("trailing comma", "a,b\r\n1,2,\r\n", "line 2: 3 cells, header has 2"),
+    ("hash in a cell", "a,b\r\n1,2#3\r\n", "line 2, column 'b': unparsable or non-finite value '2#3'"),
     ("LF-only", "a,b\n1,2\n3,4\n", [[1, 2], [3, 4]]),
     ("CR-only", "a,b\r1,2\r3,4\r", [[1, 2], [3, 4]]),
     ("quoted numbers", 'a,b\r\n"1",2\r\n', [[1, 2]]),
     ("underscore", "a,b\r\n1_0,2\r\n", [[10, 2]]),
     ("padded cells", "a,b\r\n 1 ,\t2 \r\n", [[1, 2]]),
-    ("header only", "a,b\r\n", "no samples"),
+    ("header only", "a,b\r\n", "no data rows"),
     ("ragged row", "a,b\r\n1,2\r\n3\r\n", "line 3: 1 cells, header has 2"),
-    ("non-numeric cell", "a,b\r\n1,x\r\n", "line 2: could not convert string to float: 'x'"),
-    ("nan cell", "a,b\r\n1,2\r\n1,nan\r\n", "line 3: non-finite sample"),
-    ("inf cell", "a,b\r\ninf,1\r\n", "line 2: non-finite sample"),
-    ("file separator pad", "a,b\r\n1\x1c,2\r\n", "could not convert string to float: '1\\x1c'"),
+    ("non-numeric cell", "a,b\r\n1,x\r\n", "line 2, column 'b': unparsable or non-finite value 'x'"),
+    ("nan cell", "a,b\r\n1,2\r\n1,nan\r\n", "line 3, column 'b': unparsable or non-finite value 'nan'"),
+    ("inf cell", "a,b\r\ninf,1\r\n", "line 2, column 'a': unparsable or non-finite value 'inf'"),
+    ("file separator pad", "a,b\r\n1\x1c,2\r\n", "column 'a': unparsable or non-finite value '1\\x1c'"),
     ("form feed pad", "a,b\r\n1\x0c,2\r\n", [[1, 2]]),
-    ("form feed in a cell", "a,b\r\n1,2\x0c3,4\r\n", "could not convert string to float: '2\\x0c3'"),
+    ("form feed in a cell", "a,b\r\n1,2\x0c3,4\r\n", "line 2: 3 cells, header has 2"),
     ("header not the manifest's", "a,c\r\n1,2\r\n", "header ['a', 'c'] does not match manifest"),
     ("quote opening a header field", 'a,"b\r\n1,2\r\n3,4\r\n', "does not match manifest channels"),
+    # the first bad line wins, whatever its fault and the faults after it
+    ("short line before a bad cell", "a,b\r\n1,2\r\n3\r\n4,5\r\n6,x\r\n",
+     "line 3: 1 cells, header has 2"),
+    ("non-finite line before a bad cell", "a,b\r\n1,2\r\n3,inf\r\n4,5\r\n6,x\r\n",
+     "line 3, column 'b': unparsable or non-finite value 'inf'"),
+    ("bad cell before a short line", "a,b\r\n1,2\r\nx,3\r\n4\r\n", "line 3, column 'a'"),
 ]
 
 
@@ -347,7 +367,8 @@ RAW_CASES = [
 def test_raw_loader_matches_the_row_scan(tmp_path, text, expected):
     (tmp_path / "r.csv").write_bytes(text.encode("utf-8"))
     got = raw_outcome(str(tmp_path), ["a", "b"])
-    assert got == scan_raw_outcome(str(tmp_path), ["a", "b"])
+    with scan_only():
+        assert got == raw_outcome(str(tmp_path), ["a", "b"])
     if isinstance(expected, str):
         assert expected in got
     else:
@@ -355,24 +376,24 @@ def test_raw_loader_matches_the_row_scan(tmp_path, text, expected):
 
 
 FEATURE_CASES = [
-    ("blank line", "f1,f2,label\r\n1,2,A\r\n\r\n3,4,B\r\n", "row 3 has 0 cells, expected 3"),
-    ("only a blank line", "f1,f2,label\r\n\r\n", "row 2 has 0 cells, expected 3"),
-    ("trailing comma", "f1,f2,label\r\n1,2,A,\r\n", "row 2 has 4 cells, expected 3"),
-    ("hash in a cell", "f1,f2,label\r\n1,2#,A\r\n", "value '2#' at row 2, column 'f2'"),
+    ("blank line", "f1,f2,label\r\n1,2,A\r\n\r\n3,4,B\r\n", "line 3: 0 cells, header has 3"),
+    ("only a blank line", "f1,f2,label\r\n\r\n", "line 2: 0 cells, header has 3"),
+    ("trailing comma", "f1,f2,label\r\n1,2,A,\r\n", "line 2: 4 cells, header has 3"),
+    ("hash in a cell", "f1,f2,label\r\n1,2#,A\r\n", "line 2, column 'f2': unparsable or non-finite value '2#'"),
     ("LF-only", "f1,f2,label\n1,2,A\n3,4,B\n", ([[1, 2], [3, 4]], [0, 1], ["A", "B"])),
     ("quoted numbers", 'f1,f2,label\r\n"1",2,A\r\n', ([[1, 2]], [0], ["A"])),
     ("underscore", "f1,f2,label\r\n1_0,2,A\r\n", ([[10, 2]], [0], ["A"])),
     ("padded cells", "f1,f2,label\r\n 1 ,\t2 ,A\r\n", ([[1, 2]], [0], ["A"])),
     ("header only", "f1,f2,label\r\n", "no data rows"),
-    ("ragged row", "f1,f2,label\r\n1,A\r\n", "row 2 has 2 cells, expected 3"),
-    ("non-numeric cell", "f1,f2,label\r\nx,2,A\r\n", "value 'x' at row 2, column 'f1'"),
-    ("nan cell", "f1,f2,label\r\n1,2,A\r\nnan,2,A\r\n", "value 'nan' at row 3, column 'f1'"),
-    ("inf cell", "f1,f2,label\r\n1,-inf,A\r\n", "value '-inf' at row 2, column 'f2'"),
+    ("ragged row", "f1,f2,label\r\n1,A\r\n", "line 2: 2 cells, header has 3"),
+    ("non-numeric cell", "f1,f2,label\r\nx,2,A\r\n", "line 2, column 'f1': unparsable or non-finite value 'x'"),
+    ("nan cell", "f1,f2,label\r\n1,2,A\r\nnan,2,A\r\n", "line 3, column 'f1': unparsable or non-finite value 'nan'"),
+    ("inf cell", "f1,f2,label\r\n1,-inf,A\r\n", "line 2, column 'f2': unparsable or non-finite value '-inf'"),
     ("quoted label", 'f1,f2,label\r\n1,2,"a,b"\r\n', ([[1, 2]], [0], ["a,b"])),
     ("no feature column", "label\r\nB\r\nA\r\n", ([[], []], [1, 0], ["A", "B"])),
     ("label first", "label,f1,f2\r\nB,1,2\r\nA,3,4\r\n", ([[1, 2], [3, 4]], [1, 0], ["A", "B"])),
-    ("file separator pad", "f1,f2,label\r\n1\x1c,2,A\r\n", "value '1\\x1c' at row 2"),
-    ("form feed in a label", "f1,f2,label\r\n1,2,A\x0c3,4,B\r\n", "row 2 has 5 cells"),
+    ("file separator pad", "f1,f2,label\r\n1\x1c,2,A\r\n", "line 2, column 'f1': unparsable or non-finite value '1\\x1c'"),
+    ("form feed in a label", "f1,f2,label\r\n1,2,A\x0c3,4,B\r\n", "line 2: 5 cells"),
 ]
 
 
@@ -381,14 +402,53 @@ FEATURE_CASES = [
 def test_feature_loader_matches_the_cell_scan(tmp_path, text, expected):
     path = str(tmp_path / "f.csv")
     (tmp_path / "f.csv").write_bytes(text.encode("utf-8"))
-    got = feature_outcome(dataio.load_feature_csv, path)
-    assert got == feature_outcome(dataio._scan_feature_csv, path)
+    got = feature_outcome(path)
+    with scan_only():
+        assert got == feature_outcome(path)
     if isinstance(expected, str):
         assert expected in got
     else:
         rows, labels, names = expected
         assert got[:3] == (bits(rows), labels, names)
 
+
+HISTORY_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+HISTORY_CASES = [
+    ("as written", f"{HISTORY_HEADER}\r\n1,0.5,0.25,0.75,0.125\r\n2,0.25,0.5,0.5,0.25\r\n",
+     [[0.5, 0.25], [0.25, 0.5], [0.75, 0.5], [0.125, 0.25]]),
+    ("CR-only", f"{HISTORY_HEADER}\r1,0.5,0.25,0.75,0.125\r2,0.25,0.5,0.5,0.25\r",
+     [[0.5, 0.25], [0.25, 0.5], [0.75, 0.5], [0.125, 0.25]]),
+    ("quoted cell", f'{HISTORY_HEADER}\r\n1,"0.5",0.25,0.75,0.125\r\n',
+     [[0.5], [0.25], [0.75], [0.125]]),
+    ("columns in another order", "val_acc,epoch,val_loss,train_acc,train_loss\r\n0.125,1,0.75,0.25,0.5\r\n",
+     [[0.5], [0.25], [0.75], [0.125]]),
+    ("non-finite value", f"{HISTORY_HEADER}\r\n1,0.5,0.25,0.75,0.125\r\n2,0.25,0.5,1e999,0.25\r\n",
+     "line 3, column 'val_loss': unparsable or non-finite value '1e999'"),
+    ("unparsable value", f"{HISTORY_HEADER}\r\n1,0.5,abc,0.75,0.125\r\n",
+     "line 2, column 'train_acc': unparsable or non-finite value 'abc'"),
+    ("missing column", "epoch,train_loss,train_acc,val_loss\r\n1,0.5,0.25,0.75\r\n",
+     "column 'val_acc' not found in header"),
+    ("duplicate column", f"{HISTORY_HEADER},val_acc\r\n1,0.5,0.25,0.75,0.125,0.5\r\n",
+     "duplicate column names in header"),
+    ("ragged row", f"{HISTORY_HEADER}\r\n1,0.5,0.25,0.75,0.125\r\n2,0.25,0.5\r\n3,x,0,0,0\r\n",
+     "line 3: 3 cells, header has 5"),
+    ("header only", f"{HISTORY_HEADER}\r\n", "no data rows"),
+    ("empty file", "", "column 'train_loss' not found in header"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in HISTORY_CASES],
+                         ids=[c[0] for c in HISTORY_CASES])
+def test_history_loader_matches_the_row_scan(tmp_path, text, expected):
+    path = str(tmp_path / "history.csv")
+    (tmp_path / "history.csv").write_bytes(text.encode("utf-8"))
+    got = history_outcome(path)
+    with scan_only():
+        assert got == history_outcome(path)
+    if isinstance(expected, str):
+        assert expected in got
+    else:
+        assert got == bits(expected)
 
 
 class TestWindowing:

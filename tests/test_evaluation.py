@@ -16,20 +16,20 @@ NAMES = ["a", "b", "c", "d"]
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         y = np.array([0, 1, 2, 0, 1, 2, 2])
-        cm = evaluation.confusion(y, y, 3, NAMES[:3])
+        cm = evaluation.confusion(y, y, NAMES[:3])
         assert np.array_equal(cm.counts, np.diag([2, 2, 3]))
 
     def test_hand_counted_matrix(self):
         truth = np.array([0, 0, 1, 1])
         preds = np.array([0, 1, 1, 1])
-        cm = evaluation.confusion(preds, truth, 2, NAMES[:2])
+        cm = evaluation.confusion(preds, truth, NAMES[:2])
         assert cm.counts.tolist() == [[1, 1], [0, 2]]
 
     def test_row_sums_are_class_counts(self):
         rng = np.random.default_rng(0)
         truth = rng.integers(0, 4, size=200)
         preds = rng.integers(0, 4, size=200)
-        cm = evaluation.confusion(preds, truth, 4, NAMES[:4])
+        cm = evaluation.confusion(preds, truth, NAMES[:4])
         want = [int(np.sum(truth == c)) for c in range(4)]
         assert cm.counts.sum(axis=1).tolist() == want
         assert cm.total == 200
@@ -39,23 +39,25 @@ class TestConfusion:
         truth = rng.integers(0, 3, size=50)
         preds = rng.integers(0, 3, size=50)
         perm = rng.permutation(50)
-        cm1 = evaluation.confusion(preds, truth, 3, NAMES[:3])
-        cm2 = evaluation.confusion(preds[perm], truth[perm], 3, NAMES[:3])
+        cm1 = evaluation.confusion(preds, truth, NAMES[:3])
+        cm2 = evaluation.confusion(preds[perm], truth[perm], NAMES[:3])
         assert np.array_equal(cm1.counts, cm2.counts)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
-            evaluation.confusion([0, 1], [0], 2, NAMES[:2])
+            evaluation.confusion([0, 1], [0], NAMES[:2])
 
     def test_out_of_range_class(self):
         with pytest.raises(DataError, match="range"):
-            evaluation.confusion([0, 5], [0, 1], 2, NAMES[:2])
+            evaluation.confusion([0, 5], [0, 1], NAMES[:2])
 
     def test_class_names_label_rows_and_columns(self):
-        cm = evaluation.confusion([0, 1], [0, 1], 2, ["CALM", "TENSE"])
+        cm = evaluation.confusion([0, 1], [0, 1], ["CALM", "TENSE"])
         assert cm.class_names == ["CALM", "TENSE"]
-        with pytest.raises(DataError, match="class_names"):
-            evaluation.confusion([0, 1], [0, 1], 2, ["CALM"])
+        assert cm.counts.shape == (2, 2)
+        # the names set the class count: an id without a name is out of range
+        with pytest.raises(DataError, match=r"class id out of range \[0, 1\)"):
+            evaluation.confusion([0, 1], [0, 1], ["CALM"])
 
 
 class TestMetrics:
@@ -93,9 +95,9 @@ class TestMetrics:
         rng = np.random.default_rng(2)
         truth = rng.integers(0, 3, size=120)
         preds = rng.integers(0, 3, size=120)
-        rep = evaluation.metrics(evaluation.confusion(preds, truth, 3, NAMES[:3]))
+        rep = evaluation.metrics(evaluation.confusion(preds, truth, NAMES[:3]))
         perm = np.array([2, 0, 1])  # relabel classes
-        rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], 3, NAMES[:3]))
+        rep_p = evaluation.metrics(evaluation.confusion(perm[preds], perm[truth], NAMES[:3]))
         assert rep_p.accuracy == rep.accuracy
         inv = np.argsort(perm)
         assert np.allclose(rep_p.precision, rep.precision[inv])
@@ -106,7 +108,7 @@ class TestMetrics:
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 4, size=100)
         preds = rng.integers(0, 4, size=100)
-        cm = evaluation.confusion(preds, truth, 4, NAMES[:4])
+        cm = evaluation.confusion(preds, truth, NAMES[:4])
         rep = evaluation.metrics(cm)
         micro_recall = float(np.trace(cm.counts)) / cm.counts.sum()
         assert rep.accuracy == micro_recall

@@ -136,6 +136,10 @@ def write_recordings(root, sizes):
         dataio.save_recording_csv(rec, str(root / f"r{i}.csv"))
 
 
+# the error of a spoiled recording, after its path
+SPOILED = "line 6, column 'AF7': unparsable or non-finite value 'nan'"
+
+
 def spoil(path):
     """A non-finite sample on line 6 of a recording file."""
     lines = path.read_text().splitlines(keepends=True)
@@ -154,7 +158,7 @@ def test_load_error_names_the_first_bad_row_in_manifest_order(tmp_path, watchdog
     rows[4] = ("absent.csv", CHANNELS)
     rows.append(("r0.csv", "TP9;AF7"))
     manifest = write_manifest(tmp_path, rows)
-    with cpus(n), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
+    with cpus(n), pytest.raises(DataError, match=rf"r{bad}\.csv: {SPOILED}"):
         dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
 
@@ -166,7 +170,7 @@ def test_bad_recording_while_children_hold_big_results_does_not_hang(tmp_path, w
     write_recordings(tmp_path, [40, 40, 20_000, 20_000, 20_000, 20_000])
     spoil(tmp_path / f"r{bad}.csv")
     manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(6)])
-    with cpus(3), pytest.raises(DataError, match=rf"r{bad}\.csv: line 6: non-finite sample"):
+    with cpus(3), pytest.raises(DataError, match=rf"r{bad}\.csv: {SPOILED}"):
         dataio.load_raw_recordings(str(tmp_path), manifest, list)
 
 
@@ -287,7 +291,7 @@ def test_piped_output_lines_appear_once(tmp_path):
         "[eegpipe featurize] manifest=raw/manifest.csv band=0.5-45.0Hz order=4 "
         "threshold_uv=100.0"]
     fpath = os.path.join(str(tmp_path), "raw", "epoch_0005.csv")
-    assert proc.stderr == f"data error: {fpath}: line 6: non-finite sample\n"
+    assert proc.stderr == f"data error: {fpath}: {SPOILED}\n"
 
 
 def short_recording(path):
@@ -306,14 +310,28 @@ def zero_recording(path):
         str(path))
 
 
+def overflow_recording(path):
+    """Samples of +-1e200, as many as in the file it replaces: within the
+    threshold of FAULT_ARGS, so the epoch is kept, but its power overflows."""
+    n_samples = len(path.read_text().splitlines()) - 1
+    signs = np.sign(np.random.default_rng(2).normal(size=(4, n_samples)))
+    dataio.save_recording_csv(
+        dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0, 1e200 * signs, label=0), str(path))
+
+
 # a fault in a recording file that featurize's parse, filter or feature
-# stage finds, and its message
+# stage finds, and its exit code and stderr line
 FAULTS = {
-    "missing": (os.remove, "manifest references missing file: {}"),
-    "non_finite": (spoil, "{}: line 6: non-finite sample"),
-    "too_short": (short_recording, "input length 10 too short; need more than 12 samples"),
-    "all_zero": (zero_recording, "spectral entropy undefined for an all-zero PSD"),
+    "missing": (os.remove, 2, "data error: {}: file not found"),
+    "non_finite": (spoil, 2, "data error: {}: " + SPOILED),
+    "too_short": (short_recording, 2,
+                  "data error: input length 10 too short; need more than 12 samples"),
+    "all_zero": (zero_recording, 2, "data error: spectral entropy undefined for an all-zero PSD"),
+    "overflow": (overflow_recording, 3, "numeric error: {}: the features of an epoch overflow "
+                                        "to values that are not finite"),
 }
+# featurize keeps an overflowing epoch, and rejects none of the others
+FAULT_ARGS = ["--threshold", "1e300"]
 
 
 @pytest.mark.parametrize("n_samples", [300, 2048])
@@ -330,7 +348,7 @@ def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, 
     code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", str(n_samples),
                            "--seed", "5", "--out", str(raw)], 1)
     assert (code, stderr) == (0, "")
-    argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out)]
+    argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out), *FAULT_ARGS]
 
     def outcome(n):
         """(exit code, stdout, stderr, whether --out exists) at n CPUs."""
@@ -340,11 +358,11 @@ def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, 
         return result
 
     first, second = (raw / f"epoch_{k:04d}.csv" for k in positions)
-    spoil_first, message = FAULTS[earlier]
+    spoil_first, code, message = FAULTS[earlier]
     spoil_first(first)
     want = outcome(1)
     # no rejection line: it is printed only when every recording featurizes
-    assert want == (2, want[1], f"data error: {message.format(first)}\n", False)
+    assert want == (code, want[1], f"{message.format(first)}\n", False)
     assert "rejected" not in want[1]
     FAULTS[later][0](second)
     for n in (1, 2, 3):
