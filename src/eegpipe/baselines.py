@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .nn import softmax_cross_entropy_batch
 
 
@@ -47,7 +47,12 @@ def logistic_loss_grad(W, b, X, y, l2: float):
 def fit_logistic(X, y, n_classes: int) -> LinearModel:
     """Softmax regression by _LOGISTIC_ITERATIONS steps of full-batch gradient
     descent from zero weights, at step size _LOGISTIC_LEARNING_RATE with L2
-    weight decay _LOGISTIC_L2."""
+    weight decay _LOGISTIC_L2.
+
+    X is normalized training features: finite (apply_normalization checks
+    them) and bounded (a z-score by about sqrt(n), a min-max value by 1), so
+    the weights stay finite over the fixed step count and no loss is checked.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if n_classes < 2:
@@ -55,9 +60,7 @@ def fit_logistic(X, y, n_classes: int) -> LinearModel:
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
     for _ in range(_LOGISTIC_ITERATIONS):
-        loss, gW, gb = logistic_loss_grad(W, b, X, y, _LOGISTIC_L2)
-        if not math.isfinite(loss):
-            raise NumericError("logistic regression diverged (non-finite loss)")
+        _, gW, gb = logistic_loss_grad(W, b, X, y, _LOGISTIC_L2)
         W -= _LOGISTIC_LEARNING_RATE * gW
         b -= _LOGISTIC_LEARNING_RATE * gb
     return LinearModel(W, b)

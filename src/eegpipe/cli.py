@@ -328,8 +328,13 @@ class _ShareFeaturizer:
         paths = [rec.path for rec in group]
         raw = [rec.data for rec in group]
         group.clear()
-        filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
-        windows = dataio.window_recording(filtered, self.window_len, self.hop)
+        try:
+            filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
+            windows = dataio.window_recording(filtered, self.window_len, self.hop)
+        except DataError as exc:
+            # a shape fault, such as a recording too short to filter or to
+            # window: the group shares one shape, so it is its first recording's
+            raise DataError(f"{paths[0]}: {exc}") from None
         g, n_windows, n_ch, window_len = windows.shape
         kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
                                        self.fc.artifact_threshold_uv)
@@ -345,19 +350,21 @@ class _ShareFeaturizer:
             self.rows.append(self._features(windows, block, fs, channels, paths))
 
     def _features(self, windows, block, fs, channels, paths: list[str]) -> np.ndarray:
-        """The feature rows of the block's epochs of windows. A row that is
-        not finite is a NumericError that names its recording's file. When a
-        block of several recordings raises, each recording's epochs are
-        featurized again alone, in order, so that the error raised is that
-        of the first bad recording."""
+        """The feature rows of the block's epochs of windows. A DataError of
+        the feature stage, such as an all-zero PSD, and a row that is not
+        finite, a NumericError, name the file of the recording they belong
+        to. When a block of several recordings raises, each recording's
+        epochs are featurized again alone, in order, so that the error raised
+        is that of the first bad recording."""
         try:
             fv = dsp.extract_features(windows[block], fs, self.fc, channels)
-        except PipelineError:
+        except DataError as exc:
             owners = np.unique(block[0])
             for owner in owners if len(owners) > 1 else ():
                 mine = block[0] == owner
                 self._features(windows, (block[0][mine], block[1][mine]), fs, channels, paths)
-            raise
+            # an empty block's fault is one of shape, so its group's first recording's
+            raise DataError(f"{paths[owners[0] if owners.size else 0]}: {exc}") from None
         finite = np.isfinite(fv.values).all(axis=-1)
         if not finite.all():
             raise NumericError(f"{paths[block[0][np.argmin(finite)]]}: the features of an "
@@ -535,8 +542,11 @@ def cmd_compare(args) -> int:
     train_cfg = _train_config(args)
     _announce("compare", {"input": args.input, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
-    train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
     n_classes = len(ds.class_names)
+    if n_classes < 2:
+        raise DataError(f"{args.input}: one class, {ds.class_names[0]!r}; "
+                        "compare needs at least 2")
+    train_ds, val_ds, test_ds = dataio.stratified_split(ds, spec)
 
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
     X_tr, X_va, X_te = (dsp.apply_normalization(d.features, norm)

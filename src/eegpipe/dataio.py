@@ -566,10 +566,11 @@ def window_recording(data: np.ndarray, window_len: int | None, hop: int | None) 
     n_samples = data.shape[-1]
     window_len = n_samples if window_len is None else window_len
     hop = window_len if hop is None else hop
-    if not 1 <= window_len <= n_samples:
-        raise ConfigError(f"window_len {window_len} outside [1, {n_samples}]")
-    if hop < 1:
-        raise ConfigError("hop must be >= 1")
+    if window_len < 1 or hop < 1:
+        raise ConfigError(f"window_len {window_len} and hop {hop} must be >= 1")
+    if window_len > n_samples:
+        raise DataError(f"window_len {window_len} is longer than the recording's "
+                        f"{n_samples} samples")
     windows = np.lib.stride_tricks.sliding_window_view(data, window_len, axis=-1)[..., ::hop, :]
     return np.moveaxis(windows, -2, -3)
 

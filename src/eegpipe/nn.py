@@ -435,16 +435,16 @@ def predict_batch(model: Model, X):
     """Class ids of [batch, T, input_dim]: the argmax of the logits, ties to
     the lowest class id.
 
-    Floating-point overflow or invalid operations in the forward pass, and
-    non-finite logits, are a NumericError: such a model predicts nothing.
+    The weights and X are finite (load_checkpoint or train's traps, and
+    apply_normalization, see to that), so only an overflow or invalid
+    operation in the forward pass can spoil the logits. That traps as a
+    NumericError: such a model predicts nothing.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             logits, _ = model_forward(model, X)
     except FloatingPointError as exc:
         raise NumericError(f"the model's forward pass failed: {exc}") from None
-    if not np.isfinite(logits).all():
-        raise NumericError("the model's logits are not finite")
     return logits.argmax(axis=1)
 
 
@@ -463,28 +463,15 @@ class FlatParams:
     def __init__(self, items):
         items = [(name, np.asarray(arr, dtype=float)) for name, arr in items]
         self.vector = np.concatenate([arr.reshape(-1) for _, arr in items])
-        self.names = [name for name, _ in items]
-        self.ends = np.cumsum([arr.size for _, arr in items])
+        ends = np.cumsum([arr.size for _, arr in items])
         self.arrays = {name: self.vector[end - arr.size : end].reshape(arr.shape)
-                       for (name, arr), end in zip(items, self.ends)}
-
-    def locate(self, i: int) -> tuple[str, int]:
-        """(name, flat index within that array) of entry i of `vector`."""
-        k = int(np.searchsorted(self.ends, i, side="right"))
-        return self.names[k], i - int(self.ends[k - 1] if k else 0)
+                       for (name, arr), end in zip(items, ends)}
 
     def model(self, config: ModelConfig) -> Model:
         """A Model over these arrays, named as Model.param_items names them."""
         a = self.arrays
         return Model(config, GruParams(a["gru.W"], a["gru.U"], a["gru.b"]),
                      DenseParams(a["dense.W"], a["dense.b"]))
-
-
-def _require_finite(grads: FlatParams) -> None:
-    finite = np.isfinite(grads.vector)
-    if not finite.all():
-        name, _ = grads.locate(int(np.argmin(finite)))
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
 
 
 def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: TrainConfig) -> None:
@@ -494,7 +481,6 @@ def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: T
     starts empty. The operations are those of the textbook per-array
     update, in the same order.
     """
-    _require_finite(grads)
     g = grads.vector
     if not state:
         state.update((k, np.zeros_like(g)) for k in ("m", "v", "step", "denom"))
@@ -517,7 +503,6 @@ def adam_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: T
 
 def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: TrainConfig) -> None:
     """Plain gradient descent step; state and t kept for API symmetry."""
-    _require_finite(grads)
     params.vector -= cfg.learning_rate * grads.vector
 
 
@@ -556,6 +541,11 @@ def train(
     parameters, their gradient and the optimizer moments are each one
     flat vector. One GRU workspace per batch shape (the full batch, the
     last partial batch and the validation set) serves the whole run.
+
+    The features are finite (the CSV reader and apply_normalization check
+    them), and every step runs under raised floating-point traps, so a value
+    that is not finite raises at once as "training diverged: ..."; no loss,
+    gradient or parameter is checked again.
     """
     X_tr, y_tr = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=int)
     X_va, y_va = np.asarray(val_data[0], dtype=float), np.asarray(val_data[1], dtype=int)
@@ -586,25 +576,21 @@ def train(
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(cfg.max_epochs):
                 perm = rng.permutation(n)
-                loss_sum = 0.0
+                loss_sum = np.float64(0.0)  # a numpy sum, so that its overflow traps too
                 correct = 0
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     sel = perm[start : start + cfg.batch_size]
                     xb, yb = X_tr[sel], y_tr[sel]
                     logits, cache = model_forward(model, xb, workspaces)
                     losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
-                    batch_loss = float(losses.sum())
-                    if not math.isfinite(batch_loss):
-                        raise NumericError(
-                            f"training diverged: non-finite loss at epoch {epoch}, batch {batch}")
-                    loss_sum += batch_loss
+                    loss_sum += losses.sum()
                     correct += int((logits.argmax(axis=1) == yb).sum())
                     model_backward(model, cache, grad_logits / len(sel), out=grad_model)
                     t += 1
                     step_fn(params, grads, opt_state, t, cfg)
                 batch = None  # the validation pass
                 val_loss, val_acc = evaluate_model(model, X_va, y_va, workspaces)
-                history.train_loss.append(loss_sum / n)
+                history.train_loss.append(float(loss_sum / n))
                 history.train_acc.append(correct / n)
                 history.val_loss.append(val_loss)
                 history.val_acc.append(val_acc)

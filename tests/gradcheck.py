@@ -41,5 +41,15 @@ def gradient_check(model: nn.Model, X, labels, eps: float = 1e-5):
         rel = abs(numeric - analytic[i]) / denom
         if rel > worst:
             worst = rel
-            worst_path = "{}[{}]".format(*params.locate(i))
+            worst_path = _path(params, i)
     return worst, worst_path
+
+
+def _path(params: nn.FlatParams, i: int) -> str:
+    """The path name[k] of entry i of params.vector, which is entry k of the
+    named array."""
+    for name, arr in params.arrays.items():
+        if i < arr.size:
+            return f"{name}[{i}]"
+        i -= arr.size
+    raise IndexError("entry outside the parameter vector")

@@ -1329,7 +1329,8 @@ def test_recording_too_short_for_welch_fails_though_none_of_it_is_kept(tmp_path,
     out = tmp_path / "features.csv"
     assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
     assert capsys.readouterr().err == (
-        "data error: signal length 200 shorter than Welch segment 256\n")
+        f"data error: {tmp_path / 'rec_00.csv'}: signal length 200 shorter than Welch "
+        "segment 256\n")
     assert not out.exists()
 
 

@@ -485,10 +485,12 @@ class TestWindowing:
                 assert np.array_equal(w[g, k], data[g, :, 3 * k : 3 * k + 4])
 
     def test_bad_window_or_hop(self):
-        with pytest.raises(ConfigError):
+        # a window longer than the recording is the recording's fault
+        with pytest.raises(DataError, match="^window_len 11 is longer than the recording's 10 "):
             dataio.window_recording(self.rec(10), 11, 1)
-        with pytest.raises(ConfigError):
-            dataio.window_recording(self.rec(10), 4, 0)
+        for window_len, hop in ((4, 0), (0, 1)):
+            with pytest.raises(ConfigError):
+                dataio.window_recording(self.rec(10), window_len, hop)
 
 
 def make_dataset(per_class_counts, seed=0):

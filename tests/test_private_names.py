@@ -4,12 +4,17 @@
 - every public module-level function is read in src/ or perfbench/, or is
   named by a per-layer metric of BENCHMARK.json;
 - every dataclass or NamedTuple field, and every property, is read in src/
-  or perfbench/.
+  or perfbench/;
+- every public method of a class the package defines is read in src/ or
+  perfbench/, unless it overrides a method of a base class from outside
+  the package, whose own code calls it.
 Tests do not count as readers, as code only tests reach is dead code."""
 
 import ast
+import importlib
 import json
 import os
+import types
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "eegpipe")
@@ -167,3 +172,50 @@ def test_the_guards_find_an_unread_function_field_and_property():
     read = attributes_read(tree)
     assert [n for _, n, _ in fields_and_properties(tree) if n not in read] == ["b", "c", "d"]
     assert [n for n, _ in public_functions(tree) if n not in names_read(tree)] == ["unused"]
+
+
+def unread_methods(module, tree, read):
+    """(class, name, line) of each public, non-dunder method of each class
+    the module defines at its top level that is not in `read`, unless a
+    base class from outside the class's package defines it too."""
+    dead = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        cls = getattr(module, node.name)
+        package = cls.__module__.split(".")[0]
+        outside = [base for base in cls.__mro__[1:] if base.__module__.split(".")[0] != package]
+        for item in node.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_") and item.name not in read
+                    and not any(item.name in vars(base) for base in outside)):
+                dead.append((node.name, item.name, item.lineno))
+    return dead
+
+
+def test_every_public_method_is_read_by_a_run():
+    read = set().union(*map(attributes_read, running_trees()))
+    dead = [f"{name}:{line} {cls}.{method}" for name, tree in module_trees().items()
+            for cls, method, line in unread_methods(importlib.import_module(
+                "eegpipe" if name == "__init__.py" else f"eegpipe.{name[:-3]}"), tree, read)]
+    assert not dead, f"methods no run reads: {dead}"
+
+
+def test_the_guard_finds_an_unread_method_but_not_an_override():
+    source = ("import argparse\n\n"
+              "class Parser(argparse.ArgumentParser):\n"
+              "    def error(self, message):\n        raise SystemExit(message)\n\n"
+              "    def unread(self):\n        pass\n\n"
+              "class Base:\n    def hook(self):\n        return self.used()\n\n"
+              "    def used(self):\n        return 'named'\n\n"
+              "class Child(Base):\n    def hook(self):\n        pass\n\n"
+              "    def named(self):\n        pass\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "    def __len__(self):\n        return 0\n")
+    module = types.ModuleType("madeup")
+    tree = ast.parse(source)
+    exec(compile(tree, "madeup", "exec"), module.__dict__)
+    # Base.hook and its override in Child are unread: a base class from the
+    # same package exempts nothing
+    assert [(c, m) for c, m, _ in unread_methods(module, tree, attributes_read(tree))] == [
+        ("Parser", "unread"), ("Base", "hook"), ("Child", "hook")]

@@ -294,10 +294,11 @@ def test_piped_output_lines_appear_once(tmp_path):
     assert proc.stderr == f"data error: {fpath}: {SPOILED}\n"
 
 
-def short_recording(path):
-    """10 samples: the file parses, but is too short to filter."""
+def short_recording(path, n_samples=10):
+    """n_samples samples: at 10 the file parses, but is too short to filter;
+    at 20 it filters, but is shorter than a Welch segment."""
     rec = dataio.Recording(dataio.DEFAULT_CHANNELS, 256.0,
-                           np.random.default_rng(1).normal(size=(4, 10)), label=0)
+                           np.random.default_rng(1).normal(size=(4, n_samples)), label=0)
     dataio.save_recording_csv(rec, str(path))
 
 
@@ -325,8 +326,9 @@ FAULTS = {
     "missing": (os.remove, 2, "data error: {}: file not found"),
     "non_finite": (spoil, 2, "data error: {}: " + SPOILED),
     "too_short": (short_recording, 2,
-                  "data error: input length 10 too short; need more than 12 samples"),
-    "all_zero": (zero_recording, 2, "data error: spectral entropy undefined for an all-zero PSD"),
+                  "data error: {}: input length 10 too short; need more than 12 samples"),
+    "all_zero": (zero_recording, 2,
+                 "data error: {}: spectral entropy undefined for an all-zero PSD"),
     "overflow": (overflow_recording, 3, "numeric error: {}: the features of an epoch overflow "
                                         "to values that are not finite"),
 }
@@ -367,6 +369,35 @@ def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, 
     FAULTS[later][0](second)
     for n in (1, 2, 3):
         assert outcome(n) == want
+
+
+@pytest.mark.parametrize("positions", [(0, 5), (1, 2), (0, 1)], ids=["0_5", "1_2", "0_1"])
+@pytest.mark.parametrize("later", sorted(FAULTS))
+@pytest.mark.parametrize("window_args, message", [
+    ([], "signal length 20 shorter than Welch segment 256"),
+    (["--window-len", "256"], "window_len 256 is longer than the recording's 20 samples"),
+], ids=["whole", "window_256"])
+def test_recording_too_short_for_its_epochs_is_named_at_any_cpu_count(tmp_path, watchdog,
+                                                                      window_args, message,
+                                                                      later, positions):
+    # a recording of 20 samples filters, but is shorter than a Welch segment
+    # and than a window of 256 samples: a data error that names it, with or
+    # without --window-len, and the first bad recording wins as in
+    # test_first_bad_recording_wins_at_any_cpu_count
+    raw, out = tmp_path / "raw", tmp_path / "f.csv"
+    code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", "300", "--seed", "5",
+                           "--out", str(raw)], 1)
+    assert (code, stderr) == (0, "")
+    argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out),
+            *FAULT_ARGS, *window_args]
+    first, second = (raw / f"epoch_{k:04d}.csv" for k in positions)
+    short_recording(first, 20)
+    want = cli(argv, 1)
+    assert want[::2] == (2, f"data error: {first}: {message}\n")
+    FAULTS[later][0](second)
+    for n in (1, 3):
+        assert cli(argv, n) == want
+    assert not out.exists()
 
 
 def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path, monkeypatch,
@@ -521,25 +552,45 @@ def test_compare_writes_the_same_files_at_any_cpu_count(compare_features, tmp_pa
     assert tree(tmp_path / "n") == tree(tmp_path / "one")
 
 
+def recording_calls(log, name, fn):
+    """fn, made to append "<name> <pid>" to the file log at each call, in
+    whichever process makes it."""
+    def wrapper(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_compare_fits_the_baselines_here_and_the_gru_in_a_child(compare_features, tmp_path,
                                                                monkeypatch, watchdog, n):
     pids = tmp_path / "pids"
-
-    def recording_pid(name, fn):
-        def wrapper(*args, **kwargs):
-            with open(pids, "a", encoding="utf-8") as fh:
-                fh.write(f"{name} {os.getpid()}\n")
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(nn, "train", recording_pid("gru", nn.train))
+    monkeypatch.setattr(nn, "train", recording_calls(pids, "gru", nn.train))
     monkeypatch.setattr(baselines, "fit_boosting",
-                        recording_pid("boosting", baselines.fit_boosting))
+                        recording_calls(pids, "boosting", baselines.fit_boosting))
     assert compare_at(n, compare_features, tmp_path / "out")[0] == 0
     where = dict(line.split() for line in pids.read_text().splitlines())
     assert where["boosting"] == str(os.getpid())
     assert (where["gru"] == str(os.getpid())) == (n == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compare_refuses_a_one_class_file_before_any_fit(compare_features, tmp_path,
+                                                         monkeypatch, watchdog, n):
+    ds = dataio.load_feature_csv(compare_features, dataio.LABEL_COLUMN)
+    neutral = str(tmp_path / "neutral.csv")
+    dataio.save_feature_csv(dataio.Dataset(ds.features, np.zeros(ds.n_examples, dtype=int),
+                                           ["NEUTRAL"], ds.feature_names), neutral)
+    calls = tmp_path / "calls"
+    for module, name in ((dataio, "stratified_split"), (dsp, "fit_normalization"),
+                         (nn, "train"), (baselines, "fit_logistic")):
+        monkeypatch.setattr(module, name, recording_calls(calls, name, getattr(module, name)))
+    out = tmp_path / "out"
+    assert compare_at(n, neutral, out)[::2] == (
+        2, f"data error: {neutral}: one class, 'NEUTRAL'; compare needs at least 2\n")
+    assert not out.exists()
+    assert not calls.exists()
 
 
 def fails(error):
@@ -548,18 +599,18 @@ def fails(error):
     return raises
 
 
-GRU_FAILS = ("train", NumericError("training diverged: non-finite loss at epoch 0, batch 0"))
+GRU_DIVERGED = "training diverged: overflow encountered in matmul at epoch 0, batch 0"
+GRU_FAILS = ("train", NumericError(GRU_DIVERGED))
 LOGISTIC_FAILS = ("fit_logistic", DataError("logistic regression failed"))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("failing, want_code, want_stderr", [
-    ([GRU_FAILS], 3, "numeric error: training diverged: non-finite loss at epoch 0, batch 0\n"),
+    ([GRU_FAILS], 3, f"numeric error: {GRU_DIVERGED}\n"),
     ([LOGISTIC_FAILS], 2, "data error: logistic regression failed\n"),
     # the GRU is first in the report, so its error wins, although the
     # baselines are the first share
-    ([GRU_FAILS, LOGISTIC_FAILS], 3,
-     "numeric error: training diverged: non-finite loss at epoch 0, batch 0\n"),
+    ([GRU_FAILS, LOGISTIC_FAILS], 3, f"numeric error: {GRU_DIVERGED}\n"),
 ], ids=["gru", "logistic", "both"])
 def test_compare_raises_the_first_failing_model_in_report_order(compare_features, tmp_path,
                                                                  monkeypatch, watchdog, n,
