@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
 from .nn import softmax_cross_entropy_batch
 
 
@@ -34,14 +33,14 @@ _LOGISTIC_L2 = 1e-4
 _LOGISTIC_ITERATIONS = 500
 
 
-def logistic_loss_grad(W, b, X, y, l2: float):
-    """Mean cross-entropy with L2 weight decay (bias excluded) and its gradient."""
+def logistic_grad(W, b, X, y, l2: float):
+    """Gradient (dW, db) of the mean cross-entropy with L2 weight decay
+    l2 / 2 * sum(W**2) (bias excluded)."""
     n = len(y)
-    losses, delta = softmax_cross_entropy_batch(X @ W.T + b, y)
-    loss = float(np.mean(losses)) + 0.5 * l2 * float(np.sum(W * W))
+    _, delta = softmax_cross_entropy_batch(X @ W.T + b, y)
     gW = delta.T @ X / n + l2 * W
     gb = delta.sum(axis=0) / n
-    return loss, gW, gb
+    return gW, gb
 
 
 def fit_logistic(X, y, n_classes: int) -> LinearModel:
@@ -53,14 +52,10 @@ def fit_logistic(X, y, n_classes: int) -> LinearModel:
     them) and bounded (a z-score by about sqrt(n), a min-max value by 1), so
     the weights stay finite over the fixed step count and no loss is checked.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
     for _ in range(_LOGISTIC_ITERATIONS):
-        _, gW, gb = logistic_loss_grad(W, b, X, y, _LOGISTIC_L2)
+        gW, gb = logistic_grad(W, b, X, y, _LOGISTIC_L2)
         W -= _LOGISTIC_LEARNING_RATE * gW
         b -= _LOGISTIC_LEARNING_RATE * gb
     return LinearModel(W, b)
@@ -68,7 +63,6 @@ def fit_logistic(X, y, n_classes: int) -> LinearModel:
 
 def predict_logistic(model: LinearModel, X):
     """Argmax of the class scores X @ W.T + b."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     return (X @ model.W.T + model.b).argmax(axis=1)
 
 
@@ -237,10 +231,6 @@ def fit_tree(X, y, n_classes: int, max_depth: int, rng: np.random.Generator | No
     from rng (which may be None when max_features covers every feature:
     then no subset is drawn). A pure node is a leaf and draws no subset.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if len(y) == 0:
-        raise DataError("cannot fit a tree on an empty dataset")
     subsample = max_features < X.shape[1]
 
     def find_split(idx):
@@ -272,10 +262,6 @@ def fit_forest(X, y, n_classes: int, n_trees: int, max_depth: int, seed: int) ->
     features per split. Per-tree seeds are pre-assigned so the result does
     not depend on fitting order.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if n_trees < 1:
-        raise ConfigError("n_trees must be >= 1")
     n, d = X.shape
     max_features = max(1, int(round(math.sqrt(d))))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
@@ -291,7 +277,6 @@ def fit_forest(X, y, n_classes: int, n_trees: int, max_depth: int, seed: int) ->
 
 def predict_forest(model: ForestModel, X):
     """Argmax of the trees' summed leaf probabilities."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     votes = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
         votes += _tree_outputs(tree, X)
@@ -313,8 +298,6 @@ def fit_linear_svm(X, y, n_classes: int, seed: int) -> LinearModel:
     The returned weights are the average over all SGD iterates, which
     stabilizes the final decision rule.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
     n, d = X.shape
     lam = 1.0 / n
     W = np.zeros((n_classes, d))
@@ -402,10 +385,6 @@ def fit_boosting(X, y, n_classes: int, n_rounds: int, max_depth: int,
     with Newton leaf values, added with the learning rate. Fitting is
     deterministic.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if n_rounds < 0:
-        raise ConfigError("n_rounds must be >= 0")
     n = len(y)
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
@@ -428,7 +407,6 @@ def fit_boosting(X, y, n_classes: int, n_rounds: int, max_depth: int,
 
 
 def boost_scores(model: BoostModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     F = np.tile(model.init_scores, (len(X), 1))
     for per_class in model.trees:
         for cidx, tree in enumerate(per_class):

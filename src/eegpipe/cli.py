@@ -101,7 +101,9 @@ class Setting(NamedTuple):
     it, and domain. A default of None means the command derives the value.
     The domain is (test, words), or None: any converted value passes, or the
     library checks it before any file is read (TrainConfig's lr, batch_size,
-    epochs and patience, SplitSpec, synth)."""
+    epochs and patience, SplitSpec's range and sum of the fractions, and
+    synth's per_class, window_len >= 8 and fs). The library does not check a
+    value again that its domain has checked."""
 
     key: str
     flag: str | None

@@ -50,17 +50,6 @@ class Recording:
     label: int
     path: str | None = None
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise DataError("recording data must be a non-empty [channels x samples] matrix")
-        if len(self.channels) != self.data.shape[0]:
-            raise DataError(
-                f"channel name count {len(self.channels)} != data rows {self.data.shape[0]}"
-            )
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise DataError("sample_rate_hz must be positive and finite")
-
 
 @dataclass
 class Dataset:
@@ -70,20 +59,6 @@ class Dataset:
     labels: np.ndarray  # [n_examples]
     class_names: list[str]
     feature_names: list[str]
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.features.ndim != 2:
-            raise DataError("features must be a 2-D matrix")
-        if len(self.labels) != self.features.shape[0]:
-            raise DataError("labels length must match number of feature rows")
-        if len(self.feature_names) != self.features.shape[1]:
-            raise DataError("feature_names length must match feature columns")
-        if len(self.labels) and self.labels.max(initial=-1) >= len(self.class_names):
-            raise DataError("label id out of range of class_names")
-        if self.features.size and not np.all(np.isfinite(self.features)):
-            raise DataError("features contain non-finite entries")
 
     @property
     def n_examples(self) -> int:
@@ -104,8 +79,6 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = self.fractions
-        if len(fracs) != 3:
-            raise ConfigError(f"split fractions must be three, got {fracs}")
         if not all(0.0 < f < 1.0 for f in fracs):
             raise ConfigError(f"split fractions must each lie in (0,1), got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -193,9 +166,9 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     """The rows of a manifest CSV and the sample rate they share.
 
     Manifest columns: file,label,sample_rate_hz,channels. Every row must
-    have all four cells and one positive, finite sample rate; the first bad
-    row wins, and no recording file is opened. The rate is None for a
-    manifest without rows.
+    have all four cells, one positive, finite sample rate and no channel
+    named twice; the first bad row wins, and no recording file is opened.
+    The rate is None for a manifest without rows.
     """
     if not os.path.isfile(manifest):
         raise DataError(f"manifest not found: {manifest}")
@@ -203,7 +176,7 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
         reader = csv.DictReader(fh)
         required = {"file", "label", "sample_rate_hz", "channels"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"manifest must have columns {sorted(required)}")
+            raise DataError(f"{manifest}: manifest must have columns {sorted(required)}")
         entries, rates = [], set()
         for row in reader:
             where = f"{manifest}: line {reader.line_num}"
@@ -217,6 +190,10 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
             if not 0 < fs < math.inf:
                 raise DataError(f"{where}: sample_rate_hz must be positive and finite, "
                                 f"got {row['sample_rate_hz']!r}")
+            channels = row["channels"].split(";")
+            twice = [name for i, name in enumerate(channels) if name in channels[:i]]
+            if twice:
+                raise DataError(f"{where}: duplicate channel {twice[0]!r}")
             entries.append(row)
             rates.add(fs)
     if len(rates) > 1:
@@ -566,8 +543,6 @@ def window_recording(data: np.ndarray, window_len: int | None, hop: int | None) 
     n_samples = data.shape[-1]
     window_len = n_samples if window_len is None else window_len
     hop = window_len if hop is None else hop
-    if window_len < 1 or hop < 1:
-        raise ConfigError(f"window_len {window_len} and hop {hop} must be >= 1")
     if window_len > n_samples:
         raise DataError(f"window_len {window_len} is longer than the recording's "
                         f"{n_samples} samples")

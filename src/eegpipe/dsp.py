@@ -83,12 +83,6 @@ class Psd:
     freqs_hz: np.ndarray
     power: np.ndarray
 
-    def __post_init__(self):
-        self.freqs_hz = np.asarray(self.freqs_hz, dtype=float)
-        self.power = np.asarray(self.power, dtype=float)
-        if self.power.shape[-1:] != self.freqs_hz.shape:
-            raise DataError("freqs and power must have equal length")
-
 
 @dataclass
 class FeatureVector:
@@ -96,13 +90,6 @@ class FeatureVector:
 
     values: np.ndarray
     names: list[str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[-1] != len(self.names):
-            raise DataError("feature values and names must be parallel")
-        if len(set(self.names)) != len(self.names):
-            raise DataError("feature names must be unique")
 
 
 # the checkpoint keys of each normalization mode's two statistics
@@ -167,16 +154,15 @@ def design_butterworth_bandpass(low_hz: float, high_hz: float, fs_hz: float,
     frequency 2*fs*tan(pi*f/fs) exactly. Gain is normalized to 1 at the
     warped center frequency.
     """
-    if order not in (2, 4, 6, 8):
-        raise ConfigError(f"order must be one of 2,4,6,8, got {order}")
     if not (0.0 < low_hz < high_hz < fs_hz / 2.0):
         raise ConfigError(
             f"band edges must satisfy 0 < low < high < fs/2, got ({low_hz}, {high_hz}) at fs {fs_hz}"
         )
     n = order // 2
-    # at a rate near the float range the pre-warp or the poles overflow, or the
-    # poles round onto z = 1; that is checked once they are formed (here, or as
-    # an unstable section), so the steps on the way stay silent
+    # fs has passed check_bands, which keeps its Welch bins at most 3.5 Hz
+    # apart, so the pre-warp and the poles are finite; but the poles may round
+    # onto z = 1, or the gain overflow at a low edge near 0, and
+    # FilterCoefficients refuses such a section, so the steps stay silent
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         wl = 2.0 * fs_hz * np.tan(np.pi * low_hz / fs_hz)
         wh = 2.0 * fs_hz * np.tan(np.pi * high_hz / fs_hz)
@@ -202,9 +188,6 @@ def design_butterworth_bandpass(low_hz: float, high_hz: float, fs_hz: float,
         for p in zpoles:
             resp /= zc - p
         gain = 1.0 / abs(resp)
-    if not np.all(np.isfinite([wl, wh, *zpoles])):
-        raise ConfigError(f"fs {fs_hz} Hz is too high for the filter design: "
-                          "its pre-warped band edges or poles are not finite")
 
     # pair conjugate poles into biquads; each section takes one zero pair
     cplx = sorted(
@@ -353,8 +336,6 @@ def reject_artifacts(epochs: np.ndarray, peak_uv: float) -> tuple[np.ndarray, in
     An epoch's peak is the larger of its maximum and minus its minimum, so
     no |x| copy of the epochs is made; a NaN sample makes the peak NaN, and
     the epoch is rejected."""
-    if not peak_uv > 0:
-        raise ConfigError("peak_uv must be positive")
     axes = tuple(range(1, np.ndim(epochs)))
     peaks = np.maximum(np.max(epochs, axis=axes), -np.min(epochs, axis=axes))
     kept = np.flatnonzero(peaks <= peak_uv)
@@ -368,13 +349,8 @@ def welch_psd(x: np.ndarray, fs_hz: float, segment_len: int, overlap_fraction: f
     Normalized by the window power, so the integral of the PSD estimates
     the signal variance plus DC power.
     """
-    x = np.asarray(x, dtype=float)
-    if segment_len < 2 or segment_len & (segment_len - 1):
-        raise ConfigError(f"segment_len must be a power of two >= 2, got {segment_len}")
     if x.shape[-1] < segment_len:
         raise DataError(f"signal length {x.shape[-1]} shorter than Welch segment {segment_len}")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ConfigError("overlap_fraction must lie in [0, 1)")
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)  # periodic Hann
     hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)[..., ::hop, :]
@@ -416,15 +392,12 @@ def check_bands(fs_hz: float, segment_len: int) -> None:
 
 def spectral_entropy(psd: Psd) -> np.ndarray:
     """Shannon entropy of the normalized PSD, scaled to [0, 1] by ln(n_bins), per signal."""
-    n_bins = psd.power.shape[-1]
-    if n_bins < 2:
-        raise DataError("spectral entropy needs at least 2 bins")
     total = np.sum(psd.power, axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise DataError("spectral entropy undefined for an all-zero PSD")
     p = psd.power / total
     h = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)  # 0 log 0 = 0
-    return h / np.log(n_bins)
+    return h / np.log(psd.power.shape[-1])
 
 
 def time_domain_stats(x: np.ndarray) -> FeatureVector:
@@ -437,8 +410,6 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
     reported as 0 with one warning per case.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    if x.shape[-1] < 2:
-        raise DataError("time_domain_stats needs at least 2 samples")
     mean = np.mean(x, axis=-1, keepdims=True)
     d = x - mean
     d2 = d * d  # products, not np.power: libm pow costs most of this function
@@ -487,9 +458,6 @@ def extract_features(epochs: np.ndarray, fs_hz: float, config: FeatureConfig,
     named `<channel>.<feature>` and grouped by channel. The Welch settings
     come from config.
     """
-    n_ch = np.shape(epochs)[-2]
-    if len(channel_names) != n_ch:
-        raise DataError(f"{len(channel_names)} channel names for {n_ch} channels")
     psd = welch_psd(epochs, fs_hz, config.welch_segment_len, config.welch_overlap)
     spectral = [band_power(psd, lo, min(hi, psd.freqs_hz[-1])) for lo, hi in EEG_BANDS.values()]
     spectral.append(spectral_entropy(psd))
@@ -509,17 +477,12 @@ def fit_normalization(features: np.ndarray, mode: str) -> NormalizationParams:
     0.5 (minmax); either case raises a warning. A column whose spread (its
     std, or max - min) overflows is a NumericError that names it.
     """
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError("fit_normalization needs a non-empty 2-D matrix")
-    if mode not in _NORM_KEYS:
-        raise ConfigError(f"unknown normalization mode {mode!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "zscore":
-            lo = np.mean(x, axis=0)
-            hi = spread = np.sqrt(np.mean((x - lo) ** 2, axis=0))  # population std
+            lo = np.mean(features, axis=0)
+            hi = spread = np.sqrt(np.mean((features - lo) ** 2, axis=0))  # population std
         else:
-            lo, hi = np.min(x, axis=0), np.max(x, axis=0)
+            lo, hi = np.min(features, axis=0), np.max(features, axis=0)
             spread = hi - lo
     _require_finite_columns(spread, mode)
     constant = spread == 0.0
@@ -535,23 +498,17 @@ def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np
     """Apply fitted normalization to any split with a matching column count.
     A minmax spread, or a value once normalized, that overflows is a
     NumericError that names its column."""
-    x = np.asarray(features, dtype=float)
-    n = len(params.lo)
-    if x.ndim != 2 or x.shape[1] != n:
-        raise DataError(
-            f"feature count mismatch: params expect {n}, got {x.shape[1] if x.ndim == 2 else 'non-matrix'}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         if params.mode == "zscore":
-            out = (x - params.lo) / params.hi
+            out = (features - params.lo) / params.hi
         else:
             span = params.hi - params.lo
             # fit refuses a spread that overflows, but a checkpoint may hold one
             _require_finite_columns(span, params.mode)
-            out = np.empty_like(x)
+            out = np.empty_like(features)
             const = span == 0.0
             out[:, const] = 0.5
-            out[:, ~const] = (x[:, ~const] - params.lo[~const]) / span[~const]
+            out[:, ~const] = (features[:, ~const] - params.lo[~const]) / span[~const]
     _require_finite_columns(out, params.mode)
     return out
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .nn import TrainHistory
 
 
@@ -21,15 +20,6 @@ from .nn import TrainHistory
 class ConfusionMatrix:
     counts: np.ndarray  # [C, C] ints, rows=true, cols=predicted
     class_names: list[str]
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise DataError("confusion matrix must be square")
-        if self.counts.shape[0] != len(self.class_names):
-            raise DataError("class_names length must match matrix size")
-        if np.any(self.counts < 0):
-            raise DataError("confusion counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -66,14 +56,6 @@ def confusion(preds, truth, class_names: list[str]) -> ConfusionMatrix:
     """Count matrix with counts[i][j] = #{true class i predicted as j}, its
     rows and columns named by class_names, one per class id."""
     n_classes = len(class_names)
-    preds = np.asarray(preds, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if len(preds) != len(truth):
-        raise DataError(f"length mismatch: {len(preds)} predictions vs {len(truth)} labels")
-    if len(preds) and (
-        preds.min() < 0 or truth.min() < 0 or preds.max() >= n_classes or truth.max() >= n_classes
-    ):
-        raise DataError(f"class id out of range [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (truth, preds), 1)
     return ConfusionMatrix(counts, class_names)
@@ -85,8 +67,6 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     Zero-denominator cases (empty column, empty row, or P+R=0) yield 0
     and are recorded in zero_division_flags.
     """
-    if cm.total == 0:
-        raise DataError("empty confusion matrix")
     counts = cm.counts
     c = counts.shape[0]
     diag = np.diag(counts).astype(float)
@@ -145,8 +125,6 @@ def compare_report(results: list[tuple[str, MetricsReport]], out_dir: str) -> st
     directory, as comparison.csv and comparison.txt; returns the aligned text
     form. Ties in accuracy keep the input order.
     """
-    if not results:
-        raise DataError("compare_report needs at least one result")
     rows = sorted(results, key=lambda kv: -kv[1].accuracy)
     name_w = max(len("model"), max(len(name) for name, _ in rows))
     lines = [
@@ -219,8 +197,6 @@ def emit_curves(history: TrainHistory, out_dir: str) -> str:
     The SVG has two panels (loss and accuracy vs epoch, train and
     validation series) and needs no external renderer.
     """
-    if len(history) == 0:
-        raise DataError("cannot emit curves for an empty history")
     os.makedirs(out_dir, exist_ok=True)
     epochs = list(range(1, len(history) + 1))
     if len(epochs) == 1:  # polylines need two points

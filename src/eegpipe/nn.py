@@ -111,8 +111,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         for name in ("batch_size", "max_epochs", "patience"):
@@ -270,14 +268,7 @@ def gru_forward(p: GruParams, xs, workspaces: dict | None):
     cache) with hs[t] the hidden state after step t, a view into the cache,
     which is the GruWorkspace and valid only until its next use.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3:
-        raise DataError(f"gru_forward expects [T, batch, d], got {xs.ndim}-D")
     T, B, d = xs.shape
-    if T < 1:
-        raise DataError("empty input sequence")
-    if d != p.input_dim:
-        raise DataError(f"shape mismatch: input {xs.shape} for params with {p.input_dim} inputs")
     H = p.hidden_dim
     if workspaces is None:
         workspaces = {}
@@ -310,9 +301,6 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams):
     """
     ws = cache
     T, H, d, B = ws.shape
-    if grad_hs.shape != (T, B, H):
-        raise DataError(f"grad_hs of shape {grad_hs.shape} for a cache of length {T}, "
-                        f"batch {B} and {H} hidden units")
     if ws.backward_steps is None:
         ws.add_backward_buffers()
     H2 = 2 * H
@@ -372,8 +360,6 @@ def unflatten(v, T: int, hidden: int):
 
 def dense_forward(p: DenseParams, v):
     """Logits [B, classes] of the flattened hidden sequences v [B, flat_dim]."""
-    if v.shape[1] != p.W.shape[1]:
-        raise DataError(f"dense input dim {v.shape[1]} != weight dim {p.W.shape[1]}")
     return v @ p.W.T + p.b
 
 
@@ -393,10 +379,6 @@ def softmax_cross_entropy_batch(logits, labels):
     The only softmax in the package: grads are the softmax probabilities
     of the logits minus the one-hot labels, so each row sums to 0.
     """
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise DataError(f"label out of range for {logits.shape[1]} classes")
     rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -413,10 +395,7 @@ def model_forward(model: Model, xs_batch, workspaces: dict | None = None):
     Returns (logits [batch, classes], cache for model_backward); the cache
     is valid until that workspace is used again.
     """
-    x = np.asarray(xs_batch, dtype=float)
-    if x.ndim != 3:
-        raise DataError("model_forward expects [batch, T, input_dim]")
-    hs, gru_cache = gru_forward(model.gru, x.swapaxes(0, 1), workspaces)  # [T, B, H]
+    hs, gru_cache = gru_forward(model.gru, xs_batch.swapaxes(0, 1), workspaces)  # [T, B, H]
     v = flatten(hs)
     logits = dense_forward(model.dense, v)
     return logits, (gru_cache, v)
@@ -517,7 +496,7 @@ def evaluate_model(model: Model, X, y, workspaces: dict) -> tuple[float, float]:
     """
     logits, _ = model_forward(model, X, workspaces)
     losses, _ = softmax_cross_entropy_batch(logits, y)
-    return float(np.mean(losses)), float(np.mean(logits.argmax(axis=1) == np.asarray(y)))
+    return float(np.mean(losses)), float(np.mean(logits.argmax(axis=1) == y))
 
 
 def _flat_copy(model: Model) -> tuple[FlatParams, Model, FlatParams, Model]:
@@ -547,17 +526,7 @@ def train(
     that is not finite raises at once as "training diverged: ..."; no loss,
     gradient or parameter is checked again.
     """
-    X_tr, y_tr = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=int)
-    X_va, y_va = np.asarray(val_data[0], dtype=float), np.asarray(val_data[1], dtype=int)
-    for X, y in ((X_tr, y_tr), (X_va, y_va)):
-        if X.ndim != 3 or X.shape[1] != model_cfg.sequence_length or X.shape[2] != model_cfg.input_dim:
-            raise DataError(
-                f"data shape {X.shape} does not match model (T={model_cfg.sequence_length}, "
-                f"d={model_cfg.input_dim})"
-            )
-        if len(y) and (y.min() < 0 or y.max() >= model_cfg.n_classes):
-            raise DataError("label out of range for model n_classes")
-
+    (X_tr, y_tr), (X_va, y_va) = train_data, val_data
     params, model, grads, grad_model = _flat_copy(init_model(model_cfg))
     opt_state: dict = {}
     workspaces: dict = {}
@@ -615,13 +584,10 @@ def train(
 
 def dataset_to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
     """Reshape a [n, n_features] matrix into [n, seq_len, n_features/seq_len]."""
-    if seq_len < 1:
-        raise ConfigError(f"sequence length must be >= 1, got {seq_len}")
-    X = np.asarray(features, dtype=float)
-    n, f = X.shape
+    n, f = features.shape
     if f % seq_len:
         raise ConfigError(f"{f} features not divisible by sequence length {seq_len}")
-    return X.reshape(n, seq_len, f // seq_len)
+    return features.reshape(n, seq_len, f // seq_len)
 
 
 def save_checkpoint(path: str, model: Model, class_names: list[str], feature_names: list[str],

@@ -1369,3 +1369,123 @@ def write_without_class(src, dst, label):
 def read_confusion(out_dir):
     with open(os.path.join(out_dir, "confusion.csv"), encoding="utf-8") as fh:
         return [line.rstrip("\n").split(",") for line in fh]
+
+
+# ---------------------------------------------------------------------------
+# each check of an outside value that no other test reaches through main: a
+# case makes the input that fails it and gives the argv (less --out), the
+# exit code and the one stderr line; nothing is written
+
+
+def _manifest(pipeline, tmp_path, edit):
+    """The pipeline's synth manifest, its files named by absolute path, with
+    edit applied to its list of lines, written under tmp_path: its path."""
+    lines = Path(pipeline["raw"], "manifest.csv").read_text().splitlines()
+    lines[1:] = [os.path.join(pipeline["raw"], line) for line in lines[1:]]
+    path = tmp_path / "manifest.csv"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return str(path)
+
+
+def _checkpoint(pipeline, tmp_path, edit):
+    """The pipeline's checkpoint with edit applied to its normalization
+    statistics, and the evaluate argv that reads it."""
+    doc = json.loads(Path(pipeline["run"], "checkpoint.json").read_text())
+    edit(doc["normalization"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    return str(path), ["evaluate", "--checkpoint", str(path),
+                       "--test", os.path.join(pipeline["splits"], "test.csv")]
+
+
+def _manifest_without_channels(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path, lambda lines: [line.rpartition(",")[0] for line in lines])
+    return (["featurize", "--manifest", m], 2, f"data error: {m}: manifest must have columns "
+            "['channels', 'file', 'label', 'sample_rate_hz']")
+
+
+def _duplicate_channel(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path, lambda lines: [lines[0], lines[1].replace("AF7", "TP9"),
+                                                     *lines[2:]])
+    return ["featurize", "--manifest", m], 2, f"data error: {m}: line 2: duplicate channel 'TP9'"
+
+
+def _inconsistent_channels(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path, lambda lines: [*lines[:2], lines[2].replace(";TP10", ""),
+                                                     *lines[3:]])
+    return (["featurize", "--manifest", m], 2, "data error: inconsistent channel sets in "
+            "manifest: ['TP9', 'AF7', 'AF8'] vs ['TP9', 'AF7', 'AF8', 'TP10']")
+
+
+def _filter_gain_overflow(pipeline, tmp_path):
+    return (["featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
+             "--filter-low", "1e-300", "--filter-order", "8"], 3,
+            "numeric error: non-finite filter section (inf, 0.0, -inf, -0.670150410795287, "
+            "0.49051050673055624)")
+
+
+def _short_synth_window(pipeline, tmp_path):
+    return ["synth", "--window-len", "7"], 1, "error: window_len must be >= 8"
+
+
+def _fractions_over_one(pipeline, tmp_path):
+    return (["split", "--input", pipeline["feats"], "--fractions", "0.5,0.3,0.3"], 1,
+            "error: split fractions must sum to 1, got 1.1")
+
+
+def _fraction_outside_unit_interval(pipeline, tmp_path):
+    return (["split", "--input", pipeline["feats"], "--fractions", "1.2,-0.1,-0.1"], 1,
+            "error: split fractions must each lie in (0,1), got (1.2, -0.1, -0.1)")
+
+
+def _header_only_features(pipeline, tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("f0,label\n")
+    return ["split", "--input", str(path)], 2, f"data error: {path}: no data rows"
+
+
+def _split_of(tmp_path, n):
+    """The split argv of a random feature file of n rows of classes A, B, C in turn."""
+    write_features(tmp_path / "features.csv", np.random.default_rng(0).normal(size=(n, 4)))
+    return ["split", "--input", str(tmp_path / "features.csv")]
+
+
+def _class_of_two_rows(pipeline, tmp_path):
+    return (_split_of(tmp_path, 8), 2,
+            "data error: class 'C' has 2 examples; stratified splitting needs at least 3")
+
+
+def _fractions_leaving_a_split_empty(pipeline, tmp_path):
+    # 3 rows a class at 0.6/0.2/0.2 apportion as 2/1/0
+    return (_split_of(tmp_path, 9), 2,
+            "data error: split fractions produce an empty split for this dataset size")
+
+
+def _ragged_normalization(pipeline, tmp_path):
+    path, argv = _checkpoint(pipeline, tmp_path, lambda norm: norm["std"].pop())
+    return argv, 2, (f"data error: malformed checkpoint {path}: normalization mean and std "
+                     "must be vectors of one length")
+
+
+def _normalization_of_another_width(pipeline, tmp_path):
+    path, argv = _checkpoint(pipeline, tmp_path,
+                             lambda norm: (norm["mean"].pop(), norm["std"].pop()))
+    return argv, 2, (f"data error: malformed checkpoint {path}: normalization covers 55 "
+                     "features, the model 56")
+
+
+ENTRY_CHECKS = [
+    _manifest_without_channels, _duplicate_channel, _inconsistent_channels,
+    _filter_gain_overflow, _short_synth_window, _fractions_over_one,
+    _fraction_outside_unit_interval, _header_only_features, _class_of_two_rows,
+    _fractions_leaving_a_split_empty, _ragged_normalization, _normalization_of_another_width,
+]
+
+
+@pytest.mark.parametrize("case", ENTRY_CHECKS, ids=lambda case: case.__name__[1:])
+def test_each_entry_check_through_main(pipeline, tmp_path, capsys, case):
+    argv, code, line = case(pipeline, tmp_path)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()

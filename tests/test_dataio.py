@@ -155,6 +155,16 @@ class TestRawRecordings:
                 f"got {cell!r}")):
             dataio.read_manifest(p)
 
+    # a channel named twice is the manifest's fault, found before any recording
+    # (here, none exists) is opened; the first row that names one wins
+    def test_duplicate_channel_names_its_line_and_channel(self, tmp_path):
+        p = write_csv(tmp_path / "manifest.csv",
+                      "file,label,sample_rate_hz,channels\na.csv,X,256,TP9;AF7\n"
+                      "b.csv,X,256,TP9;AF7;AF8;AF7;TP9\nc.csv,X,256,TP9;TP9\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}: line 3: duplicate channel 'AF7'")):
+            dataio.load_raw_recordings(str(tmp_path), p, list)
+
     def test_inconsistent_channels(self, tmp_path):
         rec = dataio.Recording(["TP9"], 256.0, np.zeros((1, 8)), label=0)
         dataio.save_recording_csv(rec, str(tmp_path / "a.csv"))
@@ -255,7 +265,8 @@ class TestCsvFormat:
            st.data())
     def test_feature_roundtrip_is_bit_exact(self, rows, names, draw):
         data = np.array(rows)
-        labels = draw.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        labels = np.array(draw.draw(st.lists(st.integers(0, 2), min_size=len(rows),
+                                             max_size=len(rows))))
         ds = dataio.Dataset(data, labels, names, [f"f{i}" for i in range(data.shape[1])])
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "f.csv")
@@ -276,7 +287,7 @@ class TestCsvFormat:
     def test_feature_bytes_match_csv_writer(self, tmp_path, n_features):
         names = ["", "a,b", "line\nbreak", "plain", 'say "hi"']
         features = np.array([[0.1, -0.0], [5e-324, 1e22], [-3.0, 2.5]] * 2)[:, :n_features]
-        labels = [1, 4, 0, 2, 3, 1]
+        labels = np.array([1, 4, 0, 2, 3, 1])
         ds = dataio.Dataset(features, labels, names, ["w", "x"][:n_features])
         path = str(tmp_path / "f.csv")
         dataio.save_feature_csv(ds, path)
@@ -296,7 +307,7 @@ class TestCsvFormat:
         names = ["%s", "100%", "%r%%", ""]
         rng = np.random.default_rng(3)
         features = rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-300, 300, size=(7, 2))
-        labels = [0, 1, 2, 3, 0, 1, 2]
+        labels = np.array([0, 1, 2, 3, 0, 1, 2])
         for n_features in (0, 1, 2):
             ds = dataio.Dataset(features[:, :n_features], labels, names,
                                 ["w", "x"][:n_features])
@@ -484,13 +495,10 @@ class TestWindowing:
             for k in range(4):
                 assert np.array_equal(w[g, k], data[g, :, 3 * k : 3 * k + 4])
 
-    def test_bad_window_or_hop(self):
-        # a window longer than the recording is the recording's fault
+    def test_window_longer_than_the_recording(self):
+        # the recording's fault: the settings' domains refuse a window or hop below 1
         with pytest.raises(DataError, match="^window_len 11 is longer than the recording's 10 "):
             dataio.window_recording(self.rec(10), 11, 1)
-        for window_len, hop in ((4, 0), (0, 1)):
-            with pytest.raises(ConfigError):
-                dataio.window_recording(self.rec(10), window_len, hop)
 
 
 def make_dataset(per_class_counts, seed=0):
@@ -565,8 +573,6 @@ class TestStratifiedSplit:
             dataio.SplitSpec((0.5, 0.2, 0.2))
         with pytest.raises(ConfigError):
             dataio.SplitSpec((1.0, 0.5, -0.5))
-        with pytest.raises(ConfigError, match="must be three"):
-            dataio.SplitSpec((0.5, 0.5))
 
     def test_unstratified_covers(self):
         ds = make_dataset([15, 15])

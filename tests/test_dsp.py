@@ -1,5 +1,4 @@
 import itertools
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,15 +73,6 @@ class TestButterworthDesign:
             dsp.design_butterworth_bandpass(45.0, 0.5, 256.0, 4)
         with pytest.raises(ConfigError):
             dsp.design_butterworth_bandpass(0.5, 200.0, 256.0, 4)
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ConfigError):
-            dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 3)
-
-    @pytest.mark.parametrize("fs", [9e307, 1e308])
-    def test_rate_whose_prewarp_overflows_is_config_error_naming_fs(self, fs):
-        with pytest.raises(ConfigError, match=re.escape(f"fs {fs} Hz")):
-            dsp.design_butterworth_bandpass(0.5, 45.0, fs, 4)
 
     # at these a section's 1 + a1 + a2 is exactly 0: a root at z = 1
     @pytest.mark.parametrize("low,fs", [(1e-7, 256.0), (1e-9, 256.0), (0.5, 1e9), (0.5, 1e300)])
@@ -370,10 +360,6 @@ class TestArtifactRejection:
         assert len(kept) + rej == 4
         assert kept.tolist() == [0, 2]
 
-    def test_bad_threshold(self):
-        with pytest.raises(ConfigError):
-            dsp.reject_artifacts(np.zeros((0, 2, 16)), 0.0)
-
     def test_keeps_the_epochs_the_peak_of_abs_keeps(self):
         # the peak as max(max, -min) against the max of |x| it replaced, on
         # every pair of special values in one epoch, the rest of it zero
@@ -419,10 +405,6 @@ class TestWelch:
     def test_short_signal_rejected(self):
         with pytest.raises(DataError, match="shorter"):
             dsp.welch_psd(np.zeros(100), 256.0, segment_len=256, overlap_fraction=0.5)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ConfigError):
-            dsp.welch_psd(np.zeros(300), 256.0, segment_len=100, overlap_fraction=0.5)
 
     def test_freq_axis(self):
         psd = dsp.welch_psd(np.random.default_rng(0).normal(size=256), 256.0, 128, 0.5)
@@ -721,11 +703,6 @@ class TestNormalization:
         out = dsp.apply_normalization(x, params)
         assert np.all(out[:, 0] == 0.5)
 
-    def test_column_count_mismatch(self):
-        params = dsp.fit_normalization(np.random.default_rng(0).normal(size=(10, 3)), "zscore")
-        with pytest.raises(DataError, match="mismatch"):
-            dsp.apply_normalization(np.zeros((4, 5)), params)
-
     def test_train_only_params_do_not_center_validation(self):
         rng = np.random.default_rng(9)
         train = rng.normal(0.0, 1.0, size=(40, 3))
@@ -738,8 +715,4 @@ class TestNormalization:
         x = np.random.default_rng(4).normal(size=(20, 5))
         out = dsp.apply_normalization(x, dsp.fit_normalization(x, "minmax"))
         assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            dsp.fit_normalization(np.zeros((2, 2)), "robust")
 
