@@ -166,18 +166,22 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     """The rows of a manifest CSV and the sample rate they share.
 
     Manifest columns: file,label,sample_rate_hz,channels. Every row must
-    have all four cells, one positive, finite sample rate and no channel
-    named twice; the first bad row wins, and no recording file is opened.
-    The rate is None for a manifest without rows.
+    have all four cells, one positive, finite sample rate, no channel named
+    twice, the first row's channels in the first row's order, and a file
+    that no earlier row lists: two rows list one file when their paths,
+    relative to the manifest's directory, normalize to one. The first bad
+    row wins, and no recording file is opened. The rate is None for a
+    manifest without rows.
     """
     if not os.path.isfile(manifest):
         raise DataError(f"manifest not found: {manifest}")
+    base = os.path.dirname(os.path.abspath(manifest))
     with _open_csv(manifest) as fh:
         reader = csv.DictReader(fh)
         required = {"file", "label", "sample_rate_hz", "channels"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{manifest}: manifest must have columns {sorted(required)}")
-        entries, rates = [], set()
+        entries, rates, lines = [], set(), {}  # lines: normalized file path -> its line
         for row in reader:
             where = f"{manifest}: line {reader.line_num}"
             missing = sorted(k for k in required if row[k] is None)
@@ -194,6 +198,14 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
             twice = [name for i, name in enumerate(channels) if name in channels[:i]]
             if twice:
                 raise DataError(f"{where}: duplicate channel {twice[0]!r}")
+            if entries and row["channels"] != entries[0]["channels"]:
+                raise DataError(f"{where}: channels {row['channels']!r} differ from the first "
+                                f"row's {entries[0]['channels']!r}")
+            path = os.path.normcase(os.path.normpath(os.path.join(base, row["file"])))
+            if path in lines:
+                raise DataError(f"{where}: file {row['file']!r} is listed twice, first on "
+                                f"line {lines[path]}")
+            lines[path] = reader.line_num
             entries.append(row)
             rates.add(fs)
     if len(rates) > 1:
@@ -223,14 +235,9 @@ def load_raw_recordings(path: str, manifest: str, per_share) -> tuple[list, list
         return [], []
     class_names = sorted({e["label"] for e in entries})
     class_ids = {name: i for i, name in enumerate(class_names)}
-    channel_ref = entries[0]["channels"].split(";")
 
     def parse(e):
         channels = e["channels"].split(";")
-        if channels != channel_ref:
-            raise DataError(
-                f"inconsistent channel sets in manifest: {channels} vs {channel_ref}"
-            )
         fpath = os.path.join(path, e["file"])
         _, data, _ = _read_numeric_csv(
             fpath, lambda h: None if h == channels else

@@ -417,7 +417,7 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
     m3, m4 = np.mean(d2 * d, axis=-1), np.mean(d2 * d2, axis=-1)
     del d, d2  # as large as x: free them before the differences below
     rms = np.sqrt(np.mean(x * x, axis=-1))
-    zc = np.sum(x[..., :-1] * x[..., 1:] < 0.0, axis=-1)
+    zc = _zero_crossings(x)
     dx = np.diff(x, axis=-1)
     var_dx = np.mean((dx - np.mean(dx, axis=-1, keepdims=True)) ** 2, axis=-1)
     ddx = np.diff(dx, axis=-1)
@@ -438,6 +438,32 @@ def time_domain_stats(x: np.ndarray) -> FeatureVector:
     skew, kurt, mobility = (np.where(constant, 0.0, v) for v in (skew, kurt, mobility))
     values = [mean[..., 0], var, skew, kurt, rms, zc, mobility, np.where(flat, 0.0, complexity)]
     return FeatureVector(np.stack(values, axis=-1), list(TIME_DOMAIN_STAT_NAMES))
+
+
+def _zero_crossings(x: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis of a C-contiguous x: one for each
+    two consecutive nonzero samples of opposite sign, whether they are
+    neighbours or have a run of exact zeros between them.
+
+    The products of the neighbours' signs (not of the samples, which can
+    underflow to 0) find the first kind. Exact zeros are rare, so the runs
+    of zeros are found among the zero samples alone, in the flattened
+    signs: a run that touches either end of its row has no sample on one
+    side and crosses nothing. No temporary is larger than x.
+    """
+    n = x.shape[-1]
+    sign = np.sign(x)
+    count = np.sum(sign[..., :-1] * sign[..., 1:] < 0.0, axis=-1)
+    flat = sign.reshape(-1)
+    zeros = np.flatnonzero(flat == 0.0)
+    first = np.ones(zeros.size, dtype=bool)  # of a run, in flattened order
+    first[1:] = np.diff(zeros) != 1
+    start, end = zeros[first], zeros[np.roll(first, -1)]  # each run's first and last zero
+    row = start // n
+    inner = (start % n > 0) & (end % n < n - 1) & (end // n == row)
+    start, end, row = start[inner], end[inner], row[inner]
+    crossed = flat[start - 1] * flat[end + 1] < 0.0
+    return count + np.bincount(row[crossed], minlength=flat.size // n).reshape(np.shape(count))
 
 
 def _power(base: float, exponent: float) -> float:

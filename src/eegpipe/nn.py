@@ -162,9 +162,9 @@ def init_model(cfg: ModelConfig) -> Model:
 
 
 class GruWorkspace:
-    """The buffers of one GRU forward and backward pass for one shape: T steps,
-    H hidden units, d inputs and a batch of B, with the per-step views into
-    them built once.
+    """The buffers of one GRU forward pass, and of the backward pass that
+    reads it, for one shape: T steps, H hidden units, d inputs and a batch
+    of B, with the per-step views into them built once.
 
     Time-stacked state is feature-major, [H, B] per step, so that each gate
     block is a contiguous row slice:
@@ -172,58 +172,61 @@ class GruWorkspace:
       step t, and a last column of ones, so that the bias rides in the
       input projection and its gradient in dW's matrix product; Wb [3H, d+1]
       holds [W | b];
-    - a [T, 3H, B] the biased input projections W @ x_t + b;
     - hs [T+1, H, B] the states, hs[0] = 0 and hs[t+1] the state after step
-      t; zr [T, 2H, B] the update and reset gates; rh [T, H, B] r * h_prev;
-      h_cand [T, H, B] the candidate states and diff [T, H, B] h_prev - h_cand;
-    - da_steps [T, 3H, B] the gate pre-activation gradients, copied after the
-      time loop into da [3H, T*B] (column t*B + b), so that each weight
-      gradient is one matrix product over all T*B columns.
+      t, which the dense head reads;
+    - a [S, 3H, B] the biased input projections W @ x_t + b, zr [S, 2H, B]
+      the update and reset gates, rh [S, H, B] r * h_prev, h_cand [S, H, B]
+      the candidate states and diff [S, H, B] h_prev - h_cand.
 
-    gru_forward fills the forward buffers and returns the workspace as its
-    cache; gru_backward reads them and fills the backward ones, which its
-    first call on the workspace builds, so a workspace that only ever runs
-    forward (validation, prediction) holds none. Each call overwrites what
-    the last call on the same workspace left, so a cache, and the arrays
-    and views returned with it, are valid only until the next call on that
-    workspace.
+    A workspace for backward (training) keeps all S = T steps of that
+    scratch, which gru_backward reads, and its own buffers: the gate
+    pre-activation gradients da_steps [T, 3H, B], copied after the time
+    loop into da [3H, T*B] (column t*B + b), so that each weight gradient
+    is one matrix product over all T*B columns. A forward-only workspace
+    (validation, prediction) keeps S = 1 step, which every step overwrites,
+    and no backward buffers. The first step reads only h0 = 0, so a
+    workspace for backward never writes rh[0], nor da_r at step 0: they
+    stay 0.
+
+    Each call overwrites what the last call on the same workspace left, so
+    a cache, and the arrays and views returned with it, are valid only
+    until the next call on that workspace.
     """
 
-    def __init__(self, T: int, H: int, d: int, B: int):
+    def __init__(self, T: int, H: int, d: int, B: int, backward: bool):
         H2 = 2 * H
+        S = T if backward else 1  # steps of scratch kept
         self.shape = (T, H, d, B)
         self.x = np.empty((T * B, d + 1))
         self.x[:, d] = 1.0
         self.x_steps = self.x[:, :d].reshape(T, B, d)
         self.x_cols = self.x.reshape(T, B, d + 1).transpose(0, 2, 1)  # [d+1, B] per step
         self.Wb = np.empty((3 * H, d + 1))
-        self.a = np.empty((T, 3 * H, B))
+        self.a = np.empty((S, 3 * H, B))
         self.hs = np.zeros((T + 1, H, B))
-        self.zr = np.empty((T, H2, B))
-        self.rh, self.h_cand, self.diff = (np.empty((T, H, B)) for _ in range(3))
+        self.zr = np.empty((S, H2, B))
+        self.rh = np.zeros((S, H, B))
+        self.h_cand, self.diff = np.empty((S, H, B)), np.empty((S, H, B))
         a, hs, zr = self.a, self.hs, self.zr
-        self.forward_steps = [
-            (a[t, :H2], a[t, H2:], hs[t], zr[t], zr[t, :H], zr[t, H:], self.rh[t],
-             self.h_cand[t], self.diff[t], hs[t + 1])
-            for t in range(T)
-        ]
-        self.backward_steps = None  # with the backward buffers, by add_backward_buffers
-
-    def add_backward_buffers(self) -> None:
-        """Build the buffers and per-step views that gru_backward writes."""
-        T, H, d, B = self.shape
-        H2 = 2 * H
+        self.forward_steps = []
+        for t in range(T):
+            k = t % S  # the step's own scratch, or the one step kept
+            self.forward_steps.append(
+                (a[k, :H2], a[k, H2:], hs[t], zr[k], zr[k, :H], zr[k, H:], self.rh[k],
+                 self.h_cand[k], self.diff[k], hs[t + 1]))
+        if not backward:
+            return
         # d(h_t)/d(pre-activation) of the z, candidate and r gates (the r
         # factor is the gradient w.r.t. r * h_prev, not h_t); slope is
         # sigmoid' of z and r
         self.slope = np.empty((T, H2, B))
         self.f_z, self.f_c, self.f_r = (np.empty((T, H, B)) for _ in range(3))
-        self.da_steps = np.empty((T, 3 * H, B))
+        self.da_steps = np.zeros((T, 3 * H, B))
         self.da = np.empty((3 * H, T * B))
         self.dWb = np.empty((3 * H, d + 1))
         self.rows = np.empty((T * B, H))  # row-layout copy of h_prev, then of r * h_prev
         self.dh, self.ds, self.term, self.carry = (np.empty((H, B)) for _ in range(4))
-        zr, da = self.zr, self.da_steps
+        da = self.da_steps
         self.backward_steps = [
             (self.f_z[t], self.f_c[t], self.f_r[t], zr[t, :H], zr[t, H:],
              da[t, :H], da[t, H:H2], da[t, :H2], da[t, H2:])
@@ -232,7 +235,8 @@ class GruWorkspace:
 
 
 def gru_cell_forward(U_zr, U_c, step):
-    """One GRU step for a batch, feature-major, written into preallocated arrays.
+    """One GRU step after the first for a batch, feature-major, written into
+    preallocated arrays.
 
     U_zr [2H, H] and U_c [H, H] are the recurrent weights of the update and
     reset gates and of the candidate. `step` is one entry of
@@ -257,36 +261,52 @@ def gru_cell_forward(U_zr, U_c, step):
     return h_t
 
 
-def gru_forward(p: GruParams, xs, workspaces: dict | None):
+def gru_forward(p: GruParams, xs, workspaces: dict | None, backward: bool):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    Time is the leading axis. The biased input projection W @ x_t + b of
-    all T steps is formed before the loop; each step adds only the
-    recurrent part. The work runs in the GruWorkspace that `workspaces`
-    maps this shape (T, H, d, batch) to, built and added on first use, or
-    in a fresh one when `workspaces` is None. Returns (hs [T, batch, H],
-    cache) with hs[t] the hidden state after step t, a view into the cache,
-    which is the GruWorkspace and valid only until its next use.
+    Time is the leading axis. The work runs in the GruWorkspace that
+    `workspaces` maps this shape and kind, (T, H, d, batch, backward), to,
+    built and added on first use, or in a fresh one when `workspaces` is
+    None; only a workspace built for backward can be passed to
+    gru_backward. Such a workspace forms the biased input projection W @
+    x_t + b of all T steps in one product before the loop; a forward-only
+    one forms each step's in its one step of scratch. The first step reads
+    only h0 = 0, so it has no recurrent products and runs here; each later
+    step is one gru_cell_forward. Returns (hs [T, batch, H], cache) with
+    hs[t] the hidden state after step t, a view into the cache, which is
+    the GruWorkspace and valid only until its next use.
     """
     T, B, d = xs.shape
     H = p.hidden_dim
     if workspaces is None:
         workspaces = {}
-    ws = workspaces.get((T, H, d, B))
+    ws = workspaces.get((T, H, d, B, backward))
     if ws is None:
-        ws = workspaces[T, H, d, B] = GruWorkspace(T, H, d, B)
+        ws = workspaces[T, H, d, B, backward] = GruWorkspace(T, H, d, B, backward)
     np.copyto(ws.x_steps, xs)
     np.copyto(ws.Wb[:, :d], p.W)
     np.copyto(ws.Wb[:, d], p.b)
-    np.matmul(ws.Wb, ws.x_cols, ws.a)
+    if backward:
+        np.matmul(ws.Wb, ws.x_cols, ws.a)
     U_zr, U_c = p.U[: 2 * H], p.U[2 * H :]
-    for step in ws.forward_steps:
-        gru_cell_forward(U_zr, U_c, step)
+    for t, step in enumerate(ws.forward_steps):
+        if not backward:
+            np.matmul(ws.Wb, ws.x_cols[t], ws.a[0])
+        if t:
+            gru_cell_forward(U_zr, U_c, step)
+        else:  # gru_cell_forward at h_prev = 0: no recurrent part, and rh stays 0
+            a_zr, a_c, h_prev, zr, z, _, _, h_cand, diff, h_t = step
+            sigmoid(a_zr, out=zr)
+            np.tanh(a_c, h_cand)
+            np.subtract(h_prev, h_cand, diff)
+            np.multiply(diff, z, h_t)
+            h_t += h_cand
     return ws.hs[1:].transpose(0, 2, 1), ws
 
 
 def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams):
-    """Exact BPTT through the recurrence.
+    """Exact BPTT through the recurrence, from a forward pass in a workspace
+    built for backward.
 
     grad_hs[t] ([T, batch, H]) is the loss gradient flowing into hs[t]
     from above. It is read through its [T, H, batch] transpose, which is
@@ -301,8 +321,6 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams):
     """
     ws = cache
     T, H, d, B = ws.shape
-    if ws.backward_steps is None:
-        ws.add_backward_buffers()
     H2 = 2 * H
     h_prev, slope, f_z, f_c, f_r = ws.hs[:-1], ws.slope, ws.f_z, ws.f_c, ws.f_r
     np.subtract(1.0, ws.zr, slope)
@@ -321,10 +339,10 @@ def gru_backward(p: GruParams, cache: GruWorkspace, grad_hs, out: GruParams):
         f_z_t, f_c_t, f_r_t, z, r, da_z, da_r, da_zr, da_c = ws.backward_steps[t]
         np.add(grad[t], carry, dh)
         np.multiply(dh, f_c_t, da_c)
-        np.matmul(U_c_T, da_c, ds)  # gradient into r * h_prev
         np.multiply(dh, f_z_t, da_z)
-        np.multiply(ds, f_r_t, da_r)
-        if t:
+        if t:  # at t = 0, h_prev = 0: da_r stays 0 and nothing flows further back
+            np.matmul(U_c_T, da_c, ds)  # gradient into r * h_prev
+            np.multiply(ds, f_r_t, da_r)
             # carry = dh * z + ds * r + U_zr.T @ da_zr, summed left to right
             np.multiply(dh, z, carry)
             np.multiply(ds, r, term)
@@ -388,14 +406,16 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
-def model_forward(model: Model, xs_batch, workspaces: dict | None = None):
+def model_forward(model: Model, xs_batch, workspaces: dict | None, backward: bool):
     """Full forward pass for a [batch, T, input_dim] array, in the GRU
-    workspace that `workspaces` maps its shape to (see gru_forward).
+    workspace that `workspaces` maps its shape and kind to (see
+    gru_forward): `backward` says whether model_backward will read it.
 
     Returns (logits [batch, classes], cache for model_backward); the cache
     is valid until that workspace is used again.
     """
-    hs, gru_cache = gru_forward(model.gru, xs_batch.swapaxes(0, 1), workspaces)  # [T, B, H]
+    xs = xs_batch.swapaxes(0, 1)  # [T, B, d]
+    hs, gru_cache = gru_forward(model.gru, xs, workspaces, backward)  # [T, B, H]
     v = flatten(hs)
     logits = dense_forward(model.dense, v)
     return logits, (gru_cache, v)
@@ -421,7 +441,7 @@ def predict_batch(model: Model, X):
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits, _ = model_forward(model, X)
+            logits, _ = model_forward(model, X, None, False)
     except FloatingPointError as exc:
         raise NumericError(f"the model's forward pass failed: {exc}") from None
     return logits.argmax(axis=1)
@@ -492,9 +512,10 @@ def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: Tr
 def evaluate_model(model: Model, X, y, workspaces: dict) -> tuple[float, float]:
     """Mean loss and accuracy over a [n, T, d] set, fixed summation order;
     a prediction is the argmax of the logits, as in predict_batch. The
-    forward pass runs in `workspaces` as model_forward's does.
+    forward pass runs in a forward-only workspace of `workspaces`, as
+    model_forward's does.
     """
-    logits, _ = model_forward(model, X, workspaces)
+    logits, _ = model_forward(model, X, workspaces, False)
     losses, _ = softmax_cross_entropy_batch(logits, y)
     return float(np.mean(losses)), float(np.mean(logits.argmax(axis=1) == y))
 
@@ -518,8 +539,10 @@ def train(
     Stops once validation loss has not improved for `patience` epochs
     and restores the parameters of the best validation epoch. The
     parameters, their gradient and the optimizer moments are each one
-    flat vector. One GRU workspace per batch shape (the full batch, the
-    last partial batch and the validation set) serves the whole run.
+    flat vector. One GRU workspace per batch shape serves the whole run:
+    one built for backward for the full batch and for the last partial
+    batch, and a forward-only one, with one step of scratch, for the
+    validation set.
 
     The features are finite (the CSV reader and apply_normalization check
     them), and every step runs under raised floating-point traps, so a value
@@ -550,7 +573,7 @@ def train(
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     sel = perm[start : start + cfg.batch_size]
                     xb, yb = X_tr[sel], y_tr[sel]
-                    logits, cache = model_forward(model, xb, workspaces)
+                    logits, cache = model_forward(model, xb, workspaces, True)
                     losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
                     loss_sum += losses.sum()
                     correct += int((logits.argmax(axis=1) == yb).sum())

@@ -1413,8 +1413,16 @@ def _duplicate_channel(pipeline, tmp_path):
 def _inconsistent_channels(pipeline, tmp_path):
     m = _manifest(pipeline, tmp_path, lambda lines: [*lines[:2], lines[2].replace(";TP10", ""),
                                                      *lines[3:]])
-    return (["featurize", "--manifest", m], 2, "data error: inconsistent channel sets in "
-            "manifest: ['TP9', 'AF7', 'AF8'] vs ['TP9', 'AF7', 'AF8', 'TP10']")
+    return (["featurize", "--manifest", m], 2, f"data error: {m}: line 3: channels "
+            "'TP9;AF7;AF8' differ from the first row's 'TP9;AF7;AF8;TP10'")
+
+
+def _file_listed_twice(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path, lambda lines: [*lines, lines[1]])
+    lines = Path(m).read_text().splitlines()
+    listed = lines[1].split(",")[0]
+    return (["featurize", "--manifest", m], 2, f"data error: {m}: line {len(lines)}: "
+            f"file {listed!r} is listed twice, first on line 2")
 
 
 def _filter_gain_overflow(pipeline, tmp_path):
@@ -1475,7 +1483,7 @@ def _normalization_of_another_width(pipeline, tmp_path):
 
 
 ENTRY_CHECKS = [
-    _manifest_without_channels, _duplicate_channel, _inconsistent_channels,
+    _manifest_without_channels, _duplicate_channel, _inconsistent_channels, _file_listed_twice,
     _filter_gain_overflow, _short_synth_window, _fractions_over_one,
     _fraction_outside_unit_interval, _header_only_features, _class_of_two_rows,
     _fractions_leaving_a_split_empty, _ragged_normalization, _normalization_of_another_width,

@@ -165,16 +165,34 @@ class TestRawRecordings:
                 f"{p}: line 3: duplicate channel 'AF7'")):
             dataio.load_raw_recordings(str(tmp_path), p, list)
 
-    def test_inconsistent_channels(self, tmp_path):
-        rec = dataio.Recording(["TP9"], 256.0, np.zeros((1, 8)), label=0)
-        dataio.save_recording_csv(rec, str(tmp_path / "a.csv"))
-        dataio.save_recording_csv(rec, str(tmp_path / "b.csv"))
-        p = write_csv(
-            tmp_path / "manifest.csv",
-            "file,label,sample_rate_hz,channels\na.csv,X,256,TP9\nb.csv,X,256,AF7\n",
-        )
-        with pytest.raises(DataError, match="inconsistent channel"):
-            dataio.load_raw_recordings(str(tmp_path), p, list)
+    # channels that differ from the first row's, in set or in order, are the
+    # manifest's fault too (no recording exists here)
+    @pytest.mark.parametrize("second", ["AF7", "TP9;AF7", "AF7;TP9;AF8", "TP9;AF8"])
+    def test_channels_other_than_the_first_rows_name_their_line(self, tmp_path, second):
+        p = write_csv(tmp_path / "manifest.csv",
+                      "file,label,sample_rate_hz,channels\na.csv,X,256,TP9;AF7;AF8\n"
+                      f"b.csv,X,256,TP9;AF7;AF8\nc.csv,X,256,{second}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}: line 4: channels {second!r} differ from the first row's 'TP9;AF7;AF8'")):
+            dataio.read_manifest(p)
+
+    # one file under two spellings of its path is listed twice
+    @pytest.mark.parametrize("again", ["a.csv", "./a.csv", "sub/../a.csv", "ABSOLUTE"])
+    def test_a_file_listed_twice_names_both_lines(self, tmp_path, again):
+        again = str(tmp_path / "a.csv") if again == "ABSOLUTE" else again
+        p = write_csv(tmp_path / "manifest.csv",
+                      "file,label,sample_rate_hz,channels\na.csv,X,256,TP9\n"
+                      f"b.csv,Y,256,TP9\n{again},Y,256,TP9\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}: line 4: file {again!r} is listed twice, first on line 2")):
+            dataio.read_manifest(p)
+
+    def test_files_that_differ_are_not_listed_twice(self, tmp_path):
+        p = write_csv(tmp_path / "manifest.csv",
+                      "file,label,sample_rate_hz,channels\na.csv,X,256,TP9\n"
+                      "sub/a.csv,X,256,TP9\n")
+        entries, _ = dataio.read_manifest(p)
+        assert [e["file"] for e in entries] == ["a.csv", "sub/a.csv"]
 
 
 # Finite doubles, with the subnormals, the largest double and -0.0 drawn often.

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -500,6 +501,30 @@ class TestTimeDomainStats:
         assert stats["variance"] == 1.0
         assert stats["rms"] == 1.0
         assert stats["zero_crossings"] == 3.0
+
+    # hand-counted sign changes between consecutive nonzero samples, a run of
+    # exact zeros between two samples of opposite sign being one crossing
+    @pytest.mark.parametrize("signal,crossings", [
+        ([1, 0, -1, 0, 1, 0, -1, 0], 3),  # a sampled sine at a quarter of fs
+        ([3, 0, 0, -2, 5, -1, 0, 4], 4),
+        ([0, 0, -1, 2, 0, 0, 0], 1),  # runs at either end cross nothing
+        ([2, 0, 0, 0, 5, 0, 1], 0),  # zeros between samples of one sign
+        ([0, 0, 0, 0], 0),
+        ([-1e-300, 1e-300, 0, -1e-300], 2),  # decided by sign, not by magnitude
+    ])
+    def test_zero_crossings_count_runs_of_zeros_once(self, signal, crossings):
+        with warnings.catch_warnings():  # the all-zero and tiny signals read as constant
+            warnings.simplefilter("ignore", UserWarning)
+            fv = dsp.time_domain_stats(np.array(signal, dtype=float))
+        assert dict(zip(fv.names, fv.values))["zero_crossings"] == crossings
+
+    def test_zero_crossings_of_a_batch_stay_in_their_rows(self):
+        # a run of zeros that runs on from the end of one row into the next
+        # crosses nothing in either row
+        x = np.array([[[1, 0, -1, 0], [0, 0, 1, -1]], [[4, -4, 0, 0], [0, 2, 0, -2]]], float)
+        fv = dsp.time_domain_stats(x)
+        zc = fv.values[..., fv.names.index("zero_crossings")]
+        assert zc.tolist() == [[1, 1], [1, 1]]
 
     def test_standard_normal_moments(self):
         x = np.random.default_rng(11).standard_normal(100_000)

@@ -36,8 +36,8 @@ ENTRY_CHECKS = {
     "dataio.SplitSpec.__post_init__": "checks a setting: the fractions' range and sum",
     "dataio._open_csv": "reads a file: UTF-8 text the csv reader accepts",
     "dataio.relabel": "reads a file: its labels against the class table",
-    "dataio.read_manifest": "reads a file: the manifest's columns, cells, rates and channels",
-    "dataio.load_raw_recordings.parse": "reads a file: each row's channels against the first's",
+    "dataio.read_manifest": "reads a file: the manifest's columns, cells, rates, channels "
+                            "and files",
     "dataio._read_numeric_csv": "reads a file: it exists",
     "dataio._scan_numeric_csv": "reads a file: its header, cells and rows",
     "dataio.window_recording": "cross-checks data-dependent shapes: the window against the "

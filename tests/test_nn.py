@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -140,7 +141,7 @@ class TestGruCell:
     def test_matches_scalar_oracle(self):
         m = nn.init_model(nn.ModelConfig(1, 2, 3, 2, seed=42))
         xs = np.array([[0.7], [-0.3], [1.2]])
-        hs, _ = nn.gru_forward(m.gru, xs[:, None], None)
+        hs, _ = nn.gru_forward(m.gru, xs[:, None], None, False)
         want = scalar_gru_oracle(m.gru, xs.tolist())
         assert np.max(np.abs(hs[:, 0] - np.array(want))) < 1e-12
 
@@ -149,26 +150,26 @@ class TestGruForward:
     def test_single_step_equals_cell(self):
         m = small_model(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 1, 3))
-        hs, _ = nn.gru_forward(m.gru, x, None)
+        hs, _ = nn.gru_forward(m.gru, x, None, False)
         h_cell, *_ = cell_step(m.gru, x[0], np.zeros((1, 4)))
         assert np.array_equal(hs[0], h_cell)
 
     def test_zero_params_zero_states(self):
         p = zero_gru(small_model().gru)
-        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), None)
+        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), None, False)
         assert np.all(hs == 0.0)
 
     def test_order_sensitivity(self):
         m = small_model(seed=5)
         xs = np.array([[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]]])
-        h_fwd, _ = nn.gru_forward(m.gru, xs, None)
-        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], None)
+        h_fwd, _ = nn.gru_forward(m.gru, xs, None, False)
+        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], None, False)
         assert np.max(np.abs(h_fwd[-1] - h_rev[-1])) > 1e-6
 
     def test_gate_ranges_and_hidden_bounds(self):
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
-        hs, cache = nn.gru_forward(m.gru, xs, None)
+        hs, cache = nn.gru_forward(m.gru, xs, None, True)
         z, r, hc = cache.zr[:, :4], cache.zr[:, 4:], cache.h_cand
         assert np.all((z > 0) & (z < 1))
         assert np.all((r > 0) & (r < 1))
@@ -179,9 +180,9 @@ class TestGruForward:
         m = small_model(seed=2)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(4, 6, 3))  # [B, T, d]
-        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), None)
+        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), None, False)
         for b in range(4):
-            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], None)
+            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], None, False)
             assert np.max(np.abs(hs_b[:, b, :] - hs_1[:, 0])) < 1e-14
 
 
@@ -250,7 +251,10 @@ class TestKernelMatchesPerStepReference:
         p = nn.init_model(nn.ModelConfig(d, H, T, 2, seed=seed)).gru
         p.b[:] = rng.normal(size=3 * H)
         xs = rng.normal(size=(T, B, d)) * 2.0
-        hs, cache = nn.gru_forward(p, xs, None)
+        hs, cache = nn.gru_forward(p, xs, None, True)
+        # a forward-only pass, projecting each step in its one step of
+        # scratch, gives the same states bit for bit
+        assert np.array_equal(nn.gru_forward(p, xs, None, False)[0], hs)
         # the hoisted projection is one stacked matmul over all T steps, with
         # the bias as a last input column of ones; it may round differently
         # from a per-step W @ x_t + b, but only within the error bound of a
@@ -274,7 +278,7 @@ class TestKernelMatchesPerStepReference:
     def test_writes_into_given_gradient_arrays(self):
         m = small_model(seed=4)
         xs = np.random.default_rng(2).normal(size=(5, 3, 3))
-        _, cache = nn.gru_forward(m.gru, xs, None)
+        _, cache = nn.gru_forward(m.gru, xs, None, True)
         grad_hs = np.random.default_rng(3).normal(size=(5, 3, 4))
         # every entry is overwritten, not added to: NaN and zero starts agree
         zeroed, unset = zero_gru(m.gru), unset_gru(m.gru)
@@ -286,7 +290,7 @@ class TestKernelMatchesPerStepReference:
 
 def model_step(model, X, y, workspaces):
     """Logits and the flat gradient of one forward and backward pass."""
-    logits, cache = nn.model_forward(model, X, workspaces)
+    logits, cache = nn.model_forward(model, X, workspaces, True)
     _, grad_logits = nn.softmax_cross_entropy_batch(logits, y)
     grads = nn.FlatParams((name, np.zeros_like(a)) for name, a in model.param_items())
     nn.model_backward(model, cache, grad_logits / len(y), out=grads.model(model.config))
@@ -307,9 +311,13 @@ class TestWorkspace:
                 got = model_step(m, X[sel], y[sel], workspaces)
                 want = model_step(m, X[sel], y[sel], None)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # a forward-only pass of a training batch's shape gets its own workspace
+            assert nn.evaluate_model(m, X[:6], y[:6], workspaces) == \
+                nn.evaluate_model(m, X[:6], y[:6], {})
             assert nn.evaluate_model(m, Xv, yv, workspaces) == nn.evaluate_model(m, Xv, yv, {})
             m.gru.U *= 1.1  # new parameters, same workspaces
-        assert sorted(workspaces) == [(5, 4, 3, 2), (5, 4, 3, 6), (5, 4, 3, 9)]
+        assert sorted(workspaces) == [(5, 4, 3, 2, True), (5, 4, 3, 6, False),
+                                      (5, 4, 3, 6, True), (5, 4, 3, 9, False)]
 
     def test_no_buffer_is_shared_across_shapes(self):
         m = small_model(seed=17)
@@ -323,38 +331,76 @@ class TestWorkspace:
             for other in buffers[i + 1 :]:
                 assert not any(np.shares_memory(a, b) for a in own for b in other)
 
-    def test_forward_only_workspace_holds_no_backward_buffers(self):
+    def test_forward_only_workspace_holds_one_step_of_scratch(self):
         m = small_model(seed=19)
         rng = np.random.default_rng(6)
         X, y = rng.normal(size=(7, 5, 3)), rng.integers(0, 3, 7)
         workspaces = {}
         nn.evaluate_model(m, X, y, workspaces)
         (ws,) = workspaces.values()
-        forward = {name for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
-        assert ws.backward_steps is None
-        assert forward == {"x", "x_steps", "x_cols", "Wb", "a", "hs", "zr", "rh", "h_cand",
-                           "diff"}
-        # its first backward pass builds the rest, and matches a fresh workspace
-        got = model_step(m, X, y, workspaces)
-        want = model_step(m, X, y, None)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert ws.backward_steps is not None and hasattr(ws, "da")
-        assert nn.evaluate_model(m, X, y, workspaces) == nn.evaluate_model(m, X, y, {})
+        arrays = {name: a.shape for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        # one step of gates, candidates and projections; the T + 1 states the
+        # dense head reads; no backward buffers
+        assert arrays == {"x": (35, 4), "x_steps": (5, 7, 3), "x_cols": (5, 4, 7),
+                          "Wb": (12, 4), "a": (1, 12, 7), "hs": (6, 4, 7), "zr": (1, 8, 7),
+                          "rh": (1, 4, 7), "h_cand": (1, 4, 7), "diff": (1, 4, 7)}
+        assert not hasattr(ws, "backward_steps")
+        # every step's views fall on the one step of scratch
+        assert all(np.shares_memory(step[3], ws.zr) and np.shares_memory(step[7], ws.h_cand)
+                   for step in ws.forward_steps)
+        # a training workspace keeps all T steps
+        nn.model_forward(m, X, workspaces, True)
+        train_ws = workspaces[5, 4, 3, 7, True]
+        assert train_ws.zr.shape == (5, 8, 7) and train_ws.da_steps.shape == (5, 12, 7)
+
+    @pytest.mark.parametrize("T,B", [(1, 1), (2, 3), (5, 7), (4, 180)])
+    def test_forward_only_logits_equal_a_training_workspace_bit_for_bit(self, T, B):
+        m = small_model(seed=20, input_dim=14, hidden=32, T=T)
+        m.gru.b[:] = np.random.default_rng(7).normal(size=m.gru.b.shape)
+        X = np.random.default_rng(8).normal(size=(B, T, 14)) * 2.0
+        workspaces = {}
+        for _ in range(2):  # fresh, then reused
+            train_logits, _ = nn.model_forward(m, X, workspaces, True)
+            train_logits = train_logits.copy()
+            logits, (ws, _) = nn.model_forward(m, X, workspaces, False)
+            assert logits.tobytes() == train_logits.tobytes()
+            assert ws.hs.tobytes() == workspaces[T, 32, 14, B, True].hs.tobytes()
+            m.gru.U *= 1.1
 
     def test_dense_head_reads_and_returns_the_state_layout_without_copies(self):
         m = small_model(seed=18)
-        logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), {})
+        logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), {}, True)
         assert v.shape == (2, 20) and np.shares_memory(v, ws.hs)
         dv = nn.dense_backward(m.dense, v, np.ones_like(logits), unset_dense(m.dense))
         grad_hs = nn.unflatten(dv, 5, 4)
         assert grad_hs.transpose(0, 2, 1).flags.c_contiguous  # feature-major, as gru_backward reads it
 
 
+def test_train_peak_memory_holds_one_step_of_validation_scratch():
+    # nn.train at gru_train's shapes: 540 training examples of 4 steps of 14
+    # features, batches of 32, and a validation set of 180. A validation
+    # workspace that kept all 4 steps of gates, candidates and projections
+    # adds about 1.1 MB to the traced peak: 3.65 MB with it and 2.54 MB with
+    # one step were measured (numpy 2.4)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(540, 4, 14)), rng.integers(0, 3, 540)
+    Xv, yv = rng.normal(size=(180, 4, 14)), rng.integers(0, 3, 180)
+    cfg = nn.ModelConfig(14, 32, 4, 3, seed=1)
+    tcfg = nn.TrainConfig(batch_size=32, max_epochs=2, patience=2, seed=1)
+    tracemalloc.start()
+    try:
+        nn.train(cfg, (X, y), (Xv, yv), tcfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         m = small_model(seed=7)
         xs = np.random.default_rng(0).normal(size=(5, 1, 3))
-        _, caches = nn.gru_forward(m.gru, xs, None)
+        _, caches = nn.gru_forward(m.gru, xs, None, True)
         grads = unset_gru(m.gru)
         da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)), grads)
         for _, arr in grads.items():
@@ -369,10 +415,10 @@ class TestGruBackward:
         w = rng.normal(size=(4, 1, 4))  # fixed projection defines a scalar loss
 
         def loss(x):
-            hs, _ = nn.gru_forward(m.gru, x, None)
+            hs, _ = nn.gru_forward(m.gru, x, None, False)
             return float(np.sum(hs * w))
 
-        _, caches = nn.gru_forward(m.gru, xs, None)
+        _, caches = nn.gru_forward(m.gru, xs, None, True)
         da = nn.gru_backward(m.gru, caches, w, unset_gru(m.gru))
         grad_xs = da @ m.gru.W
         eps = 1e-6
@@ -686,7 +732,7 @@ class TestPredict:
         # the simplex, and the prediction is their argmax and the logits'
         m = small_model(seed=6)
         xs = np.random.default_rng(0).normal(size=(4, 5, 3))
-        logits, _ = nn.model_forward(m, xs)
+        logits, _ = nn.model_forward(m, xs, None, False)
         labels = np.array([0, 1, 2, 0])
         _, grads = nn.softmax_cross_entropy_batch(logits, labels)
         probs = grads + np.eye(3)[labels]
@@ -704,7 +750,7 @@ class TestPredict:
         m.dense.W[:] = 0.0
         m.dense.b[:] = bias
         xs = np.random.default_rng(0).normal(size=(3, 5, 3))
-        logits, _ = nn.model_forward(m, xs)
+        logits, _ = nn.model_forward(m, xs, None, False)
         assert logits.argmax(axis=1).tolist() == [1, 1, 1]
         assert nn.predict_batch(m, xs).tolist() == [1, 1, 1]
         _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int), {})
@@ -749,7 +795,7 @@ class TestGradientCheck:
         m.dense.b[2] = 60.0  # loss for label 2 is ~0, all grads ~0
         xs = np.zeros((1, 5, 3))
         err, _ = gradient_check(m, xs, [2])
-        logits, cache = nn.model_forward(m, xs)
+        logits, cache = nn.model_forward(m, xs, None, True)
         loss, grad = nn.softmax_cross_entropy_batch(logits, [2])
         assert loss[0] < 1e-8
         out = nn.Model(m.config, unset_gru(m.gru), unset_dense(m.dense))
@@ -803,7 +849,7 @@ class TestPersistence:
         assert names == ["CALM", "TENSE"] and features == doc["feature_names"]
         assert len(norm.lo) == 4
         ref = json.loads(Path(DATA, "checkpoint_v1_probs.json").read_text())
-        logits, _ = nn.model_forward(model, np.array(ref["input"]))
+        logits, _ = nn.model_forward(model, np.array(ref["input"]), None, False)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         assert np.max(np.abs(probs - np.array(ref["probs"]))) < 1e-12

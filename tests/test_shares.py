@@ -150,16 +150,36 @@ def spoil(path):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 @pytest.mark.parametrize("bad", [1, 3])
 def test_load_error_names_the_first_bad_row_in_manifest_order(tmp_path, watchdog, n, bad):
-    # later rows fail in each of the other checks: a missing file, then
-    # a channel set that differs from the first row's
-    write_recordings(tmp_path, [40] * 5)
+    # later rows fail in each of the other checks of a recording: a missing
+    # file, then a header other than the manifest's channels
+    write_recordings(tmp_path, [40] * 6)
     spoil(tmp_path / f"r{bad}.csv")
-    rows = [(f"r{i}.csv", CHANNELS) for i in range(5)]
+    lines = (tmp_path / "r5.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "r5.csv").write_text("".join(["TP9,AF7,AF8,Fz\r\n", *lines[1:]]))
+    rows = [(f"r{i}.csv", CHANNELS) for i in range(6)]
     rows[4] = ("absent.csv", CHANNELS)
-    rows.append(("r0.csv", "TP9;AF7"))
     manifest = write_manifest(tmp_path, rows)
     with cpus(n), pytest.raises(DataError, match=rf"r{bad}\.csv: {SPOILED}"):
         dataio.load_raw_recordings(str(tmp_path), manifest, list)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("fault", ["channels", "file"])
+def test_manifest_faults_are_found_before_any_recording_is_read(tmp_path, watchdog, n, fault):
+    # every recording is spoiled, so that an error found by reading one
+    # would name it: the error is the manifest's, and names its line
+    write_recordings(tmp_path, [40] * 6)
+    for i in range(6):
+        spoil(tmp_path / f"r{i}.csv")
+    rows = [(f"r{i}.csv", CHANNELS) for i in range(6)]
+    rows[4] = ("r4.csv", "TP9;AF7") if fault == "channels" else ("./r1.csv", CHANNELS)
+    manifest = write_manifest(tmp_path, rows)
+    out = tmp_path / "features.csv"
+    code, _, stderr = cli(["featurize", "--manifest", manifest, "--out", str(out)], n)
+    want = {"channels": f"channels 'TP9;AF7' differ from the first row's {CHANNELS!r}",
+            "file": "file './r1.csv' is listed twice, first on line 3"}[fault]
+    assert (code, stderr) == (2, f"data error: {manifest}: line 6: {want}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [0, 2])
