@@ -99,11 +99,9 @@ class Setting(NamedTuple):
     """One tunable: its config-file key (also the argparse dest), its flag
     (None: config file only), converter, default in each command that reads
     it, and domain. A default of None means the command derives the value.
-    The domain is (test, words), or None: any converted value passes, or the
-    library checks it before any file is read (TrainConfig's lr, batch_size,
-    epochs and patience, SplitSpec's range and sum of the fractions, and
-    synth's per_class, window_len >= 8 and fs). The library does not check a
-    value again that its domain has checked."""
+    The domain is (test, words), or None: any converted value passes. The
+    row is the setting's one default and one check; a command checks only
+    how two of the settings it reads relate."""
 
     key: str
     flag: str | None
@@ -112,44 +110,42 @@ class Setting(NamedTuple):
     domain: tuple[Callable[[object], bool], str] | None = None
 
 
-_FEATURE = dsp.FeatureConfig()
-_TRAIN = nn.TrainConfig()
 _GRU = ("train", "compare")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 _POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 SETTINGS = {s.key: s for s in [
-    Setting("per_class", "--per-class", _integer, {"synth": 100}),
+    Setting("per_class", "--per-class", _integer, {"synth": 100}, _AT_LEAST_1),
     # epoch length in samples; featurize keeps each recording whole if unset
     Setting("window_len", "--window-len", _integer, {"synth": 256, "featurize": None},
-            _AT_LEAST_1),
-    Setting("fs", "--fs", _real, {"synth": dataio.DEFAULT_SAMPLE_RATE_HZ}),
+            (lambda v: v >= 8, ">= 8")),
+    Setting("fs", "--fs", _real, {"synth": 256.0}, _POSITIVE_FINITE),
     # the window length if unset
     Setting("hop", "--hop", _integer, {"featurize": None}, _AT_LEAST_1),
-    Setting("filter_low_hz", "--filter-low", _real, {"featurize": _FEATURE.filter_low_hz},
-            _POSITIVE_FINITE),
-    Setting("filter_high_hz", "--filter-high", _real, {"featurize": _FEATURE.filter_high_hz},
-            _POSITIVE_FINITE),
-    Setting("filter_order", "--filter-order", _integer, {"featurize": _FEATURE.filter_order},
+    Setting("filter_low_hz", "--filter-low", _real, {"featurize": 0.5}, _POSITIVE_FINITE),
+    Setting("filter_high_hz", "--filter-high", _real, {"featurize": 45.0}, _POSITIVE_FINITE),
+    Setting("filter_order", "--filter-order", _integer, {"featurize": 4},
             (lambda v: v in (2, 4, 6, 8), "one of 2, 4, 6, 8")),
-    Setting("artifact_threshold_uv", "--threshold", _real,
-            {"featurize": _FEATURE.artifact_threshold_uv}, (lambda v: v > 0, "> 0")),
-    Setting("welch_segment_len", None, _integer, {"featurize": _FEATURE.welch_segment_len},
+    Setting("artifact_threshold_uv", "--threshold", _real, {"featurize": 100.0},
+            (lambda v: v > 0, "> 0")),
+    Setting("welch_segment_len", None, _integer, {"featurize": 256},
             (lambda v: v >= 2 and v & (v - 1) == 0, "a power of two >= 2")),
-    Setting("welch_overlap", None, _real, {"featurize": _FEATURE.welch_overlap},
-            (lambda v: 0 <= v < 1, "in [0, 1)")),
+    Setting("welch_overlap", None, _real, {"featurize": 0.5}, (lambda v: 0 <= v < 1, "in [0, 1)")),
     Setting("fractions", "--fractions", _fractions,
-            dict.fromkeys(("split", "compare"), dataio.SplitSpec().fractions)),
+            dict.fromkeys(("split", "compare"), (0.6, 0.2, 0.2)),
+            (lambda v: all(0 < f < 1 for f in v) and abs(sum(v) - 1) <= 1e-9,
+             "three numbers in (0, 1) that sum to 1")),
     Setting("label_column", "--label-column", _text,
             dict.fromkeys(("split", "train", "evaluate", "compare"), dataio.LABEL_COLUMN)),
     Setting("hidden", "--hidden", _integer, dict.fromkeys(_GRU, 32), _AT_LEAST_1),
     Setting("seq_len", "--seq-len", _integer, dict.fromkeys(_GRU, 4), _AT_LEAST_1),
-    Setting("lr", "--lr", _real, dict.fromkeys(_GRU, _TRAIN.learning_rate)),
-    Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, _TRAIN.batch_size)),
-    Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, _TRAIN.max_epochs)),
-    Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, _TRAIN.patience)),
-    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, _TRAIN.optimizer),
+    Setting("lr", "--lr", _real, dict.fromkeys(_GRU, 1e-3), _FINITE_NON_NEGATIVE),
+    Setting("batch_size", "--batch-size", _integer, dict.fromkeys(_GRU, 32), _AT_LEAST_1),
+    Setting("epochs", "--epochs", _integer, dict.fromkeys(_GRU, 150), _AT_LEAST_1),
+    Setting("patience", "--patience", _integer, dict.fromkeys(_GRU, 10), _AT_LEAST_1),
+    Setting("optimizer", "--optimizer", _text, dict.fromkeys(_GRU, "adam"),
             (lambda v: v in ("adam", "sgd"), "adam or sgd")),
     Setting("normalization", "--norm", _text, dict.fromkeys(_GRU, "zscore"),
             (lambda v: v in ("zscore", "minmax"), "zscore or minmax")),
@@ -157,8 +153,7 @@ SETTINGS = {s.key: s for s in [
     Setting("forest_depth", None, _integer, {"compare": 12}, _AT_LEAST_0),
     Setting("boost_rounds", "--boost-rounds", _integer, {"compare": 100}, _AT_LEAST_0),
     Setting("boost_depth", None, _integer, {"compare": 3}, _AT_LEAST_0),
-    Setting("boost_lr", None, _real, {"compare": 0.1},
-            (lambda v: 0 <= v < math.inf, "finite and >= 0")),
+    Setting("boost_lr", None, _real, {"compare": 0.1}, _FINITE_NON_NEGATIVE),
 ]}
 
 
@@ -176,7 +171,7 @@ def resolve_settings(command: str, flags: dict, config: dict) -> dict:
     """The settings `command` reads: flag > config file > default.
 
     Every config key must name a setting, and every flag and file value
-    must pass its converter. A key that only another command reads is
+    must pass its converter and domain. A key that only another command reads is
     checked and then ignored, so one file can serve the whole chain.
     """
     for key in config:
@@ -263,8 +258,7 @@ def _synth_file_names(per_class: int) -> list[str]:
 
 
 def cmd_synth(args) -> int:
-    # per_class, window_len and fs are checked before anything is printed or written
-    labels = dataio._synth_labels(args.per_class, args.window_len, args.fs)
+    labels = dataio._synth_labels(args.per_class)
     seed = derive_seed(args.seed, "synth")
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
@@ -462,19 +456,7 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _train_config(args) -> nn.TrainConfig:
-    """The GRU training settings of train and compare, checked before any file is read."""
-    return nn.TrainConfig(
-        optimizer=args.optimizer,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=derive_seed(args.seed, "train"),
-    )
-
-
-def _train_gru(train, val, n_classes: int, args, train_cfg: nn.TrainConfig):
+def _train_gru(train, val, n_classes: int, args):
     """Shared by cmd_train and cmd_compare: train on the (sequences, labels)
     pairs train and val, made from normalized features. Returns the model
     and its history."""
@@ -484,6 +466,14 @@ def _train_gru(train, val, n_classes: int, args, train_cfg: nn.TrainConfig):
         sequence_length=args.seq_len,
         n_classes=n_classes,
         seed=derive_seed(args.seed, "init"),
+    )
+    train_cfg = nn.TrainConfig(
+        optimizer=args.optimizer,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        max_epochs=args.epochs,
+        patience=args.patience,
+        seed=derive_seed(args.seed, "train"),
     )
     return nn.train(model_cfg, train, val, train_cfg)
 
@@ -500,7 +490,6 @@ def _require_columns(want: list[str], want_source: str, got: list[str], got_path
 
 
 def cmd_train(args) -> int:
-    train_cfg = _train_config(args)
     _announce("train", {"train": args.train, "val": args.val, "seed": args.seed})
     train_ds = dataio.load_feature_csv(args.train, args.label_column)
     val_ds = dataio.relabel(dataio.load_feature_csv(args.val, args.label_column),
@@ -509,7 +498,7 @@ def cmd_train(args) -> int:
     norm = dsp.fit_normalization(train_ds.features, args.normalization)
     train, val = ((nn.dataset_to_sequences(dsp.apply_normalization(d.features, norm),
                                            args.seq_len), d.labels) for d in (train_ds, val_ds))
-    model, history = _train_gru(train, val, len(train_ds.class_names), args, train_cfg)
+    model, history = _train_gru(train, val, len(train_ds.class_names), args)
     best = int(np.argmin(history.val_loss))
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -541,7 +530,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = dataio.SplitSpec(args.fractions, seed=derive_seed(args.seed, "split"), stratified=True)
-    train_cfg = _train_config(args)
     _announce("compare", {"input": args.input, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
     n_classes = len(ds.class_names)
@@ -580,8 +568,7 @@ def cmd_compare(args) -> int:
         return results
 
     def fit_gru():
-        model, history = _train_gru((seqs_tr, y_tr), (seqs_va, val_ds.labels), n_classes,
-                                    args, train_cfg)
+        model, history = _train_gru((seqs_tr, y_tr), (seqs_va, val_ds.labels), n_classes, args)
         return nn.predict_batch(model, seqs_te), history
 
     def outcome(fit):

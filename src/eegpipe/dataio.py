@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PipelineError
+from .errors import DataError, PipelineError
 
 # Muse headband electrode set used by the reference dataset.
 DEFAULT_CHANNELS = ["TP9", "AF7", "AF8", "TP10"]
-DEFAULT_SAMPLE_RATE_HZ = 256.0
 
 # Synthetic generator: class k is white noise (sigma=1) plus a sinusoid
 # drawn from a class-specific frequency band. Bands are disjoint so the
@@ -73,28 +72,25 @@ class Dataset:
 class SplitSpec:
     """Train/val/test fractions plus seed for a deterministic split."""
 
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    seed: int = 0
-    stratified: bool = True
-
-    def __post_init__(self):
-        fracs = self.fractions
-        if not all(0.0 < f < 1.0 for f in fracs):
-            raise ConfigError(f"split fractions must each lie in (0,1), got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+    fractions: tuple[float, float, float]
+    seed: int
+    stratified: bool
 
 
 def load_feature_csv(path: str, label_column: str) -> Dataset:
     """Load a featured CSV (header row, one string label column, named
-    label_column, and finite numbers in every other) into a Dataset; see
-    _read_numeric_csv.
+    label_column, and finite numbers in every other, of which there is at
+    least one) into a Dataset; see _read_numeric_csv.
 
     Class ids are assigned by lexicographic order of the distinct label
     strings, which keeps the mapping stable across reloads.
     """
-    feature_names, features, label_strs = _read_numeric_csv(
-        path, _unique_columns_with(label_column), label_column)
+    def header_error(header: list[str]) -> str | None:
+        if header == [label_column]:
+            return f"no feature column beside the label column {label_column!r}"
+        return _unique_columns_with(label_column)(header)
+
+    feature_names, features, label_strs = _read_numeric_csv(path, header_error, label_column)
     class_names = sorted(set(label_strs))
     class_ids = {name: i for i, name in enumerate(class_names)}
     labels = np.array([class_ids[s] for s in label_strs], dtype=int)
@@ -146,9 +142,9 @@ def save_feature_csv(ds: Dataset, path: str, label_column: str = LABEL_COLUMN) -
     never needs quoting, so only the label cell goes through the writer,
     once per class name.
     """
-    # csv.writer quotes an empty cell only when it is alone on its row
-    tails = [_csv_line(["0", name])[1:] if ds.n_features else _csv_line([name])
-             for name in ds.class_names]
+    # a label follows a feature cell: csv.writer quotes an empty cell only
+    # when it is alone on its row
+    tails = [_csv_line(["0", name])[1:] for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.feature_names + [label_column])
         _write_float_rows(fh, ds.features, _FEATURE_BLOCK_ROWS,
@@ -637,21 +633,15 @@ def synth_generate(
     beta-ish), identical frequency on every channel with per-channel
     random phase. Deterministic per seed.
     """
-    labels = _synth_labels(n_per_class, window_len, fs)
+    labels = _synth_labels(n_per_class)
     data = np.empty((len(labels), len(DEFAULT_CHANNELS), window_len))
     for i, epoch in enumerate(_synth_epochs(n_per_class, window_len, fs, seed)):
         data[i] = epoch
     return data, labels
 
 
-def _synth_labels(n_per_class: int, window_len: int, fs: float) -> np.ndarray:
-    """The labels of synth_generate's epochs, once its settings are checked."""
-    if n_per_class < 1:
-        raise ConfigError("n_per_class must be >= 1")
-    if window_len < 8:
-        raise ConfigError("window_len must be >= 8")
-    if not (math.isfinite(fs) and fs > 0):
-        raise ConfigError(f"fs must be positive and finite, got {fs}")
+def _synth_labels(n_per_class: int) -> np.ndarray:
+    """The labels of synth_generate's epochs, class by class."""
     return np.repeat(sorted(SYNTH_BANDS), n_per_class)
 
 
@@ -662,7 +652,7 @@ def _synth_epochs(n_per_class: int, window_len: int, fs: float, seed: int, start
     rng = np.random.default_rng(seed)
     n_ch = len(DEFAULT_CHANNELS)
     t = np.arange(window_len) / fs
-    for i, label in enumerate(np.repeat(sorted(SYNTH_BANDS), n_per_class)):
+    for i, label in enumerate(_synth_labels(n_per_class)):
         lo, hi = SYNTH_BANDS[label]
         freq = rng.uniform(lo, hi)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_ch)

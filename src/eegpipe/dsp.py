@@ -134,12 +134,12 @@ class NormalizationParams:
 class FeatureConfig:
     """Feature-extraction parameters."""
 
-    welch_segment_len: int = 256
-    welch_overlap: float = 0.5
-    filter_low_hz: float = 0.5
-    filter_high_hz: float = 45.0
-    filter_order: int = 4
-    artifact_threshold_uv: float = 100.0
+    welch_segment_len: int
+    welch_overlap: float
+    filter_low_hz: float
+    filter_high_hz: float
+    filter_order: int
+    artifact_threshold_uv: float
 
 
 def design_butterworth_bandpass(low_hz: float, high_hz: float, fs_hz: float,

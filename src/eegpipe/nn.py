@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,31 +91,17 @@ class ModelConfig:
     hidden_dim: int
     sequence_length: int
     n_classes: int
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("input_dim", "hidden_dim", "sequence_length", "n_classes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    seed: int
 
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 150
-    patience: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        for name in ("batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    optimizer: str
+    learning_rate: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    seed: int
 
 
 @dataclass
@@ -673,6 +658,10 @@ def load_checkpoint(path: str):
             raise DataError(f"checkpoint {path}: {key} is not a JSON object")
     try:
         cfg = ModelConfig(**doc["model_config"])
+        for name in ("input_dim", "hidden_dim", "sequence_length", "n_classes"):
+            value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DataError(f"model_config's {name} must be an integer >= 1, got {value!r}")
         H, C = cfg.hidden_dim, cfg.n_classes
         gru = GruParams(*(
             np.concatenate([_array(doc["gru"], f"{name}_{gate}", shape) for gate in GATES])

@@ -13,6 +13,7 @@ import types
 
 import numpy as np
 
+from conftest import train_config
 from eegpipe import baselines, cli, dataio, dsp, nn
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -104,7 +105,7 @@ def test_train_call_census(monkeypatch):
     X, y = rng.normal(size=(n, T, 2)), rng.integers(0, 2, n)
     Xv, yv = rng.normal(size=(n_val, T, 2)), rng.integers(0, 2, n_val)
     cfg = nn.ModelConfig(2, 4, T, 2, seed=1)
-    tcfg = nn.TrainConfig(batch_size=batch, max_epochs=epochs, patience=epochs, seed=0)
+    tcfg = train_config(batch_size=batch, max_epochs=epochs, patience=epochs)
     _, history = nn.train(cfg, (X, y), (Xv, yv), tcfg)
     batches = epochs * math.ceil(n / batch)
     assert len(history) == epochs

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy._core._exceptions import _ArrayMemoryError
 
+from conftest import feature_config
 from eegpipe import cli, dataio, dsp, nn
 from eegpipe.cli import SETTINGS, build_parser, derive_seed, main, resolve_settings
 from eegpipe.errors import ConfigError
@@ -50,6 +51,24 @@ class TestSeedDerivation:
         assert derive_seed(0, "synth") != derive_seed(0, "split")
 
 
+# the flags each command requires, with placeholder paths: the tests below
+# only parse them, or stop at the config file before any path is read
+REQUIRED = {
+    "synth": [],
+    "featurize": ["--manifest", "m.csv"],
+    "split": ["--input", "f.csv"],
+    "train": ["--train", "t.csv", "--val", "v.csv"],
+    "evaluate": ["--checkpoint", "c.json", "--test", "t.csv"],
+    "compare": ["--input", "f.csv"],
+    "report": ["--history", "h.csv"],
+}
+# a value outside the domain of each setting that only some commands read;
+# a config file holding one fails every command, as the file serves them all
+OUT_OF_DOMAIN = {"lr": -1, "batch_size": 0, "epochs": 0, "patience": 0, "per_class": 0,
+                 "fs": -1, "fractions": [0.5, 0.5, 0.5], "window_len": 7,
+                 "optimizer": "rmsprop"}
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run("synth", "--no-such-flag") == 1
@@ -78,11 +97,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     @pytest.mark.parametrize("flag,value,key", [
-        ("--batch-size", "0", "batch_size"), ("--seq-len", "0", "--seq-len"),
-        ("--hidden", "0", "--hidden"),
-        ("--epochs", "0", "max_epochs"), ("--epochs", "-1", "max_epochs"),
-        ("--patience", "-1", "patience"), ("--lr", "nan", "learning_rate"),
-        ("--lr", "inf", "learning_rate"), ("--optimizer", "rmsprop", "optimizer must be"),
+        ("--batch-size", "0", "--batch-size: batch_size must be >= 1"),
+        ("--seq-len", "0", "--seq-len"), ("--hidden", "0", "--hidden"),
+        ("--epochs", "0", "--epochs: epochs must be >= 1"),
+        ("--epochs", "-1", "--epochs: epochs must be >= 1"),
+        ("--patience", "-1", "--patience: patience must be >= 1"),
+        ("--lr", "nan", "--lr: lr must be finite and >= 0"),
+        ("--lr", "inf", "--lr: lr must be finite and >= 0"),
+        ("--optimizer", "rmsprop", "optimizer must be"),
     ])
     def test_bad_training_setting_rejected_before_any_file(self, tmp_path, capsys, command,
                                                            flag, value, key):
@@ -166,16 +188,18 @@ class TestExitCodes:
         assert "config file must hold a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_optimizer_outside_its_domain_fails_every_command_reading_the_file(
-            self, pipeline, tmp_path, capsys):
-        # split never reads the optimizer, but one config file serves the chain
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    @pytest.mark.parametrize("key", sorted(OUT_OF_DOMAIN))
+    def test_out_of_domain_config_value_fails_every_command(self, tmp_path, capsys, command,
+                                                            key):
+        # the input files do not exist: the value must be rejected first
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"optimizer": "rmsprop"}))
-        out = tmp_path / "splits"
-        assert run("split", "--input", pipeline["feats"], "--config", str(cfg),
-                   "--out", str(out)) == 1
-        assert "'optimizer': optimizer must be adam or sgd" in capsys.readouterr().err
-        assert not out.exists()
+        cfg.write_text(json.dumps({key: OUT_OF_DOMAIN[key]}))
+        out = tmp_path / "out"
+        assert run(command, *REQUIRED[command], "--config", str(cfg), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key {key!r}: {key} must be ")
+        assert not captured.out and not out.exists()
 
     def test_manifest_with_no_rows_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -196,17 +220,6 @@ class TestExitCodes:
         assert not out.exists()
 
 
-# the flags each command requires, with placeholder paths: the tests below
-# only parse them, or stop at the config file before any path is read
-REQUIRED = {
-    "synth": [],
-    "featurize": ["--manifest", "m.csv"],
-    "split": ["--input", "f.csv"],
-    "train": ["--train", "t.csv", "--val", "v.csv"],
-    "evaluate": ["--checkpoint", "c.json", "--test", "t.csv"],
-    "compare": ["--input", "f.csv"],
-    "report": ["--history", "h.csv"],
-}
 ROW_COMMANDS = [(key, command) for key, row in SETTINGS.items() for command in row.defaults]
 # a flag string and a config-file value per converter, neither one a default
 SAMPLES = {
@@ -218,6 +231,7 @@ SAMPLES = {
 # rows whose domain excludes the generic samples; normalization and optimizer
 # have only two values each, so their flag value is the default
 ROW_SAMPLES = {
+    "window_len": ("64", 128),
     "filter_order": ("8", 6),
     "welch_segment_len": ("512", 128),
     "normalization": ("zscore", "minmax"),
@@ -626,6 +640,14 @@ def _float_sequence_length(doc):
     return doc
 
 
+def _true_in_model_config(key):
+    # JSON true is a Python int, but no count
+    def edit(doc):
+        doc["model_config"][key] = True
+        return doc
+    return edit
+
+
 def _nan_dense_bias(doc):
     doc["dense"]["b"][0] = float("nan")
     return doc
@@ -671,7 +693,10 @@ _NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "
 @pytest.mark.parametrize("edit,needle", [
     (_not_an_object, "checkpoint"), (_drop("gru"), "gru"), (_drop("gru", "W_z"), "W_z"),
     (_unknown_config_key, "depth"), (_short_gate_block, "U_r"),
-    (_float_sequence_length, "sequence_length"), (_nan_dense_bias, "non-finite"),
+    (_float_sequence_length, "sequence_length"),
+    (_true_in_model_config("sequence_length"), "sequence_length must be an integer >= 1"),
+    (_true_in_model_config("hidden_dim"), "hidden_dim must be an integer >= 1"),
+    (_nan_dense_bias, "non-finite"),
     (_normalization_entry("std", float("nan")), "finite"),
     (_normalization_entry("mean", float("inf")), "finite"),
     (_normalization_entry("std", 0.0), "std"), (_unknown_normalization_mode, "'robust'"),
@@ -686,9 +711,10 @@ _NOT_OBJECTS = [(kind, key, value) for key in ("model_config", "gru", "dense", "
     (_replace("format_version", 1), "unsupported checkpoint version 1"),
     *((_replace(key, value), key) for _, key, value in _NOT_OBJECTS),
 ], ids=["not_object", "no_gru", "no_W_z", "unknown_config_key", "short_gate_block",
-        "float_sequence_length", "nan_dense_bias", "nan_std", "inf_mean", "zero_std",
-        "unknown_normalization_mode", "minmax_max_below_min", "no_normalization",
-        "duplicate_class_names", "no_feature_names", "short_feature_names",
+        "float_sequence_length", "true_sequence_length", "true_hidden_dim", "nan_dense_bias",
+        "nan_std", "inf_mean", "zero_std", "unknown_normalization_mode",
+        "minmax_max_below_min", "no_normalization", "duplicate_class_names",
+        "no_feature_names", "short_feature_names",
         "duplicate_feature_names", "non_string_feature_name", "version_1",
         *(f"{kind}_{key}" for kind, key, _ in _NOT_OBJECTS)])
 def test_malformed_checkpoint_is_data_error(pipeline, tmp_path, capsys, edit, needle):
@@ -1251,7 +1277,7 @@ def write_manifest(root, lengths, artifacts=()):
 def per_recording_features(manifest, window_len, hop):
     """featurize's rows and class names with extract_features called once per
     recording."""
-    fc = dsp.FeatureConfig()
+    fc = feature_config()
     recordings, class_names = dataio.load_raw_recordings(str(manifest.parent), str(manifest), list)
     coeffs = dsp.design_butterworth_bandpass(fc.filter_low_hz, fc.filter_high_hz, 256.0,
                                              fc.filter_order)
@@ -1433,23 +1459,37 @@ def _filter_gain_overflow(pipeline, tmp_path):
 
 
 def _short_synth_window(pipeline, tmp_path):
-    return ["synth", "--window-len", "7"], 1, "error: window_len must be >= 8"
+    return (["synth", "--window-len", "7"], 1,
+            "error: --window-len: window_len must be >= 8, got 7")
 
 
 def _fractions_over_one(pipeline, tmp_path):
     return (["split", "--input", pipeline["feats"], "--fractions", "0.5,0.3,0.3"], 1,
-            "error: split fractions must sum to 1, got 1.1")
+            "error: --fractions: fractions must be three numbers in (0, 1) that sum to 1, "
+            "got (0.5, 0.3, 0.3)")
 
 
 def _fraction_outside_unit_interval(pipeline, tmp_path):
     return (["split", "--input", pipeline["feats"], "--fractions", "1.2,-0.1,-0.1"], 1,
-            "error: split fractions must each lie in (0,1), got (1.2, -0.1, -0.1)")
+            "error: --fractions: fractions must be three numbers in (0, 1) that sum to 1, "
+            "got (1.2, -0.1, -0.1)")
 
 
 def _header_only_features(pipeline, tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("f0,label\n")
     return ["split", "--input", str(path)], 2, f"data error: {path}: no data rows"
+
+
+def _labels_only(command, *flags):
+    """The case of command reading, as each of flags, a feature file of labels alone."""
+    def case(pipeline, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("label\n" + "A\nB\nC\n" * 4)
+        return ([command, *(arg for flag in flags for arg in (flag, str(path)))], 2,
+                f"data error: {path}: no feature column beside the label column 'label'")
+    case.__name__ = f"_{command}_of_labels_only"
+    return case
 
 
 def _split_of(tmp_path, n):
@@ -1485,8 +1525,10 @@ def _normalization_of_another_width(pipeline, tmp_path):
 ENTRY_CHECKS = [
     _manifest_without_channels, _duplicate_channel, _inconsistent_channels, _file_listed_twice,
     _filter_gain_overflow, _short_synth_window, _fractions_over_one,
-    _fraction_outside_unit_interval, _header_only_features, _class_of_two_rows,
-    _fractions_leaving_a_split_empty, _ragged_normalization, _normalization_of_another_width,
+    _fraction_outside_unit_interval, _header_only_features, _labels_only("split", "--input"),
+    _labels_only("train", "--train", "--val"), _labels_only("compare", "--input"),
+    _class_of_two_rows, _fractions_leaving_a_split_empty, _ragged_normalization,
+    _normalization_of_another_width,
 ]
 
 

@@ -27,7 +27,6 @@ INPUTS = {
     "evaluate": ["--checkpoint", "--test"],
     "compare": ["--input"],
 }
-TRAINING = {"train", "compare"}
 
 
 def _at_least(low):
@@ -46,33 +45,33 @@ def _fractions_ok(v):
     return all(0 < f < 1 for f in v) and abs(sum(v) - 1) <= 1e-9
 
 
-# key -> (type, rule, the commands that check the rule; None: every command)
+# key -> (type, rule); every command checks every rule
 RULES = {
-    "per_class": (int, _at_least(1), {"synth"}),
-    "window_len": (int, _at_least(1), None),
-    "fs": (float, _positive_finite, {"synth"}),
-    "hop": (int, _at_least(1), None),
-    "filter_low_hz": (float, _positive_finite, None),
-    "filter_high_hz": (float, _positive_finite, None),
-    "filter_order": (int, lambda v: v in (2, 4, 6, 8), None),
-    "artifact_threshold_uv": (float, lambda v: v > 0, None),
-    "welch_segment_len": (int, lambda v: v >= 2 and v & (v - 1) == 0, None),
-    "welch_overlap": (float, lambda v: 0 <= v < 1, None),
-    "fractions": (tuple, _fractions_ok, {"split", "compare"}),
-    "label_column": (str, lambda v: True, None),
-    "hidden": (int, _at_least(1), None),
-    "seq_len": (int, _at_least(1), None),
-    "lr": (float, _finite_non_negative, TRAINING),
-    "batch_size": (int, _at_least(1), TRAINING),
-    "epochs": (int, _at_least(1), TRAINING),
-    "patience": (int, _at_least(1), TRAINING),
-    "optimizer": (str, lambda v: v in ("adam", "sgd"), None),
-    "normalization": (str, lambda v: v in ("zscore", "minmax"), None),
-    "n_trees": (int, _at_least(1), None),
-    "forest_depth": (int, _at_least(0), None),
-    "boost_rounds": (int, _at_least(0), None),
-    "boost_depth": (int, _at_least(0), None),
-    "boost_lr": (float, _finite_non_negative, None),
+    "per_class": (int, _at_least(1)),
+    "window_len": (int, _at_least(8)),
+    "fs": (float, _positive_finite),
+    "hop": (int, _at_least(1)),
+    "filter_low_hz": (float, _positive_finite),
+    "filter_high_hz": (float, _positive_finite),
+    "filter_order": (int, lambda v: v in (2, 4, 6, 8)),
+    "artifact_threshold_uv": (float, lambda v: v > 0),
+    "welch_segment_len": (int, lambda v: v >= 2 and v & (v - 1) == 0),
+    "welch_overlap": (float, lambda v: 0 <= v < 1),
+    "fractions": (tuple, _fractions_ok),
+    "label_column": (str, lambda v: True),
+    "hidden": (int, _at_least(1)),
+    "seq_len": (int, _at_least(1)),
+    "lr": (float, _finite_non_negative),
+    "batch_size": (int, _at_least(1)),
+    "epochs": (int, _at_least(1)),
+    "patience": (int, _at_least(1)),
+    "optimizer": (str, lambda v: v in ("adam", "sgd")),
+    "normalization": (str, lambda v: v in ("zscore", "minmax")),
+    "n_trees": (int, _at_least(1)),
+    "forest_depth": (int, _at_least(0)),
+    "boost_rounds": (int, _at_least(0)),
+    "boost_depth": (int, _at_least(0)),
+    "boost_lr": (float, _finite_non_negative),
 }
 BAD = object()
 
@@ -103,11 +102,9 @@ def parse(kind, value):
 def breaks_a_rule(command, drawn):
     values = {}
     for key, value in drawn.items():
-        kind, rule, checked_by = RULES[key]
+        kind, rule = RULES[key]
         values[key] = parse(kind, value)
-        if values[key] is BAD:
-            return True
-        if (checked_by is None or command in checked_by) and not rule(values[key]):
+        if values[key] is BAD or not rule(values[key]):
             return True
     if command != "featurize":
         return False

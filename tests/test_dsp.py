@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feature_config
 from eegpipe import dataio, dsp
 from eegpipe.errors import ConfigError, DataError, NumericError
 
@@ -447,7 +448,7 @@ class TestCheckBands:
     def test_passes_exactly_where_extract_features_can_measure_every_band(self, fs, seg):
         x = np.random.default_rng(0).normal(size=(2, seg))
         try:
-            dsp.extract_features(x, fs, dsp.FeatureConfig(welch_segment_len=seg), ["ch0", "ch1"])
+            dsp.extract_features(x, fs, feature_config(welch_segment_len=seg), ["ch0", "ch1"])
         except (ConfigError, DataError) as exc:
             with pytest.raises(ConfigError, match=f"sample rate {fs} Hz") as raised:
                 dsp.check_bands(fs, seg)
@@ -593,7 +594,7 @@ class TestTimeDomainStats:
         assert np.array_equal(fv.values[3], dsp.time_domain_stats(noise).values)
 
 
-FEATURES = dsp.FeatureConfig()
+FEATURES = feature_config()
 
 
 class TestExtractFeatures:
@@ -639,7 +640,7 @@ class TestExtractFeatures:
 
 
 # features of a small band set at a short Welch segment keep the examples fast
-SMALL = dsp.FeatureConfig(welch_segment_len=128)
+SMALL = feature_config(welch_segment_len=128)
 
 
 @st.composite

@@ -5,9 +5,10 @@ NumericError are exactly those of ENTRY_CHECKS, each with why it may: it
 reads a file, checks a setting, cross-checks data-dependent shapes (where
 both sides are first known), or traps a numeric fault where it happens. No
 function re-checks what the pipeline built (an array's shape, a label's
-range) or a setting that its cli.SETTINGS domain already checked. A new
-raise needs a row here; `python tests/raise_site_scan.py` shows whether the
-suite reaches each raise through cli.main."""
+range) or a setting that its cli.SETTINGS domain already checked, and only
+cli checks a setting. A new raise needs a row here;
+`python tests/raise_site_scan.py` shows whether the suite reaches each
+raise through cli.main."""
 
 import ast
 
@@ -33,7 +34,6 @@ ENTRY_CHECKS = {
     "cli._require_columns": "reads a file: its feature columns against the training "
                             "file's or the checkpoint's",
     "cli.cmd_compare": "reads a file: compare needs two classes in it",
-    "dataio.SplitSpec.__post_init__": "checks a setting: the fractions' range and sum",
     "dataio._open_csv": "reads a file: UTF-8 text the csv reader accepts",
     "dataio.relabel": "reads a file: its labels against the class table",
     "dataio.read_manifest": "reads a file: the manifest's columns, cells, rates, channels "
@@ -44,7 +44,6 @@ ENTRY_CHECKS = {
                                "recording's length",
     "dataio.stratified_split": "cross-checks data-dependent shapes: class sizes against the "
                                "fractions",
-    "dataio._synth_labels": "checks a setting: synth's per_class, window_len and fs",
     "dsp.FilterCoefficients.__post_init__": "traps a numeric fault: an unstable or "
                                             "non-finite section",
     "dsp.NormalizationParams.from_dict": "reads a file: a checkpoint's normalization",
@@ -57,14 +56,12 @@ ENTRY_CHECKS = {
                        "manifest's rate",
     "dsp.spectral_entropy": "cross-checks data-dependent shapes: an all-zero PSD",
     "dsp._require_finite_columns": "traps a numeric fault: a normalization that overflows",
-    "nn.ModelConfig.__post_init__": "reads a file: a checkpoint's model_config",
-    "nn.TrainConfig.__post_init__": "checks a setting: lr, batch_size, epochs and patience",
     "nn.predict_batch": "traps a numeric fault: a forward pass that overflows",
     "nn.train": "traps a numeric fault: training that diverges",
     "nn.dataset_to_sequences": "cross-checks data-dependent shapes: the feature count "
                                "against seq_len",
     "nn._array": "reads a file: a checkpoint's weights",
-    "nn.load_checkpoint": "reads a file: the checkpoint's JSON",
+    "nn.load_checkpoint": "reads a file: the checkpoint's JSON and model_config",
 }
 
 
@@ -102,6 +99,13 @@ def test_only_entry_checks_raise():
 
 def test_each_entry_check_says_why():
     assert [name for name, why in ENTRY_CHECKS.items() if not why.startswith(KINDS)] == []
+
+
+def test_only_cli_checks_a_setting():
+    # a setting has one home, its cli.SETTINGS row, and a relation between two
+    # settings is checked by the command that reads both
+    assert [name for name, why in ENTRY_CHECKS.items()
+            if why.startswith("checks a setting") and not name.startswith("cli.")] == []
 
 
 def test_the_guard_finds_each_way_of_raising():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import train_config
 from eegpipe import nn
 from eegpipe.errors import ConfigError, DataError, NumericError
 from gradcheck import gradient_check
@@ -386,7 +387,7 @@ def test_train_peak_memory_holds_one_step_of_validation_scratch():
     X, y = rng.normal(size=(540, 4, 14)), rng.integers(0, 3, 540)
     Xv, yv = rng.normal(size=(180, 4, 14)), rng.integers(0, 3, 180)
     cfg = nn.ModelConfig(14, 32, 4, 3, seed=1)
-    tcfg = nn.TrainConfig(batch_size=32, max_epochs=2, patience=2, seed=1)
+    tcfg = train_config(batch_size=32, max_epochs=2, patience=2, seed=1)
     tracemalloc.start()
     try:
         nn.train(cfg, (X, y), (Xv, yv), tcfg)
@@ -524,7 +525,7 @@ def flat(**arrays):
 
 class TestOptimizers:
     def setup_method(self):
-        self.cfg = nn.TrainConfig(learning_rate=0.01)
+        self.cfg = train_config(learning_rate=0.01)
         self.params = flat(w=[1.0, -2.0])
 
     def test_zero_gradient_no_change(self):
@@ -562,7 +563,7 @@ class TestOptimizers:
         ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = nn.FlatParams(ref.items())
         state, ref_state = {}, {}
-        cfg = nn.TrainConfig(learning_rate=0.003)
+        cfg = train_config(learning_rate=0.003)
         # Kingma and Ba's suggested settings
         assert (nn._ADAM_BETA1, nn._ADAM_BETA2, nn._ADAM_EPSILON) == (0.9, 0.999, 1e-8)
         for t in range(1, 201):
@@ -635,7 +636,7 @@ class TestTraining:
         X, y = xor_sequence_dataset(5)
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
         initial = nn.init_model(cfg)
-        tcfg = nn.TrainConfig(learning_rate=0.0, max_epochs=8, patience=3, seed=0)
+        tcfg = train_config(learning_rate=0.0, max_epochs=8, patience=3)
         model, history = nn.train(cfg, (X, y), (X, y), tcfg)
         for (n1, a1), (n2, a2) in zip(model.param_items(), initial.param_items()):
             assert np.array_equal(a1, a2), n1
@@ -644,8 +645,8 @@ class TestTraining:
     def test_xor_reaches_full_train_accuracy(self):
         X, y = xor_sequence_dataset(50, seed=3)
         cfg = nn.ModelConfig(2, 8, 2, 2, seed=0)
-        tcfg = nn.TrainConfig(learning_rate=0.02, max_epochs=200, patience=200,
-                              batch_size=32, seed=0)
+        tcfg = train_config(learning_rate=0.02, max_epochs=200, patience=200,
+                            batch_size=32)
         model, history = nn.train(cfg, (X, y), (X, y), tcfg)
         assert max(history.train_acc) == 1.0
         # all four canonical inputs classified correctly
@@ -659,7 +660,7 @@ class TestTraining:
         X, y = xor_sequence_dataset(10, seed=1)
         Xv, yv = xor_sequence_dataset(10, seed=2)
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=4)
-        tcfg = nn.TrainConfig(learning_rate=0.05, max_epochs=60, patience=5, seed=1)
+        tcfg = train_config(learning_rate=0.05, max_epochs=60, patience=5, seed=1)
         model, history = nn.train(cfg, (X, y), (Xv, yv), tcfg)
         final_loss, _ = nn.evaluate_model(model, Xv, yv, {})
         assert final_loss == pytest.approx(min(history.val_loss), abs=1e-12)
@@ -667,7 +668,7 @@ class TestTraining:
     def test_history_determinism(self):
         X, y = xor_sequence_dataset(10)
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=2)
-        tcfg = nn.TrainConfig(learning_rate=0.01, max_epochs=10, patience=10, seed=3)
+        tcfg = train_config(learning_rate=0.01, max_epochs=10, patience=10, seed=3)
         _, h1 = nn.train(cfg, (X, y), (X, y), tcfg)
         _, h2 = nn.train(cfg, (X, y), (X, y), tcfg)
         assert h1.train_loss == h2.train_loss
@@ -680,8 +681,8 @@ class TestTraining:
     def test_overflow_is_divergence_not_a_warning(self, batch_size, where):
         X, y = xor_sequence_dataset(5)
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
-        tcfg = nn.TrainConfig(learning_rate=1e307, batch_size=batch_size, max_epochs=3,
-                              patience=3, seed=0)
+        tcfg = train_config(learning_rate=1e307, batch_size=batch_size, max_epochs=3,
+                            patience=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"^training diverged: overflow .* at {where}$"):
@@ -692,7 +693,7 @@ class TestTraining:
         # and that traps like any other overflow
         X, y = xor_sequence_dataset(50)
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
-        tcfg = nn.TrainConfig(learning_rate=1e306, max_epochs=1, patience=1, seed=0)
+        tcfg = train_config(learning_rate=1e306, max_epochs=1, patience=1)
         with pytest.raises(NumericError, match="^training diverged: overflow encountered in "
                                                "scalar add at epoch 0, batch 2$"):
             nn.train(cfg, (X, y), (X[:4], y[:4]), tcfg)
@@ -710,20 +711,11 @@ def test_train_calls_adam_step_once_per_batch(monkeypatch):
     monkeypatch.setattr(nn, "adam_step", counted)
     X, y = xor_sequence_dataset(5)  # 20 examples
     cfg = nn.ModelConfig(2, 4, 2, 2, seed=1)
-    tcfg = nn.TrainConfig(batch_size=6, max_epochs=3, patience=3, seed=0)
+    tcfg = train_config(batch_size=6, max_epochs=3, patience=3)
     result = nn.train(cfg, (X, y), (X, y), tcfg)
     model, history = result
     assert len(result) == 2 and isinstance(model, nn.Model) and len(history) == 3
     assert calls == list(range(1, 3 * math.ceil(20 / 6) + 1))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("batch_size", 0), ("max_epochs", 0), ("max_epochs", -1), ("patience", 0),
-    ("patience", -1), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-])
-def test_train_config_rejects(field, value):
-    with pytest.raises(ConfigError, match=field):
-        nn.TrainConfig(**{field: value})
 
 
 class TestPredict:

@@ -24,7 +24,7 @@ import pytest
 
 from conftest import WATCHDOG_S
 from eegpipe import baselines, dataio, dsp, nn
-from eegpipe.cli import FEATURE_BLOCK_SAMPLES, derive_seed, main
+from eegpipe.cli import FEATURE_BLOCK_SAMPLES, SETTINGS, derive_seed, main
 from eegpipe.errors import DataError, NumericError, PipelineError
 from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
 
@@ -82,7 +82,7 @@ def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
     with cpus(n):
         recs, names = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
     # the oracle: the generator's own arrays, which the files hold bit for bit
-    data, labels = dataio.synth_generate(2, 300, dataio.DEFAULT_SAMPLE_RATE_HZ,
+    data, labels = dataio.synth_generate(2, 300, SETTINGS["fs"].defaults["synth"],
                                          derive_seed(5, "synth"))
     assert names == dataio.SYNTH_CLASS_NAMES
     assert [r.label for r in recs] == labels.tolist()
