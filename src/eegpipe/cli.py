@@ -190,27 +190,17 @@ def resolve_settings(command: str, flags: dict, config: dict) -> dict:
     return resolved
 
 
-@contextlib.contextmanager
-def _writing(out: str):
-    """The writes of a command's output: an OSError there, such as a
-    directory where a file is wanted or a file where a directory is, is a
-    bad --out, a ConfigError that names it. Inputs are read outside, so
-    that an unreadable input stays a data error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out}: {exc}") from None
-
-
-# the files split, train, evaluate, compare and report write under their
-# --out directory (synth writes manifest.csv and its epoch files there, and
-# featurize writes the file --out)
+# the models compare fits, in the order of its report
+_COMPARED = ("gru", "logistic", "linear_svm", "random_forest", "gradient_boosting")
+# the files each command writes under its --out directory, in the order it
+# unpacks their paths: synth's epoch files follow its manifest, and
+# featurize writes the file --out
 _OUTPUT_NAMES = {
+    "synth": ["manifest.csv"],
     "split": ["train.csv", "val.csv", "test.csv", "split.json"],
     "train": ["checkpoint.json", "history.csv"],
     "evaluate": ["confusion.csv", "metrics.json"],
-    "compare": [*(f"metrics_{name}.json" for name in
-                  ("gru", "logistic", "linear_svm", "random_forest", "gradient_boosting")),
+    "compare": [*(f"metrics_{name}.json" for name in _COMPARED),
                 "comparison.csv", "comparison.txt", "history.csv"],
     "report": ["curves.svg"],
 }
@@ -219,9 +209,27 @@ _OUTPUT_NAMES = {
 def _output_paths(args) -> list[str]:
     if args.command == "featurize":
         return [args.out]
-    names = (["manifest.csv", *_synth_file_names(args.per_class)] if args.command == "synth"
-             else _OUTPUT_NAMES[args.command])
+    names = _OUTPUT_NAMES[args.command]
+    if args.command == "synth":
+        names = names + [f"epoch_{i:04d}.csv"
+                         for i in range(len(dataio.SYNTH_BANDS) * args.per_class)]
     return [os.path.join(args.out, name) for name in names]
+
+
+@contextlib.contextmanager
+def _outputs(args):
+    """The one block in which a command writes: it makes the --out directory
+    (featurize's --out is the file it writes) and yields the command's
+    output paths (_output_paths). An OSError there, such as a directory
+    where a file is wanted or a file where a directory is, is a bad --out, a
+    ConfigError that names it. Inputs are read outside, so that an
+    unreadable input stays a data error."""
+    try:
+        if args.command != "featurize":
+            os.makedirs(args.out, exist_ok=True)
+        yield _output_paths(args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {args.out}: {exc}") from None
 
 
 def _refuse_overwriting_inputs(args, inputs: list[str]) -> None:
@@ -253,36 +261,32 @@ def _announce(name: str, settings: dict) -> None:
 # commands
 
 
-def _synth_file_names(per_class: int) -> list[str]:
-    return [f"epoch_{i:04d}.csv" for i in range(len(dataio.SYNTH_BANDS) * per_class)]
-
-
 def cmd_synth(args) -> int:
     labels = dataio._synth_labels(args.per_class)
     seed = derive_seed(args.seed, "synth")
     _announce("synth", {"per_class": args.per_class, "window_len": args.window_len,
                         "fs": args.fs, "seed": args.seed})
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-    fnames = _synth_file_names(args.per_class)
-
-    def write(share):
-        # a share draws its own epochs, one at a time (synth_generate's, bit for bit)
-        epochs = dataio._synth_epochs(args.per_class, args.window_len, args.fs, seed, share.start)
-        for i, data in zip(share, epochs):
-            rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data, label=int(labels[i]))
-            with _writing(args.out):
-                dataio.save_recording_csv(rec, os.path.join(args.out, fnames[i]))
-        return []
-
-    # the files are drawn, formatted and written in shares across the usable CPUs
-    dataio._map_in_shares(write, range(len(labels)))
     channels = ";".join(dataio.DEFAULT_CHANNELS)
-    manifest = os.path.join(args.out, "manifest.csv")
-    with _writing(args.out), open(manifest, "w", newline="", encoding="utf-8") as fh:
-        fh.write("file,label,sample_rate_hz,channels\n")
-        for fname, label in zip(fnames, labels):
-            fh.write(f"{fname},{dataio.SYNTH_CLASS_NAMES[label]},{args.fs},{channels}\n")
+    with _outputs(args) as (manifest, *files):
+
+        def write(share):
+            # a share draws its own epochs, one at a time (synth_generate's, bit for bit)
+            epochs = dataio._synth_epochs(args.per_class, args.window_len, args.fs, seed,
+                                          share.start)
+            for i, data in zip(share, epochs):
+                rec = dataio.Recording(dataio.DEFAULT_CHANNELS, args.fs, data,
+                                       label=int(labels[i]))
+                dataio.save_recording_csv(rec, files[i])
+            return []
+
+        # the files are drawn, formatted and written in shares across the
+        # usable CPUs; a child's OSError comes back to be raised here
+        dataio._map_in_shares(write, range(len(labels)))
+        with open(manifest, "w", newline="", encoding="utf-8") as fh:
+            fh.write("file,label,sample_rate_hz,channels\n")
+            for path, label in zip(files, labels):
+                fh.write(f"{os.path.basename(path)},{dataio.SYNTH_CLASS_NAMES[label]},"
+                         f"{args.fs},{channels}\n")
     print(f"wrote {len(labels)} epoch files + manifest to {args.out}")
     return 0
 
@@ -437,8 +441,8 @@ def cmd_featurize(args) -> int:
         raise DataError("all epochs rejected; nothing to featurize")
     ds = dataio.Dataset(np.concatenate([rows for s in shares for rows in s.rows]),
                         np.concatenate(labels), class_names, shares[0].names)
-    with _writing(args.out):
-        dataio.save_feature_csv(ds, args.out)
+    with _outputs(args) as (path,):
+        dataio.save_feature_csv(ds, path)
     print(f"wrote {ds.n_examples} x {ds.n_features} feature matrix to {args.out}")
     return 0
 
@@ -448,9 +452,9 @@ def cmd_split(args) -> int:
                             stratified=not args.no_stratify)
     _announce("split", {"input": args.input, "fractions": args.fractions, "seed": args.seed})
     ds = dataio.load_feature_csv(args.input, args.label_column)
-    train, val, test = dataio.stratified_split(ds, spec)
-    with _writing(args.out):
-        dataio.write_split(train, val, test, spec, args.out, args.label_column)
+    train, val, test = parts = dataio.stratified_split(ds, spec)
+    with _outputs(args) as paths:
+        dataio.write_split(parts, spec, paths, args.label_column)
     print(f"split {ds.n_examples} rows -> "
           f"{train.n_examples}/{val.n_examples}/{test.n_examples} in {args.out}")
     return 0
@@ -500,11 +504,9 @@ def cmd_train(args) -> int:
                                            args.seq_len), d.labels) for d in (train_ds, val_ds))
     model, history = _train_gru(train, val, len(train_ds.class_names), args)
     best = int(np.argmin(history.val_loss))
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        nn.save_checkpoint(os.path.join(args.out, "checkpoint.json"), model,
-                           train_ds.class_names, train_ds.feature_names, norm)
-        nn.save_history(history, os.path.join(args.out, "history.csv"))
+    with _outputs(args) as (checkpoint, history_path):
+        nn.save_checkpoint(checkpoint, model, train_ds.class_names, train_ds.feature_names, norm)
+        nn.save_history(history, history_path)
     print(f"trained {len(history)} epochs; best val_loss={history.val_loss[best]:.6f} "
           f"val_acc={history.val_acc[best]:.4f}")
     return 0
@@ -520,10 +522,9 @@ def cmd_evaluate(args) -> int:
     preds = nn.predict_batch(model, X)
     cm = evaluation.confusion(preds, test_ds.labels, class_names)
     report = evaluation.metrics(cm)
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        evaluation.write_confusion_csv(cm, os.path.join(args.out, "confusion.csv"))
-        evaluation.write_metrics_json(report, class_names, os.path.join(args.out, "metrics.json"))
+    with _outputs(args) as (confusion_path, metrics_path):
+        evaluation.write_confusion_csv(cm, confusion_path)
+        evaluation.write_metrics_json(report, class_names, metrics_path)
     print(f"test accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -547,60 +548,43 @@ def cmd_compare(args) -> int:
                                  for X in (X_tr, X_va, X_te))
 
     def fit_baselines():
+        # the test predictions of _COMPARED's baselines, in its order
         logit = baselines.fit_logistic(X_tr, y_tr, n_classes)
-        results = [("logistic", baselines.predict_logistic(logit, X_te))]
+        preds = [baselines.predict_logistic(logit, X_te)]
         svm = baselines.fit_linear_svm(X_tr, y_tr, n_classes, seed=derive_seed(args.seed, "svm"))
-        results.append(("linear_svm", baselines.predict_svm(svm, X_te)))
+        preds.append(baselines.predict_svm(svm, X_te))
         forest = baselines.fit_forest(
             X_tr, y_tr, n_classes,
             n_trees=args.n_trees,
             max_depth=args.forest_depth,
             seed=derive_seed(args.seed, "forest"),
         )
-        results.append(("random_forest", baselines.predict_forest(forest, X_te)))
+        preds.append(baselines.predict_forest(forest, X_te))
         boost = baselines.fit_boosting(
             X_tr, y_tr, n_classes,
             n_rounds=args.boost_rounds,
             max_depth=args.boost_depth,
             learning_rate=args.boost_lr,
         )
-        results.append(("gradient_boosting", baselines.predict_boost(boost, X_te)))
-        return results
+        preds.append(baselines.predict_boost(boost, X_te))
+        return preds
 
     def fit_gru():
         model, history = _train_gru((seqs_tr, y_tr), (seqs_va, val_ds.labels), n_classes, args)
         return nn.predict_batch(model, seqs_te), history
 
-    def outcome(fit):
-        # a PipelineError is returned, so that both items' errors reach this
-        # process and are raised in report order below
-        try:
-            return fit()
-        except PipelineError as exc:
-            return exc
-
     # the baselines run in this process, so a tracer counts their calls; the
-    # GRU trains beside them in a forked child when a second CPU is usable
-    fitted_baselines, fitted_gru = dataio._map_in_shares(
-        lambda share: [outcome(fit) for fit in share], [fit_baselines, fit_gru])
-    for fitted in (fitted_gru, fitted_baselines):
-        if isinstance(fitted, PipelineError):
-            raise fitted
-    gru_preds, history = fitted_gru
-    results = [("gru", gru_preds), *fitted_baselines]
-
-    reports = []
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        for name, preds in results:
-            cm = evaluation.confusion(preds, y_te, ds.class_names)
-            rep = evaluation.metrics(cm)
-            reports.append((name, rep))
-            evaluation.write_metrics_json(
-                rep, ds.class_names, os.path.join(args.out, f"metrics_{name}.json")
-            )
-        text = evaluation.compare_report(reports, args.out)
-        nn.save_history(history, os.path.join(args.out, "history.csv"))
+    # GRU trains beside them in a forked child when a second CPU is usable,
+    # and its error is raised here
+    baseline_preds, (gru_preds, history) = dataio._map_in_shares(
+        lambda share: [fit() for fit in share], [fit_baselines, fit_gru])
+    reports = [(name, evaluation.metrics(evaluation.confusion(preds, y_te, ds.class_names)))
+               for name, preds in zip(_COMPARED, [gru_preds, *baseline_preds])]
+    with _outputs(args) as (*metrics_paths, csv_path, txt_path, history_path):
+        for (_, rep), path in zip(reports, metrics_paths):
+            evaluation.write_metrics_json(rep, ds.class_names, path)
+        text = evaluation.compare_report(reports, csv_path, txt_path)
+        nn.save_history(history, history_path)
     print(text, end="")
     return 0
 
@@ -608,8 +592,8 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     _announce("report", {"history": args.history})
     history = nn.load_history(args.history)
-    with _writing(args.out):
-        path = evaluation.emit_curves(history, args.out)
+    with _outputs(args) as (path,):
+        evaluation.emit_curves(history, path)
     print("wrote " + path)
     return 0
 

@@ -599,15 +599,13 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
     return parts[0], parts[1], parts[2]
 
 
-def write_split(train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, out_dir: str,
-                label_column: str) -> dict:
-    """Write the three split CSVs, their label column named label_column, plus
-    the JSON sidecar; returns the sidecar dict."""
-    os.makedirs(out_dir, exist_ok=True)
-    names = ("train", "val", "test")
+def write_split(parts: tuple[Dataset, Dataset, Dataset], spec: SplitSpec, paths: list[str],
+                label_column: str) -> None:
+    """Write the train, val and test parts as CSVs at the first three paths,
+    their label column named label_column, and the JSON sidecar at the fourth."""
     counts = {}
-    for name, part in zip(names, (train, val, test)):
-        save_feature_csv(part, os.path.join(out_dir, f"{name}.csv"), label_column)
+    for name, part, path in zip(("train", "val", "test"), parts, paths):
+        save_feature_csv(part, path, label_column)
         counts[name] = {
             cname: int(np.sum(part.labels == c)) for c, cname in enumerate(part.class_names)
         }
@@ -616,10 +614,9 @@ def write_split(train: Dataset, val: Dataset, test: Dataset, spec: SplitSpec, ou
         "fractions": list(spec.fractions),
         "counts_per_class": counts,
     }
-    with open(os.path.join(out_dir, "split.json"), "w", encoding="utf-8") as fh:
+    with open(paths[3], "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return sidecar
 
 
 def synth_generate(

@@ -296,32 +296,28 @@ def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def filtfilt(coeffs: FilterCoefficients, x) -> np.ndarray:
+def filtfilt(coeffs: FilterCoefficients, x: list) -> np.ndarray:
     """Zero-phase forward-backward filtering along the last axis, with
     reflective edge padding.
 
-    `x` is an array [..., n_samples] or a list of equal-shape arrays,
-    filtered as their stack; the stack is written straight into the padded
-    work array, which is then filtered in place. The list is emptied once
-    it is stacked, so that arrays it alone holds are freed before the
-    filter runs. Each edge is padded by 3x the filter order, which the
-    input must exceed in length. Initial conditions are the steady-state
-    response to the first padded sample, so constant inputs pass through a
-    bandpass as exactly zero. The effective magnitude response is |H|^2.
+    `x` is a list of equal-shape arrays [..., n_samples], filtered as their
+    stack; the stack is written straight into the padded work array, which
+    is then filtered in place. The list is emptied once it is stacked, so
+    that arrays it alone holds are freed before the filter runs. Each edge
+    is padded by 3x the filter order, which the input must exceed in
+    length. Initial conditions are the steady-state response to the first
+    padded sample, so constant inputs pass through a bandpass as exactly
+    zero. The effective magnitude response is |H|^2.
     """
-    stacked = not isinstance(x, np.ndarray)
-    shape = (len(x), *np.shape(x[0])) if stacked else x.shape
+    shape = (len(x), *x[0].shape)
     n = shape[-1]
     padlen = 3 * coeffs.order
     if n <= padlen:
         raise DataError(f"input length {n} too short; need more than {padlen} samples")
     ext = np.empty(shape[:-1] + (n + 2 * padlen,))
     body = ext[..., padlen : padlen + n]
-    if stacked:
-        np.stack(x, out=body)
-        x.clear()
-    else:
-        body[...] = x
+    np.stack(x, out=body)
+    x.clear()
     ext[..., :padlen] = 2.0 * body[..., :1] - body[..., padlen:0:-1]
     ext[..., padlen + n :] = 2.0 * body[..., -1:] - body[..., -2 : -padlen - 2 : -1]
     for y in (ext, ext[..., ::-1]):  # forward, then backward over the forward output

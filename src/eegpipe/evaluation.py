@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +119,11 @@ def write_metrics_json(report: MetricsReport, class_names: list[str], path: str)
         fh.write("\n")
 
 
-def compare_report(results: list[tuple[str, MetricsReport]], out_dir: str) -> str:
-    """Write the accuracy-sorted comparison table to out_dir, an existing
-    directory, as comparison.csv and comparison.txt; returns the aligned text
-    form. Ties in accuracy keep the input order.
+def compare_report(results: list[tuple[str, MetricsReport]], csv_path: str,
+                   txt_path: str) -> str:
+    """Write the accuracy-sorted comparison table as CSV to csv_path and as
+    aligned text to txt_path; returns the text. Ties in accuracy keep the
+    input order.
     """
     rows = sorted(results, key=lambda kv: -kv[1].accuracy)
     name_w = max(len("model"), max(len(name) for name, _ in rows))
@@ -134,7 +134,7 @@ def compare_report(results: list[tuple[str, MetricsReport]], out_dir: str) -> st
     for name, rep in rows:
         lines.append(f"{name:<{name_w}}  {rep.accuracy:8.4f}  {rep.macro_f1:8.4f}")
     text = "\n".join(lines) + "\n"
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "accuracy", "macro_precision", "macro_recall", "macro_f1"])
         for name, rep in rows:
@@ -142,7 +142,7 @@ def compare_report(results: list[tuple[str, MetricsReport]], out_dir: str) -> st
                 [name, repr(rep.accuracy), repr(rep.macro_precision),
                  repr(rep.macro_recall), repr(rep.macro_f1)]
             )
-    with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
+    with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
 
@@ -191,13 +191,12 @@ def _svg_panel(title, epochs, series, x0, y0, w, h):
     return "\n".join(parts)
 
 
-def emit_curves(history: TrainHistory, out_dir: str) -> str:
-    """Write a self-contained curves.svg and return its path.
+def emit_curves(history: TrainHistory, path: str) -> None:
+    """Write a self-contained SVG of the training curves to path.
 
     The SVG has two panels (loss and accuracy vs epoch, train and
     validation series) and needs no external renderer.
     """
-    os.makedirs(out_dir, exist_ok=True)
     epochs = list(range(1, len(history) + 1))
     if len(epochs) == 1:  # polylines need two points
         epochs = [1, 1]
@@ -222,7 +221,5 @@ def emit_curves(history: TrainHistory, out_dir: str) -> str:
         ),
         "</svg>",
     ]
-    svg_path = os.path.join(out_dir, "curves.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")
-    return svg_path

@@ -246,25 +246,22 @@ def gru_cell_forward(U_zr, U_c, step):
     return h_t
 
 
-def gru_forward(p: GruParams, xs, workspaces: dict | None, backward: bool):
+def gru_forward(p: GruParams, xs, workspaces: dict, backward: bool):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
     Time is the leading axis. The work runs in the GruWorkspace that
     `workspaces` maps this shape and kind, (T, H, d, batch, backward), to,
-    built and added on first use, or in a fresh one when `workspaces` is
-    None; only a workspace built for backward can be passed to
-    gru_backward. Such a workspace forms the biased input projection W @
-    x_t + b of all T steps in one product before the loop; a forward-only
-    one forms each step's in its one step of scratch. The first step reads
-    only h0 = 0, so it has no recurrent products and runs here; each later
-    step is one gru_cell_forward. Returns (hs [T, batch, H], cache) with
-    hs[t] the hidden state after step t, a view into the cache, which is
-    the GruWorkspace and valid only until its next use.
+    built and added on first use; only a workspace built for backward can
+    be passed to gru_backward. Such a workspace forms the biased input
+    projection W @ x_t + b of all T steps in one product before the loop; a
+    forward-only one forms each step's in its one step of scratch. The
+    first step reads only h0 = 0, so it has no recurrent products and runs
+    here; each later step is one gru_cell_forward. Returns (hs [T, batch,
+    H], cache) with hs[t] the hidden state after step t, a view into the
+    cache, which is the GruWorkspace and valid only until its next use.
     """
     T, B, d = xs.shape
     H = p.hidden_dim
-    if workspaces is None:
-        workspaces = {}
     ws = workspaces.get((T, H, d, B, backward))
     if ws is None:
         ws = workspaces[T, H, d, B, backward] = GruWorkspace(T, H, d, B, backward)
@@ -391,7 +388,7 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
-def model_forward(model: Model, xs_batch, workspaces: dict | None, backward: bool):
+def model_forward(model: Model, xs_batch, workspaces: dict, backward: bool):
     """Full forward pass for a [batch, T, input_dim] array, in the GRU
     workspace that `workspaces` maps its shape and kind to (see
     gru_forward): `backward` says whether model_backward will read it.
@@ -426,7 +423,7 @@ def predict_batch(model: Model, X):
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits, _ = model_forward(model, X, None, False)
+            logits, _ = model_forward(model, X, {}, False)
     except FloatingPointError as exc:
         raise NumericError(f"the model's forward pass failed: {exc}") from None
     return logits.argmax(axis=1)

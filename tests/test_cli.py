@@ -958,7 +958,8 @@ def test_output_that_is_an_input_is_config_error_naming_both(pipeline, tmp_path,
 
 
 def test_output_paths_name_every_file_each_command_writes(pipeline, tmp_path):
-    # the check above knows each command's outputs by name, apart from the writers
+    # each command writes exactly the files of its _OUTPUT_NAMES row, the
+    # paths that the check above and the writes both read
     j = os.path.join
     outs = {name: str(tmp_path / name) for name in ("evaluate", "compare", "report")}
     commands = [
@@ -1027,65 +1028,6 @@ class TestCompareAndReport:
         assert "history" in capsys.readouterr().err
 
 
-def test_non_numeric_raw_sample_is_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    target = raw / "epoch_0004.csv"
-    lines = target.read_text().splitlines(keepends=True)
-    lines[6] = "0.1,oops,0.3,0.4\n"
-    target.write_text("".join(lines))
-    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
-               "--out", str(tmp_path / "f.csv"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "epoch_0004.csv" in err and "line 7" in err and "oops" in err
-
-
-def test_ragged_raw_row_is_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    target = raw / "epoch_0004.csv"
-    lines = target.read_text().splitlines(keepends=True)
-    lines[6] = lines[6].rstrip("\n") + ",0.5\n"
-    target.write_text("".join(lines))
-    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
-               "--out", str(tmp_path / "f.csv"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "epoch_0004.csv" in err and "line 7" in err
-
-
-def test_mixed_sample_rates_are_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    manifest = raw / "manifest.csv"
-    lines = manifest.read_text().splitlines(keepends=True)
-    lines[2] = lines[2].replace(",256.0,", ",128.0,")
-    manifest.write_text("".join(lines))
-    out = tmp_path / "f.csv"
-    assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
-    assert "mixed sample rates" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("first,second", [("nan", "nan"), ("256.0", "-1")])
-def test_bad_sample_rate_is_named_not_called_mixed(tmp_path, capsys, first, second):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    manifest = raw / "manifest.csv"
-    lines = manifest.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].replace(",256.0,", f",{first},")
-    lines[2] = lines[2].replace(",256.0,", f",{second},")
-    manifest.write_text("".join(lines))
-    out = tmp_path / "f.csv"
-    assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    bad = 2 if first == "nan" else 3
-    assert f"manifest.csv: line {bad}: sample_rate_hz must be positive and finite" in err
-    assert "mixed" not in err
-    assert not out.exists()
-
-
 def test_infinite_sample_rate_is_data_error_without_traceback(tmp_path):
     raw = tmp_path / "raw"
     assert run("synth", "--per-class", "2", "--out", str(raw)) == 0
@@ -1101,33 +1043,6 @@ def test_infinite_sample_rate_is_data_error_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "sample_rate_hz must be positive and finite" in proc.stderr
-    assert not out.exists()
-
-
-def test_short_manifest_row_is_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    with open(raw / "manifest.csv", "a", encoding="utf-8") as fh:
-        fh.write("epoch_0000.csv,NEGATIVE\n")
-    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
-               "--out", str(tmp_path / "f.csv"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "manifest.csv: line 11" in err and "sample_rate_hz" in err and "channels" in err
-
-
-def test_nan_raw_sample_is_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--out", str(raw)) == 0
-    target = raw / "epoch_0004.csv"
-    lines = target.read_text().splitlines(keepends=True)
-    lines[6] = "0.1,nan,0.3,0.4\n"
-    target.write_text("".join(lines))
-    out = tmp_path / "f.csv"
-    code = run("featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "epoch_0004.csv" in err and "line 7" in err and "non-finite" in err
     assert not out.exists()
 
 
@@ -1283,7 +1198,7 @@ def per_recording_features(manifest, window_len, hop):
                                              fc.filter_order)
     rows, labels = [], []
     for rec in recordings:
-        w = dataio.window_recording(dsp.filtfilt(coeffs, rec.data), window_len, hop)
+        w = dataio.window_recording(dsp.filtfilt(coeffs, [rec.data])[0], window_len, hop)
         kept, _ = dsp.reject_artifacts(w, fc.artifact_threshold_uv)
         rows.append(dsp.extract_features(w[kept], 256.0, fc, rec.channels).values)
         labels += [class_names[rec.label]] * len(kept)
@@ -1424,6 +1339,42 @@ def _checkpoint(pipeline, tmp_path, edit):
                        "--test", os.path.join(pipeline["splits"], "test.csv")]
 
 
+def _sample_rates(first, second, error):
+    """The case of featurize reading the pipeline's manifest with the sample
+    rates of its first two rows set to first and second; error is the
+    stderr line after "data error: ", with {m} for the manifest."""
+    def case(pipeline, tmp_path):
+        m = _manifest(pipeline, tmp_path, lambda lines: [
+            lines[0], lines[1].replace(",256.0,", f",{first},"),
+            lines[2].replace(",256.0,", f",{second},"), *lines[3:]])
+        return ["featurize", "--manifest", m], 2, "data error: " + error.format(m=m)
+    case.__name__ = f"_sample_rates_{first}_{second}"
+    return case
+
+
+def _short_manifest_row(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path, lambda lines: [*lines, "epoch_0000.csv,NEGATIVE"])
+    n_lines = len(Path(m).read_text().splitlines())
+    return (["featurize", "--manifest", m], 2,
+            f"data error: {m}: line {n_lines}: no channels, sample_rate_hz cell")
+
+
+def _raw_line_7(name, edit, why):
+    """The case of featurize reading the pipeline's manifest with its fifth
+    recording replaced by a copy beside the manifest whose line 7 (the
+    sixth sample) edit rewrites; why ends the error line."""
+    def case(pipeline, tmp_path):
+        copy = tmp_path / "epoch_0004.csv"
+        lines = Path(pipeline["raw"], copy.name).read_text().splitlines(keepends=True)
+        lines[6] = edit(lines[6])
+        copy.write_text("".join(lines))
+        m = _manifest(pipeline, tmp_path, lambda lines: [
+            *lines[:5], lines[5].replace(os.path.join(pipeline["raw"], ""), ""), *lines[6:]])
+        return ["featurize", "--manifest", m], 2, f"data error: {copy}: line 7{why}"
+    case.__name__ = f"_{name}"
+    return case
+
+
 def _manifest_without_channels(pipeline, tmp_path):
     m = _manifest(pipeline, tmp_path, lambda lines: [line.rpartition(",")[0] for line in lines])
     return (["featurize", "--manifest", m], 2, f"data error: {m}: manifest must have columns "
@@ -1524,6 +1475,19 @@ def _normalization_of_another_width(pipeline, tmp_path):
 
 ENTRY_CHECKS = [
     _manifest_without_channels, _duplicate_channel, _inconsistent_channels, _file_listed_twice,
+    _sample_rates("256.0", "128.0", "mixed sample rates in manifest: [128.0, 256.0] Hz"),
+    # a bad rate is named, not called mixed
+    _sample_rates("nan", "nan",
+                  "{m}: line 2: sample_rate_hz must be positive and finite, got 'nan'"),
+    _sample_rates("256.0", "-1",
+                  "{m}: line 3: sample_rate_hz must be positive and finite, got '-1'"),
+    _short_manifest_row,
+    _raw_line_7("non_numeric_raw_sample", lambda line: "0.1,oops,0.3,0.4\n",
+                ", column 'AF7': unparsable or non-finite value 'oops'"),
+    _raw_line_7("nan_raw_sample", lambda line: "0.1,nan,0.3,0.4\n",
+                ", column 'AF7': unparsable or non-finite value 'nan'"),
+    _raw_line_7("ragged_raw_row", lambda line: line.rstrip("\n") + ",0.5\n",
+                ": 5 cells, header has 4"),
     _filter_gain_overflow, _short_synth_window, _fractions_over_one,
     _fraction_outside_unit_interval, _header_only_features, _labels_only("split", "--input"),
     _labels_only("train", "--train", "--val"), _labels_only("compare", "--input"),

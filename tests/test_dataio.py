@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -693,8 +694,11 @@ def test_write_split_sidecar(tmp_path):
     ds = make_dataset([10, 10, 10])
     spec = split_spec(fractions=(0.6, 0.2, 0.2), seed=4)
     parts = dataio.stratified_split(ds, spec)
-    sidecar = dataio.write_split(*parts, spec, str(tmp_path), "label")
+    # the writer takes its paths and names no file
+    paths = [str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv", "sidecar.json")]
+    dataio.write_split(parts, spec, paths, "label")
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
     assert sidecar["seed"] == 4
     assert sidecar["counts_per_class"]["train"] == {"A": 6, "B": 6, "C": 6}
-    back = dataio.load_feature_csv(str(tmp_path / "train.csv"), "label")
+    back = dataio.load_feature_csv(paths[0], "label")
     assert back.n_examples == 18

@@ -23,7 +23,7 @@ ENTRY_CHECKS = {
     "cli._load_config": "reads a file: the --config JSON object",
     "cli._convert": "checks a setting: its converter and SETTINGS domain",
     "cli.resolve_settings": "checks a setting: every config key names one",
-    "cli._writing": "checks a setting: --out can be written",
+    "cli._outputs": "checks a setting: --out can be written",
     "cli._refuse_overwriting_inputs": "checks a setting: no output is an input file",
     "cli.cmd_featurize": "checks a setting: window_len against welch_segment_len, the "
                          "filter edges' order, a manifest with recordings, an epoch kept",

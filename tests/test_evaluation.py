@@ -134,20 +134,25 @@ def make_report(acc):
 
 
 class TestCompareReport:
+    @staticmethod
+    def paths(tmp_path):
+        # the writer takes its paths and names no file
+        return str(tmp_path / "table.csv"), str(tmp_path / "table.txt")
+
     def test_sorted_by_accuracy_descending(self, tmp_path):
         results = [("low", make_report(0.5)), ("high", make_report(0.9)),
                    ("mid", make_report(0.7))]
-        text = evaluation.compare_report(results, str(tmp_path))
+        text = evaluation.compare_report(results, *self.paths(tmp_path))
         lines = text.strip().splitlines()
         names = [ln.split()[0] for ln in lines[2:]]
         assert names == ["high", "mid", "low"]
-        rows = list(csv.reader((tmp_path / "comparison.csv").read_text().splitlines()))
+        rows = list(csv.reader((tmp_path / "table.csv").read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == ["high", "mid", "low"]
         assert rows[1][1] == repr(0.9)
-        assert (tmp_path / "comparison.txt").read_text() == text
+        assert (tmp_path / "table.txt").read_text() == text
 
     def test_single_row(self, tmp_path):
-        text = evaluation.compare_report([("only", make_report(1.0))], str(tmp_path))
+        text = evaluation.compare_report([("only", make_report(1.0))], *self.paths(tmp_path))
         lines = text.strip().splitlines()
         assert len(lines) == 3
         assert lines[2].startswith("only")
@@ -155,7 +160,7 @@ class TestCompareReport:
 
     def test_ties_keep_input_order(self, tmp_path):
         results = [("first", make_report(0.5)), ("second", make_report(0.5))]
-        text = evaluation.compare_report(results, str(tmp_path))
+        text = evaluation.compare_report(results, *self.paths(tmp_path))
         lines = text.strip().splitlines()
         assert [ln.split()[0] for ln in lines[2:]] == ["first", "second"]
 
@@ -170,19 +175,20 @@ class TestEmitCurves:
         )
 
     def test_files_written(self, tmp_path):
-        path = evaluation.emit_curves(self.hist(3), str(tmp_path))
-        # the SVG alone: history.csv already holds the numbers
-        assert path == str(tmp_path / "curves.svg")
-        assert os.listdir(tmp_path) == ["curves.svg"]
+        assert evaluation.emit_curves(self.hist(3), str(tmp_path / "any.svg")) is None
+        # the SVG alone, at the path given: history.csv already holds the numbers
+        assert os.listdir(tmp_path) == ["any.svg"]
 
     def test_flat_history_svg_valid(self, tmp_path):
         h = TrainHistory([0.5] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
-        svg = Path(evaluation.emit_curves(h, str(tmp_path))).read_text()
+        evaluation.emit_curves(h, str(tmp_path / "c.svg"))
+        svg = (tmp_path / "c.svg").read_text()
         assert svg.startswith("<svg") or "<svg" in svg
         assert "polyline" in svg
         assert "NaN" not in svg
 
     def test_single_epoch(self, tmp_path):
         h = TrainHistory([1.0], [0.3], [1.1], [0.2])
-        svg = Path(evaluation.emit_curves(h, str(tmp_path))).read_text()
+        evaluation.emit_curves(h, str(tmp_path / "c.svg"))
+        svg = (tmp_path / "c.svg").read_text()
         assert "NaN" not in svg

@@ -142,7 +142,7 @@ class TestGruCell:
     def test_matches_scalar_oracle(self):
         m = nn.init_model(nn.ModelConfig(1, 2, 3, 2, seed=42))
         xs = np.array([[0.7], [-0.3], [1.2]])
-        hs, _ = nn.gru_forward(m.gru, xs[:, None], None, False)
+        hs, _ = nn.gru_forward(m.gru, xs[:, None], {}, False)
         want = scalar_gru_oracle(m.gru, xs.tolist())
         assert np.max(np.abs(hs[:, 0] - np.array(want))) < 1e-12
 
@@ -151,26 +151,26 @@ class TestGruForward:
     def test_single_step_equals_cell(self):
         m = small_model(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 1, 3))
-        hs, _ = nn.gru_forward(m.gru, x, None, False)
+        hs, _ = nn.gru_forward(m.gru, x, {}, False)
         h_cell, *_ = cell_step(m.gru, x[0], np.zeros((1, 4)))
         assert np.array_equal(hs[0], h_cell)
 
     def test_zero_params_zero_states(self):
         p = zero_gru(small_model().gru)
-        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), None, False)
+        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), {}, False)
         assert np.all(hs == 0.0)
 
     def test_order_sensitivity(self):
         m = small_model(seed=5)
         xs = np.array([[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]]])
-        h_fwd, _ = nn.gru_forward(m.gru, xs, None, False)
-        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], None, False)
+        h_fwd, _ = nn.gru_forward(m.gru, xs, {}, False)
+        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], {}, False)
         assert np.max(np.abs(h_fwd[-1] - h_rev[-1])) > 1e-6
 
     def test_gate_ranges_and_hidden_bounds(self):
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
-        hs, cache = nn.gru_forward(m.gru, xs, None, True)
+        hs, cache = nn.gru_forward(m.gru, xs, {}, True)
         z, r, hc = cache.zr[:, :4], cache.zr[:, 4:], cache.h_cand
         assert np.all((z > 0) & (z < 1))
         assert np.all((r > 0) & (r < 1))
@@ -181,9 +181,9 @@ class TestGruForward:
         m = small_model(seed=2)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(4, 6, 3))  # [B, T, d]
-        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), None, False)
+        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), {}, False)
         for b in range(4):
-            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], None, False)
+            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], {}, False)
             assert np.max(np.abs(hs_b[:, b, :] - hs_1[:, 0])) < 1e-14
 
 
@@ -252,10 +252,10 @@ class TestKernelMatchesPerStepReference:
         p = nn.init_model(nn.ModelConfig(d, H, T, 2, seed=seed)).gru
         p.b[:] = rng.normal(size=3 * H)
         xs = rng.normal(size=(T, B, d)) * 2.0
-        hs, cache = nn.gru_forward(p, xs, None, True)
+        hs, cache = nn.gru_forward(p, xs, {}, True)
         # a forward-only pass, projecting each step in its one step of
         # scratch, gives the same states bit for bit
-        assert np.array_equal(nn.gru_forward(p, xs, None, False)[0], hs)
+        assert np.array_equal(nn.gru_forward(p, xs, {}, False)[0], hs)
         # the hoisted projection is one stacked matmul over all T steps, with
         # the bias as a last input column of ones; it may round differently
         # from a per-step W @ x_t + b, but only within the error bound of a
@@ -279,7 +279,7 @@ class TestKernelMatchesPerStepReference:
     def test_writes_into_given_gradient_arrays(self):
         m = small_model(seed=4)
         xs = np.random.default_rng(2).normal(size=(5, 3, 3))
-        _, cache = nn.gru_forward(m.gru, xs, None, True)
+        _, cache = nn.gru_forward(m.gru, xs, {}, True)
         grad_hs = np.random.default_rng(3).normal(size=(5, 3, 4))
         # every entry is overwritten, not added to: NaN and zero starts agree
         zeroed, unset = zero_gru(m.gru), unset_gru(m.gru)
@@ -310,7 +310,7 @@ class TestWorkspace:
             for start in range(0, 20, 6):  # batches of 6, 6, 6 and 2
                 sel = perm[start : start + 6]
                 got = model_step(m, X[sel], y[sel], workspaces)
-                want = model_step(m, X[sel], y[sel], None)
+                want = model_step(m, X[sel], y[sel], {})
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
             # a forward-only pass of a training batch's shape gets its own workspace
             assert nn.evaluate_model(m, X[:6], y[:6], workspaces) == \
@@ -401,7 +401,7 @@ class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         m = small_model(seed=7)
         xs = np.random.default_rng(0).normal(size=(5, 1, 3))
-        _, caches = nn.gru_forward(m.gru, xs, None, True)
+        _, caches = nn.gru_forward(m.gru, xs, {}, True)
         grads = unset_gru(m.gru)
         da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)), grads)
         for _, arr in grads.items():
@@ -416,10 +416,10 @@ class TestGruBackward:
         w = rng.normal(size=(4, 1, 4))  # fixed projection defines a scalar loss
 
         def loss(x):
-            hs, _ = nn.gru_forward(m.gru, x, None, False)
+            hs, _ = nn.gru_forward(m.gru, x, {}, False)
             return float(np.sum(hs * w))
 
-        _, caches = nn.gru_forward(m.gru, xs, None, True)
+        _, caches = nn.gru_forward(m.gru, xs, {}, True)
         da = nn.gru_backward(m.gru, caches, w, unset_gru(m.gru))
         grad_xs = da @ m.gru.W
         eps = 1e-6
@@ -724,7 +724,7 @@ class TestPredict:
         # the simplex, and the prediction is their argmax and the logits'
         m = small_model(seed=6)
         xs = np.random.default_rng(0).normal(size=(4, 5, 3))
-        logits, _ = nn.model_forward(m, xs, None, False)
+        logits, _ = nn.model_forward(m, xs, {}, False)
         labels = np.array([0, 1, 2, 0])
         _, grads = nn.softmax_cross_entropy_batch(logits, labels)
         probs = grads + np.eye(3)[labels]
@@ -742,7 +742,7 @@ class TestPredict:
         m.dense.W[:] = 0.0
         m.dense.b[:] = bias
         xs = np.random.default_rng(0).normal(size=(3, 5, 3))
-        logits, _ = nn.model_forward(m, xs, None, False)
+        logits, _ = nn.model_forward(m, xs, {}, False)
         assert logits.argmax(axis=1).tolist() == [1, 1, 1]
         assert nn.predict_batch(m, xs).tolist() == [1, 1, 1]
         _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int), {})
@@ -787,7 +787,7 @@ class TestGradientCheck:
         m.dense.b[2] = 60.0  # loss for label 2 is ~0, all grads ~0
         xs = np.zeros((1, 5, 3))
         err, _ = gradient_check(m, xs, [2])
-        logits, cache = nn.model_forward(m, xs, None, True)
+        logits, cache = nn.model_forward(m, xs, {}, True)
         loss, grad = nn.softmax_cross_entropy_batch(logits, [2])
         assert loss[0] < 1e-8
         out = nn.Model(m.config, unset_gru(m.gru), unset_dense(m.dense))
@@ -841,7 +841,7 @@ class TestPersistence:
         assert names == ["CALM", "TENSE"] and features == doc["feature_names"]
         assert len(norm.lo) == 4
         ref = json.loads(Path(DATA, "checkpoint_v1_probs.json").read_text())
-        logits, _ = nn.model_forward(model, np.array(ref["input"]), None, False)
+        logits, _ = nn.model_forward(model, np.array(ref["input"]), {}, False)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         assert np.max(np.abs(probs - np.array(ref["probs"]))) < 1e-12

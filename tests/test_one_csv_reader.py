@@ -11,9 +11,9 @@ from test_private_names import module_trees
 PARSERS = {"csv.reader", "csv.DictReader", "numpy.loadtxt"}
 
 
-def parser_calls(tree):
-    """(line, qualified name) of each call in the module of a PARSERS
-    function, through `import csv`, `import numpy as np` or a
+def calls_of(tree, functions):
+    """(line, qualified name) of each call in the module of one of functions
+    (qualified names), through `import csv`, `import numpy as np` or a
     `from csv import reader` form, aliases included."""
     modules, names = {}, {}
     for node in ast.walk(tree):
@@ -35,16 +35,16 @@ def parser_calls(tree):
             called = names.get(func.id)
         else:
             continue
-        if called in PARSERS:
+        if called in functions:
             found.append((node.lineno, called))
     return sorted(found)
 
 
 def test_only_dataio_parses_csv():
     trees = module_trees()
-    assert parser_calls(trees["dataio.py"]), "dataio no longer parses CSV: update this guard"
+    assert calls_of(trees["dataio.py"], PARSERS), "dataio no longer parses CSV: update this guard"
     found = [f"{module}:{line} {called}" for module, tree in trees.items()
-             if module != "dataio.py" for line, called in parser_calls(tree)]
+             if module != "dataio.py" for line, called in calls_of(tree, PARSERS)]
     assert not found, f"CSV parsed outside dataio: {found}"
 
 
@@ -59,5 +59,5 @@ def test_the_guard_finds_each_way_of_calling_a_parser():
         "    b = loadtxt(fh)\n"
         "    csv.writer(fh).writerow(['x'])\n"
         "    return np.savetxt, rows, table, a, b\n")
-    assert parser_calls(tree) == [(7, "csv.reader"), (8, "csv.DictReader"),
-                                  (9, "numpy.loadtxt"), (10, "numpy.loadtxt")]
+    assert calls_of(tree, PARSERS) == [(7, "csv.reader"), (8, "csv.DictReader"),
+                                       (9, "numpy.loadtxt"), (10, "numpy.loadtxt")]

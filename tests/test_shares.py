@@ -76,6 +76,18 @@ def test_synth_writes_the_same_tree_at_any_cpu_count(tmp_path, n):
     assert tree(tmp_path / "shared") == want
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_synth_write_error_in_a_share_is_a_bad_out_at_any_cpu_count(tmp_path, watchdog, n):
+    # the last file is a directory: at 2 CPUs a forked child fails to write
+    # it, and its OSError comes back to the one output block
+    out = tmp_path / "raw"
+    (out / "epoch_0005.csv").mkdir(parents=True)
+    code, _, stderr = cli([*SYNTH, "--out", str(out)], n)
+    assert (code, stderr) == (1, f"error: cannot write output {out}: [Errno 21] Is a "
+                                 f"directory: '{out / 'epoch_0005.csv'}'\n")
+    assert not (out / "manifest.csv").exists()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
     synth_at(1, tmp_path)
@@ -446,7 +458,7 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
     recs, _ = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
     coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
     assert [m for _, m, _, _ in recorded[0]] == ["featurizing a block"] + [
-        f"epoch {zlib.crc32(dsp.filtfilt(coeffs, r.data).tobytes())}" for r in recs]
+        f"epoch {zlib.crc32(dsp.filtfilt(coeffs, [r.data])[0].tobytes())}" for r in recs]
 
 
 def featurize_peak_growth(tmp_path, n_samples, counts):
@@ -626,18 +638,16 @@ LOGISTIC_FAILS = ("fit_logistic", DataError("logistic regression failed"))
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("failing, want_code, want_stderr", [
-    ([GRU_FAILS], 3, f"numeric error: {GRU_DIVERGED}\n"),
-    ([LOGISTIC_FAILS], 2, "data error: logistic regression failed\n"),
-    # the GRU is first in the report, so its error wins, although the
-    # baselines are the first share
-    ([GRU_FAILS, LOGISTIC_FAILS], 3, f"numeric error: {GRU_DIVERGED}\n"),
-], ids=["gru", "logistic", "both"])
+    # the GRU's error comes back from its share, a forked child at 2 CPUs
+    (GRU_FAILS, 3, f"numeric error: {GRU_DIVERGED}\n"),
+    (LOGISTIC_FAILS, 2, "data error: logistic regression failed\n"),
+], ids=["gru", "logistic"])
 def test_compare_raises_the_first_failing_model_in_report_order(compare_features, tmp_path,
                                                                  monkeypatch, watchdog, n,
                                                                  failing, want_code,
                                                                  want_stderr):
-    for name, error in failing:
-        monkeypatch.setattr(nn if name == "train" else baselines, name, fails(error))
+    name, error = failing
+    monkeypatch.setattr(nn if name == "train" else baselines, name, fails(error))
     out = tmp_path / "out"
     assert compare_at(n, compare_features, out)[::2] == (want_code, want_stderr)
     assert not out.exists()
