@@ -282,11 +282,10 @@ def cmd_synth(args) -> int:
         # the files are drawn, formatted and written in shares across the
         # usable CPUs; a child's OSError comes back to be raised here
         dataio._map_in_shares(write, range(len(labels)))
-        with open(manifest, "w", newline="", encoding="utf-8") as fh:
-            fh.write("file,label,sample_rate_hz,channels\n")
-            for path, label in zip(files, labels):
-                fh.write(f"{os.path.basename(path)},{dataio.SYNTH_CLASS_NAMES[label]},"
-                         f"{args.fs},{channels}\n")
+        dataio._write_manifest(manifest, [
+            {"file": os.path.basename(path), "label": dataio.SYNTH_CLASS_NAMES[label],
+             "sample_rate_hz": args.fs, "channels": channels}
+            for path, label in zip(files, labels)])
     print(f"wrote {len(labels)} epoch files + manifest to {args.out}")
     return 0
 
@@ -313,64 +312,54 @@ class _ShareFeaturizer:
 
     # an overflow makes a sample or feature inf or NaN, silently: an epoch
     # whose filtered samples are not finite is rejected as an artifact, and a
-    # kept epoch whose features are not is a NumericError (_features)
+    # kept epoch whose features are not is a NumericError
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def add(self, group: list) -> None:
-        """Featurize a group of same-shape recordings, and empty its list: the
-        raw samples are freed once filtfilt has stacked them, and the group's
-        temporaries when this returns. Each block of kept epochs is copied out
-        of the windows view on its own, so the kept epochs are never copied
-        whole."""
+        """Featurize a group of same-shape recordings, and empty its list.
+        Each block of kept epochs is copied out of the windows view on its
+        own, so the kept epochs are never copied whole.
+
+        A fault names the group's first bad recording, one rule whatever
+        stage finds it: a group of several that raises is featurized again
+        one recording at a time, in order, and the first that raises names
+        itself. Every dsp stage gives a recording the same result whatever it
+        is batched with, so that recording raises the group's fault. A group
+        of one frees its raw samples once filtfilt has stacked them; a group
+        of several keeps them for that retry."""
         if not group:
             return
-        fs, channels = group[0].sample_rate_hz, group[0].channels
+        fs, channels, path = group[0].sample_rate_hz, group[0].channels, group[0].path
+        retry = group.copy() if len(group) > 1 else []
         rec_labels = [rec.label for rec in group]
-        paths = [rec.path for rec in group]
         raw = [rec.data for rec in group]
         group.clear()
         try:
             filtered = dsp.filtfilt(self.coeffs, raw)  # [g, n_ch, n]
             windows = dataio.window_recording(filtered, self.window_len, self.hop)
-        except DataError as exc:
-            # a shape fault, such as a recording too short to filter or to
-            # window: the group shares one shape, so it is its first recording's
-            raise DataError(f"{paths[0]}: {exc}") from None
-        g, n_windows, n_ch, window_len = windows.shape
-        kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
-                                       self.fc.artifact_threshold_uv)
-        self.n_epochs += g * n_windows
-        self.labels.append(np.repeat(rec_labels, n_windows)[kept])
-        per_block = max(1, FEATURE_BLOCK_SAMPLES // (n_ch * window_len))
-        # a group that keeps no epoch still makes one call, on an empty
-        # block: it sets the feature names, and raises what the feature
-        # stage would raise on this shape
-        for start in range(0, max(len(kept), 1), per_block):
-            # (recording, window) of each epoch in the block
-            block = np.divmod(kept[start : start + per_block], n_windows)
-            self.rows.append(self._features(windows, block, fs, channels, paths))
-
-    def _features(self, windows, block, fs, channels, paths: list[str]) -> np.ndarray:
-        """The feature rows of the block's epochs of windows. A DataError of
-        the feature stage, such as an all-zero PSD, and a row that is not
-        finite, a NumericError, name the file of the recording they belong
-        to. When a block of several recordings raises, each recording's
-        epochs are featurized again alone, in order, so that the error raised
-        is that of the first bad recording."""
-        try:
-            fv = dsp.extract_features(windows[block], fs, self.fc, channels)
-        except DataError as exc:
-            owners = np.unique(block[0])
-            for owner in owners if len(owners) > 1 else ():
-                mine = block[0] == owner
-                self._features(windows, (block[0][mine], block[1][mine]), fs, channels, paths)
-            # an empty block's fault is one of shape, so its group's first recording's
-            raise DataError(f"{paths[owners[0] if owners.size else 0]}: {exc}") from None
-        finite = np.isfinite(fv.values).all(axis=-1)
-        if not finite.all():
-            raise NumericError(f"{paths[block[0][np.argmin(finite)]]}: the features of an "
-                               "epoch overflow to values that are not finite")
-        self.names = fv.names
-        return fv.values
+            g, n_windows, n_ch, window_len = windows.shape
+            kept, _ = dsp.reject_artifacts(windows.reshape(-1, n_ch, window_len),
+                                           self.fc.artifact_threshold_uv)
+            self.n_epochs += g * n_windows
+            self.labels.append(np.repeat(rec_labels, n_windows)[kept])
+            per_block = max(1, FEATURE_BLOCK_SAMPLES // (n_ch * window_len))
+            # a group that keeps no epoch still makes one call, on an empty
+            # block: it sets the feature names, and raises what the feature
+            # stage would raise on this shape
+            for start in range(0, max(len(kept), 1), per_block):
+                # (recording, window) of each epoch in the block
+                block = np.divmod(kept[start : start + per_block], n_windows)
+                fv = dsp.extract_features(windows[block], fs, self.fc, channels)
+                if not np.isfinite(fv.values).all():
+                    raise NumericError("the features of an epoch overflow to values that "
+                                       "are not finite")
+                self.names = fv.names
+                self.rows.append(fv.values)
+        except PipelineError as exc:
+            for rec in retry:
+                self.add([rec])
+            if retry or not isinstance(exc, (DataError, NumericError)):
+                raise
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _featurize_share(recordings, coeffs, fc: dsp.FeatureConfig, window_len, hop):

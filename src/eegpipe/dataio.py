@@ -158,10 +158,14 @@ def _csv_line(cells: list[str]) -> str:
     return buf.getvalue()
 
 
+# a manifest's columns, in the order _write_manifest writes them
+_MANIFEST_COLUMNS = ("file", "label", "sample_rate_hz", "channels")
+
+
 def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     """The rows of a manifest CSV and the sample rate they share.
 
-    Manifest columns: file,label,sample_rate_hz,channels. Every row must
+    Manifest columns: _MANIFEST_COLUMNS, in any order. Every row must
     have all four cells, one positive, finite sample rate, no channel named
     twice, the first row's channels in the first row's order, and a file
     that no earlier row lists: two rows list one file when their paths,
@@ -174,7 +178,7 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     base = os.path.dirname(os.path.abspath(manifest))
     with _open_csv(manifest) as fh:
         reader = csv.DictReader(fh)
-        required = {"file", "label", "sample_rate_hz", "channels"}
+        required = set(_MANIFEST_COLUMNS)
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{manifest}: manifest must have columns {sorted(required)}")
         entries, rates, lines = [], set(), {}  # lines: normalized file path -> its line
@@ -210,6 +214,15 @@ def read_manifest(manifest: str) -> tuple[list[dict], float | None]:
     return entries, rates.pop() if rates else None
 
 
+def _write_manifest(path: str, rows: list[dict]) -> None:
+    """Write rows, each a dict of the _MANIFEST_COLUMNS cells, as the
+    manifest read_manifest reads back; no cell may need CSV quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_MANIFEST_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[column]) for column in _MANIFEST_COLUMNS) + "\n")
+
+
 def load_raw_recordings(path: str, manifest: str, per_share) -> tuple[list, list[str]]:
     """Load raw recordings listed in a manifest CSV (see read_manifest).
 
@@ -227,8 +240,6 @@ def load_raw_recordings(path: str, manifest: str, per_share) -> tuple[list, list
     manifest order, as in a serial loop.
     """
     entries, fs = read_manifest(manifest)
-    if not entries:
-        return [], []
     class_names = sorted({e["label"] for e in entries})
     class_ids = {name: i for i, name in enumerate(class_names)}
 
@@ -259,9 +270,11 @@ def _map_in_shares(fn, items) -> list:
     list, or the exception that stopped it. The shares are read in order, so
     the exception raised is the first failing share's, as in a serial loop;
     a child that dies or sends nothing raises a PipelineError that names its
-    exit status. The warnings a child's fn raises are recorded there and
-    issued again here, in share order (_reissue_warnings), so that this
-    process's filters act on them as if fn had run here.
+    exit status, and a pipe or fork that fails one that names the OSError
+    (the children already started are killed). The warnings a child's fn
+    raises are recorded there and issued again here, in share order
+    (_reissue_warnings), so that this process's filters act on them as if fn
+    had run here.
 
     A child starts as a copy of this process and leaves by os._exit, so it
     flushes no inherited buffer and runs no exit handler: fn may compute,
@@ -280,13 +293,17 @@ def _map_in_shares(fn, items) -> list:
     children = []  # (pid, read end of its pipe), in share order, until reaped
     try:
         for k in range(1, n_shares):
-            r, w = os.pipe()
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+            except OSError as exc:
+                # such as EAGAIN at the process limit or EMFILE at the descriptor limit
+                raise PipelineError(f"cannot start a worker process: {exc}") from None
             if pid == 0:
                 _run_share(fn, items[bounds[k] : bounds[k + 1]], w)
             os.close(w)

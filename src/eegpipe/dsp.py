@@ -274,11 +274,7 @@ def sosfilt(coeffs: FilterCoefficients, x: np.ndarray) -> np.ndarray:
     elementwise, and the block length depends on n only, so a signal's
     result does not depend on what it is batched with.
     """
-    if x.size == 0:
-        return x
     xt = np.moveaxis(x, -1, 0)  # time-major view of x
-    if xt.ndim == 1:
-        xt = xt[:, None]  # keep each step a writable row, not a scalar
     n = len(xt)
     span = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     n_full, tail = divmod(n, span)

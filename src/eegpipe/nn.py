@@ -56,10 +56,6 @@ class GruParams:
     def hidden_dim(self) -> int:
         return self.U.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1]
-
     def items(self):
         yield "W", self.W
         yield "U", self.U

@@ -27,10 +27,8 @@ ENTRY_CHECKS = {
     "cli._refuse_overwriting_inputs": "checks a setting: no output is an input file",
     "cli.cmd_featurize": "checks a setting: window_len against welch_segment_len, the "
                          "filter edges' order, a manifest with recordings, an epoch kept",
-    "cli._ShareFeaturizer.add": "cross-checks data-dependent shapes: names the recording "
-                                "too short to filter or window",
-    "cli._ShareFeaturizer._features": "traps a numeric fault: a feature that overflows, "
-                                      "and names the recording of a feature-stage fault",
+    "cli._ShareFeaturizer.add": "traps a numeric fault: a feature that overflows, and names "
+                                "the first bad recording of a group's fault",
     "cli._require_columns": "reads a file: its feature columns against the training "
                             "file's or the checkpoint's",
     "cli.cmd_compare": "reads a file: compare needs two classes in it",
@@ -67,9 +65,10 @@ ENTRY_CHECKS = {
 
 def raise_sites(tree, module: str) -> list[tuple[int, int, str]]:
     """(first line, last line, qualified name) of each raise of one of
-    ERRORS, by name or as an attribute such as errors.DataError, with the
-    name module[.Class].function[.inner] of the function or method whose
-    own body (not a function nested in it) holds it."""
+    ERRORS, by name or as an attribute such as errors.DataError, or of the
+    type of a caught exception, raise type(exc)(...), with the name
+    module[.Class].function[.inner] of the function or method whose own body
+    (not a function nested in it) holds it."""
     found = []
 
     def visit(node, scope):
@@ -79,8 +78,10 @@ def raise_sites(tree, module: str) -> list[tuple[int, int, str]]:
                 continue
             if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
                 func = child.exc.func
+                if isinstance(func, ast.Call):  # type(exc)(...)
+                    func = func.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ERRORS:
+                if name in ERRORS or name == "type":
                     found.append((child.lineno, child.end_lineno, ".".join([module, *scope])))
             visit(child, scope)
 
@@ -127,6 +128,8 @@ def test_the_guard_finds_each_way_of_raising():
         "def passes_on(exc):\n"
         "    if exc is None:\n"
         "        raise ValueError('no error')\n"
-        "    raise exc\n")
+        "    raise exc\n\n"
+        "def names(path, exc):\n"
+        "    raise type(exc)(f'{path}: {exc}') from None\n")
     assert raise_sites(tree, "m") == [(7, 7, "m.Spec.__post_init__"), (11, 11, "m.load.parse"),
-                                      (15, 16, "m.load")]
+                                      (15, 16, "m.load"), (24, 24, "m.names")]

@@ -29,7 +29,7 @@ def scalar_gru_oracle(p, xs):
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    H, D = p.hidden_dim, p.input_dim
+    H, D = p.hidden_dim, p.W.shape[1]
     W_z, W_r, W_h = np.split(p.W, 3)
     U_z, U_r, U_h = np.split(p.U, 3)
     b_z, b_r, b_h = np.split(p.b, 3)
@@ -218,7 +218,7 @@ def reference_gru_backward(p, caches, grad_hs):
     """
     H2 = 2 * p.hidden_dim
     dW, dU, db = np.zeros_like(p.W), np.zeros_like(p.U), np.zeros_like(p.b)
-    grad_xs = np.empty((len(caches), grad_hs.shape[2], p.input_dim))
+    grad_xs = np.empty((len(caches), grad_hs.shape[2], p.W.shape[1]))
     carry = np.zeros_like(grad_hs[0])
     for t in range(len(caches) - 1, -1, -1):
         x_t, h_prev, z, r, h_cand = caches[t]

@@ -9,6 +9,7 @@ CPU count is forced by replacing dataio._usable_cpus.
 """
 
 import contextlib
+import errno
 import io
 import itertools
 import os
@@ -669,6 +670,35 @@ def test_gru_share_that_exits_mid_training_exits_1_with_no_traceback(compare_fea
     assert stderr.startswith("error: worker process ") and "exit status 1" in stderr
     assert "Traceback" not in stderr
     assert not out.exists()
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.mark.parametrize("call, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files"))], ids=["fork", "pipe"])
+@pytest.mark.parametrize("which", ["synth", "featurize", "compare"])
+def test_worker_that_cannot_start_exits_1_naming_the_os_error(compare_features, tmp_path,
+                                                              monkeypatch, which, call, error):
+    # no process is forked: the first fork (or pipe) of the first share fails
+    def fails(*args):
+        raise error
+
+    write_recordings(tmp_path, [300] * 2)
+    manifest = write_manifest(tmp_path, [(f"r{i}.csv", CHANNELS) for i in range(2)])
+    out = tmp_path / "out"
+    argv = {"synth": [*SYNTH, "--out", str(out)],
+            "featurize": ["featurize", "--manifest", manifest, "--out", str(out)],
+            "compare": ["compare", "--input", compare_features, "--out", str(out),
+                        *COMPARE_SMALL]}[which]
+    before = open_fds()
+    monkeypatch.setattr(os, call, fails)
+    code, _, stderr = cli(argv, 2)
+    assert (code, stderr) == (1, f"error: cannot start a worker process: {error}\n")
+    assert open_fds() == before  # the pipe of a fork that failed is closed
+    assert not (out / "manifest.csv" if which == "synth" else out).exists()
 
 
 def test_compare_after_threaded_blas_matches_one_cpu(compare_features, tmp_path, watchdog):
