@@ -304,7 +304,8 @@ class _ShareFeaturizer:
     group, and one call of extract_features per block of its kept epochs.
     An error is raised at once, so a share stops at its first bad group. A
     share sends the featurizer back: cmd_featurize joins every share's labels
-    (an array per group) and feature rows (an array per block) once."""
+    (an array per group) once, and writes the feature rows (an array per
+    block) in order without joining them."""
 
     def __init__(self, coeffs, fc: dsp.FeatureConfig, window_len, hop):
         self.coeffs, self.fc, self.window_len, self.hop = coeffs, fc, window_len, hop
@@ -428,11 +429,14 @@ def cmd_featurize(args) -> int:
     print(f"rejected {n_epochs - n_kept} of {n_epochs} epochs (threshold {threshold} uV)")
     if not n_kept:
         raise DataError("all epochs rejected; nothing to featurize")
-    ds = dataio.Dataset(np.concatenate([rows for s in shares for rows in s.rows]),
-                        np.concatenate(labels), class_names, shares[0].names)
+    labels = np.concatenate(labels)
+    blocks = [rows for s in shares for rows in s.rows]
+    ends = np.cumsum([len(rows) for rows in blocks])
+    parts = [dataio.Dataset(rows, labels[end - len(rows) : end], class_names, shares[0].names)
+             for rows, end in zip(blocks, ends)]
     with _outputs(args) as (path,):
-        dataio.save_feature_csv(ds, path)
-    print(f"wrote {ds.n_examples} x {ds.n_features} feature matrix to {args.out}")
+        dataio.save_feature_csv(parts, path)
+    print(f"wrote {n_kept} x {parts[0].n_features} feature matrix to {args.out}")
     return 0
 
 

@@ -135,8 +135,11 @@ def relabel(ds: Dataset, class_names: list[str]) -> Dataset:
     return Dataset(ds.features, lookup[ds.labels], list(class_names), ds.feature_names)
 
 
-def save_feature_csv(ds: Dataset, path: str, label_column: str = LABEL_COLUMN) -> None:
-    """Write a Dataset in the featured-CSV format load_feature_csv reads.
+def save_feature_csv(parts: list[Dataset], path: str, label_column: str = LABEL_COLUMN) -> None:
+    """Write the rows of Datasets that share their class and feature names,
+    part after part, as one file in the featured-CSV format
+    load_feature_csv reads, so that rows held in blocks are written without
+    being joined first.
 
     The bytes are those of csv.writer with repr'd floats: a float's repr
     never needs quoting, so only the label cell goes through the writer,
@@ -144,11 +147,12 @@ def save_feature_csv(ds: Dataset, path: str, label_column: str = LABEL_COLUMN) -
     """
     # a label follows a feature cell: csv.writer quotes an empty cell only
     # when it is alone on its row
-    tails = [_csv_line(["0", name])[1:] for name in ds.class_names]
+    tails = [_csv_line(["0", name])[1:] for name in parts[0].class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(ds.feature_names + [label_column])
-        _write_float_rows(fh, ds.features, _FEATURE_BLOCK_ROWS,
-                          [tails[lab] for lab in ds.labels.tolist()])
+        csv.writer(fh).writerow(parts[0].feature_names + [label_column])
+        for part in parts:
+            _write_float_rows(fh, part.features, _FEATURE_BLOCK_ROWS,
+                              [tails[lab] for lab in part.labels.tolist()])
 
 
 def _csv_line(cells: list[str]) -> str:
@@ -622,7 +626,7 @@ def write_split(parts: tuple[Dataset, Dataset, Dataset], spec: SplitSpec, paths:
     their label column named label_column, and the JSON sidecar at the fourth."""
     counts = {}
     for name, part, path in zip(("train", "val", "test"), parts, paths):
-        save_feature_csv(part, path, label_column)
+        save_feature_csv([part], path, label_column)
         counts[name] = {
             cname: int(np.sum(part.labels == c)) for c, cname in enumerate(part.class_names)
         }

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +149,24 @@ def compare_report(results: list[tuple[str, MetricsReport]], csv_path: str,
 
 
 def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
+    """The points (xs, ys) of [xmin, xmax] x [ymin, ymax], mapped onto the
+    w x h panel at (x0, y0), as an SVG polyline.
+
+    This runs outside any trap. The values are finite (load_history checks
+    them, and train's traps keep a history finite), ymin and ymax are the
+    least and the greatest of them, and ymin < ymax. So each scaled value
+    lies in [0, 1], unless ymax - ymin overflows, as 1e308 - (-1e308)
+    does. Then halves are scaled instead: their span cannot overflow, and
+    bounds that large halve exactly. Any other span is scaled as it is:
+    halving a subnormal bound is not exact and can make the span 0.
+    """
     if xmax == xmin:
         xmax = xmin + 1.0
+    k = 0.5 if ymax - ymin == math.inf else 1.0
     pts = []
     for x, y in zip(xs, ys):
         px = x0 + (x - xmin) / (xmax - xmin) * w
-        py = y0 + h - (y - ymin) / (ymax - ymin) * h
+        py = y0 + h - (k * y - k * ymin) / (k * ymax - k * ymin) * h
         pts.append(f"{px:.2f},{py:.2f}")
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,14 @@ def init_model(cfg: ModelConfig) -> Model:
     return Model(cfg, gru, dense)
 
 
+_ALIGN = 8  # float64s in 64 bytes, the boundary every workspace buffer starts on
+
+
+def _padded(n: int) -> int:
+    """n float64s rounded up to a whole number of 64-byte lines."""
+    return -(-n // _ALIGN) * _ALIGN
+
+
 class GruWorkspace:
     """The buffers of one GRU forward pass, and of the backward pass that
     reads it, for one shape: T steps, H hidden units, d inputs and a batch
@@ -165,54 +174,120 @@ class GruWorkspace:
     loop into da [3H, T*B] (column t*B + b), so that each weight gradient
     is one matrix product over all T*B columns. A forward-only workspace
     (validation, prediction) keeps S = 1 step, which every step overwrites,
-    and no backward buffers. The first step reads only h0 = 0, so a
-    workspace for backward never writes rh[0], nor da_r at step 0: they
-    stay 0.
+    and no backward buffers.
 
-    Each call overwrites what the last call on the same workspace left, so
-    a cache, and the arrays and views returned with it, are valid only
-    until the next call on that workspace.
+    The buffers are views into a GruScratch's one buffer, carved in the
+    order of _buffers, each on a 64-byte boundary; workspaces of other
+    shapes overwrite them. So no pass reads a value that the constructor
+    left: the values read without being written by the pass, the ones
+    column of x and hs[0] = 0, and in a workspace for backward rh[0] = 0
+    and da_r at step 0 = 0 (the first step reads only h0 = 0, so neither is
+    written), are written by reset(), which GruScratch calls whenever the
+    workspace takes the buffer from another shape.
     """
 
-    def __init__(self, T: int, H: int, d: int, B: int, backward: bool):
-        H2 = 2 * H
+    @staticmethod
+    def _buffers(T: int, H: int, d: int, B: int, backward: bool):
+        """(name, shape) of each buffer, in the order they are carved."""
         S = T if backward else 1  # steps of scratch kept
+        out = [("x", (T * B, d + 1)), ("Wb", (3 * H, d + 1)), ("a", (S, 3 * H, B)),
+               ("hs", (T + 1, H, B)), ("zr", (S, 2 * H, B)), ("rh", (S, H, B)),
+               ("h_cand", (S, H, B)), ("diff", (S, H, B))]
+        if backward:
+            # slope is sigmoid' of z and r; f_z, f_c and f_r are d(h_t)/d(pre-
+            # activation) of the z, candidate and r gates (the r factor is the
+            # gradient w.r.t. r * h_prev, not h_t); rows is a row-layout copy of
+            # h_prev, then of r * h_prev
+            out += [("slope", (T, 2 * H, B)), ("f_z", (T, H, B)), ("f_c", (T, H, B)),
+                    ("f_r", (T, H, B)), ("da_steps", (T, 3 * H, B)), ("da", (3 * H, T * B)),
+                    ("dWb", (3 * H, d + 1)), ("rows", (T * B, H)), ("dh", (H, B)),
+                    ("ds", (H, B)), ("term", (H, B)), ("carry", (H, B))]
+        return out
+
+    @staticmethod
+    def floats(T: int, H: int, d: int, B: int, backward: bool) -> int:
+        """The float64s a buffer needs to hold this shape's workspace: every
+        buffer padded to 64 bytes, and room to move the first onto a
+        64-byte boundary."""
+        return _ALIGN - 1 + sum(_padded(math.prod(shape))
+                                for _, shape in GruWorkspace._buffers(T, H, d, B, backward))
+
+    def __init__(self, T: int, H: int, d: int, B: int, backward: bool, buffer: np.ndarray):
+        """Views into `buffer`, a float64 vector of at least floats(...)
+        elements; their values are unset until reset()."""
+        H2 = 2 * H
         self.shape = (T, H, d, B)
-        self.x = np.empty((T * B, d + 1))
-        self.x[:, d] = 1.0
+        self.backward = backward
+        at = -(buffer.ctypes.data // buffer.itemsize) % _ALIGN  # the first 64-byte boundary
+        for name, shape in self._buffers(T, H, d, B, backward):
+            size = math.prod(shape)
+            setattr(self, name, buffer[at : at + size].reshape(shape))
+            at += _padded(size)
         self.x_steps = self.x[:, :d].reshape(T, B, d)
         self.x_cols = self.x.reshape(T, B, d + 1).transpose(0, 2, 1)  # [d+1, B] per step
-        self.Wb = np.empty((3 * H, d + 1))
-        self.a = np.empty((S, 3 * H, B))
-        self.hs = np.zeros((T + 1, H, B))
-        self.zr = np.empty((S, H2, B))
-        self.rh = np.zeros((S, H, B))
-        self.h_cand, self.diff = np.empty((S, H, B)), np.empty((S, H, B))
         a, hs, zr = self.a, self.hs, self.zr
+        S = len(a)
         self.forward_steps = []
         for t in range(T):
             k = t % S  # the step's own scratch, or the one step kept
             self.forward_steps.append(
                 (a[k, :H2], a[k, H2:], hs[t], zr[k], zr[k, :H], zr[k, H:], self.rh[k],
                  self.h_cand[k], self.diff[k], hs[t + 1]))
-        if not backward:
-            return
-        # d(h_t)/d(pre-activation) of the z, candidate and r gates (the r
-        # factor is the gradient w.r.t. r * h_prev, not h_t); slope is
-        # sigmoid' of z and r
-        self.slope = np.empty((T, H2, B))
-        self.f_z, self.f_c, self.f_r = (np.empty((T, H, B)) for _ in range(3))
-        self.da_steps = np.zeros((T, 3 * H, B))
-        self.da = np.empty((3 * H, T * B))
-        self.dWb = np.empty((3 * H, d + 1))
-        self.rows = np.empty((T * B, H))  # row-layout copy of h_prev, then of r * h_prev
-        self.dh, self.ds, self.term, self.carry = (np.empty((H, B)) for _ in range(4))
-        da = self.da_steps
-        self.backward_steps = [
-            (self.f_z[t], self.f_c[t], self.f_r[t], zr[t, :H], zr[t, H:],
-             da[t, :H], da[t, H:H2], da[t, :H2], da[t, H2:])
-            for t in range(T)
-        ]
+        if backward:
+            da = self.da_steps
+            self.backward_steps = [
+                (self.f_z[t], self.f_c[t], self.f_r[t], zr[t, :H], zr[t, H:],
+                 da[t, :H], da[t, H:H2], da[t, :H2], da[t, H2:])
+                for t in range(T)
+            ]
+
+    def reset(self) -> None:
+        """Write the values the passes read but never write: the ones
+        column of x, hs[0] = 0, and for backward rh[0] = 0 and da_r at
+        step 0 = 0."""
+        T, H, d, B = self.shape
+        self.x[:, d] = 1.0
+        self.hs[0] = 0.0
+        if self.backward:
+            self.rh[0] = 0.0
+            self.da_steps[0, H : 2 * H] = 0.0
+
+
+class GruScratch:
+    """The one float64 buffer that every GruWorkspace of a run is carved
+    from, so that the run holds the largest workspace it needs rather than
+    the sum of them.
+
+    Each shape and kind, (T, H, d, B, backward), gets its views built once
+    and cached. A request larger than the buffer replaces the buffer and
+    drops every cached workspace. Workspaces of different shapes overlap,
+    so a forward pass of any shape overwrites what a pass of another left:
+    a cache returned by gru_forward, and the arrays returned with it, are
+    valid only until the next forward pass on the same GruScratch.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self._workspaces: dict = {}
+        self._last = None  # the shape and kind that used the buffer last
+
+    def workspace(self, T: int, H: int, d: int, B: int, backward: bool) -> GruWorkspace:
+        """The workspace of this shape and kind, its constant values
+        written again if another shape used the buffer since it did."""
+        key = (T, H, d, B, backward)
+        ws = self._workspaces.get(key)
+        if ws is None:
+            need = GruWorkspace.floats(*key)
+            if need > self.buffer.size:
+                # drop the old buffer's views, then the buffer, before the new one is made
+                self._workspaces.clear()
+                self.buffer = None
+                self.buffer = np.empty(need)
+            ws = self._workspaces[key] = GruWorkspace(*key, self.buffer)
+        if self._last != key:
+            ws.reset()
+            self._last = key
+        return ws
 
 
 def gru_cell_forward(U_zr, U_c, step):
@@ -242,25 +317,24 @@ def gru_cell_forward(U_zr, U_c, step):
     return h_t
 
 
-def gru_forward(p: GruParams, xs, workspaces: dict, backward: bool):
+def gru_forward(p: GruParams, xs, scratch: GruScratch, backward: bool):
     """Run the recurrence from h0 = 0 over xs [T, batch, input_dim].
 
-    Time is the leading axis. The work runs in the GruWorkspace that
-    `workspaces` maps this shape and kind, (T, H, d, batch, backward), to,
-    built and added on first use; only a workspace built for backward can
-    be passed to gru_backward. Such a workspace forms the biased input
-    projection W @ x_t + b of all T steps in one product before the loop; a
-    forward-only one forms each step's in its one step of scratch. The
-    first step reads only h0 = 0, so it has no recurrent products and runs
-    here; each later step is one gru_cell_forward. Returns (hs [T, batch,
-    H], cache) with hs[t] the hidden state after step t, a view into the
-    cache, which is the GruWorkspace and valid only until its next use.
+    Time is the leading axis. The work runs in the GruWorkspace of this
+    shape and kind, (T, H, d, batch, backward), carved from `scratch`;
+    only a workspace built for backward can be passed to gru_backward.
+    Such a workspace forms the biased input projection W @ x_t + b of all
+    T steps in one product before the loop; a forward-only one forms each
+    step's in its one step of scratch. The first step reads only h0 = 0,
+    so it has no recurrent products and runs here; each later step is one
+    gru_cell_forward. Returns (hs [T, batch, H], cache) with hs[t] the
+    hidden state after step t, a view into the cache, which is the
+    GruWorkspace and valid only until the next forward pass of any shape
+    on `scratch`.
     """
     T, B, d = xs.shape
     H = p.hidden_dim
-    ws = workspaces.get((T, H, d, B, backward))
-    if ws is None:
-        ws = workspaces[T, H, d, B, backward] = GruWorkspace(T, H, d, B, backward)
+    ws = scratch.workspace(T, H, d, B, backward)
     np.copyto(ws.x_steps, xs)
     np.copyto(ws.Wb[:, :d], p.W)
     np.copyto(ws.Wb[:, d], p.b)
@@ -384,16 +458,16 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
-def model_forward(model: Model, xs_batch, workspaces: dict, backward: bool):
+def model_forward(model: Model, xs_batch, scratch: GruScratch, backward: bool):
     """Full forward pass for a [batch, T, input_dim] array, in the GRU
-    workspace that `workspaces` maps its shape and kind to (see
+    workspace of its shape and kind carved from `scratch` (see
     gru_forward): `backward` says whether model_backward will read it.
 
     Returns (logits [batch, classes], cache for model_backward); the cache
-    is valid until that workspace is used again.
+    is valid until the next forward pass on `scratch`.
     """
     xs = xs_batch.swapaxes(0, 1)  # [T, B, d]
-    hs, gru_cache = gru_forward(model.gru, xs, workspaces, backward)  # [T, B, H]
+    hs, gru_cache = gru_forward(model.gru, xs, scratch, backward)  # [T, B, H]
     v = flatten(hs)
     logits = dense_forward(model.dense, v)
     return logits, (gru_cache, v)
@@ -419,7 +493,7 @@ def predict_batch(model: Model, X):
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits, _ = model_forward(model, X, {}, False)
+            logits, _ = model_forward(model, X, GruScratch(), False)
     except FloatingPointError as exc:
         raise NumericError(f"the model's forward pass failed: {exc}") from None
     return logits.argmax(axis=1)
@@ -487,13 +561,14 @@ def sgd_step(params: FlatParams, grads: FlatParams, state: dict, t: int, cfg: Tr
 # training
 
 
-def evaluate_model(model: Model, X, y, workspaces: dict) -> tuple[float, float]:
+def evaluate_model(model: Model, X, y, scratch: GruScratch) -> tuple[float, float]:
     """Mean loss and accuracy over a [n, T, d] set, fixed summation order;
     a prediction is the argmax of the logits, as in predict_batch. The
-    forward pass runs in a forward-only workspace of `workspaces`, as
-    model_forward's does.
+    forward pass runs in a forward-only workspace carved from `scratch`,
+    as model_forward's does, so it ends the validity of any earlier cache
+    on `scratch`.
     """
-    logits, _ = model_forward(model, X, workspaces, False)
+    logits, _ = model_forward(model, X, scratch, False)
     losses, _ = softmax_cross_entropy_batch(logits, y)
     return float(np.mean(losses)), float(np.mean(logits.argmax(axis=1) == y))
 
@@ -517,10 +592,13 @@ def train(
     Stops once validation loss has not improved for `patience` epochs
     and restores the parameters of the best validation epoch. The
     parameters, their gradient and the optimizer moments are each one
-    flat vector. One GRU workspace per batch shape serves the whole run:
-    one built for backward for the full batch and for the last partial
-    batch, and a forward-only one, with one step of scratch, for the
-    validation set.
+    flat vector. One GruScratch serves the whole run, so it holds only the
+    largest of its GRU workspaces: one built for backward for the full
+    batch and for the last partial batch, and a forward-only one, with one
+    step of scratch, for the validation set. They share one buffer, which
+    the order here makes safe: each batch runs forward, backward and its
+    step before the next forward pass, and the validation pass runs after
+    the epoch's last step.
 
     The features are finite (the CSV reader and apply_normalization check
     them), and every step runs under raised floating-point traps, so a value
@@ -530,7 +608,7 @@ def train(
     (X_tr, y_tr), (X_va, y_va) = train_data, val_data
     params, model, grads, grad_model = _flat_copy(init_model(model_cfg))
     opt_state: dict = {}
-    workspaces: dict = {}
+    scratch = GruScratch()
     step_fn = adam_step if cfg.optimizer == "adam" else sgd_step
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory([], [], [], [])
@@ -551,7 +629,7 @@ def train(
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     sel = perm[start : start + cfg.batch_size]
                     xb, yb = X_tr[sel], y_tr[sel]
-                    logits, cache = model_forward(model, xb, workspaces, True)
+                    logits, cache = model_forward(model, xb, scratch, True)
                     losses, grad_logits = softmax_cross_entropy_batch(logits, yb)
                     loss_sum += losses.sum()
                     correct += int((logits.argmax(axis=1) == yb).sum())
@@ -559,7 +637,7 @@ def train(
                     t += 1
                     step_fn(params, grads, opt_state, t, cfg)
                 batch = None  # the validation pass
-                val_loss, val_acc = evaluate_model(model, X_va, y_va, workspaces)
+                val_loss, val_acc = evaluate_model(model, X_va, y_va, scratch)
                 history.train_loss.append(float(loss_sum / n))
                 history.train_acc.append(correct / n)
                 history.val_loss.append(val_loss)

@@ -20,7 +20,7 @@ def gradient_check(model: nn.Model, X, labels, eps: float = 1e-5):
     work, grad_model = params.model(model.config), grads.model(model.config)
 
     def loss_fn():
-        logits, cache = nn.model_forward(work, X, {}, True)
+        logits, cache = nn.model_forward(work, X, nn.GruScratch(), True)
         losses, grad = nn.softmax_cross_entropy_batch(logits, labels)
         return float(np.mean(losses)), cache, grad / len(losses)
 

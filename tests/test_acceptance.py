@@ -109,7 +109,7 @@ def test_criterion_2_gru_scalar_oracle():
                         + b_h[i]) for i in range(2)]
         h = [z[i] * h[i] + (1.0 - z[i]) * hc[i] for i in range(2)]
         want.append(list(h))
-    hs, _ = nn.gru_forward(model.gru, np.array(xs)[:, None], {}, False)
+    hs, _ = nn.gru_forward(model.gru, np.array(xs)[:, None], nn.GruScratch(), False)
     err = float(np.max(np.abs(hs[:, 0] - np.array(want))))
     verdict(2, err < 1e-12, f"forward pass vs scalar recomputation, max abs err {err:.2e}")
 

@@ -479,8 +479,8 @@ class TestTrain:
         else:
             order, names = order[:-1], names[:-1]
         val = str(tmp_path / "val.csv")
-        dataio.save_feature_csv(dataio.Dataset(ds.features[:, order], ds.labels,
-                                               ds.class_names, names), val)
+        dataio.save_feature_csv([dataio.Dataset(ds.features[:, order], ds.labels,
+                                                ds.class_names, names)], val)
         out = tmp_path / "run"
         assert run("train", "--train", os.path.join(pipeline["splits"], "train.csv"),
                    "--val", val, "--out", str(out), "--hidden", "8", "--epochs", "1") == 2
@@ -525,7 +525,7 @@ class TestEvaluate:
         ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "test.csv"), "label")
         trimmed = dataio.Dataset(ds.features[:, :8], ds.labels, ds.class_names,
                                  ds.feature_names[:8])
-        dataio.save_feature_csv(trimmed, str(bad))
+        dataio.save_feature_csv([trimmed], str(bad))
         code = run(
             "evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
             "--test", str(bad), "--out", str(tmp_path / "out"),
@@ -548,8 +548,8 @@ class TestEvaluate:
         else:
             names = [f"t.{n}" for n in names]
         test = str(tmp_path / "test.csv")
-        dataio.save_feature_csv(dataio.Dataset(ds.features[:, order], ds.labels,
-                                               ds.class_names, names), test)
+        dataio.save_feature_csv([dataio.Dataset(ds.features[:, order], ds.labels,
+                                                ds.class_names, names)], test)
         ck = os.path.join(pipeline["run"], "checkpoint.json")
         out = tmp_path / "eval"
         assert run("evaluate", "--checkpoint", ck, "--test", test, "--out", str(out)) == 2
@@ -758,8 +758,8 @@ def run_module(argv, cwd):
 
 def write_features(path, features):
     n = len(features)
-    dataio.save_feature_csv(dataio.Dataset(features, np.arange(n) % 3, ["A", "B", "C"],
-                                           [f"f{i}" for i in range(features.shape[1])]),
+    dataio.save_feature_csv([dataio.Dataset(features, np.arange(n) % 3, ["A", "B", "C"],
+                                            [f"f{i}" for i in range(features.shape[1])])],
                             str(path))
 
 
@@ -1303,7 +1303,7 @@ def write_without_class(src, dst, label):
     ds = dataio.load_feature_csv(src, "label")
     keep = ds.labels != ds.class_names.index(label)
     dataio.save_feature_csv(
-        dataio.Dataset(ds.features[keep], ds.labels[keep], ds.class_names, ds.feature_names), dst
+        [dataio.Dataset(ds.features[keep], ds.labels[keep], ds.class_names, ds.feature_names)], dst
     )
 
 

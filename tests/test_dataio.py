@@ -74,7 +74,7 @@ class TestLoadFeatureCsv:
             ["w", "x", "y", "z"],
         )
         path = tmp_path / "out.csv"
-        dataio.save_feature_csv(ds, str(path))
+        dataio.save_feature_csv([ds], str(path))
         back = dataio.load_feature_csv(str(path), "label")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
@@ -290,7 +290,7 @@ class TestCsvFormat:
         ds = dataio.Dataset(data, labels, names, [f"f{i}" for i in range(data.shape[1])])
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "f.csv")
-            dataio.save_feature_csv(ds, path)
+            dataio.save_feature_csv([ds], path)
             back = dataio.load_feature_csv(path, "label")
         assert bits(back.features) == bits(data)
         assert [back.class_names[k] for k in back.labels] == [names[k] for k in labels]
@@ -310,7 +310,7 @@ class TestCsvFormat:
         labels = np.array([1, 4, 0, 2, 3, 1])
         ds = dataio.Dataset(features, labels, names, ["w", "x"][:n_features])
         path = str(tmp_path / "f.csv")
-        dataio.save_feature_csv(ds, path)
+        dataio.save_feature_csv([ds], path)
         want = reference_csv(ds.feature_names + ["label"],
                              [[repr(float(v)) for v in row] + [names[k]]
                               for row, k in zip(features, labels)])
@@ -332,7 +332,7 @@ class TestCsvFormat:
             ds = dataio.Dataset(features[:, :n_features], labels, names,
                                 ["w", "x"][:n_features])
             path = tmp_path / f"f{n_features}.csv"
-            dataio.save_feature_csv(ds, str(path))
+            dataio.save_feature_csv([ds], str(path))
             assert path.read_bytes() == reference_csv(
                 ds.feature_names + ["label"],
                 [[repr(float(v)) for v in row] + [names[k]] for row, k in zip(ds.features, labels)])
@@ -340,6 +340,19 @@ class TestCsvFormat:
         dataio.save_recording_csv(rec, str(tmp_path / "r.csv"))
         assert (tmp_path / "r.csv").read_bytes() == reference_csv(
             rec.channels, [[repr(float(v)) for v in row] for row in features])
+
+    def test_parts_are_written_in_order_as_one_file(self, tmp_path):
+        # parts of any size, an empty one among them, give the bytes of the
+        # joined rows written as one part
+        rng = np.random.default_rng(4)
+        ds = dataio.Dataset(rng.normal(size=(150, 3)), rng.integers(0, 3, 150),
+                            ["A", "b,c", ""], ["w", "x", "y"])
+        dataio.save_feature_csv([ds], str(tmp_path / "whole.csv"))
+        cuts = [0, 1, 70, 70, 150]
+        parts = [dataio.Dataset(ds.features[a:b], ds.labels[a:b], ds.class_names,
+                                ds.feature_names) for a, b in zip(cuts, cuts[1:])]
+        dataio.save_feature_csv(parts, str(tmp_path / "parts.csv"))
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_well_formed_files_skip_the_scan(self, tmp_path, monkeypatch):
         def no_scan(*args):
@@ -356,7 +369,7 @@ class TestCsvFormat:
         recs, _ = dataio.load_raw_recordings(str(tmp_path), str(manifest), list)
         assert [bits(r.data) for r in recs] == [bits(x) for x in data]
         ds = dataio.Dataset(data[:, 0, :8], labels, ["x", "y", "z"], [f"s{i}" for i in range(8)])
-        dataio.save_feature_csv(ds, str(tmp_path / "f.csv"))
+        dataio.save_feature_csv([ds], str(tmp_path / "f.csv"))
         assert bits(dataio.load_feature_csv(str(tmp_path / "f.csv"), "label").features) == bits(ds.features)
         history = nn.TrainHistory(*data[:4, 0, :3].tolist())
         nn.save_history(history, str(tmp_path / "h.csv"))
@@ -625,7 +638,7 @@ def unstratified_reference(n, fractions, seed):
 def test_split_no_stratify_writes_the_reference_rows(tmp_path, counts, seed):
     ds = make_dataset(counts)
     feats = tmp_path / "features.csv"
-    dataio.save_feature_csv(ds, str(feats))
+    dataio.save_feature_csv([ds], str(feats))
     header, *lines = feats.read_bytes().split(b"\r\n")[:-1]
     out = tmp_path / "splits"
     assert cli.main(["split", "--input", str(feats), "--out", str(out), "--no-stratify",

@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eegpipe import evaluation
+from eegpipe import evaluation, nn
 from eegpipe.nn import TrainHistory
 
 NAMES = ["a", "b", "c", "d"]
@@ -192,3 +193,16 @@ class TestEmitCurves:
         evaluation.emit_curves(h, str(tmp_path / "c.svg"))
         svg = (tmp_path / "c.svg").read_text()
         assert "NaN" not in svg
+
+    @pytest.mark.parametrize("top,bottom", [(1e308, -1e308), (5e-324, 0.0), (5e-324, -5e-324)])
+    def test_extreme_losses_land_on_the_panel_edges(self, tmp_path, top, bottom):
+        # a span that overflows, and spans whose halves would not differ
+        path = str(tmp_path / "history.csv")
+        nn.save_history(TrainHistory([top, bottom], [0.5, 0.6], [bottom, bottom], [0.4, 0.7]), path)
+        evaluation.emit_curves(nn.load_history(path), str(tmp_path / "c.svg"))
+        svg = (tmp_path / "c.svg").read_text()
+        assert "nan" not in svg.lower()
+        train, val = re.findall(r'points="([^"]*)"', svg)[:2]  # the loss panel's
+        # the panel at x 50-330 and y 30-260: the top is the smaller y
+        assert train == "50.00,30.00 330.00,260.00"
+        assert val == "50.00,260.00 330.00,260.00"

@@ -142,7 +142,7 @@ class TestGruCell:
     def test_matches_scalar_oracle(self):
         m = nn.init_model(nn.ModelConfig(1, 2, 3, 2, seed=42))
         xs = np.array([[0.7], [-0.3], [1.2]])
-        hs, _ = nn.gru_forward(m.gru, xs[:, None], {}, False)
+        hs, _ = nn.gru_forward(m.gru, xs[:, None], nn.GruScratch(), False)
         want = scalar_gru_oracle(m.gru, xs.tolist())
         assert np.max(np.abs(hs[:, 0] - np.array(want))) < 1e-12
 
@@ -151,26 +151,27 @@ class TestGruForward:
     def test_single_step_equals_cell(self):
         m = small_model(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 1, 3))
-        hs, _ = nn.gru_forward(m.gru, x, {}, False)
+        hs, _ = nn.gru_forward(m.gru, x, nn.GruScratch(), False)
         h_cell, *_ = cell_step(m.gru, x[0], np.zeros((1, 4)))
         assert np.array_equal(hs[0], h_cell)
 
     def test_zero_params_zero_states(self):
         p = zero_gru(small_model().gru)
-        hs, _ = nn.gru_forward(p, np.random.default_rng(1).normal(size=(6, 1, 3)), {}, False)
+        xs = np.random.default_rng(1).normal(size=(6, 1, 3))
+        hs, _ = nn.gru_forward(p, xs, nn.GruScratch(), False)
         assert np.all(hs == 0.0)
 
     def test_order_sensitivity(self):
         m = small_model(seed=5)
         xs = np.array([[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]]])
-        h_fwd, _ = nn.gru_forward(m.gru, xs, {}, False)
-        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], {}, False)
+        h_fwd, _ = nn.gru_forward(m.gru, xs, nn.GruScratch(), False)
+        h_rev, _ = nn.gru_forward(m.gru, xs[::-1], nn.GruScratch(), False)
         assert np.max(np.abs(h_fwd[-1] - h_rev[-1])) > 1e-6
 
     def test_gate_ranges_and_hidden_bounds(self):
         m = small_model(seed=9)
         xs = np.random.default_rng(4).normal(size=(20, 1, 3)) * 5
-        hs, cache = nn.gru_forward(m.gru, xs, {}, True)
+        hs, cache = nn.gru_forward(m.gru, xs, nn.GruScratch(), True)
         z, r, hc = cache.zr[:, :4], cache.zr[:, 4:], cache.h_cand
         assert np.all((z > 0) & (z < 1))
         assert np.all((r > 0) & (r < 1))
@@ -181,9 +182,9 @@ class TestGruForward:
         m = small_model(seed=2)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(4, 6, 3))  # [B, T, d]
-        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), {}, False)
+        hs_b, _ = nn.gru_forward(m.gru, X.swapaxes(0, 1), nn.GruScratch(), False)
         for b in range(4):
-            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], {}, False)
+            hs_1, _ = nn.gru_forward(m.gru, X[b][:, None], nn.GruScratch(), False)
             assert np.max(np.abs(hs_b[:, b, :] - hs_1[:, 0])) < 1e-14
 
 
@@ -252,10 +253,10 @@ class TestKernelMatchesPerStepReference:
         p = nn.init_model(nn.ModelConfig(d, H, T, 2, seed=seed)).gru
         p.b[:] = rng.normal(size=3 * H)
         xs = rng.normal(size=(T, B, d)) * 2.0
-        hs, cache = nn.gru_forward(p, xs, {}, True)
+        hs, cache = nn.gru_forward(p, xs, nn.GruScratch(), True)
         # a forward-only pass, projecting each step in its one step of
         # scratch, gives the same states bit for bit
-        assert np.array_equal(nn.gru_forward(p, xs, {}, False)[0], hs)
+        assert np.array_equal(nn.gru_forward(p, xs, nn.GruScratch(), False)[0], hs)
         # the hoisted projection is one stacked matmul over all T steps, with
         # the bias as a last input column of ones; it may round differently
         # from a per-step W @ x_t + b, but only within the error bound of a
@@ -279,7 +280,7 @@ class TestKernelMatchesPerStepReference:
     def test_writes_into_given_gradient_arrays(self):
         m = small_model(seed=4)
         xs = np.random.default_rng(2).normal(size=(5, 3, 3))
-        _, cache = nn.gru_forward(m.gru, xs, {}, True)
+        _, cache = nn.gru_forward(m.gru, xs, nn.GruScratch(), True)
         grad_hs = np.random.default_rng(3).normal(size=(5, 3, 4))
         # every entry is overwritten, not added to: NaN and zero starts agree
         zeroed, unset = zero_gru(m.gru), unset_gru(m.gru)
@@ -289,9 +290,9 @@ class TestKernelMatchesPerStepReference:
             assert np.array_equal(a, b), name
 
 
-def model_step(model, X, y, workspaces):
+def model_step(model, X, y, scratch):
     """Logits and the flat gradient of one forward and backward pass."""
-    logits, cache = nn.model_forward(model, X, workspaces, True)
+    logits, cache = nn.model_forward(model, X, scratch, True)
     _, grad_logits = nn.softmax_cross_entropy_batch(logits, y)
     grads = nn.FlatParams((name, np.zeros_like(a)) for name, a in model.param_items())
     nn.model_backward(model, cache, grad_logits / len(y), out=grads.model(model.config))
@@ -299,46 +300,65 @@ def model_step(model, X, y, workspaces):
 
 
 class TestWorkspace:
-    def test_reused_workspaces_equal_fresh_ones_bit_for_bit(self):
+    # passes of one run: ("step", B) is a forward and backward pass of a
+    # batch of B, ("eval", n) a forward-only pass over n examples
+    ORDERS = {
+        # train's order: two epochs of batches 6, 6, 6 and 2, each followed by
+        # a forward-only pass of a training batch's shape and one of 9
+        "epochs": [*[("step", 6)] * 3, ("step", 2), ("eval", 6), ("eval", 9)] * 2,
+        # a forward-only pass of more examples than a batch comes first; its
+        # workspace is the smaller, so the first batch grows the buffer, and
+        # the pass of 40 grows it again
+        "forward_only_first": [("eval", 15), ("step", 6), ("step", 2), ("eval", 15),
+                               ("eval", 40), ("step", 6), ("eval", 9)],
+        "alternating": [("step", 6), ("eval", 9), ("step", 2), ("eval", 6), ("step", 6),
+                        ("step", 2), ("eval", 9), ("step", 6)],
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_reused_workspaces_equal_fresh_ones_bit_for_bit(self, order):
         m = small_model(seed=16)
         rng = np.random.default_rng(5)
-        X, y = rng.normal(size=(20, 5, 3)), rng.integers(0, 3, 20)
-        Xv, yv = rng.normal(size=(9, 5, 3)), rng.integers(0, 3, 9)
-        workspaces = {}
-        for epoch in range(2):
-            perm = rng.permutation(20)
-            for start in range(0, 20, 6):  # batches of 6, 6, 6 and 2
-                sel = perm[start : start + 6]
-                got = model_step(m, X[sel], y[sel], workspaces)
-                want = model_step(m, X[sel], y[sel], {})
+        scratch = nn.GruScratch()
+        buffers = []
+        for kind, n in self.ORDERS[order]:
+            X, y = rng.normal(size=(n, 5, 3)), rng.integers(0, 3, n)
+            if kind == "step":
+                got = model_step(m, X, y, scratch)
+                want = model_step(m, X, y, nn.GruScratch())
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            # a forward-only pass of a training batch's shape gets its own workspace
-            assert nn.evaluate_model(m, X[:6], y[:6], workspaces) == \
-                nn.evaluate_model(m, X[:6], y[:6], {})
-            assert nn.evaluate_model(m, Xv, yv, workspaces) == nn.evaluate_model(m, Xv, yv, {})
-            m.gru.U *= 1.1  # new parameters, same workspaces
-        assert sorted(workspaces) == [(5, 4, 3, 2, True), (5, 4, 3, 6, False),
-                                      (5, 4, 3, 6, True), (5, 4, 3, 9, False)]
+            else:
+                assert nn.evaluate_model(m, X, y, scratch) == \
+                    nn.evaluate_model(m, X, y, nn.GruScratch())
+            if not buffers or scratch.buffer is not buffers[-1]:
+                buffers.append(scratch.buffer)
+            m.gru.U *= 1.1  # new parameters, same scratch
+        assert len(buffers) == {"epochs": 1, "forward_only_first": 3, "alternating": 1}[order]
 
-    def test_no_buffer_is_shared_across_shapes(self):
+    def test_every_workspace_lies_in_one_buffer_of_the_largest_size(self):
         m = small_model(seed=17)
-        workspaces = {}
-        for B in (1, 2, 6):
-            model_step(m, np.ones((B, 5, 3)), np.zeros(B, dtype=int), workspaces)
-        buffers = [[a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-                   for ws in workspaces.values()]
-        assert len(buffers) == 3 and all(len(b) >= 20 for b in buffers)
-        for i, own in enumerate(buffers):
-            for other in buffers[i + 1 :]:
-                assert not any(np.shares_memory(a, b) for a in own for b in other)
+        scratch = nn.GruScratch()
+        shapes = [(5, 4, 3, 6, True), (5, 4, 3, 2, True), (5, 4, 3, 9, False)]
+        caches = []
+        for _, _, _, B, backward in shapes:  # full batch, partial batch, forward-only
+            _, (ws, _) = nn.model_forward(m, np.ones((B, 5, 3)), scratch, backward)
+            caches.append(ws)
+        sizes = [nn.GruWorkspace.floats(*shape) for shape in shapes]
+        assert scratch.buffer.size == max(sizes) < sum(sizes)
+        for ws in caches:
+            arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+            assert len(arrays) >= 10
+            assert all(a.base is scratch.buffer for a in arrays)
+            # each buffer, and each view of one, starts on a 64-byte boundary
+            assert all(a.ctypes.data % 64 == 0 for a in arrays)
 
     def test_forward_only_workspace_holds_one_step_of_scratch(self):
         m = small_model(seed=19)
         rng = np.random.default_rng(6)
         X, y = rng.normal(size=(7, 5, 3)), rng.integers(0, 3, 7)
-        workspaces = {}
-        nn.evaluate_model(m, X, y, workspaces)
-        (ws,) = workspaces.values()
+        scratch = nn.GruScratch()
+        nn.evaluate_model(m, X, y, scratch)
+        ws = scratch.workspace(5, 4, 3, 7, False)
         arrays = {name: a.shape for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
         # one step of gates, candidates and projections; the T + 1 states the
         # dense head reads; no backward buffers
@@ -350,8 +370,7 @@ class TestWorkspace:
         assert all(np.shares_memory(step[3], ws.zr) and np.shares_memory(step[7], ws.h_cand)
                    for step in ws.forward_steps)
         # a training workspace keeps all T steps
-        nn.model_forward(m, X, workspaces, True)
-        train_ws = workspaces[5, 4, 3, 7, True]
+        _, (train_ws, _) = nn.model_forward(m, X, scratch, True)
         assert train_ws.zr.shape == (5, 8, 7) and train_ws.da_steps.shape == (5, 12, 7)
 
     @pytest.mark.parametrize("T,B", [(1, 1), (2, 3), (5, 7), (4, 180)])
@@ -359,18 +378,19 @@ class TestWorkspace:
         m = small_model(seed=20, input_dim=14, hidden=32, T=T)
         m.gru.b[:] = np.random.default_rng(7).normal(size=m.gru.b.shape)
         X = np.random.default_rng(8).normal(size=(B, T, 14)) * 2.0
-        workspaces = {}
+        scratch = nn.GruScratch()
         for _ in range(2):  # fresh, then reused
-            train_logits, _ = nn.model_forward(m, X, workspaces, True)
-            train_logits = train_logits.copy()
-            logits, (ws, _) = nn.model_forward(m, X, workspaces, False)
+            train_logits, (train_ws, _) = nn.model_forward(m, X, scratch, True)
+            # the two workspaces share the buffer, so the states are copied first
+            train_logits, train_hs = train_logits.copy(), train_ws.hs.copy()
+            logits, (ws, _) = nn.model_forward(m, X, scratch, False)
             assert logits.tobytes() == train_logits.tobytes()
-            assert ws.hs.tobytes() == workspaces[T, 32, 14, B, True].hs.tobytes()
+            assert ws.hs.tobytes() == train_hs.tobytes()
             m.gru.U *= 1.1
 
     def test_dense_head_reads_and_returns_the_state_layout_without_copies(self):
         m = small_model(seed=18)
-        logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), {}, True)
+        logits, (ws, v) = nn.model_forward(m, np.ones((2, 5, 3)), nn.GruScratch(), True)
         assert v.shape == (2, 20) and np.shares_memory(v, ws.hs)
         dv = nn.dense_backward(m.dense, v, np.ones_like(logits), unset_dense(m.dense))
         grad_hs = nn.unflatten(dv, 5, 4)
@@ -379,10 +399,11 @@ class TestWorkspace:
 
 def test_train_peak_memory_holds_one_step_of_validation_scratch():
     # nn.train at gru_train's shapes: 540 training examples of 4 steps of 14
-    # features, batches of 32, and a validation set of 180. A validation
-    # workspace that kept all 4 steps of gates, candidates and projections
-    # adds about 1.1 MB to the traced peak: 3.65 MB with it and 2.54 MB with
-    # one step were measured (numpy 2.4)
+    # features, batches of 32, and a validation set of 180. Its workspaces
+    # share one buffer, sized by the largest. A validation workspace that
+    # kept all 4 steps of gates, candidates and projections would be that
+    # largest one, and lift the traced peak from 1.18 MB to 2.92 MB
+    # (numpy 2.4)
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(540, 4, 14)), rng.integers(0, 3, 540)
     Xv, yv = rng.normal(size=(180, 4, 14)), rng.integers(0, 3, 180)
@@ -394,14 +415,14 @@ def test_train_peak_memory_holds_one_step_of_validation_scratch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000
+    assert peak < 2_000_000
 
 
 class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         m = small_model(seed=7)
         xs = np.random.default_rng(0).normal(size=(5, 1, 3))
-        _, caches = nn.gru_forward(m.gru, xs, {}, True)
+        _, caches = nn.gru_forward(m.gru, xs, nn.GruScratch(), True)
         grads = unset_gru(m.gru)
         da = nn.gru_backward(m.gru, caches, np.zeros((5, 1, 4)), grads)
         for _, arr in grads.items():
@@ -416,10 +437,10 @@ class TestGruBackward:
         w = rng.normal(size=(4, 1, 4))  # fixed projection defines a scalar loss
 
         def loss(x):
-            hs, _ = nn.gru_forward(m.gru, x, {}, False)
+            hs, _ = nn.gru_forward(m.gru, x, nn.GruScratch(), False)
             return float(np.sum(hs * w))
 
-        _, caches = nn.gru_forward(m.gru, xs, {}, True)
+        _, caches = nn.gru_forward(m.gru, xs, nn.GruScratch(), True)
         da = nn.gru_backward(m.gru, caches, w, unset_gru(m.gru))
         grad_xs = da @ m.gru.W
         eps = 1e-6
@@ -662,7 +683,7 @@ class TestTraining:
         cfg = nn.ModelConfig(2, 4, 2, 2, seed=4)
         tcfg = train_config(learning_rate=0.05, max_epochs=60, patience=5, seed=1)
         model, history = nn.train(cfg, (X, y), (Xv, yv), tcfg)
-        final_loss, _ = nn.evaluate_model(model, Xv, yv, {})
+        final_loss, _ = nn.evaluate_model(model, Xv, yv, nn.GruScratch())
         assert final_loss == pytest.approx(min(history.val_loss), abs=1e-12)
 
     def test_history_determinism(self):
@@ -724,7 +745,7 @@ class TestPredict:
         # the simplex, and the prediction is their argmax and the logits'
         m = small_model(seed=6)
         xs = np.random.default_rng(0).normal(size=(4, 5, 3))
-        logits, _ = nn.model_forward(m, xs, {}, False)
+        logits, _ = nn.model_forward(m, xs, nn.GruScratch(), False)
         labels = np.array([0, 1, 2, 0])
         _, grads = nn.softmax_cross_entropy_batch(logits, labels)
         probs = grads + np.eye(3)[labels]
@@ -742,10 +763,10 @@ class TestPredict:
         m.dense.W[:] = 0.0
         m.dense.b[:] = bias
         xs = np.random.default_rng(0).normal(size=(3, 5, 3))
-        logits, _ = nn.model_forward(m, xs, {}, False)
+        logits, _ = nn.model_forward(m, xs, nn.GruScratch(), False)
         assert logits.argmax(axis=1).tolist() == [1, 1, 1]
         assert nn.predict_batch(m, xs).tolist() == [1, 1, 1]
-        _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int), {})
+        _, acc = nn.evaluate_model(m, xs, np.ones(3, dtype=int), nn.GruScratch())
         assert acc == 1.0
 
     def test_overflow_is_numeric_error(self):
@@ -758,9 +779,9 @@ class TestPredict:
         m = small_model(seed=8)
         xs = np.random.default_rng(1).normal(size=(4, 5, 3))
         y = np.array([0, 1, 2, 1])
-        pred1, (loss1, acc1) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, {})
+        pred1, (loss1, acc1) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, nn.GruScratch())
         m.dense.b += 13.7  # constant shift of all logits
-        pred2, (loss2, acc2) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, {})
+        pred2, (loss2, acc2) = nn.predict_batch(m, xs), nn.evaluate_model(m, xs, y, nn.GruScratch())
         assert np.array_equal(pred1, pred2)
         assert acc1 == acc2
         assert abs(loss1 - loss2) < 1e-12
@@ -787,7 +808,7 @@ class TestGradientCheck:
         m.dense.b[2] = 60.0  # loss for label 2 is ~0, all grads ~0
         xs = np.zeros((1, 5, 3))
         err, _ = gradient_check(m, xs, [2])
-        logits, cache = nn.model_forward(m, xs, {}, True)
+        logits, cache = nn.model_forward(m, xs, nn.GruScratch(), True)
         loss, grad = nn.softmax_cross_entropy_batch(logits, [2])
         assert loss[0] < 1e-8
         out = nn.Model(m.config, unset_gru(m.gru), unset_dense(m.dense))
@@ -841,7 +862,7 @@ class TestPersistence:
         assert names == ["CALM", "TENSE"] and features == doc["feature_names"]
         assert len(norm.lo) == 4
         ref = json.loads(Path(DATA, "checkpoint_v1_probs.json").read_text())
-        logits, _ = nn.model_forward(model, np.array(ref["input"]), {}, False)
+        logits, _ = nn.model_forward(model, np.array(ref["input"]), nn.GruScratch(), False)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         assert np.max(np.abs(probs - np.array(ref["probs"]))) < 1e-12

@@ -613,8 +613,8 @@ def test_compare_refuses_a_one_class_file_before_any_fit(compare_features, tmp_p
                                                          monkeypatch, watchdog, n):
     ds = dataio.load_feature_csv(compare_features, dataio.LABEL_COLUMN)
     neutral = str(tmp_path / "neutral.csv")
-    dataio.save_feature_csv(dataio.Dataset(ds.features, np.zeros(ds.n_examples, dtype=int),
-                                           ["NEUTRAL"], ds.feature_names), neutral)
+    dataio.save_feature_csv([dataio.Dataset(ds.features, np.zeros(ds.n_examples, dtype=int),
+                                            ["NEUTRAL"], ds.feature_names)], neutral)
     calls = tmp_path / "calls"
     for module, name in ((dataio, "stratified_split"), (dsp, "fit_normalization"),
                          (nn, "train"), (baselines, "fit_logistic")):
