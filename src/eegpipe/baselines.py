@@ -175,7 +175,14 @@ def _best_prefix_split(X, feature_indices, side_scores, bound: float, order=None
     if not ok[j, i]:
         return None
     feature = j if feature_indices is None else feature_indices[j]
-    return int(feature), float((xs[j, i] + xs[j, i + 1]) / 2.0), float(scores[j, i])
+    lo, hi = xs[j, i], xs[j, i + 1]
+    # between adjacent floats the midpoint rounds to one of them; rounded up to
+    # hi, X <= threshold would put both values on the left, so split at lo
+    # (scikit-learn's splitter does the same)
+    threshold = (lo + hi) / 2.0
+    if threshold == hi:
+        threshold = lo
+    return int(feature), float(threshold), float(scores[j, i])
 
 
 def _node_order(order, idx):
@@ -200,7 +207,8 @@ def best_gini_split(X, y, n_classes: int, feature_indices):
     over the columns feature_indices of X, or all of them when it is None.
 
     Candidate thresholds are midpoints between consecutive distinct
-    sorted values. Ties are broken by lower feature index, then lower
+    sorted values (the lower value, where the midpoint rounds to the upper
+    one). Ties are broken by lower feature index, then lower
     threshold (the scan accepts strict improvements only). Returns
     (feature, threshold, score) or None if no split beats the parent.
     """

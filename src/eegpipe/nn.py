@@ -718,7 +718,7 @@ def load_checkpoint(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")

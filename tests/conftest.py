@@ -1,9 +1,14 @@
-"""Fixtures shared by every test module, and the config records built
-from the settings table's defaults."""
+"""Fixtures shared by every test module, the small pipeline that more than
+one module reads, and the config records built from the settings table's
+defaults."""
 
+import contextlib
 import dataclasses
+import io
 import os
+import shutil
 import signal
+import warnings
 
 import pytest
 
@@ -40,6 +45,68 @@ def watchdog():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+TRAIN = ["--epochs", "1", "--patience", "1", "--hidden", "4"]
+
+
+def run(argv):
+    """cli.main(argv) with warnings shown: (exit code, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+def ok(argv):
+    code, err = run(argv)
+    assert code == 0, err
+
+
+def mixed_manifest(root):
+    """mixed/: 256- and 512-sample recordings interleaved, and the middle one
+    with an artifact in every 256-sample window, so that featurize's blocks
+    change shape and hold a recording that keeps no epoch."""
+    mixed = root / "mixed"
+    mixed.mkdir()
+    rows = []
+    for n in ("256", "512"):
+        ok(["synth", "--per-class", "1", "--window-len", n, "--seed", n,
+            "--out", str(root / f"raw{n}")])
+        lines = (root / f"raw{n}" / "manifest.csv").read_text().splitlines()
+        for line in lines[1:]:
+            name = line.split(",", 1)[0]
+            shutil.copy(root / f"raw{n}" / name, mixed / f"{n}_{name}")
+            rows.append(f"{n}_{line}")
+    rows = [rows[0], rows[3], rows[1], rows[4], rows[2], rows[5]]
+    middle = mixed / rows[2].split(",", 1)[0]
+    lines = middle.read_text().splitlines(keepends=True)
+    lines[1:] = ["5000.0,5000.0,5000.0,5000.0\n" if i % 100 == 50 else row
+                 for i, row in enumerate(lines[1:])]
+    middle.write_text("".join(lines))
+    (mixed / "manifest.csv").write_text(
+        "\n".join(["file,label,sample_rate_hz,channels"] + rows) + "\n")
+
+
+@pytest.fixture(scope="session")
+def fuzz_pipeline(tmp_path_factory):
+    """A finished synth -> featurize -> split -> train run on tiny inputs, with
+    the mixed/ recordings beside raw/: the files that the file fuzzing
+    corrupts. Tests only read it; a test that writes works on a copy."""
+    root = tmp_path_factory.mktemp("files")
+    # three per class, one of each in every split: the fewest that
+    # stratified splitting accepts
+    ok(["synth", "--per-class", "3", "--out", str(root / "raw")])
+    mixed_manifest(root)
+    ok(["featurize", "--manifest", str(root / "raw" / "manifest.csv"),
+        "--out", str(root / "features.csv")])
+    ok(["split", "--input", str(root / "features.csv"), "--fractions", "0.34,0.33,0.33",
+        "--out", str(root / "splits")])
+    ok(["train", "--train", str(root / "splits" / "train.csv"),
+        "--val", str(root / "splits" / "val.csv"), "--out", str(root / "run"), *TRAIN])
+    return root
 
 
 # The config records hold no defaults: cli.SETTINGS is their one home. A

@@ -121,58 +121,73 @@ class TestLogistic:
         assert np.mean(preds == y) <= 0.75
 
 
-def brute_force_best_split(X, y, n_classes, features=None):
-    """Independent exhaustive Gini search over every midpoint threshold."""
-    n = len(y)
-    parent = n - sum(np.sum(y == c) ** 2 for c in range(n_classes)) / n
+def brute_force_split(X, criterion, features=None):
+    """Independent exhaustive split search over every feature of features (all
+    when None), in that order, and every threshold between consecutive
+    distinct values: their midpoint, or the lower value where the midpoint
+    rounds to the upper one. criterion is (score, bound): score maps the
+    [thresholds, rows] masks X[:, j] <= threshold to the score of each
+    partition, never through sorted prefix sums, and a split must score below
+    bound. Ties go to the lower feature, then the lower threshold."""
+    score, bound = criterion
     best = None  # (feature, threshold, score)
     for j in range(X.shape[1]) if features is None else features:
         vals = np.unique(X[:, j])
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
-            mask = X[:, j] <= thr
-            score = 0.0
-            for side in (mask, ~mask):
-                ns = int(side.sum())
-                if ns:
-                    score += ns - sum(
-                        np.sum(y[side] == c) ** 2 for c in range(n_classes)
-                    ) / ns
-            if score < parent and (best is None or score < best[2]):
-                best = (j, thr, score)
+        mid = (vals[:-1] + vals[1:]) / 2.0
+        thr = np.where(mid == vals[1:], vals[:-1], mid)
+        scores = score(X[:, j] <= thr[:, None])
+        if scores.size and scores.min() < bound:
+            i = int(np.argmin(scores))
+            best, bound = (j, float(thr[i]), float(scores[i])), scores[i]
     return best
 
 
-def brute_force_best_mse_split(X, g):
-    """Independent exhaustive variance-reduction search; a split must beat
+def gini(y, k):
+    """The Gini criterion: the scan's float expression (n_l - sq_l / n_l) +
+    (n_r - sq_r / n_r) from integer class counts, below the parent's."""
+    onehot = np.eye(k, dtype=int)[y]
+
+    def side(counts):
+        n = counts.sum(axis=-1).astype(float)
+        return n - (counts.astype(float) ** 2).sum(axis=-1) / n
+
+    def score(mask):
+        left = mask @ onehot
+        return side(left) + side(total - left)
+
+    total = onehot.sum(axis=0)
+    return score, side(total)
+
+
+def mse(g):
+    """The variance-reduction criterion from masked sums: a split must beat
     the parent by more than 1e-12 times the larger of 1 and sum(g**2)."""
-    n = len(g)
     total, total_sq = float(np.sum(g)), float(np.sum(g * g))
-    parent = total_sq - total * total / n
-    margin = 1e-12 * max(1.0, total_sq)
-    best = None  # (feature, threshold, score)
-    for j in range(X.shape[1]):
-        vals = np.unique(X[:, j])
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
-            mask = X[:, j] <= thr
-            n_left, n_right = int(mask.sum()), int((~mask).sum())
-            s_left, s_right = float(np.sum(g[mask])), float(np.sum(g[~mask]))
-            score = total_sq - s_left * s_left / n_left - s_right * s_right / n_right
-            if score < parent - margin and (best is None or score < best[2]):
-                best = (j, thr, score)
-    return best
+
+    def side(mask):
+        return (mask @ g) ** 2 / mask.sum(axis=-1)
+
+    parent = total_sq - total * total / len(g)
+    return (lambda mask: total_sq - side(mask) - side(~mask)), \
+        parent - 1e-12 * max(1.0, total_sq)
+
+
+# three adjacent floats and 0.5: the midpoint of the first two rounds up to
+# the second, that of the second and third down to the second
+ADJACENT = np.array([0.3, np.nextafter(0.3, 1), np.nextafter(np.nextafter(0.3, 1), 1), 0.5])
 
 
 @st.composite
 def tie_heavy_split_problem(draw):
-    """Small-integer features (many ties), labels, integer-valued residuals
-    (so every prefix sum is exact) and a random feature subset."""
+    """Features with many ties, each column small integers or ADJACENT,
+    labels, integer-valued residuals (so every prefix sum is exact) and a
+    random feature subset."""
     n = draw(st.integers(1, 16))
     d = draw(st.integers(1, 4))
     k = draw(st.integers(2, 3))
-    X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)),
-                 dtype=float).reshape(n, d)
+    X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))).reshape(n, d)
+    adjacent = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    X = np.where(adjacent, ADJACENT[X], X.astype(float))
     y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     g = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
     features = draw(st.permutations(range(d)).flatmap(
@@ -218,7 +233,7 @@ class TestTree:
         for trial in range(20):
             X = rng.normal(size=(25, 4)).round(2)
             y = rng.integers(0, 3, size=25)
-            want = brute_force_best_split(X, y, 3)
+            want = brute_force_split(X, gini(y, 3))
             got = baselines.best_gini_split(X, y, 3, None)
             if want is None:
                 assert got is None
@@ -234,8 +249,8 @@ class TestTree:
     def test_scans_match_brute_force_on_ties(self, problem):
         X, y, k, g, features = problem
         assert baselines.best_gini_split(X, y, k, features) == \
-            brute_force_best_split(X, y, k, features)
-        assert baselines.best_mse_split(X, g) == brute_force_best_mse_split(X, g)
+            brute_force_split(X, gini(y, k), features)
+        assert baselines.best_mse_split(X, g) == brute_force_split(X, mse(g))
 
     @settings(max_examples=100, deadline=None)
     @given(tie_heavy_split_problem(), st.data())
@@ -255,7 +270,7 @@ class TestTree:
         X = np.array([[0.0]] * 3 + [[1.0]] * 3)
         g = np.array([-1.0, -3.0, 2.0, -1.0, 0.0, -1.0])
         assert baselines.best_mse_split(X, g) is None
-        assert brute_force_best_mse_split(X, g) is None
+        assert brute_force_split(X, mse(g)) is None
 
     @pytest.mark.parametrize("value", [5.07, 13.7, 1e3 / 3])
     def test_mse_split_leaves_constant_target_alone(self, value):
@@ -276,7 +291,7 @@ class TestTree:
             g = np.full(180, value)
             g[rng.integers(180)] = np.nextafter(value, np.inf)
             assert baselines.best_mse_split(X, g) is None
-            assert brute_force_best_mse_split(X, g) is None
+            assert brute_force_split(X, mse(g)) is None
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(1)
@@ -307,6 +322,23 @@ class TestTree:
         feat, thr, _ = baselines.best_gini_split(X, y, 2, None)
         assert feat == 0
         assert thr == 2.5
+
+    def test_split_between_adjacent_floats_separates_them(self):
+        # the midpoint of 0.3 and the float after it rounds up to that float:
+        # split there, both values went left and the tree split the same rows
+        # again, down to empty leaves of NaN probabilities
+        X = np.repeat([[0.3], [np.nextafter(0.3, 1)]], 4, axis=0)
+        y = np.repeat([0, 1], 4)
+        query = np.array([[0.3], [np.nextafter(0.3, 1)], [0.5]])
+        tree = baselines.fit_tree(X, y, 2, 12, None, 1)
+        forest = baselines.fit_forest(X, y, 2, n_trees=5, max_depth=12, seed=0)
+        boost = baselines.fit_boosting(X, y, 2, n_rounds=3, max_depth=3, learning_rate=0.1)
+        assert len(tree.feature) == 3 and tree.threshold[0] == 0.3
+        for t in [tree, *forest.trees, *(t for trees in boost.trees for t in trees)]:
+            assert len(t.feature) == 3 and not np.isnan(t.leaf).any()
+        assert baselines._tree_outputs(tree, query).argmax(axis=1).tolist() == [0, 1, 1]
+        assert baselines.predict_forest(forest, query).tolist() == [0, 1, 1]
+        assert baselines.predict_boost(boost, query).tolist() == [0, 1, 1]
 
 
 class TestForest:

@@ -70,21 +70,6 @@ OUT_OF_DOMAIN = {"lr": -1, "batch_size": 0, "epochs": 0, "patience": 0, "per_cla
 
 
 class TestExitCodes:
-    def test_unknown_flag_is_usage_error(self, capsys):
-        assert run("synth", "--no-such-flag") == 1
-
-    def test_bad_per_class(self, tmp_path):
-        assert run("synth", "--per-class", "0", "--out", str(tmp_path)) == 1
-
-    def test_missing_manifest_is_data_error(self, tmp_path):
-        code = run("featurize", "--manifest", str(tmp_path / "nope.csv"),
-                   "--out", str(tmp_path / "f.csv"))
-        assert code == 2
-
-    def test_bad_fractions(self, pipeline, tmp_path):
-        assert run("split", "--input", pipeline["feats"],
-                   "--fractions", "0.5,0.5", "--out", str(tmp_path)) == 1
-
     @pytest.mark.parametrize("command", ["split", "compare"])
     @pytest.mark.parametrize("fractions", ["a,b,c", "0.5,0.3"])
     def test_bad_fractions_rejected_before_work(self, pipeline, tmp_path, capsys,
@@ -113,29 +98,6 @@ class TestExitCodes:
         assert run(command, *REQUIRED[command], flag, value, "--out", out) == 1
         captured = capsys.readouterr()
         assert key in captured.err and not captured.out
-        assert not os.path.exists(out)
-
-    def test_bad_hop_rejected_before_manifest_is_read(self, tmp_path, capsys):
-        out = str(tmp_path / "f.csv")
-        assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--hop", "0",
-                   "--out", out) == 1
-        captured = capsys.readouterr()
-        assert "hop must be >= 1" in captured.err and not captured.out
-        assert not os.path.exists(out)
-
-    def test_nan_threshold_rejected_before_manifest_is_read(self, tmp_path, capsys):
-        out = str(tmp_path / "f.csv")
-        assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--threshold", "nan",
-                   "--out", out) == 1
-        captured = capsys.readouterr()
-        assert "artifact_threshold_uv" in captured.err and not captured.out
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("fs", ["nan", "inf"])
-    def test_non_finite_fs_rejected_before_output(self, tmp_path, capsys, fs):
-        out = str(tmp_path / "raw")
-        assert run("synth", "--per-class", "2", "--fs", fs, "--out", out) == 1
-        assert "fs must be positive and finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command,argv,doc,key", [
@@ -168,26 +130,6 @@ class TestExitCodes:
                    "--seq-len", "5", "--out", str(out)) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--per-class", "0"), ("--fs", "nan")])
-    def test_bad_synth_setting_prints_nothing(self, tmp_path, capsys, flag, value):
-        out = tmp_path / "raw"
-        assert run("synth", flag, value, "--out", str(out)) == 1
-        assert not capsys.readouterr().out
-        assert not out.exists()
-
-    def test_bad_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json at all {")
-        assert run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 1
-
-    def test_config_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        out = tmp_path / "raw"
-        assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
-        assert "config file must hold a JSON object" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     @pytest.mark.parametrize("key", sorted(OUT_OF_DOMAIN))
     def test_out_of_domain_config_value_fails_every_command(self, tmp_path, capsys, command,
@@ -200,14 +142,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: config key {key!r}: {key} must be ")
         assert not captured.out and not out.exists()
-
-    def test_manifest_with_no_rows_is_data_error(self, tmp_path, capsys):
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text("file,label,sample_rate_hz,channels\n")
-        out = tmp_path / "f.csv"
-        assert run("featurize", "--manifest", str(manifest), "--out", str(out)) == 2
-        assert "data error: manifest lists no recordings" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_every_epoch_rejected_is_data_error_after_the_rejection_line(self, pipeline,
                                                                           tmp_path, capsys):
@@ -283,23 +217,6 @@ class TestSettings:
                 assert named in str(exc)
                 continue
             assert repr(row.convert(got)) == repr(got)
-
-    @pytest.mark.parametrize("doc,key", [
-        ({"per_class": "abc"}, "per_class"),
-        ({"per_class": None}, "per_class"),
-        ({"per_class": [3]}, "per_class"),
-        ({"per_class": 2.5}, "per_class"),
-        ({"fs": "fast"}, "fs"),
-        ({"epochs": "many"}, "epochs"),
-        ({"per_clas": 3}, "per_clas"),
-    ], ids=["string", "null", "list", "non_integral", "float_string", "other_command", "unknown"])
-    def test_bad_config_value_or_key_exits_1(self, tmp_path, capsys, doc, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "raw"
-        assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
-        assert repr(key) in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_unreadable_config_exits_1(self, tmp_path, capsys, command):
@@ -404,15 +321,6 @@ class TestFeaturize:
         # names carry the channel prefix
         assert any(name.startswith("TP9.") for name in ds.feature_names)
         assert any(".bandpower.alpha" in name for name in ds.feature_names)
-
-    def test_threshold_zero_rejects_everything(self, tmp_path, capsys):
-        # a threshold that would reject every epoch is a config error, like NaN
-        for threshold in ("0", "-5"):
-            code = run("featurize", "--manifest", str(tmp_path / "absent.csv"),
-                       "--threshold", threshold, "--out", str(tmp_path / "f.csv"))
-            assert code == 1
-            captured = capsys.readouterr()
-            assert "artifact_threshold_uv" in captured.err and not captured.out
 
     def test_deterministic(self, pipeline, tmp_path):
         out = str(tmp_path / "again.csv")
@@ -520,20 +428,6 @@ class TestEvaluate:
         assert doc["accuracy"] == pytest.approx(np.trace(counts) / counts.sum(), abs=1e-12)
         assert doc["support"] == counts.sum(axis=1).tolist()
 
-    def test_feature_count_mismatch(self, pipeline, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "test.csv"), "label")
-        trimmed = dataio.Dataset(ds.features[:, :8], ds.labels, ds.class_names,
-                                 ds.feature_names[:8])
-        dataio.save_feature_csv([trimmed], str(bad))
-        code = run(
-            "evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
-            "--test", str(bad), "--out", str(tmp_path / "out"),
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "56" in err and "8" in err
-
     # the checkpoint names the columns its model reads by position, so a test
     # file with them swapped or renamed is refused, not scored
     @pytest.mark.parametrize("change,got", [("swap_first_two", "TP9.bandpower.theta"),
@@ -570,17 +464,6 @@ class TestEvaluate:
         want = read_confusion(full)
         want[1] = ["NEGATIVE", "0", "0", "0"]
         assert read_confusion(part) == want
-
-    def test_unknown_test_label_is_data_error(self, pipeline, tmp_path, capsys):
-        src = os.path.join(pipeline["splits"], "test.csv")
-        bad = str(tmp_path / "renamed.csv")
-        text = Path(src).read_text(encoding="utf-8")
-        Path(bad).write_text(text.replace("NEUTRAL", "BORED"), encoding="utf-8")
-        code = run("evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
-                   "--test", bad, "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "BORED" in capsys.readouterr().err
-
 
 def test_label_column_keeps_its_name_through_split_train_and_evaluate(pipeline, tmp_path):
     # split writes the label column under the name it read it by, so that
@@ -1014,63 +897,6 @@ class TestCompareAndReport:
                    "--out", rep_out) == 0
         assert os.listdir(rep_out) == ["curves.svg"]
 
-    @pytest.mark.parametrize("content", [
-        None,
-        "epoch,train_loss,train_acc,val_loss\n1,0.5,0.5,0.6\n",
-        "epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,abc,0.5\n",
-        "epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,1e999,0.5\n",
-    ], ids=["missing_file", "missing_column", "unparsable_cell", "non_finite_cell"])
-    def test_bad_history_is_data_error(self, tmp_path, capsys, content):
-        path = tmp_path / "history.csv"
-        if content is not None:
-            path.write_text(content)
-        assert run("report", "--history", str(path), "--out", str(tmp_path / "rep")) == 2
-        assert "history" in capsys.readouterr().err
-
-
-def test_infinite_sample_rate_is_data_error_without_traceback(tmp_path):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "2", "--out", str(raw)) == 0
-    manifest = raw / "manifest.csv"
-    manifest.write_text(manifest.read_text().replace(",256.0,", ",inf,"))
-    out = tmp_path / "f.csv"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eegpipe.cli", "featurize", "--manifest", str(manifest),
-         "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "sample_rate_hz must be positive and finite" in proc.stderr
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_window_shorter_than_welch_segment_is_config_error(tmp_path, capsys, how):
-    # raised before the manifest is read: this one does not even exist
-    argv = ["featurize", "--manifest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "f")]
-    if how == "flag":
-        argv += ["--window-len", "128", "--hop", "64"]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"window_len": 128, "hop": 64}))
-        argv += ["--config", str(cfg)]
-    assert run(*argv) == 1
-    err = capsys.readouterr().err
-    assert "window_len 128" in err and "welch_segment_len 256" in err
-
-
-@pytest.mark.parametrize("low,high", [("50", "40"), ("40", "40")])
-def test_inverted_band_is_config_error_before_manifest_is_read(tmp_path, capsys, low, high):
-    # the manifest does not exist: the band must be rejected before it is opened
-    assert run("featurize", "--manifest", str(tmp_path / "absent.csv"), "--filter-low", low,
-               "--filter-high", high, "--out", str(tmp_path / "f.csv")) == 1
-    captured = capsys.readouterr()
-    assert f"filter_low_hz {float(low)} is not below filter_high_hz {float(high)}" in captured.err
-    assert not captured.out
-
-
 def test_band_above_nyquist_is_config_error_before_recordings_are_read(tmp_path, capsys):
     # the manifest names recordings that do not exist: the band must be checked
     # against its 256 Hz rate before any of them is opened
@@ -1111,16 +937,6 @@ def test_eeg_band_the_rate_cannot_measure_is_config_error_before_recordings_are_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("low", ["1e-7", "1e-9"])
-def test_filter_with_a_root_at_one_is_numeric_error(pipeline, tmp_path, capsys, low):
-    # at 256 Hz these designs have a section with 1 + a1 + a2 exactly 0
-    out = tmp_path / "f.csv"
-    assert run("featurize", "--manifest", os.path.join(pipeline["raw"], "manifest.csv"),
-               "--filter-low", low, "--out", str(out)) == 3
-    assert "numeric error: unstable filter section" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_recording_with_every_window_rejected_is_skipped(tmp_path, capsys):
     raw = tmp_path / "raw"
     assert run("synth", "--per-class", "3", "--window-len", "512", "--out", str(raw)) == 0
@@ -1134,15 +950,6 @@ def test_recording_with_every_window_rejected_is_skipped(tmp_path, capsys):
                "--hop", "128", "--out", str(out)) == 0
     assert "rejected 3 of 27 epochs" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 1 + 24
-
-
-def test_recording_shorter_than_welch_segment_is_data_error(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    assert run("synth", "--per-class", "3", "--window-len", "128", "--out", str(raw)) == 0
-    code = run("featurize", "--manifest", str(raw / "manifest.csv"),
-               "--out", str(tmp_path / "f.csv"))
-    assert code == 2
-    assert "shorter than Welch segment" in capsys.readouterr().err
 
 
 def test_mixed_lengths_keep_manifest_order(tmp_path):
@@ -1313,9 +1120,40 @@ def read_confusion(out_dir):
 
 
 # ---------------------------------------------------------------------------
-# each check of an outside value that no other test reaches through main: a
-# case makes the input that fails it and gives the argv (less --out), the
-# exit code and the one stderr line; nothing is written
+# each refused command line of one shape, among them every check of an outside
+# value that no other test reaches through main: a case makes the input that
+# fails it and gives the argv (less --out), the exit code and the one stderr
+# line; nothing is written, and a setting refused (exit 1) prints nothing else
+
+
+def _argv(name, argv, code, line, files=None):
+    """The case of argv, code and line, with {tmp} in them for tmp_path and
+    {raw}, {feats}, {splits} or {run} for the pipeline's paths, after files
+    (name -> bytes) are written under tmp_path."""
+    def case(pipeline, tmp_path):
+        for fname, data in (files or {}).items():
+            (tmp_path / fname).write_bytes(data)
+
+        def fill(text):
+            for key, value in {**pipeline, "tmp": tmp_path}.items():
+                text = text.replace(f"{{{key}}}", str(value))
+            return text
+        return [fill(arg) for arg in argv], code, fill(line)
+    case.__name__ = f"_{name}"
+    return case
+
+
+def _config(name, data, line):
+    """The case of synth reading the config file {tmp}/cfg.json of data."""
+    return _argv(name, ["synth", "--config", "{tmp}/cfg.json"], 1, line, {"cfg.json": data})
+
+
+def _history(name, content, why):
+    """The case of report reading {tmp}/history.csv of content (absent when
+    None); why ends the error line."""
+    return _argv(f"history_{name}", ["report", "--history", "{tmp}/history.csv"], 2,
+                 "data error: {tmp}/history.csv: " + why,
+                 None if content is None else {"history.csv": content})
 
 
 def _manifest(pipeline, tmp_path, edit):
@@ -1350,6 +1188,13 @@ def _sample_rates(first, second, error):
         return ["featurize", "--manifest", m], 2, "data error: " + error.format(m=m)
     case.__name__ = f"_sample_rates_{first}_{second}"
     return case
+
+
+def _infinite_sample_rates(pipeline, tmp_path):
+    m = _manifest(pipeline, tmp_path,
+                  lambda lines: [line.replace(",256.0,", ",inf,") for line in lines])
+    return (["featurize", "--manifest", m], 2,
+            f"data error: {m}: line 2: sample_rate_hz must be positive and finite, got 'inf'")
 
 
 def _short_manifest_row(pipeline, tmp_path):
@@ -1460,6 +1305,36 @@ def _fractions_leaving_a_split_empty(pipeline, tmp_path):
             "data error: split fractions produce an empty split for this dataset size")
 
 
+def _evaluate(pipeline, test):
+    """The evaluate argv of the pipeline's checkpoint and the test file test."""
+    return ["evaluate", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.json"),
+            "--test", str(test)]
+
+
+def _test_of_8_features(pipeline, tmp_path):
+    ds = dataio.load_feature_csv(os.path.join(pipeline["splits"], "test.csv"), "label")
+    dataio.save_feature_csv([dataio.Dataset(ds.features[:, :8], ds.labels, ds.class_names,
+                                            ds.feature_names[:8])], tmp_path / "bad.csv")
+    return _evaluate(pipeline, tmp_path / "bad.csv"), 2, (
+        f"data error: {tmp_path / 'bad.csv'}: feature column 9 is None, not 'TP9.skewness' as "
+        f"in {pipeline['run']}/checkpoint.json (8 columns, not 56)")
+
+
+def _unknown_test_label(pipeline, tmp_path):
+    bad = tmp_path / "renamed.csv"
+    bad.write_text(Path(pipeline["splits"], "test.csv").read_text().replace("NEUTRAL", "BORED"))
+    return _evaluate(pipeline, bad), 2, ("data error: unknown class labels ['BORED']; expected "
+                                         "one of ['NEGATIVE', 'NEUTRAL', 'POSITIVE']")
+
+
+def _recording_shorter_than_welch_segment(pipeline, tmp_path):
+    assert run("synth", "--per-class", "3", "--window-len", "128",
+               "--out", str(tmp_path / "raw")) == 0
+    return (["featurize", "--manifest", str(tmp_path / "raw" / "manifest.csv")], 2,
+            f"data error: {tmp_path}/raw/epoch_0000.csv: signal length 128 shorter than Welch "
+            "segment 256")
+
+
 def _ragged_normalization(pipeline, tmp_path):
     path, argv = _checkpoint(pipeline, tmp_path, lambda norm: norm["std"].pop())
     return argv, 2, (f"data error: malformed checkpoint {path}: normalization mean and std "
@@ -1481,7 +1356,7 @@ ENTRY_CHECKS = [
                   "{m}: line 2: sample_rate_hz must be positive and finite, got 'nan'"),
     _sample_rates("256.0", "-1",
                   "{m}: line 3: sample_rate_hz must be positive and finite, got '-1'"),
-    _short_manifest_row,
+    _infinite_sample_rates, _short_manifest_row,
     _raw_line_7("non_numeric_raw_sample", lambda line: "0.1,oops,0.3,0.4\n",
                 ", column 'AF7': unparsable or non-finite value 'oops'"),
     _raw_line_7("nan_raw_sample", lambda line: "0.1,nan,0.3,0.4\n",
@@ -1492,7 +1367,93 @@ ENTRY_CHECKS = [
     _fraction_outside_unit_interval, _header_only_features, _labels_only("split", "--input"),
     _labels_only("train", "--train", "--val"), _labels_only("compare", "--input"),
     _class_of_two_rows, _fractions_leaving_a_split_empty, _ragged_normalization,
-    _normalization_of_another_width,
+    _normalization_of_another_width, _test_of_8_features, _unknown_test_label,
+    _recording_shorter_than_welch_segment,
+    _argv("unknown_flag", ["synth", "--no-such-flag"], 1,
+          "error: unrecognized arguments: --no-such-flag"),
+    _argv("zero_per_class", ["synth", "--per-class", "0"], 1,
+          "error: --per-class: per_class must be >= 1, got 0"),
+    _argv("nan_fs", ["synth", "--fs", "nan"], 1,
+          "error: --fs: fs must be positive and finite, got nan"),
+    _argv("nan_fs_at_2_per_class", ["synth", "--per-class", "2", "--fs", "nan"], 1,
+          "error: --fs: fs must be positive and finite, got nan"),
+    _argv("inf_fs_at_2_per_class", ["synth", "--per-class", "2", "--fs", "inf"], 1,
+          "error: --fs: fs must be positive and finite, got inf"),
+    # refused before the manifest is read: absent.csv does not exist
+    _argv("zero_hop", ["featurize", "--manifest", "{tmp}/absent.csv", "--hop", "0"], 1,
+          "error: --hop: hop must be >= 1, got 0"),
+    _argv("nan_threshold", ["featurize", "--manifest", "{tmp}/absent.csv", "--threshold", "nan"],
+          1, "error: --threshold: artifact_threshold_uv must be > 0, got nan"),
+    _argv("zero_threshold", ["featurize", "--manifest", "{tmp}/absent.csv", "--threshold", "0"],
+          1, "error: --threshold: artifact_threshold_uv must be > 0, got 0.0"),
+    _argv("negative_threshold",
+          ["featurize", "--manifest", "{tmp}/absent.csv", "--threshold", "-5"], 1,
+          "error: --threshold: artifact_threshold_uv must be > 0, got -5.0"),
+    _argv("window_shorter_than_welch_segment_by_flag",
+          ["featurize", "--manifest", "{tmp}/absent.csv", "--window-len", "128", "--hop", "64"],
+          1, "error: window_len 128 is shorter than welch_segment_len 256"),
+    _argv("window_shorter_than_welch_segment_by_config",
+          ["featurize", "--manifest", "{tmp}/absent.csv", "--config", "{tmp}/cfg.json"], 1,
+          "error: window_len 128 is shorter than welch_segment_len 256",
+          {"cfg.json": b'{"window_len": 128, "hop": 64}'}),
+    _argv("inverted_band", ["featurize", "--manifest", "{tmp}/absent.csv",
+                            "--filter-low", "50", "--filter-high", "40"], 1,
+          "error: filter_low_hz 50.0 is not below filter_high_hz 40.0"),
+    _argv("empty_band", ["featurize", "--manifest", "{tmp}/absent.csv",
+                         "--filter-low", "40", "--filter-high", "40"], 1,
+          "error: filter_low_hz 40.0 is not below filter_high_hz 40.0"),
+    _argv("missing_manifest", ["featurize", "--manifest", "{tmp}/nope.csv"], 2,
+          "data error: manifest not found: {tmp}/nope.csv"),
+    _argv("manifest_with_no_rows", ["featurize", "--manifest", "{tmp}/manifest.csv"], 2,
+          "data error: manifest lists no recordings",
+          {"manifest.csv": b"file,label,sample_rate_hz,channels\n"}),
+    # at 256 Hz these designs have a section with 1 + a1 + a2 exactly 0
+    _argv("filter_with_a_root_at_one_1e-7",
+          ["featurize", "--manifest", "{raw}/manifest.csv", "--filter-low", "1e-7"], 3,
+          "numeric error: unstable filter section (a1=-1.9999999965289978, a2=0.9999999965289978)"),
+    _argv("filter_with_a_root_at_one_1e-9",
+          ["featurize", "--manifest", "{raw}/manifest.csv", "--filter-low", "1e-9"], 3,
+          "numeric error: unstable filter section (a1=-1.99999999996529, a2=0.99999999996529)"),
+    _argv("two_fractions", ["split", "--input", "{feats}", "--fractions", "0.5,0.5"], 1,
+          "error: --fractions: needs exactly three comma-separated values, got '0.5,0.5'"),
+    _history("missing_file", None, "file not found"),
+    _history("missing_column", b"epoch,train_loss,train_acc,val_loss\n1,0.5,0.5,0.6\n",
+             "column 'val_acc' not found in header"),
+    _history("unparsable_cell",
+             b"epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,abc,0.5\n",
+             "line 2, column 'val_loss': unparsable or non-finite value 'abc'"),
+    _history("non_finite_cell",
+             b"epoch,train_loss,train_acc,val_loss,val_acc\n1,0.5,0.5,1e999,0.5\n",
+             "line 2, column 'val_loss': unparsable or non-finite value '1e999'"),
+    _config("config_string_per_class", b'{"per_class": "abc"}',
+            "error: config key 'per_class': expected an integer, got 'abc'"),
+    _config("config_null_per_class", b'{"per_class": null}',
+            "error: config key 'per_class': expected an integer, got None"),
+    _config("config_list_per_class", b'{"per_class": [3]}',
+            "error: config key 'per_class': expected an integer, got [3]"),
+    _config("config_non_integral_per_class", b'{"per_class": 2.5}',
+            "error: config key 'per_class': expected an integer, got 2.5"),
+    _config("config_float_string", b'{"fs": "fast"}',
+            "error: config key 'fs': expected a number, got 'fast'"),
+    _config("config_key_of_another_command", b'{"epochs": "many"}',
+            "error: config key 'epochs': expected an integer, got 'many'"),
+    _config("config_with_an_unknown_key", b'{"per_clas": 3}',
+            "error: unknown config key 'per_clas'"),
+    _config("config_that_is_not_json", b"not json at all {",
+            "error: cannot read config {tmp}/cfg.json: Expecting value: line 1 column 1 (char 0)"),
+    _config("config_that_is_not_an_object", b"[1, 2]",
+            "error: config file must hold a JSON object"),
+    _config("config_that_is_not_utf8", b"\xff\xfe{}",
+            "error: cannot read config {tmp}/cfg.json: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"),
+    _config("deeply_nested_config", b"[" * 100_000 + b"]" * 100_000,
+            "error: cannot read config {tmp}/cfg.json: maximum recursion depth exceeded while "
+            "decoding a JSON array from a unicode string"),
+    _argv("deeply_nested_checkpoint",
+          ["evaluate", "--checkpoint", "{tmp}/checkpoint.json", "--test", "{splits}/test.csv"],
+          2, "data error: cannot read checkpoint {tmp}/checkpoint.json: maximum recursion depth "
+          "exceeded while decoding a JSON array from a unicode string",
+          {"checkpoint.json": b"[" * 100_000 + b"]" * 100_000}),
 ]
 
 
@@ -1501,5 +1462,7 @@ def test_each_entry_check_through_main(pipeline, tmp_path, capsys, case):
     argv, code, line = case(pipeline, tmp_path)
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == code
-    assert capsys.readouterr().err == line + "\n"
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert code != 1 or not captured.out
     assert not out.exists()

@@ -15,7 +15,7 @@ import pytest
 
 from eegpipe import dataio, nn
 from eegpipe.cli import main
-from test_file_fuzz import COMMANDS, CORRUPTIONS, command, pipeline
+from test_file_fuzz import COMMANDS, CORRUPTIONS, command
 
 SMALL_CHUNKS = [1, 7, 64]
 
@@ -163,10 +163,10 @@ def run_in(argv, out):
 
 @pytest.mark.parametrize("corruption", ["none", *sorted(CORRUPTIONS)])
 @pytest.mark.parametrize("target", sorted(COMMANDS))
-def test_file_fuzz_gives_the_same_outcome_in_small_pieces(pipeline, tmp_path,
+def test_file_fuzz_gives_the_same_outcome_in_small_pieces(fuzz_pipeline, tmp_path,
                                                           target, corruption):
     work = tmp_path / "work"
-    shutil.copytree(pipeline, work)
+    shutil.copytree(fuzz_pipeline, work)
     path = work / target
     if corruption != "none":
         path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))

@@ -8,77 +8,14 @@ command must keep the exit-code contract: return 0, 1, 2 or 3, raise
 nothing, and print no traceback and no warning.
 """
 
-import contextlib
-import io
 import re
 import shutil
-import warnings
 
 import pytest
 
-from eegpipe.cli import main
+from conftest import TRAIN, run
 
-TRAIN = ["--epochs", "1", "--patience", "1", "--hidden", "4"]
-
-
-def run(argv):
-    """main(argv) with warnings shown: (exit code, stderr)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("always")
-        code = main(argv)
-    return code, stderr.getvalue()
-
-
-def ok(argv):
-    code, err = run(argv)
-    assert code == 0, err
-
-
-def mixed_manifest(root):
-    """mixed/: 256- and 512-sample recordings interleaved, and the middle one
-    with an artifact in every 256-sample window, so that featurize's blocks
-    change shape and hold a recording that keeps no epoch."""
-    mixed = root / "mixed"
-    mixed.mkdir()
-    rows = []
-    for n in ("256", "512"):
-        ok(["synth", "--per-class", "1", "--window-len", n, "--seed", n,
-            "--out", str(root / f"raw{n}")])
-        lines = (root / f"raw{n}" / "manifest.csv").read_text().splitlines()
-        for line in lines[1:]:
-            name = line.split(",", 1)[0]
-            shutil.copy(root / f"raw{n}" / name, mixed / f"{n}_{name}")
-            rows.append(f"{n}_{line}")
-    rows = [rows[0], rows[3], rows[1], rows[4], rows[2], rows[5]]
-    middle = mixed / rows[2].split(",", 1)[0]
-    lines = middle.read_text().splitlines(keepends=True)
-    lines[1:] = ["5000.0,5000.0,5000.0,5000.0\n" if i % 100 == 50 else row
-                 for i, row in enumerate(lines[1:])]
-    middle.write_text("".join(lines))
-    (mixed / "manifest.csv").write_text(
-        "\n".join(["file,label,sample_rate_hz,channels"] + rows) + "\n")
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """A finished synth -> featurize -> split -> train run on tiny inputs."""
-    root = tmp_path_factory.mktemp("files")
-    # three per class, one of each in every split: the fewest that
-    # stratified splitting accepts
-    ok(["synth", "--per-class", "3", "--out", str(root / "raw")])
-    mixed_manifest(root)
-    ok(["featurize", "--manifest", str(root / "raw" / "manifest.csv"),
-        "--out", str(root / "features.csv")])
-    ok(["split", "--input", str(root / "features.csv"), "--fractions", "0.34,0.33,0.33",
-        "--out", str(root / "splits")])
-    ok(["train", "--train", str(root / "splits" / "train.csv"),
-        "--val", str(root / "splits" / "val.csv"), "--out", str(root / "run"), *TRAIN])
-    return root
-
-
-# target file -> the command line that reads it, relative to the pipeline root
+# target file -> the command line that reads it, relative to the fuzz_pipeline root
 COMMANDS = {
     "raw/epoch_0002.csv": ["featurize", "--manifest", "raw/manifest.csv"],
     "raw/manifest.csv": ["featurize", "--manifest", "raw/manifest.csv"],
@@ -130,15 +67,16 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("target", sorted(COMMANDS))
-def test_each_command_runs_on_the_uncorrupted_files(pipeline, tmp_path, target):
-    assert run(command(pipeline, target, tmp_path / "out")) == (0, "")
+def test_each_command_runs_on_the_uncorrupted_files(fuzz_pipeline, tmp_path, target):
+    assert run(command(fuzz_pipeline, target, tmp_path / "out")) == (0, "")
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("target", sorted(COMMANDS))
-def test_corrupt_file_keeps_the_exit_code_contract(pipeline, tmp_path, target, corruption):
+def test_corrupt_file_keeps_the_exit_code_contract(fuzz_pipeline, tmp_path, target,
+                                                  corruption):
     work = tmp_path / "work"
-    shutil.copytree(pipeline, work)
+    shutil.copytree(fuzz_pipeline, work)
     path = work / target
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
     code, err = run(command(work, target, tmp_path / "out"))

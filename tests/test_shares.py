@@ -23,11 +23,11 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import WATCHDOG_S
+from conftest import WATCHDOG_S, run
 from eegpipe import baselines, dataio, dsp, nn
 from eegpipe.cli import FEATURE_BLOCK_SAMPLES, SETTINGS, derive_seed, main
 from eegpipe.errors import DataError, NumericError, PipelineError
-from test_file_fuzz import COMMANDS, CORRUPTIONS, command, mixed_manifest, ok, run
+from test_file_fuzz import COMMANDS, CORRUPTIONS, command
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CHANNELS = ";".join(dataio.DEFAULT_CHANNELS)
@@ -67,6 +67,18 @@ def synth_at(n, out):
     return stdout.replace(str(out), "<out>")
 
 
+@pytest.fixture(scope="module")
+def synth_raw(tmp_path_factory):
+    """<n>/: synth's 6 recordings of n samples (seed 5), for n of 300 and 2048,
+    written once at 1 CPU. A test that spoils a recording works on a copy."""
+    root = tmp_path_factory.mktemp("synth_raw")
+    for n in ("300", "2048"):
+        code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", n, "--seed", "5",
+                               "--out", str(root / n)], 1)
+        assert (code, stderr) == (0, "")
+    return root
+
+
 # 7 is more CPUs than synth writes files
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_synth_writes_the_same_tree_at_any_cpu_count(tmp_path, n):
@@ -90,10 +102,10 @@ def test_synth_write_error_in_a_share_is_a_bad_out_at_any_cpu_count(tmp_path, wa
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
-def test_recordings_load_the_same_at_any_cpu_count(tmp_path, n):
-    synth_at(1, tmp_path)
+def test_recordings_load_the_same_at_any_cpu_count(synth_raw, n):
+    raw = synth_raw / "300"
     with cpus(n):
-        recs, names = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
+        recs, names = dataio.load_raw_recordings(str(raw), str(raw / "manifest.csv"), list)
     # the oracle: the generator's own arrays, which the files hold bit for bit
     data, labels = dataio.synth_generate(2, 300, SETTINGS["fs"].defaults["synth"],
                                          derive_seed(5, "synth"))
@@ -258,15 +270,6 @@ def test_exception_that_cannot_be_sent_is_an_error_naming_the_status(watchdog, e
         dataio._map_in_shares(lambda share: [fn(i) for i in share], range(4))
 
 
-@pytest.fixture(scope="module")
-def raw_files(tmp_path_factory):
-    """The raw and mixed recordings of test_file_fuzz's pipeline."""
-    root = tmp_path_factory.mktemp("raw_files")
-    ok(["synth", "--per-class", "3", "--out", str(root / "raw")])
-    mixed_manifest(root)
-    return root
-
-
 # both corpora read by featurize: the file fuzzing's raw recordings and
 # manifests (test_cli_fuzz's command lines name absent inputs only, so they
 # stop before any recording is read)
@@ -275,10 +278,10 @@ RAW_TARGETS = sorted(t for t in COMMANDS if t.startswith(("raw/", "mixed/")))
 
 @pytest.mark.parametrize("corruption", ["none", *sorted(CORRUPTIONS)])
 @pytest.mark.parametrize("target", RAW_TARGETS)
-def test_raw_file_fuzz_gives_the_same_outcome_at_1_and_3_cpus(raw_files, tmp_path, watchdog,
-                                                             target, corruption):
+def test_raw_file_fuzz_gives_the_same_outcome_at_1_and_3_cpus(fuzz_pipeline, tmp_path,
+                                                             watchdog, target, corruption):
     work = tmp_path / "work"
-    shutil.copytree(raw_files, work)
+    shutil.copytree(fuzz_pipeline, work)
     path = work / target
     if corruption != "none":
         path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
@@ -373,16 +376,14 @@ FAULT_ARGS = ["--threshold", "1e300"]
 @pytest.mark.parametrize("positions", [(0, 5), (1, 2), (0, 1)], ids=["0_5", "1_2", "0_1"])
 @pytest.mark.parametrize("later", sorted(FAULTS))
 @pytest.mark.parametrize("earlier", sorted(FAULTS))
-def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, later,
-                                                   positions, n_samples):
+def test_first_bad_recording_wins_at_any_cpu_count(synth_raw, tmp_path, watchdog, earlier,
+                                                   later, positions, n_samples):
     # the oracle: a serial run with only the earlier fault. At 2 CPUs the
     # shares are files {0, 1, 2} and {3, 4, 5}, at 3 CPUs {0, 1}, {2, 3} and
     # {4, 5}; a group is a share's recordings of 4 x 300 samples, or two of
     # 4 x 2048, so the faults fall in one group, one share or two shares
     raw, out = tmp_path / "raw", tmp_path / "f.csv"
-    code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", str(n_samples),
-                           "--seed", "5", "--out", str(raw)], 1)
-    assert (code, stderr) == (0, "")
+    shutil.copytree(synth_raw / str(n_samples), raw)
     argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out), *FAULT_ARGS]
 
     def outcome(n):
@@ -410,17 +411,15 @@ def test_first_bad_recording_wins_at_any_cpu_count(tmp_path, watchdog, earlier, 
     ([], "signal length 20 shorter than Welch segment 256"),
     (["--window-len", "256"], "window_len 256 is longer than the recording's 20 samples"),
 ], ids=["whole", "window_256"])
-def test_recording_too_short_for_its_epochs_is_named_at_any_cpu_count(tmp_path, watchdog,
-                                                                      window_args, message,
-                                                                      later, positions):
+def test_recording_too_short_for_its_epochs_is_named_at_any_cpu_count(synth_raw, tmp_path,
+                                                                      watchdog, window_args,
+                                                                      message, later, positions):
     # a recording of 20 samples filters, but is shorter than a Welch segment
     # and than a window of 256 samples: a data error that names it, with or
     # without --window-len, and the first bad recording wins as in
     # test_first_bad_recording_wins_at_any_cpu_count
     raw, out = tmp_path / "raw", tmp_path / "f.csv"
-    code, _, stderr = cli(["synth", "--per-class", "2", "--window-len", "300", "--seed", "5",
-                           "--out", str(raw)], 1)
-    assert (code, stderr) == (0, "")
+    shutil.copytree(synth_raw / "300", raw)
     argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(out),
             *FAULT_ARGS, *window_args]
     first, second = (raw / f"epoch_{k:04d}.csv" for k in positions)
@@ -433,9 +432,9 @@ def test_recording_too_short_for_its_epochs_is_named_at_any_cpu_count(tmp_path, 
     assert not out.exists()
 
 
-def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path, monkeypatch,
-                                                                      watchdog):
-    synth_at(1, tmp_path)
+def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(synth_raw, tmp_path,
+                                                                      monkeypatch, watchdog):
+    raw = synth_raw / "300"
     extract = dsp.extract_features
 
     def warns(epochs, *args, **kwargs):
@@ -445,8 +444,7 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
         return extract(epochs, *args, **kwargs)
 
     monkeypatch.setattr(dsp, "extract_features", warns)
-    argv = ["featurize", "--manifest", str(tmp_path / "manifest.csv"),
-            "--out", str(tmp_path / "f.csv")]
+    argv = ["featurize", "--manifest", str(raw / "manifest.csv"), "--out", str(tmp_path / "f.csv")]
     recorded = []
     for n in (1, 3):
         with warnings.catch_warnings(record=True) as caught:
@@ -456,7 +454,7 @@ def test_warnings_raised_in_shares_are_recorded_once_in_manifest_order(tmp_path,
     assert recorded[1] == recorded[0]
     # one block of six epochs at 1 CPU, three blocks at 3 CPUs; each
     # recording is one epoch, filtered alone here
-    recs, _ = dataio.load_raw_recordings(str(tmp_path), str(tmp_path / "manifest.csv"), list)
+    recs, _ = dataio.load_raw_recordings(str(raw), str(raw / "manifest.csv"), list)
     coeffs = dsp.design_butterworth_bandpass(0.5, 45.0, 256.0, 4)
     assert [m for _, m, _, _ in recorded[0]] == ["featurizing a block"] + [
         f"epoch {zlib.crc32(dsp.filtfilt(coeffs, [r.data])[0].tobytes())}" for r in recs]
@@ -535,11 +533,10 @@ def main_after_threaded_blas(n, argv):
                           capture_output=True, text=True, env=env, timeout=WATCHDOG_S)
 
 
-def test_featurize_after_threaded_blas_matches_one_cpu(tmp_path, watchdog):
+def test_featurize_after_threaded_blas_matches_one_cpu(synth_raw, tmp_path, watchdog):
     # the children filter with numpy, and forking a process whose OpenBLAS
     # has started a thread pool must neither hang nor change a bit
-    raw = tmp_path / "raw"
-    synth_at(1, raw)
+    raw = synth_raw / "300"
     for n in (1, 2):
         proc = main_after_threaded_blas(n, ["featurize", "--manifest", str(raw / "manifest.csv"),
                                             "--out", str(tmp_path / f"{n}.csv")])
